@@ -1,10 +1,5 @@
 GO ?= go
-BENCHOUT ?= results/BENCH_hotpath.json
-GATHEROUT ?= results/BENCH_gather.json
-SERVEOUT ?= results/BENCH_serve.json
-ENGINEOUT ?= results/BENCH_engine.json
-COMMITOUT ?= results/BENCH_commitagg.json
-COLLOUT ?= results/BENCH_coll.json
+BENCHES = hotpath gather serve engine commitagg coll
 
 .PHONY: build test vet race bench benchsmoke apicheck ci
 
@@ -23,7 +18,8 @@ test:
 # / ULFM recovery layer (deterministic injector + Revoke/Shrink/Agree),
 # the monitoring daemon's concurrent ingest/read service, the
 # commit-on-threshold aggregation layer (concurrent producers vs forced
-# barrier flushes) with the pml fold it fronts, the reorder/online
+# barrier flushes), the pml monitor (concurrent readers vs the recording
+# rank), the reorder/online
 # control loops (SPMD controllers stepping concurrently over all ranks),
 # and the collective algorithm portfolio (per-callsite profiler shared by
 # all ranks; cross-engine pins at np=256).
@@ -37,37 +33,35 @@ race:
 apicheck:
 	$(GO) run ./cmd/apisurface -check
 
-# bench runs the hot-path benchmark suite — the send/recv micro (pool-hit
-# allocation rate), the TreeMatch kernels, and the collective layer — and
-# writes the results as JSON to $(BENCHOUT) so the performance trajectory
-# can be diffed commit to commit (see docs/PERFORMANCE.md).
-bench:
+# bench records every benchmark suite as results/BENCH_<suite>.json so
+# the performance trajectory can be diffed commit to commit (see
+# docs/PERFORMANCE.md); `make bench-<suite>` records one. A suite is a
+# row of this table: the `go test` runs (extra flags, -bench pattern,
+# package) whose output cmd/benchjson converts.
+#   hotpath   send/recv micro (pool-hit allocation rate), TreeMatch kernels, collective layer
+#   gather    sparse root-gather at np 256/1024/4096
+#   serve     monitoring daemon ingest, views and frame codec
+#   engine    event-engine stencil worlds at np 4096/16384/65536 + goroutine baseline
+#   commitagg commit-on-threshold cells and batched row export
+#   coll      collective algorithm portfolio
+benchrun = $(GO) test -run '^$$' -bench '$(2)' -benchmem $(1) $(3)
+
+hotpath_runs = $(call benchrun,,^BenchmarkSendRecv,./internal/mpi) && \
+	$(call benchrun,,^(BenchmarkTreeMatch|BenchmarkTable1TreeMatchScale|BenchmarkPingPong|BenchmarkCollectives|BenchmarkBarrier48)$$,.)
+gather_runs = $(call benchrun,-benchtime 1x,^BenchmarkGatherSparse$$,.)
+serve_runs = $(call benchrun,,^(BenchmarkServeIngest|BenchmarkServeView|BenchmarkFrameCodec)$$,./internal/monsvc)
+engine_runs = $(call benchrun,-benchtime 1x -timeout 30m,^BenchmarkEventEngine$$,.)
+commitagg_runs = $(call benchrun,,^BenchmarkCommitAgg,./internal/commitagg) && \
+	$(call benchrun,,^BenchmarkCommitAggRowExport$$,./internal/monitoring)
+coll_runs = $(call benchrun,,^BenchmarkCollPortfolio$$,.)
+
+bench: $(addprefix bench-,$(BENCHES))
+
+bench-%:
 	@tmp=$$(mktemp) && \
-	$(GO) test -run '^$$' -bench '^BenchmarkSendRecv' -benchmem ./internal/mpi | tee -a $$tmp && \
-	$(GO) test -run '^$$' -bench '^(BenchmarkTreeMatch|BenchmarkTable1TreeMatchScale|BenchmarkPingPong|BenchmarkCollectives|BenchmarkBarrier48)$$' -benchmem . | tee -a $$tmp && \
-	$(GO) run ./cmd/benchjson -out $(BENCHOUT) < $$tmp && \
-	rm -f $$tmp && echo "wrote $(BENCHOUT)" && \
-	tmp2=$$(mktemp) && \
-	$(GO) test -run '^$$' -bench '^BenchmarkGatherSparse$$' -benchtime 1x -benchmem . | tee -a $$tmp2 && \
-	$(GO) run ./cmd/benchjson -out $(GATHEROUT) < $$tmp2 && \
-	rm -f $$tmp2 && echo "wrote $(GATHEROUT)" && \
-	tmp3=$$(mktemp) && \
-	$(GO) test -run '^$$' -bench '^(BenchmarkServeIngest|BenchmarkServeView|BenchmarkFrameCodec)$$' -benchmem ./internal/monsvc | tee -a $$tmp3 && \
-	$(GO) run ./cmd/benchjson -out $(SERVEOUT) < $$tmp3 && \
-	rm -f $$tmp3 && echo "wrote $(SERVEOUT)" && \
-	tmp4=$$(mktemp) && \
-	$(GO) test -run '^$$' -bench '^BenchmarkEventEngine$$' -benchtime 1x -benchmem -timeout 30m . | tee -a $$tmp4 && \
-	$(GO) run ./cmd/benchjson -out $(ENGINEOUT) < $$tmp4 && \
-	rm -f $$tmp4 && echo "wrote $(ENGINEOUT)" && \
-	tmp5=$$(mktemp) && \
-	$(GO) test -run '^$$' -bench '^BenchmarkCommitAgg' -benchmem ./internal/commitagg | tee -a $$tmp5 && \
-	$(GO) test -run '^$$' -bench '^BenchmarkCommitAggRowExport$$' -benchmem ./internal/monitoring | tee -a $$tmp5 && \
-	$(GO) run ./cmd/benchjson -out $(COMMITOUT) < $$tmp5 && \
-	rm -f $$tmp5 && echo "wrote $(COMMITOUT)" && \
-	tmp6=$$(mktemp) && \
-	$(GO) test -run '^$$' -bench '^BenchmarkCollPortfolio$$' -benchmem . | tee -a $$tmp6 && \
-	$(GO) run ./cmd/benchjson -out $(COLLOUT) < $$tmp6 && \
-	rm -f $$tmp6 && echo "wrote $(COLLOUT)"
+	{ $($*_runs); } | tee $$tmp && \
+	$(GO) run ./cmd/benchjson -out results/BENCH_$*.json < $$tmp && \
+	rm -f $$tmp && echo "wrote results/BENCH_$*.json"
 
 # benchsmoke compiles and runs every benchmark exactly once so the harness
 # cannot bit-rot; it measures nothing.

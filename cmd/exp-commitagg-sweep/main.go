@@ -1,9 +1,10 @@
 // Command exp-commitagg-sweep records the commit-policy grid: a stencil
 // world per (threshold × interval) cell, each pinned bit-identical to
-// the eager baseline and scored by its amortization — how many counter
-// updates one backend fold absorbs on the pml session fold and the
-// telemetry cells. The recorded output is results/commitagg_sweep.tsv,
-// the grid that picked commitagg.DefaultThreshold (see EXPERIMENTS.md).
+// the eager baseline (pml matrices and telemetry counter totals) and
+// scored by its amortization — how many counter updates one registry
+// fold absorbs on the telemetry cells. The recorded output is
+// results/commitagg_sweep.tsv, the grid that picked
+// commitagg.DefaultThreshold (see EXPERIMENTS.md).
 package main
 
 import (

@@ -1,8 +1,8 @@
 // Package commitagg is a commit-on-threshold aggregation layer: it
 // commits *information, not traffic*. Hot paths accumulate deltas into
 // process-local cells in O(1) and the accumulated state is folded into
-// its sink — a shared telemetry counter, a per-peer session map, a
-// network exporter — only when one of three triggers fires:
+// its sink — a shared telemetry counter, a network exporter — only when
+// one of three triggers fires:
 //
 //   - the number of logical updates since the last commit crosses the
 //     shard's threshold,
@@ -64,9 +64,9 @@ func Default() Policy {
 // Norm resolves the zero values to the defaults: Threshold 0 becomes
 // DefaultThreshold (negative becomes 1 = eager), IntervalNs 0 becomes
 // DefaultIntervalNs (negative stays, disabling the interval trigger).
-// Every consumer of a Policy (NewShard, pml.SetCommitPolicy, the
-// monitoring batch exporter) normalizes on ingest, so callers can hand
-// over partially-filled literals.
+// Every consumer of a Policy (NewShard, the monitoring batch exporter)
+// normalizes on ingest, so callers can hand over partially-filled
+// literals.
 func (p Policy) Norm() Policy {
 	if p.Threshold == 0 {
 		p.Threshold = DefaultThreshold

@@ -14,10 +14,11 @@ import (
 
 // CommitSweepConfig parameterizes the commit-policy sweep: a stencil
 // world runs once per (threshold × interval) grid cell with that commit
-// policy on the pml fold and the telemetry cells, and every cell's
-// observable state is pinned bit-identical to the eager baseline while
-// its amortization (updates per backend fold) is recorded. The grid is
-// what picked commitagg.DefaultThreshold.
+// policy on the telemetry cells, and every cell's observable state —
+// the pml monitors' matrices included, which the policy must never
+// change — is pinned bit-identical to the eager baseline while its
+// amortization (updates per registry fold) is recorded. The grid is what
+// picked commitagg.DefaultThreshold.
 type CommitSweepConfig struct {
 	// NP is the world size; must be a perfect square.
 	NP int
@@ -46,9 +47,9 @@ var DefaultCommitSweep = CommitSweepConfig{
 type CommitSweepRow struct {
 	Threshold  int
 	IntervalNs int64
-	// Pml and Tel are the batched-fold counters of the pml session fold
-	// and the telemetry cells (updates accepted vs backend folds paid).
-	Pml, Tel commitagg.Stats
+	// Tel is the batched-fold counters of the telemetry cells (updates
+	// accepted vs registry folds paid).
+	Tel commitagg.Stats
 	// Exact reports whether every monitored matrix and telemetry counter
 	// total matched the eager baseline bit for bit.
 	Exact       bool
@@ -131,7 +132,6 @@ func CommitSweep(cfg CommitSweepConfig) ([]CommitSweepRow, error) {
 			rows = append(rows, CommitSweepRow{
 				Threshold:   th,
 				IntervalNs:  iv,
-				Pml:         w.MonitorAggStats(),
 				Tel:         w.TelemetryAggStats(),
 				Exact:       reflect.DeepEqual(base, fp),
 				WallSeconds: time.Since(t0).Seconds(),
@@ -144,13 +144,12 @@ func CommitSweep(cfg CommitSweepConfig) ([]CommitSweepRow, error) {
 // PrintCommitSweep writes the grid as TSV (results/commitagg_sweep.tsv).
 func PrintCommitSweep(w io.Writer, cfg CommitSweepConfig, rows []CommitSweepRow) {
 	Fprintf(w, "# commit-policy sweep: %d-rank stencil, %d iters x %d B halo\n", cfg.NP, cfg.Iters, cfg.MsgBytes)
-	Fprintf(w, "# pml_* is the session fold behind the per-peer counters, tel_* the telemetry counter cells;\n")
-	Fprintf(w, "# upf = updates per backend fold (amortization; eager = 1), exact pins bit-identical state vs eager\n")
-	Fprintf(w, "threshold\tinterval_ns\tpml_updates\tpml_folds\tpml_upf\ttel_updates\ttel_folds\ttel_upf\texact\twall_ms\n")
+	Fprintf(w, "# tel_* is the telemetry counter cells; upf = updates per registry fold (amortization; eager = 1),\n")
+	Fprintf(w, "# exact pins bit-identical pml matrices and counter totals vs eager\n")
+	Fprintf(w, "threshold\tinterval_ns\ttel_updates\ttel_folds\ttel_upf\texact\twall_ms\n")
 	for _, r := range rows {
-		Fprintf(w, "%d\t%d\t%d\t%d\t%.2f\t%d\t%d\t%.2f\t%v\t%.1f\n",
+		Fprintf(w, "%d\t%d\t%d\t%d\t%.2f\t%v\t%.1f\n",
 			r.Threshold, r.IntervalNs,
-			r.Pml.Updates, r.Pml.Folds, r.Pml.UpdatesPerFold(),
 			r.Tel.Updates, r.Tel.Folds, r.Tel.UpdatesPerFold(),
 			r.Exact, r.WallSeconds*1e3)
 	}

@@ -9,11 +9,12 @@ import (
 )
 
 // The batched-commit pin: with commit-on-threshold aggregation in front
-// of the pml counters and the telemetry cells, every observation point —
-// the monitored matrices, the virtual clocks, the telemetry counter
-// totals — must be bit-identical to the eager per-message path, at every
-// world size and under both engines. Batching may only change when data
-// moves, never what a barrier reads.
+// of the telemetry cells, every observation point — the monitored
+// matrices (which the policy does not front and must not disturb), the
+// virtual clocks, the telemetry counter totals — must be bit-identical
+// to the eager per-message path, at every world size and under both
+// engines. Batching may only change when data moves, never what a
+// barrier reads.
 
 // counterFamilies are the registry families fed through commitagg cells.
 var counterFamilies = []string{

@@ -46,9 +46,8 @@ type World struct {
 	level     pml.Level
 	tel       *telemetry.Telemetry
 
-	// aggPol is the commit-on-threshold policy of the batched hot-path
-	// accumulators (telemetry message counters, pml pending folds); see
-	// WithCommitPolicy.
+	// aggPol is the commit-on-threshold policy of the telemetry message
+	// counter cells; see WithCommitPolicy.
 	aggPol commitagg.Policy
 
 	// eng is the execution engine (engine.go); ev is non-nil while (and
@@ -117,13 +116,12 @@ func WithMonitoringLevel(l pml.Level) Option {
 	return func(w *World) { w.level = l }
 }
 
-// WithCommitPolicy sets the commit-on-threshold policy of the world's
-// batched accumulators: the per-rank telemetry message/byte counter
-// cells and the pml monitor's pending session folds. The default is
+// WithCommitPolicy sets the commit-on-threshold policy of the per-rank
+// telemetry message/byte counter cells. The default is
 // commitagg.Default(); commitagg.Eager commits every update immediately,
 // reproducing the unbatched path bit for bit (the policy changes when
-// data moves, never what the barriers — gathers, Suspends, scrapes —
-// observe).
+// data moves, never what a scrape observes). The pml monitor is not
+// batched: its counters are exact at every read.
 func WithCommitPolicy(p commitagg.Policy) Option {
 	return func(w *World) { w.aggPol = p }
 }
@@ -314,7 +312,6 @@ func newProc(w *World, rank int) *Proc {
 		node:  w.mach.Topo.NodeOf(w.placement[rank]),
 		mon:   pml.NewMonitor(w.size, w.level),
 	}
-	p.mon.SetCommitPolicy(w.aggPol)
 	p.queue.init(p, &w.aborted)
 	return p
 }

@@ -154,16 +154,6 @@ func (w *World) TelemetryAggStats() commitagg.Stats {
 	return st
 }
 
-// MonitorAggStats sums the per-rank pml batched-fold counters (zero when
-// the commit policy is eager — the direct path does not count).
-func (w *World) MonitorAggStats() commitagg.Stats {
-	var st commitagg.Stats
-	for _, p := range w.procs {
-		st = st.Add(p.mon.AggStats())
-	}
-	return st
-}
-
 // comm returns (creating on first use) the per-communicator traffic
 // counter cells of a context id. Must be called from the rank goroutine.
 func (m *rankMetrics) comm(ctx int) (*commitagg.Cell, *commitagg.Cell) {

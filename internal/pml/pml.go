@@ -13,10 +13,9 @@ package pml
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
-
-	"mpimon/internal/commitagg"
 )
 
 // Class tells which kind of MPI operation produced a message. Collective
@@ -79,6 +78,16 @@ type Recorder func(class Class, dst, bytes int, when int64)
 // message is buffered for transmission. All methods are safe for concurrent
 // use.
 //
+// There is one storage representation at every world size: per class, the
+// peers with recorded traffic as {dst, count, bytes} entries in first-touch
+// order, plus an open-addressed index from dst to entry. A class holds
+// nothing until its first Record; after that a touched peer costs 32 B when
+// the table is full (a 24 B entry and two 4 B index slots) and at most
+// twice that right after a doubling, so monitor memory follows the peers a
+// process talks to, not the world size. One mutex guards all classes: the
+// owning rank is the only writer, readers are gather-time operations, and
+// holding the lock is what makes every read exact.
+//
 // Any number of recorders can observe the monitor simultaneously (the
 // post-mortem tracer, the hardware-counter collector and the telemetry
 // metrics all hang off the same run); the hot path reads an immutable
@@ -94,122 +103,95 @@ type Monitor struct {
 	recIDs    []int
 	recorders atomic.Pointer[[]Recorder]
 
-	// counts[class][dst] and bytes[class][dst], flat to keep allocation
-	// count low; accessed with atomics. nil when the monitor uses the
-	// sparse backend (n > DenseLimit).
-	counts []uint64
-	bytes  []uint64
-
-	// Touched-peer tracking, so readers can visit only destinations with
-	// any recorded traffic instead of scanning the whole world. touchBits
-	// is a per-class bitmap of touched destinations; touchList[class] is
-	// an append-only log of first touches (slot values are dst+1, written
-	// atomically after the length is claimed, so a concurrent reader may
-	// transiently see a zero slot and must skip it). touchWords is the
-	// per-class bitmap stride in uint32 words.
-	touchWords int
-	touchBits  []uint32
-	touchList  []int32
-	touchLen   [NumClasses]atomic.Int64
-
-	// sp is the sparse backend, non-nil iff n > DenseLimit: per-class maps
-	// keyed by destination, sized by peers actually touched. A dense
-	// monitor costs ~56 bytes per world rank per process — 3.4 GiB/rank at
-	// np = 65536 — while real applications talk to O(touched) neighbours;
-	// the sparse backend makes per-process monitoring memory O(touched).
-	sp []spClass
-
-	// pend is the commit-on-threshold front of the per-peer fold: a tiny
-	// associative cache of pending (dst -> count/bytes) deltas per
-	// class, non-nil iff batching is enabled (SetCommitPolicy). A
-	// heavy-churn send touches only its local slot; the backend map (or
-	// dense row) sees one merged fold per policy threshold/interval —
-	// committing information, not traffic. Every read path flushes first
-	// so barriers (session Suspends, gathers) observe exact counters.
-	pend []pendClass
-	pol  commitagg.Policy
-
-	// Batched-fold accounting (logical updates vs. backend folds), the
-	// commit-ratio the benchmarks report.
-	statUpdates atomic.Uint64
-	statCommits atomic.Uint64
-	statFolds   atomic.Uint64
+	mu  sync.Mutex
+	tab [NumClasses]table
 }
 
-// pendSlots is the per-class pending-cache size. 8 slots cover the
-// O(degree) neighbourhoods of stencil-style applications; beyond that
-// the round-robin victim folds early, which costs folds but never
-// correctness.
-const pendSlots = 8
-
-// pendEntry is one pending accumulation slot: deltas for a single
-// destination not yet folded into the backend.
-type pendEntry struct {
-	dst      int32 // -1 when empty
+// entry holds the two counters of one (class, destination) pair.
+type entry struct {
+	dst      int32
 	cnt, byt uint64
 }
 
-// pendClass is one class's pending state: a small fully-associative
-// cache of per-destination deltas. Full associativity matters — a
-// direct-mapped index thrashes whenever two halo neighbours share low
-// bits (r-gx and r+gx collide for any gx ≡ 0 mod slots), while a linear
-// scan of 8 entries is a handful of compares and never displaces a
-// neighbourhood of degree ≤ 8. The mutex is shard-local (one writer rank
-// in steady state) and ordered strictly before the backend locks it
-// folds into.
-type pendClass struct {
-	mu    sync.Mutex
-	n     int   // logical updates since the last full fold
-	since int64 // clock of the last full fold
-	vic   int   // round-robin eviction cursor for degree > pendSlots
-	slots [pendSlots]pendEntry
+// table is one class's counters. ents is in first-touch order. idx is a
+// linear-probed hash index over it: a slot holds an entry's position plus
+// one, zero is empty, and len(idx) == 2*cap(ents) is a power of two, so
+// the index is never more than half full. shift is 32 - log2(len(idx)).
+type table struct {
+	ents  []entry
+	idx   []int32
+	shift uint
 }
 
-// DenseLimit is the world size above which NewMonitor switches from the
-// flat atomic arrays to the sparse map backend. Exported as a variable so
-// scale tests can force either backend.
-var DenseLimit = 4096
-
-// spClass is one communication class of the sparse backend. A mutex (not
-// atomics) guards the map: the monitor belongs to one process, so writes
-// never contend in practice, and readers are rare gather-time operations.
-type spClass struct {
-	mu    sync.Mutex
-	cells map[int32]*spCell
-	order []int32 // first-touch order, mirroring touchList
+// slot returns the index slot that holds dst, or the empty slot where dst
+// belongs. The multiplicative hash spreads the strided neighbourhoods of
+// stencil codes (r±1, r±gx), which share low bits.
+func (t *table) slot(dst int32) uint32 {
+	mask := uint32(len(t.idx) - 1)
+	for i := uint32(dst) * 2654435769 >> t.shift; ; i = (i + 1) & mask {
+		if k := t.idx[i]; k == 0 || t.ents[k-1].dst == dst {
+			return i
+		}
+	}
 }
 
-// spCell holds the two counters of one (class, destination) pair.
-type spCell struct {
-	cnt, byt uint64
+// get returns dst's entry, or nil when dst has no recorded traffic.
+func (t *table) get(dst int32) *entry {
+	if len(t.ents) == 0 {
+		return nil
+	}
+	if k := t.idx[t.slot(dst)]; k != 0 {
+		return &t.ents[k-1]
+	}
+	return nil
+}
+
+// add appends a zero entry for dst, which must not have one yet.
+func (t *table) add(dst int32) *entry {
+	if len(t.ents) == cap(t.ents) {
+		t.grow()
+	}
+	t.ents = append(t.ents, entry{dst: dst})
+	t.idx[t.slot(dst)] = int32(len(t.ents))
+	return &t.ents[len(t.ents)-1]
+}
+
+// grow doubles the table's capacity (from nothing to four peers) and
+// rebuilds the index at the new size.
+func (t *table) grow() {
+	c := 2 * cap(t.ents)
+	if c == 0 {
+		c = 4
+	}
+	ents := make([]entry, len(t.ents), c)
+	copy(ents, t.ents)
+	t.ents = ents
+	t.idx = make([]int32, 2*c)
+	t.shift = uint(32 - bits.TrailingZeros(uint(2*c)))
+	for k := range ents {
+		t.idx[t.slot(ents[k].dst)] = int32(k + 1)
+	}
+}
+
+// load returns one of the entry's two counters.
+func (e *entry) load(wantBytes bool) uint64 {
+	if wantBytes {
+		return e.byt
+	}
+	return e.cnt
 }
 
 // NewMonitor builds a monitor for a world of n ranks at the given level.
 func NewMonitor(n int, level Level) *Monitor {
 	m := &Monitor{n: n}
-	if n > DenseLimit {
-		m.sp = make([]spClass, NumClasses)
-	} else {
-		words := (n + 31) / 32
-		m.counts = make([]uint64, int(NumClasses)*n)
-		m.bytes = make([]uint64, int(NumClasses)*n)
-		m.touchWords = words
-		m.touchBits = make([]uint32, int(NumClasses)*words)
-		m.touchList = make([]int32, int(NumClasses)*n)
-	}
 	m.level.Store(int32(level))
 	return m
 }
 
-// orUint32 atomically ors bit into *p and returns the previous value
-// (a CAS loop; sync/atomic's Or functions need a newer language version
-// than this module targets).
-func orUint32(p *uint32, bit uint32) uint32 {
-	for {
-		old := atomic.LoadUint32(p)
-		if old&bit != 0 || atomic.CompareAndSwapUint32(p, old, old|bit) {
-			return old
-		}
+// checkPeer panics unless dst is a rank of the monitor's world.
+func (m *Monitor) checkPeer(dst int) {
+	if dst < 0 || dst >= m.n {
+		panic(fmt.Sprintf("pml: peer %d outside world of %d", dst, m.n))
 	}
 }
 
@@ -281,54 +263,14 @@ func (m *Monitor) RemoveRecorder(id int) {
 	}
 }
 
-// SetCommitPolicy installs (or removes) a commit-on-threshold front in
-// front of the per-peer counters. An eager policy (Threshold <= 1) folds
-// any pending deltas and restores the direct per-message path; a batched
-// policy makes Record accumulate into a small per-class pending cache
-// that folds into the backend only on threshold, interval or a read
-// barrier. Totals observed by any reader are bit-identical either way.
-func (m *Monitor) SetCommitPolicy(p commitagg.Policy) {
-	m.flushPending()
-	if p.Eager() {
-		m.pend = nil
-		m.pol = commitagg.Eager
-		return
-	}
-	pend := make([]pendClass, NumClasses)
-	for cl := range pend {
-		for i := range pend[cl].slots {
-			pend[cl].slots[i].dst = -1
-		}
-	}
-	m.pend = pend
-	m.pol = p.Norm()
-}
-
-// CommitPolicy returns the monitor's current commit policy.
-func (m *Monitor) CommitPolicy() commitagg.Policy {
-	if m.pend == nil {
-		return commitagg.Eager
-	}
-	return m.pol
-}
-
-// AggStats returns the batched-fold counters: logical updates accepted,
-// commit rounds, and backend folds performed. With batching disabled the
-// stats stay zero (the direct path does not count).
-func (m *Monitor) AggStats() commitagg.Stats {
-	return commitagg.Stats{
-		Updates: m.statUpdates.Load(),
-		Commits: m.statCommits.Load(),
-		Folds:   m.statFolds.Load(),
-	}
-}
-
 // Record counts one outgoing message of the given class to the destination
-// world rank. when is the sender's virtual clock (ns) at buffering time.
-// At level Aggregate the class distinction is dropped (everything counts as
-// P2P), mirroring pml_monitoring_enable=1's "no distinction between user
-// issued and library issued messages".
+// world rank, which must lie inside the monitor's world. when is the
+// sender's virtual clock (ns) at buffering time. At level Aggregate the
+// class distinction is dropped (everything counts as P2P), mirroring
+// pml_monitoring_enable=1's "no distinction between user issued and
+// library issued messages".
 func (m *Monitor) Record(class Class, dst int, size int, when int64) {
+	m.checkPeer(dst)
 	switch Level(m.level.Load()) {
 	case Disabled:
 		return
@@ -338,11 +280,15 @@ func (m *Monitor) Record(class Class, dst int, size int, when int64) {
 	if m.suppress.Load() > 0 {
 		return
 	}
-	if m.pend != nil {
-		m.recordBatched(class, dst, size, when)
-	} else {
-		m.fold(class, dst, 1, uint64(size))
+	m.mu.Lock()
+	t := &m.tab[class]
+	e := t.get(int32(dst))
+	if e == nil {
+		e = t.add(int32(dst))
 	}
+	e.cnt++
+	e.byt += uint64(size)
+	m.mu.Unlock()
 	if rs := m.recorders.Load(); rs != nil {
 		for _, r := range *rs {
 			r(class, dst, size, when)
@@ -350,161 +296,28 @@ func (m *Monitor) Record(class Class, dst int, size int, when int64) {
 	}
 }
 
-// recordBatched accumulates one message into the class's pending cache:
-// a repeat send to a cached neighbour (the stencil/halo steady state)
-// only bumps its slot. A destination beyond the cache's capacity evicts
-// the round-robin victim into the backend. A full fold of the class
-// fires when the policy threshold or interval trips.
-func (m *Monitor) recordBatched(class Class, dst int, size int, when int64) {
-	c := &m.pend[class]
-	c.mu.Lock()
-	var s *pendEntry
-	for i := range c.slots {
-		e := &c.slots[i]
-		if e.dst == int32(dst) {
-			s = e
-			break
-		}
-		if e.dst == -1 && s == nil {
-			s = e
-		}
-	}
-	switch {
-	case s == nil: // cache full of other destinations: evict one
-		s = &c.slots[c.vic]
-		c.vic = (c.vic + 1) & (pendSlots - 1)
-		m.fold(class, int(s.dst), s.cnt, s.byt)
-		m.statFolds.Add(1)
-		s.dst = int32(dst)
-		s.cnt = 1
-		s.byt = uint64(size)
-	case s.dst == int32(dst):
-		s.cnt++
-		s.byt += uint64(size)
-	default: // claimed an empty slot
-		s.dst = int32(dst)
-		s.cnt = 1
-		s.byt = uint64(size)
-	}
-	c.n++
-	m.statUpdates.Add(1)
-	if c.n >= m.pol.Threshold ||
-		(m.pol.IntervalNs > 0 && when-c.since >= m.pol.IntervalNs) {
-		m.foldClassLocked(class, c, when)
-	}
-	c.mu.Unlock()
-}
-
-// foldClassLocked folds every occupied pending slot of one class into the
-// backend and resets the class's trigger state. Caller holds c.mu.
-func (m *Monitor) foldClassLocked(class Class, c *pendClass, when int64) {
-	for i := range c.slots {
-		s := &c.slots[i]
-		if s.dst >= 0 {
-			m.fold(class, int(s.dst), s.cnt, s.byt)
-			m.statFolds.Add(1)
-			s.dst = -1
-			s.cnt, s.byt = 0, 0
-		}
-	}
-	c.n = 0
-	c.since = when
-	m.statCommits.Add(1)
-}
-
-// flushPending folds every class's pending deltas into the backend — the
-// read barrier. Every reader (Touched, Counts, CountsAt, TotalBytes, the
-// MPI_T handles above, the session gathers above those) goes through it,
-// which is what makes batched totals bit-identical to eager ones at every
-// observation point. Lock order is pendClass.mu before spClass.mu.
-func (m *Monitor) flushPending() {
-	if m.pend == nil {
-		return
-	}
-	for cl := range m.pend {
-		c := &m.pend[cl]
-		c.mu.Lock()
-		if c.n > 0 {
-			m.foldClassLocked(Class(cl), c, c.since)
-		}
-		c.mu.Unlock()
-	}
-}
-
-// fold merges an accumulated (count, bytes) delta for one destination
-// into the backend — the single write path shared by the eager per-message
-// route (cnt=1) and the batched folds.
-func (m *Monitor) fold(class Class, dst int, cnt, byt uint64) {
-	if m.sp != nil {
-		c := &m.sp[class]
-		c.mu.Lock()
-		cell := c.cells[int32(dst)]
-		if cell == nil {
-			if c.cells == nil {
-				c.cells = make(map[int32]*spCell)
-			}
-			cell = &spCell{}
-			c.cells[int32(dst)] = cell
-			c.order = append(c.order, int32(dst))
-		}
-		cell.cnt += cnt
-		cell.byt += byt
-		c.mu.Unlock()
-		return
-	}
-	i := int(class)*m.n + dst
-	atomic.AddUint64(&m.counts[i], cnt)
-	atomic.AddUint64(&m.bytes[i], byt)
-	// First touch of (class, dst): publish it on the touched list. The
-	// common case (already touched) costs one extra atomic load.
-	w := &m.touchBits[int(class)*m.touchWords+dst>>5]
-	bit := uint32(1) << uint(dst&31)
-	if atomic.LoadUint32(w)&bit == 0 && orUint32(w, bit)&bit == 0 {
-		k := m.touchLen[class].Add(1) - 1
-		atomic.StoreInt32(&m.touchList[int(class)*m.n+int(k)], int32(dst)+1)
-	}
-}
-
 // Counts copies the per-destination message counts of one class into out,
 // which must have length Size().
 func (m *Monitor) Counts(class Class, out []uint64) {
-	m.copyRow(m.counts, class, out, false)
+	m.copyRow(class, out, false)
 }
 
 // Bytes copies the per-destination byte counts of one class into out.
 func (m *Monitor) Bytes(class Class, out []uint64) {
-	m.copyRow(m.bytes, class, out, true)
+	m.copyRow(class, out, true)
 }
 
-func (m *Monitor) copyRow(row []uint64, class Class, out []uint64, wantBytes bool) {
+func (m *Monitor) copyRow(class Class, out []uint64, wantBytes bool) {
 	if len(out) != m.n {
 		panic(fmt.Sprintf("pml: output slice has length %d, want %d", len(out), m.n))
 	}
-	m.flushPending()
-	if m.sp != nil {
-		for j := range out {
-			out[j] = 0
-		}
-		c := &m.sp[class]
-		c.mu.Lock()
-		for dst, cell := range c.cells {
-			out[dst] = cell.load(wantBytes)
-		}
-		c.mu.Unlock()
-		return
+	clear(out)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ents := m.tab[class].ents
+	for k := range ents {
+		out[ents[k].dst] = ents[k].load(wantBytes)
 	}
-	base := int(class) * m.n
-	for j := 0; j < m.n; j++ {
-		out[j] = atomic.LoadUint64(&row[base+j])
-	}
-}
-
-// load returns one of the cell's two counters; must hold the class mutex.
-func (c *spCell) load(wantBytes bool) uint64 {
-	if wantBytes {
-		return c.byt
-	}
-	return c.cnt
 }
 
 // Touched returns the destination ranks with any traffic recorded for the
@@ -512,27 +325,12 @@ func (c *spCell) load(wantBytes bool) uint64 {
 // order. The result is a fresh slice; its length is the number of peers
 // touched, so callers iterating it pay O(touched), not O(world).
 func (m *Monitor) Touched(class Class) []int {
-	m.flushPending()
-	if m.sp != nil {
-		c := &m.sp[class]
-		c.mu.Lock()
-		out := make([]int, len(c.order))
-		for i, dst := range c.order {
-			out[i] = int(dst)
-		}
-		c.mu.Unlock()
-		return out
-	}
-	k := int(m.touchLen[class].Load())
-	out := make([]int, 0, k)
-	base := int(class) * m.n
-	for i := 0; i < k; i++ {
-		// A zero slot is a first touch whose value is not yet published;
-		// the concurrent Record it belongs to is unordered with this read
-		// anyway, so skipping it is no worse than having read earlier.
-		if v := atomic.LoadInt32(&m.touchList[base+i]); v != 0 {
-			out = append(out, int(v-1))
-		}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ents := m.tab[class].ents
+	out := make([]int, len(ents))
+	for k := range ents {
+		out[k] = int(ents[k].dst)
 	}
 	return out
 }
@@ -540,102 +338,53 @@ func (m *Monitor) Touched(class Class) []int {
 // CountsAt reads the message counters of one class at the given
 // destinations into out (parallel to peers).
 func (m *Monitor) CountsAt(class Class, peers []int, out []uint64) {
-	m.copyAt(m.counts, class, peers, out, false)
+	m.copyAt(class, peers, out, false)
 }
 
 // BytesAt reads the byte counters of one class at the given destinations
 // into out (parallel to peers).
 func (m *Monitor) BytesAt(class Class, peers []int, out []uint64) {
-	m.copyAt(m.bytes, class, peers, out, true)
+	m.copyAt(class, peers, out, true)
 }
 
-func (m *Monitor) copyAt(row []uint64, class Class, peers []int, out []uint64, wantBytes bool) {
+func (m *Monitor) copyAt(class Class, peers []int, out []uint64, wantBytes bool) {
 	if len(out) != len(peers) {
 		panic(fmt.Sprintf("pml: output slice has length %d for %d peers", len(out), len(peers)))
 	}
-	m.flushPending()
-	if m.sp != nil {
-		c := &m.sp[class]
-		c.mu.Lock()
-		for i, p := range peers {
-			if p < 0 || p >= m.n {
-				c.mu.Unlock()
-				panic(fmt.Sprintf("pml: peer %d outside world of %d", p, m.n))
-			}
-			if cell := c.cells[int32(p)]; cell != nil {
-				out[i] = cell.load(wantBytes)
-			} else {
-				out[i] = 0
-			}
-		}
-		c.mu.Unlock()
-		return
-	}
-	base := int(class) * m.n
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	t := &m.tab[class]
 	for i, p := range peers {
-		if p < 0 || p >= m.n {
-			panic(fmt.Sprintf("pml: peer %d outside world of %d", p, m.n))
+		m.checkPeer(p)
+		if e := t.get(int32(p)); e != nil {
+			out[i] = e.load(wantBytes)
+		} else {
+			out[i] = 0
 		}
-		out[i] = atomic.LoadUint64(&row[base+p])
 	}
 }
 
 // TotalBytes returns the total bytes recorded for one class.
 func (m *Monitor) TotalBytes(class Class) uint64 {
-	m.flushPending()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	var s uint64
-	if m.sp != nil {
-		c := &m.sp[class]
-		c.mu.Lock()
-		for _, cell := range c.cells {
-			s += cell.byt
-		}
-		c.mu.Unlock()
-		return s
-	}
-	base := int(class) * m.n
-	for j := 0; j < m.n; j++ {
-		s += atomic.LoadUint64(&m.bytes[base+j])
+	ents := m.tab[class].ents
+	for k := range ents {
+		s += ents[k].byt
 	}
 	return s
 }
 
-// Reset zeroes every counter and forgets the touched peers. Pending
-// batched deltas are discarded, not folded: Reset starts a new epoch and
-// traffic recorded before it does not belong there.
+// Reset zeroes every counter and forgets the touched peers. The tables
+// keep their capacity, so an epoch loop over a fixed neighbourhood
+// (Record, read, Reset, repeat) allocates only in its first epoch.
 func (m *Monitor) Reset() {
-	if m.pend != nil {
-		for cl := range m.pend {
-			c := &m.pend[cl]
-			c.mu.Lock()
-			for i := range c.slots {
-				c.slots[i] = pendEntry{dst: -1}
-			}
-			c.n = 0
-			c.mu.Unlock()
-		}
-	}
-	if m.sp != nil {
-		for cl := range m.sp {
-			c := &m.sp[cl]
-			c.mu.Lock()
-			c.cells = nil
-			c.order = nil
-			c.mu.Unlock()
-		}
-		return
-	}
-	for i := range m.counts {
-		atomic.StoreUint64(&m.counts[i], 0)
-		atomic.StoreUint64(&m.bytes[i], 0)
-	}
-	for i := range m.touchList {
-		atomic.StoreInt32(&m.touchList[i], 0)
-	}
-	for i := range m.touchBits {
-		atomic.StoreUint32(&m.touchBits[i], 0)
-	}
-	for cl := range m.touchLen {
-		m.touchLen[cl].Store(0)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for cl := range m.tab {
+		t := &m.tab[cl]
+		t.ents = t.ents[:0]
+		clear(t.idx)
 	}
 }
