@@ -1,7 +1,7 @@
 package mpimon
 
 // The benchmark harness: one benchmark per table and figure of the paper
-// (scaled-down parameters — run the cmd/exp-* executables for the full
+// (scaled-down parameters — run `go run ./cmd/exp <experiment>` for the full
 // sweeps), plus ablations of the design choices called out in DESIGN.md
 // and micro-benchmarks of the hot paths. Figure benchmarks report the
 // reproduced quantities as custom metrics.
@@ -140,7 +140,7 @@ func BenchmarkFig7CG(b *testing.B) {
 }
 
 // BenchmarkTable1TreeMatchScale regenerates Table 1 at reduced orders
-// (cmd/exp-treematch-scale runs the full 8192-65536 sweep).
+// (cmd/exp treematch-scale runs the full 8192-65536 sweep).
 func BenchmarkTable1TreeMatchScale(b *testing.B) {
 	for _, order := range []int{1024, 2048, 4096} {
 		b.Run(itoa(order), func(b *testing.B) {
@@ -188,7 +188,7 @@ func BenchmarkGatherSparse(b *testing.B) {
 // smallest size for comparison. Metrics: scheduler dispatches, dispatches
 // per second of host time, and the live heap with the whole world
 // reachable. The TreeMatch mapping is skipped (see
-// BenchmarkTable1TreeMatchScale); cmd/exp-engine-scale runs the full
+// BenchmarkTable1TreeMatchScale); cmd/exp engine-scale runs the full
 // pipeline.
 func BenchmarkEventEngine(b *testing.B) {
 	run := func(b *testing.B, np int, engine string) {

@@ -43,6 +43,7 @@ import (
 	"mpimon/internal/mpi"
 	"mpimon/internal/netsim"
 	"mpimon/internal/reorder"
+	"mpimon/internal/sparsemat"
 	"mpimon/internal/telemetry"
 	"mpimon/internal/topology"
 	"mpimon/internal/trace"
@@ -350,7 +351,7 @@ func execute(cfg *config) (*report, *telemetry.Telemetry, error) {
 				}
 			}
 			if cfg.analyze || cfg.jsonOut {
-				a, err := analyzeMatrix(matB, cfg.np, mach, place)
+				a, err := analyzeMatrix(sparsemat.DenseView(matB, cfg.np), mach, place)
 				if err != nil {
 					return err
 				}
@@ -364,7 +365,7 @@ func execute(cfg *config) (*report, *telemetry.Telemetry, error) {
 		if !cfg.reorder {
 			return s.Free()
 		}
-		opt, k, err := reorder.Reorder(s, nil)
+		opt, k, err := reorder.Reorder(s)
 		if err != nil {
 			return err
 		}
@@ -485,16 +486,16 @@ func makePhase(workload string, np, bytes int, class string) (func(*mpi.Comm) er
 	}
 }
 
-func analyzeMatrix(mat []uint64, n int, mach *netsim.Machine, place []int) (*analysis, error) {
-	sum, err := matstat.Summarize(mat, n)
+func analyzeMatrix(v sparsemat.MatrixView, mach *netsim.Machine, place []int) (*analysis, error) {
+	sum, err := matstat.Summarize(v)
 	if err != nil {
 		return nil, err
 	}
-	loc, err := matstat.ComputeLocality(mat, n, mach.Topo, place)
+	loc, err := matstat.ComputeLocality(v, mach.Topo, place)
 	if err != nil {
 		return nil, err
 	}
-	pairs, err := matstat.TopPairs(mat, n, 5)
+	pairs, err := matstat.TopPairs(v, 5)
 	if err != nil {
 		return nil, err
 	}

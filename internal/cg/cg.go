@@ -22,10 +22,8 @@ const (
 	Skeleton
 )
 
-// Config configures one CG run.
-//
-// Deprecated: build it with NewConfig and the Opt constructors below; the
-// struct literal form is kept for compatibility and behaves identically.
+// Config configures one CG run; the zero value of every field but Class
+// means full numerics with the class's iteration counts.
 type Config struct {
 	Class Class
 	Mode  Mode
@@ -42,33 +40,6 @@ type Config struct {
 	// split the run at exactly that point without duplicating work.
 	SkipInit bool
 }
-
-// Opt adjusts one Config field; build a configuration with NewConfig.
-type Opt func(*Config)
-
-// NewConfig returns the configuration for one CG run of the given class
-// (full numerics, the class's iteration counts) with the adjustments
-// applied.
-func NewConfig(class Class, opts ...Opt) Config {
-	cfg := Config{Class: class}
-	for _, fn := range opts {
-		fn(&cfg)
-	}
-	return cfg
-}
-
-// WithMode selects between full numerics (Real) and the communication
-// skeleton.
-func WithMode(m Mode) Opt { return func(c *Config) { c.Mode = m } }
-
-// WithNiter overrides the class's outer iteration count.
-func WithNiter(n int) Opt { return func(c *Config) { c.Niter = n } }
-
-// WithCGIterations overrides the inner conjugate-gradient iteration count.
-func WithCGIterations(n int) Opt { return func(c *Config) { c.CGIterations = n } }
-
-// WithSkipInit skips the untimed initialization iteration.
-func WithSkipInit() Opt { return func(c *Config) { c.SkipInit = true } }
 
 // Result is one rank's outcome.
 type Result struct {

@@ -65,18 +65,6 @@ func TestClassByName(t *testing.T) {
 	}
 }
 
-func TestNewConfig(t *testing.T) {
-	cfg := NewConfig(ClassS)
-	if cfg != (Config{Class: ClassS}) {
-		t.Fatalf("NewConfig(ClassS) = %+v, want zero options", cfg)
-	}
-	cfg = NewConfig(ClassA, WithMode(Skeleton), WithNiter(3), WithCGIterations(7), WithSkipInit())
-	want := Config{Class: ClassA, Mode: Skeleton, Niter: 3, CGIterations: 7, SkipInit: true}
-	if cfg != want {
-		t.Fatalf("NewConfig(ClassA, ...) = %+v, want %+v", cfg, want)
-	}
-}
-
 func TestMakeaMatrixIsSymmetricGlobally(t *testing.T) {
 	// Generate the full class-S matrix on one "process" and check
 	// symmetry and diagonal dominance of the shifted part.

@@ -45,10 +45,12 @@ func TestSkeletonScalesWithClass(t *testing.T) {
 // TestSkipInitEquivalence: init + n iterations in one run must cost the
 // same virtual time as a SkipInit 1-iteration run followed by a SkipInit
 // n-iteration run (the accounting identity behind the Fig. 7 comparison).
+// It runs on the event engine: under the goroutine engine the NIC
+// reservation order, and with it both clocks, follows the host scheduler.
 func TestSkipInitEquivalence(t *testing.T) {
 	const np = 16
 	oneShot := func() time.Duration {
-		w, _ := mpi.NewWorld(cgMachine(2), np)
+		w, _ := mpi.NewWorld(cgMachine(2), np, mpi.WithEngine(mpi.EngineEvent))
 		if err := w.RunWithTimeout(2*time.Minute, func(c *mpi.Comm) error {
 			_, err := Run(c, Config{Class: ClassB, Mode: Skeleton, Niter: 3})
 			return err
@@ -58,7 +60,7 @@ func TestSkipInitEquivalence(t *testing.T) {
 		return w.MaxClock()
 	}
 	splitRun := func() time.Duration {
-		w, _ := mpi.NewWorld(cgMachine(2), np)
+		w, _ := mpi.NewWorld(cgMachine(2), np, mpi.WithEngine(mpi.EngineEvent))
 		if err := w.RunWithTimeout(2*time.Minute, func(c *mpi.Comm) error {
 			if _, err := Run(c, Config{Class: ClassB, Mode: Skeleton, Niter: 1, SkipInit: true}); err != nil {
 				return err

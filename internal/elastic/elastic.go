@@ -5,7 +5,7 @@
 // processes was computed according to the topology and the communication
 // matrix". Given the matrix gathered by the introspection monitoring
 // library, the machine topology, the current placement and the cores that
-// remain (or become) available, Reconfigure returns a topology-aware new
+// remain (or become) available, ReconfigureView returns a topology-aware new
 // placement together with the migration schedule and its cost breakdown.
 package elastic
 
@@ -39,7 +39,7 @@ type Plan struct {
 	// CrossNodeMoves counts the moves crossing nodes.
 	CrossNodeMoves int
 	// MigrationBytes estimates the state volume crossing nodes, given
-	// the per-rank state size passed to Reconfigure.
+	// the per-rank state size passed to ReconfigureView.
 	MigrationBytes int64
 }
 
@@ -47,10 +47,9 @@ type Plan struct {
 // the avail cores using TreeMatch on the communication matrix, then
 // minimizes disturbance: within every topology node, ranks that already
 // sit on one of the node's newly assigned cores keep their core.
-// stateBytes is each rank's migration payload for the cost estimate. The
-// unified entry point: pass a gathered *sparsemat.Matrix directly or wrap
-// a dense matrix with sparsemat.DenseView; the plan is identical either
-// way (the padded affinity matrix is bit-identical to both legacy paths).
+// stateBytes is each rank's migration payload for the cost estimate. Pass
+// a gathered *sparsemat.Matrix directly or wrap a dense matrix with
+// sparsemat.DenseView; the plan is identical either way.
 func ReconfigureView(v sparsemat.MatrixView, topo *topology.Topology, oldPlace []int, avail []int, stateBytes int64) (Plan, error) {
 	n := v.Order()
 	if len(oldPlace) != n {
@@ -67,27 +66,6 @@ func ReconfigureView(v sparsemat.MatrixView, topo *topology.Topology, oldPlace [
 		return Plan{}, err
 	}
 	return planOn(padded, n, topo, oldPlace, avail, stateBytes)
-}
-
-// Reconfigure is ReconfigureView over a row-major n-by-n dense bytes
-// matrix — the historical dense signature.
-//
-// Deprecated: use ReconfigureView(sparsemat.DenseView(mat, n), ...), of
-// which this is a thin wrapper returning an identical plan.
-func Reconfigure(mat []uint64, n int, topo *topology.Topology, oldPlace []int, avail []int, stateBytes int64) (Plan, error) {
-	if n < 0 || len(mat) != n*n {
-		return Plan{}, fmt.Errorf("elastic: matrix of %d entries is not %dx%d", len(mat), n, n)
-	}
-	return ReconfigureView(sparsemat.DenseView(mat, n), topo, oldPlace, avail, stateBytes)
-}
-
-// ReconfigureSparse is ReconfigureView over the sparse matrix gathered by
-// RootgatherSparse: same plan, O(nnz) time and memory.
-//
-// Deprecated: use ReconfigureView — *sparsemat.Matrix satisfies MatrixView
-// directly, and this wrapper is exactly ReconfigureView(sm, ...).
-func ReconfigureSparse(sm *sparsemat.Matrix, topo *topology.Topology, oldPlace []int, avail []int, stateBytes int64) (Plan, error) {
-	return ReconfigureView(sm, topo, oldPlace, avail, stateBytes)
 }
 
 // planOn runs TreeMatch on the (padded) affinity matrix and turns the
@@ -176,7 +154,7 @@ func stabilize(coreOf, oldPlace []int, topo *topology.Topology) []int {
 // SurvivorCores lists the cores of the world's machine that remain usable
 // after the failures the runtime has observed: every core except those on
 // the nodes the fault plan killed. Call it after Comm.Shrink — the shrunken
-// communicator's world knows which nodes are dead — to feed Reconfigure
+// communicator's world knows which nodes are dead — to feed ReconfigureView
 // the surviving resource set.
 func SurvivorCores(c *mpi.Comm) []int {
 	return Shrink(c.World().Machine().Topo, c.World().DeadNodes()...)

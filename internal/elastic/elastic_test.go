@@ -3,6 +3,7 @@ package elastic
 import (
 	"testing"
 
+	"mpimon/internal/sparsemat"
 	"mpimon/internal/topology"
 	"mpimon/internal/treematch"
 )
@@ -40,7 +41,7 @@ func TestReconfigureAfterNodeFailure(t *testing.T) {
 	oldPlace := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	// Node 1 (cores 4..7) dies; nodes 0 and 2 survive.
 	avail := Shrink(topo, 1)
-	plan, err := Reconfigure(pairMatrix(n), n, topo, oldPlace, avail, 1<<20)
+	plan, err := ReconfigureView(sparsemat.DenseView(pairMatrix(n), n), topo, oldPlace, avail, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestReconfigureKeepsWellPlacedRanks(t *testing.T) {
 	// stabilization must keep everyone in place.
 	oldPlace := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	avail := Shrink(topo)
-	plan, err := Reconfigure(pairMatrix(n), n, topo, oldPlace, avail, 1)
+	plan, err := ReconfigureView(sparsemat.DenseView(pairMatrix(n), n), topo, oldPlace, avail, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestReconfigureKeepsWellPlacedRanks(t *testing.T) {
 	}
 	// Every pair must still be co-located, and the total cost must not
 	// exceed the old placement's.
-	m, _ := treematch.FromBytesMatrix(pairMatrix(n), n)
+	m, _ := treematch.FromView(sparsemat.DenseView(pairMatrix(n), n))
 	if treematch.Cost(m, plan.Placement, topo) > treematch.Cost(m, oldPlace, topo) {
 		t.Fatal("reconfiguration worsened the placement")
 	}
@@ -123,7 +124,7 @@ func TestReconfigureGrowth(t *testing.T) {
 		}
 	}
 	avail := Shrink(topo) // both nodes, 16 cores for 8 ranks
-	plan, err := Reconfigure(mat, n, topo, oldPlace, avail, 1)
+	plan, err := ReconfigureView(sparsemat.DenseView(mat, n), topo, oldPlace, avail, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +148,13 @@ func TestReconfigureGrowth(t *testing.T) {
 
 func TestReconfigureValidation(t *testing.T) {
 	topo := topology.MustNew(2, 2)
-	if _, err := Reconfigure(make([]uint64, 4), 2, topo, []int{0}, []int{0, 1}, 0); err == nil {
+	if _, err := ReconfigureView(sparsemat.DenseView(make([]uint64, 4), 2), topo, []int{0}, []int{0, 1}, 0); err == nil {
 		t.Fatal("short old placement should fail")
 	}
-	if _, err := Reconfigure(make([]uint64, 4), 2, topo, []int{0, 1}, []int{0}, 0); err == nil {
+	if _, err := ReconfigureView(sparsemat.DenseView(make([]uint64, 4), 2), topo, []int{0, 1}, []int{0}, 0); err == nil {
 		t.Fatal("too few available cores should fail")
 	}
-	if _, err := Reconfigure(make([]uint64, 3), 2, topo, []int{0, 1}, []int{0, 1}, 0); err == nil {
+	if _, err := ReconfigureView(sparsemat.DenseView(make([]uint64, 3), 2), topo, []int{0, 1}, []int{0, 1}, 0); err == nil {
 		t.Fatal("malformed matrix should fail")
 	}
 }

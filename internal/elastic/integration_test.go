@@ -9,6 +9,7 @@ import (
 	"mpimon/internal/monitoring"
 	"mpimon/internal/mpi"
 	"mpimon/internal/netsim"
+	"mpimon/internal/sparsemat"
 )
 
 // TestReconfigureEndToEnd simulates the full Sec. 7 scenario: an
@@ -147,7 +148,7 @@ func TestReconfigureEndToEnd(t *testing.T) {
 	naive := relaunch(avail[:np])
 
 	// Matrix-driven relaunch.
-	plan, err := Reconfigure(mat, np, topo, oldPlace, avail, 0)
+	plan, err := ReconfigureView(sparsemat.DenseView(mat, np), topo, oldPlace, avail, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

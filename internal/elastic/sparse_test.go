@@ -8,11 +8,11 @@ import (
 	"mpimon/internal/topology"
 )
 
-// TestReconfigureSparseMatchesDense pins that the sparse entry point
-// produces the identical Plan — placement, moves, cross-node counts and
-// migration estimate — as Reconfigure over the densified matrix, for both
-// a shrink (node failure) and a grow (spare cores) scenario.
-func TestReconfigureSparseMatchesDense(t *testing.T) {
+// TestReconfigureViewSparseMatchesDense pins that a sparse matrix produces
+// the identical Plan — placement, moves, cross-node counts and migration
+// estimate — as DenseView over its densified bytes plane, for both a shrink
+// (node failure) and a grow (spare cores) scenario.
+func TestReconfigureViewSparseMatchesDense(t *testing.T) {
 	topo := topology.MustNew(3, 4)
 	n := 8
 	mat := pairMatrix(n)
@@ -26,6 +26,7 @@ func TestReconfigureSparseMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, densified := sm.Dense()
 	cases := []struct {
 		name  string
 		avail []int
@@ -35,11 +36,11 @@ func TestReconfigureSparseMatchesDense(t *testing.T) {
 	}
 	oldPlace := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	for _, tc := range cases {
-		want, err := Reconfigure(mat, n, topo, oldPlace, tc.avail, 1<<20)
+		want, err := ReconfigureView(sparsemat.DenseView(densified, n), topo, oldPlace, tc.avail, 1<<20)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		got, err := ReconfigureSparse(sm, topo, oldPlace, tc.avail, 1<<20)
+		got, err := ReconfigureView(sm, topo, oldPlace, tc.avail, 1<<20)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -55,10 +56,10 @@ func TestReconfigureSparseErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReconfigureSparse(sm, topo, []int{0}, []int{0, 1}, 0); err == nil {
+	if _, err := ReconfigureView(sm, topo, []int{0}, []int{0, 1}, 0); err == nil {
 		t.Fatal("placement length mismatch accepted")
 	}
-	if _, err := ReconfigureSparse(sm, topo, []int{0, 1}, []int{0}, 0); err == nil {
+	if _, err := ReconfigureView(sm, topo, []int{0, 1}, []int{0}, 0); err == nil {
 		t.Fatal("too few available cores accepted")
 	}
 }

@@ -26,22 +26,19 @@ type EngineScaleConfig struct {
 	Iters int
 	// MsgBytes is the logical size of one halo message (skeleton mode).
 	MsgBytes int
-	// Engine picks the execution engine per world: "goroutine", "event",
-	// or "" / "auto" for the size-based default.
-	Engine string
-	// MapUpTo bounds the sizes that also run FromSparseRows + MapTree on
+	// MapUpTo bounds the sizes that also run FromView + MapTree on
 	// an order-np machine; TreeMatch at order 65536 takes far longer than
 	// the simulation itself (Table 1), so the big worlds skip it by
 	// default.
 	MapUpTo int
 }
 
-// DefaultEngineScale runs the issue's three event-engine worlds.
+// DefaultEngineScale runs the three worlds the event engine was built for
+// (the engine-scale table row makes "event" the -engine default).
 var DefaultEngineScale = EngineScaleConfig{
 	NPs:      []int{4096, 16384, 65536},
 	Iters:    3,
 	MsgBytes: 4096,
-	Engine:   "event",
 	MapUpTo:  16384,
 }
 
@@ -61,7 +58,7 @@ type EngineRow struct {
 	// the footprint claim behind "np = 65536 on laptop-class hardware".
 	HeapMB float64
 	NNZ    int
-	// MapSeconds is the FromSparseRows + MapTree time; zero when np was
+	// MapSeconds is the FromView + MapTree time; zero when np was
 	// beyond MapUpTo.
 	MapSeconds float64
 }
@@ -80,13 +77,13 @@ func EngineScale(cfg EngineScaleConfig) ([]EngineRow, error) {
 }
 
 func engineScaleOne(np int, cfg EngineScaleConfig) (EngineRow, error) {
-	sm, row, err := StencilWorldSparse(np, cfg.Iters, cfg.MsgBytes, cfg.Engine)
+	sm, row, err := StencilWorldSparse(np, cfg.Iters, cfg.MsgBytes, "")
 	if err != nil {
 		return EngineRow{}, err
 	}
 	if np <= cfg.MapUpTo {
 		t0 := time.Now()
-		aff, err := treematch.FromSparseRows(sm)
+		aff, err := treematch.FromView(sm)
 		if err != nil {
 			return EngineRow{}, err
 		}
@@ -103,7 +100,8 @@ func engineScaleOne(np int, cfg EngineScaleConfig) (EngineRow, error) {
 }
 
 // StencilWorldSparse runs one monitored stencil-skeleton world of np ranks
-// (a perfect square) under the named engine and returns root's sparse
+// (a perfect square) under the named engine ("" leaves the choice to the
+// driver's shared -engine flag) and returns root's sparse
 // communication matrix plus the run's engine metrics. It is the
 // measurement kernel shared by EngineScale, the TreeMatchScale from-world
 // mode, and BenchmarkEventEngine.

@@ -1,7 +1,7 @@
 // Package exp implements the paper's experiments (Sec. 6): each figure and
-// table has a driver returning structured rows, shared by the cmd/
-// executables and the benchmark harness in the repository root. The
-// mapping is:
+// table has a driver returning structured rows, shared by cmd/exp (one
+// table of experiments behind Main) and the benchmark harness in the
+// repository root. The mapping is:
 //
 //	Fig. 2/3  HWCounters        — NIC counters vs introspection monitoring
 //	Fig. 4    Overhead          — monitoring overhead on a small reduce
@@ -14,12 +14,10 @@ package exp
 import (
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"mpimon/internal/mpi"
 	"mpimon/internal/netsim"
-	"mpimon/internal/telemetry"
 )
 
 // PlaFRIMWorld builds the paper's standard experiment world: np ranks, 24
@@ -34,51 +32,19 @@ func PlaFRIMWorld(np int, placement []int, opts ...mpi.Option) (*mpi.World, erro
 	return newWorld(mach, np, opts...)
 }
 
-// worldOptions are prepended to every experiment world's options; see
-// SetWorldOptions.
+// worldOptions are prepended to every experiment world's options: the
+// engine and telemetry hub chosen by cmd/exp's shared flags (see runShared),
+// which reach the drivers this way instead of through every signature. Not
+// safe to change while a driver is running.
 var worldOptions []mpi.Option
 
-// SetWorldOptions installs options applied to every world the experiment
-// drivers build from here on (calling it with none resets). The cmd/exp-*
-// harnesses use it to attach a telemetry hub without widening every
-// driver's signature. Not safe to call while a driver is running.
-func SetWorldOptions(opts ...mpi.Option) { worldOptions = opts }
-
 // newWorld is the single world constructor of the experiment drivers,
-// merging the injected package options with the driver's own.
+// merging worldOptions with the driver's own (which win).
 func newWorld(mach *netsim.Machine, np int, opts ...mpi.Option) (*mpi.World, error) {
-	if len(engineOpt) > 0 || len(worldOptions) > 0 {
-		merged := make([]mpi.Option, 0, len(engineOpt)+len(worldOptions)+len(opts))
-		merged = append(merged, engineOpt...)
-		merged = append(merged, worldOptions...)
-		merged = append(merged, opts...)
-		opts = merged
+	if len(worldOptions) > 0 {
+		opts = append(append([]mpi.Option(nil), worldOptions...), opts...)
 	}
 	return mpi.NewWorld(mach, np, opts...)
-}
-
-// TelemetrySetup interprets the shared -telemetry flag of the cmd/exp-*
-// harnesses: with a non-empty path it attaches a fresh telemetry hub to
-// every subsequent experiment world and returns a flush function that
-// writes the collected spans as a Chrome trace-event file. With an empty
-// path both the setup and the flush are no-ops.
-func TelemetrySetup(path string) (flush func() error) {
-	if path == "" {
-		return func() error { return nil }
-	}
-	tel := telemetry.New()
-	SetWorldOptions(mpi.WithTelemetry(tel))
-	return func() error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := telemetry.WriteChromeTrace(f, tel.Spans()); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
 }
 
 // Nodes returns the node count the paper uses for a given rank count (24

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mpimon/internal/hwcount"
+	"mpimon/internal/mpi"
 )
 
 func TestHWCountersAgree(t *testing.T) {
@@ -168,12 +169,23 @@ func TestCGReorderShape(t *testing.T) {
 
 func TestTreeMatchScaleGrows(t *testing.T) {
 	cfg := TMScaleConfig{Orders: []int{1024, 2048}, ClusterSize: 32, Seed: 7}
-	rows, err := TreeMatchScale(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
+	// Host time: each order keeps the fastest of three mappings, so one GC
+	// pause or descheduling during a ~10 ms mapping cannot invert the pair.
+	var rows []TMRow
+	for rep := 0; rep < 3; rep++ {
+		got, err := TreeMatchScale(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 2 {
+			t.Fatalf("%d rows", len(got))
+		}
+		if rows == nil {
+			rows = got
+		}
+		for i := range rows {
+			rows[i].Seconds = min(rows[i].Seconds, got[i].Seconds)
+		}
 	}
 	// Table 1's shape: superlinear growth — doubling the order should
 	// more than double the time (quadratic-ish); just require growth.
@@ -214,22 +226,22 @@ func TestCGPlacements(t *testing.T) {
 }
 
 func TestParseInts(t *testing.T) {
-	got, err := ParseInts(" 1, 2,30 ")
+	got, err := parseInts(" 1, 2,30 ")
 	if err != nil || len(got) != 3 || got[0] != 1 || got[2] != 30 {
-		t.Fatalf("ParseInts = %v, %v", got, err)
+		t.Fatalf("parseInts = %v, %v", got, err)
 	}
-	if _, err := ParseInts(""); err == nil {
+	if _, err := parseInts(""); err == nil {
 		t.Fatal("empty list should fail")
 	}
-	if _, err := ParseInts("1,x"); err == nil {
+	if _, err := parseInts("1,x"); err == nil {
 		t.Fatal("non-numeric should fail")
 	}
 }
 
 func TestParseStrings(t *testing.T) {
-	got := ParseStrings(" a, ,b ,")
+	got := parseStrings(" a, ,b ,")
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("ParseStrings = %v", got)
+		t.Fatalf("parseStrings = %v", got)
 	}
 }
 
@@ -282,10 +294,22 @@ func TestHWCountersDeterministic(t *testing.T) {
 	}
 }
 
+// onEventEngine runs the rest of the test's worlds on the event engine,
+// whose virtual clocks are a function of the program alone. Under the
+// goroutine engine the NIC reservation order follows the host scheduler
+// (ROADMAP item 1), so an assertion of exact or ordered virtual times is
+// only true here.
+func onEventEngine(t *testing.T) {
+	t.Helper()
+	prev := worldOptions
+	worldOptions = []mpi.Option{mpi.WithEngine(mpi.EngineEvent)}
+	t.Cleanup(func() { worldOptions = prev })
+}
+
 // TestCollOptDeterministic: the Fig. 5 measurement must reproduce exactly
-// for the same configuration (contention-free reservation order can differ
-// across runs only when clocks tie; the medians must still agree).
+// for the same configuration.
 func TestCollOptDeterministic(t *testing.T) {
+	onEventEngine(t)
 	cfg := CollOptConfig{Op: "bcast", NPs: []int{48}, BufSizes: []int{5000}, Reps: 3}
 	a, err := CollectiveOpt(cfg)
 	if err != nil {

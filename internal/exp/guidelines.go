@@ -307,7 +307,7 @@ func AutotuneSweep(cfg AutotuneConfig) ([]AutotuneRow, *coll.Table, error) {
 		NPs:     cfg.NPs,
 		Sizes:   cfg.Sizes,
 		Reps:    cfg.Reps,
-		Opts:    append(append([]mpi.Option(nil), engineOpt...), worldOptions...),
+		Opts:    append([]mpi.Option(nil), worldOptions...),
 	}
 	table := coll.NewTable(cfg.Topo)
 	var rows []AutotuneRow

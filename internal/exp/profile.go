@@ -8,7 +8,7 @@ import (
 )
 
 // ProfileSetup interprets the shared -cpuprofile/-memprofile flags of
-// cmd/mpimon and the cmd/exp-* harnesses: a non-empty cpuPath starts CPU
+// cmd/mpimon and cmd/exp: a non-empty cpuPath starts CPU
 // profiling into that file immediately; the returned stop function ends the
 // CPU profile and, when memPath is non-empty, writes a GC-settled heap
 // profile there. Call stop exactly once, after the measured work (typically

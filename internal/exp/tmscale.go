@@ -22,13 +22,10 @@ type TMScaleConfig struct {
 	Seed        int64
 	// FromWorld replaces the synthetic matrices with real ones: each order
 	// (then a perfect square, e.g. 4096, 16384, 65536) runs a monitored
-	// stencil-skeleton world under Engine, gathers its sparse matrix with
+	// stencil-skeleton world, gathers its sparse matrix with
 	// RootgatherSparse and maps that — the paper's whole
 	// introspect-then-reorder pipeline at Table 1 scale.
 	FromWorld bool
-	// Engine picks the execution engine for from-world runs ("goroutine",
-	// "event", "" / "auto" for the size-based default).
-	Engine string
 	// Iters and MsgBytes shape the from-world stencil phase; zero values
 	// take the DefaultEngineScale settings.
 	Iters    int
@@ -94,7 +91,7 @@ func TreeMatchScale(cfg TMScaleConfig) ([]TMRow, error) {
 // tmScaleMatrix produces the affinity matrix for one Table 1 order: the
 // synthetic clustered matrix by default, or — in from-world mode — the
 // sparse matrix a monitored stencil world of that size actually gathered,
-// converted in O(nnz) by FromSparseRows.
+// converted in O(nnz) by FromView.
 func tmScaleMatrix(order int, cfg TMScaleConfig) (*treematch.Matrix, error) {
 	if !cfg.FromWorld {
 		return workloads.ClusteredSparse(order, cfg.ClusterSize, 1000, 1, cfg.Seed), nil
@@ -106,13 +103,13 @@ func tmScaleMatrix(order int, cfg TMScaleConfig) (*treematch.Matrix, error) {
 	if msgBytes == 0 {
 		msgBytes = DefaultEngineScale.MsgBytes
 	}
-	sm, row, err := StencilWorldSparse(order, iters, msgBytes, cfg.Engine)
+	sm, row, err := StencilWorldSparse(order, iters, msgBytes, "")
 	if err != nil {
 		return nil, fmt.Errorf("from-world order %d: %w", order, err)
 	}
 	log.Printf("treematch-scale: order %d: %s engine, %d events in %.2fs (%.0f events/s), %.1f MB heap, nnz %d",
 		order, row.Engine, row.Events, row.WallSeconds, row.EventsPerSec, row.HeapMB, row.NNZ)
-	return treematch.FromSparseRows(sm)
+	return treematch.FromView(sm)
 }
 
 // PrintTMScale writes Table 1.

@@ -2,21 +2,24 @@ package exp
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
+	"mpimon/internal/elastic"
 	"mpimon/internal/reorder"
 	"mpimon/internal/sparsemat"
 	"mpimon/internal/topology"
+	"mpimon/internal/treematch"
 )
 
-// TestMatrixViewPinnedToLegacyPaths is the API-unification acceptance
-// gate: on matrices gathered from real monitored worlds (np 4 and 256,
-// both execution engines), the unified MatrixView mapping entrypoint must
-// produce exactly the permutation of both legacy entrypoints — dense and
-// sparse — whichever representation it is fed. The same matrices must
-// also arrive identically under both engines, so the pin extends across
-// them.
-func TestMatrixViewPinnedToLegacyPaths(t *testing.T) {
+// TestMatrixViewRepresentationsAgree is the one-matrix-view acceptance
+// gate: on matrices gathered from real monitored worlds (np 4 and 256, both
+// execution engines), the sparse matrix and DenseView over its densified
+// bytes plane must give the same affinity matrix, permutation and
+// reconfiguration plan.
+// The same matrices must also arrive identically under both engines, so
+// the pin extends across them.
+func TestMatrixViewRepresentationsAgree(t *testing.T) {
 	for _, np := range []int{4, 256} {
 		perEngine := map[string][]int{}
 		for _, engine := range []string{"goroutine", "event"} {
@@ -25,7 +28,19 @@ func TestMatrixViewPinnedToLegacyPaths(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, dense := sm.Dense()
+				_, densified := sm.Dense()
+				dense := sparsemat.DenseView(densified, np)
+				ad, err := treematch.FromView(dense)
+				if err != nil {
+					t.Fatal(err)
+				}
+				as, err := treematch.FromView(sm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(ad.Dense(), as.Dense()) {
+					t.Fatal("affinity matrices of the dense and sparse views differ")
+				}
 				nodes := np / 8
 				if nodes < 1 {
 					nodes = 1
@@ -35,37 +50,34 @@ func TestMatrixViewPinnedToLegacyPaths(t *testing.T) {
 				for i := range place {
 					place[i] = i
 				}
-				kd, err := reorder.ComputeMappingDense(dense, np, topo, place)
+				kd, err := reorder.ComputeMapping(dense, topo, place)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ks, err := reorder.ComputeMappingSparse(sm, topo, place)
+				ks, err := reorder.ComputeMapping(sm, topo, place)
 				if err != nil {
 					t.Fatal(err)
 				}
-				kvd, err := reorder.ComputeMapping(sparsemat.DenseView(dense, np), topo, place)
+				if !reflect.DeepEqual(kd, ks) {
+					t.Fatalf("permutations differ:\nview(dense)  %v\nview(sparse) %v", kd, ks)
+				}
+				pd, err := elastic.ReconfigureView(dense, topo, place, elastic.Shrink(topo), 1<<20)
 				if err != nil {
 					t.Fatal(err)
 				}
-				kvs, err := reorder.ComputeMapping(sm, topo, place)
+				ps, err := elastic.ReconfigureView(sm, topo, place, elastic.Shrink(topo), 1<<20)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := range kd {
-					if kd[i] != ks[i] || kd[i] != kvd[i] || kd[i] != kvs[i] {
-						t.Fatalf("rank %d: dense=%d sparse=%d view(dense)=%d view(sparse)=%d",
-							i, kd[i], ks[i], kvd[i], kvs[i])
-					}
+				if !reflect.DeepEqual(pd, ps) {
+					t.Fatalf("reconfiguration plans differ:\nview(dense)  %+v\nview(sparse) %+v", pd, ps)
 				}
 				perEngine[engine] = kd
 			})
 		}
 		if g, e := perEngine["goroutine"], perEngine["event"]; len(g) > 0 && len(e) > 0 {
-			for i := range g {
-				if g[i] != e[i] {
-					t.Fatalf("np %d: engines disagree at rank %d: goroutine=%d event=%d",
-						np, i, g[i], e[i])
-				}
+			if !reflect.DeepEqual(g, e) {
+				t.Fatalf("np %d: engines disagree:\ngoroutine %v\nevent     %v", np, g, e)
 			}
 		}
 	}

@@ -10,10 +10,11 @@ import (
 	"fmt"
 	"sort"
 
+	"mpimon/internal/sparsemat"
 	"mpimon/internal/topology"
 )
 
-// Summary aggregates one n-by-n bytes (or counts) matrix.
+// Summary aggregates the bytes plane of one n-by-n matrix.
 type Summary struct {
 	N     int
 	Total uint64
@@ -29,49 +30,47 @@ type Summary struct {
 	Diagonal uint64
 }
 
-// Summarize computes matrix aggregates. mat is row-major n-by-n.
-func Summarize(mat []uint64, n int) (Summary, error) {
-	if len(mat) != n*n {
-		return Summary{}, fmt.Errorf("matstat: %d entries is not %dx%d", len(mat), n, n)
+// Summarize computes the aggregates of a matrix view: O(nnz) over a
+// gathered sparse matrix, O(n²) over a sparsemat.DenseView.
+func Summarize(v sparsemat.MatrixView) (Summary, error) {
+	// The pair visit runs first: it validates the view, so a malformed one
+	// is reported before its order sizes the per-rank array below.
+	deg := 0
+	err := v.VisitPairs(func(_, _ int, bij, bji uint64) error {
+		if bij|bji != 0 {
+			deg += 2
+		}
+		return nil
+	})
+	if err != nil {
+		return Summary{}, err
 	}
-	s := Summary{N: n, MinRankOut: ^uint64(0)}
-	peers := make([]map[int]bool, n)
-	for i := range peers {
-		peers[i] = make(map[int]bool)
-	}
-	for i := 0; i < n; i++ {
-		var out uint64
-		for j := 0; j < n; j++ {
-			v := mat[i*n+j]
-			if v == 0 {
-				continue
-			}
-			s.Total += v
-			s.NonzeroPairs++
-			out += v
-			if i == j {
-				s.Diagonal += v
-				continue
-			}
-			peers[i][j] = true
-			peers[j][i] = true
+	n := v.Order()
+	s := Summary{N: n}
+	out := make([]uint64, n)
+	err = v.VisitRows(func(i, j int, b uint64) error {
+		s.Total += b
+		s.NonzeroPairs++
+		out[i] += b
+		if i == j {
+			s.Diagonal += b
 		}
-		if out > s.MaxRankOut {
-			s.MaxRankOut = out
-		}
-		if out < s.MinRankOut {
-			s.MinRankOut = out
-		}
+		return nil
+	})
+	if err != nil {
+		return Summary{}, err
 	}
 	if n > 0 {
-		deg := 0
-		for i := range peers {
-			deg += len(peers[i])
+		s.MinRankOut = out[0]
+		for _, o := range out {
+			if o > s.MaxRankOut {
+				s.MaxRankOut = o
+			}
+			if o < s.MinRankOut {
+				s.MinRankOut = o
+			}
 		}
 		s.AvgDegree = float64(deg) / float64(n)
-	}
-	if s.MinRankOut == ^uint64(0) {
-		s.MinRankOut = 0
 	}
 	return s, nil
 }
@@ -113,23 +112,18 @@ func (l Locality) NodeFraction() float64 {
 // ComputeLocality classifies every directed entry of the matrix by the
 // shared topology level of its endpoints under the placement
 // (rank -> core).
-func ComputeLocality(mat []uint64, n int, topo *topology.Topology, place []int) (Locality, error) {
-	if len(mat) != n*n {
-		return Locality{}, fmt.Errorf("matstat: %d entries is not %dx%d", len(mat), n, n)
-	}
-	if len(place) != n {
-		return Locality{}, fmt.Errorf("matstat: placement has %d entries for %d ranks", len(place), n)
+func ComputeLocality(v sparsemat.MatrixView, topo *topology.Topology, place []int) (Locality, error) {
+	if len(place) != v.Order() {
+		return Locality{}, fmt.Errorf("matstat: placement has %d entries for %d ranks", len(place), v.Order())
 	}
 	loc := Locality{ByLevel: make([]uint64, topo.Depth()+1)}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			v := mat[i*n+j]
-			if v == 0 {
-				continue
-			}
-			loc.Total += v
-			loc.ByLevel[topo.SharedLevel(place[i], place[j])] += v
-		}
+	err := v.VisitRows(func(i, j int, b uint64) error {
+		loc.Total += b
+		loc.ByLevel[topo.SharedLevel(place[i], place[j])] += b
+		return nil
+	})
+	if err != nil {
+		return Locality{}, err
 	}
 	return loc, nil
 }
@@ -142,17 +136,16 @@ type Pair struct {
 
 // TopPairs returns the k heaviest directed pairs, descending (ties by
 // source then destination rank for determinism).
-func TopPairs(mat []uint64, n, k int) ([]Pair, error) {
-	if len(mat) != n*n {
-		return nil, fmt.Errorf("matstat: %d entries is not %dx%d", len(mat), n, n)
-	}
+func TopPairs(v sparsemat.MatrixView, k int) ([]Pair, error) {
 	var pairs []Pair
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if v := mat[i*n+j]; v > 0 && i != j {
-				pairs = append(pairs, Pair{Src: i, Dst: j, Bytes: v})
-			}
+	err := v.VisitRows(func(i, j int, b uint64) error {
+		if i != j {
+			pairs = append(pairs, Pair{Src: i, Dst: j, Bytes: b})
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(pairs, func(a, b int) bool {
 		if pairs[a].Bytes != pairs[b].Bytes {
@@ -171,18 +164,14 @@ func TopPairs(mat []uint64, n, k int) ([]Pair, error) {
 
 // BisectionBytes returns the traffic crossing an even rank bisection
 // (ranks < n/2 versus the rest), a quick pattern fingerprint.
-func BisectionBytes(mat []uint64, n int) (uint64, error) {
-	if len(mat) != n*n {
-		return 0, fmt.Errorf("matstat: %d entries is not %dx%d", len(mat), n, n)
-	}
-	half := n / 2
+func BisectionBytes(v sparsemat.MatrixView) (uint64, error) {
+	half := v.Order() / 2
 	var cross uint64
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if (i < half) != (j < half) {
-				cross += mat[i*n+j]
-			}
+	err := v.VisitRows(func(i, j int, b uint64) error {
+		if (i < half) != (j < half) {
+			cross += b
 		}
-	}
-	return cross, nil
+		return nil
+	})
+	return cross, err
 }

@@ -254,12 +254,12 @@ func (s *Service) handleSummary(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sm := v.Matrix()
-	sum, err := matstat.SummarizeSparse(sm)
+	sum, err := matstat.Summarize(sm)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	pairs, err := matstat.TopPairsSparse(sm, 10)
+	pairs, err := matstat.TopPairs(sm, 10)
 	if err != nil {
 		httpError(w, err)
 		return

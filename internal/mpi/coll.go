@@ -4,8 +4,11 @@ import (
 	"fmt"
 )
 
-// Collective-internal message tags. Collective traffic travels on a
-// separate context (see collCtx), so these never collide with user tags.
+// Collective-internal message tags, one per algorithm, all declared here so
+// the sequence has no gaps to guess at: 8-10 << 20 are the one-sided tags
+// tagData, tagGetReq and tagGetRep of osc.go, and 11 << 20 is unused.
+// Collective traffic travels on a separate context (see collCtx), so these
+// never collide with user tags.
 const (
 	tagBarrier = 1 << 20
 	tagBcast   = 2 << 20
@@ -14,6 +17,16 @@ const (
 	tagAllgat  = 5 << 20
 	tagScatter = 6 << 20
 	tagAlltoal = 7 << 20
+
+	tagRsct      = 12 << 20 // AllreduceRD, ReduceScatterBlock
+	tagScan      = 13 << 20 // Scan, Exscan
+	tagBsag      = 14 << 20 // BcastSAG
+	tagGathv     = 15 << 20 // Gatherv, Scatterv
+	tagAlltoallv = 16 << 20 // Alltoallv
+	tagGast      = 17 << 20 // GatherStream blocks
+	tagRing      = 18 << 20 // AllreduceRing rounds
+	tagRab       = 19 << 20 // AllreduceRab fold/exchange/unfold
+	tagBruck     = 20 << 20 // AlltoallvBruck rounds
 )
 
 // collCtx returns the context id collective-internal messages of this

@@ -13,14 +13,6 @@ import (
 	"fmt"
 )
 
-// Tags of this file (the previous file in the tag sequence, coll4.go, ends
-// at 17 << 20).
-const (
-	tagRing  = 18 << 20 // AllreduceRing rounds
-	tagRab   = 19 << 20 // AllreduceRab fold/exchange/unfold
-	tagBruck = 20 << 20 // AlltoallvBruck rounds
-)
-
 // checkReduceBufs validates an allreduce buffer pair: equal length, a
 // whole number of dt elements.
 func (c *Comm) checkReduceBufs(send, recv []byte, dt Datatype) error {

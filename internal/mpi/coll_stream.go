@@ -4,10 +4,6 @@ import (
 	"fmt"
 )
 
-// Tag of the streamed gather (the previous file in the tag sequence,
-// coll3.go, ends at 16 << 20).
-const tagGast = 17 << 20 // GatherStream blocks
-
 // probeOn is Probe on an explicit context: it blocks until a matching
 // message is available, advances the clock to its arrival and returns its
 // Status without consuming it.

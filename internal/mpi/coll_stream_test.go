@@ -9,73 +9,6 @@ import (
 	"mpimon/internal/netsim"
 )
 
-// TestAllgathervAssemblesIdentically exchanges rank-dependent
-// variable-length blocks and checks every member assembles the same
-// concatenation.
-func TestAllgathervAssemblesIdentically(t *testing.T) {
-	const np = 5
-	w, err := NewWorld(netsim.PlaFRIM(1), np)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, np)
-	displs := make([]int, np)
-	total := 0
-	for i := 0; i < np; i++ {
-		counts[i] = i + 1 // rank i contributes i+1 bytes
-		displs[i] = total
-		total += counts[i]
-	}
-	want := make([]byte, total)
-	for i := 0; i < np; i++ {
-		for k := 0; k < counts[i]; k++ {
-			want[displs[i]+k] = byte(10*i + k)
-		}
-	}
-	var mu sync.Mutex
-	got := make([][]byte, np)
-	err = w.Run(func(c *Comm) error {
-		me := c.Rank()
-		send := make([]byte, counts[me])
-		for k := range send {
-			send[k] = byte(10*me + k)
-		}
-		recv := make([]byte, total)
-		if err := c.Allgatherv(send, recv, counts, displs); err != nil {
-			return err
-		}
-		mu.Lock()
-		got[me] = recv
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < np; i++ {
-		if !bytes.Equal(got[i], want) {
-			t.Errorf("rank %d assembled %v, want %v", i, got[i], want)
-		}
-	}
-}
-
-func TestAllgathervRejectsBadGeometry(t *testing.T) {
-	w, err := NewWorld(netsim.PlaFRIM(1), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(c *Comm) error {
-		err := c.Allgatherv(make([]byte, 3), make([]byte, 2), []int{1, 1}, []int{0, 1})
-		if err == nil {
-			return fmt.Errorf("Allgatherv accepted a send buffer of the wrong length")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestGatherStream checks blocks arrive in source order with the correct
 // contents, and that the delivery buffer may be reused (root copies).
 func TestGatherStream(t *testing.T) {

@@ -136,3 +136,66 @@ func (c *Comm) Translate(other *Comm) []int {
 	}
 	return out
 }
+
+// CreateSub builds a communicator containing exactly the given ranks of c
+// (MPI_Comm_create with an explicit group): members get a communicator
+// ranked by their position in ranks; non-members get nil. Collective over
+// c; every member must pass the same ranks.
+func (c *Comm) CreateSub(ranks []int) (*Comm, error) {
+	seen := make(map[int]bool, len(ranks))
+	myIdx := -1
+	for i, r := range ranks {
+		if err := c.checkRank(r, "group member"); err != nil {
+			return nil, err
+		}
+		if seen[r] {
+			return nil, fmt.Errorf("mpi: duplicate rank %d in group", r)
+		}
+		seen[r] = true
+		if r == c.rank {
+			myIdx = i
+		}
+	}
+	// Implemented over Split: color by membership, key by position so
+	// the new ranks follow the given order.
+	color := 0
+	key := 0
+	if myIdx < 0 {
+		color = -1
+	} else {
+		key = myIdx
+	}
+	return c.Split(color, key)
+}
+
+// GroupRanksByNode returns the ranks of the communicator grouped by the
+// compute node their process runs on, each group ascending, groups ordered
+// by node id — a convenience for building per-node subcommunicators
+// (MPI_Comm_split_type(COMM_TYPE_SHARED) in spirit).
+func (c *Comm) GroupRanksByNode() [][]int {
+	topo := c.World().Machine().Topo
+	place := c.World().Placement()
+	byNode := make(map[int][]int)
+	for r := 0; r < c.Size(); r++ {
+		node := topo.NodeOf(place[c.WorldRank(r)])
+		byNode[node] = append(byNode[node], r)
+	}
+	nodes := make([]int, 0, len(byNode))
+	for n := range byNode {
+		nodes = append(nodes, n)
+	}
+	sort.Ints(nodes)
+	out := make([][]int, 0, len(nodes))
+	for _, n := range nodes {
+		out = append(out, byNode[n])
+	}
+	return out
+}
+
+// SplitByNode returns a communicator of the ranks sharing this process's
+// compute node (the shared-memory domain). Collective over c.
+func (c *Comm) SplitByNode() (*Comm, error) {
+	topo := c.World().Machine().Topo
+	node := topo.NodeOf(c.p.Core())
+	return c.Split(node, c.rank)
+}

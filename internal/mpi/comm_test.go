@@ -215,3 +215,88 @@ func TestCrossCommunicatorTrafficStillMonitoredPerWorldRank(t *testing.T) {
 		t.Fatalf("world-rank accounting lost subcomm traffic: %v", bytes)
 	}
 }
+
+func TestCreateSub(t *testing.T) {
+	const np = 6
+	w := newTestWorld(t, np)
+	run(t, w, func(c *Comm) error {
+		// Members in a deliberate non-ascending order: ranks get the
+		// positions in the list.
+		group := []int{4, 1, 3}
+		sub, err := c.CreateSub(group)
+		if err != nil {
+			return err
+		}
+		member := c.Rank() == 4 || c.Rank() == 1 || c.Rank() == 3
+		if !member {
+			if sub != nil {
+				return errors.New("non-member got a communicator")
+			}
+			return nil
+		}
+		want := map[int]int{4: 0, 1: 1, 3: 2}[c.Rank()]
+		if sub.Rank() != want {
+			return fmt.Errorf("world rank %d got sub rank %d, want %d", c.Rank(), sub.Rank(), want)
+		}
+		if sub.Size() != 3 {
+			return fmt.Errorf("sub size %d", sub.Size())
+		}
+		return sub.Barrier()
+	})
+}
+
+func TestCreateSubValidation(t *testing.T) {
+	w := newTestWorld(t, 2)
+	run(t, w, func(c *Comm) error {
+		if _, err := c.CreateSub([]int{0, 0}); err == nil {
+			return errors.New("duplicate member should fail")
+		}
+		if _, err := c.CreateSub([]int{7}); err == nil {
+			return errors.New("out-of-range member should fail")
+		}
+		return nil
+	})
+}
+
+func TestSplitByNode(t *testing.T) {
+	// Default packed placement on a 2x2x2 machine: ranks 0-3 on node 0,
+	// 4-7 on node 1.
+	const np = 8
+	w := newTestWorld(t, np)
+	run(t, w, func(c *Comm) error {
+		sub, err := c.SplitByNode()
+		if err != nil {
+			return err
+		}
+		if sub.Size() != 4 {
+			return fmt.Errorf("node comm size %d, want 4", sub.Size())
+		}
+		wantFirst := (c.Rank() / 4) * 4
+		if sub.WorldRank(0) != wantFirst {
+			return fmt.Errorf("node comm starts at world rank %d, want %d", sub.WorldRank(0), wantFirst)
+		}
+		return sub.Barrier()
+	})
+}
+
+func TestGroupRanksByNode(t *testing.T) {
+	const np = 8
+	w := newTestWorld(t, np)
+	run(t, w, func(c *Comm) error {
+		if c.Rank() != 0 {
+			return nil
+		}
+		groups := c.GroupRanksByNode()
+		if len(groups) != 2 {
+			return fmt.Errorf("%d node groups, want 2", len(groups))
+		}
+		for g, members := range groups {
+			for i, r := range members {
+				if r != g*4+i {
+					return fmt.Errorf("groups = %v", groups)
+				}
+			}
+		}
+		return nil
+	})
+}

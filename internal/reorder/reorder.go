@@ -32,11 +32,9 @@ func phaseSpan(c *mpi.Comm, name string) func() {
 	return func() { tr.End(int64(p.Clock())) }
 }
 
-// Options tunes the reordering step.
-//
-// Deprecated: fill it with NewOptions and the Opt constructors below; the
-// struct literal form is kept for compatibility and behaves identically.
-type Options struct {
+// options tunes the reordering step; callers adjust it through the Opt
+// constructors below.
+type options struct {
 	// Flags selects the communication classes of the gathered matrix;
 	// zero means monitoring.AllComm.
 	Flags monitoring.Flags
@@ -67,19 +65,15 @@ type Options struct {
 	NoIdentityFallback bool
 }
 
-// DefaultOptions is what Reorder uses when opts is nil.
-//
-// Deprecated: use NewOptions(), which returns the same defaults.
-var DefaultOptions = Options{Flags: monitoring.AllComm, ChargeMappingTime: true}
+// Opt adjusts one reordering option; Reorder and MonitorAndReorder take
+// any number of them.
+type Opt func(*options)
 
-// Opt adjusts one Options field; build a set with NewOptions.
-type Opt func(*Options)
-
-// NewOptions returns the default reordering options (all communication
+// newOptions returns the default reordering options (all communication
 // classes, real mapping time charged, no timeout, no retries, identity
 // fallback on failure) with the given adjustments applied.
-func NewOptions(opts ...Opt) *Options {
-	o := DefaultOptions
+func newOptions(opts ...Opt) *options {
+	o := options{Flags: monitoring.AllComm, ChargeMappingTime: true}
 	for _, fn := range opts {
 		fn(&o)
 	}
@@ -87,28 +81,28 @@ func NewOptions(opts ...Opt) *Options {
 }
 
 // WithFlags selects the communication classes of the gathered matrix.
-func WithFlags(f monitoring.Flags) Opt { return func(o *Options) { o.Flags = f } }
+func WithFlags(f monitoring.Flags) Opt { return func(o *options) { o.Flags = f } }
 
 // WithMappingTimeout bounds the wall-clock time of one mapping attempt.
-func WithMappingTimeout(d time.Duration) Opt { return func(o *Options) { o.MappingTimeout = d } }
+func WithMappingTimeout(d time.Duration) Opt { return func(o *options) { o.MappingTimeout = d } }
 
 // WithRetries sets how many times a failed mapping attempt is retried.
-func WithRetries(n int) Opt { return func(o *Options) { o.MaxRetries = n } }
+func WithRetries(n int) Opt { return func(o *options) { o.MaxRetries = n } }
 
 // WithBackoff sets the base virtual-time penalty between mapping retries.
-func WithBackoff(d time.Duration) Opt { return func(o *Options) { o.RetryBackoff = d } }
+func WithBackoff(d time.Duration) Opt { return func(o *options) { o.RetryBackoff = d } }
 
 // WithChargeMappingTime toggles charging the measured mapping time to
 // rank 0's virtual clock.
-func WithChargeMappingTime(on bool) Opt { return func(o *Options) { o.ChargeMappingTime = on } }
+func WithChargeMappingTime(on bool) Opt { return func(o *options) { o.ChargeMappingTime = on } }
 
 // WithFixedMappingTime charges a fixed virtual mapping time instead of the
 // measured one (deterministic tests and reproducible sweeps).
-func WithFixedMappingTime(d time.Duration) Opt { return func(o *Options) { o.FixedMappingTime = d } }
+func WithFixedMappingTime(d time.Duration) Opt { return func(o *options) { o.FixedMappingTime = d } }
 
 // WithoutIdentityFallback makes mapping failure an error of Reorder
 // instead of degrading to the identity permutation.
-func WithoutIdentityFallback() Opt { return func(o *Options) { o.NoIdentityFallback = true } }
+func WithoutIdentityFallback() Opt { return func(o *options) { o.NoIdentityFallback = true } }
 
 // NewRanks computes the paper's k vector from a TreeMatch result: given
 // coreOf (role j should run on core coreOf[j]) and place (old rank r runs
@@ -147,8 +141,7 @@ type MatrixView = sparsemat.MatrixView
 // communicator members, it returns the k vector. It runs on rank 0 only.
 // It accepts any MatrixView — pass the sparse matrix from RootgatherSparse
 // directly, or wrap a row-major dense matrix with sparsemat.DenseView; the
-// permutation is bit-identical either way (and identical to what the
-// historical dense/sparse entry points returned).
+// permutation is bit-identical either way.
 func ComputeMapping(v MatrixView, topo *topology.Topology, place []int) ([]int, error) {
 	if len(place) != v.Order() {
 		return nil, fmt.Errorf("reorder: placement of %d entries for %d ranks", len(place), v.Order())
@@ -158,27 +151,6 @@ func ComputeMapping(v MatrixView, topo *topology.Topology, place []int) ([]int, 
 		return nil, err
 	}
 	return mapOnPlacement(m, topo, place)
-}
-
-// ComputeMappingDense is ComputeMapping over a row-major n-by-n dense bytes
-// matrix — the historical dense signature.
-//
-// Deprecated: use ComputeMapping(sparsemat.DenseView(mat, n), topo, place),
-// of which this is a thin wrapper returning a bit-identical permutation.
-func ComputeMappingDense(mat []uint64, n int, topo *topology.Topology, place []int) ([]int, error) {
-	if n < 0 || len(mat) != n*n {
-		return nil, fmt.Errorf("reorder: matrix of %d entries is not %d x %d", len(mat), n, n)
-	}
-	return ComputeMapping(sparsemat.DenseView(mat, n), topo, place)
-}
-
-// ComputeMappingSparse is ComputeMapping over the sparse matrix gathered by
-// RootgatherSparse: same k vector, O(nnz) time and memory.
-//
-// Deprecated: use ComputeMapping — *sparsemat.Matrix satisfies MatrixView
-// directly, and this wrapper is exactly ComputeMapping(sm, topo, place).
-func ComputeMappingSparse(sm *sparsemat.Matrix, topo *topology.Topology, place []int) ([]int, error) {
-	return ComputeMapping(sm, topo, place)
 }
 
 // ComputeMappingWarm is ComputeMapping warm-started from the placement the
@@ -219,10 +191,10 @@ func mapOnPlacement(m *treematch.Matrix, topo *topology.Topology, place []int) (
 // inject failures and hangs without a pathological matrix. Atomic because
 // a timed-out attempt's abandoned goroutine may still read it while a test
 // cleanup restores it.
-var mapFn atomic.Pointer[func(sm *sparsemat.Matrix, topo *topology.Topology, place []int) ([]int, error)]
+var mapFn atomic.Pointer[func(v MatrixView, topo *topology.Topology, place []int) ([]int, error)]
 
 func init() {
-	fn := ComputeMappingSparse
+	fn := ComputeMapping
 	mapFn.Store(&fn)
 }
 
@@ -256,7 +228,7 @@ func runMapping(timeout time.Duration, sm *sparsemat.Matrix, topo *topology.Topo
 // every attempt has failed, it degrades to the identity permutation (the
 // application keeps running unreordered) unless NoIdentityFallback asks
 // for the error instead.
-func computeWithRetry(comm *mpi.Comm, o *Options, sm *sparsemat.Matrix) ([]int, error) {
+func computeWithRetry(comm *mpi.Comm, o *options, sm *sparsemat.Matrix) ([]int, error) {
 	p := comm.Proc()
 	topo := comm.World().Machine().Topo
 	place := memberPlacement(comm)
@@ -314,11 +286,9 @@ func memberPlacement(c *mpi.Comm) []int {
 // rank r has become rank k[r] is returned along with k. Collective over the
 // session's communicator. The caller typically redistributes data next
 // (Redistribute) and runs the remaining iterations on the new communicator.
-func Reorder(s *monitoring.Session, opts *Options) (*mpi.Comm, []int, error) {
-	if opts == nil {
-		opts = &DefaultOptions
-	}
-	flags := opts.Flags
+func Reorder(s *monitoring.Session, opts ...Opt) (*mpi.Comm, []int, error) {
+	o := newOptions(opts...)
+	flags := o.Flags
 	if flags == 0 {
 		flags = monitoring.AllComm
 	}
@@ -354,7 +324,7 @@ func Reorder(s *monitoring.Session, opts *Options) (*mpi.Comm, []int, error) {
 			restoreHook = func() { treematch.OnRefineDegrade = prev }
 		}
 		start := time.Now()
-		k, err = computeWithRetry(comm, opts, sm)
+		k, err = computeWithRetry(comm, o, sm)
 		restoreHook()
 		if err != nil {
 			// Returning only at rank 0 would leave every other member
@@ -366,9 +336,9 @@ func Reorder(s *monitoring.Session, opts *Options) (*mpi.Comm, []int, error) {
 			k[0] = -1
 		} else {
 			switch {
-			case opts.FixedMappingTime > 0:
-				p.Compute(opts.FixedMappingTime)
-			case opts.ChargeMappingTime:
+			case o.FixedMappingTime > 0:
+				p.Compute(o.FixedMappingTime)
+			case o.ChargeMappingTime:
 				p.Compute(time.Since(start))
 			}
 		}
@@ -416,32 +386,8 @@ func Reorder(s *monitoring.Session, opts *Options) (*mpi.Comm, []int, error) {
 // and return the optimized communicator and the permutation. The session is
 // freed before returning. Collective over comm.
 //
-// Options are functional, consistent with NewOptions: pass nothing for the
-// defaults, With* adjustments, or WithOptions(o) to apply a prebuilt
-// Options struct. (The historical positional-*Options signature lives on as
-// MonitorAndReorderOptions.)
+// Pass nothing for the default options, or With* adjustments.
 func MonitorAndReorder(env *monitoring.Env, comm *mpi.Comm, phase func(*mpi.Comm) error, opts ...Opt) (*mpi.Comm, []int, error) {
-	return MonitorAndReorderOptions(env, comm, NewOptions(opts...), phase)
-}
-
-// WithOptions replaces the whole option set with a prebuilt Options struct
-// (nil applies nothing) — the bridge for callers migrating from the
-// positional-*Options signature to the variadic MonitorAndReorder.
-func WithOptions(o *Options) Opt {
-	return func(dst *Options) {
-		if o != nil {
-			*dst = *o
-		}
-	}
-}
-
-// MonitorAndReorderOptions is MonitorAndReorder with the historical
-// positional options struct; nil means the defaults.
-//
-// Deprecated: use MonitorAndReorder(env, comm, phase, opts...) — with
-// WithOptions(o) when an Options struct is already in hand. Behavior is
-// identical.
-func MonitorAndReorderOptions(env *monitoring.Env, comm *mpi.Comm, opts *Options, phase func(*mpi.Comm) error) (*mpi.Comm, []int, error) {
 	s, err := env.Start(comm)
 	if err != nil {
 		return nil, nil, err
@@ -457,7 +403,7 @@ func MonitorAndReorderOptions(env *monitoring.Env, comm *mpi.Comm, opts *Options
 		return nil, nil, err
 	}
 	defer s.Free()
-	return Reorder(s, opts)
+	return Reorder(s, opts...)
 }
 
 // Redistribute moves the per-role data after a reordering: old rank r held

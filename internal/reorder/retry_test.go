@@ -15,11 +15,11 @@ import (
 )
 
 func TestNewOptionsDefaultsAndOpts(t *testing.T) {
-	o := NewOptions()
-	if *o != DefaultOptions {
-		t.Fatalf("NewOptions() = %+v, want DefaultOptions %+v", *o, DefaultOptions)
+	o := newOptions()
+	if def := (options{Flags: monitoring.AllComm, ChargeMappingTime: true}); *o != def {
+		t.Fatalf("newOptions() = %+v, want %+v", *o, def)
 	}
-	o = NewOptions(
+	o = newOptions(
 		WithFlags(monitoring.P2POnly),
 		WithMappingTimeout(time.Second),
 		WithRetries(3),
@@ -28,7 +28,7 @@ func TestNewOptionsDefaultsAndOpts(t *testing.T) {
 		WithFixedMappingTime(2*time.Microsecond),
 		WithoutIdentityFallback(),
 	)
-	want := Options{
+	want := options{
 		Flags:              monitoring.P2POnly,
 		MappingTimeout:     time.Second,
 		MaxRetries:         3,
@@ -38,12 +38,12 @@ func TestNewOptionsDefaultsAndOpts(t *testing.T) {
 		NoIdentityFallback: true,
 	}
 	if *o != want {
-		t.Fatalf("NewOptions(...) = %+v, want %+v", *o, want)
+		t.Fatalf("newOptions(...) = %+v, want %+v", *o, want)
 	}
 }
 
 // swapMapFn installs a failing/hanging mapping function for one test.
-func swapMapFn(t *testing.T, fn func(sm *sparsemat.Matrix, topo *topology.Topology, place []int) ([]int, error)) {
+func swapMapFn(t *testing.T, fn func(v sparsemat.MatrixView, topo *topology.Topology, place []int) ([]int, error)) {
 	t.Helper()
 	prev := mapFn.Swap(&fn)
 	t.Cleanup(func() { mapFn.Store(prev) })
@@ -62,7 +62,7 @@ func ringPhase(c *mpi.Comm) error {
 
 // runReorder executes MonitorAndReorder on a fresh world and returns the
 // permutation (from rank 0's perspective) and the error rank 0 saw.
-func runReorder(t *testing.T, opts *Options, tel *telemetry.Telemetry) (k []int, reorderErr error) {
+func runReorder(t *testing.T, opts []Opt, tel *telemetry.Telemetry) (k []int, reorderErr error) {
 	t.Helper()
 	const np = 4
 	wopts := []mpi.Option{}
@@ -79,7 +79,7 @@ func runReorder(t *testing.T, opts *Options, tel *telemetry.Telemetry) (k []int,
 			return err
 		}
 		defer env.Finalize()
-		opt, kk, err := MonitorAndReorderOptions(env, c, opts, ringPhase)
+		opt, kk, err := MonitorAndReorder(env, c, ringPhase, opts...)
 		if c.Rank() == 0 {
 			k, reorderErr = kk, err
 		}
@@ -96,12 +96,12 @@ func runReorder(t *testing.T, opts *Options, tel *telemetry.Telemetry) (k []int,
 
 func TestReorderRetryExhaustionFallsBackToIdentity(t *testing.T) {
 	var calls atomic.Int32
-	swapMapFn(t, func(sm *sparsemat.Matrix, topo *topology.Topology, place []int) ([]int, error) {
+	swapMapFn(t, func(v sparsemat.MatrixView, topo *topology.Topology, place []int) ([]int, error) {
 		calls.Add(1)
 		return nil, errors.New("synthetic mapping failure")
 	})
 	tel := telemetry.New()
-	opts := NewOptions(WithRetries(2), WithBackoff(time.Millisecond), WithFixedMappingTime(time.Microsecond))
+	opts := []Opt{WithRetries(2), WithBackoff(time.Millisecond), WithFixedMappingTime(time.Microsecond)}
 	k, err := runReorder(t, opts, tel)
 	if err != nil {
 		t.Fatalf("Reorder should degrade, not fail: %v", err)
@@ -126,14 +126,14 @@ func TestReorderRetryExhaustionFallsBackToIdentity(t *testing.T) {
 func TestReorderRetrySucceedsEventually(t *testing.T) {
 	var calls atomic.Int32
 	real := *mapFn.Load()
-	swapMapFn(t, func(sm *sparsemat.Matrix, topo *topology.Topology, place []int) ([]int, error) {
+	swapMapFn(t, func(v sparsemat.MatrixView, topo *topology.Topology, place []int) ([]int, error) {
 		if calls.Add(1) < 3 {
 			return nil, errors.New("transient failure")
 		}
-		return real(sm, topo, place)
+		return real(v, topo, place)
 	})
 	tel := telemetry.New()
-	opts := NewOptions(WithRetries(5), WithFixedMappingTime(time.Microsecond))
+	opts := []Opt{WithRetries(5), WithFixedMappingTime(time.Microsecond)}
 	k, err := runReorder(t, opts, tel)
 	if err != nil {
 		t.Fatal(err)
@@ -154,15 +154,15 @@ func TestReorderRetrySucceedsEventually(t *testing.T) {
 }
 
 func TestReorderMappingTimeout(t *testing.T) {
-	swapMapFn(t, func(sm *sparsemat.Matrix, topo *topology.Topology, place []int) ([]int, error) {
+	swapMapFn(t, func(v sparsemat.MatrixView, topo *topology.Topology, place []int) ([]int, error) {
 		time.Sleep(10 * time.Second)
 		return nil, errors.New("unreachable")
 	})
-	opts := NewOptions(
-		WithMappingTimeout(20*time.Millisecond),
+	opts := []Opt{
+		WithMappingTimeout(20 * time.Millisecond),
 		WithFixedMappingTime(time.Microsecond),
 		WithoutIdentityFallback(),
-	)
+	}
 	_, err := runReorder(t, opts, nil)
 	if !errors.Is(err, mpi.ErrTimeout) {
 		t.Fatalf("Reorder with hung mapping: %v, want mpi.ErrTimeout", err)
@@ -171,10 +171,10 @@ func TestReorderMappingTimeout(t *testing.T) {
 
 func TestReorderNoFallbackPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
-	swapMapFn(t, func(sm *sparsemat.Matrix, topo *topology.Topology, place []int) ([]int, error) {
+	swapMapFn(t, func(v sparsemat.MatrixView, topo *topology.Topology, place []int) ([]int, error) {
 		return nil, fmt.Errorf("mapping: %w", boom)
 	})
-	opts := NewOptions(WithFixedMappingTime(time.Microsecond), WithoutIdentityFallback())
+	opts := []Opt{WithFixedMappingTime(time.Microsecond), WithoutIdentityFallback()}
 	_, err := runReorder(t, opts, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("Reorder without fallback: %v, want the mapping error", err)
@@ -182,23 +182,26 @@ func TestReorderNoFallbackPropagatesError(t *testing.T) {
 }
 
 func TestReorderBackoffChargesVirtualTime(t *testing.T) {
-	swapMapFn(t, func(sm *sparsemat.Matrix, topo *topology.Topology, place []int) ([]int, error) {
+	swapMapFn(t, func(v sparsemat.MatrixView, topo *topology.Topology, place []int) ([]int, error) {
 		return nil, errors.New("always fails")
 	})
+	// The exact difference needs the event engine's deterministic clock:
+	// under the goroutine engine the ring's NIC reservation order follows
+	// the host scheduler and moves either total by a microsecond.
 	elapsed := func(backoff time.Duration) time.Duration {
 		const np = 4
-		w, err := mpi.NewWorld(testMachine(2, 2), np)
+		w, err := mpi.NewWorld(testMachine(2, 2), np, mpi.WithEngine(mpi.EngineEvent))
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := NewOptions(WithRetries(3), WithBackoff(backoff), WithFixedMappingTime(time.Microsecond))
+		opts := []Opt{WithRetries(3), WithBackoff(backoff), WithFixedMappingTime(time.Microsecond)}
 		err = w.RunWithTimeout(time.Minute, func(c *mpi.Comm) error {
 			env, err := monitoring.Init(c.Proc())
 			if err != nil {
 				return err
 			}
 			defer env.Finalize()
-			_, _, err = MonitorAndReorder(env, c, ringPhase, WithOptions(opts))
+			_, _, err = MonitorAndReorder(env, c, ringPhase, opts...)
 			return err
 		})
 		if err != nil {

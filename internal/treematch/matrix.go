@@ -17,8 +17,6 @@ package treematch
 import (
 	"fmt"
 	"sort"
-
-	"mpimon/internal/sparsemat"
 )
 
 // Entry is one off-diagonal affinity of a sparse matrix row.
@@ -29,7 +27,7 @@ type Entry struct {
 
 // Matrix is a symmetric process-affinity matrix stored sparsely: rows[i]
 // holds the nonzero affinities of process i, sorted by column. Build one
-// with NewMatrix/Add/Finish or FromBytesMatrix.
+// with NewMatrix/Add/Finish or FromView.
 type Matrix struct {
 	n        int
 	rows     [][]Entry
@@ -124,20 +122,6 @@ func (m *Matrix) TotalWeight() float64 {
 		}
 	}
 	return s / 2
-}
-
-// FromBytesMatrix builds the affinity matrix from a row-major n-by-n
-// communication matrix as produced by the monitoring library's
-// AllgatherData/RootgatherData: the affinity between i and j is
-// mat[i*n+j] + mat[j*n+i] (bytes exchanged in both directions).
-//
-// Deprecated: use FromView(sparsemat.DenseView(mat, n)), of which this is
-// a thin wrapper producing a bit-identical matrix.
-func FromBytesMatrix(mat []uint64, n int) (*Matrix, error) {
-	if n < 0 || len(mat) != n*n {
-		return nil, fmt.Errorf("treematch: matrix of %d entries is not %d x %d", len(mat), n, n)
-	}
-	return FromView(sparsemat.DenseView(mat, n))
 }
 
 // Dense returns the symmetric matrix densely (tests and small inputs only).

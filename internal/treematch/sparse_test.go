@@ -46,54 +46,59 @@ func sameDense(t *testing.T, a, b *Matrix) {
 	}
 }
 
-// TestFromSparseRowsBitIdentical pins the acceptance criterion that the
-// sparse construction path produces bit-identical affinities — and hence
-// identical TreeMatch placements — to FromBytesMatrix on the densified
-// matrix, including matrices with zero-byte nonzero-count entries.
-func TestFromSparseRowsBitIdentical(t *testing.T) {
+// TestFromViewBitIdentical pins that the two representations of one
+// matrix — the sparse rows and DenseView over their densified bytes plane —
+// give bit-identical affinities, and hence identical TreeMatch placements,
+// including matrices with zero-byte nonzero-count entries.
+func TestFromViewBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	topo, err := topology.New(2, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 20; trial++ {
-		n := 8
-		counts, bytes := randTraffic(rng, n)
-		dense, err := FromBytesMatrix(bytes, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sm, err := sparsemat.FromDense(counts, bytes, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sparse, err := FromSparseRows(sm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameDense(t, dense, sparse)
+	for _, tc := range []struct {
+		n, trials int
+		topo      *topology.Topology
+	}{
+		{4, 20, topology.MustNew(2, 2)},
+		{8, 20, topology.MustNew(2, 2, 2)},
+		{256, 2, topology.MustNew(8, 2, 16)},
+	} {
+		for trial := 0; trial < tc.trials; trial++ {
+			counts, bytes := randTraffic(rng, tc.n)
+			sm, err := sparsemat.FromDense(counts, bytes, tc.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, densified := sm.Dense()
+			dense, err := FromView(sparsemat.DenseView(densified, tc.n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sparse, err := FromView(sm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameDense(t, dense, sparse)
 
-		pd, err := MapTree(dense, topo.FullTree())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps, err := MapTree(sparse, topo.FullTree())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range pd {
-			if pd[i] != ps[i] {
-				t.Fatalf("trial %d: placement diverged at %d: %v vs %v", trial, i, pd, ps)
+			pd, err := MapTree(dense, tc.topo.FullTree())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps, err := MapTree(sparse, tc.topo.FullTree())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range pd {
+				if pd[i] != ps[i] {
+					t.Fatalf("n %d trial %d: placement diverged at %d: %v vs %v", tc.n, trial, i, pd, ps)
+				}
 			}
 		}
 	}
 }
 
-func TestFromSparseRowsPadded(t *testing.T) {
+func TestFromViewPadded(t *testing.T) {
 	bytes := []uint64{0, 100, 100, 0}
 	dense4 := make([]uint64, 16)
 	dense4[0*4+1], dense4[1*4+0] = 100, 100
-	want, err := FromBytesMatrix(dense4, 4)
+	want, err := FromView(sparsemat.DenseView(dense4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,22 +106,27 @@ func TestFromSparseRowsPadded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := FromSparseRowsPadded(sm, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameDense(t, want, got)
-	if _, err := FromSparseRowsPadded(sm, 1); err == nil {
-		t.Fatal("padding below matrix size accepted")
+	for name, v := range map[string]sparsemat.MatrixView{"sparse": sm, "dense": sparsemat.DenseView(bytes, 2)} {
+		got, err := FromViewPadded(v, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameDense(t, want, got)
+		if _, err := FromViewPadded(v, 1); err == nil {
+			t.Fatalf("%s: padding below matrix size accepted", name)
+		}
 	}
 }
 
-func TestFromSparseRowsRejectsCorrupt(t *testing.T) {
+func TestFromViewRejectsCorrupt(t *testing.T) {
 	sm := &sparsemat.Matrix{N: 2, Rows: []sparsemat.Row{{Dst: []int32{5}, Cnt: []uint64{1}, Byt: []uint64{1}}, {}}}
-	if _, err := FromSparseRows(sm); err == nil {
+	if _, err := FromView(sm); err == nil {
 		t.Fatal("out-of-range destination accepted")
 	}
-	if _, err := FromSparseRows(&sparsemat.Matrix{N: 3, Rows: make([]sparsemat.Row, 2)}); err == nil {
+	if _, err := FromView(&sparsemat.Matrix{N: 3, Rows: make([]sparsemat.Row, 2)}); err == nil {
 		t.Fatal("row-count mismatch accepted")
+	}
+	if _, err := FromView(sparsemat.DenseView([]uint64{1, 2, 3}, 2)); err == nil {
+		t.Fatal("wrong dense matrix size accepted")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mpimon/internal/sparsemat"
 	"mpimon/internal/topology"
 )
 
@@ -35,17 +36,14 @@ func TestMatrixBasics(t *testing.T) {
 	}
 }
 
-func TestFromBytesMatrix(t *testing.T) {
+func TestFromViewDense(t *testing.T) {
 	// 2x2: 0 sends 10 to 1, 1 sends 30 to 0.
-	m, err := FromBytesMatrix([]uint64{0, 10, 30, 0}, 2)
+	m, err := FromView(sparsemat.DenseView([]uint64{0, 10, 30, 0}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Affinity(0, 1); got != 40 {
 		t.Fatalf("affinity = %v, want 40", got)
-	}
-	if _, err := FromBytesMatrix([]uint64{1, 2, 3}, 2); err == nil {
-		t.Fatal("wrong matrix size should fail")
 	}
 }
 

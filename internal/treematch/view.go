@@ -6,13 +6,13 @@ import (
 	"mpimon/internal/sparsemat"
 )
 
-// FromView builds the affinity matrix from any communication-matrix view —
-// the unified constructor behind which the historical dense
-// (FromBytesMatrix) and sparse (FromSparseRows) entry points now sit. The
-// affinity of an unordered pair is float64(i→j bytes) + float64(j→i bytes),
-// added when positive; because the view emits the lower-index direction
-// first and Finish sorts the result, the matrix is bit-identical to both
-// legacy paths. O(nnz) for sparse views, O(n²) for dense ones.
+// FromView builds the affinity matrix from any communication-matrix view:
+// a gathered *sparsemat.Matrix, or a row-major dense bytes matrix wrapped
+// with sparsemat.DenseView. The affinity of an unordered pair is
+// float64(i→j bytes) + float64(j→i bytes), added when positive; because
+// the view emits the lower-index direction first and Finish sorts the
+// result, both representations of one matrix give a bit-identical result.
+// O(nnz) for sparse views, O(n²) for dense ones.
 func FromView(v sparsemat.MatrixView) (*Matrix, error) {
 	return FromViewPadded(v, v.Order())
 }

@@ -92,10 +92,8 @@ const (
 type (
 	// CommMatrix is a sparse process-affinity matrix for TreeMatch.
 	CommMatrix = treematch.Matrix
-	// ReorderOptions tunes the dynamic rank reordering; build it with
-	// NewReorderOptions.
-	ReorderOptions = reorder.Options
-	// ReorderOpt is one functional option of NewReorderOptions.
+	// ReorderOpt is one functional option of MonitorAndReorder and
+	// ReorderFromSession (the Reorder* constructors below).
 	ReorderOpt = reorder.Opt
 )
 
@@ -127,24 +125,6 @@ type (
 	CGResult = cg.Result
 	// CGMode selects real numerics or communication skeleton.
 	CGMode = cg.Mode
-	// CGOpt is one functional option of NewCGConfig.
-	CGOpt = cg.Opt
-)
-
-// NewCGConfig builds a CG configuration from a class and functional
-// options (the construction path replacing hand-filled CGConfig structs).
-func NewCGConfig(class CGClass, opts ...CGOpt) CGConfig { return cg.NewConfig(class, opts...) }
-
-// CG options.
-var (
-	// CGWithMode selects real numerics or the communication skeleton.
-	CGWithMode = cg.WithMode
-	// CGWithNiter overrides the outer iteration count.
-	CGWithNiter = cg.WithNiter
-	// CGWithIterations overrides the inner CG iteration count.
-	CGWithIterations = cg.WithCGIterations
-	// CGWithSkipInit skips the matrix generation (skeleton workloads).
-	CGWithSkipInit = cg.WithSkipInit
 )
 
 // Sampling types (package hwcount).
@@ -251,11 +231,6 @@ func WithMonitoringLevel(l MonitorLevel) Option { return mpi.WithMonitoringLevel
 // recoverable with Comm.Revoke / Comm.Shrink / Comm.Agree.
 func WithFaultPlan(p *FaultPlan) Option { return mpi.WithFaultPlan(p) }
 
-// NewReorderOptions builds reorder options from DefaultOptions and the
-// given functional options (the construction path replacing hand-filled
-// ReorderOptions structs).
-func NewReorderOptions(opts ...ReorderOpt) *ReorderOptions { return reorder.NewOptions(opts...) }
-
 // Reorder options.
 var (
 	// ReorderFlags selects the communication classes fed to TreeMatch.
@@ -274,9 +249,6 @@ var (
 	// ReorderNoIdentityFallback propagates mapping failure instead of
 	// degrading to the identity permutation.
 	ReorderNoIdentityFallback = reorder.WithoutIdentityFallback
-	// ReorderWithOptions applies a prebuilt ReorderOptions struct — the
-	// bridge from the deprecated positional signature.
-	ReorderWithOptions = reorder.WithOptions
 )
 
 // NewTopology builds a balanced hardware tree from per-level arities.
@@ -299,23 +271,14 @@ func InitMonitoring(p *Proc) (*Env, error) { return monitoring.Init(p) }
 // MonitorAndReorder implements the paper's Fig. 1: monitor phase(comm),
 // compute a TreeMatch permutation from the observed communication matrix,
 // and return the reordered communicator and the permutation k. Options are
-// functional (Reorder* constructors), consistent with NewReorderOptions.
+// functional (the Reorder* constructors).
 func MonitorAndReorder(env *Env, comm *Comm, phase func(*Comm) error, opts ...ReorderOpt) (*Comm, []int, error) {
 	return reorder.MonitorAndReorder(env, comm, phase, opts...)
 }
 
-// MonitorAndReorderOptions is MonitorAndReorder with the historical
-// positional options struct; nil means the defaults.
-//
-// Deprecated: use MonitorAndReorder(env, comm, phase, opts...) — with
-// ReorderWithOptions(o) when an options struct is already in hand.
-func MonitorAndReorderOptions(env *Env, comm *Comm, opts *ReorderOptions, phase func(*Comm) error) (*Comm, []int, error) {
-	return reorder.MonitorAndReorderOptions(env, comm, opts, phase)
-}
-
 // ReorderFromSession reorders using an already-suspended session.
-func ReorderFromSession(s *Session, opts *ReorderOptions) (*Comm, []int, error) {
-	return reorder.Reorder(s, opts)
+func ReorderFromSession(s *Session, opts ...ReorderOpt) (*Comm, []int, error) {
+	return reorder.Reorder(s, opts...)
 }
 
 // Redistribute moves per-role data after a reordering (rank i receives
@@ -324,8 +287,8 @@ func Redistribute(comm *Comm, k []int, data []byte) ([]byte, error) {
 	return reorder.Redistribute(comm, k, data)
 }
 
-// MatrixView is the unified read-only communication-matrix view the
-// mapping layer consumes: a gathered *SparseMatrix satisfies it directly,
+// MatrixView is the read-only communication-matrix view the mapping and
+// analysis layers consume: a gathered *SparseMatrix satisfies it directly,
 // and a row-major dense bytes matrix is adapted with DenseMatrixView.
 type MatrixView = sparsemat.MatrixView
 
@@ -338,13 +301,6 @@ func DenseMatrixView(mat []uint64, n int) MatrixView { return sparsemat.DenseVie
 // accepts any MatrixView — a gathered sparse matrix or DenseMatrixView.
 func ComputeMapping(v MatrixView, topo *Topology, place []int) ([]int, error) {
 	return reorder.ComputeMapping(v, topo, place)
-}
-
-// ComputeMappingDense is ComputeMapping over a row-major dense matrix.
-//
-// Deprecated: use ComputeMapping(DenseMatrixView(mat, n), topo, place).
-func ComputeMappingDense(mat []uint64, n int, topo *Topology, place []int) ([]int, error) {
-	return reorder.ComputeMappingDense(mat, n, topo, place)
 }
 
 // ComputeMappingWarm refines the placement the communicator already runs
@@ -431,70 +387,15 @@ type (
 	SparseRow = sparsemat.Row
 )
 
-// ComputeMappingSparse is ComputeMapping over a sparse matrix gathered by
-// Session.RootgatherSparse: same permutation, O(nnz) memory.
-//
-// Deprecated: use ComputeMapping — *SparseMatrix satisfies MatrixView.
-func ComputeMappingSparse(sm *SparseMatrix, topo *Topology, place []int) ([]int, error) {
-	return reorder.ComputeMappingSparse(sm, topo, place)
-}
-
-// ReconfigureSparse is Reconfigure over a sparse matrix: same plan, O(nnz)
-// memory.
-//
-// Deprecated: use ReconfigureFromView — *SparseMatrix satisfies MatrixView.
-func ReconfigureSparse(sm *SparseMatrix, topo *Topology, oldPlace, avail []int, stateBytes int64) (ReconfigPlan, error) {
-	return elastic.ReconfigureSparse(sm, topo, oldPlace, avail, stateBytes)
-}
-
-// ReconfigureFromView is Reconfigure over any MatrixView — the unified
-// entry point serving both dense and sparse matrices.
-func ReconfigureFromView(v MatrixView, topo *Topology, oldPlace, avail []int, stateBytes int64) (ReconfigPlan, error) {
-	return elastic.ReconfigureView(v, topo, oldPlace, avail, stateBytes)
-}
-
-// CommMatrixFromSparse builds the TreeMatch affinity matrix from a sparse
-// communication matrix, bit-identical to CommMatrixFromBytes over the
-// densified matrix but without touching n² memory.
-//
-// Deprecated: use CommMatrixFromView — *SparseMatrix satisfies MatrixView.
-func CommMatrixFromSparse(sm *SparseMatrix) (*CommMatrix, error) {
-	return treematch.FromSparseRows(sm)
-}
-
 // CommMatrixFromView builds the TreeMatch affinity matrix from any
-// MatrixView — the unified constructor behind CommMatrixFromBytes and
-// CommMatrixFromSparse.
+// MatrixView: O(nnz) over a sparse matrix, and bit-identical to the result
+// over DenseMatrixView of the densified matrix.
 func CommMatrixFromView(v MatrixView) (*CommMatrix, error) {
 	return treematch.FromView(v)
 }
 
-// SummarizeSparseMatrix computes matrix aggregates from the bytes plane of
-// a sparse matrix in O(nnz).
-func SummarizeSparseMatrix(sm *SparseMatrix) (MatrixSummary, error) {
-	return matstat.SummarizeSparse(sm)
-}
-
-// SparseMatrixLocalityOf classifies a sparse matrix's traffic under a
-// placement in O(nnz).
-func SparseMatrixLocalityOf(sm *SparseMatrix, topo *Topology, place []int) (MatrixLocality, error) {
-	return matstat.ComputeLocalitySparse(sm, topo, place)
-}
-
-// TopSparseMatrixPairs returns the k heaviest directed pairs of a sparse
-// matrix in O(nnz log nnz).
-func TopSparseMatrixPairs(sm *SparseMatrix, k int) ([]MatrixPair, error) {
-	return matstat.TopPairsSparse(sm, k)
-}
-
 // NewCommMatrix creates an empty n-process affinity matrix.
 func NewCommMatrix(n int) *CommMatrix { return treematch.NewMatrix(n) }
-
-// CommMatrixFromBytes builds an affinity matrix from a row-major bytes
-// matrix as gathered by Session.AllgatherData.
-func CommMatrixFromBytes(mat []uint64, n int) (*CommMatrix, error) {
-	return treematch.FromBytesMatrix(mat, n)
-}
 
 // TreeMatch places m's processes on the leaves of the tree (the general
 // top-down variant; prune the topology with Topology.Restrict for partial
@@ -579,16 +480,17 @@ type MatrixLocality = matstat.Locality
 // MatrixPair is one directed communicating pair.
 type MatrixPair = matstat.Pair
 
-// SummarizeMatrix computes aggregates of a row-major n-by-n matrix.
-func SummarizeMatrix(mat []uint64, n int) (MatrixSummary, error) { return matstat.Summarize(mat, n) }
+// SummarizeMatrix computes the aggregates of a matrix's bytes plane (O(nnz)
+// over a sparse matrix).
+func SummarizeMatrix(v MatrixView) (MatrixSummary, error) { return matstat.Summarize(v) }
 
 // MatrixLocalityOf classifies a matrix's traffic under a placement.
-func MatrixLocalityOf(mat []uint64, n int, topo *Topology, place []int) (MatrixLocality, error) {
-	return matstat.ComputeLocality(mat, n, topo, place)
+func MatrixLocalityOf(v MatrixView, topo *Topology, place []int) (MatrixLocality, error) {
+	return matstat.ComputeLocality(v, topo, place)
 }
 
 // TopMatrixPairs returns the k heaviest directed pairs.
-func TopMatrixPairs(mat []uint64, n, k int) ([]MatrixPair, error) { return matstat.TopPairs(mat, n, k) }
+func TopMatrixPairs(v MatrixView, k int) ([]MatrixPair, error) { return matstat.TopPairs(v, k) }
 
 // UtilizationPredictor forecasts network utilization from monitoring
 // samples (the paper's Sec. 7 prediction use case).
@@ -667,15 +569,9 @@ type StencilResult = stencil.Result
 // RunStencil executes the distributed 2D Jacobi solver on the communicator.
 func RunStencil(c *Comm, cfg StencilConfig) (StencilResult, error) { return stencil.Run(c, cfg) }
 
-// StaticPlacementFromMatrix computes a launch-time placement from a
-// previous run's communication matrix (the static strategy of Mercier &
-// Jeannot that the paper's dynamic reordering improves upon).
-func StaticPlacementFromMatrix(mat []uint64, n int, topo *Topology, cores []int) ([]int, error) {
-	return reorder.StaticPlacement(sparsemat.DenseView(mat, n), topo, cores)
-}
-
-// StaticPlacementFromView is StaticPlacementFromMatrix over any MatrixView
-// (a gathered sparse matrix works directly).
+// StaticPlacementFromView computes a launch-time placement from a previous
+// run's communication matrix (the static strategy of Mercier & Jeannot that
+// the paper's dynamic reordering improves upon).
 func StaticPlacementFromView(v MatrixView, topo *Topology, cores []int) ([]int, error) {
 	return reorder.StaticPlacement(v, topo, cores)
 }
@@ -688,11 +584,11 @@ type ReconfigPlan = elastic.Plan
 // ReconfigMove is one process migration of a plan.
 type ReconfigMove = elastic.Move
 
-// Reconfigure computes a topology-aware placement of n ranks onto the
-// available cores from a monitored communication matrix, minimizing
-// disturbance relative to the old placement.
-func Reconfigure(mat []uint64, n int, topo *Topology, oldPlace, avail []int, stateBytes int64) (ReconfigPlan, error) {
-	return elastic.Reconfigure(mat, n, topo, oldPlace, avail, stateBytes)
+// ReconfigureFromView computes a topology-aware placement of the matrix's
+// ranks onto the available cores from a monitored communication matrix,
+// minimizing disturbance relative to the old placement.
+func ReconfigureFromView(v MatrixView, topo *Topology, oldPlace, avail []int, stateBytes int64) (ReconfigPlan, error) {
+	return elastic.ReconfigureView(v, topo, oldPlace, avail, stateBytes)
 }
 
 // SurvivingCores lists the cores that remain after removing nodes.
@@ -702,7 +598,7 @@ func SurvivingCores(topo *Topology, deadNodes ...int) []int {
 
 // SurvivorCores lists the cores that remain usable after the failures the
 // runtime has observed; call it on the communicator returned by
-// Comm.Shrink to feed Reconfigure the surviving resource set.
+// Comm.Shrink to feed ReconfigureFromView the surviving resource set.
 func SurvivorCores(c *Comm) []int { return elastic.SurvivorCores(c) }
 
 // MultiSwitch models a two-tier cluster (switches x nodesPerSwitch

@@ -153,16 +153,17 @@ func TestFacadeMatrixAnalysis(t *testing.T) {
 	mat := make([]uint64, n*n)
 	mat[0*n+1] = 100
 	mat[2*n+3] = 100
-	sum, err := SummarizeMatrix(mat, n)
+	v := DenseMatrixView(mat, n)
+	sum, err := SummarizeMatrix(v)
 	if err != nil || sum.Total != 200 {
 		t.Fatalf("SummarizeMatrix: %+v, %v", sum, err)
 	}
 	topo, _ := NewTopology(2, 2)
-	loc, err := MatrixLocalityOf(mat, n, topo, []int{0, 1, 2, 3})
+	loc, err := MatrixLocalityOf(v, topo, []int{0, 1, 2, 3})
 	if err != nil || loc.NodeFraction() != 1 {
 		t.Fatalf("MatrixLocalityOf: %+v, %v", loc, err)
 	}
-	pairs, err := TopMatrixPairs(mat, n, 1)
+	pairs, err := TopMatrixPairs(v, 1)
 	if err != nil || len(pairs) != 1 || pairs[0].Bytes != 100 {
 		t.Fatalf("TopMatrixPairs: %v, %v", pairs, err)
 	}
@@ -172,16 +173,16 @@ func TestFacadeReconfigure(t *testing.T) {
 	topo, _ := NewTopology(2, 2)
 	mat := make([]uint64, 4)
 	mat[0*2+1] = 50
-	plan, err := Reconfigure(mat, 2, topo, []int{0, 2}, SurvivingCores(topo, 1), 64)
+	plan, err := ReconfigureFromView(DenseMatrixView(mat, 2), topo, []int{0, 2}, SurvivingCores(topo, 1), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !topo.SameNode(plan.Placement[0], plan.Placement[1]) {
 		t.Fatalf("pair not co-located after reconfiguration: %v", plan.Placement)
 	}
-	place, err := StaticPlacementFromMatrix(mat, 2, topo, nil)
+	place, err := StaticPlacementFromView(DenseMatrixView(mat, 2), topo, nil)
 	if err != nil || len(place) != 2 {
-		t.Fatalf("StaticPlacementFromMatrix: %v, %v", place, err)
+		t.Fatalf("StaticPlacementFromView: %v, %v", place, err)
 	}
 }
 
@@ -273,8 +274,8 @@ func TestFacadeWrapperCoverage(t *testing.T) {
 	if coreOf, err := TreeMatchBalanced(m, topo); err != nil || len(coreOf) != 2 {
 		t.Fatal("TreeMatchBalanced wrapper")
 	}
-	if m2, err := CommMatrixFromBytes([]uint64{0, 1, 2, 0}, 2); err != nil || m2.Affinity(0, 1) != 3 {
-		t.Fatal("CommMatrixFromBytes wrapper")
+	if m2, err := CommMatrixFromView(DenseMatrixView([]uint64{0, 1, 2, 0}, 2)); err != nil || m2.Affinity(0, 1) != 3 {
+		t.Fatal("CommMatrixFromView wrapper")
 	}
 	if k, err := ComputeMapping(DenseMatrixView([]uint64{0, 1, 2, 0}, 2), topo, []int{0, 1}); err != nil || len(k) != 2 {
 		t.Fatal("ComputeMapping wrapper")
@@ -322,7 +323,7 @@ func TestFacadeRuntimeWrappers(t *testing.T) {
 			return err
 		}
 		// ReorderFromSession + Redistribute wrappers.
-		opt, k, err := ReorderFromSession(s, &ReorderOptions{Flags: AllComm, FixedMappingTime: time.Microsecond})
+		opt, k, err := ReorderFromSession(s, ReorderFlags(AllComm), ReorderFixedMappingTime(time.Microsecond))
 		if err != nil {
 			return err
 		}
