@@ -1,7 +1,7 @@
 GO ?= go
 BENCHES = hotpath gather serve engine commitagg coll
 
-.PHONY: build test vet race flake nodeprecated bench benchsmoke apicheck ci
+.PHONY: build test vet race flake nodeprecated novhostclock bench benchsmoke apicheck ci
 
 build:
 	$(GO) build ./...
@@ -31,13 +31,19 @@ race:
 # schedules fails here rather than one run in six in `make test`
 # (ROADMAP item 1).
 flake:
-	$(GO) test -count=10 -cpu 1,2 ./internal/cg ./internal/exp ./internal/coll ./internal/online
+	$(GO) test -count=10 -cpu 1,2 ./internal/cg ./internal/exp ./internal/coll ./internal/online ./internal/reorder
 
 # nodeprecated keeps deprecated shims from regrowing: the repository has
 # one function per operation, so nothing outside the tests may carry a
 # Deprecated: marker.
 nodeprecated:
 	@! grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' .
+
+# novhostclock keeps the host's clock out of the Fig. 1 loop: the mapping is
+# priced in virtual time (reorder.mappingCost), so nothing outside the tests
+# of internal/reorder and internal/online may read or wait on host time.
+novhostclock:
+	@! grep -rnE 'time\.(Now|Since|After|AfterFunc|Sleep|NewTimer)\b' --include='*.go' --exclude='*_test.go' internal/reorder internal/online
 
 # apicheck pins the root package's exported API: the surface extracted by
 # cmd/apisurface must match the golden listing in docs/api_surface.txt.
@@ -84,5 +90,6 @@ benchsmoke:
 # ci is the gate for a change: static checks, full build, the whole test
 # suite, the race tier on the instrumented packages, the flake tier on the
 # clock-sensitive ones, a one-iteration pass over every benchmark, the
-# exported-API pin and the no-deprecated-shims check.
-ci: vet build test race flake benchsmoke apicheck nodeprecated
+# exported-API pin, the no-deprecated-shims check and the no-host-clock
+# check on the reorder loop.
+ci: vet build test race flake benchsmoke apicheck nodeprecated novhostclock

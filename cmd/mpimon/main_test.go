@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -145,6 +146,30 @@ func TestRunJSONWithReorder(t *testing.T) {
 	}
 	if rep.ReorderNs <= 0 || len(rep.K) != 24 {
 		t.Fatalf("reorder fields missing: reordered_ns=%d len(k)=%d", rep.ReorderNs, len(rep.K))
+	}
+}
+
+// TestRunJSONWithReorderRepeats: `-reorder -json -engine event` is a pure
+// function of its flags — two runs report the same reordered time and the
+// same permutation.
+func TestRunJSONWithReorderRepeats(t *testing.T) {
+	runOnce := func() report {
+		t.Helper()
+		var buf bytes.Buffer
+		c := cfg("groups", 48, func(c *config) { c.jsonOut = true; c.reorder = true; c.engine = "event"; c.bytes = 1 << 16 })
+		c.stdout = &buf
+		if err := run(c); err != nil {
+			t.Fatal(err)
+		}
+		var rep report
+		if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	a, b := runOnce(), runOnce()
+	if a.ReorderNs != b.ReorderNs || !reflect.DeepEqual(a.K, b.K) {
+		t.Fatalf("two identical runs differ: reordered_ns %d vs %d, k %v vs %v", a.ReorderNs, b.ReorderNs, a.K, b.K)
 	}
 }
 

@@ -29,7 +29,9 @@ type FaultsConfig struct {
 	DeathAt    time.Duration // virtual death time of the last node
 	// MappingTimeout and Retries starve the post-recovery reorder so its
 	// retry/backoff chain exhausts and degrades to the identity
-	// permutation — the graceful-degradation path under test.
+	// permutation — the graceful-degradation path under test. The timeout
+	// is virtual (compared with the modelled mapping cost), so the
+	// starvation does not depend on the host.
 	MappingTimeout time.Duration
 	Retries        int
 }

@@ -31,7 +31,7 @@ func TestFaultsRecovers(t *testing.T) {
 	if res.ProcFailures != uint64(cfg.Clique) || res.Shrinks != 1 {
 		t.Fatalf("counters: failures %d shrinks %d", res.ProcFailures, res.Shrinks)
 	}
-	if res.Revocations == 0 || res.Injections == 0 || res.MapRetries == 0 || res.MapFallbacks != 1 {
+	if res.Revocations == 0 || res.Injections == 0 || res.MapRetries != uint64(cfg.Retries) || res.MapFallbacks != 1 {
 		t.Fatalf("counters: revocations %d injections %d retries %d fallbacks %d",
 			res.Revocations, res.Injections, res.MapRetries, res.MapFallbacks)
 	}

@@ -11,7 +11,9 @@ import "testing"
 // static's (ROADMAP item 1). That half keeps the wide static-vs-baseline
 // ordering and the remap count.
 func TestOnlineBeatsStatic(t *testing.T) {
-	rows, err := OnlineReorder(DefaultOnline)
+	cfg := DefaultOnline
+	cfg.Engines = []string{"goroutine", "event"}
+	rows, err := OnlineReorder(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +24,7 @@ func TestOnlineBeatsStatic(t *testing.T) {
 		}
 		byMode[r.Engine][r.Mode] = r
 	}
-	for _, eng := range DefaultOnline.Engines {
+	for _, eng := range cfg.Engines {
 		m := byMode[eng]
 		base, static, onl := m["baseline"], m["static"], m["online"]
 		if static.TotalMs >= base.TotalMs {
@@ -35,19 +37,20 @@ func TestOnlineBeatsStatic(t *testing.T) {
 		}
 		// One remap per phase boundary plus the initial mapping; never
 		// one per window (the drift gate must hold within a phase).
-		if onl.Remaps != DefaultOnline.Phases {
+		if onl.Remaps != cfg.Phases {
 			t.Errorf("%s: online remapped %d times over %d phases",
-				eng, onl.Remaps, DefaultOnline.Phases)
+				eng, onl.Remaps, cfg.Phases)
 		}
 	}
 }
 
-// TestOnlineViewPinned checks that the two engines see the same experiment:
-// the remap counts must agree engine to engine (the decision pipeline is
-// deterministic given the gathered matrices).
+// TestOnlineRemapCountsAgreeAcrossEngines checks that the two engines see
+// the same experiment: the remap counts must agree engine to engine (the
+// decision pipeline is deterministic given the gathered matrices).
 func TestOnlineRemapCountsAgreeAcrossEngines(t *testing.T) {
 	cfg := DefaultOnline
 	cfg.Phases = 2
+	cfg.Engines = []string{"goroutine", "event"}
 	rows, err := OnlineReorder(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -81,7 +81,7 @@ var experiments = []experiment{
 			fs.IntVar(&cfg.MsgSize, "size", cfg.MsgSize, "allgather block bytes")
 			fs.IntVar(&cfg.Iters, "iters", cfg.Iters, "iteration budget")
 			fs.DurationVar(&cfg.DeathAt, "death-at", cfg.DeathAt, "virtual death time of the last node")
-			fs.DurationVar(&cfg.MappingTimeout, "map-timeout", cfg.MappingTimeout, "mapping timeout of the post-recovery reorder")
+			fs.DurationVar(&cfg.MappingTimeout, "map-timeout", cfg.MappingTimeout, "virtual mapping timeout of the post-recovery reorder")
 			fs.IntVar(&cfg.Retries, "map-retries", cfg.Retries, "mapping retries before the identity fallback")
 			return func(w io.Writer) error {
 				res, err := Faults(cfg)
@@ -137,8 +137,9 @@ var experiments = []experiment{
 		},
 	},
 	{
-		name: "nascg",
-		doc:  "Fig. 7: NAS CG (skeleton) gains of dynamic reordering, classes B-D, 64-256 ranks, three mappings",
+		name:   "nascg",
+		doc:    "Fig. 7: NAS CG (skeleton) gains of dynamic reordering, classes B-D, 64-256 ranks, three mappings",
+		engine: "event",
 		setup: func(fs *flag.FlagSet) func(io.Writer) error {
 			cfg := DefaultCG
 			classes := fs.String("classes", strings.Join(cfg.Classes, ","), "NPB classes")
@@ -208,8 +209,9 @@ var experiments = []experiment{
 		},
 	},
 	{
-		name: "reorder-heatmap",
-		doc:  "Fig. 6: gain of reordering allgather groups across iteration counts and buffer sizes",
+		name:   "reorder-heatmap",
+		doc:    "Fig. 6: gain of reordering allgather groups across iteration counts and buffer sizes",
+		engine: "event",
 		setup: func(fs *flag.FlagSet) func(io.Writer) error {
 			// DefaultHeatmap stops at 1000 iterations to keep the run in
 			// minutes; pass -iters 1,10,100,1000,10000 for the paper's grid.

@@ -1,7 +1,6 @@
 package online
 
 import (
-	"fmt"
 	"time"
 
 	"mpimon/internal/monitoring"
@@ -13,38 +12,43 @@ import (
 	"mpimon/internal/treematch"
 )
 
+// The controller's fixed policy constants: nothing in the repository ever
+// needed another value, so they are not options.
+const (
+	// driftThreshold is the drift at which a remap is considered; the
+	// trigger is inclusive (drift == driftThreshold remaps).
+	driftThreshold = 0.25
+	// warmPasses bounds the best-swap passes of the warm-started refinement.
+	warmPasses = 4
+	// horizon is over how many future windows the modelled per-window gain
+	// is amortized against the remap cost.
+	horizon = 4
+	// initialRemapCost seeds the remap-cost estimate until the first remap
+	// has been measured (in virtual time) and replaces it.
+	initialRemapCost = time.Millisecond
+)
+
 // config is the tunable state behind the functional options.
 type config struct {
-	window       int
-	threshold    float64
-	fullDrift    float64
-	warmPasses   int
-	horizon      int
-	flags        monitoring.Flags
-	stateBytes   int64
-	bytesPerSec  float64
-	initialRemap time.Duration
-	maxRemaps    int
-	chargeMap    bool
-	fixedMap     time.Duration
+	window      int
+	fullDrift   float64
+	flags       monitoring.Flags
+	stateBytes  int64
+	bytesPerSec float64
+	maxRemaps   int
 }
 
 func defaultConfig() config {
 	return config{
-		window:       2,
-		threshold:    0.25,
-		fullDrift:    0.6,
-		warmPasses:   4,
-		horizon:      4,
-		flags:        monitoring.AllComm,
-		bytesPerSec:  12.5e9, // one 100 Gb/s link, the PlaFRIM fabric
-		initialRemap: time.Millisecond,
-		chargeMap:    true,
+		window:      2,
+		fullDrift:   0.6,
+		flags:       monitoring.AllComm,
+		bytesPerSec: 12.5e9, // one 100 Gb/s link, the PlaFRIM fabric
 	}
 }
 
 // Option adjusts one Controller tunable; pass them to New (the same
-// functional-option construction style as reorder.NewOptions).
+// functional-option construction style as reorder.Opt).
 type Option func(*config)
 
 // WithWindow sets how many monitoring epochs the sliding window retains
@@ -52,21 +56,9 @@ type Option func(*config)
 // price of reacting a window later.
 func WithWindow(epochs int) Option { return func(c *config) { c.window = epochs } }
 
-// WithDriftThreshold sets the drift at which a remap is considered
-// (default 0.25). The trigger is inclusive: drift == threshold remaps.
-func WithDriftThreshold(d float64) Option { return func(c *config) { c.threshold = d } }
-
 // WithFullRemapDrift sets the drift above which the controller runs a full
 // TreeMatch instead of the warm-started refinement (default 0.6).
 func WithFullRemapDrift(d float64) Option { return func(c *config) { c.fullDrift = d } }
-
-// WithWarmPasses bounds the best-swap passes of the warm-started
-// refinement (default 4); 0 disables the warm path entirely.
-func WithWarmPasses(n int) Option { return func(c *config) { c.warmPasses = n } }
-
-// WithHorizon sets over how many future windows the modelled per-window
-// gain is amortized against the remap cost (default 4).
-func WithHorizon(windows int) Option { return func(c *config) { c.horizon = windows } }
 
 // WithFlags selects the communication classes of the gathered matrices
 // (default monitoring.AllComm).
@@ -81,23 +73,9 @@ func WithStateBytes(b int64) Option { return func(c *config) { c.stateBytes = b 
 // the moved state by (default 12.5e9, one 100 Gb/s link).
 func WithLinkBandwidth(bps float64) Option { return func(c *config) { c.bytesPerSec = bps } }
 
-// WithInitialRemapCost seeds the remap-cost estimate used before the first
-// remap has been measured (default 1ms); after a remap the measured
-// virtual-time cost of the previous one replaces it.
-func WithInitialRemapCost(d time.Duration) Option { return func(c *config) { c.initialRemap = d } }
-
 // WithMaxRemaps caps how many times the controller may remap (default 0 =
 // unlimited). WithMaxRemaps(1) degenerates to the paper's static-once.
 func WithMaxRemaps(n int) Option { return func(c *config) { c.maxRemaps = n } }
-
-// WithChargeMappingTime toggles charging the measured wall-clock mapping
-// time to the deciding rank's virtual clock (default true), exactly as
-// reorder.Options.ChargeMappingTime does for the one-shot path.
-func WithChargeMappingTime(on bool) Option { return func(c *config) { c.chargeMap = on } }
-
-// WithFixedMappingTime charges a fixed virtual mapping duration instead of
-// the measured one (deterministic tests and reproducible sweeps).
-func WithFixedMappingTime(d time.Duration) Option { return func(c *config) { c.fixedMap = d } }
 
 // Decision records what one Step decided. Every rank sees Window and
 // Remapped; the model fields (Drift, costs, gain, reason) are filled on
@@ -156,14 +134,7 @@ func New(env *monitoring.Env, comm *mpi.Comm, opts ...Option) (*Controller, erro
 	if cfg.window < 1 {
 		cfg.window = 1
 	}
-	if cfg.horizon < 1 {
-		cfg.horizon = 1
-	}
-	winLen := cfg.horizon
-	if winLen < 2 {
-		winLen = 2
-	}
-	pred, err := predict.New(0.5, winLen)
+	pred, err := predict.New(0.5, horizon)
 	if err != nil {
 		return nil, err
 	}
@@ -211,10 +182,11 @@ func (ctl *Controller) counter(name string) *telemetry.Counter {
 
 // Step runs one window of the application (phase is called with the
 // current communicator and should execute one window's worth of monitored
-// iterations), then closes the window: suspend, gather the epoch's sparse
-// matrix at rank 0, measure drift against the reference matrix, decide,
-// and — when the decision is to remap — broadcast the permutation, split
-// a reordered communicator and restart monitoring on it. Returns the
+// iterations), then closes the window with reorder.Remap: suspend, gather
+// the epoch's sparse matrix at rank 0, where decide measures drift against
+// the reference matrix and returns a permutation or keeps the placement,
+// and — when the decision is to remap — broadcast the permutation, split a
+// reordered communicator and restart monitoring on it. Returns the
 // communicator the application must use from now on (== the previous one
 // unless Remapped). Collective over the current communicator.
 //
@@ -224,95 +196,46 @@ func (ctl *Controller) counter(name string) *telemetry.Counter {
 func (ctl *Controller) Step(phase func(*mpi.Comm) error) (*mpi.Comm, Decision, error) {
 	c := ctl.comm
 	p := c.Proc()
-	n := c.Size()
 	dec := Decision{Window: ctl.windows}
 
 	endWin := ctl.span("online.window")
 	t0 := p.Clock()
-	if err := phase(c); err != nil {
-		endWin()
-		return c, dec, err
-	}
+	err := phase(c)
 	winDur := p.Clock() - t0
-	if err := ctl.sess.Suspend(); err != nil {
-		endWin()
-		return c, dec, err
+	if err == nil {
+		err = ctl.sess.Suspend()
 	}
-	sm, err := ctl.sess.RootgatherSparse(0, ctl.cfg.flags)
 	endWin()
 	if err != nil {
 		return c, dec, err
 	}
-	// Every window starts from a clean slate: the gathered matrix is one
-	// epoch's delta, the sliding window does the accumulation.
-	if err := ctl.sess.Reset(); err != nil {
+	var decideStart time.Duration // rank 0's clock once the epoch is gathered
+	opt, k, err := reorder.Remap(ctl.sess, ctl.cfg.flags, func(epoch *sparsemat.Matrix) ([]int, error) {
+		decideStart = p.Clock()
+		return ctl.decide(&dec, epoch, winDur)
+	})
+	if err != nil {
 		return c, dec, err
 	}
 	ctl.windows++
 	if w := ctl.counter("mpimon_online_windows_total"); w != nil {
 		w.Inc()
 	}
-
-	// Rank 0 decides; the verdict travels as one int (1 = remap, 0 =
-	// keep, -1 = the decision itself failed), followed by k when
-	// remapping — both suppressed from monitoring like the library's own
-	// gathers.
-	flag := 0
-	var k []int
-	var decErr error
-	rebuildStart := p.Clock()
-	if c.Rank() == 0 {
-		k, decErr = ctl.decide(&dec, sm, winDur)
-		switch {
-		case decErr != nil:
-			flag = -1
-		case k != nil:
-			flag = 1
+	if k == nil {
+		// Keep the placement. Every window starts from a clean slate: the
+		// gathered matrix is one epoch's delta, the sliding window does
+		// the accumulation.
+		if err := ctl.sess.Reset(); err != nil {
+			return c, dec, err
 		}
-	}
-	mon := p.Monitor()
-	mon.Suppress()
-	fbuf := mpi.EncodeInts([]int{flag})
-	err = c.Bcast(fbuf, 0)
-	if err == nil {
-		flag = mpi.DecodeInts(fbuf)[0]
-	}
-	if err == nil && flag == 1 {
-		if c.Rank() != 0 {
-			k = make([]int, n)
-		}
-		kbuf := mpi.EncodeInts(k)
-		if err = c.Bcast(kbuf, 0); err == nil {
-			k = mpi.DecodeInts(kbuf)
-		}
-	}
-	mon.Unsuppress()
-	if err != nil {
-		return c, dec, err
-	}
-	if flag == -1 {
-		if decErr != nil {
-			return c, dec, decErr
-		}
-		return c, dec, fmt.Errorf("online: window decision failed on rank 0")
-	}
-	if flag == 0 {
-		// Keep the placement; resume monitoring into the next window.
 		return c, dec, ctl.sess.Continue()
 	}
 
-	// Remap: rebuild the communicator under the permutation and restart
-	// monitoring on it. The old session is Suspended, so it can be freed.
-	endRemap := ctl.span("online.remap")
-	defer endRemap()
+	// Remapped: restart monitoring on the reordered communicator. The old
+	// session is Suspended, so it can be freed.
+	defer ctl.span("online.remap")()
 	dec.Remapped = true
 	if err := ctl.sess.Free(); err != nil {
-		return c, dec, err
-	}
-	mon.Suppress()
-	opt, err := c.Split(0, k[c.Rank()])
-	mon.Unsuppress()
-	if err != nil {
 		return c, dec, err
 	}
 	s, err := ctl.env.Start(opt)
@@ -326,20 +249,20 @@ func (ctl *Controller) Step(phase func(*mpi.Comm) error) (*mpi.Comm, Decision, e
 		r.Inc()
 	}
 	if c.Rank() == 0 {
-		// The measured virtual cost of this remap (bcast + split +
-		// session restart) replaces the model's estimate next time.
-		ctl.lastRemapCost = p.Clock() - rebuildStart
+		// The measured virtual cost of this remap (mapping + bcast +
+		// split + session restart) replaces the model's estimate next
+		// time.
+		ctl.lastRemapCost = p.Clock() - decideStart
 	}
 	return opt, dec, nil
 }
 
-// decide is the deciding rank's half of Step: fold the epoch into the
-// sliding window, measure drift, compute a candidate mapping when the
-// drift triggers, and accept it only when the modelled gain over the
-// horizon exceeds the modelled remap cost. Returns the permutation to
-// apply, or nil to keep the current placement.
+// decide is the deciding rank's half of Step, the policy reorder.Remap
+// calls on rank 0: fold the epoch into the sliding window, measure drift,
+// compute a candidate mapping when the drift triggers, and accept it only
+// when the modelled gain over the horizon exceeds the modelled remap cost.
+// Returns the permutation to apply, or nil to keep the current placement.
 func (ctl *Controller) decide(dec *Decision, epoch *sparsemat.Matrix, winDur time.Duration) ([]int, error) {
-	p := ctl.comm.Proc()
 	ctl.win.Push(epoch)
 	cur, err := ctl.win.Matrix()
 	if err != nil {
@@ -352,7 +275,7 @@ func (ctl *Controller) decide(dec *Decision, epoch *sparsemat.Matrix, winDur tim
 	// Feed the per-window traffic to the utilization predictor; its
 	// forecast scales the gain model below. A clock that did not advance
 	// (empty window) is skipped rather than fatal.
-	_ = ctl.pred.Observe(p.Clock(), float64(epochBytes))
+	_ = ctl.pred.Observe(ctl.comm.Proc().Clock(), float64(epochBytes))
 
 	var ref sparsemat.MatrixView
 	if ctl.ref != nil {
@@ -361,7 +284,7 @@ func (ctl *Controller) decide(dec *Decision, epoch *sparsemat.Matrix, winDur tim
 	if dec.Drift, err = Drift(ref, cur); err != nil {
 		return nil, err
 	}
-	if !Drifted(dec.Drift, ctl.cfg.threshold) && ctl.ref != nil {
+	if !Drifted(dec.Drift, driftThreshold) && ctl.ref != nil {
 		dec.Reason = "stable: drift below threshold"
 		return nil, nil
 	}
@@ -370,7 +293,7 @@ func (ctl *Controller) decide(dec *Decision, epoch *sparsemat.Matrix, winDur tim
 		return nil, nil
 	}
 
-	place := memberPlacement(ctl.comm)
+	place := reorder.MemberPlacement(ctl.comm)
 	topo := ctl.comm.World().Machine().Topo
 	aff, err := treematch.FromView(cur)
 	if err != nil {
@@ -378,26 +301,26 @@ func (ctl *Controller) decide(dec *Decision, epoch *sparsemat.Matrix, winDur tim
 	}
 	dec.CostBefore = treematch.Cost(aff, place, topo)
 
-	wall := time.Now()
-	var coreOf []int
-	if ctl.ref != nil && dec.Drift < ctl.cfg.fullDrift && ctl.cfg.warmPasses > 0 {
-		// Moderate drift: incremental TreeMatch, warm-started from the
-		// placement the communicator already runs under.
-		coreOf, err = treematch.RefinePlacement(aff, topo, place, ctl.cfg.warmPasses)
+	// Moderate drift: incremental TreeMatch, warm-started from the
+	// placement the communicator already runs under. First mapping or
+	// heavy drift: full recursive partitioning.
+	passes := 0
+	if ctl.ref != nil && dec.Drift < ctl.cfg.fullDrift {
+		passes = warmPasses
 		dec.Warm = true
-	} else {
-		// First mapping or heavy drift: full recursive partitioning.
-		tree, terr := topo.Restrict(place)
-		if terr != nil {
-			return nil, terr
-		}
-		coreOf, err = treematch.MapTree(aff, tree)
 	}
+	k, err := reorder.Map(ctl.comm, cur, passes, 0)
 	if err != nil {
 		return nil, err
 	}
-	mapWall := time.Since(wall)
-	dec.CostAfter = treematch.Cost(aff, coreOf, topo)
+	after := make([]int, len(k)) // after[role] = the core role runs on under k
+	for r, role := range k {
+		after[role] = place[r]
+		if role != r {
+			dec.Moved++
+		}
+	}
+	dec.CostAfter = treematch.Cost(aff, after, topo)
 
 	if dec.CostAfter >= dec.CostBefore && ctl.ref != nil {
 		// The current placement is as good as the candidate under the
@@ -406,15 +329,6 @@ func (ctl *Controller) decide(dec *Decision, epoch *sparsemat.Matrix, winDur tim
 		dec.Reason = "no better placement"
 		ctl.ref = cur
 		return nil, nil
-	}
-	k, err := reorder.NewRanks(coreOf, place)
-	if err != nil {
-		return nil, err
-	}
-	for r, role := range k {
-		if role != r {
-			dec.Moved++
-		}
 	}
 	if dec.Moved == 0 {
 		dec.Reason = "identity mapping"
@@ -437,10 +351,10 @@ func (ctl *Controller) decide(dec *Decision, epoch *sparsemat.Matrix, winDur tim
 		if f := ctl.pred.Forecast(winDur); epochBytes > 0 && f > 0 {
 			scale = f / float64(epochBytes)
 		}
-		dec.PredictedGain = time.Duration(float64(winDur) * gainFrac * scale * float64(ctl.cfg.horizon))
+		dec.PredictedGain = time.Duration(float64(winDur) * gainFrac * scale * horizon)
 		rc := ctl.lastRemapCost
 		if rc <= 0 {
-			rc = ctl.cfg.initialRemap
+			rc = initialRemapCost
 		}
 		if ctl.cfg.stateBytes > 0 && ctl.cfg.bytesPerSec > 0 {
 			redist := float64(dec.Moved) * float64(ctl.cfg.stateBytes) / ctl.cfg.bytesPerSec
@@ -453,12 +367,6 @@ func (ctl *Controller) decide(dec *Decision, epoch *sparsemat.Matrix, winDur tim
 		}
 	}
 
-	switch {
-	case ctl.cfg.fixedMap > 0:
-		p.Compute(ctl.cfg.fixedMap)
-	case ctl.cfg.chargeMap:
-		p.Compute(mapWall)
-	}
 	switch {
 	case ctl.ref == nil:
 		dec.Reason = "initial mapping"
@@ -506,14 +414,4 @@ func (ctl *Controller) releaseSession() {
 	}
 	_ = ctl.sess.Free()
 	ctl.sess = nil
-}
-
-// memberPlacement returns the core of each member of the communicator.
-func memberPlacement(c *mpi.Comm) []int {
-	world := c.World().Placement()
-	out := make([]int, c.Size())
-	for i := 0; i < c.Size(); i++ {
-		out[i] = world[c.WorldRank(i)]
-	}
-	return out
 }

@@ -31,7 +31,7 @@ func testMachine(nodes, cores int) *netsim.Machine {
 func roundRobin(np, nodes, cores int) []int {
 	place := make([]int, np)
 	for i := range place {
-		place[i] = (i % nodes) * cores + i/nodes
+		place[i] = (i%nodes)*cores + i/nodes
 	}
 	return place
 }
@@ -103,7 +103,7 @@ func TestControllerRemapsOnPhaseShift(t *testing.T) {
 	// when the pattern flips, and stability again.
 	decs := runController(t,
 		[]bool{false, false, false, true, true, true},
-		WithWindow(1), WithFixedMappingTime(time.Microsecond))
+		WithWindow(1))
 	if len(decs) != 6 {
 		t.Fatalf("got %d decisions, want 6", len(decs))
 	}
@@ -130,7 +130,7 @@ func TestControllerRemapsOnPhaseShift(t *testing.T) {
 func TestControllerStableWorkloadRemapsOnce(t *testing.T) {
 	decs := runController(t,
 		[]bool{false, false, false, false},
-		WithWindow(2), WithFixedMappingTime(time.Microsecond))
+		WithWindow(2))
 	remaps := 0
 	for _, d := range decs {
 		if d.Remapped {
@@ -149,7 +149,7 @@ func TestControllerStableWorkloadRemapsOnce(t *testing.T) {
 func TestControllerRespectsRemapBudget(t *testing.T) {
 	decs := runController(t,
 		[]bool{false, false, true, true},
-		WithWindow(1), WithMaxRemaps(1), WithFixedMappingTime(time.Microsecond))
+		WithWindow(1), WithMaxRemaps(1))
 	remaps := 0
 	for _, d := range decs {
 		if d.Remapped {
@@ -174,8 +174,7 @@ func TestControllerMigrationCostVetoesRemap(t *testing.T) {
 	// phase shift must be detected but declined.
 	decs := runController(t,
 		[]bool{false, false, true, true},
-		WithWindow(1), WithFixedMappingTime(time.Microsecond),
-		WithStateBytes(1<<50), WithLinkBandwidth(1e9))
+		WithWindow(1), WithStateBytes(1<<50), WithLinkBandwidth(1e9))
 	for i, d := range decs[1:] {
 		if d.Remapped {
 			t.Fatalf("window %d remapped despite a prohibitive migration cost: %+v", i+1, d)
@@ -217,8 +216,7 @@ func TestControllerWarmRemapOnModerateDrift(t *testing.T) {
 			return err
 		}
 		defer env.Finalize()
-		ctl, err := New(env, c, WithWindow(1), WithFullRemapDrift(10),
-			WithFixedMappingTime(time.Microsecond))
+		ctl, err := New(env, c, WithWindow(1), WithFullRemapDrift(10))
 		if err != nil {
 			return err
 		}
@@ -277,7 +275,7 @@ func TestControllerRebindRestartsOptimization(t *testing.T) {
 			return err
 		}
 		defer env.Finalize()
-		ctl, err := New(env, c, WithWindow(1), WithFixedMappingTime(time.Microsecond))
+		ctl, err := New(env, c, WithWindow(1))
 		if err != nil {
 			return err
 		}

@@ -8,7 +8,6 @@ package reorder
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"mpimon/internal/monitoring"
@@ -38,17 +37,10 @@ type options struct {
 	// Flags selects the communication classes of the gathered matrix;
 	// zero means monitoring.AllComm.
 	Flags monitoring.Flags
-	// ChargeMappingTime adds the real time spent computing the TreeMatch
-	// permutation to rank 0's virtual clock, so the reordering overhead
-	// the paper's Fig. 6 accounts for is part of the measured time.
-	ChargeMappingTime bool
-	// FixedMappingTime, when positive, is charged instead of the
-	// measured time (deterministic tests and reproducible sweeps).
-	FixedMappingTime time.Duration
-	// MappingTimeout bounds the wall-clock time of one TreeMatch attempt
-	// on rank 0; an attempt that exceeds it fails with mpi.ErrTimeout
-	// (and is retried, then degraded, per the fields below). Zero means
-	// no bound.
+	// MappingTimeout bounds the virtual time of one TreeMatch attempt on
+	// rank 0: an attempt priced above it (mappingCost) fails with
+	// mpi.ErrTimeout (and is retried, then degraded, per the fields
+	// below). Zero means no bound.
 	MappingTimeout time.Duration
 	// MaxRetries is how many times a failed or timed-out mapping attempt
 	// is retried before degrading. Zero means one attempt, no retry.
@@ -70,12 +62,15 @@ type options struct {
 type Opt func(*options)
 
 // newOptions returns the default reordering options (all communication
-// classes, real mapping time charged, no timeout, no retries, identity
-// fallback on failure) with the given adjustments applied.
+// classes, no timeout, no retries, identity fallback on failure) with the
+// given adjustments applied.
 func newOptions(opts ...Opt) *options {
-	o := options{Flags: monitoring.AllComm, ChargeMappingTime: true}
+	o := options{Flags: monitoring.AllComm}
 	for _, fn := range opts {
 		fn(&o)
+	}
+	if o.Flags == 0 {
+		o.Flags = monitoring.AllComm
 	}
 	return &o
 }
@@ -83,7 +78,7 @@ func newOptions(opts ...Opt) *options {
 // WithFlags selects the communication classes of the gathered matrix.
 func WithFlags(f monitoring.Flags) Opt { return func(o *options) { o.Flags = f } }
 
-// WithMappingTimeout bounds the wall-clock time of one mapping attempt.
+// WithMappingTimeout bounds the virtual time of one mapping attempt.
 func WithMappingTimeout(d time.Duration) Opt { return func(o *options) { o.MappingTimeout = d } }
 
 // WithRetries sets how many times a failed mapping attempt is retried.
@@ -91,14 +86,6 @@ func WithRetries(n int) Opt { return func(o *options) { o.MaxRetries = n } }
 
 // WithBackoff sets the base virtual-time penalty between mapping retries.
 func WithBackoff(d time.Duration) Opt { return func(o *options) { o.RetryBackoff = d } }
-
-// WithChargeMappingTime toggles charging the measured mapping time to
-// rank 0's virtual clock.
-func WithChargeMappingTime(on bool) Opt { return func(o *options) { o.ChargeMappingTime = on } }
-
-// WithFixedMappingTime charges a fixed virtual mapping time instead of the
-// measured one (deterministic tests and reproducible sweeps).
-func WithFixedMappingTime(d time.Duration) Opt { return func(o *options) { o.FixedMappingTime = d } }
 
 // WithoutIdentityFallback makes mapping failure an error of Reorder
 // instead of degrading to the identity permutation.
@@ -150,7 +137,15 @@ func ComputeMapping(v MatrixView, topo *topology.Topology, place []int) ([]int, 
 	if err != nil {
 		return nil, err
 	}
-	return mapOnPlacement(m, topo, place)
+	tree, err := topo.Restrict(place)
+	if err != nil {
+		return nil, err
+	}
+	coreOf, err := treematch.MapTree(m, tree)
+	if err != nil {
+		return nil, err
+	}
+	return NewRanks(coreOf, place)
 }
 
 // ComputeMappingWarm is ComputeMapping warm-started from the placement the
@@ -175,52 +170,61 @@ func ComputeMappingWarm(v MatrixView, topo *topology.Topology, place []int, pass
 	return NewRanks(coreOf, place)
 }
 
-func mapOnPlacement(m *treematch.Matrix, topo *topology.Topology, place []int) ([]int, error) {
-	tree, err := topo.Restrict(place)
-	if err != nil {
-		return nil, err
-	}
-	coreOf, err := treematch.MapTree(m, tree)
-	if err != nil {
-		return nil, err
-	}
-	return NewRanks(coreOf, place)
+// mapFn computes the full mapping on rank 0; a seam so tests can inject
+// failures without a pathological matrix.
+var mapFn = ComputeMapping
+
+// mappingNsPerVisit is the one constant of the mapping-cost model: the
+// virtual nanoseconds TreeMatch spends per matrix row or entry per tree
+// level. Calibrated against results/table1_treematch.tsv (EXPERIMENTS.md,
+// "Reproducibility"): 275 is the middle of the interval that reproduces the
+// 16384, 32768 and 65536 rows at the file's one-decimal precision.
+const mappingNsPerVisit = 275
+
+// mappingCost prices one mapping of m on a tree of the given depth in
+// virtual time: each level partitions every row over every entry. It
+// depends on nothing the host measures, so a reordering costs the same on
+// every run.
+func mappingCost(m *sparsemat.Matrix, depth int) time.Duration {
+	return time.Duration(m.N+m.NNZ()) * time.Duration(depth) * mappingNsPerVisit
 }
 
-// mapFn computes the permutation on rank 0; a swappable seam so tests can
-// inject failures and hangs without a pathological matrix. Atomic because
-// a timed-out attempt's abandoned goroutine may still read it while a test
-// cleanup restores it.
-var mapFn atomic.Pointer[func(v MatrixView, topo *topology.Topology, place []int) ([]int, error)]
-
-func init() {
-	fn := ComputeMapping
-	mapFn.Store(&fn)
-}
-
-// runMapping is one mapping attempt, bounded by timeout when positive. A
-// timed-out attempt's goroutine is abandoned (TreeMatch has no
-// cancellation); its result is discarded.
-func runMapping(timeout time.Duration, sm *sparsemat.Matrix, topo *topology.Topology, place []int) ([]int, error) {
-	fn := *mapFn.Load()
-	if timeout <= 0 {
-		return fn(sm, topo, place)
+// Map is one mapping attempt on the calling rank (rank 0 of comm) and the
+// only call through which Reorder and the online controller reach
+// TreeMatch: a full mapping of m, or with warmPasses > 0 a refinement of
+// the placement comm already runs under (ComputeMappingWarm). The attempt
+// is priced in virtual time only — mappingCost is charged to the caller's
+// clock — and one priced above a positive timeout is charged the timeout
+// and fails with mpi.ErrTimeout. Capped refinements of huge matrices are
+// still valid mappings but count on the hub as
+// mpimon_treematch_refine_degraded_total.
+func Map(comm *mpi.Comm, m *sparsemat.Matrix, warmPasses int, timeout time.Duration) ([]int, error) {
+	p := comm.Proc()
+	topo := comm.World().Machine().Topo
+	// Restrict prunes branches, never levels: the restricted tree is as
+	// deep as the machine.
+	cost := mappingCost(m, topo.Depth())
+	if timeout > 0 && cost > timeout {
+		p.Compute(timeout)
+		return nil, fmt.Errorf("reorder: mapping priced at %v did not complete within %v: %w", cost, timeout, mpi.ErrTimeout)
 	}
-	type result struct {
-		k   []int
-		err error
+	p.Compute(cost)
+	if tel := comm.World().Telemetry(); tel != nil {
+		ctr := tel.Registry().Counter("mpimon_treematch_refine_degraded_total")
+		prev := treematch.OnRefineDegrade
+		treematch.OnRefineDegrade = func(d treematch.RefineDegrade) {
+			ctr.Inc()
+			if prev != nil {
+				prev(d)
+			}
+		}
+		defer func() { treematch.OnRefineDegrade = prev }()
 	}
-	ch := make(chan result, 1)
-	go func() {
-		k, err := fn(sm, topo, place)
-		ch <- result{k, err}
-	}()
-	select {
-	case r := <-ch:
-		return r.k, r.err
-	case <-time.After(timeout):
-		return nil, fmt.Errorf("reorder: mapping did not complete within %v: %w", timeout, mpi.ErrTimeout)
+	place := MemberPlacement(comm)
+	if warmPasses > 0 {
+		return ComputeMappingWarm(m, topo, place, warmPasses)
 	}
+	return mapFn(m, topo, place)
 }
 
 // computeWithRetry runs the mapping on rank 0 under the options' timeout
@@ -229,9 +233,6 @@ func runMapping(timeout time.Duration, sm *sparsemat.Matrix, topo *topology.Topo
 // application keeps running unreordered) unless NoIdentityFallback asks
 // for the error instead.
 func computeWithRetry(comm *mpi.Comm, o *options, sm *sparsemat.Matrix) ([]int, error) {
-	p := comm.Proc()
-	topo := comm.World().Machine().Topo
-	place := memberPlacement(comm)
 	var retries, fallback *telemetry.Counter
 	if tel := comm.World().Telemetry(); tel != nil {
 		retries = tel.Registry().Counter("mpimon_reorder_retries_total")
@@ -248,10 +249,10 @@ func computeWithRetry(comm *mpi.Comm, o *options, sm *sparsemat.Matrix) ([]int, 
 				if shift > 16 {
 					shift = 16
 				}
-				p.Compute(o.RetryBackoff << shift)
+				comm.Proc().Compute(o.RetryBackoff << shift)
 			}
 		}
-		k, err := runMapping(o.MappingTimeout, sm, topo, place)
+		k, err := Map(comm, sm, 0, o.MappingTimeout)
 		if err == nil {
 			return k, nil
 		}
@@ -270,31 +271,37 @@ func computeWithRetry(comm *mpi.Comm, o *options, sm *sparsemat.Matrix) ([]int, 
 	return k, nil
 }
 
-// memberPlacement returns the core of each member of the communicator.
-func memberPlacement(c *mpi.Comm) []int {
+// MemberPlacement returns the core of each member of the communicator.
+func MemberPlacement(c *mpi.Comm) []int {
 	world := c.World().Placement()
 	out := make([]int, c.Size())
-	for i := 0; i < c.Size(); i++ {
+	for i := range out {
 		out[i] = world[c.WorldRank(i)]
 	}
 	return out
 }
 
-// Reorder executes lines 6-11 of the paper's Fig. 1 on a suspended
-// monitoring session: rank 0 gathers the bytes matrix and computes the
-// TreeMatch permutation k, k is broadcast, and a communicator in which old
-// rank r has become rank k[r] is returned along with k. Collective over the
-// session's communicator. The caller typically redistributes data next
-// (Redistribute) and runs the remaining iterations on the new communicator.
-func Reorder(s *monitoring.Session, opts ...Opt) (*mpi.Comm, []int, error) {
-	o := newOptions(opts...)
-	flags := o.Flags
-	if flags == 0 {
-		flags = monitoring.AllComm
-	}
+// The verdict rank 0 broadcasts in Remap.
+const (
+	verdictFailed = iota - 1
+	verdictKeep
+	verdictRemap
+)
+
+// Remap is the collective half of the paper's Fig. 1 (lines 6-11) on a
+// suspended monitoring session, and the only implementation of it: rank 0
+// gathers the sparse matrix and calls decide on it, which returns the
+// permutation k to apply, nil to keep the communicator, or an error that
+// every member then reports. The verdict is broadcast as one int, followed
+// by k only when remapping (a "keep" never broadcasts O(n)), and the
+// communicator in which old rank r has become rank k[r] is built with
+// Comm.Split. The gather, the broadcasts and the split are excluded from
+// monitoring like the library's own traffic. Remap returns that
+// communicator and k, or the session's communicator and a nil k when decide
+// kept it. Collective over the session's communicator.
+func Remap(s *monitoring.Session, flags monitoring.Flags, decide func(*sparsemat.Matrix) ([]int, error)) (*mpi.Comm, []int, error) {
 	comm := s.Comm()
 	n := comm.Size()
-	p := comm.Proc()
 
 	// The matrix travels in the sparse wire format and stays sparse all the
 	// way into TreeMatch: rank 0 never materializes the n² dense matrix.
@@ -305,80 +312,74 @@ func Reorder(s *monitoring.Session, opts ...Opt) (*mpi.Comm, []int, error) {
 		return nil, nil, err
 	}
 
+	// Returning a failure only at rank 0 would leave every other member
+	// blocked in the broadcast below: it travels as a verdict instead, so
+	// it surfaces collectively.
+	verdict := verdictKeep
 	var k []int
-	var mapErr error
+	var decErr error
 	if comm.Rank() == 0 {
 		endTM := phaseSpan(comm, "reorder.treematch")
-		// Surface capped-refinement fallbacks (huge matrices) on the hub:
-		// a degraded mapping is still valid but worth counting.
-		restoreHook := func() {}
-		if tel := comm.World().Telemetry(); tel != nil {
-			ctr := tel.Registry().Counter("mpimon_treematch_refine_degraded_total")
-			prev := treematch.OnRefineDegrade
-			treematch.OnRefineDegrade = func(d treematch.RefineDegrade) {
-				ctr.Inc()
-				if prev != nil {
-					prev(d)
-				}
-			}
-			restoreHook = func() { treematch.OnRefineDegrade = prev }
-		}
-		start := time.Now()
-		k, err = computeWithRetry(comm, o, sm)
-		restoreHook()
-		if err != nil {
-			// Returning only at rank 0 would leave every other member
-			// blocked in the broadcast below: ship a sentinel instead, so
-			// the failure surfaces collectively (possible only with
-			// NoIdentityFallback; the default degrades to identity).
-			mapErr = err
-			k = make([]int, n)
-			k[0] = -1
-		} else {
-			switch {
-			case o.FixedMappingTime > 0:
-				p.Compute(o.FixedMappingTime)
-			case o.ChargeMappingTime:
-				p.Compute(time.Since(start))
-			}
-		}
+		k, decErr = decide(sm)
 		endTM()
-	} else {
-		k = make([]int, n)
+		if decErr == nil && k != nil && len(k) != n {
+			decErr = fmt.Errorf("reorder: permutation of %d entries for a communicator of %d", len(k), n)
+		}
+		switch {
+		case decErr != nil:
+			verdict = verdictFailed
+		case k != nil:
+			verdict = verdictRemap
+		}
 	}
 
-	// MPI_Bcast(k, n, MPI_INT, 0, original_comm); excluded from
-	// monitoring like the library's own gathers.
-	endSplit := phaseSpan(comm, "reorder.split")
-	mon := p.Monitor()
+	defer phaseSpan(comm, "reorder.split")()
+	mon := comm.Proc().Monitor()
 	mon.Suppress()
-	buf := mpi.EncodeInts(k)
-	err = comm.Bcast(buf, 0)
-	mon.Unsuppress()
-	if err != nil {
-		endSplit()
+	defer mon.Unsuppress()
+	vbuf := mpi.EncodeInts([]int{verdict})
+	if err := comm.Bcast(vbuf, 0); err != nil {
 		return nil, nil, err
 	}
-	k = mpi.DecodeInts(buf)
-	if n > 0 && k[0] == -1 {
-		// Rank 0's mapping failed; every member reports it.
-		endSplit()
-		if mapErr != nil {
-			return nil, nil, mapErr
+	switch mpi.DecodeInts(vbuf)[0] {
+	case verdictFailed:
+		if decErr == nil {
+			decErr = fmt.Errorf("reorder: the remap decision failed on rank 0")
 		}
-		return nil, nil, fmt.Errorf("reorder: mapping failed on rank 0")
+		return nil, nil, decErr
+	case verdictKeep:
+		return comm, nil, nil
 	}
-
+	// MPI_Bcast(k, n, MPI_INT, 0, original_comm), then
 	// MPI_Comm_split(original_comm, 0, k[myrank], &opt_comm): same color
 	// everywhere, the key is the new rank.
-	mon.Suppress()
+	if k == nil {
+		k = make([]int, n)
+	}
+	kbuf := mpi.EncodeInts(k)
+	if err := comm.Bcast(kbuf, 0); err != nil {
+		return nil, nil, err
+	}
+	k = mpi.DecodeInts(kbuf)
 	opt, err := comm.Split(0, k[comm.Rank()])
-	mon.Unsuppress()
-	endSplit()
 	if err != nil {
 		return nil, nil, err
 	}
 	return opt, k, nil
+}
+
+// Reorder executes lines 6-11 of the paper's Fig. 1 on a suspended
+// monitoring session: Remap deciding with the TreeMatch permutation of the
+// gathered matrix, under the options' timeout, retry and identity-fallback
+// policy. It returns the communicator in which old rank r has become rank
+// k[r], along with k. Collective over the session's communicator. The
+// caller typically redistributes data next (Redistribute) and runs the
+// remaining iterations on the new communicator.
+func Reorder(s *monitoring.Session, opts ...Opt) (*mpi.Comm, []int, error) {
+	o := newOptions(opts...)
+	return Remap(s, o.Flags, func(sm *sparsemat.Matrix) ([]int, error) {
+		return computeWithRetry(s.Comm(), o, sm)
+	})
 }
 
 // MonitorAndReorder is the paper's full Fig. 1 pattern: start a session on

@@ -8,8 +8,8 @@ import (
 
 	"mpimon/internal/monitoring"
 	"mpimon/internal/mpi"
-	"mpimon/internal/sparsemat"
 	"mpimon/internal/netsim"
+	"mpimon/internal/sparsemat"
 	"mpimon/internal/topology"
 )
 
@@ -121,7 +121,7 @@ func TestReorderImprovesGroupedAllgather(t *testing.T) {
 			if reorderRanks {
 				opt, k, err := MonitorAndReorder(env, c, func(cc *mpi.Comm) error {
 					return groupPhase(cc, groups, chunk)
-				}, WithFlags(monitoring.AllComm), WithFixedMappingTime(time.Microsecond))
+				}, WithFlags(monitoring.AllComm))
 				if err != nil {
 					return err
 				}
@@ -178,7 +178,7 @@ func TestReorderedCommunicatorRanks(t *testing.T) {
 			}
 			_, err := cc.Recv(prev, 0, nil)
 			return err
-		}, WithFixedMappingTime(time.Microsecond))
+		})
 		if err != nil {
 			return err
 		}

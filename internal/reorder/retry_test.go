@@ -16,7 +16,7 @@ import (
 
 func TestNewOptionsDefaultsAndOpts(t *testing.T) {
 	o := newOptions()
-	if def := (options{Flags: monitoring.AllComm, ChargeMappingTime: true}); *o != def {
+	if def := (options{Flags: monitoring.AllComm}); *o != def {
 		t.Fatalf("newOptions() = %+v, want %+v", *o, def)
 	}
 	o = newOptions(
@@ -24,8 +24,6 @@ func TestNewOptionsDefaultsAndOpts(t *testing.T) {
 		WithMappingTimeout(time.Second),
 		WithRetries(3),
 		WithBackoff(time.Millisecond),
-		WithChargeMappingTime(false),
-		WithFixedMappingTime(2*time.Microsecond),
 		WithoutIdentityFallback(),
 	)
 	want := options{
@@ -33,20 +31,11 @@ func TestNewOptionsDefaultsAndOpts(t *testing.T) {
 		MappingTimeout:     time.Second,
 		MaxRetries:         3,
 		RetryBackoff:       time.Millisecond,
-		ChargeMappingTime:  false,
-		FixedMappingTime:   2 * time.Microsecond,
 		NoIdentityFallback: true,
 	}
 	if *o != want {
 		t.Fatalf("newOptions(...) = %+v, want %+v", *o, want)
 	}
-}
-
-// swapMapFn installs a failing/hanging mapping function for one test.
-func swapMapFn(t *testing.T, fn func(v sparsemat.MatrixView, topo *topology.Topology, place []int) ([]int, error)) {
-	t.Helper()
-	prev := mapFn.Swap(&fn)
-	t.Cleanup(func() { mapFn.Store(prev) })
 }
 
 // ringPhase gives the session a non-empty matrix to gather.
@@ -96,12 +85,12 @@ func runReorder(t *testing.T, opts []Opt, tel *telemetry.Telemetry) (k []int, re
 
 func TestReorderRetryExhaustionFallsBackToIdentity(t *testing.T) {
 	var calls atomic.Int32
-	swapMapFn(t, func(v sparsemat.MatrixView, topo *topology.Topology, place []int) ([]int, error) {
+	SwapMapFn(t, func(v sparsemat.MatrixView, topo *topology.Topology, place []int) ([]int, error) {
 		calls.Add(1)
 		return nil, errors.New("synthetic mapping failure")
 	})
 	tel := telemetry.New()
-	opts := []Opt{WithRetries(2), WithBackoff(time.Millisecond), WithFixedMappingTime(time.Microsecond)}
+	opts := []Opt{WithRetries(2), WithBackoff(time.Millisecond)}
 	k, err := runReorder(t, opts, tel)
 	if err != nil {
 		t.Fatalf("Reorder should degrade, not fail: %v", err)
@@ -125,15 +114,15 @@ func TestReorderRetryExhaustionFallsBackToIdentity(t *testing.T) {
 
 func TestReorderRetrySucceedsEventually(t *testing.T) {
 	var calls atomic.Int32
-	real := *mapFn.Load()
-	swapMapFn(t, func(v sparsemat.MatrixView, topo *topology.Topology, place []int) ([]int, error) {
+	real := mapFn
+	SwapMapFn(t, func(v sparsemat.MatrixView, topo *topology.Topology, place []int) ([]int, error) {
 		if calls.Add(1) < 3 {
 			return nil, errors.New("transient failure")
 		}
 		return real(v, topo, place)
 	})
 	tel := telemetry.New()
-	opts := []Opt{WithRetries(5), WithFixedMappingTime(time.Microsecond)}
+	opts := []Opt{WithRetries(5)}
 	k, err := runReorder(t, opts, tel)
 	if err != nil {
 		t.Fatal(err)
@@ -153,28 +142,58 @@ func TestReorderRetrySucceedsEventually(t *testing.T) {
 	}
 }
 
+// TestReorderMappingTimeout pins the timeout to the virtual price of the
+// mapping: the same gathered matrix fails with mpi.ErrTimeout one
+// nanosecond below its modelled cost and maps at exactly that cost, on
+// every run, with the retry and fallback counters exact.
 func TestReorderMappingTimeout(t *testing.T) {
-	swapMapFn(t, func(v sparsemat.MatrixView, topo *topology.Topology, place []int) ([]int, error) {
-		time.Sleep(10 * time.Second)
-		return nil, errors.New("unreachable")
-	})
-	opts := []Opt{
-		WithMappingTimeout(20 * time.Millisecond),
-		WithFixedMappingTime(time.Microsecond),
-		WithoutIdentityFallback(),
+	// The 4-rank ring gathers 4 rows of one entry each, mapped on the
+	// two-level test machine.
+	ring := sparsemat.New(4)
+	for i := range ring.Rows {
+		ring.Rows[i] = sparsemat.Row{Dst: []int32{int32(i+1) % 4}, Cnt: []uint64{1}, Byt: []uint64{1000}}
 	}
-	_, err := runReorder(t, opts, nil)
+	cost := mappingCost(ring, 2)
+	if want := time.Duration(4+4) * 2 * mappingNsPerVisit; cost != want {
+		t.Fatalf("mappingCost = %v, want %v", cost, want)
+	}
+
+	tel := telemetry.New()
+	_, err := runReorder(t, []Opt{WithMappingTimeout(cost - 1), WithoutIdentityFallback()}, tel)
 	if !errors.Is(err, mpi.ErrTimeout) {
-		t.Fatalf("Reorder with hung mapping: %v, want mpi.ErrTimeout", err)
+		t.Fatalf("Reorder with a mapping priced above the timeout: %v, want mpi.ErrTimeout", err)
+	}
+
+	k, err := runReorder(t, []Opt{WithMappingTimeout(cost), WithoutIdentityFallback()}, tel)
+	if err != nil || len(k) != 4 {
+		t.Fatalf("Reorder with a mapping priced at the timeout: k=%v err=%v, want success", k, err)
+	}
+
+	// Starved with retries: every attempt times out, then identity.
+	k, err = runReorder(t, []Opt{WithMappingTimeout(time.Nanosecond), WithRetries(2)}, tel)
+	if err != nil {
+		t.Fatalf("starved Reorder should degrade, not fail: %v", err)
+	}
+	for i, v := range k {
+		if v != i {
+			t.Fatalf("fallback permutation %v is not the identity", k)
+		}
+	}
+	reg := tel.Registry()
+	if n := reg.CounterTotal("mpimon_reorder_retries_total"); n != 2 {
+		t.Errorf("retries counter = %d, want 2", n)
+	}
+	if n := reg.CounterTotal("mpimon_reorder_fallback_total"); n != 1 {
+		t.Errorf("fallback counter = %d, want 1", n)
 	}
 }
 
 func TestReorderNoFallbackPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
-	swapMapFn(t, func(v sparsemat.MatrixView, topo *topology.Topology, place []int) ([]int, error) {
+	SwapMapFn(t, func(v sparsemat.MatrixView, topo *topology.Topology, place []int) ([]int, error) {
 		return nil, fmt.Errorf("mapping: %w", boom)
 	})
-	opts := []Opt{WithFixedMappingTime(time.Microsecond), WithoutIdentityFallback()}
+	opts := []Opt{WithoutIdentityFallback()}
 	_, err := runReorder(t, opts, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("Reorder without fallback: %v, want the mapping error", err)
@@ -182,7 +201,7 @@ func TestReorderNoFallbackPropagatesError(t *testing.T) {
 }
 
 func TestReorderBackoffChargesVirtualTime(t *testing.T) {
-	swapMapFn(t, func(v sparsemat.MatrixView, topo *topology.Topology, place []int) ([]int, error) {
+	SwapMapFn(t, func(v sparsemat.MatrixView, topo *topology.Topology, place []int) ([]int, error) {
 		return nil, errors.New("always fails")
 	})
 	// The exact difference needs the event engine's deterministic clock:
@@ -194,7 +213,7 @@ func TestReorderBackoffChargesVirtualTime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := []Opt{WithRetries(3), WithBackoff(backoff), WithFixedMappingTime(time.Microsecond)}
+		opts := []Opt{WithRetries(3), WithBackoff(backoff)}
 		err = w.RunWithTimeout(time.Minute, func(c *mpi.Comm) error {
 			env, err := monitoring.Init(c.Proc())
 			if err != nil {

@@ -235,17 +235,13 @@ func WithFaultPlan(p *FaultPlan) Option { return mpi.WithFaultPlan(p) }
 var (
 	// ReorderFlags selects the communication classes fed to TreeMatch.
 	ReorderFlags = reorder.WithFlags
-	// ReorderMappingTimeout bounds one mapping computation.
+	// ReorderMappingTimeout bounds one mapping computation, in the virtual
+	// time the mapping-cost model prices it at.
 	ReorderMappingTimeout = reorder.WithMappingTimeout
 	// ReorderRetries bounds the mapping retry count.
 	ReorderRetries = reorder.WithRetries
 	// ReorderBackoff sets the base of the exponential retry backoff.
 	ReorderBackoff = reorder.WithBackoff
-	// ReorderChargeMappingTime toggles charging the mapping time to the
-	// root's virtual clock.
-	ReorderChargeMappingTime = reorder.WithChargeMappingTime
-	// ReorderFixedMappingTime charges a fixed virtual mapping duration.
-	ReorderFixedMappingTime = reorder.WithFixedMappingTime
 	// ReorderNoIdentityFallback propagates mapping failure instead of
 	// degrading to the identity permutation.
 	ReorderNoIdentityFallback = reorder.WithoutIdentityFallback
@@ -334,16 +330,9 @@ func NewOnlineController(env *Env, comm *Comm, opts ...OnlineOption) (*OnlineCon
 var (
 	// OnlineWindow sets the sliding window's epoch capacity.
 	OnlineWindow = online.WithWindow
-	// OnlineDriftThreshold sets the drift that triggers a remap decision
-	// (inclusive boundary).
-	OnlineDriftThreshold = online.WithDriftThreshold
 	// OnlineFullRemapDrift sets the drift above which a full TreeMatch
 	// replaces the warm-started refinement.
 	OnlineFullRemapDrift = online.WithFullRemapDrift
-	// OnlineWarmPasses bounds the warm refinement's swap passes.
-	OnlineWarmPasses = online.WithWarmPasses
-	// OnlineHorizon sets how many windows amortize a remap's cost.
-	OnlineHorizon = online.WithHorizon
 	// OnlineFlags selects the monitored communication classes.
 	OnlineFlags = online.WithFlags
 	// OnlineStateBytes declares each rank's migration payload for the
@@ -351,14 +340,8 @@ var (
 	OnlineStateBytes = online.WithStateBytes
 	// OnlineLinkBandwidth sets the migration model's link bandwidth.
 	OnlineLinkBandwidth = online.WithLinkBandwidth
-	// OnlineInitialRemapCost seeds the remap-cost estimate.
-	OnlineInitialRemapCost = online.WithInitialRemapCost
 	// OnlineMaxRemaps caps the controller's remap count.
 	OnlineMaxRemaps = online.WithMaxRemaps
-	// OnlineChargeMappingTime toggles charging mapping time virtually.
-	OnlineChargeMappingTime = online.WithChargeMappingTime
-	// OnlineFixedMappingTime charges a fixed virtual mapping duration.
-	OnlineFixedMappingTime = online.WithFixedMappingTime
 )
 
 // MatrixDrift measures how far the current communication matrix diverged

@@ -68,7 +68,7 @@ func TestFacadeReorderingImprovesPlacementCost(t *testing.T) {
 			_, err := cc.Sendrecv(partner, 0, make([]byte, 1<<16), partner, 0, make([]byte, 1<<16))
 			return err
 		}
-		opt, k, err := MonitorAndReorder(env, c, phase, ReorderFlags(AllComm), ReorderFixedMappingTime(time.Microsecond))
+		opt, k, err := MonitorAndReorder(env, c, phase, ReorderFlags(AllComm))
 		if err != nil {
 			return err
 		}
@@ -323,7 +323,7 @@ func TestFacadeRuntimeWrappers(t *testing.T) {
 			return err
 		}
 		// ReorderFromSession + Redistribute wrappers.
-		opt, k, err := ReorderFromSession(s, ReorderFlags(AllComm), ReorderFixedMappingTime(time.Microsecond))
+		opt, k, err := ReorderFromSession(s, ReorderFlags(AllComm))
 		if err != nil {
 			return err
 		}
@@ -399,7 +399,7 @@ func TestFacadeOnlineController(t *testing.T) {
 		}
 		defer env.Finalize()
 		ctl, err := NewOnlineController(env, c,
-			OnlineWindow(1), OnlineFixedMappingTime(time.Microsecond))
+			OnlineWindow(1))
 		if err != nil {
 			return err
 		}
