@@ -1,7 +1,7 @@
 GO ?= go
 BENCHES = hotpath gather serve engine commitagg coll
 
-.PHONY: build test vet race flake nodeprecated novhostclock bench benchsmoke apicheck ci
+.PHONY: build test vet race flake nodeprecated novhostclock noenginechoice bench benchsmoke apicheck ci
 
 build:
 	$(GO) build ./...
@@ -31,7 +31,7 @@ race:
 # schedules fails here rather than one run in six in `make test`
 # (ROADMAP item 1).
 flake:
-	$(GO) test -count=10 -cpu 1,2 ./internal/cg ./internal/exp ./internal/coll ./internal/online ./internal/reorder
+	$(GO) test -count=10 -cpu 1,2 ./internal/cg ./internal/exp ./internal/coll ./internal/online ./internal/reorder ./cmd/mpimon
 
 # nodeprecated keeps deprecated shims from regrowing: the repository has
 # one function per operation, so nothing outside the tests may carry a
@@ -44,6 +44,13 @@ nodeprecated:
 # of internal/reorder and internal/online may read or wait on host time.
 novhostclock:
 	@! grep -rnE 'time\.(Now|Since|After|AfterFunc|Sleep|NewTimer)\b' --include='*.go' --exclude='*_test.go' internal/reorder internal/online
+
+# noenginechoice keeps the engine choice inside internal/mpi: every driver,
+# tuner and experiment runs on the event engine (exp.newWorld, coll.Measure,
+# cmd/mpimon), so outside their tests the packages above the runtime may name
+# neither another engine nor the selector (ROADMAP item 1(d) deletes both).
+noenginechoice:
+	@! grep -rnE 'EngineByName|EngineGoroutine|EngineAutoThreshold' --include='*.go' --exclude='*_test.go' cmd internal/exp internal/coll internal/online internal/reorder internal/cg internal/stencil *.go
 
 # apicheck pins the root package's exported API: the surface extracted by
 # cmd/apisurface must match the golden listing in docs/api_surface.txt.
@@ -60,7 +67,7 @@ apicheck:
 #   hotpath   send/recv micro (pool-hit allocation rate), TreeMatch kernels, collective layer
 #   gather    sparse root-gather at np 256/1024/4096
 #   serve     monitoring daemon ingest, views and frame codec
-#   engine    event-engine stencil worlds at np 4096/16384/65536 + goroutine baseline
+#   engine    event-engine stencil worlds at np 4096/16384/65536
 #   commitagg commit-on-threshold cells and batched row export
 #   coll      collective algorithm portfolio
 benchrun = $(GO) test -run '^$$' -bench '$(2)' -benchmem $(1) $(3)
@@ -90,6 +97,6 @@ benchsmoke:
 # ci is the gate for a change: static checks, full build, the whole test
 # suite, the race tier on the instrumented packages, the flake tier on the
 # clock-sensitive ones, a one-iteration pass over every benchmark, the
-# exported-API pin, the no-deprecated-shims check and the no-host-clock
-# check on the reorder loop.
-ci: vet build test race flake benchsmoke apicheck nodeprecated novhostclock
+# exported-API pin, the no-deprecated-shims check, the no-host-clock check
+# on the reorder loop and the no-engine-choice check on the drivers.
+ci: vet build test race flake benchsmoke apicheck nodeprecated novhostclock noenginechoice

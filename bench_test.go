@@ -183,31 +183,27 @@ func BenchmarkGatherSparse(b *testing.B) {
 }
 
 // BenchmarkEventEngine measures the discrete-event execution engine on
-// monitored stencil worlds up to np = 65536 (the issue's 256x256 grid,
-// auto-selected above 8192 ranks), plus the goroutine engine at the
-// smallest size for comparison. Metrics: scheduler dispatches, dispatches
-// per second of host time, and the live heap with the whole world
-// reachable. The TreeMatch mapping is skipped (see
-// BenchmarkTable1TreeMatchScale); cmd/exp engine-scale runs the full
-// pipeline.
+// monitored stencil worlds up to np = 65536 (the issue's 256x256 grid).
+// Metrics: scheduler dispatches, dispatches per second of host time, and
+// the live heap with the whole world reachable. The TreeMatch mapping is
+// skipped (see BenchmarkTable1TreeMatchScale); cmd/exp engine-scale runs
+// the full pipeline.
 func BenchmarkEventEngine(b *testing.B) {
-	run := func(b *testing.B, np int, engine string) {
-		var row exp.EngineRow
-		for i := 0; i < b.N; i++ {
-			var err error
-			_, row, err = exp.StencilWorldSparse(np, 3, 4096, engine)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(row.Events), "events")
-		b.ReportMetric(row.EventsPerSec, "events_per_s")
-		b.ReportMetric(row.HeapMB, "heap_MB")
-	}
 	for _, np := range []int{4096, 16384, 65536} {
-		b.Run("event/np"+itoa(np), func(b *testing.B) { run(b, np, "event") })
+		b.Run("event/np"+itoa(np), func(b *testing.B) {
+			var row exp.EngineRow
+			for i := 0; i < b.N; i++ {
+				var err error
+				_, row, err = exp.StencilWorldSparse(np, 3, 4096)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(row.Events), "events")
+			b.ReportMetric(row.EventsPerSec, "events_per_s")
+			b.ReportMetric(row.HeapMB, "heap_MB")
+		})
 	}
-	b.Run("goroutine/np4096", func(b *testing.B) { run(b, 4096, "goroutine") })
 }
 
 func itoa(v int) string {
@@ -365,41 +361,6 @@ func BenchmarkAblationReduceAlgorithms(b *testing.B) {
 	}
 	b.ReportMetric(float64(bin)/1e6, "binary_ms")
 	b.ReportMetric(float64(binom)/1e6, "binomial_ms")
-}
-
-// BenchmarkAblationTreeMatchVariants compares the general top-down
-// TreeMatch with the classic bottom-up grouping on a clustered workload:
-// placement quality (cost relative to round-robin) and speed.
-func BenchmarkAblationTreeMatchVariants(b *testing.B) {
-	const n = 192
-	topo := topology.MustNew(8, 2, 12)
-	m := workloads.Clustered(n, 24, 1000, 1, 2, 11)
-	rr, err := treematch.PlacementRoundRobin(n, topo)
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := treematch.Cost(m, rr, topo)
-	var topDown, bottomUp float64
-	b.Run("top-down", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			coreOf, err := treematch.MapTree(m, topo.FullTree())
-			if err != nil {
-				b.Fatal(err)
-			}
-			topDown = treematch.Cost(m, coreOf, topo) / base
-		}
-		b.ReportMetric(topDown, "cost_frac_vs_rr")
-	})
-	b.Run("bottom-up", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			coreOf, err := treematch.MapBalanced(m, topo)
-			if err != nil {
-				b.Fatal(err)
-			}
-			bottomUp = treematch.Cost(m, coreOf, topo) / base
-		}
-		b.ReportMetric(bottomUp, "cost_frac_vs_rr")
-	})
 }
 
 // --- Micro-benchmarks of the hot paths -----------------------------------

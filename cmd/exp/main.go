@@ -3,8 +3,8 @@
 // overhead Fig. 4, reorder-heatmap Fig. 6, nascg Fig. 7, treematch-scale
 // Table 1) or one of the repository's own studies (engine-scale,
 // gather-scale, online, guidelines, faults, serve, commitagg-sweep). `exp`
-// alone lists them; every experiment takes -engine, -telemetry, -cpuprofile
-// and -memprofile besides its own flags (`exp <experiment> -h`). The table
+// alone lists them; every experiment takes -telemetry, -cpuprofile and
+// -memprofile besides its own flags (`exp <experiment> -h`). The table
 // lives in internal/exp.
 package main
 

@@ -68,37 +68,49 @@ type config struct {
 	telemetry string
 	serve     string
 	seed      int64
-	engine    string
 	cpuprof   string
 	memprof   string
 	stdout    io.Writer // defaults to os.Stdout
 }
 
 func main() {
-	var cfg config
-	flag.StringVar(&cfg.workload, "workload", "groups", "ring | stencil | groups | bcast | reduce | cg")
-	flag.IntVar(&cfg.np, "np", 48, "number of ranks")
-	flag.StringVar(&cfg.topoSpec, "topo", "", "topology spec (e.g. 2x2x12); default: enough PlaFRIM nodes")
-	flag.StringVar(&cfg.placement, "placement", "rr", "initial mapping: rr | packed | random")
-	flag.IntVar(&cfg.iters, "iters", 10, "iterations of the workload")
-	flag.IntVar(&cfg.bytes, "bytes", 1<<16, "per-message payload bytes")
-	flag.StringVar(&cfg.class, "class", "B", "NPB class for -workload cg")
-	flag.BoolVar(&cfg.reorder, "reorder", false, "apply dynamic rank reordering after one monitored iteration")
-	flag.BoolVar(&cfg.matrix, "matrix", false, "print the full communication matrix")
-	flag.BoolVar(&cfg.analyze, "analyze", false, "print matrix statistics (volume, locality, top pairs)")
-	flag.BoolVar(&cfg.jsonOut, "json", false, "emit the report (matrix + analysis included) as JSON")
-	flag.StringVar(&cfg.traceFile, "trace", "", "write a merged post-mortem event trace to this file")
-	flag.StringVar(&cfg.telemetry, "telemetry", "", "write the telemetry span tree to this file (.csv for CSV, Chrome trace JSON otherwise)")
-	flag.StringVar(&cfg.serve, "serve", "", "after the run, serve Prometheus metrics on this address (e.g. :9464)")
-	flag.Int64Var(&cfg.seed, "seed", 1, "random placement seed")
-	flag.StringVar(&cfg.engine, "engine", "auto", "execution engine: goroutine, event, or auto (event above 8192 ranks)")
-	flag.StringVar(&cfg.cpuprof, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	flag.StringVar(&cfg.memprof, "memprofile", "", "write a pprof heap profile (after the run) to this file")
-	flag.Parse()
+	cfg, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	} else if err != nil {
+		os.Exit(2)
+	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "mpimon:", err)
 		os.Exit(1)
 	}
+}
+
+// parseFlags reads one invocation's flags; the flag package has already
+// reported a returned error on stderr.
+func parseFlags(args []string, stderr io.Writer) (config, error) {
+	var cfg config
+	fs := flag.NewFlagSet("mpimon", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&cfg.workload, "workload", "groups", "ring | stencil | groups | bcast | reduce | cg")
+	fs.IntVar(&cfg.np, "np", 48, "number of ranks")
+	fs.StringVar(&cfg.topoSpec, "topo", "", "topology spec (e.g. 2x2x12); default: enough PlaFRIM nodes")
+	fs.StringVar(&cfg.placement, "placement", "rr", "initial mapping: rr | packed | random")
+	fs.IntVar(&cfg.iters, "iters", 10, "iterations of the workload")
+	fs.IntVar(&cfg.bytes, "bytes", 1<<16, "per-message payload bytes")
+	fs.StringVar(&cfg.class, "class", "B", "NPB class for -workload cg")
+	fs.BoolVar(&cfg.reorder, "reorder", false, "apply dynamic rank reordering after one monitored iteration")
+	fs.BoolVar(&cfg.matrix, "matrix", false, "print the full communication matrix")
+	fs.BoolVar(&cfg.analyze, "analyze", false, "print matrix statistics (volume, locality, top pairs)")
+	fs.BoolVar(&cfg.jsonOut, "json", false, "emit the report (matrix + analysis included) as JSON")
+	fs.StringVar(&cfg.traceFile, "trace", "", "write a merged post-mortem event trace to this file")
+	fs.StringVar(&cfg.telemetry, "telemetry", "", "write the telemetry span tree to this file (.csv for CSV, Chrome trace JSON otherwise)")
+	fs.StringVar(&cfg.serve, "serve", "", "after the run, serve Prometheus metrics on this address (e.g. :9464)")
+	fs.Int64Var(&cfg.seed, "seed", 1, "random placement seed")
+	fs.StringVar(&cfg.cpuprof, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	fs.StringVar(&cfg.memprof, "memprofile", "", "write a pprof heap profile (after the run) to this file")
+	err := fs.Parse(args)
+	return cfg, err
 }
 
 // report is what one run produces; with -json it is marshalled verbatim.
@@ -268,12 +280,7 @@ func execute(cfg *config) (*report, *telemetry.Telemetry, error) {
 	}
 
 	tel := telemetry.New()
-	opts := []mpi.Option{mpi.WithPlacement(place)}
-	if eng, err := mpi.EngineByName(cfg.engine); err != nil {
-		return nil, nil, err
-	} else if eng != nil {
-		opts = append(opts, mpi.WithEngine(eng))
-	}
+	opts := []mpi.Option{mpi.WithPlacement(place), mpi.WithEngine(mpi.EngineEvent)}
 	if cfg.telemetry != "" || cfg.serve != "" {
 		opts = append(opts, mpi.WithTelemetry(tel))
 	}

@@ -93,6 +93,19 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestEngineFlagRejected: mpimon runs on the event engine and offers no way
+// to say otherwise; -engine is a usage error (exit 2 in main).
+func TestEngineFlagRejected(t *testing.T) {
+	var errb bytes.Buffer
+	if c, err := parseFlags([]string{"-workload", "ring", "-np", "8"}, &errb); err != nil || c.workload != "ring" || c.np != 8 || c.placement != "rr" {
+		t.Fatalf("parseFlags = %+v, %v", c, err)
+	}
+	_, err := parseFlags([]string{"-engine", "event"}, &errb)
+	if err == nil || !strings.Contains(errb.String(), "flag provided but not defined: -engine") {
+		t.Fatalf("-engine accepted: err %v, stderr %q", err, errb.String())
+	}
+}
+
 // TestRunJSON checks the -json report: a valid document carrying the full
 // matrix and the matstat analysis, with internally consistent totals.
 func TestRunJSON(t *testing.T) {
@@ -149,14 +162,14 @@ func TestRunJSONWithReorder(t *testing.T) {
 	}
 }
 
-// TestRunJSONWithReorderRepeats: `-reorder -json -engine event` is a pure
+// TestRunJSONWithReorderRepeats: `-reorder -json` is a pure
 // function of its flags — two runs report the same reordered time and the
 // same permutation.
 func TestRunJSONWithReorderRepeats(t *testing.T) {
 	runOnce := func() report {
 		t.Helper()
 		var buf bytes.Buffer
-		c := cfg("groups", 48, func(c *config) { c.jsonOut = true; c.reorder = true; c.engine = "event"; c.bytes = 1 << 16 })
+		c := cfg("groups", 48, func(c *config) { c.jsonOut = true; c.reorder = true; c.bytes = 1 << 16 })
 		c.stdout = &buf
 		if err := run(c); err != nil {
 			t.Fatal(err)

@@ -16,13 +16,12 @@ import (
 // point (netsim is deterministic, so reps only guard against warm-up
 // artifacts in the world's internal state; the median is recorded).
 type Config struct {
-	Topo    string                        // table key, e.g. "plafrim"
-	Machine func(np int) *netsim.Machine  // fresh machine per measurement world
-	NPs     []int                         // rank counts to measure
-	Sizes   []int                         // total payload bytes per collective
-	Reps    int                           // timed repetitions per point (default 3)
-	Engine  mpi.Engine                    // nil for the world default
-	Opts    []mpi.Option                  // extra world options (telemetry, ...)
+	Topo    string                       // table key, e.g. "plafrim"
+	Machine func(np int) *netsim.Machine // fresh machine per measurement world
+	NPs     []int                        // rank counts to measure
+	Sizes   []int                        // total payload bytes per collective
+	Reps    int                          // timed repetitions per point (default 3)
+	Opts    []mpi.Option                 // extra world options (telemetry, ...)
 }
 
 // PlaFRIMConfig is the standard tuning config on the paper's cluster
@@ -163,7 +162,8 @@ func (t *Table) Points() []struct {
 // Tune measures every variant of op over cfg's (np, size) grid, each in a
 // fresh world so NIC contention state from one measurement cannot leak
 // into the next, and returns the filled table. Costs are virtual time —
-// deterministic for a given machine and engine.
+// deterministic for a given machine: every measurement world runs on the
+// event engine.
 func Tune(cfg Config, op Op) (*Table, error) {
 	t := NewTable(cfg.Topo)
 	if err := tuneInto(t, cfg, op); err != nil {
@@ -210,16 +210,13 @@ func Measure(cfg Config, op Op, alg Algorithm, np, size int) (time.Duration, err
 	if reps <= 0 {
 		reps = 3
 	}
-	opts := append([]mpi.Option(nil), cfg.Opts...)
-	if cfg.Engine != nil {
-		opts = append(opts, mpi.WithEngine(cfg.Engine))
-	}
+	opts := append([]mpi.Option{mpi.WithEngine(mpi.EngineEvent)}, cfg.Opts...)
 	w, err := mpi.NewWorld(cfg.Machine(np), np, opts...)
 	if err != nil {
 		return 0, err
 	}
 	var med time.Duration
-	err = w.RunWithTimeout(5*time.Minute, func(c *mpi.Comm) error {
+	err = w.Run(func(c *mpi.Comm) error {
 		if err := c.Barrier(); err != nil {
 			return err
 		}

@@ -93,7 +93,7 @@ func collTime(op string, np, bytes, reps int, withReorder bool) (time.Duration, 
 		return 0, err
 	}
 	var med time.Duration
-	err = w.RunWithTimeout(5*time.Minute, func(c *mpi.Comm) error {
+	err = w.Run(func(c *mpi.Comm) error {
 		work := c
 		if withReorder {
 			env, err := monitoring.Init(c.Proc())

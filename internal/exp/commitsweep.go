@@ -79,7 +79,7 @@ func runCommitCell(gx int, cfg CommitSweepConfig, pol commitagg.Policy) (*mpi.Wo
 	if err != nil {
 		return nil, commitFingerprint{}, err
 	}
-	err = w.RunWithTimeout(10*time.Minute, func(c *mpi.Comm) error {
+	err = w.Run(func(c *mpi.Comm) error {
 		return StencilSkeleton(c, gx, cfg.Iters, cfg.MsgBytes)
 	})
 	if err != nil {

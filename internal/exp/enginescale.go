@@ -14,10 +14,10 @@ import (
 )
 
 // EngineScaleConfig parameterizes the execution-engine scaling experiment:
-// a monitored 2D stencil skeleton world of growing size, run under a chosen
-// engine, followed by the sparse rootgather and (up to MapUpTo) a TreeMatch
-// reordering of the gathered matrix — the paper's full introspect-then-map
-// pipeline at sizes only the event engine reaches comfortably.
+// a monitored 2D stencil skeleton world of growing size, followed by the
+// sparse rootgather and (up to MapUpTo) a TreeMatch reordering of the
+// gathered matrix — the paper's full introspect-then-map pipeline at sizes
+// only the event engine reaches comfortably.
 type EngineScaleConfig struct {
 	// NPs are the world sizes; each must be a perfect square (65536 is the
 	// 256x256 stencil).
@@ -33,8 +33,7 @@ type EngineScaleConfig struct {
 	MapUpTo int
 }
 
-// DefaultEngineScale runs the three worlds the event engine was built for
-// (the engine-scale table row makes "event" the -engine default).
+// DefaultEngineScale runs the three worlds the event engine was built for.
 var DefaultEngineScale = EngineScaleConfig{
 	NPs:      []int{4096, 16384, 65536},
 	Iters:    3,
@@ -44,10 +43,8 @@ var DefaultEngineScale = EngineScaleConfig{
 
 // EngineRow is one world size's outcome.
 type EngineRow struct {
-	NP     int
-	Engine string // the engine that actually ran (auto resolved)
-	// Events is the number of scheduler dispatches (zero under the
-	// goroutine engine, which has no central scheduler).
+	NP int
+	// Events is the number of scheduler dispatches.
 	Events       uint64
 	EventsPerSec float64
 	// WallSeconds covers the world run (construction to teardown),
@@ -77,7 +74,7 @@ func EngineScale(cfg EngineScaleConfig) ([]EngineRow, error) {
 }
 
 func engineScaleOne(np int, cfg EngineScaleConfig) (EngineRow, error) {
-	sm, row, err := StencilWorldSparse(np, cfg.Iters, cfg.MsgBytes, "")
+	sm, row, err := StencilWorldSparse(np, cfg.Iters, cfg.MsgBytes)
 	if err != nil {
 		return EngineRow{}, err
 	}
@@ -100,30 +97,22 @@ func engineScaleOne(np int, cfg EngineScaleConfig) (EngineRow, error) {
 }
 
 // StencilWorldSparse runs one monitored stencil-skeleton world of np ranks
-// (a perfect square) under the named engine ("" leaves the choice to the
-// driver's shared -engine flag) and returns root's sparse
-// communication matrix plus the run's engine metrics. It is the
-// measurement kernel shared by EngineScale, the TreeMatchScale from-world
-// mode, and BenchmarkEventEngine.
-func StencilWorldSparse(np, iters, msgBytes int, engine string) (*sparsemat.Matrix, EngineRow, error) {
+// (a perfect square) and returns root's sparse communication matrix plus
+// the run's engine metrics. It is the measurement kernel shared by
+// EngineScale, the TreeMatchScale from-world mode, and BenchmarkEventEngine.
+func StencilWorldSparse(np, iters, msgBytes int) (*sparsemat.Matrix, EngineRow, error) {
 	gx := intSqrt(np)
 	if gx*gx != np {
 		return nil, EngineRow{}, fmt.Errorf("np %d is not a perfect square", np)
 	}
-	var opts []mpi.Option
-	if eng, err := mpi.EngineByName(engine); err != nil {
-		return nil, EngineRow{}, err
-	} else if eng != nil {
-		opts = append(opts, mpi.WithEngine(eng))
-	}
 	t0 := time.Now()
 	var sm *sparsemat.Matrix
 	var heapMB float64
-	w, err := PlaFRIMWorld(np, nil, opts...)
+	w, err := PlaFRIMWorld(np, nil)
 	if err != nil {
 		return nil, EngineRow{}, err
 	}
-	err = w.RunWithTimeout(30*time.Minute, func(c *mpi.Comm) error {
+	err = w.Run(func(c *mpi.Comm) error {
 		env, err := monitoring.Init(c.Proc())
 		if err != nil {
 			return err
@@ -159,7 +148,6 @@ func StencilWorldSparse(np, iters, msgBytes int, engine string) (*sparsemat.Matr
 	}
 	row := EngineRow{
 		NP:          np,
-		Engine:      w.Engine().Name(),
 		Events:      w.EngineStats().Events,
 		WallSeconds: time.Since(t0).Seconds(),
 		HeapMB:      heapMB,
@@ -173,9 +161,9 @@ func StencilWorldSparse(np, iters, msgBytes int, engine string) (*sparsemat.Matr
 
 // PrintEngineScale writes the scaling table.
 func PrintEngineScale(w io.Writer, rows []EngineRow) {
-	Fprintf(w, "# np\tengine\tevents\tevents_per_s\twall_s\theap_MB\tnnz\tmap_s\n")
+	Fprintf(w, "# np\tevents\tevents_per_s\twall_s\theap_MB\tnnz\tmap_s\n")
 	for _, r := range rows {
-		Fprintf(w, "%d\t%s\t%d\t%.0f\t%.2f\t%.1f\t%d\t%.2f\n",
-			r.NP, r.Engine, r.Events, r.EventsPerSec, r.WallSeconds, r.HeapMB, r.NNZ, r.MapSeconds)
+		Fprintf(w, "%d\t%d\t%.0f\t%.2f\t%.1f\t%d\t%.2f\n",
+			r.NP, r.Events, r.EventsPerSec, r.WallSeconds, r.HeapMB, r.NNZ, r.MapSeconds)
 	}
 }

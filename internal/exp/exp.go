@@ -33,18 +33,19 @@ func PlaFRIMWorld(np int, placement []int, opts ...mpi.Option) (*mpi.World, erro
 }
 
 // worldOptions are prepended to every experiment world's options: the
-// engine and telemetry hub chosen by cmd/exp's shared flags (see runShared),
-// which reach the drivers this way instead of through every signature. Not
-// safe to change while a driver is running.
+// telemetry hub of cmd/exp's shared -telemetry flag (see runShared), which
+// reaches the drivers this way instead of through every signature. Not safe
+// to change while a driver is running.
 var worldOptions []mpi.Option
 
-// newWorld is the single world constructor of the experiment drivers,
-// merging worldOptions with the driver's own (which win).
+// newWorld is the single world constructor of the experiment drivers. Every
+// experiment world runs on the event engine, whose virtual clocks are a
+// pure function of (program, machine, seed) and on which a cyclic wait is
+// an immediate mpi.ErrDeadlock, so the drivers need no host watchdog.
+// worldOptions come next, then the driver's own options (which win).
 func newWorld(mach *netsim.Machine, np int, opts ...mpi.Option) (*mpi.World, error) {
-	if len(worldOptions) > 0 {
-		opts = append(append([]mpi.Option(nil), worldOptions...), opts...)
-	}
-	return mpi.NewWorld(mach, np, opts...)
+	all := append([]mpi.Option{mpi.WithEngine(mpi.EngineEvent)}, worldOptions...)
+	return mpi.NewWorld(mach, np, append(all, opts...)...)
 }
 
 // Nodes returns the node count the paper uses for a given rank count (24

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mpimon/internal/hwcount"
-	"mpimon/internal/mpi"
 )
 
 func TestHWCountersAgree(t *testing.T) {
@@ -294,22 +293,9 @@ func TestHWCountersDeterministic(t *testing.T) {
 	}
 }
 
-// onEventEngine runs the rest of the test's worlds on the event engine,
-// whose virtual clocks are a function of the program alone. Under the
-// goroutine engine the NIC reservation order follows the host scheduler
-// (ROADMAP item 1), so an assertion of exact or ordered virtual times is
-// only true here.
-func onEventEngine(t *testing.T) {
-	t.Helper()
-	prev := worldOptions
-	worldOptions = []mpi.Option{mpi.WithEngine(mpi.EngineEvent)}
-	t.Cleanup(func() { worldOptions = prev })
-}
-
 // TestCollOptDeterministic: the Fig. 5 measurement must reproduce exactly
 // for the same configuration.
 func TestCollOptDeterministic(t *testing.T) {
-	onEventEngine(t)
 	cfg := CollOptConfig{Op: "bcast", NPs: []int{48}, BufSizes: []int{5000}, Reps: 3}
 	a, err := CollectiveOpt(cfg)
 	if err != nil {

@@ -104,33 +104,26 @@ func Faults(cfg FaultsConfig) (FaultsResult, error) {
 		return FaultsResult{}, err
 	}
 	res := FaultsResult{}
-	phase := func(c *mpi.Comm) error {
-		sub, err := c.Split(c.Rank()/cfg.Clique, c.Rank())
-		if err != nil {
-			return err
-		}
-		if err := sub.AllgatherN(cfg.MsgSize); err != nil {
-			// Wake clique peers still blocked on this (per-iteration)
-			// communicator before unwinding, or they would wait forever
-			// for a step our exit cancels.
-			sub.Revoke()
-			return err
-		}
-		return nil
-	}
-	err = w.RunWithTimeout(2*time.Minute, func(c *mpi.Comm) error {
+	err = w.Run(func(c *mpi.Comm) error {
 		env, err := monitoring.Init(c.Proc())
 		if err != nil {
 			return err
 		}
 		defer env.Finalize()
+		// The clique communicator is split once, while every rank is alive,
+		// so no survivor can fail inside Split while a peer already waits on
+		// the new communicator.
+		sub, err := c.Split(c.Rank()/cfg.Clique, c.Rank())
+		if err != nil {
+			return err
+		}
 
 		// Healthy phase, until the fault plan interrupts it.
 		iters := 0
 		var ferr error
 		for i := 0; i < cfg.Iters; i++ {
 			c.Proc().Compute(cfg.ComputePer)
-			if ferr = phase(c); ferr != nil {
+			if ferr = sub.AllgatherN(cfg.MsgSize); ferr != nil {
 				break
 			}
 			if ferr = c.Barrier(); ferr != nil {
@@ -148,8 +141,14 @@ func Faults(cfg FaultsConfig) (FaultsResult, error) {
 			return ferr
 		}
 
-		// ULFM recovery: revoke so every survivor learns of the failure,
-		// shrink to the survivors, agree on the outcome.
+		// ULFM recovery: revoke both communicators, whichever call failed
+		// — a survivor whose error came from the world Barrier must still
+		// wake its clique peers blocked in the allgather, and vice versa —
+		// so every survivor learns of the failure; then shrink to the
+		// survivors and agree on the outcome.
+		if err := sub.Revoke(); err != nil {
+			return err
+		}
 		if err := c.Revoke(); err != nil {
 			return err
 		}

@@ -88,7 +88,7 @@ func gatherScaleOne(np int, cfg GatherScaleConfig) (GatherRow, error) {
 	}
 	t0 := time.Now()
 	var nnz int
-	err = w.RunWithTimeout(10*time.Minute, func(c *mpi.Comm) error {
+	err = w.Run(func(c *mpi.Comm) error {
 		env, err := monitoring.Init(c.Proc())
 		if err != nil {
 			return err

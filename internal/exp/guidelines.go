@@ -159,7 +159,7 @@ func measureKernel(mach *netsim.Machine, np, blk, reps int, kernel func(c *mpi.C
 		return 0, err
 	}
 	var med time.Duration
-	err = w.RunWithTimeout(5*time.Minute, func(c *mpi.Comm) error {
+	err = w.Run(func(c *mpi.Comm) error {
 		if err := c.Barrier(); err != nil {
 			return err
 		}

@@ -12,7 +12,6 @@ import (
 // exactly on a reduced grid, on the cluster model and on the fat-node
 // (GPU-style) fabric.
 func TestGuidelinesHoldSmall(t *testing.T) {
-	onEventEngine(t)
 	for _, topo := range []string{"plafrim", "fatnode"} {
 		cfg := GuidelinesConfig{Topo: topo, NPs: []int{8, 12}, Blocks: []int{64, 4096}, Reps: 2}
 		rows, err := Guidelines(cfg)

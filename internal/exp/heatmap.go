@@ -89,7 +89,7 @@ func heatCell(np, bufInts, iters int) (HeatCell, error) {
 		return nil
 	}
 
-	err = w.RunWithTimeout(5*time.Minute, func(c *mpi.Comm) error {
+	err = w.Run(func(c *mpi.Comm) error {
 		env, err := monitoring.Init(c.Proc())
 		if err != nil {
 			return err

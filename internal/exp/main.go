@@ -15,8 +15,6 @@ import (
 type experiment struct {
 	name string
 	doc  string // one line, shown by `exp` and `exp <name> -h`
-	// engine is the default of the shared -engine flag; "" means "auto".
-	engine string
 	// setup registers the experiment's own flags on fs and returns the
 	// function that runs it once fs is parsed and the shared flags are in
 	// force, writing the result table to w.
@@ -25,8 +23,8 @@ type experiment struct {
 
 // Main is cmd/exp: it runs the experiment named by args[0] with the flags
 // that follow and returns the process exit status (0 done, 1 the experiment
-// failed, 2 usage). -engine, -telemetry, -cpuprofile and -memprofile are
-// registered here, once, for every experiment.
+// failed, 2 usage). -telemetry, -cpuprofile and -memprofile are registered
+// here, once, for every experiment.
 func Main(args []string, stdout, stderr io.Writer) int {
 	return runTable(experiments, args, stdout, stderr)
 }
@@ -73,11 +71,6 @@ func runTable(table []experiment, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "usage: exp %s [flags]\n%s\n", e.name, e.doc)
 		fs.PrintDefaults()
 	}
-	engineDefault := e.engine
-	if engineDefault == "" {
-		engineDefault = "auto"
-	}
-	engine := fs.String("engine", engineDefault, "execution engine: goroutine, event, or auto (event above 8192 ranks)")
 	telem := fs.String("telemetry", "", "write a Chrome trace-event file of the run's telemetry spans")
 	cpuprof := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprof := fs.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
@@ -92,32 +85,25 @@ func runTable(table []experiment, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "exp %s: unexpected argument %q\n", e.name, fs.Arg(0))
 		return 2
 	}
-	if err := runShared(*engine, *telem, *cpuprof, *memprof, run, stdout); err != nil {
+	if err := runShared(*telem, *cpuprof, *memprof, run, stdout); err != nil {
 		fmt.Fprintf(stderr, "exp %s: %v\n", e.name, err)
 		return 1
 	}
 	return 0
 }
 
-// runShared puts the shared flags in force around one experiment run: the
-// engine and a telemetry hub become options of every world the drivers
-// build, and the profiles are started. The profiles and the Chrome trace
-// are completed by defer, so a run that fails still leaves them whole; the
-// run's own error takes precedence over theirs.
-func runShared(engine, telem, cpuprof, memprof string, run func(io.Writer) error, stdout io.Writer) (err error) {
-	eng, err := mpi.EngineByName(engine)
-	if err != nil {
-		return err
-	}
+// runShared puts the shared flags in force around one experiment run: a
+// telemetry hub becomes an option of every world the drivers build, and
+// the profiles are started. The profiles and the Chrome trace are completed
+// by defer, so a run that fails still leaves them whole; the run's own
+// error takes precedence over theirs.
+func runShared(telem, cpuprof, memprof string, run func(io.Writer) error, stdout io.Writer) (err error) {
 	defer func(prev []mpi.Option) { worldOptions = prev }(worldOptions)
 	worldOptions = nil
-	if eng != nil {
-		worldOptions = append(worldOptions, mpi.WithEngine(eng))
-	}
 	var tel *telemetry.Telemetry
 	if telem != "" {
 		tel = telemetry.New()
-		worldOptions = append(worldOptions, mpi.WithTelemetry(tel))
+		worldOptions = []mpi.Option{mpi.WithTelemetry(tel)}
 	}
 	stopProf, err := ProfileSetup(cpuprof, memprof)
 	if err != nil {

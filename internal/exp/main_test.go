@@ -32,13 +32,20 @@ func TestExperimentTable(t *testing.T) {
 		if code := Main([]string{e.name, "-h"}, &out, &errb); code != 0 {
 			t.Errorf("%s -h: exit %d", e.name, code)
 		}
-		for _, shared := range []string{"-engine", "-telemetry", "-cpuprofile", "-memprofile"} {
+		for _, shared := range []string{"-telemetry", "-cpuprofile", "-memprofile"} {
 			if !strings.Contains(errb.String(), shared+" ") {
 				t.Errorf("%s -h does not list %s", e.name, shared)
 			}
 		}
 		if out.Len() != 0 {
 			t.Errorf("%s -h wrote to stdout: %q", e.name, out.String())
+		}
+
+		// Every experiment runs on the event engine; none offers a choice.
+		errb.Reset()
+		if code := Main([]string{e.name, "-engine", "event"}, &out, &errb); code != 2 ||
+			!strings.Contains(errb.String(), "flag provided but not defined: -engine") {
+			t.Errorf("%s -engine event: exit %d, stderr %q; want the usage error", e.name, code, errb.String())
 		}
 	}
 }
@@ -56,7 +63,6 @@ func TestMainUsage(t *testing.T) {
 		{[]string{"hwcounters", "-no-such-flag"}, 2},
 		{[]string{"hwcounters", "stray"}, 2},
 		{[]string{"collopt", "-np", "48,x"}, 2},
-		{[]string{"hwcounters", "-engine", "warp"}, 1},
 	} {
 		var out, errb bytes.Buffer
 		if code := Main(tc.args, &out, &errb); code != tc.code {
@@ -100,7 +106,7 @@ func TestFailingExperimentKeepsProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem, trace := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof"), filepath.Join(dir, "trace.json")
 	var out, errb bytes.Buffer
-	code := runTable(table, []string{"fails", "-engine", "event", "-cpuprofile", cpu, "-memprofile", mem, "-telemetry", trace}, &out, &errb)
+	code := runTable(table, []string{"fails", "-cpuprofile", cpu, "-memprofile", mem, "-telemetry", trace}, &out, &errb)
 	if code != 1 || !strings.Contains(errb.String(), "exp fails: boom") {
 		t.Fatalf("exit %d, stderr %q; want 1 and the experiment's error", code, errb.String())
 	}
@@ -136,5 +142,46 @@ func TestFailingExperimentKeepsProfiles(t *testing.T) {
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil || len(doc.TraceEvents) == 0 {
 		t.Fatalf("trace: %d events, %v", len(doc.TraceEvents), err)
+	}
+}
+
+// TestResultsRegenerate: every cheap exact file under results/ is the
+// byte-for-byte output of the command EXPERIMENTS.md prints for it. A
+// difference is reported at its first line.
+func TestResultsRegenerate(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		file string
+	}{
+		{[]string{"hwcounters"}, "fig2_series.tsv"},
+		{[]string{"hwcounters", "-cumulative"}, "fig3_cumulative.tsv"},
+		{[]string{"collopt", "-op", "reduce"}, "fig5a_reduce.tsv"},
+		{[]string{"collopt", "-op", "bcast"}, "fig5b_bcast.tsv"},
+		{[]string{"online"}, "online_reorder.tsv"},
+	} {
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out, errb bytes.Buffer
+		if code := runTable(experiments, tc.args, &out, &errb); code != 0 {
+			t.Fatalf("exp %v: exit %d: %s", tc.args, code, errb.String())
+		}
+		if bytes.Equal(out.Bytes(), want) {
+			continue
+		}
+		got, rec := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+		i := 0
+		for i < len(got) && i < len(rec) && got[i] == rec[i] {
+			i++
+		}
+		line := func(l []string) string {
+			if i < len(l) {
+				return l[i]
+			}
+			return "<end>"
+		}
+		t.Errorf("exp %v no longer regenerates results/%s; first difference at line %d:\n  run:  %s\n  file: %s",
+			tc.args, tc.file, i+1, line(got), line(rec))
 	}
 }

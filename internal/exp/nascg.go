@@ -140,7 +140,7 @@ func cgRun(cls cg.Class, np int, mapping string, niter int, seed int64, withReor
 		return cgTiming{}, err
 	}
 	var tm cgTiming
-	err = w.RunWithTimeout(10*time.Minute, func(c *mpi.Comm) error {
+	err = w.Run(func(c *mpi.Comm) error {
 		p := c.Proc()
 		work := c
 		t0, m0 := p.Clock(), p.MPITime()

@@ -25,26 +25,22 @@ type OnlineConfig struct {
 	ChunkBytes      int // per-rank allgather contribution
 	Phases          int // how many times the pattern alternates
 	WindowsPerPhase int // windows between pattern flips
-	Engines         []string
 }
 
 // DefaultOnline uses the paper's smallest world (two PlaFRIM nodes) with
 // four pattern flips, long enough for the controller's gain model to
-// amortize every remap, on the event engine — the one whose totals repeat,
-// so the default run regenerates results/online_reorder.tsv byte for byte
-// (-engines goroutine,event compares both).
+// amortize every remap; the default run regenerates
+// results/online_reorder.tsv byte for byte.
 var DefaultOnline = OnlineConfig{
 	NP:              48,
 	Groups:          4,
 	ChunkBytes:      128 << 10,
 	Phases:          4,
 	WindowsPerPhase: 6,
-	Engines:         []string{"event"},
 }
 
-// OnlineRow is one (engine, strategy) measurement.
+// OnlineRow is one strategy's measurement.
 type OnlineRow struct {
-	Engine  string
 	Mode    string // "baseline", "static", "online"
 	TotalMs float64
 	Remaps  int
@@ -53,9 +49,9 @@ type OnlineRow struct {
 // Modes in reporting order.
 var onlineModes = []string{"baseline", "static", "online"}
 
-// OnlineReorder runs the experiment and returns one row per engine and
-// strategy. All three strategies execute exactly Phases*WindowsPerPhase
-// windows of traffic; the static strategy spends its first window inside
+// OnlineReorder runs the experiment and returns one row per strategy. All
+// three strategies execute exactly Phases*WindowsPerPhase windows of
+// traffic; the static strategy spends its first window inside
 // MonitorAndReorder, the online one monitors every window through the
 // controller.
 func OnlineReorder(cfg OnlineConfig) ([]OnlineRow, error) {
@@ -63,15 +59,12 @@ func OnlineReorder(cfg OnlineConfig) ([]OnlineRow, error) {
 		return nil, fmt.Errorf("exp: %d ranks do not divide into %d groups", cfg.NP, cfg.Groups)
 	}
 	var rows []OnlineRow
-	for _, eng := range cfg.Engines {
-		for _, mode := range onlineModes {
-			total, remaps, err := onlineRun(cfg, eng, mode)
-			if err != nil {
-				return nil, fmt.Errorf("exp: online %s/%s: %w", eng, mode, err)
-			}
-			rows = append(rows, OnlineRow{Engine: eng, Mode: mode,
-				TotalMs: Ms(total), Remaps: remaps})
+	for _, mode := range onlineModes {
+		total, remaps, err := onlineRun(cfg, mode)
+		if err != nil {
+			return nil, fmt.Errorf("exp: online %s: %w", mode, err)
 		}
+		rows = append(rows, OnlineRow{Mode: mode, TotalMs: Ms(total), Remaps: remaps})
 	}
 	return rows, nil
 }
@@ -92,20 +85,13 @@ func onlineGroupWindow(c *mpi.Comm, groups, chunk int, strided bool) error {
 	return sub.AllgatherN(chunk)
 }
 
-func onlineRun(cfg OnlineConfig, engine, mode string) (time.Duration, int, error) {
-	var opts []mpi.Option
-	if eng, err := mpi.EngineByName(engine); err != nil {
-		return 0, 0, err
-	} else if eng != nil {
-		opts = append(opts, mpi.WithEngine(eng))
-	}
+func onlineRun(cfg OnlineConfig, mode string) (time.Duration, int, error) {
 	mach := netsim.PlaFRIM(Nodes(cfg.NP))
 	rr, err := treematch.PlacementRoundRobin(cfg.NP, mach.Topo)
 	if err != nil {
 		return 0, 0, err
 	}
-	opts = append(opts, mpi.WithPlacement(rr))
-	w, err := newWorld(mach, cfg.NP, opts...)
+	w, err := newWorld(mach, cfg.NP, mpi.WithPlacement(rr))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -117,7 +103,7 @@ func onlineRun(cfg OnlineConfig, engine, mode string) (time.Duration, int, error
 		}
 	}
 	remaps := 0
-	err = w.RunWithTimeout(10*time.Minute, func(c *mpi.Comm) error {
+	err = w.Run(func(c *mpi.Comm) error {
 		switch mode {
 		case "baseline":
 			for i := 0; i < totalWindows; i++ {
@@ -177,18 +163,18 @@ func onlineRun(cfg OnlineConfig, engine, mode string) (time.Duration, int, error
 
 // PrintOnline writes the TSV consumed by results/online_reorder.tsv.
 func PrintOnline(w io.Writer, rows []OnlineRow) {
-	Fprintf(w, "# engine\tmode\ttotal_ms\tremaps\tspeedup_vs_baseline\n")
-	base := map[string]float64{}
+	Fprintf(w, "# mode\ttotal_ms\tremaps\tspeedup_vs_baseline\n")
+	base := 0.0
 	for _, r := range rows {
 		if r.Mode == "baseline" {
-			base[r.Engine] = r.TotalMs
+			base = r.TotalMs
 		}
 	}
 	for _, r := range rows {
 		speedup := 0.0
-		if b, ok := base[r.Engine]; ok && r.TotalMs > 0 {
-			speedup = b / r.TotalMs
+		if r.TotalMs > 0 {
+			speedup = base / r.TotalMs
 		}
-		Fprintf(w, "%s\t%s\t%.2f\t%d\t%.2fx\n", r.Engine, r.Mode, r.TotalMs, r.Remaps, speedup)
+		Fprintf(w, "%s\t%.2f\t%d\t%.2fx\n", r.Mode, r.TotalMs, r.Remaps, speedup)
 	}
 }

@@ -9,10 +9,9 @@ import (
 // TestReorderVirtualTimeRepeats pins what the mapping-cost model buys: an
 // experiment that reorders is a pure function of its configuration. One
 // Fig. 6 cell, one Fig. 7 row and one online-controller run are each
-// executed twice on the event engine and must agree exactly — T2 and the
-// totals used to carry the host's TreeMatch wall time.
+// executed twice and must agree exactly — T2 and the totals used to carry
+// the host's TreeMatch wall time.
 func TestReorderVirtualTimeRepeats(t *testing.T) {
-	onEventEngine(t)
 	twice := func(name string, run func() (any, error)) {
 		t.Helper()
 		a, err := run()
@@ -37,7 +36,7 @@ func TestReorderVirtualTimeRepeats(t *testing.T) {
 	cfg := DefaultOnline
 	cfg.Phases, cfg.WindowsPerPhase = 2, 2
 	twice("online controller run", func() (any, error) {
-		total, remaps, err := onlineRun(cfg, "event", "online")
+		total, remaps, err := onlineRun(cfg, "online")
 		return [2]int64{int64(total), int64(remaps)}, err
 	})
 }

@@ -232,6 +232,10 @@ func serveOneWorld(wi, gx int, base string, httpc *http.Client, cfg ServeConfig)
 	// the ground truth the served views must match bit for bit.
 	localC := make([][]uint64, cfg.Epochs)
 	localB := make([][]uint64, cfg.Epochs)
+	// The only host watchdog among the drivers: Suspend posts rows over
+	// HTTP from inside a rank, and a daemon (-daemon URL) that stops
+	// answering blocks that rank on the host, where the engine's deadlock
+	// detection cannot see it.
 	err = w.RunWithTimeout(10*time.Minute, func(c *mpi.Comm) error {
 		env, err := monitoring.Init(c.Proc())
 		if err != nil {

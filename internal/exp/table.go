@@ -52,9 +52,8 @@ var experiments = []experiment{
 		},
 	},
 	{
-		name:   "engine-scale",
-		doc:    "event-engine scaling: events/s, wall time and live heap at np 4096..65536, plus the TreeMatch mapping",
-		engine: "event",
+		name: "engine-scale",
+		doc:  "event-engine scaling: events/s, wall time and live heap at np 4096..65536, plus the TreeMatch mapping",
 		setup: func(fs *flag.FlagSet) func(io.Writer) error {
 			cfg := DefaultEngineScale
 			intsVar(fs, &cfg.NPs, "np", "world sizes (perfect squares)")
@@ -137,9 +136,8 @@ var experiments = []experiment{
 		},
 	},
 	{
-		name:   "nascg",
-		doc:    "Fig. 7: NAS CG (skeleton) gains of dynamic reordering, classes B-D, 64-256 ranks, three mappings",
-		engine: "event",
+		name: "nascg",
+		doc:  "Fig. 7: NAS CG (skeleton) gains of dynamic reordering, classes B-D, 64-256 ranks, three mappings",
 		setup: func(fs *flag.FlagSet) func(io.Writer) error {
 			cfg := DefaultCG
 			classes := fs.String("classes", strings.Join(cfg.Classes, ","), "NPB classes")
@@ -168,9 +166,7 @@ var experiments = []experiment{
 			fs.IntVar(&cfg.ChunkBytes, "chunk", cfg.ChunkBytes, "per-rank allgather contribution in bytes")
 			fs.IntVar(&cfg.Phases, "phases", cfg.Phases, "traffic phases (the pattern flips between them)")
 			fs.IntVar(&cfg.WindowsPerPhase, "windows", cfg.WindowsPerPhase, "windows per phase")
-			engines := fs.String("engines", strings.Join(cfg.Engines, ","), "execution engines to compare")
 			return func(w io.Writer) error {
-				cfg.Engines = parseStrings(*engines)
 				rows, err := OnlineReorder(cfg)
 				if err != nil {
 					return err
@@ -209,9 +205,8 @@ var experiments = []experiment{
 		},
 	},
 	{
-		name:   "reorder-heatmap",
-		doc:    "Fig. 6: gain of reordering allgather groups across iteration counts and buffer sizes",
-		engine: "event",
+		name: "reorder-heatmap",
+		doc:  "Fig. 6: gain of reordering allgather groups across iteration counts and buffer sizes",
 		setup: func(fs *flag.FlagSet) func(io.Writer) error {
 			// DefaultHeatmap stops at 1000 iterations to keep the run in
 			// minutes; pass -iters 1,10,100,1000,10000 for the paper's grid.

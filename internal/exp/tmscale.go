@@ -103,12 +103,12 @@ func tmScaleMatrix(order int, cfg TMScaleConfig) (*treematch.Matrix, error) {
 	if msgBytes == 0 {
 		msgBytes = DefaultEngineScale.MsgBytes
 	}
-	sm, row, err := StencilWorldSparse(order, iters, msgBytes, "")
+	sm, row, err := StencilWorldSparse(order, iters, msgBytes)
 	if err != nil {
 		return nil, fmt.Errorf("from-world order %d: %w", order, err)
 	}
-	log.Printf("treematch-scale: order %d: %s engine, %d events in %.2fs (%.0f events/s), %.1f MB heap, nnz %d",
-		order, row.Engine, row.Events, row.WallSeconds, row.EventsPerSec, row.HeapMB, row.NNZ)
+	log.Printf("treematch-scale: order %d: %d events in %.2fs (%.0f events/s), %.1f MB heap, nnz %d",
+		order, row.Events, row.WallSeconds, row.EventsPerSec, row.HeapMB, row.NNZ)
 	return treematch.FromView(sm)
 }
 

@@ -6,10 +6,8 @@
 // a mapping of processes onto cores that keeps heavily-communicating
 // processes close.
 //
-// Two algorithm variants are provided. MapTree is a top-down recursive
-// partitioning that handles arbitrary (including pruned/uneven) topology
-// trees and is the default. MapBalanced is the classic bottom-up k-ary
-// grouping for balanced trees, kept for comparison. The package also ships
+// MapTree is a top-down recursive partitioning that handles arbitrary
+// (including pruned/uneven) topology trees. The package also ships
 // the baseline placements the paper compares against (packed/"standard",
 // round-robin, random) and a placement cost evaluator.
 package treematch

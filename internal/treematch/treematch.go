@@ -3,7 +3,6 @@ package treematch
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"mpimon/internal/topology"
 )
@@ -37,166 +36,6 @@ func MapTree(m *Matrix, root *topology.Tree) ([]int, error) {
 
 // treeNode is the tree type the partitioning kernel recurses over.
 type treeNode = topology.Tree
-
-// MapBalanced is the classic bottom-up TreeMatch on a balanced topology:
-// processes are grouped by the deepest level's arity maximizing intra-group
-// affinity, groups become virtual processes with aggregated affinities, and
-// the procedure repeats up to the root. The matrix may have fewer processes
-// than the topology has leaves; missing slots are padded with zero-affinity
-// dummies (which can land on any core — use MapTree with a restricted tree
-// when specific cores must be avoided). Returns coreOf[process] = leaf.
-func MapBalanced(m *Matrix, topo *topology.Topology) ([]int, error) {
-	n := m.N()
-	leaves := topo.Leaves()
-	if n > leaves {
-		return nil, fmt.Errorf("treematch: %d processes exceed the %d leaves of the topology", n, leaves)
-	}
-	m.Finish()
-
-	// Current objects: each is a list of original processes (dummies are
-	// absent); aff is the aggregated affinity between objects, padded
-	// with zero-affinity dummy rows up to the leaf count.
-	objs := make([][]int, leaves)
-	for i := 0; i < leaves; i++ {
-		if i < n {
-			objs[i] = []int{i}
-		} else {
-			objs[i] = nil // dummy
-		}
-	}
-	aff := NewMatrix(leaves)
-	for i := 0; i < n; i++ {
-		for _, e := range m.Row(i) {
-			if e.Col > i {
-				aff.Add(i, e.Col, e.W)
-			}
-		}
-	}
-	aff.Finish()
-	arities := topo.Arities()
-
-	for depth := len(arities) - 1; depth >= 1; depth-- {
-		a := arities[depth]
-		groups := groupK(aff, len(objs), a)
-		newObjs := make([][]int, len(groups))
-		next := NewMatrix(len(groups))
-		// Aggregate affinities between groups.
-		groupOf := make([]int, len(objs))
-		for g, members := range groups {
-			for _, o := range members {
-				groupOf[o] = g
-			}
-		}
-		for i := 0; i < len(objs); i++ {
-			for _, e := range aff.Row(i) {
-				if e.Col > i && groupOf[i] != groupOf[e.Col] {
-					next.Add(groupOf[i], groupOf[e.Col], e.W)
-				}
-			}
-		}
-		for g, members := range groups {
-			var merged []int
-			for _, o := range members {
-				merged = append(merged, objs[o]...)
-			}
-			newObjs[g] = merged
-		}
-		objs = newObjs
-		aff = next
-		aff.Finish()
-	}
-
-	// Flatten: objs are ordered left-to-right under the root; each object
-	// occupies a block of leaves. Recover the per-process leaf from the
-	// order processes were merged in (grouping preserved child order).
-	coreOf := make([]int, n)
-	leaf := 0
-	blk := leaves
-	if len(objs) > 0 {
-		blk = leaves / len(objs)
-	}
-	for g, members := range objs {
-		leaf = g * blk
-		for _, p := range members {
-			coreOf[p] = leaf
-			leaf++
-		}
-	}
-	return coreOf, nil
-}
-
-// groupK partitions object ids 0..n-1 into n/k groups of k, greedily: each
-// group is seeded with the ungrouped object of largest remaining affinity
-// and grown by the ungrouped object with the highest affinity to the group.
-func groupK(m *Matrix, n, k int) [][]int {
-	if n%k != 0 {
-		panic(fmt.Sprintf("treematch: cannot group %d objects by %d", n, k))
-	}
-	ung := make([]bool, n)
-	for i := range ung {
-		ung[i] = true
-	}
-	total := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for _, e := range m.Row(i) {
-			total[i] += e.W
-		}
-	}
-	var groups [][]int
-	remaining := n
-	gain := make([]float64, n)
-	for remaining > 0 {
-		// Seed: ungrouped object with max total remaining affinity.
-		seed := -1
-		for i := 0; i < n; i++ {
-			if ung[i] && (seed == -1 || total[i] > total[seed]) {
-				seed = i
-			}
-		}
-		group := []int{seed}
-		ung[seed] = false
-		remaining--
-		for i := range gain {
-			gain[i] = 0
-		}
-		for _, e := range m.Row(seed) {
-			if ung[e.Col] {
-				gain[e.Col] += e.W
-			}
-		}
-		for len(group) < k {
-			best := -1
-			for i := 0; i < n; i++ {
-				if !ung[i] {
-					continue
-				}
-				if best == -1 || gain[i] > gain[best] ||
-					(gain[i] == gain[best] && total[i] > total[best]) {
-					best = i
-				}
-			}
-			group = append(group, best)
-			ung[best] = false
-			remaining--
-			for _, e := range m.Row(best) {
-				if ung[e.Col] {
-					gain[e.Col] += e.W
-				}
-			}
-		}
-		// Claimed objects no longer count in peers' remaining totals.
-		for _, g := range group {
-			for _, e := range m.Row(g) {
-				if ung[e.Col] {
-					total[e.Col] -= e.W
-				}
-			}
-		}
-		sort.Ints(group)
-		groups = append(groups, group)
-	}
-	return groups
-}
 
 // Cost evaluates a placement: the sum over communicating pairs of
 // affinity times topology distance between their cores. Lower is better;

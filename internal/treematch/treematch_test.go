@@ -186,43 +186,6 @@ func TestMapTreeOnRestrictedTree(t *testing.T) {
 	}
 }
 
-func TestMapBalancedColocates(t *testing.T) {
-	topo := topology.MustNew(2, 2)
-	coreOf, err := MapBalanced(twoClusters(), topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !topo.SameNode(coreOf[0], coreOf[1]) || !topo.SameNode(coreOf[2], coreOf[3]) {
-		t.Fatalf("MapBalanced split a pair: %v", coreOf)
-	}
-}
-
-func TestMapBalancedTooManyProcs(t *testing.T) {
-	topo := topology.MustNew(2)
-	if _, err := MapBalanced(NewMatrix(3), topo); err == nil {
-		t.Fatal("more processes than leaves should fail")
-	}
-}
-
-func TestMapBalancedFewerProcsThanLeaves(t *testing.T) {
-	topo := topology.MustNew(2, 4)
-	m := NewMatrix(6)
-	m.Add(0, 1, 10)
-	m.Add(4, 5, 10)
-	m.Finish()
-	coreOf, err := MapBalanced(m, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]bool{}
-	for _, c := range coreOf {
-		if c < 0 || c >= 8 || seen[c] {
-			t.Fatalf("invalid placement %v", coreOf)
-		}
-		seen[c] = true
-	}
-}
-
 // bruteForceCost finds the optimal placement cost by trying all
 // permutations (tiny instances only).
 func bruteForceCost(m *Matrix, topo *topology.Topology) float64 {

@@ -385,11 +385,6 @@ func NewCommMatrix(n int) *CommMatrix { return treematch.NewMatrix(n) }
 // occupancy).
 func TreeMatch(m *CommMatrix, root *Tree) ([]int, error) { return treematch.MapTree(m, root) }
 
-// TreeMatchBalanced is the classic bottom-up TreeMatch on balanced trees.
-func TreeMatchBalanced(m *CommMatrix, topo *Topology) ([]int, error) {
-	return treematch.MapBalanced(m, topo)
-}
-
 // PlacementCost evaluates affinity-weighted topology distance of a
 // placement; the reordering minimizes it.
 func PlacementCost(m *CommMatrix, coreOf []int, topo *Topology) float64 {

@@ -271,9 +271,6 @@ func TestFacadeWrapperCoverage(t *testing.T) {
 	if coreOf, err := TreeMatch(m, topo.FullTree()); err != nil || len(coreOf) != 2 {
 		t.Fatal("TreeMatch wrapper")
 	}
-	if coreOf, err := TreeMatchBalanced(m, topo); err != nil || len(coreOf) != 2 {
-		t.Fatal("TreeMatchBalanced wrapper")
-	}
 	if m2, err := CommMatrixFromView(DenseMatrixView([]uint64{0, 1, 2, 0}, 2)); err != nil || m2.Affinity(0, 1) != 3 {
 		t.Fatal("CommMatrixFromView wrapper")
 	}
