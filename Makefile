@@ -1,7 +1,7 @@
 GO ?= go
 BENCHES = hotpath gather serve engine commitagg coll
 
-.PHONY: build test vet race flake nodeprecated novhostclock noenginechoice bench benchsmoke apicheck ci
+.PHONY: build test vet race flake fuzz nodeprecated novhostclock noenginechoice bench benchsmoke apicheck ci
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,12 @@ race:
 # (ROADMAP item 1).
 flake:
 	$(GO) test -count=10 -cpu 1,2 ./internal/cg ./internal/exp ./internal/coll ./internal/online ./internal/reorder ./cmd/mpimon
+
+# fuzz runs each fuzz target for a few seconds on top of its checked-in seed
+# corpus (testdata/fuzz/, which plain `go test` already replays): the reduce
+# kernels against the scalar oracle.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzReduceInto$$' -fuzztime 5s ./internal/mpi
 
 # nodeprecated keeps deprecated shims from regrowing: the repository has
 # one function per operation, so nothing outside the tests may carry a
@@ -64,7 +70,7 @@ apicheck:
 # docs/PERFORMANCE.md); `make bench-<suite>` records one. A suite is a
 # row of this table: the `go test` runs (extra flags, -bench pattern,
 # package) whose output cmd/benchjson converts.
-#   hotpath   send/recv micro (pool-hit allocation rate), TreeMatch kernels, collective layer
+#   hotpath   send/recv micro (pool-hit allocation rate), reduce kernels vs the scalar oracle, TreeMatch kernels, collective layer
 #   gather    sparse root-gather at np 256/1024/4096
 #   serve     monitoring daemon ingest, views and frame codec
 #   engine    event-engine stencil worlds at np 4096/16384/65536
@@ -72,7 +78,7 @@ apicheck:
 #   coll      collective algorithm portfolio
 benchrun = $(GO) test -run '^$$' -bench '$(2)' -benchmem $(1) $(3)
 
-hotpath_runs = $(call benchrun,,^BenchmarkSendRecv,./internal/mpi) && \
+hotpath_runs = $(call benchrun,,^Benchmark(SendRecv|ReduceKernel),./internal/mpi) && \
 	$(call benchrun,,^(BenchmarkTreeMatch|BenchmarkTable1TreeMatchScale|BenchmarkPingPong|BenchmarkCollectives|BenchmarkBarrier48)$$,.)
 gather_runs = $(call benchrun,-benchtime 1x,^BenchmarkGatherSparse$$,.)
 serve_runs = $(call benchrun,,^(BenchmarkServeIngest|BenchmarkServeView|BenchmarkFrameCodec)$$,./internal/monsvc)
@@ -96,7 +102,8 @@ benchsmoke:
 
 # ci is the gate for a change: static checks, full build, the whole test
 # suite, the race tier on the instrumented packages, the flake tier on the
-# clock-sensitive ones, a one-iteration pass over every benchmark, the
-# exported-API pin, the no-deprecated-shims check, the no-host-clock check
-# on the reorder loop and the no-engine-choice check on the drivers.
-ci: vet build test race flake benchsmoke apicheck nodeprecated novhostclock noenginechoice
+# clock-sensitive ones, a few seconds of every fuzz target, a one-iteration
+# pass over every benchmark, the exported-API pin, the no-deprecated-shims
+# check, the no-host-clock check on the reorder loop and the no-engine-choice
+# check on the drivers.
+ci: vet build test race flake fuzz benchsmoke apicheck nodeprecated novhostclock noenginechoice

@@ -31,6 +31,10 @@ const (
 
 var msgPools [numBufClasses + 1]sync.Pool
 
+// poolTrace is a test seam (export_test.go): when set, it sees every message
+// as it is drawn (true) and as it is released (false).
+var poolTrace func(m *message, drawn bool)
+
 // bufClass maps a payload size to its pool class: the smallest class whose
 // capacity holds n bytes, poolStruct for empty payloads, poolNone when n
 // exceeds the largest class.
@@ -57,20 +61,23 @@ func getMsg(size int, withData bool) *message {
 	if withData {
 		cls = bufClass(size)
 	}
+	var m *message
 	if cls == poolNone {
-		return &message{pclass: poolNone, size: size, data: make([]byte, size)}
-	}
-	if v := msgPools[cls].Get(); v != nil {
-		m := v.(*message)
+		m = &message{pclass: poolNone, size: size, data: make([]byte, size)}
+	} else if v := msgPools[cls].Get(); v != nil {
+		m = v.(*message)
 		m.size = size
 		if cls != poolStruct {
 			m.data = m.data[:size]
 		}
-		return m
+	} else {
+		m = &message{pclass: int8(cls), size: size}
+		if cls != poolStruct {
+			m.data = make([]byte, size, 1<<(bufMinShift+cls))
+		}
 	}
-	m := &message{pclass: int8(cls), size: size}
-	if cls != poolStruct {
-		m.data = make([]byte, size, 1<<(bufMinShift+cls))
+	if poolTrace != nil {
+		poolTrace(m, true)
 	}
 	return m
 }
@@ -96,6 +103,9 @@ func ownedMsg(data []byte, size int) *message {
 // only live reference: the message has been removed from its queue and its
 // payload already copied out.
 func (m *message) release() {
+	if poolTrace != nil {
+		poolTrace(m, false)
+	}
 	switch m.pclass {
 	case poolNone:
 		return

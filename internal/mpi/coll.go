@@ -34,24 +34,26 @@ const (
 // MPI implementations protect collectives from stray user messages.
 func (c *Comm) collCtx() int { return -(c.ctx + 1) }
 
+// sendMsgOn sends a message built with cloneMsg/ownedMsg on an explicit
+// context and takes ownership of it, like send.
+func (c *Comm) sendMsgOn(ctx, dst, tag int, m *message) error {
+	saved := c.ctx
+	c.ctx = ctx
+	err := c.send(dst, tag, m, c.p.class())
+	c.ctx = saved
+	return err
+}
+
 // sendOn sends on an explicit context, taking ownership of data (the caller
 // must not touch it again); data may be nil for size-only messages.
 func (c *Comm) sendOn(ctx, dst, tag int, data []byte, size int) error {
-	saved := c.ctx
-	c.ctx = ctx
-	err := c.send(dst, tag, ownedMsg(data, size), c.p.class())
-	c.ctx = saved
-	return err
+	return c.sendMsgOn(ctx, dst, tag, ownedMsg(data, size))
 }
 
 // sendCopyOn sends a copy of data on an explicit context through the pooled
 // message buffers; the caller keeps ownership of data.
 func (c *Comm) sendCopyOn(ctx, dst, tag int, data []byte) error {
-	saved := c.ctx
-	c.ctx = ctx
-	err := c.send(dst, tag, cloneMsg(data), c.p.class())
-	c.ctx = saved
-	return err
+	return c.sendMsgOn(ctx, dst, tag, cloneMsg(data))
 }
 
 func (c *Comm) recvOn(ctx, src, tag int, buf []byte) (Status, error) {
@@ -60,6 +62,29 @@ func (c *Comm) recvOn(ctx, src, tag int, buf []byte) (Status, error) {
 	st, err := c.recv(src, tag, buf)
 	c.ctx = saved
 	return st, err
+}
+
+// recvMsgOn is recvMsg on an explicit context: the caller owns the message,
+// reads m.data before it releases or forwards m, and never after.
+func (c *Comm) recvMsgOn(ctx, src, tag int) (*message, error) {
+	saved := c.ctx
+	c.ctx = ctx
+	m, err := c.recvMsg(src, tag)
+	c.ctx = saved
+	return m, err
+}
+
+// recvReduceOn receives on an explicit context and folds the payload into
+// acc (acc = op(acc, payload)) straight from the message buffer. The payload
+// must be exactly len(acc) bytes; the message is released whatever the outcome.
+func (c *Comm) recvReduceOn(ctx, src, tag int, acc []byte, dt Datatype, op Op) error {
+	m, err := c.recvMsgOn(ctx, src, tag)
+	if err != nil {
+		return err
+	}
+	err = reduceInto(acc, m.data, dt, op)
+	m.release()
+	return err
 }
 
 // Barrier blocks until every member of the communicator has entered it. It
@@ -189,42 +214,52 @@ func (c *Comm) reduceBinary(send, recv []byte, size int, dt Datatype, op Op, roo
 	if err := c.checkRank(root, "root"); err != nil {
 		return err
 	}
-	ctx := c.collCtx()
 	vrank := (c.rank - root + n) % n
-	toReal := func(v int) int { return (v + root) % n }
-
-	var acc []byte
-	if carry {
-		acc = append([]byte(nil), send...)
+	children := make([]int, 0, 2)
+	for child := 2*vrank + 1; child <= 2*vrank+2 && child < n; child++ {
+		children = append(children, (child+root)%n)
 	}
-	for _, child := range []int{2*vrank + 1, 2*vrank + 2} {
-		if child >= n {
-			continue
-		}
-		var rbuf []byte
-		if carry {
-			rbuf = make([]byte, size)
-		}
-		if _, err := c.recvOn(ctx, toReal(child), tagReduce, rbuf); err != nil {
+	parent := -1
+	if vrank > 0 {
+		parent = ((vrank-1)/2 + root) % n
+	}
+	return c.reduceUp(send, recv, size, dt, op, carry, children, parent)
+}
+
+// reduceUp is the data path both reduction trees share: fold the children's
+// messages, in order, into this rank's contribution, then pass the result to
+// parent — or leave it in recv on the root, which has parent < 0. The
+// accumulator is the root's recv itself; elsewhere it is a pooled clone of
+// send that travels on as the message to the parent, whose fold recycles it.
+// Without carry only sizes move: buffers and payloads are nil, folds empty.
+func (c *Comm) reduceUp(send, recv []byte, size int, dt Datatype, op Op, carry bool, children []int, parent int) error {
+	if err := checkReduce("reduce", send, recv, parent < 0, dt, op); err != nil {
+		return err
+	}
+	ctx := c.collCtx()
+	acc := recv
+	var up *message // what the parent receives; the root sends nothing
+	switch {
+	case parent < 0:
+		copy(recv, send)
+	case carry:
+		up = cloneMsg(send)
+		acc = up.data
+	default:
+		up = ownedMsg(nil, size)
+	}
+	for _, child := range children {
+		if err := c.recvReduceOn(ctx, child, tagReduce, acc, dt, op); err != nil {
+			if up != nil {
+				up.release()
+			}
 			return err
 		}
-		if carry {
-			if err := reduceInto(acc, rbuf, dt, op); err != nil {
-				return err
-			}
-		}
 	}
-	if vrank == 0 {
-		if carry {
-			if len(recv) != size {
-				return fmt.Errorf("mpi: reduce root recv buffer has %d bytes, want %d", len(recv), size)
-			}
-			copy(recv, acc)
-		}
+	if up == nil {
 		return nil
 	}
-	parent := toReal((vrank - 1) / 2)
-	return c.sendOn(ctx, parent, tagReduce, acc, size)
+	return c.sendMsgOn(ctx, parent, tagReduce, up)
 }
 
 // ReduceBinomial is Reduce with the binomial-tree algorithm, provided as an
@@ -243,36 +278,21 @@ func (c *Comm) reduceBinomial(send, recv []byte, dt Datatype, op Op, root int) e
 	if err := c.checkRank(root, "root"); err != nil {
 		return err
 	}
-	ctx := c.collCtx()
-	size := len(send)
 	vrank := (c.rank - root + n) % n
-	toReal := func(v int) int { return (v + root) % n }
-	acc := append([]byte(nil), send...)
-
-	mask := 1
-	for mask < n {
-		if vrank&mask == 0 {
-			child := vrank | mask
-			if child < n {
-				rbuf := make([]byte, size)
-				if _, err := c.recvOn(ctx, toReal(child), tagReduce, rbuf); err != nil {
-					return err
-				}
-				if err := reduceInto(acc, rbuf, dt, op); err != nil {
-					return err
-				}
-			}
-		} else {
-			parent := toReal(vrank &^ mask)
-			return c.sendOn(ctx, parent, tagReduce, acc, size)
+	// Children are vrank|mask for every mask below vrank's lowest set bit;
+	// the parent clears that bit.
+	children := make([]int, 0, 64)
+	parent := -1
+	for mask := 1; mask < n; mask <<= 1 {
+		if vrank&mask != 0 {
+			parent = (vrank&^mask + root) % n
+			break
 		}
-		mask <<= 1
+		if child := vrank | mask; child < n {
+			children = append(children, (child+root)%n)
+		}
 	}
-	if len(recv) != size {
-		return fmt.Errorf("mpi: reduce root recv buffer has %d bytes, want %d", len(recv), size)
-	}
-	copy(recv, acc)
-	return nil
+	return c.reduceUp(send, recv, len(send), dt, op, true, children, parent)
 }
 
 // Allreduce reduces to rank 0 and broadcasts the result; every member's
@@ -283,8 +303,8 @@ func (c *Comm) Allreduce(send, recv []byte, dt Datatype, op Op) error {
 	defer c.span("allreduce")()
 	c.p.beginInternal()
 	defer c.p.endInternal()
-	if len(recv) != len(send) {
-		return c.herr(fmt.Errorf("mpi: allreduce buffers differ in length (%d vs %d)", len(send), len(recv)))
+	if err := checkReduce("allreduce", send, recv, true, dt, op); err != nil {
+		return c.herr(err)
 	}
 	if err := c.reduceBinary(send, recv, len(send), dt, op, 0, true); err != nil {
 		return c.herr(err)

@@ -13,18 +13,6 @@ import (
 	"fmt"
 )
 
-// checkReduceBufs validates an allreduce buffer pair: equal length, a
-// whole number of dt elements.
-func (c *Comm) checkReduceBufs(send, recv []byte, dt Datatype) error {
-	if len(recv) != len(send) {
-		return fmt.Errorf("mpi: allreduce buffers differ in length (%d vs %d)", len(send), len(recv))
-	}
-	if len(send)%dt.Size() != 0 {
-		return fmt.Errorf("mpi: allreduce buffer of %d bytes is not a multiple of %s size %d", len(send), dt, dt.Size())
-	}
-	return nil
-}
-
 // AllreduceRing performs an allreduce with the ring (reduce-scatter +
 // allgather) algorithm: 2(n-1) neighbour exchanges of one n-th of the
 // vector each. Every rank sends 2·(n-1)/n of the buffer in total, the
@@ -41,7 +29,7 @@ func (c *Comm) AllreduceRing(send, recv []byte, dt Datatype, op Op) error {
 }
 
 func (c *Comm) allreduceRing(send, recv []byte, dt Datatype, op Op) error {
-	if err := c.checkReduceBufs(send, recv, dt); err != nil {
+	if err := checkReduce("allreduce", send, recv, true, dt, op); err != nil {
 		return err
 	}
 	n := len(c.group)
@@ -54,16 +42,9 @@ func (c *Comm) allreduceRing(send, recv []byte, dt Datatype, op Op) error {
 	// Block i covers elements [elems*i/n, elems*(i+1)/n): balanced, and
 	// identical on every rank.
 	lo := func(i int) int { return elems * i / n * es }
-	maxBlk := 0
-	for i := 0; i < n; i++ {
-		if b := lo(i+1) - lo(i); b > maxBlk {
-			maxBlk = b
-		}
-	}
 	ctx := c.collCtx()
 	right := (c.rank + 1) % n
 	left := (c.rank - 1 + n) % n
-	tmp := make([]byte, maxBlk)
 
 	// Reduce-scatter: in round s, pass the partial block (rank-s) to the
 	// right and fold the arriving partial into block (rank-s-1). After
@@ -74,11 +55,7 @@ func (c *Comm) allreduceRing(send, recv []byte, dt Datatype, op Op) error {
 		if err := c.sendCopyOn(ctx, right, tagRing+s, recv[lo(si):lo(si+1)]); err != nil {
 			return err
 		}
-		buf := tmp[:lo(ri+1)-lo(ri)]
-		if _, err := c.recvOn(ctx, left, tagRing+s, buf); err != nil {
-			return err
-		}
-		if err := reduceInto(recv[lo(ri):lo(ri+1)], buf, dt, op); err != nil {
+		if err := c.recvReduceOn(ctx, left, tagRing+s, recv[lo(ri):lo(ri+1)], dt, op); err != nil {
 			return err
 		}
 	}
@@ -112,7 +89,7 @@ func (c *Comm) AllreduceRab(send, recv []byte, dt Datatype, op Op) error {
 }
 
 func (c *Comm) allreduceRab(send, recv []byte, dt Datatype, op Op) error {
-	if err := c.checkReduceBufs(send, recv, dt); err != nil {
+	if err := checkReduce("allreduce", send, recv, true, dt, op); err != nil {
 		return err
 	}
 	n := len(c.group)
@@ -124,37 +101,9 @@ func (c *Comm) allreduceRab(send, recv []byte, dt Datatype, op Op) error {
 	elems := len(send) / es
 	ctx := c.collCtx()
 
-	pof2 := 1
-	for pof2*2 <= n {
-		pof2 *= 2
-	}
-	rem := n - pof2
-
-	// Pre-step: the first 2*rem ranks fold pairwise so pof2 ranks hold
-	// partial results (even ranks sit out until the post-step).
-	newRank := -1
-	switch {
-	case c.rank < 2*rem && c.rank%2 == 0:
-		if err := c.sendCopyOn(ctx, c.rank+1, tagRab, recv); err != nil {
-			return err
-		}
-	case c.rank < 2*rem:
-		buf := make([]byte, len(recv))
-		if _, err := c.recvOn(ctx, c.rank-1, tagRab, buf); err != nil {
-			return err
-		}
-		if err := reduceInto(recv, buf, dt, op); err != nil {
-			return err
-		}
-		newRank = c.rank / 2
-	default:
-		newRank = c.rank - rem
-	}
-	toReal := func(nr int) int {
-		if nr < rem {
-			return 2*nr + 1 // odd ranks of the folded region hold the data
-		}
-		return nr + rem
+	pof2, rem, newRank, err := c.foldIn(ctx, tagRab, recv, dt, op)
+	if err != nil {
+		return err
 	}
 
 	// level records one halving step so the doubling phase can replay it
@@ -167,7 +116,7 @@ func (c *Comm) allreduceRab(send, recv []byte, dt Datatype, op Op) error {
 		// and fold the half they keep.
 		lvLo, lvHi := 0, elems
 		for mask := pof2 >> 1; mask >= 1; mask >>= 1 {
-			peer := toReal(newRank ^ mask)
+			peer := foldPeer(newRank^mask, rem)
 			mid := lvLo + (lvHi-lvLo)/2
 			var sLo, sHi, kLo, kHi int
 			if newRank&mask == 0 {
@@ -175,11 +124,7 @@ func (c *Comm) allreduceRab(send, recv []byte, dt Datatype, op Op) error {
 			} else {
 				sLo, sHi, kLo, kHi = lvLo, mid, mid, lvHi
 			}
-			buf := make([]byte, (kHi-kLo)*es)
-			if _, err := c.sendrecvOn(ctx, peer, tagRab+2*mask, recv[sLo*es:sHi*es], peer, tagRab+2*mask, buf); err != nil {
-				return err
-			}
-			if err := reduceInto(recv[kLo*es:kHi*es], buf, dt, op); err != nil {
+			if err := c.sendrecvReduceOn(ctx, peer, tagRab+2*mask, recv[sLo*es:sHi*es], recv[kLo*es:kHi*es], dt, op); err != nil {
 				return err
 			}
 			levels = append(levels, level{plo: lvLo, phi: lvHi, lo: kLo, hi: kHi})
@@ -191,33 +136,23 @@ func (c *Comm) allreduceRab(send, recv []byte, dt Datatype, op Op) error {
 		for i := len(levels) - 1; i >= 0; i-- {
 			lv := levels[i]
 			mask := pof2 >> (i + 1)
-			peer := toReal(newRank ^ mask)
+			peer := foldPeer(newRank^mask, rem)
 			pLo, pHi := lv.phi, lv.phi
 			if lv.lo == lv.plo {
 				pLo, pHi = lv.hi, lv.phi
 			} else {
 				pLo, pHi = lv.plo, lv.lo
 			}
-			if _, err := c.sendrecvOn(ctx, peer, tagRab+2*mask+1, recv[lv.lo*es:lv.hi*es], peer, tagRab+2*mask+1, recv[pLo*es:pHi*es]); err != nil {
+			if err := c.sendCopyOn(ctx, peer, tagRab+2*mask+1, recv[lv.lo*es:lv.hi*es]); err != nil {
+				return err
+			}
+			if _, err := c.recvOn(ctx, peer, tagRab+2*mask+1, recv[pLo*es:pHi*es]); err != nil {
 				return err
 			}
 		}
 	}
 
-	// Post-step: folded-out even ranks get the full result from their
-	// partner.
-	if c.rank < 2*rem {
-		if c.rank%2 == 0 {
-			if _, err := c.recvOn(ctx, c.rank+1, tagRab+1, recv); err != nil {
-				return err
-			}
-		} else {
-			if err := c.sendCopyOn(ctx, c.rank-1, tagRab+1, recv); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return c.foldOut(ctx, tagRab+1, rem, recv)
 }
 
 // AlltoallvBruck exchanges variable-length blocks with the Bruck

@@ -28,8 +28,8 @@ func (c *Comm) AllreduceRD(send, recv []byte, dt Datatype, op Op) error {
 }
 
 func (c *Comm) allreduceRD(send, recv []byte, dt Datatype, op Op) error {
-	if len(recv) != len(send) {
-		return fmt.Errorf("mpi: allreduce buffers differ in length (%d vs %d)", len(send), len(recv))
+	if err := checkReduce("allreduce", send, recv, true, dt, op); err != nil {
+		return err
 	}
 	n := len(c.group)
 	ctx := c.collCtx()
@@ -38,82 +38,80 @@ func (c *Comm) allreduceRD(send, recv []byte, dt Datatype, op Op) error {
 		return nil
 	}
 
-	// pof2 = largest power of two <= n.
-	pof2 := 1
-	for pof2*2 <= n {
-		pof2 *= 2
+	pof2, rem, newRank, err := c.foldIn(ctx, tagRsct, recv, dt, op)
+	if err != nil {
+		return err
 	}
-	rem := n - pof2
-	size := len(send)
-
-	// Pre-step: the first 2*rem ranks fold pairwise so that pof2 ranks
-	// hold partial results.
-	newRank := -1
-	switch {
-	case c.rank < 2*rem && c.rank%2 == 0:
-		// Sends its data to rank+1 and sits out.
-		if err := c.sendCopyOn(ctx, c.rank+1, tagRsct, recv); err != nil {
-			return err
-		}
-	case c.rank < 2*rem:
-		buf := make([]byte, size)
-		if _, err := c.recvOn(ctx, c.rank-1, tagRsct, buf); err != nil {
-			return err
-		}
-		if err := reduceInto(recv, buf, dt, op); err != nil {
-			return err
-		}
-		newRank = c.rank / 2
-	default:
-		newRank = c.rank - rem
-	}
-
 	if newRank >= 0 {
-		buf := make([]byte, size)
 		for mask := 1; mask < pof2; mask <<= 1 {
-			newPeer := newRank ^ mask
-			peer := newPeer + rem
-			if newPeer < rem {
-				peer = newPeer * 2
-				peer++ // odd ranks of the folded region hold the data
-			}
-			if _, err := c.sendrecvOn(ctx, peer, tagRsct+mask, recv, peer, tagRsct+mask, buf); err != nil {
-				return err
-			}
-			if err := reduceInto(recv, buf, dt, op); err != nil {
+			peer := foldPeer(newRank^mask, rem)
+			if err := c.sendrecvReduceOn(ctx, peer, tagRsct+mask, recv, recv, dt, op); err != nil {
 				return err
 			}
 		}
 	}
-
-	// Post-step: folded-out even ranks get the result from their partner.
-	if c.rank < 2*rem {
-		if c.rank%2 == 0 {
-			if _, err := c.recvOn(ctx, c.rank+1, tagRsct+1<<19, recv); err != nil {
-				return err
-			}
-		} else {
-			if err := c.sendCopyOn(ctx, c.rank-1, tagRsct+1<<19, recv); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return c.foldOut(ctx, tagRsct+1<<19, rem, recv)
 }
 
-// sendrecvOn is a combined exchange on an explicit context; the send
-// payload is copied through the pooled buffers (the caller keeps data).
-func (c *Comm) sendrecvOn(ctx, dst, sendTag int, data []byte, src, recvTag int, buf []byte) (Status, error) {
-	if err := c.sendCopyOn(ctx, dst, sendTag, data); err != nil {
-		return Status{}, err
+// foldIn is the pre-step of the allreduce algorithms that need a power of
+// two, on a group of pof2+rem ranks (pof2 the largest power of two ≤ n): the
+// first 2*rem ranks fold pairwise under tag, so pof2 ranks hold partial
+// results. newRank is this rank's index among those, or -1 for an even rank
+// of the folded region, which has sent its data to rank+1 and sits out until
+// foldOut.
+func (c *Comm) foldIn(ctx, tag int, recv []byte, dt Datatype, op Op) (pof2, rem, newRank int, err error) {
+	pof2 = 1
+	for pof2*2 <= len(c.group) {
+		pof2 *= 2
 	}
-	return c.recvOn(ctx, src, recvTag, buf)
+	rem = len(c.group) - pof2
+	switch {
+	case c.rank >= 2*rem:
+		return pof2, rem, c.rank - rem, nil
+	case c.rank%2 == 0:
+		return pof2, rem, -1, c.sendCopyOn(ctx, c.rank+1, tag, recv)
+	default:
+		return pof2, rem, c.rank / 2, c.recvReduceOn(ctx, c.rank-1, tag, recv, dt, op)
+	}
+}
+
+// foldPeer maps an index among the pof2 ranks left by foldIn back to a rank
+// of the group: the odd ranks of the folded region hold the data.
+func foldPeer(newRank, rem int) int {
+	if newRank < rem {
+		return 2*newRank + 1
+	}
+	return newRank + rem
+}
+
+// foldOut is the post-step matching foldIn: the even ranks that sat out get
+// the full result from their partner.
+func (c *Comm) foldOut(ctx, tag, rem int, recv []byte) error {
+	switch {
+	case c.rank >= 2*rem:
+		return nil
+	case c.rank%2 == 0:
+		_, err := c.recvOn(ctx, c.rank+1, tag, recv)
+		return err
+	default:
+		return c.sendCopyOn(ctx, c.rank-1, tag, recv)
+	}
+}
+
+// sendrecvReduceOn exchanges with one peer under one tag: it sends a pooled
+// copy of data, then folds the peer's message into acc as recvReduceOn does.
+// acc may alias data: the copy leaves before the fold writes.
+func (c *Comm) sendrecvReduceOn(ctx, peer, tag int, data, acc []byte, dt Datatype, op Op) error {
+	if err := c.sendCopyOn(ctx, peer, tag, data); err != nil {
+		return err
+	}
+	return c.recvReduceOn(ctx, peer, tag, acc, dt, op)
 }
 
 // ReduceScatterBlock reduces elementwise across the group and leaves block
 // i of the result (len(send)/n bytes) on rank i, using n-1 pairwise
 // exchange rounds. send must be a multiple of n times the element size;
-// recv receives one block.
+// recv receives one block and, being the accumulator, must not overlap send.
 func (c *Comm) ReduceScatterBlock(send, recv []byte, dt Datatype, op Op) error {
 	t0 := c.p.enterMPI()
 	defer c.p.leaveMPI(t0)
@@ -129,24 +127,23 @@ func (c *Comm) reduceScatterBlock(send, recv []byte, dt Datatype, op Op) error {
 		return fmt.Errorf("mpi: reduce-scatter buffer of %d bytes is not divisible by %d ranks", len(send), n)
 	}
 	blk := len(send) / n
-	if len(recv) != blk {
-		return fmt.Errorf("mpi: reduce-scatter recv buffer has %d bytes, want %d", len(recv), blk)
+	own := send[c.rank*blk : (c.rank+1)*blk]
+	if err := checkReduce("reduce-scatter block", own, recv, true, dt, op); err != nil {
+		return err
 	}
 	ctx := c.collCtx()
-	acc := append([]byte(nil), send[c.rank*blk:(c.rank+1)*blk]...)
-	buf := make([]byte, blk)
+	copy(recv, own)
 	// Pairwise exchange: in round s, send the block owned by (rank+s) to
 	// its owner and combine the block received for us.
 	for s := 1; s < n; s++ {
 		dst := (c.rank + s) % n
 		src := (c.rank - s + n) % n
-		if _, err := c.sendrecvOn(ctx, dst, tagRsct+s, send[dst*blk:(dst+1)*blk], src, tagRsct+s, buf); err != nil {
+		if err := c.sendCopyOn(ctx, dst, tagRsct+s, send[dst*blk:(dst+1)*blk]); err != nil {
 			return err
 		}
-		if err := reduceInto(acc, buf, dt, op); err != nil {
+		if err := c.recvReduceOn(ctx, src, tagRsct+s, recv, dt, op); err != nil {
 			return err
 		}
 	}
-	copy(recv, acc)
 	return nil
 }

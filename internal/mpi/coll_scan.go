@@ -3,9 +3,7 @@ package mpi
 // Prefix reductions: Scan (inclusive) and Exscan (exclusive), both linear
 // pipelines over the communicator's rank order.
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // Scan computes the inclusive prefix reduction: rank i's recv holds
 // op(send_0, ..., send_i). Linear-chain algorithm.
@@ -19,26 +17,32 @@ func (c *Comm) Scan(send, recv []byte, dt Datatype, op Op) error {
 }
 
 func (c *Comm) scan(send, recv []byte, dt Datatype, op Op) error {
-	if len(recv) != len(send) {
-		return fmt.Errorf("mpi: scan buffers differ in length (%d vs %d)", len(send), len(recv))
+	if err := checkReduce("scan", send, recv, true, dt, op); err != nil {
+		return err
 	}
 	ctx := c.collCtx()
-	copy(recv, send)
-	if c.rank > 0 {
-		buf := make([]byte, len(send))
-		if _, err := c.recvOn(ctx, c.rank-1, tagScan, buf); err != nil {
+	// The running prefix travels down the chain in one pooled message: each
+	// rank folds its contribution into the buffer it received — earlier ranks
+	// combine on the left — copies the result out and passes the message on.
+	var m *message
+	if c.rank == 0 {
+		m = cloneMsg(send)
+	} else {
+		var err error
+		if m, err = c.recvMsgOn(ctx, c.rank-1, tagScan); err != nil {
 			return err
 		}
-		// Prefix order: earlier ranks combine on the left.
-		if err := reduceInto(buf, send, dt, op); err != nil {
+		if err = reduceInto(m.data, send, dt, op); err != nil {
+			m.release()
 			return err
 		}
-		copy(recv, buf)
 	}
-	if c.rank < len(c.group)-1 {
-		return c.sendCopyOn(ctx, c.rank+1, tagScan, recv)
+	copy(recv, m.data)
+	if c.rank == len(c.group)-1 {
+		m.release()
+		return nil
 	}
-	return nil
+	return c.sendMsgOn(ctx, c.rank+1, tagScan, m)
 }
 
 // Exscan computes the exclusive prefix reduction: rank i's recv holds
@@ -53,38 +57,34 @@ func (c *Comm) Exscan(send, recv []byte, dt Datatype, op Op) error {
 }
 
 func (c *Comm) exscan(send, recv []byte, dt Datatype, op Op) error {
-	if len(recv) != len(send) {
-		return fmt.Errorf("mpi: exscan buffers differ in length (%d vs %d)", len(send), len(recv))
+	if err := checkReduce("exscan", send, recv, true, dt, op); err != nil {
+		return err
 	}
 	ctx := c.collCtx()
-	n := len(c.group)
-	var prefix []byte
-	if c.rank > 0 {
-		prefix = make([]byte, len(send))
-		if _, err := c.recvOn(ctx, c.rank-1, tagScan, prefix); err != nil {
-			return err
+	last := c.rank == len(c.group)-1
+	if c.rank == 0 {
+		if last {
+			return nil
 		}
+		return c.sendCopyOn(ctx, 1, tagScan, send)
 	}
-	if c.rank < n-1 {
-		if prefix == nil {
-			if err := c.sendCopyOn(ctx, c.rank+1, tagScan, send); err != nil {
-				return err
-			}
-		} else {
-			// Fold send into the outgoing prefix before recv is written,
-			// so an aliased recv (send == recv) still reads the original
-			// contribution.
-			tmp := append([]byte(nil), prefix...)
-			if err := reduceInto(tmp, send, dt, op); err != nil {
-				return err
-			}
-			if err := c.sendOn(ctx, c.rank+1, tagScan, tmp, len(tmp)); err != nil {
-				return err
-			}
-		}
+	m, err := c.recvMsgOn(ctx, c.rank-1, tagScan)
+	if err != nil {
+		return err
 	}
-	if prefix != nil {
-		copy(recv, prefix)
+	if len(m.data) != len(send) {
+		err = fmt.Errorf("mpi: exscan prefix has %d bytes, want %d", len(m.data), len(send))
+	} else if !last {
+		// Fold send into a pooled copy of the prefix — earlier ranks combine
+		// on the left — before recv is written, so an aliased recv (send ==
+		// recv) still contributes its original contents.
+		next := cloneMsg(m.data)
+		_ = reduceInto(next.data, send, dt, op) // cannot fail: checked above
+		err = c.sendMsgOn(ctx, c.rank+1, tagScan, next)
 	}
-	return nil
+	if err == nil {
+		copy(recv, m.data)
+	}
+	m.release()
+	return err
 }

@@ -193,6 +193,7 @@ func TestEngineEquivalenceFaults(t *testing.T) {
 	// testMachine: cores 0-3 are node 0, cores 4-7 node 1. Ranks 0,1 on
 	// node 0 survive; ranks 2,3 on node 1 die at 1ms.
 	plan := &faults.Plan{Deaths: []faults.NodeDeath{{Node: 1, At: time.Millisecond}}}
+	var gate chan struct{}
 	workload := func(c *Comm) error {
 		np, rank := c.Size(), c.Rank()
 		p := c.Proc()
@@ -216,7 +217,15 @@ func TestEngineEquivalenceFaults(t *testing.T) {
 			// death; its tag-15 token then orders rank 2's death after
 			// rank 3's own monitored sends. A collective cannot provide
 			// either edge: its tree sends toward the doomed ranks race
-			// the wall-clock visibility of the failed flags.
+			// the wall-clock visibility of the failed flags. The token
+			// orders the deaths in virtual time only: on the goroutine
+			// engine rank 3 could still run on, die and fail its sibling
+			// before rank 2 has been scheduled into that receive, which
+			// then fails at its gate with rank 2's clock short of the
+			// death. gate is the wall-clock edge — rank 3 holds until
+			// rank 2 is out of the receive; after it each of them only
+			// computes and dies by its own clock. The event engine runs
+			// ranks in virtual-time order and needs no gate (nil).
 			if rank == 3 {
 				if _, err := c.Recv(0, 16, nil); err != nil {
 					return err
@@ -227,8 +236,17 @@ func TestEngineEquivalenceFaults(t *testing.T) {
 				if err := c.SendN(2, 15, 8); err != nil {
 					return err
 				}
-			} else if _, err := c.Recv(3, 15, nil); err != nil {
-				return err
+				if gate != nil {
+					<-gate
+				}
+			} else {
+				_, err := c.Recv(3, 15, nil)
+				if gate != nil {
+					close(gate)
+				}
+				if err != nil {
+					return err
+				}
 			}
 			// Run past the death time; the next operation materializes the
 			// failure before anything is recorded or transmitted.
@@ -265,7 +283,9 @@ func TestEngineEquivalenceFaults(t *testing.T) {
 		}
 		return w
 	}
+	gate = make(chan struct{})
 	wg := build(EngineGoroutine)
+	gate = nil
 	we := build(EngineEvent)
 	for _, w := range []*World{wg, we} {
 		if got := w.FailedRanks(); !reflect.DeepEqual(got, []int{2, 3}) {

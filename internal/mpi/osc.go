@@ -81,6 +81,9 @@ func (w *Win) Put(dst, offset int, data []byte) error {
 // Accumulate combines data into the target's window buffer at the byte
 // offset using op over dt elements. Completes at the next Fence.
 func (w *Win) Accumulate(dst, offset int, data []byte, dt Datatype, op Op) error {
+	if err := checkReduce("accumulate", data, nil, false, dt, op); err != nil {
+		return err
+	}
 	return w.sendData(dst, offset, data, oscAcc, dt, op)
 }
 
@@ -197,17 +200,21 @@ func (w *Win) Fence() error {
 	return nil
 }
 
-// applyOne receives and applies one put or accumulate from src.
+// applyOne receives one put or accumulate from src and applies it straight
+// from the message buffer.
 func (w *Win) applyOne(src int) error {
 	c := w.c
-	st, err := c.Probe(src, tagData)
+	// Probe first, as Fence always has: the wait for the message is charged
+	// to the clock and to MPI time there, the receive below finds it queued.
+	if _, err := c.Probe(src, tagData); err != nil {
+		return err
+	}
+	m, err := c.recvMsg(src, tagData)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, st.Size)
-	if _, err := c.recvOn(c.ctx, src, tagData, buf); err != nil {
-		return err
-	}
+	defer m.release()
+	buf := m.data
 	if len(buf) < dataHeader {
 		return fmt.Errorf("mpi: malformed one-sided payload of %d bytes from %d", len(buf), src)
 	}

@@ -122,44 +122,67 @@ func (c *Comm) Recv(src, tag int, buf []byte) (Status, error) {
 }
 
 func (c *Comm) recv(src, tag int, buf []byte) (Status, error) {
-	if src != AnySource {
-		if err := c.checkRank(src, "source"); err != nil {
-			return Status{}, err
-		}
-	}
-	p := c.p
-	if p.world.ftOn.Load() {
-		if err := c.preRecv("recv"); err != nil {
-			return Status{}, err
-		}
-	}
-	before := p.clock
-	m, err := p.queue.take(c, src, tag)
+	m, err := c.recvMsg(src, tag)
 	if err != nil {
 		return Status{}, err
 	}
-	return c.recvFinish(m, before, buf)
+	return m.deliver(buf)
 }
 
-// recvFinish consumes a matched message: clock update, telemetry, copy-out
-// and recycling. Shared by Recv, RecvTimeout and Test.
-func (c *Comm) recvFinish(m *message, before int64, buf []byte) (Status, error) {
+// recvReady validates the source of a receive-side operation and, with a
+// fault plan armed, passes it through the fault gate.
+func (c *Comm) recvReady(src int, op string) error {
+	if src != AnySource {
+		if err := c.checkRank(src, "source"); err != nil {
+			return err
+		}
+	}
+	if c.p.world.ftOn.Load() {
+		return c.preRecv(op)
+	}
+	return nil
+}
+
+// recvMsg blocks until a message matching (src, tag) arrives and charges the
+// receive to the clock and the telemetry. The caller owns the message: it
+// reads m.data, then releases m exactly once, and never touches it after.
+func (c *Comm) recvMsg(src, tag int) (*message, error) {
+	if err := c.recvReady(src, "recv"); err != nil {
+		return nil, err
+	}
 	p := c.p
+	before := p.clock
+	m, err := p.queue.take(c, src, tag)
+	if err != nil {
+		return nil, err
+	}
+	p.arrive(m, before)
+	return m, nil
+}
+
+// arrive charges a matched message to the receiver: the clock moves to the
+// arrival, the telemetry observes the wait since before, and the receive
+// overhead is added.
+func (p *Proc) arrive(m *message, before int64) {
 	if m.arrival > p.clock {
 		p.clock = m.arrival
 	}
 	p.observeRecvTelemetry(m, before)
 	p.clock += int64(p.world.mach.RecvOverhead)
+}
+
+// deliver copies a received message out into buf (nil discards the payload)
+// and recycles it.
+func (m *message) deliver(buf []byte) (Status, error) {
 	st := Status{Source: m.src, Tag: m.tag, Size: m.size}
-	if buf != nil {
-		if m.size > len(buf) {
-			m.release()
-			return st, fmt.Errorf("mpi: message of %d bytes truncated by %d-byte receive buffer", m.size, len(buf))
-		}
+	var err error
+	if buf != nil && m.size > len(buf) {
+		err = fmt.Errorf("mpi: message of %d bytes truncated by %d-byte receive buffer", m.size, len(buf))
+	} else {
 		copy(buf, m.data)
 	}
 	m.release()
-	return st, nil
+	return st, err
 }
 
 // Probe blocks until a matching message is available and returns its
@@ -167,17 +190,10 @@ func (c *Comm) recvFinish(m *message, before int64, buf []byte) (Status, error) 
 func (c *Comm) Probe(src, tag int) (Status, error) {
 	t0 := c.p.enterMPI()
 	defer c.p.leaveMPI(t0)
-	if src != AnySource {
-		if err := c.checkRank(src, "source"); err != nil {
-			return Status{}, c.herr(err)
-		}
+	if err := c.recvReady(src, "probe"); err != nil {
+		return Status{}, c.herr(err)
 	}
 	p := c.p
-	if p.world.ftOn.Load() {
-		if err := c.preRecv("probe"); err != nil {
-			return Status{}, c.herr(err)
-		}
-	}
 	m, err := p.queue.peek(c, src, tag)
 	if err != nil {
 		return Status{}, c.herr(err)
@@ -407,22 +423,9 @@ func (r *Request) Test() (Status, bool, error) {
 		return Status{}, false, nil
 	}
 	r.finish()
-	if m.arrival > p.clock {
-		p.clock = m.arrival
-	}
-	p.observeRecvTelemetry(m, before)
-	p.clock += int64(p.world.mach.RecvOverhead)
-	r.st = Status{Source: m.src, Tag: m.tag, Size: m.size}
-	if r.buf != nil {
-		if m.size > len(r.buf) {
-			m.release()
-			r.err = fmt.Errorf("mpi: message of %d bytes truncated by %d-byte receive buffer", m.size, len(r.buf))
-			return r.st, true, r.err
-		}
-		copy(r.buf, m.data)
-	}
-	m.release()
-	return r.st, true, nil
+	p.arrive(m, before)
+	r.st, r.err = m.deliver(r.buf)
+	return r.st, true, r.err
 }
 
 // Waitany blocks until one of the requests completes and returns its index

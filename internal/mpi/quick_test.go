@@ -113,13 +113,30 @@ func TestReduceIdempotent(t *testing.T) {
 	}
 }
 
-// Property: reduceInto rejects length mismatches and odd buffer sizes.
+// Property: reduceInto rejects length mismatches, odd buffer sizes and any
+// datatype or op outside the supported ones — with an error, never a panic,
+// and without touching acc.
 func TestReduceIntoValidation(t *testing.T) {
 	if err := reduceInto(make([]byte, 8), make([]byte, 16), Int64, OpSum); err == nil {
 		t.Fatal("length mismatch should fail")
 	}
 	if err := reduceInto(make([]byte, 7), make([]byte, 7), Int64, OpSum); err == nil {
 		t.Fatal("non-multiple buffer should fail")
+	}
+	known := func(dt Datatype, op Op) bool {
+		return dt >= Byte && dt <= Float64 && op >= OpSum && op <= OpMin
+	}
+	f := func(v []uint64, dt int8, op int8) bool {
+		in := EncodeUint64s(v)
+		acc := append([]byte(nil), in...)
+		err := reduceInto(acc, in, Datatype(dt), Op(op))
+		if known(Datatype(dt), Op(op)) {
+			return err == nil
+		}
+		return err != nil && bytes.Equal(acc, in)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal("unknown datatype or op:", err)
 	}
 }
 

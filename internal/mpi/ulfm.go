@@ -507,22 +507,16 @@ func (c *Comm) Shrink() (*Comm, error) {
 func (c *Comm) RecvTimeout(src, tag int, buf []byte, d time.Duration) (Status, error) {
 	t0 := c.p.enterMPI()
 	defer c.p.leaveMPI(t0)
-	if src != AnySource {
-		if err := c.checkRank(src, "source"); err != nil {
-			return Status{}, c.herr(err)
-		}
+	if err := c.recvReady(src, "recv"); err != nil {
+		return Status{}, c.herr(err)
 	}
 	p := c.p
-	if p.world.ftOn.Load() {
-		if err := c.preRecv("recv"); err != nil {
-			return Status{}, c.herr(err)
-		}
-	}
 	before := p.clock
 	m, err := p.queue.takeDeadline(c, src, tag, d)
 	if err != nil {
 		return Status{}, c.herr(err)
 	}
-	st, err := c.recvFinish(m, before, buf)
+	p.arrive(m, before)
+	st, err := m.deliver(buf)
 	return st, c.herr(err)
 }
