@@ -29,9 +29,12 @@ race:
 # flake reruns the packages whose tests assert on virtual clocks, at both
 # GOMAXPROCS a 2-core host offers: a test that is only true on some host
 # schedules fails here rather than one run in six in `make test`
-# (ROADMAP item 1).
+# (ROADMAP item 1). The event engine's scheduler pins — cross-engine
+# equivalence, exact dispatch counts, no coroutine left behind — run at
+# GOMAXPROCS 4 as well: which rank runs next may not depend on it.
 flake:
 	$(GO) test -count=10 -cpu 1,2 ./internal/cg ./internal/exp ./internal/coll ./internal/online ./internal/reorder ./cmd/mpimon
+	$(GO) test -count=10 -cpu 1,2,4 -run '^(TestEngineEquivalence|TestEventCountPinned|TestNoLeakedCoroutine|TestFig1LoopEventsPinned)$$' ./internal/mpi ./internal/reorder
 
 # fuzz runs each fuzz target for a few seconds on top of its checked-in seed
 # corpus (testdata/fuzz/, which plain `go test` already replays): the reduce
@@ -73,7 +76,7 @@ apicheck:
 #   hotpath   send/recv micro (pool-hit allocation rate), reduce kernels vs the scalar oracle, TreeMatch kernels, collective layer
 #   gather    sparse root-gather at np 256/1024/4096
 #   serve     monitoring daemon ingest, views and frame codec
-#   engine    event-engine stencil worlds at np 4096/16384/65536
+#   engine    event-engine stencil worlds at np 4096/16384/65536, abort unwinding at np 16384/65536
 #   commitagg commit-on-threshold cells and batched row export
 #   coll      collective algorithm portfolio
 benchrun = $(GO) test -run '^$$' -bench '$(2)' -benchmem $(1) $(3)
@@ -82,7 +85,7 @@ hotpath_runs = $(call benchrun,,^Benchmark(SendRecv|ReduceKernel),./internal/mpi
 	$(call benchrun,,^(BenchmarkTreeMatch|BenchmarkTable1TreeMatchScale|BenchmarkPingPong|BenchmarkCollectives|BenchmarkBarrier48)$$,.)
 gather_runs = $(call benchrun,-benchtime 1x,^BenchmarkGatherSparse$$,.)
 serve_runs = $(call benchrun,,^(BenchmarkServeIngest|BenchmarkServeView|BenchmarkFrameCodec)$$,./internal/monsvc)
-engine_runs = $(call benchrun,-benchtime 1x -timeout 30m,^BenchmarkEventEngine$$,.)
+engine_runs = $(call benchrun,-benchtime 1x -timeout 30m,^(BenchmarkEventEngine|BenchmarkAbortUnwind)$$,.)
 commitagg_runs = $(call benchrun,,^BenchmarkCommitAgg,./internal/commitagg) && \
 	$(call benchrun,,^BenchmarkCommitAggRowExport$$,./internal/monitoring)
 coll_runs = $(call benchrun,,^BenchmarkCollPortfolio$$,.)

@@ -7,6 +7,7 @@ package mpimon
 // reproduced quantities as custom metrics.
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -202,6 +203,42 @@ func BenchmarkEventEngine(b *testing.B) {
 			b.ReportMetric(float64(row.Events), "events")
 			b.ReportMetric(row.EventsPerSec, "events_per_s")
 			b.ReportMetric(row.HeapMB, "heap_MB")
+		})
+	}
+}
+
+// BenchmarkAbortUnwind measures how long a failing world takes to wind
+// down: every rank but the last parks in a receive nobody will satisfy, the
+// last returns an error, and the abort has to resume and unwind the np-1
+// parked ranks. Linear in np (ROADMAP item 1: it was quadratic twice over).
+func BenchmarkAbortUnwind(b *testing.B) {
+	injected := errors.New("injected failure")
+	for _, np := range []int{16384, 65536} {
+		b.Run("np"+itoa(np), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				w, err := exp.PlaFRIMWorld(np, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				var failedAt time.Time
+				err = w.Run(func(c *mpi.Comm) error {
+					if c.Rank() == np-1 {
+						failedAt = time.Now()
+						return injected
+					}
+					_, err := c.Recv(np-1, 0, nil)
+					return err
+				})
+				unwind := time.Since(failedAt)
+				if !errors.Is(err, injected) {
+					b.Fatalf("Run returned %v, want the injected error", err)
+				}
+				// ns/op is the whole Run, starting np coroutines included;
+				// this is the part after the failure.
+				b.ReportMetric(float64(unwind.Microseconds())/1e3, "unwind_ms")
+			}
 		})
 	}
 }

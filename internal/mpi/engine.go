@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"log"
 	"sync"
 
@@ -18,14 +19,16 @@ import (
 //   - The goroutine engine (the original runtime) runs every rank as a free
 //     goroutine; a blocked receive parks on a condition variable and the Go
 //     scheduler interleaves ranks arbitrarily.
-//   - The event engine runs ranks as resumable state machines driven off a
-//     central virtual-time event heap: exactly one rank executes at a time,
-//     a blocking point parks the rank and registers it with the scheduler,
-//     and wake-ups dispatch in deterministic (time, rank, seq) order. This
-//     removes all cross-rank host-level contention (queue mutexes and
-//     condition broadcasts never contend), makes every run bit-replayable,
-//     turns a cyclic wait into an immediate deadlock error instead of a
-//     hang, and scales to worlds of 10⁴–10⁵ ranks (see docs/PERFORMANCE.md).
+//   - The event engine runs every rank as a coroutine of one dispatcher,
+//     driven off a central virtual-time event heap: exactly one rank
+//     executes at a time, a rank reaching a blocking point pops the heap
+//     itself and either keeps running (the next event is its own) or
+//     switches to the dispatcher, which switches to the rank the event
+//     names, and wake-ups dispatch in deterministic (time, rank, seq)
+//     order. No host-level synchronization is left between ranks (queues
+//     take no lock, nothing is broadcast), every run is bit-replayable, a
+//     cyclic wait is an immediate deadlock error instead of a hang, and
+//     worlds scale to 10⁴–10⁵ ranks (see docs/PERFORMANCE.md).
 type Engine interface {
 	// Name returns the engine's flag name ("goroutine" or "event").
 	Name() string
@@ -80,7 +83,7 @@ func (w *World) pickEngine() {
 	}
 	if w.size > EngineAutoThreshold {
 		autoEngineOnce.Do(func() {
-			log.Printf("mpi: world of %d ranks exceeds %d, selecting the event engine (override with WithEngine / -engine)",
+			log.Printf("mpi: world of %d ranks exceeds %d, selecting the event engine (WithEngine overrides)",
 				w.size, EngineAutoThreshold)
 		})
 		w.eng = EngineEvent
@@ -172,11 +175,7 @@ type eventEngine struct{}
 func (eventEngine) Name() string { return "event" }
 
 func (eventEngine) run(w *World, fn func(c *Comm) error) error {
-	s := &evScheduler{
-		w:     w,
-		ranks: make([]evRankState, w.size),
-		sched: make(chan evMsg),
-	}
+	s := &evScheduler{w: w, ranks: make([]evRankState, w.size)}
 	w.ev = s
 	return s.run(fn)
 }
@@ -194,28 +193,38 @@ const (
 	evWakeDeadlock
 )
 
-// evMsg is what a rank goroutine reports to the dispatcher when it yields:
-// either it parked at a blocking point or its program finished.
-type evMsg struct {
-	rank     int
-	finished bool
+// evPick is a scheduling decision: the parked rank to resume next, and why.
+type evPick struct {
+	rank   int
+	reason evWake
 }
 
 // evRankState is the scheduler's per-rank bookkeeping.
 //
-// Concurrency discipline: at any instant exactly one goroutine runs — the
-// dispatcher or the single dispatched rank — and control transfers through
-// the resume/sched channels, which carry the happens-before edges. All
-// scheduler state (the heap, these fields, other ranks' clocks) is
-// therefore accessed data-race-free without locks.
+// Concurrency discipline: each rank is a coroutine (iter.Pull) of the
+// dispatcher, the goroutine that called Run. At any instant exactly one of
+// them runs — the dispatcher or the single dispatched rank — and control
+// moves only through next (dispatcher → rank) and yield (rank →
+// dispatcher), each a direct runtime coroswitch that carries the
+// happens-before edge. All scheduler state (the heap, these fields, other
+// ranks' clocks) and every rank's message queue are therefore accessed
+// data-race-free without locks; `go test -race` holds the proof, iter.Pull
+// being annotated for the detector.
 type evRankState struct {
-	resume chan evWake
+	// next resumes the rank until it parks (true, with the pick it made) or
+	// its program returns (false); yield, the rank's side, hands that pick
+	// to the dispatcher and returns when the rank is dispatched again. Both
+	// are nil until the first dispatch creates the coroutine.
+	next  func() (evPick, bool)
+	yield func(evPick) bool
+	// reason is why the dispatcher last resumed the rank.
+	reason evWake
 	// waitID is the generation of the rank's current (or next) wait; heap
 	// items stamped with an older generation are stale and skipped.
 	waitID uint64
-	// blocked is true while the rank is parked waiting for a dispatch.
+	// blocked is true while the rank is parked waiting for a dispatch; a
+	// rank whose program has returned is never parked again.
 	blocked bool
-	done    bool
 	// wantAny marks a park that any arrival may unblock (agreement waits);
 	// otherwise (wantCtx, wantSrc, wantTag) is the message envelope of the
 	// receive the rank parked in, and noteArrival only wakes it for a
@@ -232,117 +241,93 @@ type evScheduler struct {
 	w     *World
 	q     event.Queue
 	ranks []evRankState
-	// sched is the yield channel: the running rank hands control back to
-	// the dispatcher through it (unbuffered: the handoff is the
-	// synchronization).
-	sched chan evMsg
 	// events counts dispatches, the engine's work metric (events/sec).
 	events uint64
 	live   int
+	// cursor is a lower bound on the lowest parked rank: no rank below it
+	// is parked. It lets an aborted world of np ranks unwind in O(np), not
+	// O(np²) rescans from rank 0.
+	cursor int
 }
 
 func (s *evScheduler) run(fn func(c *Comm) error) error {
 	w := s.w
 	errs := make([]error, w.size)
-	for r := 0; r < w.size; r++ {
-		st := &s.ranks[r]
-		st.resume = make(chan evWake, 1)
-		st.blocked = true // waiting for the initial dispatch
-	}
 	s.live = w.size
-	for r := 0; r < w.size; r++ {
-		go func(rank int) {
-			// The rank is a coroutine: it runs only between a resume
-			// receive and the next sched send. Its goroutine is merely the
-			// carrier of the state machine's stack.
-			<-s.ranks[rank].resume
-			defer func() { s.sched <- evMsg{rank: rank, finished: true} }()
-			w.rankBody(rank, fn, errs)
-		}(r)
-	}
 	// Seed: every rank becomes runnable at virtual time zero, in rank
 	// order (the deterministic tie-break).
-	for r := 0; r < w.size; r++ {
-		s.q.Push(0, int32(r), s.ranks[r].waitID, event.Wake)
+	for r := range s.ranks {
+		s.ranks[r].blocked = true // waiting for the initial dispatch
+		s.q.Push(0, int32(r), 0, event.Wake)
 	}
-
-	for s.live > 0 {
-		// An abort (rank failure, external watchdog) must unwind parked
-		// ranks that have no pending events anymore.
-		if w.aborted.Load() {
-			if r := s.firstBlocked(); r >= 0 {
-				s.dispatch(r, evWakeRun)
-				continue
+	for p := s.pick(); ; {
+		st := &s.ranks[p.rank]
+		if st.next == nil {
+			// The rank's goroutine is merely the carrier of its stack, so
+			// it is created when the rank first has something to run.
+			rank := p.rank
+			st.next, _ = iter.Pull(func(yield func(evPick) bool) {
+				st.yield = yield
+				w.rankBody(rank, fn, errs)
+			})
+		}
+		s.resume(st, p.reason)
+		next, parked := st.next()
+		if !parked { // the program returned; a parking rank picks its successor itself
+			st.next, st.yield = nil, nil // drops the coroutine's state
+			if s.live--; s.live == 0 {
+				return w.collectErrs(errs)
 			}
+			next = s.pick()
 		}
-		if it, ok := s.popLive(); ok {
-			reason := evWakeRun
-			if it.Kind == event.Timeout {
-				reason = evWakeTimeout
-			}
-			s.dispatch(int(it.Rank), reason)
-			continue
-		}
-		// No pending event and nobody ran: every live rank is parked on a
-		// wait nothing will ever satisfy. Surface the deadlock on the
-		// lowest blocked rank; its error aborts the world and the abort
-		// branch above unwinds the rest.
-		r := s.firstBlocked()
-		if r < 0 {
-			// Defensive: live > 0 but nobody blocked cannot happen under
-			// the single-runner discipline.
-			panic("mpi: event scheduler lost track of its ranks")
-		}
-		s.dispatch(r, evWakeDeadlock)
+		p = next
 	}
-	return w.collectErrs(errs)
 }
 
-// popLive pops heap items until one targets a rank still parked on the
-// generation the item was stamped with (lazy deletion of stale wake-ups).
-func (s *evScheduler) popLive() (event.Item, bool) {
-	for s.q.Len() > 0 {
+// pick decides which parked rank runs next. Live heap items dispatch in
+// (time, rank, seq) order; stale ones — the rank moved on from the wait the
+// item was stamped with — are dropped (lazy deletion). With no live item
+// every live rank is parked on a wait nothing will ever satisfy: the
+// deadlock surfaces on the lowest parked rank. Its error aborts the world,
+// and an aborted world ignores the heap and unwinds its parked ranks lowest
+// first. Called by the current runner: the dispatcher, or a rank that has
+// just marked itself parked.
+func (s *evScheduler) pick() evPick {
+	aborted := s.w.aborted.Load()
+	for !aborted && s.q.Len() > 0 {
 		it := s.q.Pop()
 		st := &s.ranks[it.Rank]
-		if st.done || !st.blocked || it.ID != st.waitID {
+		if !st.blocked || it.ID != st.waitID {
 			continue
 		}
-		return it, true
-	}
-	return event.Item{}, false
-}
-
-// firstBlocked returns the lowest-ranked parked rank, or -1.
-func (s *evScheduler) firstBlocked() int {
-	for r := range s.ranks {
-		if s.ranks[r].blocked && !s.ranks[r].done {
-			return r
+		if it.Kind == event.Timeout {
+			return evPick{int(it.Rank), evWakeTimeout}
 		}
+		return evPick{int(it.Rank), evWakeRun}
 	}
-	return -1
+	// The scan cannot run off the end: whoever picks is a parked rank or
+	// the dispatcher of a world whose live ranks are all parked.
+	for !s.ranks[s.cursor].blocked {
+		s.cursor++
+	}
+	if aborted {
+		return evPick{s.cursor, evWakeRun}
+	}
+	return evPick{s.cursor, evWakeDeadlock}
 }
 
-// dispatch resumes one parked rank and waits until it parks again or its
-// program finishes. This is the single-runner handoff: between the resume
-// send and the sched receive, the dispatched rank owns all scheduler state.
-func (s *evScheduler) dispatch(rank int, reason evWake) {
-	st := &s.ranks[rank]
+// resume marks a parked rank running again and counts the dispatch.
+func (s *evScheduler) resume(st *evRankState, reason evWake) {
 	st.blocked = false
 	// Bump the generation so wake-ups aimed at the wait that just ended
 	// die on the heap; events pushed from here on target the next park.
 	st.waitID++
 	s.events++
-	st.resume <- reason
-	m := <-s.sched
-	if m.finished {
-		s.ranks[m.rank].done = true
-		s.live--
-	}
-	// A parked rank set its own blocked flag before yielding.
+	st.reason = reason
 }
 
-// park suspends the calling rank until the dispatcher resumes it, returning
-// the wake reason. Runs on the rank's goroutine, which is the current
+// park suspends the calling rank until it is dispatched again, returning
+// the wake reason. Runs on the rank's coroutine, which is the current
 // runner; deadlineAt ≥ 0 additionally schedules a Timeout at that virtual
 // time for the wait that starts now. The caller must hold no locks shared
 // with other ranks.
@@ -360,14 +345,23 @@ func (s *evScheduler) parkRecv(p *Proc, deadlineAt int64, ctx, src, tag int) evW
 	return s.parkYield(p, deadlineAt)
 }
 
+// parkYield parks the rank and makes the scheduling decision itself: when
+// the next rank to run is the parking rank (its message is already on the
+// way, its timeout is the earliest event) it keeps running without a
+// switch; otherwise it hands the pick to the dispatcher.
 func (s *evScheduler) parkYield(p *Proc, deadlineAt int64) evWake {
 	st := &s.ranks[p.rank]
 	if deadlineAt >= 0 {
 		s.q.Push(deadlineAt, int32(p.rank), st.waitID, event.Timeout)
 	}
 	st.blocked = true
-	s.sched <- evMsg{rank: p.rank}
-	return <-st.resume
+	s.cursor = min(s.cursor, p.rank)
+	if next := s.pick(); next.rank == p.rank {
+		s.resume(st, next.reason)
+	} else {
+		st.yield(next)
+	}
+	return st.reason
 }
 
 // noteArrival schedules a wake-up for the owner of a queue that just
@@ -377,7 +371,7 @@ func (s *evScheduler) parkYield(p *Proc, deadlineAt int64) evWake {
 // current runner.
 func (s *evScheduler) noteArrival(p *Proc, m *message) {
 	st := &s.ranks[p.rank]
-	if st.done || !st.blocked {
+	if !st.blocked {
 		return
 	}
 	if !st.wantAny && !m.matches(st.wantCtx, st.wantSrc, st.wantTag) {
@@ -396,7 +390,7 @@ func (s *evScheduler) noteArrival(p *Proc, m *message) {
 func (s *evScheduler) wakeRanks(group []int, at int64) {
 	for _, r := range group {
 		st := &s.ranks[r]
-		if st.done || !st.blocked {
+		if !st.blocked {
 			continue
 		}
 		t := s.w.procs[r].clock
@@ -412,7 +406,7 @@ func (s *evScheduler) wakeRanks(group []int, at int64) {
 func (s *evScheduler) wakeAllBlocked() {
 	for r := range s.ranks {
 		st := &s.ranks[r]
-		if st.done || !st.blocked {
+		if !st.blocked {
 			continue
 		}
 		s.q.Push(s.w.procs[r].clock, int32(r), st.waitID, event.Wake)

@@ -1,6 +1,7 @@
 // Package mpi is a message-passing runtime in the image of MPI, built for
 // studying communication behaviour rather than raw speed: every rank is a
-// goroutine, and time is virtual. Each process carries a logical clock in
+// goroutine (under the event engine a coroutine, one running at a time),
+// and time is virtual. Each process carries a logical clock in
 // nanoseconds; sending and receiving advance it according to the netsim
 // cost model, so the communication time of a program is a deterministic
 // function of the process placement on the machine's topology — which is
@@ -228,10 +229,19 @@ func (w *World) Run(fn func(c *Comm) error) error {
 }
 
 // abort wakes every rank blocked in a receive so the world can unwind
-// after a failure.
+// after a failure. Only the first call does the waking: every rank that
+// leaves with ErrAborted calls it again, and np broadcasts from each of np
+// ranks made the unwinding quadratic.
 func (w *World) abort() {
-	w.aborted.Store(true)
+	if w.aborted.Swap(true) {
+		return
+	}
 	for _, p := range w.procs {
+		// Passing through the lock orders the flag before a waiter that
+		// has checked it and not yet reached cond.Wait: with a single
+		// round of broadcasts that waiter would otherwise sleep forever.
+		p.queue.mu.Lock()
+		p.queue.mu.Unlock()
 		p.queue.cond.Broadcast()
 	}
 	w.agreeMu.Lock()

@@ -25,6 +25,8 @@ type message struct {
 	// pclass is the sync.Pool class the message recycles through after the
 	// consuming receive (see bufpool.go); poolNone disables recycling.
 	pclass int8
+	// next links the message into its receive-queue bucket while queued.
+	next *message
 }
 
 func (m *message) matches(ctx, src, tag int) bool {
@@ -34,10 +36,10 @@ func (m *message) matches(ctx, src, tag int) bool {
 }
 
 // msgQueue is a process's unordered-by-peer, FIFO-per-peer incoming queue.
-// Senders append from their own goroutines; the owning process blocks in
-// take until a match appears. An unbounded queue means Send never blocks on
-// the receiver, which keeps the virtual-time simulation deadlock-free for
-// programs that would deadlock only through rendezvous flow control.
+// Senders append to it and the owning process blocks in take until a match
+// appears. An unbounded queue means Send never blocks on the receiver, which
+// keeps the virtual-time simulation deadlock-free for programs that would
+// deadlock only through rendezvous flow control.
 //
 // Messages are indexed by (ctx, src) bucket so a specific-source receive
 // matches without scanning unrelated traffic: an np-wide fan-in drained in
@@ -46,21 +48,37 @@ func (m *message) matches(ctx, src, tag int) bool {
 // pick the bucket head with the lowest arrival seq, which is exactly the
 // first match the historical single-list scan would have returned.
 //
-// The blocking strategy depends on the world's engine: under the goroutine
-// engine a waiter parks on the condition variable; under the event engine
-// it parks with the central scheduler and a sender's put schedules the
-// wake-up on the virtual-time heap (engine.go).
+// Synchronization and blocking depend on the world's engine. Under the
+// goroutine engine senders run on their own goroutines: every operation
+// holds mu and a waiter parks on the condition variable. Under the event
+// engine the one running rank is the only accessor, ordered against the
+// previous and the next runner by the coroutine switches between them
+// (engine.go), so put, takeEvent and peekEvent take no lock and broadcast
+// nothing; a waiter parks with the scheduler and a sender's put schedules
+// the wake-up on the virtual-time heap.
 type msgQueue struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	buckets map[uint64][]*message
-	seq     uint64 // next arrival number
-	count   int    // total queued
+	mu   sync.Mutex
+	cond *sync.Cond
+	// index maps pairKey(ctx, src) to the pair's bucket in slab: one map
+	// lookup per put or specific-source take. Buckets live by value in
+	// slab, so creating one allocates nothing once the slab has grown.
+	index map[uint64]int32
+	slab  []bucket
+	seq   uint64 // next arrival number
+	count int    // total queued
 	// owner is the process this queue belongs to (the only taker).
 	owner *Proc
 	// aborted points at the world's abort flag: when another rank fails,
 	// blocked receivers must wake up and bail out instead of hanging.
 	aborted *atomic.Bool
+}
+
+// bucket is the FIFO of one (ctx, src) pair, linked through message.next
+// in arrival order: a push or a pop moves two pointers and allocates
+// nothing, however deep the bucket runs.
+type bucket struct {
+	key        uint64
+	head, tail *message
 }
 
 // pairKey indexes a bucket. ctx and src are small non-negative ints, so
@@ -76,80 +94,105 @@ func (q *msgQueue) init(owner *Proc, aborted *atomic.Bool) {
 }
 
 func (q *msgQueue) put(m *message) {
-	q.mu.Lock()
-	if q.buckets == nil {
-		q.buckets = make(map[uint64][]*message)
+	ev := q.owner.world.ev
+	if ev == nil {
+		q.mu.Lock()
+		q.enqueue(m)
+		q.mu.Unlock()
+		q.cond.Broadcast()
+		return
 	}
+	// Event engine: the caller is the current runner; make the parked
+	// owner runnable at the message's arrival time.
+	q.enqueue(m)
+	ev.noteArrival(q.owner, m)
+}
+
+// enqueue appends m to its pair's bucket, creating the bucket on the
+// pair's first message.
+func (q *msgQueue) enqueue(m *message) {
 	m.seq = q.seq
 	q.seq++
-	k := pairKey(m.ctx, m.src)
-	q.buckets[k] = append(q.buckets[k], m)
 	q.count++
-	q.mu.Unlock()
-	q.cond.Broadcast()
-	if ev := q.owner.world.ev; ev != nil {
-		// Event engine: the caller is the current runner; make the parked
-		// owner runnable at the message's arrival time.
-		ev.noteArrival(q.owner, m)
+	k := pairKey(m.ctx, m.src)
+	i, ok := q.index[k]
+	if !ok {
+		if q.index == nil {
+			q.index = make(map[uint64]int32)
+		}
+		i = int32(len(q.slab))
+		q.slab = append(q.slab, bucket{key: k})
+		q.index[k] = i
+	}
+	if b := &q.slab[i]; b.head == nil {
+		b.head, b.tail = m, m
+	} else {
+		b.tail.next, b.tail = m, m
 	}
 }
 
 // find locates the first queued match of (ctx, src, tag) — the earliest
-// arrival among matches, as in MPI matching order — without removing it.
-// Caller holds q.mu. A miss returns a nil message.
-func (q *msgQueue) find(ctx, src, tag int) (key uint64, idx int, m *message) {
+// arrival among matches, as in MPI matching order — without removing it:
+// message m of bucket b, after prev (nil at the head). A miss returns a
+// nil message. Under the goroutine engine the caller holds q.mu.
+func (q *msgQueue) find(ctx, src, tag int) (b *bucket, prev, m *message) {
 	if src != AnySource {
-		k := pairKey(ctx, src)
-		for i, c := range q.buckets[k] {
-			if tag == AnyTag || c.tag == tag {
-				return k, i, c
+		if i, ok := q.index[pairKey(ctx, src)]; ok {
+			b = &q.slab[i]
+			for c := b.head; c != nil; prev, c = c, c.next {
+				if tag == AnyTag || c.tag == tag {
+					return b, prev, c
+				}
 			}
 		}
-		return 0, 0, nil
+		return nil, nil, nil
 	}
-	for k, b := range q.buckets {
-		if len(b) == 0 {
-			// Drained bucket kept for its append capacity; prune it here,
-			// off the specific-source fast path.
-			delete(q.buckets, k)
+	for i := 0; i < len(q.slab); {
+		cand := &q.slab[i]
+		if cand.head == nil {
+			// Drained bucket kept for the pair's next message; prune it
+			// here, off the specific-source fast path, so wildcard scans
+			// stay proportional to the pairs with traffic: the last bucket
+			// takes its slot and is scanned next.
+			last := len(q.slab) - 1
+			delete(q.index, cand.key)
+			*cand, q.slab[last] = q.slab[last], bucket{}
+			q.slab = q.slab[:last]
+			if i < last {
+				q.index[cand.key] = int32(i)
+			}
 			continue
 		}
-		if b[0].ctx != ctx {
+		i++
+		if int(cand.key>>32) != ctx {
 			continue
 		}
-		for i, c := range b {
+		var p *message
+		for c := cand.head; c != nil; p, c = c, c.next {
 			if tag != AnyTag && c.tag != tag {
 				continue
 			}
 			// First tag match in a bucket is its earliest (FIFO per pair).
 			if m == nil || c.seq < m.seq {
-				key, idx, m = k, i, c
+				b, prev, m = cand, p, c
 			}
 			break
 		}
 	}
-	return key, idx, m
+	return b, prev, m
 }
 
-// removeAt takes message idx of bucket key out of the queue. Popping the
-// bucket head — the only case FIFO traffic produces — slides or truncates
-// the slice instead of copying the tail.
-func (q *msgQueue) removeAt(key uint64, idx int) *message {
-	b := q.buckets[key]
-	m := b[idx]
-	switch {
-	case idx == 0 && len(b) == 1:
-		// Keep the empty bucket and its capacity: a ping-pong pair would
-		// otherwise reallocate the bucket on every message.
-		b[0] = nil
-		b = b[:0]
-	case idx == 0:
-		b[0] = nil
-		b = b[1:]
-	default:
-		b = append(b[:idx], b[idx+1:]...)
+// remove unlinks the message find located from its bucket.
+func (q *msgQueue) remove(b *bucket, prev, m *message) *message {
+	if prev == nil {
+		b.head = m.next
+	} else {
+		prev.next = m.next
 	}
-	q.buckets[key] = b
+	if b.tail == m {
+		b.tail = prev
+	}
+	m.next = nil
 	q.count--
 	return m
 }
@@ -167,8 +210,8 @@ func (q *msgQueue) take(c *Comm, src, tag int) (*message, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
-		if k, i, m := q.find(c.ctx, src, tag); m != nil {
-			return q.removeAt(k, i), nil
+		if b, prev, m := q.find(c.ctx, src, tag); m != nil {
+			return q.remove(b, prev, m), nil
 		}
 		if q.aborted.Load() {
 			return nil, ErrAborted
@@ -182,18 +225,13 @@ func (q *msgQueue) take(c *Comm, src, tag int) (*message, error) {
 
 // takeEvent is the event-engine take (and takeDeadline, with deadlineAt ≥
 // 0 in virtual ns): instead of waiting on the condition variable, the
-// owner parks with the scheduler and re-scans on each wake-up. The queue
-// lock is never held across a park — the next runner may be a sender into
-// this very queue.
+// owner parks with the scheduler and re-scans on each wake-up. It takes no
+// lock (see msgQueue).
 func (q *msgQueue) takeEvent(ev *evScheduler, c *Comm, src, tag int, deadlineAt int64) (*message, error) {
 	for {
-		q.mu.Lock()
-		if k, i, m := q.find(c.ctx, src, tag); m != nil {
-			mm := q.removeAt(k, i)
-			q.mu.Unlock()
-			return mm, nil
+		if b, prev, m := q.find(c.ctx, src, tag); m != nil {
+			return q.remove(b, prev, m), nil
 		}
-		q.mu.Unlock()
 		if q.aborted.Load() {
 			return nil, ErrAborted
 		}
@@ -239,8 +277,8 @@ func (q *msgQueue) takeDeadline(c *Comm, src, tag int, d time.Duration) (*messag
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
-		if k, i, m := q.find(c.ctx, src, tag); m != nil {
-			return q.removeAt(k, i), nil
+		if b, prev, m := q.find(c.ctx, src, tag); m != nil {
+			return q.remove(b, prev, m), nil
 		}
 		if q.aborted.Load() {
 			return nil, ErrAborted
@@ -281,12 +319,9 @@ func (q *msgQueue) peek(c *Comm, src, tag int) (*message, error) {
 // takeEvent, without removing the match.
 func (q *msgQueue) peekEvent(ev *evScheduler, c *Comm, src, tag int) (*message, error) {
 	for {
-		q.mu.Lock()
 		if _, _, m := q.find(c.ctx, src, tag); m != nil {
-			q.mu.Unlock()
 			return m, nil
 		}
-		q.mu.Unlock()
 		if q.aborted.Load() {
 			return nil, ErrAborted
 		}
@@ -303,8 +338,8 @@ func (q *msgQueue) peekEvent(ev *evScheduler, c *Comm, src, tag int) (*message, 
 func (q *msgQueue) tryTake(ctx, src, tag int) (*message, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if k, i, m := q.find(ctx, src, tag); m != nil {
-		return q.removeAt(k, i), true
+	if b, prev, m := q.find(ctx, src, tag); m != nil {
+		return q.remove(b, prev, m), true
 	}
 	return nil, false
 }

@@ -58,8 +58,8 @@ func less(a, b Item) bool {
 
 // Queue is the event heap. The zero value is ready to use. It is not
 // goroutine-safe: the discrete-event scheduler guarantees a single accessor
-// at a time (the one running rank or the dispatcher, alternating through a
-// channel handoff that establishes the necessary happens-before).
+// at a time (the one running rank or the dispatcher, alternating through
+// coroutine switches that establish the necessary happens-before).
 type Queue struct {
 	items []Item
 	seq   uint64
