@@ -17,6 +17,7 @@ import (
 	"mpimon/internal/mpi"
 	"mpimon/internal/netsim"
 	"mpimon/internal/pml"
+	"mpimon/internal/sparsemat"
 	"mpimon/internal/stencil"
 	"mpimon/internal/topology"
 	"mpimon/internal/treematch"
@@ -141,9 +142,13 @@ func BenchmarkFig7CG(b *testing.B) {
 }
 
 // BenchmarkTable1TreeMatchScale regenerates Table 1 at reduced orders
-// (cmd/exp treematch-scale runs the full 8192-65536 sweep).
+// (cmd/exp treematch-scale runs the full 8192-65536 sweep). Orders up to
+// 4096 refine every part pair in full; 16384 (512 parts) exceeds the swap
+// budget and takes the capped heaviest-pairs refinement, as every order of
+// the full sweep does. fromview/65536 times the matrix build from the
+// sparse gathered view of the largest order.
 func BenchmarkTable1TreeMatchScale(b *testing.B) {
-	for _, order := range []int{1024, 2048, 4096} {
+	for _, order := range []int{1024, 2048, 4096, 16384} {
 		b.Run(itoa(order), func(b *testing.B) {
 			m := workloads.ClusteredSparse(order, 32, 1000, 1, 7)
 			topo := topology.MustNew(order/32, 2, 16)
@@ -156,6 +161,35 @@ func BenchmarkTable1TreeMatchScale(b *testing.B) {
 			}
 		})
 	}
+	b.Run("fromview/65536", func(b *testing.B) {
+		sm := upperView(workloads.ClusteredSparse(65536, 32, 1000, 1, 7))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := treematch.FromView(sm); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// upperView turns a symmetric affinity matrix into the sparse bytes matrix
+// whose pairwise sums are those affinities, each pair's weight travelling in
+// the lower-to-higher direction: the gathered view a monitored world of that
+// traffic would hand to treematch.FromView.
+func upperView(m *treematch.Matrix) *sparsemat.Matrix {
+	sm := sparsemat.New(m.N())
+	for i := 0; i < m.N(); i++ {
+		var row sparsemat.Row
+		for _, e := range m.Row(i) {
+			if e.Col > i {
+				row.Dst = append(row.Dst, int32(e.Col))
+				row.Cnt = append(row.Cnt, 1)
+				row.Byt = append(row.Byt, uint64(e.W))
+			}
+		}
+		sm.Rows[i] = row
+	}
+	return sm
 }
 
 // BenchmarkGatherSparse measures the sparse monitoring gathers on stencil

@@ -13,7 +13,9 @@
 package treematch
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -59,6 +61,9 @@ func (m *Matrix) Add(i, j int, w float64) {
 }
 
 // Finish sorts and merges duplicate entries; Map* call it implicitly.
+// Rows already in column order are left as they are, which is exactly what
+// sorting them would do (sort.Slice leaves a sorted slice untouched), so
+// duplicate entries always merge in the same order.
 func (m *Matrix) Finish() {
 	if m.finished {
 		return
@@ -66,7 +71,9 @@ func (m *Matrix) Finish() {
 	m.nonneg = true
 	for i := range m.rows {
 		r := m.rows[i]
-		sort.Slice(r, func(a, b int) bool { return r[a].Col < r[b].Col })
+		if !slices.IsSortedFunc(r, func(a, b Entry) int { return cmp.Compare(a.Col, b.Col) }) {
+			sort.Slice(r, func(a, b int) bool { return r[a].Col < r[b].Col })
+		}
 		out := r[:0]
 		for _, e := range r {
 			if len(out) > 0 && out[len(out)-1].Col == e.Col {

@@ -1,8 +1,10 @@
 package treematch
 
 import (
+	"cmp"
+	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -171,8 +173,12 @@ type heapEntry struct {
 	p           int32
 }
 
-// gainHeap is a max-heap ordered by (score desc, gain desc, p asc) — the
-// exact selection order of the reference greedy loop.
+// gainHeap is a 4-ary max-heap ordered by (score desc, gain desc, p asc) —
+// the exact selection order of the reference greedy loop. heapBetter is a
+// total order up to identical entries, so the sequence of pops does not
+// depend on the heap's arity or sifting: the layout is free to be the
+// cheapest one. Sifts move a hole and write the entry once instead of
+// swapping at every level.
 type gainHeap []heapEntry
 
 func heapBetter(a, b heapEntry) bool {
@@ -186,43 +192,51 @@ func heapBetter(a, b heapEntry) bool {
 }
 
 func (h *gainHeap) push(e heapEntry) {
-	*h = append(*h, e)
-	s := *h
+	s := append(*h, e)
 	i := len(s) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !heapBetter(s[i], s[parent]) {
+		parent := (i - 1) / 4
+		if !heapBetter(e, s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = e
+	*h = s
 }
 
 func (h *gainHeap) pop() heapEntry {
 	s := *h
 	top := s[0]
 	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < len(s) && heapBetter(s[l], s[best]) {
-			best = l
-		}
-		if r < len(s) && heapBetter(s[r], s[best]) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		s[i], s[best] = s[best], s[i]
-		i = best
+	*h = s[:last]
+	if last > 0 {
+		siftDown(s[:last], 0, s[last])
 	}
 	return top
+}
+
+// siftDown places e into the subheap rooted at the hole i.
+func siftDown(s []heapEntry, i int, e heapEntry) {
+	for {
+		c := 4*i + 1
+		if c >= len(s) {
+			break
+		}
+		best, end := c, min(c+4, len(s))
+		for j := c + 1; j < end; j++ {
+			if heapBetter(s[j], s[best]) {
+				best = j
+			}
+		}
+		if !heapBetter(s[best], e) {
+			break
+		}
+		s[i] = s[best]
+		i = best
+	}
+	s[i] = e
 }
 
 // partition splits procs into len(caps) parts with |part[i]| = caps[i],
@@ -255,22 +269,24 @@ func (ws *workspace) partition(m *Matrix, procs []int, caps []int) [][]int {
 		ws.assigned[i] = false
 		heap = append(heap, heapEntry{score: -s, gain: 0, p: int32(p)})
 	}
-	// Heapify the initial batch in O(n).
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(heap, i)
+	// Heapify the initial batch in O(n): sift down every inner node, from
+	// the parent of the last entry back to the root.
+	for i := (len(heap)+2)/4 - 1; i >= 0; i-- {
+		siftDown(heap, i, heap[i])
 	}
 	ws.heap = heap
 	ws.touched = ws.touched[:0]
 
+	// Largest parts first, ties by index (the keys are unique).
 	order := make([]int, k)
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if caps[order[a]] != caps[order[b]] {
-			return caps[order[a]] > caps[order[b]]
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(caps[b], caps[a]); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 
 	for _, pi := range order {
@@ -317,27 +333,9 @@ func (ws *workspace) partition(m *Matrix, procs []int, caps []int) [][]int {
 		local[p] = -1
 	}
 	for _, part := range parts {
-		sort.Ints(part)
+		slices.Sort(part)
 	}
 	return parts
-}
-
-func siftDown(s []heapEntry, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < len(s) && heapBetter(s[l], s[best]) {
-			best = l
-		}
-		if r < len(s) && heapBetter(s[r], s[best]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		s[i], s[best] = s[best], s[i]
-		i = best
-	}
 }
 
 // popBest pops heap entries until one reflects the current (score, gain) of
@@ -363,6 +361,17 @@ func (ws *workspace) popBest() int {
 // reduces the cut (a bounded Kernighan-Lin pass per part pair). Within
 // refineBudget it reproduces the reference pass structure exactly; above it
 // the capped heaviest-pairs pass runs instead.
+//
+// Both best-swap searches (this one and refinePair's) prune with the row
+// bound. The gain of swapping a ∈ A with b ∈ B is computed as
+// fl(fl(base_a + c_b) − 2w_ab), with base_a the row term, c_b the column
+// term and w_ab ≥ 0 their affinity when the matrix is nonnegative.
+// Rounding is monotone and 2w is exact, so every gain of row a is at most
+// fl(base_a + maxC), maxC = max_b c_b over the same computed c_b. A row whose
+// bound does not beat bestGain+1e-12 cannot replace the best swap, so the
+// search skips its dense-row scatter and inner loop and still selects the
+// same swap; rows are visited in the same order either way. With negative
+// affinities maxC is +Inf and nothing is skipped.
 func (ws *workspace) refineSwaps(m *Matrix, procs []int, parts [][]int) {
 	k := len(parts)
 	work := 0
@@ -415,9 +424,21 @@ func (ws *workspace) refineSwaps(m *Matrix, procs []int, parts [][]int) {
 				for {
 					bestGain := 0.0
 					bestA, bestB := -1, -1
+					maxC := math.Inf(1)
+					if m.nonneg {
+						maxC = math.Inf(-1)
+						for _, b := range parts[bi] {
+							affB := aff[int(local[b])*k:]
+							maxC = max(maxC, affB[ai]-affB[bi])
+						}
+					}
 					for _, a := range parts[ai] {
 						la := local[a]
 						affA := aff[int(la)*k:]
+						base := affA[bi] - affA[ai]
+						if base+maxC <= bestGain+1e-12 {
+							continue // the row bound: no swap of a gains enough
+						}
 						// Dense row of a's affinities, replacing the
 						// per-pair Matrix.Affinity binary search.
 						for _, e := range m.Row(a) {
@@ -425,7 +446,6 @@ func (ws *workspace) refineSwaps(m *Matrix, procs []int, parts [][]int) {
 								ws.rowW[l] = e.W
 							}
 						}
-						base := affA[bi] - affA[ai]
 						for _, b := range parts[bi] {
 							lb := local[b]
 							affB := aff[int(lb)*k:]
@@ -536,14 +556,15 @@ func (ws *workspace) refineCapped(m *Matrix, procs []int, parts [][]int, work in
 	for key, w := range cuts {
 		pairs = append(pairs, pairCut{ai: int32(key >> 32), bi: int32(key & 0xffffffff), w: w})
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].w != pairs[j].w {
-			return pairs[i].w > pairs[j].w
+	// Heaviest cut first, ties by pair (the keys are unique).
+	slices.SortFunc(pairs, func(x, y pairCut) int {
+		if c := cmp.Compare(y.w, x.w); c != 0 {
+			return c
 		}
-		if pairs[i].ai != pairs[j].ai {
-			return pairs[i].ai < pairs[j].ai
+		if c := cmp.Compare(x.ai, y.ai); c != 0 {
+			return c
 		}
-		return pairs[i].bi < pairs[j].bi
+		return cmp.Compare(x.bi, y.bi)
 	})
 
 	budget := refineBudget
@@ -606,14 +627,25 @@ func (ws *workspace) refinePair(m *Matrix, parts [][]int, ai, bi, budget int) in
 		spent += len(A) * len(B)
 		bestGain := 0.0
 		bestA, bestB := -1, -1
+		maxC := math.Inf(1)
+		if m.nonneg {
+			maxC = math.Inf(-1)
+			for _, b := range B {
+				lb := local[b]
+				maxC = max(maxC, toA[lb]-toB[lb])
+			}
+		}
 		for _, a := range A {
 			la := local[a]
+			base := toB[la] - toA[la]
+			if base+maxC <= bestGain+1e-12 {
+				continue // the row bound (see refineSwaps)
+			}
 			for _, e := range m.Row(a) {
 				if l := local[e.Col]; l >= 0 {
 					row[l] = e.W
 				}
 			}
-			base := toB[la] - toA[la]
 			for _, b := range B {
 				lb := local[b]
 				g := base + (toA[lb] - toB[lb]) - 2*row[lb]

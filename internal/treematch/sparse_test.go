@@ -94,6 +94,41 @@ func TestFromViewBitIdentical(t *testing.T) {
 	}
 }
 
+// chainView is a sparse view of order n in which every process talks both
+// ways with its chain neighbours and one way to the process n/2 above it.
+func chainView(n int) *sparsemat.Matrix {
+	sm := sparsemat.New(n)
+	for i := range sm.Rows {
+		r := &sm.Rows[i]
+		for _, j := range []int{i - 1, i + 1, i + n/2} {
+			if j >= 0 && j < n {
+				r.Dst = append(r.Dst, int32(j))
+				r.Cnt = append(r.Cnt, 1)
+				r.Byt = append(r.Byt, uint64(100+i%7))
+			}
+		}
+	}
+	return sm
+}
+
+// TestFromViewAllocs pins that the matrix build allocates a constant number
+// of times whatever the order: exact-size rows cut from one backing array,
+// not rows grown entry by entry.
+func TestFromViewAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		v := chainView(n)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := FromView(v); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(512), allocs(4096)
+	if large > 8 || large != small {
+		t.Fatalf("FromView allocates %v times at order 512 and %v at 4096, want the same small constant", small, large)
+	}
+}
+
 func TestFromViewPadded(t *testing.T) {
 	bytes := []uint64{0, 100, 100, 0}
 	dense4 := make([]uint64, 16)
