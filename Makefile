@@ -38,9 +38,12 @@ flake:
 
 # fuzz runs each fuzz target for a few seconds on top of its checked-in seed
 # corpus (testdata/fuzz/, which plain `go test` already replays): the reduce
-# kernels against the scalar oracle.
+# kernels against the scalar oracle, the sparse row decoder and the matrix
+# JSON reader against their invariants.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReduceInto$$' -fuzztime 5s ./internal/mpi
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime 5s ./internal/sparsemat
+	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrixJSON$$' -fuzztime 5s ./internal/monitoring
 
 # nodeprecated keeps deprecated shims from regrowing: the repository has
 # one function per operation, so nothing outside the tests may carry a
@@ -48,11 +51,16 @@ fuzz:
 nodeprecated:
 	@! grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' .
 
-# novhostclock keeps the host's clock out of the Fig. 1 loop: the mapping is
-# priced in virtual time (reorder.mappingCost), so nothing outside the tests
-# of internal/reorder and internal/online may read or wait on host time.
+# novhostclock keeps the host's clock off the virtual-time path: the Fig. 1
+# mapping is priced in virtual time (reorder.mappingCost), and nothing
+# outside the tests of the packages below may read or wait on host time.
+# internal/monitoring's export.go (the row exporter's commit-interval clock)
+# is the one exception; internal/mpi joins once its goroutine engine and
+# time.AfterFunc are gone (ROADMAP 1(d)).
 novhostclock:
-	@! grep -rnE 'time\.(Now|Since|After|AfterFunc|Sleep|NewTimer)\b' --include='*.go' --exclude='*_test.go' internal/reorder internal/online
+	@! grep -rnE 'time\.(Now|Since|After|AfterFunc|Sleep|NewTimer)\b' --include='*.go' --exclude='*_test.go' \
+		internal/reorder internal/online internal/pml internal/netsim internal/coll internal/hwcount \
+		internal/sparsemat internal/treematch internal/telemetry internal/monitoring | grep -v '^internal/monitoring/export\.go:'
 
 # noenginechoice keeps the engine choice inside internal/mpi: every driver,
 # tuner and experiment runs on the event engine (exp.newWorld, coll.Measure,
@@ -107,6 +115,6 @@ benchsmoke:
 # suite, the race tier on the instrumented packages, the flake tier on the
 # clock-sensitive ones, a few seconds of every fuzz target, a one-iteration
 # pass over every benchmark, the exported-API pin, the no-deprecated-shims
-# check, the no-host-clock check on the reorder loop and the no-engine-choice
-# check on the drivers.
+# check, the no-host-clock check on the virtual-time path and the
+# no-engine-choice check on the drivers.
 ci: vet build test race flake fuzz benchsmoke apicheck nodeprecated novhostclock noenginechoice

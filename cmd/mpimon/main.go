@@ -11,12 +11,13 @@
 // (block allgather groups), bcast, reduce, cg (NAS CG skeleton, class -class).
 //
 // Observability: -telemetry FILE writes the run's span tree as a Chrome
-// trace-event file (or CSV when FILE ends in .csv), -serve ADDR exposes the
-// run's metrics in Prometheus text format at ADDR/metrics after the
-// workload completes (SIGINT/SIGTERM shut the endpoint down gracefully and
-// exit 0; for a long-lived multi-job daemon see cmd/mpimond), and -json
-// replaces the human-readable report with a JSON document carrying the
-// matrix and its matstat analysis.
+// trace-event file (or CSV when FILE ends in .csv: its message rows are the
+// run's post-mortem send trace), -serve ADDR exposes the run's metrics in
+// Prometheus text format at ADDR/metrics after the workload completes
+// (SIGINT/SIGTERM shut the endpoint down gracefully and exit 0; for a
+// long-lived multi-job daemon see cmd/mpimond), and -json replaces the
+// human-readable report with a JSON document carrying the matrix and its
+// matstat analysis.
 // -cpuprofile FILE and -memprofile FILE write pprof profiles of the run
 // (see docs/PERFORMANCE.md).
 package main
@@ -46,7 +47,6 @@ import (
 	"mpimon/internal/sparsemat"
 	"mpimon/internal/telemetry"
 	"mpimon/internal/topology"
-	"mpimon/internal/trace"
 	"mpimon/internal/treematch"
 )
 
@@ -64,7 +64,6 @@ type config struct {
 	matrix    bool
 	analyze   bool
 	jsonOut   bool
-	traceFile string
 	telemetry string
 	serve     string
 	seed      int64
@@ -103,7 +102,6 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	fs.BoolVar(&cfg.matrix, "matrix", false, "print the full communication matrix")
 	fs.BoolVar(&cfg.analyze, "analyze", false, "print matrix statistics (volume, locality, top pairs)")
 	fs.BoolVar(&cfg.jsonOut, "json", false, "emit the report (matrix + analysis included) as JSON")
-	fs.StringVar(&cfg.traceFile, "trace", "", "write a merged post-mortem event trace to this file")
 	fs.StringVar(&cfg.telemetry, "telemetry", "", "write the telemetry span tree to this file (.csv for CSV, Chrome trace JSON otherwise)")
 	fs.StringVar(&cfg.serve, "serve", "", "after the run, serve Prometheus metrics on this address (e.g. :9464)")
 	fs.Int64Var(&cfg.seed, "seed", 1, "random placement seed")
@@ -302,7 +300,6 @@ func execute(cfg *config) (*report, *telemetry.Telemetry, error) {
 		Placement: cfg.placement,
 		Iters:     cfg.iters,
 	}
-	tracers := make([]*trace.Tracer, cfg.np)
 	err = w.Run(func(c *mpi.Comm) error {
 		env, err := monitoring.Init(c.Proc())
 		if err != nil {
@@ -310,11 +307,6 @@ func execute(cfg *config) (*report, *telemetry.Telemetry, error) {
 		}
 		defer env.Finalize()
 		p := c.Proc()
-		if cfg.traceFile != "" {
-			tr := trace.NewTracer(c.Rank())
-			tracers[c.Rank()] = tr
-			p.Monitor().AddRecorder(tr.Record)
-		}
 
 		// Monitored baseline phase.
 		s, err := env.Start(c)
@@ -402,28 +394,6 @@ func execute(cfg *config) (*report, *telemetry.Telemetry, error) {
 	})
 	if err != nil {
 		return nil, nil, err
-	}
-	if cfg.traceFile != "" {
-		var all []trace.Event
-		for _, tr := range tracers {
-			if tr != nil {
-				all = append(all, tr.Events()...)
-			}
-		}
-		f, err := os.Create(cfg.traceFile)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := trace.Write(f, trace.Merge(all)); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, nil, err
-		}
-		if !quiet {
-			fmt.Fprintf(out, "trace: %d events written to %s\n", len(all), cfg.traceFile)
-		}
 	}
 	return rep, tel, nil
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -61,20 +62,39 @@ func TestRunWithReorderAndAnalysis(t *testing.T) {
 	}
 }
 
+// TestRunCustomTopologyAndTrace: the post-mortem message trace is the
+// -telemetry CSV; a ring run writes one message row per send, each 512 B to
+// the next rank.
 func TestRunCustomTopologyAndTrace(t *testing.T) {
-	traceFile := filepath.Join(t.TempDir(), "out.trace")
+	traceFile := filepath.Join(t.TempDir(), "run.csv")
 	if err := run(cfg("ring", 8, func(c *config) {
 		c.topoSpec = "2x2x2"
 		c.placement = "random"
 		c.bytes = 512
-		c.traceFile = traceFile
+		c.telemetry = traceFile
 		c.seed = 7
 	})); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(traceFile)
-	if err != nil || fi.Size() == 0 {
-		t.Fatalf("trace file missing or empty: %v", err)
+	raw, err := os.ReadFile(traceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := 0
+	for _, line := range strings.Split(string(raw), "\n") {
+		// id,parent,rank,kind,name,start_ns,end_ns,src,dst,bytes,class,ctx
+		f := strings.Split(line, ",")
+		if len(f) != 12 || f[3] != "message" || f[10] != "p2p" {
+			continue
+		}
+		src, _ := strconv.Atoi(f[7])
+		if dst, _ := strconv.Atoi(f[8]); dst != (src+1)%8 || f[9] != "512" {
+			t.Fatalf("p2p message row %q is not a ring send", line)
+		}
+		ring++
+	}
+	if want := 8 * 2; ring != want { // np × iters
+		t.Fatalf("%d p2p message rows, want %d", ring, want)
 	}
 }
 
@@ -94,15 +114,19 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestEngineFlagRejected: mpimon runs on the event engine and offers no way
-// to say otherwise; -engine is a usage error (exit 2 in main).
+// to say otherwise; -engine is a usage error (exit 2 in main). So is -trace:
+// the post-mortem message trace is the -telemetry CSV.
 func TestEngineFlagRejected(t *testing.T) {
 	var errb bytes.Buffer
 	if c, err := parseFlags([]string{"-workload", "ring", "-np", "8"}, &errb); err != nil || c.workload != "ring" || c.np != 8 || c.placement != "rr" {
 		t.Fatalf("parseFlags = %+v, %v", c, err)
 	}
-	_, err := parseFlags([]string{"-engine", "event"}, &errb)
-	if err == nil || !strings.Contains(errb.String(), "flag provided but not defined: -engine") {
-		t.Fatalf("-engine accepted: err %v, stderr %q", err, errb.String())
+	for _, args := range [][]string{{"-engine", "event"}, {"-trace", "x"}} {
+		errb.Reset()
+		_, err := parseFlags(args, &errb)
+		if err == nil || !strings.Contains(errb.String(), "flag provided but not defined: "+args[0]) {
+			t.Fatalf("%s accepted: err %v, stderr %q", args[0], err, errb.String())
+		}
 	}
 }
 

@@ -44,7 +44,7 @@ func main() {
 		}
 		p := c.Proc()
 		if c.Rank() == 0 {
-			recID := p.Monitor().AddRecorder(collector.Record)
+			p.Monitor().AddRecorder(collector.Record)
 			rng := p.Rand()
 			for p.Clock() < horizon {
 				size := 1<<10 + rng.Intn(800<<10)
@@ -53,7 +53,7 @@ func main() {
 				}
 				p.Sleep(50*time.Millisecond + time.Duration(rng.Int63n(int64(950*time.Millisecond))))
 			}
-			p.Monitor().RemoveRecorder(recID)
+			// The collector records this 0-byte stop message too; it adds nothing.
 			if err := c.SendN(1, stopTag, 0); err != nil {
 				return err
 			}

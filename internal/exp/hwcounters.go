@@ -75,7 +75,7 @@ func HWCounters(cfg HWCountersConfig) (HWCountersResult, error) {
 		}
 		p := c.Proc()
 		if c.Rank() == 0 {
-			recID := p.Monitor().AddRecorder(collector.Record)
+			p.Monitor().AddRecorder(collector.Record)
 			rng := p.Rand()
 			rng.Seed(cfg.Seed)
 			for p.Clock() < cfg.Duration {
@@ -86,7 +86,7 @@ func HWCounters(cfg HWCountersConfig) (HWCountersResult, error) {
 				sleep := cfg.MinSleep + time.Duration(rng.Int63n(int64(cfg.MaxSleep-cfg.MinSleep)))
 				p.Sleep(sleep)
 			}
-			p.Monitor().RemoveRecorder(recID)
+			// The collector records this 0-byte stop message too; it adds nothing.
 			if err := c.SendN(1, stopTag, 0); err != nil {
 				return err
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 
@@ -446,6 +447,9 @@ func ReadMatrixJSON(r io.Reader) (counts, bytes []uint64, n int, err error) {
 		return nil, nil, 0, err
 	}
 	n = doc.Size
+	if n < 0 || n > 0 && n > math.MaxInt/n {
+		return nil, nil, 0, fmt.Errorf("monitoring: matrix document of impossible size %d", n)
+	}
 	if doc.Sparse || (doc.Counts == nil && doc.Bytes == nil && doc.Rows != nil) {
 		counts = make([]uint64, n*n)
 		bytes = make([]uint64, n*n)

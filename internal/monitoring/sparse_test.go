@@ -2,9 +2,11 @@ package monitoring
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -329,6 +331,30 @@ func TestWriteJSONCrossoverAndReadBack(t *testing.T) {
 	if _, _, n, err := ReadMatrixJSON(bytes.NewReader(buf.Bytes())); err != nil || n != 3 {
 		t.Fatalf("dense JSON round-trip: n=%d err=%v", n, err)
 	}
+}
+
+// FuzzReadMatrixJSON: a document ReadMatrixJSON accepts gives n ≥ 0 and
+// two matrices of n² entries, n² not wrapping. The checked-in corpus holds a negative size (dense and
+// sparse), a size whose square overflows int, and a dense and a sparse
+// document WriteJSON wrote. A document declaring more than 1024 ranks,
+// with an n² that fits an int, is skipped: reading it allocates its n²
+// matrices, as it should.
+func FuzzReadMatrixJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		var head struct {
+			Size int `json:"size"`
+		}
+		if json.NewDecoder(bytes.NewReader(doc)).Decode(&head) == nil && head.Size > 1024 && head.Size <= math.MaxInt/head.Size {
+			t.Skip()
+		}
+		counts, byt, n, err := ReadMatrixJSON(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		if n < 0 || n > 0 && n > math.MaxInt/n || len(counts) != n*n || len(byt) != n*n {
+			t.Fatalf("ReadMatrixJSON(%q) = %d counts, %d bytes, n = %d", doc, len(counts), len(byt), n)
+		}
+	})
 }
 
 // TestFlushWrapsUnderlyingError pins satellite contract #3: a failing

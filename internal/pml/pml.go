@@ -89,18 +89,15 @@ type Recorder func(class Class, dst, bytes int, when int64)
 // holding the lock is what makes every read exact.
 //
 // Any number of recorders can observe the monitor simultaneously (the
-// post-mortem tracer, the hardware-counter collector and the telemetry
-// metrics all hang off the same run); the hot path reads an immutable
-// snapshot of the recorder list, so fan-out costs one pointer load when no
-// recorder is installed.
+// hardware-counter collector and the telemetry metrics both hang off the
+// same run); the hot path reads an immutable snapshot of the recorder list,
+// so fan-out costs one pointer load when no recorder is installed.
 type Monitor struct {
 	n        int
 	level    atomic.Int32
 	suppress atomic.Int32
 
 	recMu     sync.Mutex
-	recNext   int
-	recIDs    []int
 	recorders atomic.Pointer[[]Recorder]
 
 	mu  sync.Mutex
@@ -216,51 +213,20 @@ func (m *Monitor) Unsuppress() {
 	}
 }
 
-// AddRecorder registers a per-message observer and returns an id for
-// RemoveRecorder. Recorders are invoked in registration order on the
-// sender's goroutine.
-func (m *Monitor) AddRecorder(r Recorder) int {
+// AddRecorder registers a per-message observer for the monitor's lifetime.
+// Recorders are invoked in registration order on the sender's goroutine.
+func (m *Monitor) AddRecorder(r Recorder) {
 	if r == nil {
 		panic("pml: AddRecorder(nil)")
 	}
 	m.recMu.Lock()
 	defer m.recMu.Unlock()
-	id := m.recNext
-	m.recNext++
-	m.recIDs = append(m.recIDs, id)
-	old := m.recorders.Load()
 	var rs []Recorder
-	if old != nil {
+	if old := m.recorders.Load(); old != nil {
 		rs = append(rs, *old...)
 	}
 	rs = append(rs, r)
 	m.recorders.Store(&rs)
-	return id
-}
-
-// RemoveRecorder unregisters the recorder with the given id; unknown ids
-// are ignored (removing twice is harmless).
-func (m *Monitor) RemoveRecorder(id int) {
-	m.recMu.Lock()
-	defer m.recMu.Unlock()
-	old := m.recorders.Load()
-	if old == nil {
-		return
-	}
-	for i, have := range m.recIDs {
-		if have == id {
-			m.recIDs = append(m.recIDs[:i], m.recIDs[i+1:]...)
-			rs := make([]Recorder, 0, len(*old)-1)
-			rs = append(rs, (*old)[:i]...)
-			rs = append(rs, (*old)[i+1:]...)
-			if len(rs) == 0 {
-				m.recorders.Store(nil)
-			} else {
-				m.recorders.Store(&rs)
-			}
-			return
-		}
-	}
 }
 
 // Record counts one outgoing message of the given class to the destination

@@ -75,37 +75,37 @@ func TestUnsuppressUnderflowPanics(t *testing.T) {
 
 func TestRecorderHook(t *testing.T) {
 	m := NewMonitor(2, Distinct)
-	var got []int
-	id := m.AddRecorder(func(class Class, dst, bytes int, when int64) {
-		got = append(got, bytes)
+	type rec struct {
+		class      Class
+		dst, bytes int
+		when       int64
+	}
+	var got []rec
+	m.AddRecorder(func(class Class, dst, bytes int, when int64) {
+		got = append(got, rec{class, dst, bytes, when})
 	})
-	m.Record(P2P, 1, 5, 0)
-	m.Record(P2P, 1, 7, 0)
-	m.RemoveRecorder(id)
-	m.Record(P2P, 1, 9, 0)
-	if len(got) != 2 || got[0] != 5 || got[1] != 7 {
-		t.Fatalf("recorder saw %v, want [5 7]", got)
+	m.Record(P2P, 1, 5, 10)
+	m.Record(Osc, 0, 7, 20)
+	if want := []rec{{P2P, 1, 5, 10}, {Osc, 0, 7, 20}}; !slices.Equal(got, want) {
+		t.Fatalf("recorder saw %v, want %v", got, want)
 	}
 }
 
+// TestRecorderFanOut: every recorder sees every message, in registration
+// order, including one added after traffic started (from then on).
 func TestRecorderFanOut(t *testing.T) {
 	m := NewMonitor(2, Distinct)
-	var a, b []int
-	idA := m.AddRecorder(func(class Class, dst, bytes int, when int64) {
-		a = append(a, bytes)
-	})
+	var order []string
 	m.AddRecorder(func(class Class, dst, bytes int, when int64) {
-		b = append(b, bytes)
+		order = append(order, fmt.Sprintf("a%d", bytes))
 	})
 	m.Record(Coll, 0, 3, 0)
-	m.RemoveRecorder(idA)
-	m.RemoveRecorder(idA) // double removal is harmless
+	m.AddRecorder(func(class Class, dst, bytes int, when int64) {
+		order = append(order, fmt.Sprintf("b%d", bytes))
+	})
 	m.Record(Coll, 0, 4, 0)
-	if len(a) != 1 || a[0] != 3 {
-		t.Fatalf("recorder a saw %v, want [3]", a)
-	}
-	if len(b) != 2 || b[0] != 3 || b[1] != 4 {
-		t.Fatalf("recorder b saw %v, want [3 4]", b)
+	if want := []string{"a3", "a4", "b4"}; !slices.Equal(order, want) {
+		t.Fatalf("recorders ran as %v, want %v", order, want)
 	}
 }
 

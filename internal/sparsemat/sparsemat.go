@@ -20,6 +20,7 @@ package sparsemat
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Row is one source rank's nonzero per-destination monitoring data. The
@@ -97,49 +98,72 @@ func uvarintLen(v uint64) int {
 
 // DecodeRow parses one wire-encoded row from the front of b, returning the
 // row, the number of bytes consumed and any format error. n bounds the
-// destination ranks (pass a negative n to skip the bound).
+// destination ranks (pass a negative n to bound them by int32 only). An
+// accepted row passes Validate(n), and AppendRow re-encodes it to exactly
+// the bytes consumed.
 func DecodeRow(b []byte, n int) (Row, int, error) {
-	nnz, off := binary.Uvarint(b)
+	nnz, off := uvarint(b)
 	if off <= 0 {
-		return Row{}, 0, fmt.Errorf("sparsemat: truncated row header")
+		return Row{}, 0, fmt.Errorf("sparsemat: malformed row header")
 	}
 	if n >= 0 && nnz > uint64(n) {
 		return Row{}, 0, fmt.Errorf("sparsemat: row claims %d entries for a world of %d", nnz, n)
+	}
+	// Every entry takes at least three bytes, so a larger claim is
+	// truncated and must not size the allocation below.
+	if nnz > uint64(len(b)-off)/3 {
+		return Row{}, 0, fmt.Errorf("sparsemat: row claims %d entries in %d bytes", nnz, len(b)-off)
+	}
+	end := uint64(math.MaxInt32) + 1 // one past the largest destination
+	if n >= 0 && uint64(n) < end {
+		end = uint64(n)
 	}
 	r := Row{
 		Dst: make([]int32, nnz),
 		Cnt: make([]uint64, nnz),
 		Byt: make([]uint64, nnz),
 	}
-	var dst int64 = -1
 	for i := 0; i < int(nnz); i++ {
-		gap, k := binary.Uvarint(b[off:])
+		gap, k := uvarint(b[off:])
 		if k <= 0 {
-			return Row{}, 0, fmt.Errorf("sparsemat: truncated destination of entry %d", i)
+			return Row{}, 0, fmt.Errorf("sparsemat: malformed destination of entry %d", i)
 		}
 		off += k
-		if i == 0 {
-			dst = int64(gap)
-		} else {
+		// The destination is base+gap, the first gap or the previous
+		// destination plus a gap ≥ 1; gap < end-base keeps it below end
+		// without overflowing.
+		var base uint64
+		if i > 0 {
 			if gap == 0 {
 				return Row{}, 0, fmt.Errorf("sparsemat: zero destination gap at entry %d", i)
 			}
-			dst += int64(gap)
+			base = uint64(r.Dst[i-1])
 		}
-		if n >= 0 && dst >= int64(n) {
-			return Row{}, 0, fmt.Errorf("sparsemat: destination %d outside world of %d", dst, n)
+		if gap >= end-base {
+			return Row{}, 0, fmt.Errorf("sparsemat: destination %d+%d of entry %d outside [0, %d)", base, gap, i, end)
 		}
-		r.Dst[i] = int32(dst)
-		if r.Cnt[i], k = binary.Uvarint(b[off:]); k <= 0 {
-			return Row{}, 0, fmt.Errorf("sparsemat: truncated count of entry %d", i)
+		r.Dst[i] = int32(base + gap)
+		if r.Cnt[i], k = uvarint(b[off:]); k <= 0 {
+			return Row{}, 0, fmt.Errorf("sparsemat: malformed count of entry %d", i)
 		}
 		off += k
-		if r.Byt[i], k = binary.Uvarint(b[off:]); k <= 0 {
-			return Row{}, 0, fmt.Errorf("sparsemat: truncated bytes of entry %d", i)
+		if r.Byt[i], k = uvarint(b[off:]); k <= 0 {
+			return Row{}, 0, fmt.Errorf("sparsemat: malformed bytes of entry %d", i)
 		}
 		off += k
 	}
 	return r, off, nil
+}
+
+// uvarint reads the uvarint at the front of b like binary.Uvarint, but
+// reports k = 0 for a padded (non-shortest) encoding, which AppendRow never
+// writes.
+func uvarint(b []byte) (v uint64, k int) {
+	v, k = binary.Uvarint(b)
+	if k > 1 && b[k-1] == 0 {
+		return 0, 0
+	}
+	return v, k
 }
 
 // Matrix is a full sparse communication matrix: Rows[i] holds the nonzero

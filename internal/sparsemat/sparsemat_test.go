@@ -1,6 +1,7 @@
 package sparsemat
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -63,6 +64,25 @@ func TestDecodeRowRejectsMalformed(t *testing.T) {
 	if _, _, err := DecodeRow(bad, 8); err == nil {
 		t.Error("DecodeRow accepted a zero destination gap")
 	}
+}
+
+// FuzzDecodeRow: a row DecodeRow accepts keeps the row invariant
+// (Validate(n)), and AppendRow re-encodes it to exactly the bytes it
+// consumed. The checked-in corpus holds two gap encodings that wrapped to
+// out-of-order destinations (one to -1) and a valid multi-entry row.
+func FuzzDecodeRow(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte, n int) {
+		r, used, err := DecodeRow(b, n)
+		if err != nil {
+			return
+		}
+		if err := r.Validate(n); err != nil {
+			t.Fatalf("DecodeRow(%x, %d) accepted an invalid row %v: %v", b, n, r, err)
+		}
+		if enc := AppendRow(nil, r); !bytes.Equal(enc, b[:used]) {
+			t.Fatalf("DecodeRow(%x, %d) consumed %x, AppendRow writes %x", b, n, b[:used], enc)
+		}
+	})
 }
 
 func TestValidateRejectsUnsortedAndMisaligned(t *testing.T) {

@@ -3,12 +3,13 @@
 // histograms), and pluggable exporters (Chrome trace-event JSON, CSV,
 // Prometheus text exposition).
 //
-// Where package pml counts "how much, to whom" and package trace records
-// flat per-process event streams, telemetry captures *structure*: every
-// collective operation opens a span, and the point-to-point messages it
-// decomposes into become child spans carrying (src, dst, bytes, class), so
-// the paper's central property — collectives become point-to-point below
-// the API — is directly visible as a causal tree. The same substrate
+// Where package pml counts "how much, to whom", telemetry records "when"
+// and *structure*: every collective operation opens a span, and the
+// point-to-point messages it decomposes into become child spans carrying
+// (src, dst, bytes, class), so the paper's central property — collectives
+// become point-to-point below the API — is directly visible as a causal
+// tree. The message spans are also the post-mortem send trace that
+// online.PhaseMatrices splits into phases. The same substrate
 // carries monitoring-session lifecycle events and the phase spans of the
 // dynamic rank reordering (monitor, treematch, split, redistribute).
 //

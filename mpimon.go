@@ -20,7 +20,6 @@ import (
 	"mpimon/internal/stencil"
 	"mpimon/internal/telemetry"
 	"mpimon/internal/topology"
-	"mpimon/internal/trace"
 	"mpimon/internal/treematch"
 )
 
@@ -349,10 +348,10 @@ var (
 // range [0, 2]).
 func MatrixDrift(ref, cur MatrixView) (float64, error) { return online.Drift(ref, cur) }
 
-// TracePhaseMatrices folds each quiet-gap-separated phase of a trace into
-// its own sparse communication matrix.
-func TracePhaseMatrices(evs []TraceEvent, n int, quiet time.Duration) ([]*SparseMatrix, error) {
-	return online.PhaseMatrices(evs, n, quiet)
+// TracePhaseMatrices folds each quiet-gap-separated phase of a run's message
+// spans into its own sparse communication matrix (other spans are ignored).
+func TracePhaseMatrices(spans []TelemetrySpan, n int, quiet time.Duration) ([]*SparseMatrix, error) {
+	return online.PhaseMatrices(spans, n, quiet)
 }
 
 // TracePhaseDrifts measures the drift between consecutive phase matrices —
@@ -447,7 +446,7 @@ func EncodeUint64Slice(v []uint64) []byte { return mpi.EncodeUint64s(v) }
 // DecodeUint64Slice unpacks a buffer written by EncodeUint64Slice.
 func DecodeUint64Slice(b []byte) []uint64 { return mpi.DecodeUint64s(b) }
 
-// Matrix-analysis, prediction and trace surfaces.
+// Matrix-analysis and prediction surfaces.
 
 // MatrixSummary aggregates a gathered communication matrix.
 type MatrixSummary = matstat.Summary
@@ -512,28 +511,6 @@ func WriteTelemetryCSV(w io.Writer, spans []TelemetrySpan) error {
 func WritePrometheus(w io.Writer, r *MetricsRegistry) error {
 	return telemetry.WritePrometheus(w, r)
 }
-
-// Tracer records per-process communication events for post-mortem traces.
-type Tracer = trace.Tracer
-
-// TraceEvent is one recorded transmission.
-type TraceEvent = trace.Event
-
-// NewTracer builds a tracer for a world rank; attach its Record method as
-// the process's monitoring recorder.
-func NewTracer(rank int) *Tracer { return trace.NewTracer(rank) }
-
-// WriteTrace dumps events as a text trace.
-func WriteTrace(w io.Writer, evs []TraceEvent) error { return trace.Write(w, evs) }
-
-// ReadTrace parses a trace written by WriteTrace.
-func ReadTrace(r io.Reader) ([]TraceEvent, error) { return trace.Read(r) }
-
-// MergeTraces interleaves per-process traces chronologically.
-func MergeTraces(traces ...[]TraceEvent) []TraceEvent { return trace.Merge(traces...) }
-
-// TraceMatrix folds a trace into the n-by-n bytes matrix.
-func TraceMatrix(evs []TraceEvent, n int) ([]uint64, error) { return trace.Matrix(evs, n) }
 
 // Heat-diffusion application (a verifiable iterative halo-exchange solver,
 // the workload class the paper's reordering targets).

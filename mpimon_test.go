@@ -3,8 +3,11 @@ package mpimon
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
+
+	"mpimon/internal/telemetry"
 )
 
 func TestFacadeQuickstart(t *testing.T) {
@@ -186,21 +189,37 @@ func TestFacadeReconfigure(t *testing.T) {
 	}
 }
 
+// TestFacadeTraceRoundTrip: the post-mortem trace of a run is its message
+// spans — written as CSV rows and folded back into a matrix.
 func TestFacadeTraceRoundTrip(t *testing.T) {
-	tr := NewTracer(0)
-	tr.Record(ClassP2P, 1, 64, 1000)
-	evs := tr.Events()
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, evs); err != nil {
+	tel := NewTelemetry()
+	w, err := NewWorld(PlaFRIM(1), 2, WithTelemetry(tel))
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTrace(&buf)
-	if err != nil || len(got) != 1 || got[0].Bytes != 64 {
-		t.Fatalf("trace round trip: %v, %v", got, err)
+	err = w.RunWithTimeout(time.Minute, func(c *Comm) error {
+		if c.Rank() == 0 {
+			return c.Send(1, 0, make([]byte, 64))
+		}
+		_, err := c.Recv(0, 0, nil)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	mat, err := TraceMatrix(MergeTraces(got), 2)
-	if err != nil || mat[0*2+1] != 64 {
-		t.Fatalf("TraceMatrix: %v, %v", mat, err)
+	var buf bytes.Buffer
+	if err := WriteTelemetryCSV(&buf, tel.Spans()); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), ",message,msg:p2p,") || !strings.Contains(buf.String(), ",0,1,64,p2p,") {
+		t.Fatalf("CSV trace lacks the 0->1 message row:\n%s", buf.String())
+	}
+	mats, err := TracePhaseMatrices(tel.Spans(), 2, 0)
+	if err != nil || len(mats) != 1 {
+		t.Fatalf("TracePhaseMatrices: %v, %v", mats, err)
+	}
+	if c, b := mats[0].At(0, 1); c != 1 || b != 64 || mats[0].NNZ() != 1 {
+		t.Fatalf("trace matrix 0->1 = (%d, %d) of %d entries, want (1, 64) alone", c, b, mats[0].NNZ())
 	}
 }
 
@@ -439,11 +458,11 @@ func TestFacadeDriftAndPhases(t *testing.T) {
 	if d != 0 {
 		t.Fatalf("drift of symmetric mirror = %v, want 0 (pairs fold)", d)
 	}
-	evs := []TraceEvent{
-		{Rank: 0, Dst: 1, Bytes: 5, When: time.Millisecond},
-		{Rank: 1, Dst: 2, Bytes: 5, When: time.Second},
+	spans := []TelemetrySpan{
+		{Kind: telemetry.KindMessage, Src: 0, Dst: 1, Bytes: 5, Start: int64(time.Millisecond)},
+		{Kind: telemetry.KindMessage, Src: 1, Dst: 2, Bytes: 5, Start: int64(time.Second)},
 	}
-	mats, err := TracePhaseMatrices(evs, 3, 100*time.Millisecond)
+	mats, err := TracePhaseMatrices(spans, 3, 100*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
