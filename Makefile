@@ -38,10 +38,11 @@ flake:
 
 # fuzz runs each fuzz target for a few seconds on top of its checked-in seed
 # corpus (testdata/fuzz/, which plain `go test` already replays): the reduce
-# kernels against the scalar oracle, the sparse row decoder and the matrix
-# JSON reader against their invariants.
+# kernels against the scalar oracle, the Bruck alltoallv frame decoder, the
+# sparse row decoder and the matrix JSON reader against their invariants.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReduceInto$$' -fuzztime 5s ./internal/mpi
+	$(GO) test -run '^$$' -fuzz '^FuzzBruckFrame$$' -fuzztime 5s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime 5s ./internal/sparsemat
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrixJSON$$' -fuzztime 5s ./internal/monitoring
 

@@ -316,3 +316,52 @@ func benchmarkSendRecv(b *testing.B, plan *faults.Plan) {
 		})
 	}
 }
+
+// TestForwardingReleasesOnce follows the pooled messages of Bcast and the
+// Allgather ring through the pool ledger. Both forward the message a rank
+// received instead of a copy of it, so a message changes owner hop by hop;
+// each must still be drawn once and released once, or be left queued. At np
+// 1…9, for every Bcast root and for Allgather, three ways: fault-free, with
+// the last rank's buffers half as long as everyone else's, and with every
+// message dropped.
+func TestForwardingReleasesOnce(t *testing.T) {
+	const blk = 96
+	dropAll := WithFaultPlan(&faults.Plan{Links: []faults.LinkRule{{SrcNode: -1, DstNode: -1, DropProb: 1}}})
+	scenarios := []struct {
+		name  string
+		opts  []Option
+		short bool
+	}{
+		{"fault-free", nil, false},
+		{"short buffer", nil, true},
+		{"every message dropped", []Option{dropAll}, false},
+	}
+	for _, sc := range scenarios {
+		for np := 1; np <= 9; np++ {
+			for root := -1; root < np; root++ { // -1 is the Allgather
+				what := fmt.Sprintf("bcast-root%d", root)
+				if root < 0 {
+					what = "allgather"
+				}
+				t.Run(fmt.Sprintf("%s/np%d/%s", sc.name, np, what), func(t *testing.T) {
+					ledger := tracePool(t)
+					w := newEngineWorld(t, np, EngineEvent, sc.opts...)
+					err := w.Run(func(c *Comm) error {
+						n := blk
+						if sc.short && c.Rank() == np-1 {
+							n = blk / 2
+						}
+						if root < 0 {
+							return c.Allgather(make([]byte, n), make([]byte, np*n))
+						}
+						return c.Bcast(make([]byte, n), root)
+					})
+					if sc.name == "fault-free" && err != nil {
+						t.Error(err)
+					}
+					ledger.requireBalanced(t, w)
+				})
+			}
+		}
+	}
+}

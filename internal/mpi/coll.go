@@ -74,15 +74,16 @@ func (c *Comm) recvMsgOn(ctx, src, tag int) (*message, error) {
 	return m, err
 }
 
-// recvReduceOn receives on an explicit context and folds the payload into
-// acc (acc = op(acc, payload)) straight from the message buffer. The payload
-// must be exactly len(acc) bytes; the message is released whatever the outcome.
-func (c *Comm) recvReduceOn(ctx, src, tag int, acc []byte, dt Datatype, op Op) error {
+// recvReduceOn receives on an explicit context and folds the payload,
+// straight from the message buffer, into dst = op(own, payload); dst may be
+// own itself. The payload must be exactly len(own) bytes; the message is
+// released whatever the outcome.
+func (c *Comm) recvReduceOn(ctx, src, tag int, dst, own []byte, dt Datatype, op Op) error {
 	m, err := c.recvMsgOn(ctx, src, tag)
 	if err != nil {
 		return err
 	}
-	err = reduceInto(acc, m.data, dt, op)
+	err = reduceTo(dst, own, m.data, dt, op)
 	m.release()
 	return err
 }
@@ -140,6 +141,12 @@ func (c *Comm) BcastN(size, root int) error {
 
 // bcast is the shared binomial-tree walk. When carry is true, buf holds the
 // payload (root) or receives it (others); when false only sizes move.
+//
+// A non-root rank forwards the message it received: a copy to every child
+// but the last — the mask-1 child, whenever there is a child at all — which
+// gets the message itself. So the subtree below a rank sees exactly what
+// the root sent, whatever buf this rank passed, and a rank whose buf is too
+// short reports the truncation only once its subtree has been served.
 func (c *Comm) bcast(buf []byte, size, root int, carry bool) error {
 	n := len(c.group)
 	if err := c.checkRank(root, "root"); err != nil {
@@ -151,38 +158,49 @@ func (c *Comm) bcast(buf []byte, size, root int, carry bool) error {
 	ctx := c.collCtx()
 	vrank := (c.rank - root + n) % n
 
+	var in *message // what this rank received; the root receives nothing
+	var truncErr error
 	mask := 1
 	for mask < n {
 		if vrank&mask != 0 {
 			src := (c.rank - mask + n) % n
-			var rbuf []byte
-			if carry {
-				rbuf = buf
-			}
-			if _, err := c.recvOn(ctx, src, tagBcast, rbuf); err != nil {
+			var err error
+			if in, err = c.recvMsgOn(ctx, src, tagBcast); err != nil {
 				return err
+			}
+			if carry {
+				_, truncErr = in.read(buf)
 			}
 			break
 		}
 		mask <<= 1
 	}
-	mask >>= 1
-	for mask > 0 {
-		if vrank+mask < n {
-			dst := (c.rank + mask) % n
-			var err error
-			if carry {
-				err = c.sendCopyOn(ctx, dst, tagBcast, buf)
-			} else {
-				err = c.sendOn(ctx, dst, tagBcast, nil, size)
-			}
-			if err != nil {
-				return err
-			}
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if vrank+mask >= n {
+			continue
 		}
-		mask >>= 1
+		var out *message
+		switch {
+		case in != nil && mask == 1:
+			out, in = in, nil // the last child: move, don't copy
+		case in != nil:
+			out = in.clone()
+		case carry:
+			out = cloneMsg(buf)
+		default:
+			out = ownedMsg(nil, size)
+		}
+		if err := c.sendMsgOn(ctx, (c.rank+mask)%n, tagBcast, out); err != nil {
+			if in != nil {
+				in.release()
+			}
+			return err
+		}
 	}
-	return nil
+	if in != nil {
+		in.release() // a leaf
+	}
+	return truncErr
 }
 
 // Reduce combines every member's send buffer elementwise with op and
@@ -229,32 +247,38 @@ func (c *Comm) reduceBinary(send, recv []byte, size int, dt Datatype, op Op, roo
 // reduceUp is the data path both reduction trees share: fold the children's
 // messages, in order, into this rank's contribution, then pass the result to
 // parent — or leave it in recv on the root, which has parent < 0. The
-// accumulator is the root's recv itself; elsewhere it is a pooled clone of
-// send that travels on as the message to the parent, whose fold recycles it.
-// Without carry only sizes move: buffers and payloads are nil, folds empty.
+// accumulator is the root's recv itself, into which send is copied first
+// (recv may overlap send). Elsewhere it is a pooled message that travels on
+// to the parent, whose fold recycles it: a leaf's is a clone of send, and an
+// interior rank's is written whole by its first fold, op(send, child₀), so
+// send is read once and never copied. Without carry only sizes move:
+// buffers and payloads are nil, folds empty.
 func (c *Comm) reduceUp(send, recv []byte, size int, dt Datatype, op Op, carry bool, children []int, parent int) error {
 	if err := checkReduce("reduce", send, recv, parent < 0, dt, op); err != nil {
 		return err
 	}
 	ctx := c.collCtx()
-	acc := recv
-	var up *message // what the parent receives; the root sends nothing
+	acc, own := recv, recv // each fold writes acc = op(own, child)
+	var up *message        // what the parent receives; the root sends nothing
 	switch {
 	case parent < 0:
 		copy(recv, send)
-	case carry:
-		up = cloneMsg(send)
-		acc = up.data
-	default:
+	case !carry:
 		up = ownedMsg(nil, size)
+	case len(children) == 0:
+		up = cloneMsg(send)
+	default:
+		up = getMsg(len(send), true)
+		acc, own = up.data, send
 	}
 	for _, child := range children {
-		if err := c.recvReduceOn(ctx, child, tagReduce, acc, dt, op); err != nil {
+		if err := c.recvReduceOn(ctx, child, tagReduce, acc, own, dt, op); err != nil {
 			if up != nil {
 				up.release()
 			}
 			return err
 		}
+		own = acc
 	}
 	if up == nil {
 		return nil
@@ -404,16 +428,26 @@ func (c *Comm) allgather(send, recv []byte) error {
 	ctx := c.collCtx()
 	right := (c.rank + 1) % n
 	left := (c.rank - 1 + n) % n
+	// Round s sends block rank-s and receives block rank-s-1, which round
+	// s+1 sends on: the message received is forwarded as it is, so only
+	// this rank's own block is ever copied into a message.
+	out := cloneMsg(recv[c.rank*blk : (c.rank+1)*blk])
 	for s := 0; s < n-1; s++ {
-		sendBlk := (c.rank - s + n) % n
+		if err := c.sendMsgOn(ctx, right, tagAllgat+s, out); err != nil {
+			return err
+		}
+		in, err := c.recvMsgOn(ctx, left, tagAllgat+s)
+		if err != nil {
+			return err
+		}
 		recvBlk := (c.rank - s - 1 + n) % n
-		if err := c.sendCopyOn(ctx, right, tagAllgat+s, recv[sendBlk*blk:(sendBlk+1)*blk]); err != nil {
+		if _, err := in.read(recv[recvBlk*blk : (recvBlk+1)*blk]); err != nil {
+			in.release()
 			return err
 		}
-		if _, err := c.recvOn(ctx, left, tagAllgat+s, recv[recvBlk*blk:(recvBlk+1)*blk]); err != nil {
-			return err
-		}
+		out = in
 	}
+	out.release()
 	return nil
 }
 

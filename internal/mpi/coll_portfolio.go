@@ -10,6 +10,7 @@ package mpi
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -55,7 +56,8 @@ func (c *Comm) allreduceRing(send, recv []byte, dt Datatype, op Op) error {
 		if err := c.sendCopyOn(ctx, right, tagRing+s, recv[lo(si):lo(si+1)]); err != nil {
 			return err
 		}
-		if err := c.recvReduceOn(ctx, left, tagRing+s, recv[lo(ri):lo(ri+1)], dt, op); err != nil {
+		blk := recv[lo(ri):lo(ri+1)]
+		if err := c.recvReduceOn(ctx, left, tagRing+s, blk, blk, dt, op); err != nil {
 			return err
 		}
 	}
@@ -185,65 +187,39 @@ func (c *Comm) alltoallvBruck(send []byte, scounts, sdispls []int, recv []byte, 
 
 	// staging[j] holds the block currently travelling at relative index
 	// j; initially my block for destination (rank+j)%n, finally the block
-	// from source (rank-j+n)%n addressed to me.
+	// from source (rank-j+n)%n addressed to me. The initial blocks share
+	// one array, each capped at its own length so that a longer block
+	// arriving later moves out instead of overwriting its neighbour.
 	staging := make([][]byte, n)
+	total := 0
+	for d := range scounts {
+		if d != c.rank {
+			total += scounts[d]
+		}
+	}
+	back := make([]byte, 0, total)
 	for j := 1; j < n; j++ {
 		d := (c.rank + j) % n
-		staging[j] = append([]byte(nil), send[sdispls[d]:sdispls[d]+scounts[d]]...)
+		lo := len(back)
+		back = append(back, send[sdispls[d]:sdispls[d]+scounts[d]]...)
+		staging[j] = back[lo:len(back):len(back)]
 	}
 
 	round := 0
 	for mask := 1; mask < n; mask, round = mask<<1, round+1 {
 		dst := (c.rank + mask) % n
 		src := (c.rank - mask + n) % n
-		// Pack every staged block whose index has this round's bit set
-		// into one frame: uvarint block count, then {uvarint index,
-		// uvarint length, payload} triples in ascending index order.
-		cnt := 0
-		for j := 1; j < n; j++ {
-			if j&mask != 0 {
-				cnt++
-			}
-		}
-		frame := binary.AppendUvarint(nil, uint64(cnt))
-		for j := 1; j < n; j++ {
-			if j&mask != 0 {
-				frame = binary.AppendUvarint(frame, uint64(j))
-				frame = binary.AppendUvarint(frame, uint64(len(staging[j])))
-				frame = append(frame, staging[j]...)
-			}
-		}
-		if err := c.sendOn(ctx, dst, tagBruck+round, frame, len(frame)); err != nil {
+		if err := c.sendMsgOn(ctx, dst, tagBruck+round, bruckFrame(staging, mask)); err != nil {
 			return err
 		}
-		st, err := c.probeOn(ctx, src, tagBruck+round)
+		m, err := c.recvMsgOn(ctx, src, tagBruck+round)
 		if err != nil {
 			return err
 		}
-		in := make([]byte, st.Size)
-		if _, err := c.recvOn(ctx, src, tagBruck+round, in); err != nil {
-			return err
-		}
-		got, in, err := bruckUvarint(in)
+		err = decodeBruckFrame(m.data, n, staging)
+		m.release()
 		if err != nil {
-			return err
-		}
-		for b := uint64(0); b < got; b++ {
-			var j, blen uint64
-			if j, in, err = bruckUvarint(in); err != nil {
-				return err
-			}
-			if blen, in, err = bruckUvarint(in); err != nil {
-				return err
-			}
-			if j == 0 || j >= uint64(n) || blen > uint64(len(in)) {
-				return fmt.Errorf("mpi: bruck frame from rank %d corrupt (index %d, length %d, %d bytes left)", src, j, blen, len(in))
-			}
-			staging[j] = append(staging[j][:0], in[:blen]...)
-			in = in[blen:]
-		}
-		if len(in) != 0 {
-			return fmt.Errorf("mpi: bruck frame from rank %d has %d trailing bytes", src, len(in))
+			return fmt.Errorf("mpi: bruck frame from rank %d: %w", src, err)
 		}
 	}
 
@@ -260,11 +236,73 @@ func (c *Comm) alltoallvBruck(send []byte, scounts, sdispls []int, recv []byte, 
 	return nil
 }
 
+// bruckFrame packs every staged block whose index has mask's bit set into
+// one exact-size pooled message: a uvarint block count, then {uvarint
+// index, uvarint length, payload} triples in ascending index order.
+func bruckFrame(staging [][]byte, mask int) *message {
+	cnt, size := 0, 0
+	for j := 1; j < len(staging); j++ {
+		if j&mask != 0 {
+			cnt++
+			size += uvarintLen(uint64(j)) + uvarintLen(uint64(len(staging[j]))) + len(staging[j])
+		}
+	}
+	m := getMsg(uvarintLen(uint64(cnt))+size, true)
+	b := m.data[binary.PutUvarint(m.data, uint64(cnt)):]
+	for j := 1; j < len(staging); j++ {
+		if j&mask != 0 {
+			b = b[binary.PutUvarint(b, uint64(j)):]
+			b = b[binary.PutUvarint(b, uint64(len(staging[j]))):]
+			b = b[copy(b, staging[j]):]
+		}
+	}
+	return m
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// decodeBruckFrame copies every block of a frame built by bruckFrame into
+// staging[j], for its index j, which must lie in [1, n). It reads in where
+// it arrived and keeps no reference to it. A frame that is truncated, names
+// an index outside [1, n) or has bytes after its last block is an error;
+// the blocks before the fault have been staged by then.
+func decodeBruckFrame(in []byte, n int, staging [][]byte) error {
+	cnt, in, err := bruckUvarint(in)
+	if err != nil {
+		return err
+	}
+	for b := uint64(0); b < cnt; b++ {
+		var j, blen uint64
+		if j, in, err = bruckUvarint(in); err != nil {
+			return err
+		}
+		if blen, in, err = bruckUvarint(in); err != nil {
+			return err
+		}
+		if j == 0 || j >= uint64(n) || blen > uint64(len(in)) {
+			return fmt.Errorf("corrupt (index %d, length %d, %d bytes left)", j, blen, len(in))
+		}
+		staging[j] = append(staging[j][:0], in[:blen]...)
+		in = in[blen:]
+	}
+	if len(in) != 0 {
+		return fmt.Errorf("%d trailing bytes", len(in))
+	}
+	return nil
+}
+
 // bruckUvarint decodes one uvarint from a Bruck frame, returning the rest.
 func bruckUvarint(b []byte) (uint64, []byte, error) {
 	v, k := binary.Uvarint(b)
 	if k <= 0 {
-		return 0, nil, fmt.Errorf("mpi: bruck frame truncated")
+		return 0, nil, errors.New("truncated")
 	}
 	return v, b[k:], nil
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"mpimon/internal/netsim"
 )
 
 // engines lists the execution engines every algorithm test runs on; the
@@ -18,6 +20,8 @@ func testEngines(t *testing.T) map[string]Engine {
 	return map[string]Engine{"goroutine": nil, "event": ev}
 }
 
+// newEngineWorld builds an np-rank world on e: on testMachine up to its 8
+// cores, on one 24-core PlaFRIM node beyond.
 func newEngineWorld(t *testing.T, np int, e Engine, opts ...Option) *World {
 	t.Helper()
 	if e != nil {
@@ -25,7 +29,7 @@ func newEngineWorld(t *testing.T, np int, e Engine, opts ...Option) *World {
 	}
 	mach := testMachine()
 	if np > 8 {
-		t.Fatalf("testMachine has 8 cores, np=%d", np)
+		mach = netsim.PlaFRIM(1)
 	}
 	w, err := NewWorld(mach, np, opts...)
 	if err != nil {
@@ -382,4 +386,39 @@ func TestNewAlgorithmsTerminate(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("new algorithms did not terminate")
 	}
+}
+
+// FuzzBruckFrame feeds arbitrary frames to decodeBruckFrame for a group of
+// n ranks. An accepted frame may write staging indices in [1, n) only, and
+// re-encoding the staged blocks with bruckFrame, then decoding that, must
+// give the same blocks — not the same bytes: a frame may spell a uvarint
+// overlong. The seed corpus (a valid three-block frame, an overlong index,
+// a truncated length, index 0, an index ≥ n, trailing bytes) is checked in
+// under testdata/fuzz/FuzzBruckFrame.
+func FuzzBruckFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, frame []byte, nRaw uint8) {
+		n := int(nRaw)
+		guard := []byte("guard")
+		staging := make([][]byte, n+2) // indices 0, n and n+1 must stay untouched
+		staging[0], staging[n], staging[n+1] = guard, guard, guard
+		if decodeBruckFrame(frame, n, staging) != nil {
+			return
+		}
+		for _, j := range []int{0, n, n + 1} {
+			if !bytes.Equal(staging[j], []byte("guard")) {
+				t.Fatalf("n=%d: accepted frame wrote index %d", n, j)
+			}
+		}
+		m := bruckFrame(staging[:n], -1) // every index in [1, n)
+		again := make([][]byte, n)
+		if err := decodeBruckFrame(m.data, n, again); err != nil {
+			t.Fatalf("n=%d: re-encoded frame %x rejected: %v", n, m.data, err)
+		}
+		m.release()
+		for j := 1; j < n; j++ {
+			if !bytes.Equal(again[j], staging[j]) {
+				t.Fatalf("n=%d: block %d is %x after the round trip, want %x", n, j, again[j], staging[j])
+			}
+		}
+	})
 }

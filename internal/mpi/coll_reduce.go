@@ -71,7 +71,7 @@ func (c *Comm) foldIn(ctx, tag int, recv []byte, dt Datatype, op Op) (pof2, rem,
 	case c.rank%2 == 0:
 		return pof2, rem, -1, c.sendCopyOn(ctx, c.rank+1, tag, recv)
 	default:
-		return pof2, rem, c.rank / 2, c.recvReduceOn(ctx, c.rank-1, tag, recv, dt, op)
+		return pof2, rem, c.rank / 2, c.recvReduceOn(ctx, c.rank-1, tag, recv, recv, dt, op)
 	}
 }
 
@@ -105,7 +105,7 @@ func (c *Comm) sendrecvReduceOn(ctx, peer, tag int, data, acc []byte, dt Datatyp
 	if err := c.sendCopyOn(ctx, peer, tag, data); err != nil {
 		return err
 	}
-	return c.recvReduceOn(ctx, peer, tag, acc, dt, op)
+	return c.recvReduceOn(ctx, peer, tag, acc, acc, dt, op)
 }
 
 // ReduceScatterBlock reduces elementwise across the group and leaves block
@@ -141,7 +141,7 @@ func (c *Comm) reduceScatterBlock(send, recv []byte, dt Datatype, op Op) error {
 		if err := c.sendCopyOn(ctx, dst, tagRsct+s, send[dst*blk:(dst+1)*blk]); err != nil {
 			return err
 		}
-		if err := c.recvReduceOn(ctx, src, tagRsct+s, recv, dt, op); err != nil {
+		if err := c.recvReduceOn(ctx, src, tagRsct+s, recv, recv, dt, op); err != nil {
 			return err
 		}
 	}

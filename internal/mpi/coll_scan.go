@@ -32,7 +32,7 @@ func (c *Comm) scan(send, recv []byte, dt Datatype, op Op) error {
 		if m, err = c.recvMsgOn(ctx, c.rank-1, tagScan); err != nil {
 			return err
 		}
-		if err = reduceInto(m.data, send, dt, op); err != nil {
+		if err = reduceTo(m.data, m.data, send, dt, op); err != nil {
 			m.release()
 			return err
 		}
@@ -75,11 +75,11 @@ func (c *Comm) exscan(send, recv []byte, dt Datatype, op Op) error {
 	if len(m.data) != len(send) {
 		err = fmt.Errorf("mpi: exscan prefix has %d bytes, want %d", len(m.data), len(send))
 	} else if !last {
-		// Fold send into a pooled copy of the prefix — earlier ranks combine
-		// on the left — before recv is written, so an aliased recv (send ==
-		// recv) still contributes its original contents.
-		next := cloneMsg(m.data)
-		_ = reduceInto(next.data, send, dt, op) // cannot fail: checked above
+		// Fold the prefix and send into a fresh pooled message — earlier
+		// ranks combine on the left — before recv is written, so an aliased
+		// recv (send == recv) still contributes its original contents.
+		next := getMsg(len(send), true)
+		_ = reduceTo(next.data, m.data, send, dt, op) // cannot fail: checked above
 		err = c.sendMsgOn(ctx, c.rank+1, tagScan, next)
 	}
 	if err == nil {

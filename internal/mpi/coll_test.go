@@ -57,6 +57,60 @@ func TestBcastAllRoots(t *testing.T) {
 	}
 }
 
+// TestBcastMismatchedLengths: a rank whose buffer was shorter than the
+// root's used to return the truncation error without forwarding, stranding
+// its subtree (a deadlock on the event engine, a hang on the goroutine
+// one), and a rank whose buffer was longer forwarded its own stale tail
+// behind the root's bytes. Every rank now forwards exactly the message it
+// received, then reports its own truncation. At every root of np 1…9 on
+// both engines — each non-root rank in turn passing 4 B against 8 B, and
+// the root passing 4 B against 8 B — only the short rank errors, every
+// other rank's first len(root buf) bytes are the root's, and the rest of
+// every buffer is the rank's own.
+func TestBcastMismatchedLengths(t *testing.T) {
+	const long, short = 8, 4
+	for name, eng := range testEngines(t) {
+		for np := 1; np <= 9; np++ {
+			for root := 0; root < np; root++ {
+				for shortRank := 0; shortRank < np; shortRank++ {
+					lens := make([]int, np)
+					for r := range lens {
+						lens[r] = long
+					}
+					lens[shortRank] = short
+					own := func(r int) []byte {
+						b := make([]byte, lens[r])
+						for i := range b {
+							b[i] = byte(16*r + i)
+						}
+						return b
+					}
+					bufs, errs := make([][]byte, np), make([]error, np)
+					run(t, newEngineWorld(t, np, eng), func(c *Comm) error {
+						r := c.Rank()
+						bufs[r] = own(r)
+						errs[r] = c.Bcast(bufs[r], root)
+						return nil
+					})
+					for r := 0; r < np; r++ {
+						want := own(r)
+						truncated := r == shortRank && r != root
+						if !truncated {
+							copy(want, own(root))
+						}
+						if (errs[r] != nil) != truncated {
+							t.Errorf("%s np=%d root=%d short=%d: rank %d returned %v", name, np, root, shortRank, r, errs[r])
+						}
+						if !bytes.Equal(bufs[r], want) {
+							t.Errorf("%s np=%d root=%d short=%d: rank %d holds %x, want %x", name, np, root, shortRank, r, bufs[r], want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBcastRootValidation(t *testing.T) {
 	w := newTestWorld(t, 2)
 	run(t, w, func(c *Comm) error {

@@ -81,122 +81,204 @@ func checkReduce(what string, a, b []byte, both bool, dt Datatype, op Op) error 
 	return nil
 }
 
-// reduceInto applies acc = op(acc, in) elementwise. Both buffers must hold
-// a whole number of dt elements and have equal length. It dispatches once
-// on (dt, op) and runs one tight loop per pair; elements are little-endian.
-func reduceInto(acc, in []byte, dt Datatype, op Op) error {
-	if err := checkReduce("reduce", acc, in, true, dt, op); err != nil {
+// reduceTo applies dst = op(a, b) elementwise, a's element on the left. a
+// and b must hold the same whole number of dt elements and dst as many
+// bytes; dst may be a or b itself, but must not overlap them otherwise. It
+// dispatches once on (dt, op) to a kernel; elements are little-endian.
+func reduceTo(dst, a, b []byte, dt Datatype, op Op) error {
+	if err := checkReduce("reduce", a, b, true, dt, op); err != nil {
 		return err
 	}
-	switch dt {
-	case Byte:
-		reduceBytes(acc, in, op)
-	case Int32:
-		reduceInt32(acc, in, op)
-	case Int64:
-		reduceWord64(acc, in, op, 1<<63)
-	case Uint64:
-		reduceWord64(acc, in, op, 0)
-	case Float64:
-		reduceFloat64(acc, in, op)
+	if len(dst) != len(a) {
+		return fmt.Errorf("mpi: reduce result buffer has %d bytes, want %d", len(dst), len(a))
+	}
+	k := kernels[dt][op]
+	n := len(dst) &^ (window - 1)
+	k.fold(dst[:n], a[:n], b[:n], k.arg)
+	if n < len(dst) {
+		// The tail rides through the same kernel, padded to one window.
+		var x, y [window]byte
+		copy(x[:], a[n:])
+		copy(y[:], b[n:])
+		k.fold(x[:], x[:], y[:], k.arg)
+		copy(dst[n:], x[:])
 	}
 	return nil
 }
 
-// laneHi is the high bit of each of the eight byte lanes of a uint64.
-const laneHi = 0x8080808080808080
+// window is the bytes one kernel iteration folds: four 64-bit words.
+const window = 32
 
-// reduceBytes folds unsigned bytes eight lanes at a time in a uint64 (SWAR).
-func reduceBytes(acc, in []byte, op Op) {
+// A kernel applies dst = op(a, b) to whole windows — dst, a and b are
+// equally long multiples of window — four words per iteration over
+// [i:i+32:i+32] slices, so one index moves and the compiler drops the
+// per-word bounds checks. Every kernel reads a word of a and b before it
+// writes that word of dst, which is what lets dst be a or b. arg is the
+// kernel's lane mask, bias or flip.
+type kernel struct {
+	fold func(dst, a, b []byte, arg uint64)
+	arg  uint64
+}
+
+// kernels is the kernel of each (datatype, op). Max and min share one
+// kernel per integer type: complementing the bias reverses the order it
+// compares in.
+var kernels = [...][3]kernel{
+	Byte:    {OpSum: {sumLanes, laneHi}, OpMax: {maxBytes, 0}, OpMin: {maxBytes, ^uint64(0)}},
+	Int32:   {OpSum: {sumLanes, laneHi4}, OpMax: {maxInt32, 1 << 31}, OpMin: {maxInt32, 1<<31 - 1}},
+	Int64:   {OpSum: {sumWord64, 0}, OpMax: {maxWord64, 1 << 63}, OpMin: {maxWord64, 1<<63 - 1}},
+	Uint64:  {OpSum: {sumWord64, 0}, OpMax: {maxWord64, 0}, OpMin: {maxWord64, ^uint64(0)}},
+	Float64: {OpSum: {sumFloat64, 0}, OpMax: {maxFloat64, 0}, OpMin: {minFloat64, 0}},
+}
+
+// Lane masks: the high bit of each byte lane, and of each int32 lane, of a
+// uint64.
+const (
+	laneHi  = 0x8080808080808080
+	laneHi4 = 0x8000000080000000
+)
+
+// addLanes adds x and y lane by lane, modulo each lane's width: add the low
+// bits of each lane, where no carry can leave the lane, then restore the
+// high bits by xor. hi is the lane mask.
+func addLanes(x, y, hi uint64) uint64 { return ((x &^ hi) + (y &^ hi)) ^ ((x ^ y) & hi) }
+
+// sumLanes adds unsigned bytes (hi = laneHi) or int32s (hi = laneHi4)
+// eight or two lanes to a word (SWAR).
+func sumLanes(dst, a, b []byte, hi uint64) {
 	le := binary.LittleEndian
-	if op == OpSum {
-		for ; len(acc) >= 8 && len(in) >= 8; acc, in = acc[8:], in[8:] {
-			// Add the low seven bits of each lane, where no carry can leave
-			// the lane, then restore the high bits by xor.
-			a, b := le.Uint64(acc), le.Uint64(in)
-			le.PutUint64(acc, ((a&^laneHi)+(b&^laneHi))^((a^b)&laneHi))
-		}
-	} else {
-		var flip uint64 // max keeps a where a >= b, min where it is not
-		if op == OpMin {
-			flip = ^flip
-		}
-		for ; len(acc) >= 8 && len(in) >= 8; acc, in = acc[8:], in[8:] {
-			// Lane-wise a >= b: (a|hi)-(b&^hi) never borrows across lanes
-			// and keeps a lane's high bit iff a's low seven bits are >= b's;
-			// where the high bits of a and b differ, they decide instead.
-			a, b := le.Uint64(acc), le.Uint64(in)
-			ge := ((a &^ b) | (^(a ^ b) & ((a | laneHi) - (b &^ laneHi)))) & laneHi
-			keep := (ge>>7)*0xff ^ flip // 0xff in every lane that keeps a
-			le.PutUint64(acc, (a&keep)|(b&^keep))
-		}
-	}
-	if len(acc) > 0 {
-		// The tail rides through the same lanes, padded to one word.
-		var a, b [8]byte
-		copy(a[:], acc)
-		copy(b[:], in)
-		reduceBytes(a[:], b[:], op)
-		copy(acc, a[:])
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := 0; i+window <= len(dst); i += window {
+		d, x, y := dst[i:i+window:i+window], a[i:i+window:i+window], b[i:i+window:i+window]
+		le.PutUint64(d[0:], addLanes(le.Uint64(x[0:]), le.Uint64(y[0:]), hi))
+		le.PutUint64(d[8:], addLanes(le.Uint64(x[8:]), le.Uint64(y[8:]), hi))
+		le.PutUint64(d[16:], addLanes(le.Uint64(x[16:]), le.Uint64(y[16:]), hi))
+		le.PutUint64(d[24:], addLanes(le.Uint64(x[24:]), le.Uint64(y[24:]), hi))
 	}
 }
 
-// reduceInt32 folds int32 elements; xor with the sign bit turns the signed
-// order into the unsigned one.
-func reduceInt32(acc, in []byte, op Op) {
+// maxLanes keeps, byte lane by byte lane, the larger unsigned byte of x and
+// y — the smaller one when flip is all ones. (x|hi)-(y&^hi) never borrows
+// across lanes and keeps a lane's high bit iff x's low seven bits are >=
+// y's; where the high bits of x and y differ, they decide instead.
+func maxLanes(x, y, flip uint64) uint64 {
+	ge := ((x &^ y) | (^(x ^ y) & ((x | laneHi) - (y &^ laneHi)))) & laneHi
+	keep := (ge>>7)*0xff ^ flip // 0xff in every lane that keeps x
+	return x&keep | y&^keep
+}
+
+// maxBytes is the max (flip 0) or min (flip all ones) of unsigned bytes,
+// eight lanes to a word.
+func maxBytes(dst, a, b []byte, flip uint64) {
 	le := binary.LittleEndian
-	if op == OpSum {
-		for ; len(acc) >= 4 && len(in) >= 4; acc, in = acc[4:], in[4:] {
-			le.PutUint32(acc, le.Uint32(acc)+le.Uint32(in))
-		}
-		return
-	}
-	for ; len(acc) >= 4 && len(in) >= 4; acc, in = acc[4:], in[4:] {
-		v, b := le.Uint32(acc), le.Uint32(in)
-		if (b^1<<31 > v^1<<31) == (op == OpMax) {
-			v = b
-		}
-		le.PutUint32(acc, v)
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := 0; i+window <= len(dst); i += window {
+		d, x, y := dst[i:i+window:i+window], a[i:i+window:i+window], b[i:i+window:i+window]
+		le.PutUint64(d[0:], maxLanes(le.Uint64(x[0:]), le.Uint64(y[0:]), flip))
+		le.PutUint64(d[8:], maxLanes(le.Uint64(x[8:]), le.Uint64(y[8:]), flip))
+		le.PutUint64(d[16:], maxLanes(le.Uint64(x[16:]), le.Uint64(y[16:]), flip))
+		le.PutUint64(d[24:], maxLanes(le.Uint64(x[24:]), le.Uint64(y[24:]), flip))
 	}
 }
 
-// reduceWord64 folds int64 (bias 1<<63, which turns the signed order into the
-// unsigned one) or uint64 (bias 0) elements; both sum by the same addition.
-func reduceWord64(acc, in []byte, op Op, bias uint64) {
-	le := binary.LittleEndian
-	if op == OpSum {
-		for ; len(acc) >= 8 && len(in) >= 8; acc, in = acc[8:], in[8:] {
-			le.PutUint64(acc, le.Uint64(acc)+le.Uint64(in))
-		}
-		return
+// max32 returns whichever of x and y is larger once both are xored with
+// bias (x on a tie): the sign bit turns the signed order into the unsigned
+// one, and its complement reverses it.
+func max32(x, y, bias uint32) uint32 {
+	if y^bias > x^bias {
+		return y
 	}
-	for ; len(acc) >= 8 && len(in) >= 8; acc, in = acc[8:], in[8:] {
-		v, b := le.Uint64(acc), le.Uint64(in)
-		if (b^bias > v^bias) == (op == OpMax) {
-			v = b
-		}
-		le.PutUint64(acc, v)
+	return x
+}
+
+// max32x2 is max32 on both int32 lanes of a little-endian word.
+func max32x2(x, y uint64, bias uint32) uint64 {
+	return uint64(max32(uint32(x), uint32(y), bias)) | uint64(max32(uint32(x>>32), uint32(y>>32), bias))<<32
+}
+
+// maxInt32 is the max (bias 1<<31) or min (bias 1<<31-1) of int32s.
+func maxInt32(dst, a, b []byte, bias uint64) {
+	le := binary.LittleEndian
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := 0; i+window <= len(dst); i += window {
+		d, x, y := dst[i:i+window:i+window], a[i:i+window:i+window], b[i:i+window:i+window]
+		le.PutUint64(d[0:], max32x2(le.Uint64(x[0:]), le.Uint64(y[0:]), uint32(bias)))
+		le.PutUint64(d[8:], max32x2(le.Uint64(x[8:]), le.Uint64(y[8:]), uint32(bias)))
+		le.PutUint64(d[16:], max32x2(le.Uint64(x[16:]), le.Uint64(y[16:]), uint32(bias)))
+		le.PutUint64(d[24:], max32x2(le.Uint64(x[24:]), le.Uint64(y[24:]), uint32(bias)))
 	}
 }
 
-// reduceFloat64 folds float64 elements; max and min are math.Max and
-// math.Min, NaN, infinity and signed-zero rules included.
-func reduceFloat64(acc, in []byte, op Op) {
+// sumWord64 adds int64 or uint64 elements, one addition for both.
+func sumWord64(dst, a, b []byte, _ uint64) {
 	le := binary.LittleEndian
-	if op == OpSum {
-		for ; len(acc) >= 8 && len(in) >= 8; acc, in = acc[8:], in[8:] {
-			a, b := math.Float64frombits(le.Uint64(acc)), math.Float64frombits(le.Uint64(in))
-			le.PutUint64(acc, math.Float64bits(a+b))
-		}
-		return
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := 0; i+window <= len(dst); i += window {
+		d, x, y := dst[i:i+window:i+window], a[i:i+window:i+window], b[i:i+window:i+window]
+		le.PutUint64(d[0:], le.Uint64(x[0:])+le.Uint64(y[0:]))
+		le.PutUint64(d[8:], le.Uint64(x[8:])+le.Uint64(y[8:]))
+		le.PutUint64(d[16:], le.Uint64(x[16:])+le.Uint64(y[16:]))
+		le.PutUint64(d[24:], le.Uint64(x[24:])+le.Uint64(y[24:]))
 	}
-	pick := math.Max
-	if op == OpMin {
-		pick = math.Min
+}
+
+// max64 is max32 for 64-bit words.
+func max64(x, y, bias uint64) uint64 {
+	if y^bias > x^bias {
+		return y
 	}
-	for ; len(acc) >= 8 && len(in) >= 8; acc, in = acc[8:], in[8:] {
-		a, b := math.Float64frombits(le.Uint64(acc)), math.Float64frombits(le.Uint64(in))
-		le.PutUint64(acc, math.Float64bits(pick(a, b)))
+	return x
+}
+
+// maxWord64 is the max or min of int64s (bias 1<<63 or 1<<63-1) or of
+// uint64s (bias 0 or all ones).
+func maxWord64(dst, a, b []byte, bias uint64) {
+	le := binary.LittleEndian
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := 0; i+window <= len(dst); i += window {
+		d, x, y := dst[i:i+window:i+window], a[i:i+window:i+window], b[i:i+window:i+window]
+		le.PutUint64(d[0:], max64(le.Uint64(x[0:]), le.Uint64(y[0:]), bias))
+		le.PutUint64(d[8:], max64(le.Uint64(x[8:]), le.Uint64(y[8:]), bias))
+		le.PutUint64(d[16:], max64(le.Uint64(x[16:]), le.Uint64(y[16:]), bias))
+		le.PutUint64(d[24:], max64(le.Uint64(x[24:]), le.Uint64(y[24:]), bias))
+	}
+}
+
+// addFloat64 adds the float64s with bits x and y.
+func addFloat64(x, y uint64) uint64 {
+	return math.Float64bits(math.Float64frombits(x) + math.Float64frombits(y))
+}
+
+func sumFloat64(dst, a, b []byte, _ uint64) {
+	le := binary.LittleEndian
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := 0; i+window <= len(dst); i += window {
+		d, x, y := dst[i:i+window:i+window], a[i:i+window:i+window], b[i:i+window:i+window]
+		le.PutUint64(d[0:], addFloat64(le.Uint64(x[0:]), le.Uint64(y[0:])))
+		le.PutUint64(d[8:], addFloat64(le.Uint64(x[8:]), le.Uint64(y[8:])))
+		le.PutUint64(d[16:], addFloat64(le.Uint64(x[16:]), le.Uint64(y[16:])))
+		le.PutUint64(d[24:], addFloat64(le.Uint64(x[24:]), le.Uint64(y[24:])))
+	}
+}
+
+// maxFloat64 and minFloat64 fold with math.Max and math.Min, whose NaN,
+// infinity and signed-zero rules the result must follow bit for bit. They
+// stay one element per iteration: the call is the cost.
+func maxFloat64(dst, a, b []byte, _ uint64) {
+	le := binary.LittleEndian
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := 0; i+8 <= len(dst); i += 8 {
+		x, y := math.Float64frombits(le.Uint64(a[i:])), math.Float64frombits(le.Uint64(b[i:]))
+		le.PutUint64(dst[i:], math.Float64bits(math.Max(x, y)))
+	}
+}
+
+func minFloat64(dst, a, b []byte, _ uint64) {
+	le := binary.LittleEndian
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := 0; i+8 <= len(dst); i += 8 {
+		x, y := math.Float64frombits(le.Uint64(a[i:])), math.Float64frombits(le.Uint64(b[i:]))
+		le.PutUint64(dst[i:], math.Float64bits(math.Min(x, y)))
 	}
 }
 

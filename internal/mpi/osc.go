@@ -231,7 +231,8 @@ func (w *Win) applyOne(src int) error {
 	case oscAcc:
 		dt := Datatype(binary.LittleEndian.Uint32(buf[9:]))
 		op := Op(binary.LittleEndian.Uint32(buf[13:]))
-		return reduceInto(w.buf[off:off+len(data)], data, dt, op)
+		acc := w.buf[off : off+len(data)]
+		return reduceTo(acc, acc, data, dt, op)
 	default:
 		return fmt.Errorf("mpi: unknown one-sided payload kind %d from %d", kind, src)
 	}

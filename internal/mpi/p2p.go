@@ -98,12 +98,7 @@ func (c *Comm) send(dst, tag int, m *message, class pml.Class) error {
 // dupMsg builds the spurious copy of a duplicated message (its own backing
 // buffer: the two copies are consumed and recycled independently).
 func (c *Comm) dupMsg(m *message, arrival int64) *message {
-	var d *message
-	if m.data == nil {
-		d = ownedMsg(nil, m.size)
-	} else {
-		d = cloneMsg(m.data[:m.size])
-	}
+	d := m.clone()
 	d.src, d.tag, d.ctx = m.src, m.tag, m.ctx
 	d.sentAt, d.arrival = m.sentAt, arrival
 	return d
@@ -174,15 +169,30 @@ func (p *Proc) arrive(m *message, before int64) {
 // deliver copies a received message out into buf (nil discards the payload)
 // and recycles it.
 func (m *message) deliver(buf []byte) (Status, error) {
-	st := Status{Source: m.src, Tag: m.tag, Size: m.size}
-	var err error
-	if buf != nil && m.size > len(buf) {
-		err = fmt.Errorf("mpi: message of %d bytes truncated by %d-byte receive buffer", m.size, len(buf))
-	} else {
-		copy(buf, m.data)
-	}
+	st, err := m.read(buf)
 	m.release()
 	return st, err
+}
+
+// read copies a received message out into buf (nil discards the payload)
+// and leaves it to the caller, who still owns it. A payload longer than a
+// non-nil buf is a truncation error and copies nothing.
+func (m *message) read(buf []byte) (Status, error) {
+	st := Status{Source: m.src, Tag: m.tag, Size: m.size}
+	if buf != nil && m.size > len(buf) {
+		return st, fmt.Errorf("mpi: message of %d bytes truncated by %d-byte receive buffer", m.size, len(buf))
+	}
+	copy(buf, m.data)
+	return st, nil
+}
+
+// clone returns a pooled copy of m's payload, size-only when m carries no
+// bytes.
+func (m *message) clone() *message {
+	if m.data == nil {
+		return ownedMsg(nil, m.size)
+	}
+	return cloneMsg(m.data[:m.size])
 }
 
 // Probe blocks until a matching message is available and returns its

@@ -55,7 +55,7 @@ func TestEncodeDecodeRoundTrips(t *testing.T) {
 	}
 }
 
-// Property: reduceInto with OpSum is commutative and OpMax/OpMin are
+// Property: reduceTo with OpSum is commutative and OpMax/OpMin are
 // idempotent and commutative, for every datatype.
 func TestReduceIntoProperties(t *testing.T) {
 	check := func(dt Datatype, op Op, a, b []byte) bool {
@@ -63,11 +63,11 @@ func TestReduceIntoProperties(t *testing.T) {
 			return true // precondition not met; skip
 		}
 		ab := append([]byte(nil), a...)
-		if err := reduceInto(ab, b, dt, op); err != nil {
+		if err := reduceTo(ab, ab, b, dt, op); err != nil {
 			return false
 		}
 		ba := append([]byte(nil), b...)
-		if err := reduceInto(ba, a, dt, op); err != nil {
+		if err := reduceTo(ba, ba, a, dt, op); err != nil {
 			return false
 		}
 		if dt == Float64 {
@@ -102,7 +102,7 @@ func TestReduceIdempotent(t *testing.T) {
 		f := func(v []uint64) bool {
 			a := EncodeUint64s(v)
 			acc := append([]byte(nil), a...)
-			if err := reduceInto(acc, a, Uint64, op); err != nil {
+			if err := reduceTo(acc, acc, a, Uint64, op); err != nil {
 				return false
 			}
 			return bytes.Equal(acc, a)
@@ -113,14 +113,17 @@ func TestReduceIdempotent(t *testing.T) {
 	}
 }
 
-// Property: reduceInto rejects length mismatches, odd buffer sizes and any
-// datatype or op outside the supported ones — with an error, never a panic,
-// and without touching acc.
+// Property: reduceTo rejects length mismatches (of the operands or of the
+// result), odd buffer sizes and any datatype or op outside the supported
+// ones — with an error, never a panic, and without touching acc.
 func TestReduceIntoValidation(t *testing.T) {
-	if err := reduceInto(make([]byte, 8), make([]byte, 16), Int64, OpSum); err == nil {
+	if err := reduceTo(make([]byte, 8), make([]byte, 8), make([]byte, 16), Int64, OpSum); err == nil {
 		t.Fatal("length mismatch should fail")
 	}
-	if err := reduceInto(make([]byte, 7), make([]byte, 7), Int64, OpSum); err == nil {
+	if err := reduceTo(make([]byte, 16), make([]byte, 8), make([]byte, 8), Int64, OpSum); err == nil {
+		t.Fatal("result length mismatch should fail")
+	}
+	if err := reduceTo(make([]byte, 7), make([]byte, 7), make([]byte, 7), Int64, OpSum); err == nil {
 		t.Fatal("non-multiple buffer should fail")
 	}
 	known := func(dt Datatype, op Op) bool {
@@ -129,7 +132,7 @@ func TestReduceIntoValidation(t *testing.T) {
 	f := func(v []uint64, dt int8, op int8) bool {
 		in := EncodeUint64s(v)
 		acc := append([]byte(nil), in...)
-		err := reduceInto(acc, in, Datatype(dt), Op(op))
+		err := reduceTo(acc, acc, in, Datatype(dt), Op(op))
 		if known(Datatype(dt), Op(op)) {
 			return err == nil
 		}

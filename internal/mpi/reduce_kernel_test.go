@@ -129,20 +129,42 @@ func sameReduction(got, want, a, b []byte, dt Datatype, op Op) error {
 	return nil
 }
 
-// checkKernel folds in into acc with both implementations and compares.
-func checkKernel(acc, in []byte, dt Datatype, op Op) error {
-	want := append([]byte(nil), acc...)
-	scalarReduceInto(want, in, dt, op)
-	got := append([]byte(nil), acc...)
-	if err := reduceInto(got, in, dt, op); err != nil {
-		return err
+// checkKernel runs reduceTo on a and b three ways — into a distinct dst,
+// into a copy of a (dst == a) and into a copy of b (dst == b), each new
+// buffer starting off bytes into its backing array — and compares every
+// result with the oracle's.
+func checkKernel(a, b []byte, off int, dt Datatype, op Op) error {
+	want := append([]byte(nil), a...)
+	scalarReduceInto(want, b, dt, op)
+	at := func(src []byte) []byte {
+		back := make([]byte, off+len(src))
+		copy(back[off:], src)
+		return back[off:]
 	}
-	return sameReduction(got, want, acc, in, dt, op)
+	for _, alias := range []string{"dst distinct", "dst == a", "dst == b"} {
+		x, y, dst := a, b, at(make([]byte, len(a)))
+		switch alias {
+		case "dst == a":
+			x = at(a)
+			dst = x
+		case "dst == b":
+			y = at(b)
+			dst = y
+		}
+		if err := reduceTo(dst, x, y, dt, op); err != nil {
+			return fmt.Errorf("%s: %w", alias, err)
+		}
+		if err := sameReduction(dst, want, a, b, dt, op); err != nil {
+			return fmt.Errorf("%s: %w", alias, err)
+		}
+	}
+	return nil
 }
 
 // TestReduceKernelsMatchScalar covers every datatype × op at every length
 // from 0 to 130 elements and every sub-slice offset 0…7, so each kernel
-// meets unaligned heads, whole words and (for Byte) every tail length.
+// meets unaligned heads, whole windows and every tail length, with the
+// result in a buffer of its own and in either operand.
 func TestReduceKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const maxElems = 130
@@ -156,7 +178,7 @@ func TestReduceKernelsMatchScalar(t *testing.T) {
 					rng.Read(backA)
 					rng.Read(backB)
 					a, b := backA[off:off+elems*es], backB[7-off:7-off+elems*es]
-					if err := checkKernel(a, b, dt, op); err != nil {
+					if err := checkKernel(a, b, off, dt, op); err != nil {
 						t.Fatalf("%v %v elems=%d off=%d: %v", dt, op, elems, off, err)
 					}
 				}
@@ -214,12 +236,12 @@ func edgePairs(dt Datatype) (a, b []byte) {
 // TestReduceKernelEdgeValues runs every ordered pair of edge values through
 // every op: for Byte that is 0x00/0x7f/0x80/0xff and their neighbours in
 // every lane position, equal lanes included (the pair list is 49 bytes long,
-// so pairs land on all eight lanes and in the scalar tail).
+// so pairs land on all eight lanes, in one whole window and in the tail).
 func TestReduceKernelEdgeValues(t *testing.T) {
 	for _, dt := range allDatatypes {
 		a, b := edgePairs(dt)
 		for _, op := range allOps {
-			if err := checkKernel(a, b, dt, op); err != nil {
+			if err := checkKernel(a, b, 0, dt, op); err != nil {
 				t.Errorf("%v %v: %v", dt, op, err)
 			}
 		}
@@ -248,10 +270,11 @@ func TestReduceOpsCommuteExceptNaNSum(t *testing.T) {
 }
 
 // FuzzReduceInto feeds arbitrary operands, offsets and (dt, op) pairs to
-// the kernels: valid pairs must agree with the oracle, invalid ones must be
-// rejected without touching acc. The seed corpus — lane, sign and NaN edge
-// patterns per datatype, unknown dt/op, an odd split — is checked in under
-// testdata/fuzz/FuzzReduceInto.
+// the kernels: valid pairs must agree with the oracle whether the result
+// goes to a buffer of its own, to a or to b; invalid ones must be rejected
+// without touching the result buffer. The seed corpus — lane, sign and NaN
+// edge patterns per datatype, unknown dt/op, an odd split, a window plus a
+// tail — is checked in under testdata/fuzz/FuzzReduceInto.
 func FuzzReduceInto(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0), uint8(0))
 	f.Add([]byte{0x00, 0x7f, 0x80, 0xff, 0x80, 0x7f, 0xff, 0x00, 0x01, 0xff, 0xff, 0x01, 0x7f, 0x80, 0x00, 0x00, 0x55, 0xaa}, uint8(0), uint8(1), uint8(3))
@@ -259,25 +282,22 @@ func FuzzReduceInto(f *testing.F) {
 		dt, op := Datatype(dtRaw), Op(opRaw)
 		if checkReduce("", nil, nil, false, dt, op) != nil {
 			acc := append([]byte(nil), raw...)
-			if err := reduceInto(acc, raw, dt, op); err == nil {
-				t.Fatalf("reduceInto accepted dt=%d op=%d", dtRaw, opRaw)
+			if err := reduceTo(acc, acc, raw, dt, op); err == nil {
+				t.Fatalf("reduceTo accepted dt=%d op=%d", dtRaw, opRaw)
 			}
 			if !bytes.Equal(acc, raw) {
-				t.Fatalf("rejected reduceInto(dt=%d op=%d) modified acc", dtRaw, opRaw)
+				t.Fatalf("rejected reduceTo(dt=%d op=%d) modified acc", dtRaw, opRaw)
 			}
 			return
 		}
-		// Split raw into two equally long operands of whole elements, the
-		// first starting off%8 bytes into its backing array.
+		// Split raw into two equally long operands of whole elements.
 		es := dt.Size()
 		n := len(raw) / (2 * es) * es
-		back := make([]byte, int(off%8)+n)
-		acc := back[off%8:]
-		copy(acc, raw[:n])
-		if err := checkKernel(acc, raw[n:2*n], dt, op); err != nil {
+		if err := checkKernel(raw[:n], raw[n:2*n], int(off%8), dt, op); err != nil {
 			t.Fatalf("%v %v n=%d off=%d: %v", dt, op, n, off%8, err)
 		}
-		if err := reduceInto(acc, raw[n:], dt, op); len(raw[n:]) != n && err == nil {
+		acc := append([]byte(nil), raw[:n]...)
+		if err := reduceTo(acc, acc, raw[n:], dt, op); len(raw[n:]) != n && err == nil {
 			t.Fatalf("%v %v: operands of %d and %d bytes accepted", dt, op, n, len(raw[n:]))
 		}
 	})
@@ -286,11 +306,13 @@ func FuzzReduceInto(f *testing.F) {
 var reduceKernelSink byte
 
 // BenchmarkReduceKernel measures the fold itself, per datatype × op at the
-// two payload sizes of bench/'s coll-payload workload. The scalar rows run
-// the oracle above — the simplest honest alternative — on the same inputs.
-// Every row starts from the same accumulator; max and min converge on the
-// first iteration, so both rows then run with perfectly predicted branches,
-// which flatters the branchy scalar loop, not the kernels.
+// two payload sizes of bench/'s coll-payload workload: in place (dst == a,
+// every fold after a tree node's first), into a buffer of its own (/to, the
+// fused first fold) and, on the same inputs, the scalar oracle above — the
+// simplest honest alternative (/scalar). Every row starts from the same
+// accumulator; max and min converge on the first iteration, so those rows
+// then run with perfectly predicted branches, which flatters the branchy
+// loops, the oracle most.
 func BenchmarkReduceKernel(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	for _, size := range []int{8 << 10, 128 << 10} {
@@ -310,12 +332,16 @@ func BenchmarkReduceKernel(b *testing.B) {
 						reduceKernelSink += acc[0]
 					}
 				}
-				name := fmt.Sprintf("%v/%v/%dKiB", dt, op, size>>10)
-				b.Run(name, row(func() {
-					if err := reduceInto(acc, in, dt, op); err != nil {
-						b.Fatal(err)
+				to := func(dst, a []byte) func() {
+					return func() {
+						if err := reduceTo(dst, a, in, dt, op); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}))
+				}
+				name := fmt.Sprintf("%v/%v/%dKiB", dt, op, size>>10)
+				b.Run(name, row(to(acc, acc)))
+				b.Run(name+"/to", row(to(acc, start)))
 				b.Run(name+"/scalar", row(func() { scalarReduceInto(acc, in, dt, op) }))
 			}
 		}

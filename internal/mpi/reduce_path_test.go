@@ -229,21 +229,23 @@ func TestReduceRootChecksRecvBeforeReceiving(t *testing.T) {
 }
 
 // TestReduceErrorPathsReleaseOnce drives the reducing collectives into
-// their error paths — a length mismatch, a communicator revoked mid-reduce,
-// every message dropped by the fault injector — and checks through the pool
-// ledger that each pooled message, the forwarded accumulators included, is
-// released exactly once. Run under -race (make race): a release before the
-// fold has finished reading m.data is a race on the recycled array.
+// their error paths — a length mismatch, a short first child, a
+// communicator revoked mid-reduce, every message dropped by the fault
+// injector — and checks through the pool ledger that each pooled message,
+// the forwarded accumulators included, is released exactly once. Run under
+// -race (make race): a release before the fold has finished reading m.data
+// is a race on the recycled array.
 func TestReduceErrorPathsReleaseOnce(t *testing.T) {
 	const np, payload = 5, 4000 // payload and its half split into np blocks of whole elements
 	scenarios := []struct {
 		name string
 		opts []Option
-		// body wraps one collective call of one rank.
-		body func(c *Comm, call func(send []byte) error) error
+		// body wraps one collective call of one rank; root is the
+		// collective's (0 for those without one).
+		body func(c *Comm, root int, call func(send []byte) error) error
 		want func(err error) bool
 	}{
-		{"length mismatch", nil, func(c *Comm, call func([]byte) error) error {
+		{"length mismatch", nil, func(c *Comm, _ int, call func([]byte) error) error {
 			send := make([]byte, payload)
 			if c.Rank() == np-1 {
 				send = send[:payload/2]
@@ -252,7 +254,20 @@ func TestReduceErrorPathsReleaseOnce(t *testing.T) {
 		}, func(err error) bool {
 			return err != nil && (strings.Contains(err.Error(), "differ in length") || strings.Contains(err.Error(), "prefix has"))
 		}},
-		{"revoked mid-reduce", nil, func(c *Comm, call func([]byte) error) error {
+		{"short first child", nil, func(c *Comm, root int, call func([]byte) error) error {
+			// Virtual rank 3 is the first child of virtual rank 1 in the
+			// binary tree and the only child of virtual rank 2 in the
+			// binomial one: its parent has drawn the accumulator its fold
+			// would write when that fold fails.
+			send := make([]byte, payload)
+			if c.Rank() == (root+3)%np {
+				send = send[:payload/2]
+			}
+			return call(send)
+		}, func(err error) bool {
+			return err != nil && (strings.Contains(err.Error(), "differ in length") || strings.Contains(err.Error(), "prefix has"))
+		}},
+		{"revoked mid-reduce", nil, func(c *Comm, _ int, call func([]byte) error) error {
 			// The last rank revokes instead of taking part: whoever waits
 			// for it, directly or not, fails with ErrRevoked while holding
 			// its accumulator.
@@ -265,7 +280,7 @@ func TestReduceErrorPathsReleaseOnce(t *testing.T) {
 			return nil
 		}, func(err error) bool { return err == nil }},
 		{"every message dropped", []Option{WithFaultPlan(&faults.Plan{Links: []faults.LinkRule{{SrcNode: -1, DstNode: -1, DropProb: 1}}})},
-			func(c *Comm, call func([]byte) error) error { return call(make([]byte, payload)) },
+			func(c *Comm, _ int, call func([]byte) error) error { return call(make([]byte, payload)) },
 			func(err error) bool { return errors.Is(err, ErrDeadlock) }},
 	}
 	for _, sc := range scenarios {
@@ -275,7 +290,7 @@ func TestReduceErrorPathsReleaseOnce(t *testing.T) {
 				opts := append([]Option{WithEngine(EngineEvent)}, sc.opts...)
 				w := newTestWorld(t, np, opts...)
 				err := w.Run(func(c *Comm) error {
-					return sc.body(c, func(send []byte) error {
+					return sc.body(c, max(rc.root, 0), func(send []byte) error {
 						_, err := rc.call(c, send, Int64, OpSum)
 						return err
 					})
