@@ -30,20 +30,23 @@ race:
 # GOMAXPROCS a 2-core host offers: a test that is only true on some host
 # schedules fails here rather than one run in six in `make test`
 # (ROADMAP item 1). The event engine's scheduler pins — cross-engine
-# equivalence, exact dispatch counts, no coroutine left behind — run at
-# GOMAXPROCS 4 as well: which rank runs next may not depend on it.
+# equivalence, exact dispatch counts, one live wake per wait, the bucket
+# index against its model, no coroutine left behind — run at GOMAXPROCS 4
+# as well: which rank runs next may not depend on it.
 flake:
 	$(GO) test -count=10 -cpu 1,2 ./internal/cg ./internal/exp ./internal/coll ./internal/online ./internal/reorder ./cmd/mpimon
-	$(GO) test -count=10 -cpu 1,2,4 -run '^(TestEngineEquivalence|TestEventCountPinned|TestNoLeakedCoroutine|TestFig1LoopEventsPinned)$$' ./internal/mpi ./internal/reorder
+	$(GO) test -count=10 -cpu 1,2,4 -run '^(TestEngineEquivalence|TestEventCountPinned|TestOneLiveWakePerWait|TestQueueAgainstModel|TestQueueSteadyStateAllocs|TestNoLeakedCoroutine|TestFig1LoopEventsPinned)$$' ./internal/mpi ./internal/reorder
 
 # fuzz runs each fuzz target for a few seconds on top of its checked-in seed
 # corpus (testdata/fuzz/, which plain `go test` already replays): the reduce
 # kernels against the scalar oracle, the Bruck alltoallv frame decoder, the
-# sparse row decoder and the matrix JSON reader against their invariants.
+# sparse row decoder, the monitoring daemon's ingest frame decoder and the
+# matrix JSON reader against their invariants.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReduceInto$$' -fuzztime 5s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz '^FuzzBruckFrame$$' -fuzztime 5s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime 5s ./internal/sparsemat
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s ./internal/monsvc
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrixJSON$$' -fuzztime 5s ./internal/monitoring
 
 # nodeprecated keeps deprecated shims from regrowing: the repository has

@@ -7,7 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
+	"slices"
 
 	"mpimon/internal/pml"
 	"mpimon/internal/sparsemat"
@@ -77,30 +77,29 @@ func (s *Session) SparseData(flags Flags) (sparsemat.Row, error) {
 }
 
 // sparseRowLocked assembles the accumulated data of the given classes as
-// one destination-sorted sparse row. Callers hold s.mu.
+// one destination-sorted sparse row; its three slices are all it allocates.
+// Callers hold s.mu.
 func (s *Session) sparseRowLocked(cls []pml.Class) sparsemat.Row {
-	merged := make(map[int32]cbPair)
+	nnz := 0
 	for _, cl := range cls {
-		for ci, p := range s.acc[cl] {
-			q := merged[ci]
-			q.cnt += p.cnt
-			q.byt += p.byt
-			merged[ci] = q
+		nnz += len(s.acc[cl])
+	}
+	dst := make([]int32, 0, nnz)
+	for _, cl := range cls {
+		for ci := range s.acc[cl] {
+			dst = append(dst, ci)
 		}
 	}
-	row := sparsemat.Row{
-		Dst: make([]int32, 0, len(merged)),
-		Cnt: make([]uint64, 0, len(merged)),
-		Byt: make([]uint64, 0, len(merged)),
-	}
-	for ci := range merged {
-		row.Dst = append(row.Dst, ci)
-	}
-	sort.Slice(row.Dst, func(i, j int) bool { return row.Dst[i] < row.Dst[j] })
-	for _, ci := range row.Dst {
-		p := merged[ci]
-		row.Cnt = append(row.Cnt, p.cnt)
-		row.Byt = append(row.Byt, p.byt)
+	slices.Sort(dst)
+	row := sparsemat.Row{Dst: slices.Compact(dst)} // a peer of several classes appears once
+	row.Cnt = make([]uint64, len(row.Dst))
+	row.Byt = make([]uint64, len(row.Dst))
+	for i, ci := range row.Dst {
+		for _, cl := range cls {
+			p := s.acc[cl][ci]
+			row.Cnt[i] += p.cnt
+			row.Byt[i] += p.byt
+		}
 	}
 	return row
 }

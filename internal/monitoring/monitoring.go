@@ -19,6 +19,7 @@ package monitoring
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -42,19 +43,24 @@ const (
 	AllComm = P2POnly | CollOnly | OscOnly
 )
 
-func (f Flags) classes() []pml.Class {
-	var cs []pml.Class
-	if f&P2POnly != 0 {
-		cs = append(cs, pml.P2P)
+// classesOf lists, for every combination of class flags, the classes it
+// selects, so that classes allocates nothing.
+var classesOf = func() (t [AllComm + 1][]pml.Class) {
+	for f := range t {
+		for _, fc := range []struct {
+			flag  Flags
+			class pml.Class
+		}{{P2POnly, pml.P2P}, {CollOnly, pml.Coll}, {OscOnly, pml.Osc}} {
+			if Flags(f)&fc.flag != 0 {
+				t[f] = append(t[f], fc.class)
+			}
+		}
 	}
-	if f&CollOnly != 0 {
-		cs = append(cs, pml.Coll)
-	}
-	if f&OscOnly != 0 {
-		cs = append(cs, pml.Osc)
-	}
-	return cs
-}
+	return t
+}()
+
+// classes returns the classes f selects; the caller must not modify them.
+func (f Flags) classes() []pml.Class { return classesOf[f&AllComm] }
 
 // Msid identifies a session in the C-style API; AllMsid addresses every
 // live session at once where permitted.
@@ -241,25 +247,25 @@ type pvarSample struct {
 }
 
 // readPvarsSparse samples the monitoring pvars through the MPI_T delta
-// read path (Handle.Touched + Handle.ReadAt).
-func (e *Env) readPvarsSparse() (pvarSample, error) {
-	var s pvarSample
+// read path (Handle.Touched + Handle.ReadAt) into s, reusing its count and
+// byte buffers: the peer lists Touched returns are the only allocations.
+func (e *Env) readPvarsSparse(s *pvarSample) error {
 	for cl := pml.Class(0); cl < pml.NumClasses; cl++ {
 		peers, err := e.hCounts[cl].Touched()
 		if err != nil {
-			return s, fmt.Errorf("%w: %w", ErrMPITFail, err)
+			return fmt.Errorf("%w: %w", ErrMPITFail, err)
 		}
 		s.peers[cl] = peers
-		s.counts[cl] = make([]uint64, len(peers))
-		s.bytes[cl] = make([]uint64, len(peers))
+		s.counts[cl] = slices.Grow(s.counts[cl][:0], len(peers))[:len(peers)]
+		s.bytes[cl] = slices.Grow(s.bytes[cl][:0], len(peers))[:len(peers)]
 		if err := e.hCounts[cl].ReadAt(peers, s.counts[cl]); err != nil {
-			return s, fmt.Errorf("%w: %w", ErrMPITFail, err)
+			return fmt.Errorf("%w: %w", ErrMPITFail, err)
 		}
 		if err := e.hBytes[cl].ReadAt(peers, s.bytes[cl]); err != nil {
-			return s, fmt.Errorf("%w: %w", ErrMPITFail, err)
+			return fmt.Errorf("%w: %w", ErrMPITFail, err)
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // Start creates a monitoring session attached to comm and puts it in the
@@ -275,16 +281,15 @@ func (e *Env) Start(comm *mpi.Comm) (*Session, error) {
 	if len(e.sessions) >= MaxSessions {
 		return nil, ErrSessionOverflow
 	}
-	sample, err := e.readPvarsSparse()
-	if err != nil {
-		return nil, err
-	}
 	s := &Session{
 		env:   e,
 		id:    e.nextMsid,
 		comm:  comm,
 		n:     comm.Size(),
 		state: Active,
+	}
+	if err := e.readPvarsSparse(&s.sample); err != nil {
+		return nil, err
 	}
 	e.nextMsid++
 	// COMM_WORLD (context 0) maps world rank to comm rank identically, so
@@ -298,7 +303,7 @@ func (e *Env) Start(comm *mpi.Comm) (*Session, error) {
 			s.w2c[int32(wr)] = int32(ci)
 		}
 	}
-	s.takeSnapshot(sample)
+	s.takeSnapshot()
 	for cl := pml.Class(0); cl < pml.NumClasses; cl++ {
 		s.acc[cl] = make(map[int32]cbPair)
 	}
@@ -377,6 +382,8 @@ type Session struct {
 	snap [pml.NumClasses]map[int32]cbPair
 	// Accumulated deltas (keyed by comm rank) of completed active spans.
 	acc [pml.NumClasses]map[int32]cbPair
+	// sample is the last pvar read; the next one reuses its buffers.
+	sample pvarSample
 	// suspends counts completed Suspends; it is the epoch tag of the
 	// exporter stream (Suspend k exports epoch k-1).
 	suspends uint64
@@ -402,19 +409,26 @@ func (s *Session) SetRowExporter(f RowExporter) {
 	s.mu.Unlock()
 }
 
-// takeSnapshot replaces the session's pvar snapshot with the sample,
-// keeping only peers that are members of the session's communicator.
-// Callers hold s.mu (or the session is not yet published).
-func (s *Session) takeSnapshot(sample pvarSample) {
+// takeSnapshot replaces the session's pvar snapshot with the last sample,
+// keeping only peers that are members of the session's communicator; the
+// snapshot maps are cleared and refilled, not reallocated. Callers hold
+// s.mu (or the session is not yet published).
+func (s *Session) takeSnapshot() {
+	sample := &s.sample
 	for cl := pml.Class(0); cl < pml.NumClasses; cl++ {
-		m := make(map[int32]cbPair, len(sample.peers[cl]))
+		m := s.snap[cl]
+		if m == nil {
+			m = make(map[int32]cbPair, len(sample.peers[cl]))
+			s.snap[cl] = m
+		} else {
+			clear(m)
+		}
 		for i, wr := range sample.peers[cl] {
 			if _, member := s.commRank(int32(wr)); !member {
 				continue
 			}
 			m[int32(wr)] = cbPair{cnt: sample.counts[cl][i], byt: sample.bytes[cl][i]}
 		}
-		s.snap[cl] = m
 	}
 }
 
@@ -429,9 +443,10 @@ func (s *Session) commRank(wr int32) (int32, bool) {
 	return ci, member
 }
 
-// accumulate folds the delta between the sample and the snapshot into the
-// accumulated per-peer state. Callers hold s.mu.
-func (s *Session) accumulate(sample pvarSample) {
+// accumulate folds the delta between the last sample and the snapshot into
+// the accumulated per-peer state. Callers hold s.mu.
+func (s *Session) accumulate() {
+	sample := &s.sample
 	for cl := pml.Class(0); cl < pml.NumClasses; cl++ {
 		for i, wr := range sample.peers[cl] {
 			ci, member := s.commRank(int32(wr))
@@ -487,12 +502,11 @@ func (s *Session) Suspend() error {
 		s.mu.Unlock()
 		return ErrMultipleCall
 	}
-	sample, err := s.env.readPvarsSparse()
-	if err != nil {
+	if err := s.env.readPvarsSparse(&s.sample); err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	s.accumulate(sample)
+	s.accumulate()
 	s.state = Suspended
 	epoch := s.suspends
 	s.suspends++
@@ -526,11 +540,10 @@ func (s *Session) Continue() error {
 	case Active:
 		return ErrMultipleCall
 	}
-	sample, err := s.env.readPvarsSparse()
-	if err != nil {
+	if err := s.env.readPvarsSparse(&s.sample); err != nil {
 		return err
 	}
-	s.takeSnapshot(sample)
+	s.takeSnapshot()
 	s.state = Active
 	if s.env.tr != nil {
 		s.env.tr.Event("session.continue", int64(s.env.p.Clock()))

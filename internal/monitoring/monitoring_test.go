@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"mpimon/internal/mpi"
 	"mpimon/internal/netsim"
+	"mpimon/internal/sparsemat"
 	"mpimon/internal/topology"
 )
 
@@ -868,5 +870,92 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	}
 	if _, _, _, err := ReadMatrixJSON(strings.NewReader(`{"size":2,"counts":[1],"bytes":[1]}`)); err == nil {
 		t.Fatal("malformed document should fail")
+	}
+}
+
+// TestSteadyEpochAllocs: a steady monitoring epoch — Reset, Continue, a
+// round trip with each of three peers, Suspend — allocates only what it
+// keeps: the peer lists the two pvar reads return, plus, with a row
+// exporter, the exported row's three slices. (Measured under the event
+// engine, where rank 0's round trips run the peers in between on the same
+// thread.)
+func TestSteadyEpochAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector, so the round trips allocate")
+	}
+	const stop = 1
+	w, err := mpi.NewWorld(testMachine(), 4, mpi.WithEngine(mpi.EngineEvent))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Run(func(c *mpi.Comm) error {
+		if c.Rank() != 0 {
+			for {
+				st, err := c.Recv(0, mpi.AnyTag, nil)
+				if err != nil || st.Tag == stop {
+					return err
+				}
+				if err := c.SendN(0, 0, 8); err != nil {
+					return err
+				}
+			}
+		}
+		env, err := Init(c.Proc())
+		if err != nil {
+			return err
+		}
+		s, err := env.Start(c)
+		if err != nil {
+			return err
+		}
+		if err := s.Suspend(); err != nil {
+			return err
+		}
+		var epochErr error
+		epoch := func() {
+			if epochErr != nil {
+				return
+			}
+			epochErr = s.Reset()
+			if epochErr == nil {
+				epochErr = s.Continue()
+			}
+			for peer := 1; peer < 4 && epochErr == nil; peer++ {
+				if epochErr = c.SendN(peer, 0, 100*peer); epochErr == nil {
+					_, epochErr = c.Recv(peer, 0, nil)
+				}
+			}
+			if epochErr == nil {
+				epochErr = s.Suspend()
+			}
+		}
+		epoch() // grows the buffers and tables the later epochs reuse
+		if n := testing.AllocsPerRun(100, epoch); n > 2 {
+			t.Errorf("%v allocations per epoch without an exporter, want <= 2", n)
+		}
+		var last sparsemat.Row
+		s.SetRowExporter(func(_ uint64, _, _ int, row sparsemat.Row) error {
+			last = row
+			return nil
+		})
+		epoch()
+		if n := testing.AllocsPerRun(100, epoch); n > 5 {
+			t.Errorf("%v allocations per epoch with an exporter, want <= 5", n)
+		}
+		if epochErr != nil {
+			return epochErr
+		}
+		if want := []int32{1, 2, 3}; !slices.Equal(last.Dst, want) || !slices.Equal(last.Byt, []uint64{100, 200, 300}) {
+			t.Errorf("exported row %+v, want destinations %v with 100, 200, 300 bytes", last, want)
+		}
+		for peer := 1; peer < 4; peer++ {
+			if err := c.SendN(peer, stop, 0); err != nil {
+				return err
+			}
+		}
+		return env.Finalize()
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -3,6 +3,8 @@ package monsvc
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -71,6 +73,56 @@ func TestFrameMalformed(t *testing.T) {
 	if _, _, err := DecodeFrame(oob, 4); err == nil {
 		t.Fatal("out-of-world rank decoded without error")
 	}
+}
+
+// TestFrameCountBoundedByBytes: a 5-byte frame claiming 65536 rows for a
+// 65536-rank job is rejected before anything is sized by the claim (it
+// used to allocate 5.2 MB of row headers first).
+func TestFrameCountBoundedByBytes(t *testing.T) {
+	frame := []byte{1, 0, 0x80, 0x80, 0x04} // version 1, epoch 0, 65536 rows
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, _, err := DecodeFrame(frame, 65536); err == nil {
+			t.Fatal("a frame claiming 65536 rows in 2 bytes decoded")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got >= 1024 {
+		t.Fatalf("rejecting the frame allocated %d B, want < 1 KiB", got)
+	}
+}
+
+// FuzzDecodeFrame: every row of a frame DecodeFrame accepts has a rank in
+// [0, n) (below 2^31 for n < 0) and passes Validate(n), and AppendFrame of
+// the decoded rows decodes to the same epoch and rows. Uvarints may be
+// overlong on input, so the re-encoding need not equal the input bytes. The
+// checked-in corpus holds a valid three-row frame, a row count larger than
+// the frame's bytes can hold, a rank outside the world, trailing bytes, a
+// bad version, an overlong epoch, and a rank of 2^31 in a world of 2^32,
+// which used to be accepted as int32 rank -2^31.
+func FuzzDecodeFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte, n int) {
+		epoch, rows, err := DecodeFrame(b, n)
+		if err != nil {
+			return
+		}
+		for _, rr := range rows {
+			if rr.Rank < 0 || n >= 0 && int(rr.Rank) >= n {
+				t.Fatalf("DecodeFrame(%x, %d) accepted rank %d", b, n, rr.Rank)
+			}
+			if err := rr.Row.Validate(n); err != nil {
+				t.Fatalf("DecodeFrame(%x, %d) accepted an invalid row of rank %d: %v", b, n, rr.Rank, err)
+			}
+		}
+		enc := AppendFrame(nil, epoch, rows)
+		epoch2, rows2, err := DecodeFrame(enc, n)
+		if err != nil || epoch2 != epoch || !reflect.DeepEqual(rows2, rows) {
+			t.Fatalf("DecodeFrame(%x, %d) = epoch %d %+v, its re-encoding %x decodes to epoch %d %+v (%v)",
+				b, n, epoch, rows, enc, epoch2, rows2, err)
+		}
+	})
 }
 
 func TestMergeRows(t *testing.T) {

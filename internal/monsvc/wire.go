@@ -21,6 +21,7 @@ package monsvc
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"mpimon/internal/sparsemat"
 )
@@ -53,7 +54,8 @@ func AppendFrame(buf []byte, epoch uint64, rows []RankRow) []byte {
 }
 
 // DecodeFrame parses one ingest frame; n bounds the rank and destination
-// space (the job's world size). The whole buffer must be consumed.
+// space (the job's world size; a negative n bounds them by int32 only, as
+// in sparsemat.DecodeRow). The whole buffer must be consumed.
 func DecodeFrame(b []byte, n int) (epoch uint64, rows []RankRow, err error) {
 	v, off := binary.Uvarint(b)
 	if off <= 0 {
@@ -72,8 +74,17 @@ func DecodeFrame(b []byte, n int) (epoch uint64, rows []RankRow, err error) {
 		return 0, nil, fmt.Errorf("monsvc: truncated frame row count")
 	}
 	off += k
-	if nRows > uint64(n) {
+	end := uint64(math.MaxInt32) + 1 // one past the largest rank
+	if n >= 0 && uint64(n) < end {
+		end = uint64(n)
+	}
+	if nRows > end {
 		return 0, nil, fmt.Errorf("monsvc: frame claims %d rows for a world of %d", nRows, n)
+	}
+	// Every row takes at least two bytes (its rank and its entry count),
+	// so a larger claim is truncated and must not size the allocation.
+	if nRows > uint64(len(b)-off)/2 {
+		return 0, nil, fmt.Errorf("monsvc: frame claims %d rows in %d bytes", nRows, len(b)-off)
 	}
 	rows = make([]RankRow, 0, nRows)
 	for i := uint64(0); i < nRows; i++ {
@@ -82,7 +93,7 @@ func DecodeFrame(b []byte, n int) (epoch uint64, rows []RankRow, err error) {
 			return 0, nil, fmt.Errorf("monsvc: truncated rank of row %d", i)
 		}
 		off += k
-		if rank >= uint64(n) {
+		if rank >= end {
 			return 0, nil, fmt.Errorf("monsvc: rank %d outside world of %d", rank, n)
 		}
 		row, used, err := sparsemat.DecodeRow(b[off:], n)

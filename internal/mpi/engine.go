@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"iter"
 	"log"
+	"math"
 	"sync"
 
 	"mpimon/internal/netsim/event"
@@ -217,11 +218,14 @@ type evRankState struct {
 	// are nil until the first dispatch creates the coroutine.
 	next  func() (evPick, bool)
 	yield func(evPick) bool
-	// reason is why the dispatcher last resumed the rank.
-	reason evWake
 	// waitID is the generation of the rank's current (or next) wait; heap
 	// items stamped with an older generation are stale and skipped.
 	waitID uint64
+	// wakeAt is the time of the Wake the current wait already has on the
+	// heap, noWake if none (see wake).
+	wakeAt int64
+	// reason is why the dispatcher last resumed the rank.
+	reason evWake
 	// blocked is true while the rank is parked waiting for a dispatch; a
 	// rank whose program has returned is never parked again.
 	blocked bool
@@ -257,8 +261,8 @@ func (s *evScheduler) run(fn func(c *Comm) error) error {
 	// Seed: every rank becomes runnable at virtual time zero, in rank
 	// order (the deterministic tie-break).
 	for r := range s.ranks {
-		s.ranks[r].blocked = true // waiting for the initial dispatch
-		s.q.Push(0, int32(r), 0, event.Wake)
+		s.ranks[r] = evRankState{blocked: true, wakeAt: noWake} // waiting for the initial dispatch
+		s.wake(r, 0)
 	}
 	for p := s.pick(); ; {
 		st := &s.ranks[p.rank]
@@ -322,6 +326,7 @@ func (s *evScheduler) resume(st *evRankState, reason evWake) {
 	// Bump the generation so wake-ups aimed at the wait that just ended
 	// die on the heap; events pushed from here on target the next park.
 	st.waitID++
+	st.wakeAt = noWake
 	s.events++
 	st.reason = reason
 }
@@ -377,11 +382,7 @@ func (s *evScheduler) noteArrival(p *Proc, m *message) {
 	if !st.wantAny && !m.matches(st.wantCtx, st.wantSrc, st.wantTag) {
 		return
 	}
-	t := p.clock
-	if m.arrival > t {
-		t = m.arrival
-	}
-	s.q.Push(t, int32(p.rank), st.waitID, event.Wake)
+	s.wake(p.rank, max(p.clock, m.arrival))
 }
 
 // wakeRanks schedules a wake-up for every parked rank in group whose
@@ -389,15 +390,7 @@ func (s *evScheduler) noteArrival(p *Proc, m *message) {
 // Called by the current runner.
 func (s *evScheduler) wakeRanks(group []int, at int64) {
 	for _, r := range group {
-		st := &s.ranks[r]
-		if !st.blocked {
-			continue
-		}
-		t := s.w.procs[r].clock
-		if at > t {
-			t = at
-		}
-		s.q.Push(t, int32(r), st.waitID, event.Wake)
+		s.wake(r, max(s.w.procs[r].clock, at))
 	}
 }
 
@@ -405,10 +398,26 @@ func (s *evScheduler) wakeRanks(group []int, at int64) {
 // revocation propagation). Called by the current runner.
 func (s *evScheduler) wakeAllBlocked() {
 	for r := range s.ranks {
-		st := &s.ranks[r]
-		if !st.blocked {
-			continue
-		}
-		s.q.Push(s.w.procs[r].clock, int32(r), st.waitID, event.Wake)
+		s.wake(r, s.w.procs[r].clock)
 	}
+}
+
+// noWake is evRankState.wakeAt when the current wait has no Wake pending.
+const noWake = math.MaxInt64
+
+// wake schedules a Wake of rank r at virtual time t if the rank is parked,
+// unless its current wait already has a Wake pending at or before t. That
+// item pops first (an earlier time, or the same time and a smaller seq)
+// and ends the wait, if a Timeout has not ended it sooner, so the new one
+// could only pop stale. Skipping it shifts later seq values but not the
+// relative order of the items that remain: dispatch order and the event
+// count are those of one push per call. (In a halo, a rank parked in
+// Recv(AnySource) is the target of one call per neighbour.)
+func (s *evScheduler) wake(r int, t int64) {
+	st := &s.ranks[r]
+	if !st.blocked || st.wakeAt <= t {
+		return
+	}
+	st.wakeAt = t
+	s.q.Push(t, int32(r), st.waitID, event.Wake)
 }

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,11 +60,20 @@ func (m *message) matches(ctx, src, tag int) bool {
 type msgQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	// index maps pairKey(ctx, src) to the pair's bucket in slab: one map
-	// lookup per put or specific-source take. Buckets live by value in
-	// slab, so creating one allocates nothing once the slab has grown.
-	index map[uint64]int32
-	slab  []bucket
+	// slab holds the buckets by value, so creating one allocates nothing
+	// once the slab has grown. A drained bucket stays, ready for its pair's
+	// next message, until compact drops the drained ones all at once.
+	slab    []bucket
+	drained int // buckets of slab with nothing queued
+	// index finds a pair's bucket with one probe per put or specific-source
+	// take: an open-addressed table whose slot holds a slab position plus
+	// one (zero is empty), probed linearly from a Fibonacci hash of
+	// pairKey(ctx, src); shift is 64 - log2(len(index)). len(index) is a
+	// power of two at least twice len(slab), so the table is never more
+	// than half full. Nothing is deleted from it one entry at a time:
+	// compact and newBucket rebuild it whole.
+	index []int32
+	shift uint
 	seq   uint64 // next arrival number
 	count int    // total queued
 	// owner is the process this queue belongs to (the only taker).
@@ -108,6 +118,11 @@ func (q *msgQueue) put(m *message) {
 	ev.noteArrival(q.owner, m)
 }
 
+// compactFloor is the slab length up to which a wildcard scan walks drained
+// buckets rather than compacting them away: a halo rank's few neighbour
+// buckets drain every iteration and are refilled by the next.
+const compactFloor = 8
+
 // enqueue appends m to its pair's bucket, creating the bucket on the
 // pair's first message.
 func (q *msgQueue) enqueue(m *message) {
@@ -115,19 +130,80 @@ func (q *msgQueue) enqueue(m *message) {
 	q.seq++
 	q.count++
 	k := pairKey(m.ctx, m.src)
-	i, ok := q.index[k]
-	if !ok {
-		if q.index == nil {
-			q.index = make(map[uint64]int32)
-		}
-		i = int32(len(q.slab))
-		q.slab = append(q.slab, bucket{key: k})
-		q.index[k] = i
+	b := q.bucketOf(k)
+	if b == nil {
+		b = q.newBucket(k)
 	}
-	if b := &q.slab[i]; b.head == nil {
+	if b.head == nil {
+		q.drained--
 		b.head, b.tail = m, m
 	} else {
 		b.tail.next, b.tail = m, m
+	}
+}
+
+// slot returns the index slot that holds key's bucket, or the empty slot
+// where it belongs. The multiplicative hash spreads the strided sources of
+// stencil neighbourhoods, which share low bits.
+func (q *msgQueue) slot(key uint64) uint64 {
+	mask := uint64(len(q.index) - 1)
+	for i := key * 0x9e3779b97f4a7c15 >> q.shift; ; i = (i + 1) & mask {
+		if k := q.index[i]; k == 0 || q.slab[k-1].key == key {
+			return i
+		}
+	}
+}
+
+// bucketOf returns the bucket of key, nil if the pair has none.
+func (q *msgQueue) bucketOf(key uint64) *bucket {
+	if len(q.slab) == 0 {
+		return nil
+	}
+	if k := q.index[q.slot(key)]; k != 0 {
+		return &q.slab[k-1]
+	}
+	return nil
+}
+
+// newBucket appends an empty bucket for key, which has none. When the
+// index would be more than half full it first compacts, if that frees at
+// least half the slab, and grows the index otherwise.
+func (q *msgQueue) newBucket(key uint64) *bucket {
+	if 2*(len(q.slab)+1) > len(q.index) {
+		if q.drained > 0 && 2*q.drained >= len(q.slab) {
+			q.compact()
+		} else {
+			q.index = make([]int32, max(2*len(q.index), 8))
+			q.shift = uint(64 - bits.TrailingZeros(uint(len(q.index))))
+			q.reindex()
+		}
+	}
+	q.slab = append(q.slab, bucket{key: key})
+	q.drained++
+	q.index[q.slot(key)] = int32(len(q.slab))
+	return &q.slab[len(q.slab)-1]
+}
+
+// compact drops the drained buckets from the slab in one pass, keeping the
+// order of the others, and rebuilds the index over what is left.
+func (q *msgQueue) compact() {
+	live := q.slab[:0]
+	for _, b := range q.slab {
+		if b.head != nil {
+			live = append(live, b)
+		}
+	}
+	clear(q.slab[len(live):]) // moved buckets' old copies hold message pointers
+	q.slab = live
+	q.drained = 0
+	q.reindex()
+}
+
+// reindex rebuilds the index over the slab.
+func (q *msgQueue) reindex() {
+	clear(q.index)
+	for i := range q.slab {
+		q.index[q.slot(q.slab[i].key)] = int32(i + 1)
 	}
 }
 
@@ -137,8 +213,7 @@ func (q *msgQueue) enqueue(m *message) {
 // nil message. Under the goroutine engine the caller holds q.mu.
 func (q *msgQueue) find(ctx, src, tag int) (b *bucket, prev, m *message) {
 	if src != AnySource {
-		if i, ok := q.index[pairKey(ctx, src)]; ok {
-			b = &q.slab[i]
+		if b = q.bucketOf(pairKey(ctx, src)); b != nil {
 			for c := b.head; c != nil; prev, c = c, c.next {
 				if tag == AnyTag || c.tag == tag {
 					return b, prev, c
@@ -147,24 +222,15 @@ func (q *msgQueue) find(ctx, src, tag int) (b *bucket, prev, m *message) {
 		}
 		return nil, nil, nil
 	}
-	for i := 0; i < len(q.slab); {
+	// A wildcard scan walks the whole slab, so it keeps drained buckets
+	// under half of it: the scan costs at most twice the pairs with
+	// traffic, plus the floor.
+	if len(q.slab) > compactFloor && 2*q.drained >= len(q.slab) {
+		q.compact()
+	}
+	for i := range q.slab {
 		cand := &q.slab[i]
-		if cand.head == nil {
-			// Drained bucket kept for the pair's next message; prune it
-			// here, off the specific-source fast path, so wildcard scans
-			// stay proportional to the pairs with traffic: the last bucket
-			// takes its slot and is scanned next.
-			last := len(q.slab) - 1
-			delete(q.index, cand.key)
-			*cand, q.slab[last] = q.slab[last], bucket{}
-			q.slab = q.slab[:last]
-			if i < last {
-				q.index[cand.key] = int32(i)
-			}
-			continue
-		}
-		i++
-		if int(cand.key>>32) != ctx {
+		if cand.head == nil || int(cand.key>>32) != ctx {
 			continue
 		}
 		var p *message
@@ -191,6 +257,9 @@ func (q *msgQueue) remove(b *bucket, prev, m *message) *message {
 	}
 	if b.tail == m {
 		b.tail = prev
+	}
+	if b.head == nil {
+		q.drained++
 	}
 	m.next = nil
 	q.count--
