@@ -1,7 +1,7 @@
 GO ?= go
 BENCHES = hotpath gather serve engine commitagg coll
 
-.PHONY: build test vet race flake fuzz nodeprecated novhostclock noenginechoice bench benchsmoke apicheck ci
+.PHONY: build test vet race flake fuzz nodeprecated novhostclock noenginechoice nocommitcells bench benchsmoke apicheck ci
 
 build:
 	$(GO) build ./...
@@ -13,13 +13,14 @@ test:
 	$(GO) test ./...
 
 # race runs the race detector over the concurrent hot paths: the packages
-# the telemetry layer instruments, the pooled message buffers, the sharded
+# the telemetry layer instruments (per-rank counters and span logs scraped
+# while the ranks write), the pooled message buffers, the sharded
 # NIC counters, the parallel TreeMatch partitioner, the fault-injection
 # / ULFM recovery layer (deterministic injector + Revoke/Shrink/Agree),
 # the monitoring daemon's concurrent ingest/read service, the
-# commit-on-threshold aggregation layer (concurrent producers vs forced
-# barrier flushes), the pml monitor (concurrent readers vs the recording
-# rank), the reorder/online
+# commit-on-threshold layer whose policy the row exporter batches by
+# (concurrent producers vs forced barrier flushes), the pml monitor
+# (concurrent readers vs the recording rank), the reorder/online
 # control loops (SPMD controllers stepping concurrently over all ranks),
 # and the collective algorithm portfolio (per-callsite profiler shared by
 # all ranks; cross-engine pins at np=256).
@@ -73,6 +74,16 @@ novhostclock:
 noenginechoice:
 	@! grep -rnE 'EngineByName|EngineGoroutine|EngineAutoThreshold' --include='*.go' --exclude='*_test.go' cmd internal/exp internal/coll internal/online internal/reorder internal/cg internal/stencil *.go
 
+# nocommitcells keeps batching cells from coming back in front of the
+# per-rank telemetry counters: each counter has one writer, so a plain
+# atomic add is exact at every read and cheaper than a cell
+# (docs/PERFORMANCE.md, "Telemetry counters and row export"). Outside the
+# tests, nothing under cmd, internal or the root may build a commitagg
+# Shard or Cell or register a registry flusher. bench/ is not scanned, and
+# internal/commitagg defines these names unqualified.
+nocommitcells:
+	@! grep -rnE 'commitagg\.(NewShard|Shard|Cell)|AddFlusher' --include='*.go' --exclude='*_test.go' cmd internal *.go
+
 # apicheck pins the root package's exported API: the surface extracted by
 # cmd/apisurface must match the golden listing in docs/api_surface.txt.
 # After an intentional API change, regenerate it with
@@ -119,6 +130,7 @@ benchsmoke:
 # suite, the race tier on the instrumented packages, the flake tier on the
 # clock-sensitive ones, a few seconds of every fuzz target, a one-iteration
 # pass over every benchmark, the exported-API pin, the no-deprecated-shims
-# check, the no-host-clock check on the virtual-time path and the
-# no-engine-choice check on the drivers.
-ci: vet build test race flake fuzz benchsmoke apicheck nodeprecated novhostclock noenginechoice
+# check, the no-host-clock check on the virtual-time path, the
+# no-engine-choice check on the drivers and the no-commit-cells check on
+# the telemetry counters.
+ci: vet build test race flake fuzz benchsmoke apicheck nodeprecated novhostclock noenginechoice nocommitcells

@@ -23,9 +23,9 @@ func BenchmarkCommitAgg(b *testing.B) {
 		{"eager", Eager},
 		{"default", Default()},
 	}
-	// The sweep grid (threshold x interval) recorded in
-	// results/commitagg_sweep.tsv; kept here so `make bench` re-measures
-	// the chosen point against its neighbours.
+	// The sweep grid (threshold x interval) that picked DefaultThreshold;
+	// kept here so `make bench` re-measures the chosen point against its
+	// neighbours.
 	for _, th := range []int{16, 64, 256, 1024} {
 		for _, iv := range []int64{-1, 100_000, 1_000_000} {
 			policies = append(policies, struct {

@@ -1,13 +1,13 @@
 // Package commitagg is a commit-on-threshold aggregation layer: it
 // commits *information, not traffic*. Hot paths accumulate deltas into
 // process-local cells in O(1) and the accumulated state is folded into
-// its sink — a shared telemetry counter, a network exporter — only when
-// one of three triggers fires:
+// its sink — a shared counter, a network exporter — only when one of
+// three triggers fires:
 //
 //   - the number of logical updates since the last commit crosses the
 //     shard's threshold,
 //   - the (virtual or wall) clock advances past the commit interval, or
-//   - an explicit barrier (Suspend, Flush, a gather, a /metrics scrape)
+//   - an explicit barrier (Suspend, Flush, a gather)
 //     forces a commit so readers observe exact totals.
 //
 // Between commits, self-negating updates (a gauge incremented and then
@@ -20,6 +20,12 @@
 // every operation is safe for concurrent use: cells are padded atomics,
 // commits swap deltas out atomically, so a forced Flush from an export
 // goroutine races safely with in-flight Adds.
+//
+// Policy and Stats configure and report the monitoring row exporter
+// (monitoring.BatchingRowExporter), which batches rows into network
+// frames. The telemetry counters take no cells: each is written by one
+// rank, so a plain atomic add costs less than a cell and leaves nothing
+// to amortize (docs/PERFORMANCE.md, "Telemetry counters and row export").
 package commitagg
 
 import (
@@ -29,9 +35,10 @@ import (
 )
 
 // DefaultThreshold is the number of logical updates a shard accumulates
-// before committing when the policy does not say otherwise. The sweep in
-// results/commitagg_sweep.tsv picked it: past 256 the per-update cost is
-// flat (the commit is fully amortized) while staleness keeps growing.
+// before committing when the policy does not say otherwise. A threshold
+// sweep picked it (BenchmarkCommitAgg keeps the grid): past 256 the
+// per-update cost is flat (the commit is fully amortized) while staleness
+// keeps growing.
 const DefaultThreshold = 256
 
 // DefaultIntervalNs is the default commit interval (1 ms). On paths

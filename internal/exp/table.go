@@ -34,24 +34,6 @@ var experiments = []experiment{
 		},
 	},
 	{
-		name: "commitagg-sweep",
-		doc:  "commit-policy grid (threshold x interval), each cell pinned to the eager baseline; results/commitagg_sweep.tsv",
-		setup: func(fs *flag.FlagSet) func(io.Writer) error {
-			cfg := DefaultCommitSweep
-			fs.IntVar(&cfg.NP, "np", cfg.NP, "world size (perfect square)")
-			fs.IntVar(&cfg.Iters, "iters", cfg.Iters, "halo-exchange iterations")
-			fs.IntVar(&cfg.MsgBytes, "msg", cfg.MsgBytes, "halo message size in bytes")
-			return func(w io.Writer) error {
-				rows, err := CommitSweep(cfg)
-				if err != nil {
-					return err
-				}
-				PrintCommitSweep(w, cfg, rows)
-				return nil
-			}
-		},
-	},
-	{
 		name: "engine-scale",
 		doc:  "event-engine scaling: events/s, wall time and live heap at np 4096..65536, plus the TreeMatch mapping",
 		setup: func(fs *flag.FlagSet) func(io.Writer) error {

@@ -37,8 +37,13 @@ type TelemetryOverheadResult struct {
 }
 
 // TelemetryOverhead runs the benchmark: Reps timed reduces per batch, two
-// batches without telemetry and one with a hub attached.
+// batches without telemetry and one with a hub attached. An untimed
+// warm-up world runs first and is discarded, so the null row compares two
+// warm worlds rather than the process's cold first world with a warm one.
 func TelemetryOverhead(cfg TelemetryOverheadConfig) (TelemetryOverheadResult, error) {
+	if _, err := timedReducesOpts(cfg.NP, cfg.Size, cfg.Reps); err != nil {
+		return TelemetryOverheadResult{}, err
+	}
 	offA, err := timedReducesOpts(cfg.NP, cfg.Size, cfg.Reps)
 	if err != nil {
 		return TelemetryOverheadResult{}, err

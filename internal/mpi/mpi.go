@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mpimon/internal/commitagg"
 	"mpimon/internal/faults"
 	"mpimon/internal/netsim"
 	"mpimon/internal/pml"
@@ -46,10 +45,6 @@ type World struct {
 	procs     []*Proc
 	level     pml.Level
 	tel       *telemetry.Telemetry
-
-	// aggPol is the commit-on-threshold policy of the telemetry message
-	// counter cells; see WithCommitPolicy.
-	aggPol commitagg.Policy
 
 	// eng is the execution engine (engine.go); ev is non-nil while (and
 	// after) Run executes on the event engine.
@@ -117,19 +112,6 @@ func WithMonitoringLevel(l pml.Level) Option {
 	return func(w *World) { w.level = l }
 }
 
-// WithCommitPolicy sets the commit-on-threshold policy of the per-rank
-// telemetry message/byte counter cells. The default is
-// commitagg.Default(); commitagg.Eager commits every update immediately,
-// reproducing the unbatched path bit for bit (the policy changes when
-// data moves, never what a scrape observes). The pml monitor is not
-// batched: its counters are exact at every read.
-func WithCommitPolicy(p commitagg.Policy) Option {
-	return func(w *World) { w.aggPol = p }
-}
-
-// CommitPolicy returns the world's normalized batching policy.
-func (w *World) CommitPolicy() commitagg.Policy { return w.aggPol }
-
 // NewWorld creates a world of np ranks on the given machine.
 func NewWorld(mach *netsim.Machine, np int, opts ...Option) (*World, error) {
 	if np <= 0 {
@@ -139,7 +121,7 @@ func NewWorld(mach *netsim.Machine, np int, opts ...Option) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &World{mach: mach, net: net, size: np, level: pml.Distinct, aggPol: commitagg.Default(), ctxKeys: make(map[splitKey]int), ctxSeq: 1}
+	w := &World{mach: mach, net: net, size: np, level: pml.Distinct, ctxKeys: make(map[splitKey]int), ctxSeq: 1}
 	for _, o := range opts {
 		o(w)
 	}

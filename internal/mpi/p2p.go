@@ -75,9 +75,7 @@ func (c *Comm) send(dst, tag int, m *message, class pml.Class) error {
 	}
 	if p.tm != nil {
 		uc := userCtx(c.ctx)
-		cm, cb := p.tm.comm(uc)
-		p.tm.agg.Add(cm, 1, p.clock)
-		p.tm.agg.Add(cb, int64(size), p.clock)
+		p.tm.comm(uc).add(size)
 		p.tr.Message(class.String(), uc, p.rank, dstWorld, int64(size), sentAt, arrival)
 	}
 	if fault.Drop {
@@ -331,9 +329,7 @@ func (c *Comm) isend(dst, tag int, m *message) (*Request, error) {
 	tracked := p.tm != nil
 	if tracked {
 		uc := userCtx(c.ctx)
-		cm, cb := p.tm.comm(uc)
-		p.tm.agg.Add(cm, 1, p.clock)
-		p.tm.agg.Add(cb, int64(size), p.clock)
+		p.tm.comm(uc).add(size)
 		p.tr.Message(class.String(), uc, p.rank, dstWorld, int64(size), sentAt, arrival)
 		p.tm.inflight.Inc()
 	}

@@ -26,34 +26,39 @@ func WithTelemetry(tel *telemetry.Telemetry) Option {
 func (w *World) Telemetry() *telemetry.Telemetry { return w.tel }
 
 // rankMetrics holds one process's pre-resolved instruments so the hot
-// paths never touch the registry.
+// paths never touch the registry. Every counter carries the rank's label,
+// so its one writer is the rank and a plain atomic add is the whole cost:
+// there is no contention for a batching front to amortize, and a scrape
+// reads exact totals with no barrier.
 type rankMetrics struct {
 	reg  *telemetry.Registry
 	rank telemetry.Label
 
-	// agg is the rank's commit-on-threshold shard: per-message counter
-	// bumps land in rank-local padded cells and fold into the shared
-	// registry counters only on commit (threshold, virtual interval, or
-	// a scrape/snapshot barrier via the registry's flusher). This is
-	// what removes the shared-cache-line traffic the per-message atomics
-	// used to pay.
-	agg *commitagg.Shard
-
-	// Per-class message/byte counter cells, fed by a pml recorder so
-	// they honour the monitoring level and suppression exactly like the
+	// Per-class message/byte counters, fed by a pml recorder so they
+	// honour the monitoring level and suppression exactly like the
 	// counters the introspection library reads.
-	msgs  [pml.NumClasses]*commitagg.Cell
-	bytes [pml.NumClasses]*commitagg.Cell
+	msgs  [pml.NumClasses]*telemetry.Counter
+	bytes [pml.NumClasses]*telemetry.Counter
 
 	msgSize  *telemetry.Histogram // payload bytes per monitored message
 	recvWait *telemetry.Histogram // virtual ns blocked waiting for a message
 	latency  *telemetry.Histogram // virtual send-to-arrival ns per received message
 	inflight *telemetry.Gauge     // outstanding nonblocking requests
 
-	// Per-communicator traffic counter cells, resolved lazily per
-	// context id; the maps are owned by the rank goroutine.
-	commMsgs  map[int]*commitagg.Cell
-	commBytes map[int]*commitagg.Cell
+	// Per-communicator traffic counters, resolved lazily per context id,
+	// and the last context looked up; owned by the rank goroutine.
+	comms    map[int]commCounters
+	lastCtx  int
+	lastComm commCounters
+}
+
+// commCounters are the traffic counters of one communicator on one rank.
+type commCounters struct{ msgs, bytes *telemetry.Counter }
+
+// add counts one message of size bytes.
+func (cc commCounters) add(size int) {
+	cc.msgs.Inc()
+	cc.bytes.Add(uint64(size))
 }
 
 // wireTelemetry is called by NewWorld after the processes exist.
@@ -62,28 +67,23 @@ func (w *World) wireTelemetry() {
 	for r, p := range w.procs {
 		p.tr = w.tel.Rank(r)
 		m := &rankMetrics{
-			reg:       reg,
-			rank:      telemetry.L("rank", strconv.Itoa(r)),
-			agg:       commitagg.NewShard(w.aggPol),
-			commMsgs:  make(map[int]*commitagg.Cell),
-			commBytes: make(map[int]*commitagg.Cell),
+			reg:   reg,
+			rank:  telemetry.L("rank", strconv.Itoa(r)),
+			comms: make(map[int]commCounters),
 		}
 		for cl := pml.Class(0); cl < pml.NumClasses; cl++ {
 			class := telemetry.L("class", cl.String())
-			m.msgs[cl] = m.agg.NewCell(counterSink(reg.Counter("mpimon_messages_total", m.rank, class)))
-			m.bytes[cl] = m.agg.NewCell(counterSink(reg.Counter("mpimon_bytes_total", m.rank, class)))
+			m.msgs[cl] = reg.Counter("mpimon_messages_total", m.rank, class)
+			m.bytes[cl] = reg.Counter("mpimon_bytes_total", m.rank, class)
 		}
 		m.msgSize = reg.Histogram("mpimon_message_size_bytes", telemetry.SizeBuckets, m.rank)
 		m.recvWait = reg.Histogram("mpimon_recv_wait_ns", telemetry.TimeBuckets, m.rank)
 		m.latency = reg.Histogram("mpimon_message_latency_ns", telemetry.TimeBuckets, m.rank)
 		m.inflight = reg.Gauge("mpimon_inflight_requests", m.rank)
 		p.tm = m
-		// Every registry read (scrape, CounterTotal, export) is a commit
-		// barrier for this rank's pending deltas.
-		reg.AddFlusher(m.agg.Flush)
 		p.mon.AddRecorder(func(class pml.Class, dst, size int, when int64) {
-			m.agg.Add(m.msgs[class], 1, when)
-			m.agg.Add(m.bytes[class], int64(size), when)
+			m.msgs[class].Inc()
+			m.bytes[class].Add(uint64(size))
 			m.msgSize.Observe(int64(size))
 		})
 	}
@@ -135,36 +135,28 @@ func (w *World) wireFaultTelemetry(reg *telemetry.Registry) {
 // timeline.
 func (p *Proc) Telemetry() *telemetry.Rank { return p.tr }
 
-// counterSink adapts a monotonically increasing counter to a commitagg
-// sink; the batched deltas are always non-negative.
-func counterSink(c *telemetry.Counter) func(int64) {
-	return func(d int64) { c.Add(uint64(d)) }
-}
+// TelemetryAggStats returns the zero commitagg.Stats: the telemetry
+// counters are plain per-rank counters with no commit shard in front, so
+// there are no batched updates to report.
+func (w *World) TelemetryAggStats() commitagg.Stats { return commitagg.Stats{} }
 
-// TelemetryAggStats sums the per-rank telemetry commit shards: how many
-// counter updates the world recorded and how many registry folds they
-// amortized to. Zero without telemetry.
-func (w *World) TelemetryAggStats() commitagg.Stats {
-	var st commitagg.Stats
-	for _, p := range w.procs {
-		if p.tm != nil {
-			st = st.Add(p.tm.agg.Stats())
-		}
+// comm returns (creating on first use) the traffic counters of a context
+// id. Must be called from the rank goroutine.
+func (m *rankMetrics) comm(ctx int) commCounters {
+	if m.lastComm.msgs != nil && m.lastCtx == ctx {
+		return m.lastComm
 	}
-	return st
-}
-
-// comm returns (creating on first use) the per-communicator traffic
-// counter cells of a context id. Must be called from the rank goroutine.
-func (m *rankMetrics) comm(ctx int) (*commitagg.Cell, *commitagg.Cell) {
-	cm, ok := m.commMsgs[ctx]
+	cc, ok := m.comms[ctx]
 	if !ok {
 		l := telemetry.L("ctx", strconv.Itoa(ctx))
-		cm = m.agg.NewCell(counterSink(m.reg.Counter("mpimon_comm_messages_total", m.rank, l)))
-		m.commMsgs[ctx] = cm
-		m.commBytes[ctx] = m.agg.NewCell(counterSink(m.reg.Counter("mpimon_comm_bytes_total", m.rank, l)))
+		cc = commCounters{
+			msgs:  m.reg.Counter("mpimon_comm_messages_total", m.rank, l),
+			bytes: m.reg.Counter("mpimon_comm_bytes_total", m.rank, l),
+		}
+		m.comms[ctx] = cc
 	}
-	return cm, m.commBytes[ctx]
+	m.lastCtx, m.lastComm = ctx, cc
+	return cc
 }
 
 // userCtx maps a message's transport context back to the communicator the

@@ -166,12 +166,6 @@ type Registry struct {
 	// sorted caches the export-ordered metric list; it is invalidated on
 	// registration (rare) instead of being rebuilt per scrape (frequent).
 	sorted []*metric
-
-	// flushers are commit barriers run before every snapshot, so batched
-	// writers (commitagg shards) fold their pending deltas in and a
-	// scrape observes exact totals. A flusher must not call back into
-	// the registry.
-	flushers []func()
 }
 
 // NewRegistry builds an empty registry.
@@ -273,37 +267,12 @@ func (r *Registry) lookup(name string, labels []Label, mk func() *metric) *metri
 	return m
 }
 
-// AddFlusher registers a commit barrier that snapshot (and so every
-// export and CounterTotal) runs first: batched writers install their
-// shard's Flush here so reads are exact. Flushers run outside the
-// registry lock and must not call back into the registry.
-func (r *Registry) AddFlusher(f func()) {
-	if f == nil {
-		panic("telemetry: AddFlusher(nil)")
-	}
-	r.mu.Lock()
-	r.flushers = append(r.flushers, f)
-	r.mu.Unlock()
-}
-
-// Flush forces every registered batched writer to commit its pending
-// deltas — the explicit barrier form of the snapshot-time flush.
-func (r *Registry) Flush() {
-	r.mu.Lock()
-	fs := r.flushers
-	r.mu.Unlock()
-	for _, f := range fs {
-		f()
-	}
-}
-
 // snapshot returns the registered metrics sorted by family then label
 // signature, for deterministic export. The sort order and the slice are
 // cached between registrations; callers must treat the result as
-// read-only. Batched writers are flushed first so values are exact at
-// this barrier.
+// read-only. Every instrument is written in place, so the values read
+// through it are exact without a barrier.
 func (r *Registry) snapshot() []*metric {
-	r.Flush()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.sorted == nil {

@@ -48,18 +48,6 @@ func TestSnapshotOrderStable(t *testing.T) {
 	}
 }
 
-// TestSnapshotRunsFlushers pins the barrier contract: a snapshot (and so
-// a scrape or CounterTotal) folds batched writers first.
-func TestSnapshotRunsFlushers(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("mpimon_batched_total")
-	pending := uint64(5)
-	r.AddFlusher(func() { c.Add(pending); pending = 0 })
-	if got := r.CounterTotal("mpimon_batched_total"); got != 5 {
-		t.Fatalf("CounterTotal = %d, want the flushed 5", got)
-	}
-}
-
 // BenchmarkPrometheusScrape measures the /metrics render under many
 // per-job label sets — the path the sorted-key cache serves.
 func BenchmarkPrometheusScrape(b *testing.B) {

@@ -98,8 +98,9 @@ func drive(tel *Telemetry, o *oracle, ranks, n int, seed int64) {
 
 // TestSpansRoundTrip checks that the log rebuilds exactly the spans the
 // old store kept, in the same order, per rank and merged: across the
-// colliding names, every endpoint edge case and many chunk boundaries
-// (3000 operations over 3 ranks fill several chunks each).
+// colliding names, every endpoint edge case, many stage flushes and many
+// chunk boundaries (3000 operations over 3 ranks fill several chunks each,
+// and the last stage of each is read part full).
 func TestSpansRoundTrip(t *testing.T) {
 	const ranks = 3
 	tel := New()
@@ -123,6 +124,31 @@ func TestSpansRoundTrip(t *testing.T) {
 	})
 	if !slices.Equal(tel.Spans(), all) {
 		t.Fatal("merged spans differ from the oracle's")
+	}
+}
+
+// TestSpansIncludeStage reads a rank after every span it records, across
+// two chunk boundaries: each read returns every finished span, the staged
+// ones included, in order, and extends the read before it.
+func TestSpansIncludeStage(t *testing.T) {
+	tel := New()
+	o := &oracle{open: map[int][]Span{}, done: map[int][]Span{}}
+	r := tel.Rank(0)
+	var prev []Span
+	for i := 0; i < 2*chunkLen+stageLen+3; i++ {
+		drive(tel, o, 1, 1, int64(i))
+		got, want := r.Spans(), o.done[0]
+		if !slices.Equal(got, want) {
+			t.Fatalf("after %d operations (%d staged, %d chunks): %d spans differ from the oracle's %d",
+				i+1, r.staged, len(r.chunks), len(got), len(want))
+		}
+		if len(got) < len(prev) || !slices.Equal(got[:len(prev)], prev) {
+			t.Fatalf("after %d operations: a read of %d spans does not extend the previous %d", i+1, len(got), len(prev))
+		}
+		prev = got
+	}
+	if len(r.chunks) < 2 {
+		t.Fatalf("%d spans filled %d chunks, want the walk to cross a chunk boundary", len(prev), len(r.chunks))
 	}
 }
 
@@ -169,8 +195,9 @@ func TestNamesKeptApart(t *testing.T) {
 
 // TestSpanRecordingDoesNotAllocate pins every recording call at zero
 // allocations while its chunk has room. Each call writes one record on a
-// fresh rank: AllocsPerRun's warm-up call starts the first chunk and the
-// measured calls fill the rest of it, so no refill is averaged away.
+// fresh rank whose stage is already full: AllocsPerRun's warm-up call
+// flushes it into the first chunk and the measured calls fill the rest of
+// the chunk and the stage again, so no refill is averaged away.
 func TestSpanRecordingDoesNotAllocate(t *testing.T) {
 	for name, f := range map[string]func(*Rank){
 		"Message":   func(r *Rank) { r.Message("p2p", 1, 0, 1, 64, 10, 20) },
@@ -179,11 +206,19 @@ func TestSpanRecordingDoesNotAllocate(t *testing.T) {
 		"Begin+End": func(r *Rank) { r.Begin("bcast", KindCollective, 40); r.End(50) },
 	} {
 		r := New().Rank(0)
+		for i := 0; i < stageLen; i++ {
+			f(r)
+		}
+		if len(r.chunks) != 0 {
+			t.Fatalf("%s: a full stage started %d chunks, want none", name, len(r.chunks))
+		}
 		if allocs := testing.AllocsPerRun(chunkLen-1, func() { f(r) }); allocs != 0 {
 			t.Errorf("%s allocates %.2f times per call, want 0", name, allocs)
 		}
-		if s := r.Spans(); len(s) != chunkLen || cap(s) != chunkLen || len(r.chunks) != 1 {
-			t.Fatalf("%s: %d spans (cap %d) in %d chunks, want %d in 1", name, len(s), cap(s), len(r.chunks), chunkLen)
+		const n = chunkLen + stageLen
+		if s := r.Spans(); len(s) != n || cap(s) != n || len(r.chunks) != 1 || r.staged != stageLen {
+			t.Fatalf("%s: %d spans (cap %d) in %d chunks and %d staged, want %d in 1 and %d",
+				name, len(s), cap(s), len(r.chunks), r.staged, n, stageLen)
 		}
 		if allocs := testing.AllocsPerRun(10, func() { r.Spans() }); allocs != 1 {
 			t.Errorf("%s: Spans allocates %.2f times, want once", name, allocs)
@@ -200,6 +235,7 @@ func TestSpanFootprint(t *testing.T) {
 	tel := New()
 	r := tel.Rank(0)
 	r.Message("p2p", 0, 0, 1, 1, 0, 1) // resolve the name first
+	chunks0 := len(r.chunks)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -210,7 +246,7 @@ func TestSpanFootprint(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(tel)
 	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
-	mallocs, chunks := after.Mallocs-before.Mallocs, uint64(len(r.chunks)-1)
+	mallocs, chunks := after.Mallocs-before.Mallocs, uint64(len(r.chunks)-chunks0)
 	t.Logf("%.1f heap bytes retained per span, %d allocations for %d new chunks", per, mallocs, chunks)
 	if per > 64 {
 		t.Fatalf("%.1f heap bytes retained per span, want <= 64", per)

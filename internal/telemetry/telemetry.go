@@ -22,9 +22,10 @@
 //     driven by that rank's goroutine or coroutine; a mutex makes readers
 //     during the run (Spans, OpenDepth), post-run export and the race
 //     detector happy without contention.
-//   - The span log is pointer-free: a finished span costs 56 bytes in a
-//     chunk the GC never scans, its (Name, Class) pair is an index into
-//     the hub's interned names, and Spans rebuilds []Span on read.
+//   - The span log is pointer-free: a finished span costs 56 bytes,
+//     staged in its Rank and moved stageLen at a time into a chunk the GC
+//     never scans, its (Name, Class) pair is an index into the hub's
+//     interned names, and Spans rebuilds []Span on read.
 //   - Metrics are lock-free on the hot path: instruments are resolved
 //     once at wiring time and updated with atomics.
 package telemetry
@@ -187,6 +188,14 @@ type record struct {
 // regrown and is noscan. 256 (14 KiB, a size class) beat 512 and 1024.
 const chunkLen = 256
 
+// stageLen is the record count of a rank's stage, the few finished spans
+// kept in the Rank itself until they move to the log together. The stage
+// stays in cache because its rank touches it on every span; a chunk's tail
+// has left the cache by the time its rank writes again when hundreds of
+// ranks take turns. chunkLen is a multiple of it, so a flush never
+// straddles two chunks.
+const stageLen = 8
+
 // Rank records the spans of one world rank. Begin/End calls nest; the
 // innermost open span is the parent of anything recorded inside it.
 type Rank struct {
@@ -195,7 +204,9 @@ type Rank struct {
 
 	mu     sync.Mutex
 	open   []record
-	chunks [][]record // the finished spans, in completion order
+	chunks [][]record // the finished spans, in completion order, before the stage
+	stage  [stageLen]record
+	staged int // records in stage, the latest finished spans
 	// Hub indexes of the span names ([0]) and Message classes ([1]) used, and
 	// the last of each; apart, Message("p2p") and Range("p2p") never collide.
 	names  [2]map[string]uint16
@@ -266,29 +277,44 @@ func (r *Rank) Spans() []Span {
 	r.t.mu.Lock()
 	names := r.t.names // every index in the log was interned before it was written
 	r.t.mu.Unlock()
-	var out []Span
+	n := r.staged
 	if k := len(r.chunks); k > 0 { // every chunk but the last is full
-		out = make([]Span, 0, (k-1)*chunkLen+len(r.chunks[k-1]))
+		n += (k-1)*chunkLen + len(r.chunks[k-1])
 	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Span, 0, n)
 	for _, c := range r.chunks {
-		for j := range c {
-			s, n := &c[j], names[c[j].name]
-			out = append(out, Span{ID: s.id, Parent: s.parent, Rank: r.rank, Name: n.name, Kind: s.kind,
-				Start: s.start, End: s.end, Src: int(s.src), Dst: int(s.dst), Bytes: s.bytes, Class: n.class, Ctx: int(s.ctx)})
-		}
+		out = r.appendSpans(out, c, names)
+	}
+	return r.appendSpans(out, r.stage[:r.staged], names)
+}
+
+// appendSpans appends the spans of a run of records to out.
+func (r *Rank) appendSpans(out []Span, c []record, names []spanName) []Span {
+	for j := range c {
+		s, n := &c[j], names[c[j].name]
+		out = append(out, Span{ID: s.id, Parent: s.parent, Rank: r.rank, Name: n.name, Kind: s.kind,
+			Start: s.start, End: s.end, Src: int(s.src), Dst: int(s.dst), Bytes: s.bytes, Class: n.class, Ctx: int(s.ctx)})
 	}
 	return out
 }
 
-// nextLocked returns the log slot of the next finished span, starting a
-// new chunk when the last one is full.
+// nextLocked returns the stage slot of the next finished span, first
+// moving a full stage to the log in one copy, starting a new chunk when
+// the last one is full.
 func (r *Rank) nextLocked() *record {
-	if len(r.chunks) == 0 || len(r.chunks[len(r.chunks)-1]) == cap(r.chunks[len(r.chunks)-1]) {
-		r.chunks = append(r.chunks, make([]record, 0, chunkLen))
+	if r.staged == stageLen {
+		if len(r.chunks) == 0 || len(r.chunks[len(r.chunks)-1]) == chunkLen {
+			r.chunks = append(r.chunks, make([]record, 0, chunkLen))
+		}
+		c := &r.chunks[len(r.chunks)-1]
+		*c = append(*c, r.stage[:]...)
+		r.staged = 0
 	}
-	c := &r.chunks[len(r.chunks)-1]
-	*c = (*c)[:len(*c)+1]
-	return &(*c)[len(*c)-1]
+	r.staged++
+	return &r.stage[r.staged-1]
 }
 
 // nameLocked returns the hub index of a span name (msg 0) or a Message
