@@ -1,7 +1,7 @@
 GO ?= go
 BENCHES = hotpath gather serve engine commitagg coll
 
-.PHONY: build test vet race flake fuzz nodeprecated novhostclock noenginechoice nocommitcells bench benchsmoke apicheck ci
+.PHONY: build test vet race flake fuzz regen-fig6 nodeprecated novhostclock noenginechoice nocommitcells bench benchsmoke apicheck ci
 
 build:
 	$(GO) build ./...
@@ -32,11 +32,12 @@ race:
 # schedules fails here rather than one run in six in `make test`
 # (ROADMAP item 1). The event engine's scheduler pins — cross-engine
 # equivalence, exact dispatch counts, one live wake per wait, the bucket
-# index against its model, no coroutine left behind — run at GOMAXPROCS 4
-# as well: which rank runs next may not depend on it.
+# index against its model, no coroutine left behind, every way out of a
+# parked ring cursor — run at GOMAXPROCS 4 as well: which rank runs next
+# may not depend on it.
 flake:
 	$(GO) test -count=10 -cpu 1,2 ./internal/cg ./internal/exp ./internal/coll ./internal/online ./internal/reorder ./cmd/mpimon
-	$(GO) test -count=10 -cpu 1,2,4 -run '^(TestEngineEquivalence|TestEventCountPinned|TestOneLiveWakePerWait|TestQueueAgainstModel|TestQueueSteadyStateAllocs|TestNoLeakedCoroutine|TestFig1LoopEventsPinned)$$' ./internal/mpi ./internal/reorder
+	$(GO) test -count=10 -cpu 1,2,4 -run '^(TestEngineEquivalence|TestEventCountPinned|TestOneLiveWakePerWait|TestQueueAgainstModel|TestQueueSteadyStateAllocs|TestNoLeakedCoroutine|TestRingParkedExits|TestFig1LoopEventsPinned)$$' ./internal/mpi ./internal/reorder
 
 # fuzz runs each fuzz target for a few seconds on top of its checked-in seed
 # corpus (testdata/fuzz/, which plain `go test` already replays): the reduce
@@ -49,6 +50,19 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime 5s ./internal/sparsemat
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s ./internal/monsvc
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrixJSON$$' -fuzztime 5s ./internal/monitoring
+
+# regen-fig6 reruns the two Fig. 6 heat maps and compares each with its
+# file under results/ byte for byte. They are the slowest exact figures,
+# so TestResultsRegenerate leaves them out, and they are the output of the
+# ring allgather path (AllgatherN under Split) end to end.
+regen-fig6:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/exp" ./cmd/exp && \
+	"$$tmp/exp" reorder-heatmap > "$$tmp/fig6_heatmap.tsv" && \
+	cmp "$$tmp/fig6_heatmap.tsv" results/fig6_heatmap.tsv && \
+	"$$tmp/exp" reorder-heatmap -np 192 > "$$tmp/fig6_heatmap_np192.tsv" && \
+	cmp "$$tmp/fig6_heatmap_np192.tsv" results/fig6_heatmap_np192.tsv && \
+	echo "results/fig6_heatmap.tsv and results/fig6_heatmap_np192.tsv regenerate"
 
 # nodeprecated keeps deprecated shims from regrowing: the repository has
 # one function per operation, so nothing outside the tests may carry a
@@ -128,9 +142,10 @@ benchsmoke:
 
 # ci is the gate for a change: static checks, full build, the whole test
 # suite, the race tier on the instrumented packages, the flake tier on the
-# clock-sensitive ones, a few seconds of every fuzz target, a one-iteration
-# pass over every benchmark, the exported-API pin, the no-deprecated-shims
+# clock-sensitive ones, a few seconds of every fuzz target, the Fig. 6 heat
+# maps regenerated byte for byte, a one-iteration pass over every
+# benchmark, the exported-API pin, the no-deprecated-shims
 # check, the no-host-clock check on the virtual-time path, the
 # no-engine-choice check on the drivers and the no-commit-cells check on
 # the telemetry counters.
-ci: vet build test race flake fuzz benchsmoke apicheck nodeprecated novhostclock noenginechoice nocommitcells
+ci: vet build test race flake fuzz regen-fig6 benchsmoke apicheck nodeprecated novhostclock noenginechoice nocommitcells

@@ -131,6 +131,9 @@ func (c *Comm) Bcast(buf []byte, root int) error {
 // BcastN is Bcast for a logical payload of size bytes with no data movement
 // (skeleton workloads); it sends the exact same tree messages.
 func (c *Comm) BcastN(size, root int) error {
+	if err := checkSize(size); err != nil {
+		return c.herr(err)
+	}
 	t0 := c.p.enterMPI()
 	defer c.p.leaveMPI(t0)
 	defer c.span("bcast")()
@@ -219,6 +222,9 @@ func (c *Comm) Reduce(send, recv []byte, dt Datatype, op Op, root int) error {
 // ReduceN is Reduce for a logical payload of size bytes (skeleton mode): the
 // same binary-tree messages, no arithmetic.
 func (c *Comm) ReduceN(size, root int) error {
+	if err := checkSize(size); err != nil {
+		return c.herr(err)
+	}
 	t0 := c.p.enterMPI()
 	defer c.p.leaveMPI(t0)
 	defer c.span("reduce")()
@@ -375,6 +381,9 @@ func (c *Comm) gather(send, recv []byte, root int) error {
 
 // GatherN is Gather with logical sizes only.
 func (c *Comm) GatherN(size, root int) error {
+	if err := checkSize(size); err != nil {
+		return c.herr(err)
+	}
 	t0 := c.p.enterMPI()
 	defer c.p.leaveMPI(t0)
 	defer c.span("gather")()
@@ -425,59 +434,21 @@ func (c *Comm) allgather(send, recv []byte) error {
 	if n == 1 {
 		return nil
 	}
-	ctx := c.collCtx()
-	right := (c.rank + 1) % n
-	left := (c.rank - 1 + n) % n
-	// Round s sends block rank-s and receives block rank-s-1, which round
-	// s+1 sends on: the message received is forwarded as it is, so only
-	// this rank's own block is ever copied into a message.
-	out := cloneMsg(recv[c.rank*blk : (c.rank+1)*blk])
-	for s := 0; s < n-1; s++ {
-		if err := c.sendMsgOn(ctx, right, tagAllgat+s, out); err != nil {
-			return err
-		}
-		in, err := c.recvMsgOn(ctx, left, tagAllgat+s)
-		if err != nil {
-			return err
-		}
-		recvBlk := (c.rank - s - 1 + n) % n
-		if _, err := in.read(recv[recvBlk*blk : (recvBlk+1)*blk]); err != nil {
-			in.release()
-			return err
-		}
-		out = in
-	}
-	out.release()
-	return nil
+	own := recv[c.rank*blk : (c.rank+1)*blk]
+	return c.ring(ring{carry: true, out: cloneMsg(own), recv: recv, size: blk})
 }
 
 // AllgatherN is Allgather with a logical per-member block of size bytes.
 func (c *Comm) AllgatherN(size int) error {
+	if err := checkSize(size); err != nil {
+		return c.herr(err)
+	}
 	t0 := c.p.enterMPI()
 	defer c.p.leaveMPI(t0)
 	defer c.span("allgather")()
 	c.p.beginInternal()
 	defer c.p.endInternal()
-	return c.herr(c.allgatherN(size))
-}
-
-func (c *Comm) allgatherN(size int) error {
-	n := len(c.group)
-	if n == 1 {
-		return nil
-	}
-	ctx := c.collCtx()
-	right := (c.rank + 1) % n
-	left := (c.rank - 1 + n) % n
-	for s := 0; s < n-1; s++ {
-		if err := c.sendOn(ctx, right, tagAllgat+s, nil, size); err != nil {
-			return err
-		}
-		if _, err := c.recvOn(ctx, left, tagAllgat+s, nil); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.herr(c.ring(ring{size: size}))
 }
 
 // Scatter distributes root's recv-sized blocks to every member (linear

@@ -26,7 +26,8 @@ import (
 //     itself and either keeps running (the next event is its own) or
 //     switches to the dispatcher, which switches to the rank the event
 //     names, and wake-ups dispatch in deterministic (time, rank, seq)
-//     order. No host-level synchronization is left between ranks (queues
+//     order. A rank parked in a ring allgather is advanced in place by
+//     whoever pops its event, without a switch (ring.go). No host-level synchronization is left between ranks (queues
 //     take no lock, nothing is broadcast), every run is bit-replayable, a
 //     cyclic wait is an immediate deadlock error instead of a hang, and
 //     worlds scale to 10⁴–10⁵ ranks (see docs/PERFORMANCE.md).
@@ -101,6 +102,10 @@ type EngineStats struct {
 	// Events is the number of scheduler dispatches (event engine; zero for
 	// the goroutine engine, which has no central dispatcher).
 	Events uint64
+	// Switches is the number of dispatches that switched to the rank's
+	// coroutine: the others resumed the parking rank itself or advanced a
+	// ring allgather in place (zero for the goroutine engine).
+	Switches uint64
 }
 
 // EngineStats returns the world's scheduling statistics.
@@ -108,7 +113,7 @@ func (w *World) EngineStats() EngineStats {
 	if w.ev == nil {
 		return EngineStats{}
 	}
-	return EngineStats{Events: w.ev.events}
+	return EngineStats{Events: w.ev.events, Switches: w.ev.switches}
 }
 
 // rankBody runs one rank's program with the shared recover/abort wrapper.
@@ -192,6 +197,9 @@ const (
 	// evWakeDeadlock: the heap is empty and every live rank is parked — the
 	// wait can never be satisfied.
 	evWakeDeadlock
+	// evWakeDone: the rank was parked as its ring allgather cursor, and the
+	// cursor completed in place; the rank only returns from the collective.
+	evWakeDone
 )
 
 // evPick is a scheduling decision: the parked rank to resume next, and why.
@@ -210,7 +218,9 @@ type evPick struct {
 // happens-before edge. All scheduler state (the heap, these fields, other
 // ranks' clocks) and every rank's message queue are therefore accessed
 // data-race-free without locks; `go test -race` holds the proof, iter.Pull
-// being annotated for the detector.
+// being annotated for the detector. A ring cursor advanced in place
+// (pickSwitch) is another rank's state touched by the current runner, under
+// the same discipline.
 type evRankState struct {
 	// next resumes the rank until it parks (true, with the pick it made) or
 	// its program returns (false); yield, the rank's side, hands that pick
@@ -229,6 +239,9 @@ type evRankState struct {
 	// blocked is true while the rank is parked waiting for a dispatch; a
 	// rank whose program has returned is never parked again.
 	blocked bool
+	// inRing marks a rank parked as its ring allgather cursor (Proc.ring),
+	// which the picker may advance in place (see pickSwitch).
+	inRing bool
 	// wantAny marks a park that any arrival may unblock (agreement waits);
 	// otherwise (wantCtx, wantSrc, wantTag) is the message envelope of the
 	// receive the rank parked in, and noteArrival only wakes it for a
@@ -245,9 +258,10 @@ type evScheduler struct {
 	w     *World
 	q     event.Queue
 	ranks []evRankState
-	// events counts dispatches, the engine's work metric (events/sec).
-	events uint64
-	live   int
+	// events counts dispatches, the engine's work metric (events/sec);
+	// switches counts those that switched to the rank's coroutine.
+	events, switches uint64
+	live             int
 	// cursor is a lower bound on the lowest parked rank: no rank below it
 	// is parked. It lets an aborted world of np ranks unwind in O(np), not
 	// O(np²) rescans from rank 0.
@@ -264,7 +278,7 @@ func (s *evScheduler) run(fn func(c *Comm) error) error {
 		s.ranks[r] = evRankState{blocked: true, wakeAt: noWake} // waiting for the initial dispatch
 		s.wake(r, 0)
 	}
-	for p := s.pick(); ; {
+	for p := s.pickSwitch(); ; {
 		st := &s.ranks[p.rank]
 		if st.next == nil {
 			// The rank's goroutine is merely the carrier of its stack, so
@@ -275,14 +289,17 @@ func (s *evScheduler) run(fn func(c *Comm) error) error {
 				w.rankBody(rank, fn, errs)
 			})
 		}
-		s.resume(st, p.reason)
+		if st.blocked { // a ring cursor pickSwitch completed is resumed already
+			s.resume(st, p.reason)
+		}
+		s.switches++
 		next, parked := st.next()
 		if !parked { // the program returned; a parking rank picks its successor itself
 			st.next, st.yield = nil, nil // drops the coroutine's state
 			if s.live--; s.live == 0 {
 				return w.collectErrs(errs)
 			}
-			next = s.pick()
+			next = s.pickSwitch()
 		}
 		p = next
 	}
@@ -320,6 +337,33 @@ func (s *evScheduler) pick() evPick {
 	return evPick{s.cursor, evWakeDeadlock}
 }
 
+// pickSwitch picks the rank to switch to. A rank parked as its ring allgather
+// cursor, picked on an ordinary wake — no deadlock, timeout or abort, and
+// no fault tolerance armed — is dispatched here instead, on the picker's
+// stack: resume counts the dispatch and the cursor advances in place. If
+// its next round's message is missing, the rank parks again, as it would
+// have on its own stack, and the pick goes on; if the ring is over, the
+// rank is the one to switch to, already resumed, with reason evWakeDone.
+// Called by the current runner, as pick.
+func (s *evScheduler) pickSwitch() evPick {
+	for {
+		p := s.pick()
+		st := &s.ranks[p.rank]
+		if !st.inRing || p.reason != evWakeRun || s.w.aborted.Load() || s.w.ftOn.Load() {
+			return p
+		}
+		s.resume(st, p.reason)
+		r := s.w.procs[p.rank].ring
+		if r.advance() {
+			st.reason = evWakeDone
+			return p
+		}
+		st.blocked = true // parkRing's park, in the next round's receive
+		s.cursor = min(s.cursor, p.rank)
+		st.wantTag = r.tag()
+	}
+}
+
 // resume marks a parked rank running again and counts the dispatch.
 func (s *evScheduler) resume(st *evRankState, reason evWake) {
 	st.blocked = false
@@ -350,6 +394,19 @@ func (s *evScheduler) parkRecv(p *Proc, deadlineAt int64, ctx, src, tag int) evW
 	return s.parkYield(p, deadlineAt)
 }
 
+// parkRing parks the rank in its ring cursor's round receive, as the
+// cursor: parkRecv with the round's envelope, except that a pick may
+// advance the cursor in place (see pickSwitch). It returns evWakeDone when
+// the cursor completed in place, else the reason the rank was resumed for.
+func (s *evScheduler) parkRing(p *Proc) evWake {
+	st := &s.ranks[p.rank]
+	st.inRing = true
+	r := p.ring
+	why := s.parkRecv(p, -1, r.c.ctx, r.left, r.tag())
+	st.inRing = false
+	return why
+}
+
 // parkYield parks the rank and makes the scheduling decision itself: when
 // the next rank to run is the parking rank (its message is already on the
 // way, its timeout is the earliest event) it keeps running without a
@@ -361,10 +418,10 @@ func (s *evScheduler) parkYield(p *Proc, deadlineAt int64) evWake {
 	}
 	st.blocked = true
 	s.cursor = min(s.cursor, p.rank)
-	if next := s.pick(); next.rank == p.rank {
-		s.resume(st, next.reason)
-	} else {
+	if next := s.pickSwitch(); next.rank != p.rank {
 		st.yield(next)
+	} else if st.blocked { // not a ring cursor pickSwitch completed in place
+		s.resume(st, next.reason)
 	}
 	return st.reason
 }

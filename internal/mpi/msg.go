@@ -298,14 +298,8 @@ func (q *msgQueue) take(c *Comm, src, tag int) (*message, error) {
 // lock (see msgQueue).
 func (q *msgQueue) takeEvent(ev *evScheduler, c *Comm, src, tag int, deadlineAt int64) (*message, error) {
 	for {
-		if b, prev, m := q.find(c.ctx, src, tag); m != nil {
-			return q.remove(b, prev, m), nil
-		}
-		if q.aborted.Load() {
-			return nil, ErrAborted
-		}
-		if err := c.waitErr(src); err != nil {
-			return nil, err
+		if m, err := q.poll(c, src, tag); m != nil || err != nil {
+			return m, err
 		}
 		if deadlineAt >= 0 && q.owner.clock >= deadlineAt {
 			return nil, timeoutErr("recv")
@@ -322,6 +316,19 @@ func (q *msgQueue) takeEvent(ev *evScheduler, c *Comm, src, tag int, deadlineAt 
 			return nil, deadlockErr("recv")
 		}
 	}
+}
+
+// poll is one pass of the event-engine wait loop: the first queued match,
+// removed; else ErrAborted, or the error a failure or revocation makes
+// final; (nil, nil) means wait.
+func (q *msgQueue) poll(c *Comm, src, tag int) (*message, error) {
+	if b, prev, m := q.find(c.ctx, src, tag); m != nil {
+		return q.remove(b, prev, m), nil
+	}
+	if q.aborted.Load() {
+		return nil, ErrAborted
+	}
+	return nil, c.waitErr(src)
 }
 
 // takeDeadline is take with a deadline, after which it returns ErrTimeout.

@@ -33,10 +33,18 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 func (c *Comm) SendN(dst, tag, size int) error {
 	t0 := c.p.enterMPI()
 	defer c.p.leaveMPI(t0)
+	if err := checkSize(size); err != nil {
+		return err
+	}
+	return c.herr(c.send(dst, tag, ownedMsg(nil, size), c.p.class()))
+}
+
+// checkSize rejects the negative logical size of a size-only call.
+func checkSize(size int) error {
 	if size < 0 {
 		return fmt.Errorf("mpi: negative message size %d", size)
 	}
-	return c.herr(c.send(dst, tag, ownedMsg(nil, size), c.p.class()))
+	return nil
 }
 
 // send is the common path under Send/SendN/collectives/one-sided. It takes
@@ -247,6 +255,9 @@ func (c *Comm) Sendrecv(dst, sendTag int, sendData []byte, src, recvTag int, rec
 func (c *Comm) SendrecvN(dst, sendTag, sendSize, src, recvTag int) (Status, error) {
 	t0 := c.p.enterMPI()
 	defer c.p.leaveMPI(t0)
+	if err := checkSize(sendSize); err != nil {
+		return Status{}, c.herr(err)
+	}
 	if err := c.send(dst, sendTag, ownedMsg(nil, sendSize), c.p.class()); err != nil {
 		return Status{}, c.herr(err)
 	}
@@ -293,8 +304,8 @@ func (c *Comm) Isend(dst, tag int, data []byte) (*Request, error) {
 func (c *Comm) IsendN(dst, tag, size int) (*Request, error) {
 	t0 := c.p.enterMPI()
 	defer c.p.leaveMPI(t0)
-	if size < 0 {
-		return nil, fmt.Errorf("mpi: negative message size %d", size)
+	if err := checkSize(size); err != nil {
+		return nil, err
 	}
 	req, err := c.isend(dst, tag, ownedMsg(nil, size))
 	return req, c.herr(err)

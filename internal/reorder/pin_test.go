@@ -13,7 +13,10 @@ import (
 // reorder-loop shape — np=192 on 8 nodes, round-robin placement, 8 allgather
 // groups of 24 — and pins the event engine's dispatch count and the virtual
 // makespan: the engine may change how it resumes a rank, never which rank
-// runs next.
+// runs next. It also pins how many of those dispatches switched to a
+// coroutine: almost every dispatch goes to a rank parked in a ring
+// allgather, whose cursor the picker advances in place, so a change that
+// stops doing that shows here.
 func TestFig1LoopEventsPinned(t *testing.T) {
 	const nodes, np, groups, block = 8, 8 * 24, 8, 200 << 10
 	mach := netsim.PlaFRIM(nodes)
@@ -51,8 +54,12 @@ func TestFig1LoopEventsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := w.EngineStats().Events, uint64(28390); got != want {
+	st := w.EngineStats()
+	if got, want := st.Events, uint64(28390); got != want {
 		t.Errorf("dispatched %d events, pinned %d", got, want)
+	}
+	if got, want := st.Switches, uint64(3819); got != want {
+		t.Errorf("%d dispatches switched to a coroutine, pinned %d", got, want)
 	}
 	if got, want := int64(w.MaxClock()), int64(44493176); got != want {
 		t.Errorf("virtual makespan %d ns, pinned %d", got, want)
