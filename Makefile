@@ -43,13 +43,15 @@ flake:
 # corpus (testdata/fuzz/, which plain `go test` already replays): the reduce
 # kernels against the scalar oracle, the Bruck alltoallv frame decoder, the
 # sparse row decoder, the monitoring daemon's ingest frame decoder and the
-# matrix JSON reader against their invariants.
+# matrix JSON reader against their invariants, and the telemetry span-log
+# codec against an exact decode.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReduceInto$$' -fuzztime 5s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz '^FuzzBruckFrame$$' -fuzztime 5s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime 5s ./internal/sparsemat
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s ./internal/monsvc
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrixJSON$$' -fuzztime 5s ./internal/monitoring
+	$(GO) test -run '^$$' -fuzz '^FuzzSpanCodec$$' -fuzztime 5s ./internal/telemetry
 
 # regen-fig6 reruns the two Fig. 6 heat maps and compares each with its
 # file under results/ byte for byte. They are the slowest exact figures,

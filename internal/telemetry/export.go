@@ -6,28 +6,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
-
-// chromeEvent is one entry of the Chrome trace-event JSON format
-// (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU),
-// loadable in Perfetto and chrome://tracing. Timestamps are virtual
-// microseconds.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
 
 // Chrome trace thread ids: call spans (collectives, waits, phases) render
 // on one lane per rank, message transfers on a second lane, so a message
@@ -38,13 +21,19 @@ const (
 	tidMessages = 1
 )
 
-// WriteChromeTrace serializes spans as a Chrome trace-event JSON object.
-// Each rank becomes a process (pid = rank); call spans and message spans
-// occupy separate threads of it. Span identity and causality survive in
-// args.id / args.parent, which is what the tests (and scripts) use to
-// reconstruct the collective -> p2p decomposition tree.
+// WriteChromeTrace serializes spans as a Chrome trace-event JSON object
+// (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU),
+// loadable in Perfetto and chrome://tracing, with timestamps in virtual
+// microseconds. Each rank becomes a process (pid = rank); call spans and
+// message spans occupy separate threads of it. Span identity and causality
+// survive in args.id / args.parent, which is what the tests (and scripts)
+// use to reconstruct the collective -> p2p decomposition tree.
+//
+// Events are written one at a time, byte for byte as encoding/json writes
+// the document of {name, cat, ph, ts, dur, pid, tid, args} events with
+// args a map: fields in that order, cat and dur omitted when empty, args
+// keys sorted, strings escaped HTML-safe.
 func WriteChromeTrace(w io.Writer, spans []Span) error {
-	tr := chromeTrace{DisplayTimeUnit: "ns", TraceEvents: []chromeEvent{}}
 	ranks := map[int]bool{}
 	for _, s := range spans {
 		ranks[s.Rank] = true
@@ -54,61 +43,164 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 		rankList = append(rankList, r)
 	}
 	sort.Ints(rankList)
+	b := append(make([]byte, 0, flushAt+1<<10), `{"traceEvents":[`...)
+	sep := ""
 	for _, r := range rankList {
-		tr.TraceEvents = append(tr.TraceEvents,
-			chromeEvent{Name: "process_name", Ph: "M", Pid: r, Args: map[string]any{"name": fmt.Sprintf("rank %d", r)}},
-			chromeEvent{Name: "thread_name", Ph: "M", Pid: r, Tid: tidCalls, Args: map[string]any{"name": "calls"}},
-			chromeEvent{Name: "thread_name", Ph: "M", Pid: r, Tid: tidMessages, Args: map[string]any{"name": "messages"}},
-		)
-	}
-	for _, s := range spans {
-		ev := chromeEvent{
-			Name: s.Name,
-			Cat:  s.Kind.String(),
-			Ph:   "X",
-			Ts:   float64(s.Start) / 1e3,
-			Dur:  float64(s.End-s.Start) / 1e3,
-			Pid:  s.Rank,
-			Tid:  tidCalls,
-			Args: map[string]any{
-				"id":     s.ID,
-				"parent": s.Parent,
-				"kind":   s.Kind.String(),
-			},
-		}
-		if s.Kind == KindEvent {
-			ev.Ph = "i"
-			ev.Dur = 0
-			ev.Args["s"] = "t"
-		}
-		if s.Kind == KindMessage {
-			ev.Tid = tidMessages
-			ev.Args["src"] = s.Src
-			ev.Args["dst"] = s.Dst
-			ev.Args["bytes"] = s.Bytes
-			ev.Args["class"] = s.Class
-			ev.Args["ctx"] = s.Ctx
-		}
-		tr.TraceEvents = append(tr.TraceEvents, ev)
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(tr)
-}
-
-// WriteCSV serializes spans as CSV, one row per span, header included.
-func WriteCSV(w io.Writer, spans []Span) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "id,parent,rank,kind,name,start_ns,end_ns,src,dst,bytes,class,ctx"); err != nil {
-		return err
-	}
-	for _, s := range spans {
-		if _, err := fmt.Fprintf(bw, "%d,%d,%d,%s,%s,%d,%d,%d,%d,%d,%s,%d\n",
-			s.ID, s.Parent, s.Rank, s.Kind, s.Name, s.Start, s.End,
-			s.Src, s.Dst, s.Bytes, s.Class, s.Ctx); err != nil {
+		b = fmt.Appendf(b, `%s{"name":"process_name","ph":"M","ts":0,"pid":%d,"tid":%d,"args":{"name":"rank %d"}}`, sep, r, tidCalls, r)
+		b = fmt.Appendf(b, `,{"name":"thread_name","ph":"M","ts":0,"pid":%d,"tid":%d,"args":{"name":"calls"}}`, r, tidCalls)
+		b = fmt.Appendf(b, `,{"name":"thread_name","ph":"M","ts":0,"pid":%d,"tid":%d,"args":{"name":"messages"}}`, r, tidMessages)
+		sep = ","
+		var err error
+		if b, err = flushFull(w, b); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	strs := jsonStrings{}
+	for i := range spans {
+		s := &spans[i]
+		kind := strs.quote(s.Kind.String())
+		b = append(b, sep...)
+		sep = ","
+		b = append(b, `{"name":`...)
+		b = append(b, strs.quote(s.Name)...)
+		b = append(b, `,"cat":`...)
+		b = append(b, kind...)
+		ph, tid, dur := "X", tidCalls, s.End-s.Start
+		switch s.Kind {
+		case KindEvent:
+			ph, dur = "i", 0
+		case KindMessage:
+			tid = tidMessages
+		}
+		b = append(b, `,"ph":"`...)
+		b = append(b, ph...)
+		b = append(b, `","ts":`...)
+		b = appendMicros(b, s.Start)
+		if dur != 0 {
+			b = append(b, `,"dur":`...)
+			b = appendMicros(b, dur)
+		}
+		b = append(b, `,"pid":`...)
+		b = strconv.AppendInt(b, int64(s.Rank), 10)
+		b = append(b, `,"tid":`...)
+		b = strconv.AppendInt(b, int64(tid), 10)
+		b = append(b, `,"args":{`...)
+		if s.Kind == KindMessage {
+			b = append(b, `"bytes":`...)
+			b = strconv.AppendInt(b, s.Bytes, 10)
+			b = append(b, `,"class":`...)
+			b = append(b, strs.quote(s.Class)...)
+			b = append(b, `,"ctx":`...)
+			b = strconv.AppendInt(b, int64(s.Ctx), 10)
+			b = append(b, `,"dst":`...)
+			b = strconv.AppendInt(b, int64(s.Dst), 10)
+			b = append(b, ',')
+		}
+		b = append(b, `"id":`...)
+		b = strconv.AppendUint(b, s.ID, 10)
+		b = append(b, `,"kind":`...)
+		b = append(b, kind...)
+		b = append(b, `,"parent":`...)
+		b = strconv.AppendUint(b, s.Parent, 10)
+		switch s.Kind {
+		case KindEvent:
+			b = append(b, `,"s":"t"`...)
+		case KindMessage:
+			b = append(b, `,"src":`...)
+			b = strconv.AppendInt(b, int64(s.Src), 10)
+		}
+		b = append(b, "}}"...)
+		var err error
+		if b, err = flushFull(w, b); err != nil {
+			return err
+		}
+	}
+	_, err := w.Write(append(b, `],"displayTimeUnit":"ns"}`+"\n"...))
+	return err
+}
+
+// flushAt is the buffered output at which the span writers pass it on.
+const flushAt = 32 << 10
+
+// flushFull writes b to w and empties it once it holds flushAt bytes.
+func flushFull(w io.Writer, b []byte) ([]byte, error) {
+	if len(b) < flushAt {
+		return b, nil
+	}
+	_, err := w.Write(b)
+	return b[:0], err
+}
+
+// appendMicros appends ns/1e3 as encoding/json writes that float64. Its
+// magnitude is at least 1e-3 and below 1e16, so json never switches to
+// exponent form.
+func appendMicros(b []byte, ns int64) []byte {
+	return strconv.AppendFloat(b, float64(ns)/1e3, 'f', -1, 64)
+}
+
+// jsonStrings memoizes the JSON encoding of the few distinct strings a
+// trace repeats: span names, classes and kinds.
+type jsonStrings map[string][]byte
+
+func (m jsonStrings) quote(s string) []byte {
+	q, ok := m[s]
+	if !ok {
+		q, _ = json.Marshal(s) // a string always marshals
+		m[s] = q
+	}
+	return q
+}
+
+// WriteCSV serializes spans as CSV, one row per span, header included. The
+// name and class are free text, quoted as encoding/csv's Writer quotes a
+// field; no other field can need it.
+func WriteCSV(w io.Writer, spans []Span) error {
+	b := append(make([]byte, 0, flushAt+1<<10), "id,parent,rank,kind,name,start_ns,end_ns,src,dst,bytes,class,ctx\n"...)
+	for i := range spans {
+		s := &spans[i]
+		b = strconv.AppendUint(b, s.ID, 10)
+		b = append(b, ',')
+		b = strconv.AppendUint(b, s.Parent, 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(s.Rank), 10)
+		b = append(b, ',')
+		b = append(b, s.Kind.String()...)
+		b = append(b, ',')
+		b = appendCSVField(b, s.Name)
+		for _, v := range [...]int64{s.Start, s.End, int64(s.Src), int64(s.Dst), s.Bytes} {
+			b = append(b, ',')
+			b = strconv.AppendInt(b, v, 10)
+		}
+		b = append(b, ',')
+		b = appendCSVField(b, s.Class)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(s.Ctx), 10)
+		b = append(b, '\n')
+		var err error
+		if b, err = flushFull(w, b); err != nil {
+			return err
+		}
+	}
+	_, err := w.Write(b)
+	return err
+}
+
+// appendCSVField appends a field as encoding/csv's Writer writes it:
+// between double quotes, with each quote doubled, when it is `\.`, holds
+// a comma, quote, CR or LF, or starts with a space; verbatim otherwise.
+func appendCSVField(b []byte, f string) []byte {
+	r, _ := utf8.DecodeRuneInString(f)
+	if f != `\.` && !strings.ContainsAny(f, ",\"\r\n") && (f == "" || !unicode.IsSpace(r)) {
+		return append(b, f...)
+	}
+	b = append(b, '"')
+	for i := 0; i < len(f); i++ {
+		if f[i] == '"' {
+			b = append(b, '"')
+		}
+		b = append(b, f[i])
+	}
+	return append(b, '"')
 }
 
 // WritePrometheus serializes the registry in the Prometheus text

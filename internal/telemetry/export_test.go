@@ -2,6 +2,13 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/csv"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -132,5 +139,166 @@ func TestWritePrometheusMulti(t *testing.T) {
 	// Headers must precede every sample of their family.
 	if strings.Index(out, "# TYPE job_rows_total") > strings.Index(out, `job_rows_total{job="jA"`) {
 		t.Fatalf("sample before its # TYPE header:\n%s", out)
+	}
+}
+
+// chromeEvent and chromeTrace are the Chrome trace document as
+// encoding/json writes it, the oracle WriteChromeTrace streams.
+type chromeEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat,omitempty"`
+	Ph   string         `json:"ph"`
+	Ts   float64        `json:"ts"`
+	Dur  float64        `json:"dur,omitempty"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
+	Args map[string]any `json:"args,omitempty"`
+}
+
+type chromeTrace struct {
+	TraceEvents     []chromeEvent `json:"traceEvents"`
+	DisplayTimeUnit string        `json:"displayTimeUnit"`
+}
+
+func encodeChromeTrace(spans []Span) []byte {
+	tr := chromeTrace{DisplayTimeUnit: "ns", TraceEvents: []chromeEvent{}}
+	var ranks []int
+	for _, s := range spans {
+		if !slices.Contains(ranks, s.Rank) {
+			ranks = append(ranks, s.Rank)
+		}
+	}
+	slices.Sort(ranks)
+	for _, r := range ranks {
+		tr.TraceEvents = append(tr.TraceEvents,
+			chromeEvent{Name: "process_name", Ph: "M", Pid: r, Args: map[string]any{"name": fmt.Sprintf("rank %d", r)}},
+			chromeEvent{Name: "thread_name", Ph: "M", Pid: r, Tid: tidCalls, Args: map[string]any{"name": "calls"}},
+			chromeEvent{Name: "thread_name", Ph: "M", Pid: r, Tid: tidMessages, Args: map[string]any{"name": "messages"}},
+		)
+	}
+	for _, s := range spans {
+		ev := chromeEvent{Name: s.Name, Cat: s.Kind.String(), Ph: "X", Ts: float64(s.Start) / 1e3,
+			Dur: float64(s.End-s.Start) / 1e3, Pid: s.Rank, Tid: tidCalls,
+			Args: map[string]any{"id": s.ID, "parent": s.Parent, "kind": s.Kind.String()}}
+		if s.Kind == KindEvent {
+			ev.Ph, ev.Dur, ev.Args["s"] = "i", 0, "t"
+		}
+		if s.Kind == KindMessage {
+			ev.Tid = tidMessages
+			ev.Args["src"], ev.Args["dst"], ev.Args["bytes"], ev.Args["class"], ev.Args["ctx"] = s.Src, s.Dst, s.Bytes, s.Class, s.Ctx
+		}
+		tr.TraceEvents = append(tr.TraceEvents, ev)
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(tr); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// oddTexts are names and classes that need escaping in JSON or quoting in
+// CSV: HTML characters, quotes, separators, control and line-separator
+// characters, a leading space, invalid UTF-8 and csv's `\.`.
+var oddTexts = []string{"", "bcast", "phase,one", `say "hi"`, "two\nlines", "a<b>&c", "tab\there", " lead",
+	"\u2028\u2029", "\xff\xfe", "héllo", `back\slash`, `\.`, ",", `"`, "\x00\x1f", "cr\rlf"}
+
+// TestChromeTraceMatchesEncodingJSON streams random spans of every kind,
+// an unknown kind included, with the odd texts, negative and extreme times
+// and zero durations, and requires encoding/json's document byte for byte.
+func TestChromeTraceMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	times := []int64{0, 1, -1, 999, 1001, 123456789, -5000, math.MaxInt64, math.MinInt64, 1 << 53}
+	var spans []Span
+	for i := 0; i < 2000; i++ {
+		s := Span{ID: rng.Uint64() >> uint(rng.Intn(64)), Parent: uint64(rng.Intn(3)), Rank: rng.Intn(5) - 1,
+			Name: oddTexts[rng.Intn(len(oddTexts))], Kind: Kind(rng.Intn(6)), Start: times[rng.Intn(len(times))],
+			Src: rng.Intn(9) - 1, Dst: math.MaxInt32 - rng.Intn(2), Bytes: rng.Int63() - rng.Int63(),
+			Class: oddTexts[rng.Intn(len(oddTexts))], Ctx: -rng.Intn(3)}
+		s.End = s.Start + times[rng.Intn(len(times))]
+		spans = append(spans, s)
+	}
+	for _, in := range [][]Span{nil, spans[:1], spans} {
+		var got bytes.Buffer
+		if err := WriteChromeTrace(&got, in); err != nil {
+			t.Fatal(err)
+		}
+		if want := encodeChromeTrace(in); !bytes.Equal(got.Bytes(), want) {
+			i := 0
+			for i < min(got.Len(), len(want)) && got.Bytes()[i] == want[i] {
+				i++
+			}
+			t.Fatalf("%d spans: stream differs from encoding/json at byte %d:\ngot  %.80q\nwant %.80q",
+				len(in), i, got.Bytes()[i:], want[i:])
+		}
+	}
+}
+
+// TestCSVQuotesFreeText writes spans whose names and classes hold commas,
+// quotes, newlines and the other odd texts: every row reads back through
+// csv.Reader with 12 fields and the same name and class, and each text
+// field is written exactly as csv.Writer writes it.
+func TestCSVQuotesFreeText(t *testing.T) {
+	var spans []Span
+	for i, name := range oddTexts {
+		if strings.Contains(name, "\r") {
+			continue // csv.Reader reads a quoted CR LF as LF
+		}
+		class := oddTexts[(i+3)%len(oddTexts)]
+		if strings.Contains(class, "\r") {
+			class = "p2p"
+		}
+		spans = append(spans, Span{ID: uint64(i + 1), Rank: 1, Name: name, Kind: KindMessage, Start: 10, End: 20,
+			Src: 0, Dst: 1, Bytes: 8, Class: class, Ctx: 2})
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, spans); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(spans)+1 {
+		t.Fatalf("%d rows, want a header and %d", len(rows), len(spans))
+	}
+	for i, s := range spans {
+		if row := rows[i+1]; len(row) != 12 || row[4] != s.Name || row[10] != s.Class {
+			t.Errorf("span %d (%q, %q) read back as %q", i, s.Name, s.Class, row)
+		}
+	}
+	for _, f := range append(oddTexts, "  ", "\u00a0nbsp", "x\r") {
+		var want bytes.Buffer
+		cw := csv.NewWriter(&want)
+		if err := cw.Write([]string{f}); err != nil {
+			t.Fatal(err)
+		}
+		cw.Flush()
+		if got := string(appendCSVField(nil, f)) + "\n"; got != want.String() {
+			t.Errorf("field %q written as %q, csv.Writer writes %q", f, got, want.String())
+		}
+	}
+}
+
+var errDiskFull = errors.New("disk full")
+
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errDiskFull }
+
+// TestExportsReturnWriteErrors: both streaming writers return the
+// writer's error, whether it comes at the final write or at a flush of a
+// full buffer partway through the spans.
+func TestExportsReturnWriteErrors(t *testing.T) {
+	spans := make([]Span, 2000) // well over flushAt bytes in either format
+	for i := range spans {
+		spans[i] = Span{ID: uint64(i + 1), Name: "msg:p2p", Kind: KindMessage, Class: "p2p", Start: int64(i), End: int64(i) + 7}
+	}
+	for _, n := range []int{1, len(spans)} {
+		if err := WriteChromeTrace(failWriter{}, spans[:n]); !errors.Is(err, errDiskFull) {
+			t.Errorf("WriteChromeTrace of %d spans returned %v", n, err)
+		}
+		if err := WriteCSV(failWriter{}, spans[:n]); !errors.Is(err, errDiskFull) {
+			t.Errorf("WriteCSV of %d spans returned %v", n, err)
+		}
 	}
 }

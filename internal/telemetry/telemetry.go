@@ -22,16 +22,19 @@
 //     driven by that rank's goroutine or coroutine; a mutex makes readers
 //     during the run (Spans, OpenDepth), post-run export and the race
 //     detector happy without contention.
-//   - The span log is pointer-free: a finished span costs 56 bytes,
-//     staged in its Rank and moved stageLen at a time into a chunk the GC
-//     never scans, its (Name, Class) pair is an index into the hub's
-//     interned names, and Spans rebuilds []Span on read.
+//   - The span log is compact and pointer-free: a finished span is staged
+//     in its Rank as a 56-byte record, and stageLen at a time the records
+//     are encoded as varints against the one before, about 12 bytes a
+//     span, into 16 KiB chunks the GC never scans. Its (Name, Class) pair
+//     is an index into the hub's interned names, and Spans decodes the log
+//     into []Span on read.
 //   - Metrics are lock-free on the hot path: instruments are resolved
 //     once at wiring time and updated with atomics.
 package telemetry
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -143,11 +146,8 @@ func (t *Telemetry) Spans() []Span {
 	for _, r := range ranks {
 		out = append(out, r.Spans()...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].ID < out[j].ID
+	slices.SortFunc(out, func(a, b Span) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID))
 	})
 	return out
 }
@@ -174,26 +174,11 @@ func (t *Telemetry) intern(text string, msg int) uint16 {
 	return t.index[n]
 }
 
-// record is a span as its rank keeps it: 56 bytes, no pointers, the rank
-// implicit. int32 holds every world rank and context id a world hands out.
-type record struct {
-	id, parent        uint64
-	start, end, bytes int64
-	src, dst, ctx     int32
-	name              uint16
-	kind              Kind
-}
-
-// chunkLen is the record count of a log chunk, which is never copied or
-// regrown and is noscan. 256 (14 KiB, a size class) beat 512 and 1024.
-const chunkLen = 256
-
 // stageLen is the record count of a rank's stage, the few finished spans
 // kept in the Rank itself until they move to the log together. The stage
 // stays in cache because its rank touches it on every span; a chunk's tail
 // has left the cache by the time its rank writes again when hundreds of
-// ranks take turns. chunkLen is a multiple of it, so a flush never
-// straddles two chunks.
+// ranks take turns.
 const stageLen = 8
 
 // Rank records the spans of one world rank. Begin/End calls nest; the
@@ -204,7 +189,9 @@ type Rank struct {
 
 	mu     sync.Mutex
 	open   []record
-	chunks [][]record // the finished spans, in completion order, before the stage
+	chunks [][]byte // the finished spans before the stage, encoded in completion order
+	logged int      // records in chunks
+	last   record   // the last record in chunks, the base of the next one's deltas
 	stage  [stageLen]record
 	staged int // records in stage, the latest finished spans
 	// Hub indexes of the span names ([0]) and Message classes ([1]) used, and
@@ -277,44 +264,59 @@ func (r *Rank) Spans() []Span {
 	r.t.mu.Lock()
 	names := r.t.names // every index in the log was interned before it was written
 	r.t.mu.Unlock()
-	n := r.staged
-	if k := len(r.chunks); k > 0 { // every chunk but the last is full
-		n += (k-1)*chunkLen + len(r.chunks[k-1])
-	}
+	n := r.logged + r.staged
 	if n == 0 {
 		return nil
 	}
 	out := make([]Span, 0, n)
+	var s record
 	for _, c := range r.chunks {
-		out = r.appendSpans(out, c, names)
+		for i := 0; i < len(c); {
+			i += s.decodeNext(c[i:])
+			out = r.appendSpan(out, &s, names)
+		}
 	}
-	return r.appendSpans(out, r.stage[:r.staged], names)
-}
-
-// appendSpans appends the spans of a run of records to out.
-func (r *Rank) appendSpans(out []Span, c []record, names []spanName) []Span {
-	for j := range c {
-		s, n := &c[j], names[c[j].name]
-		out = append(out, Span{ID: s.id, Parent: s.parent, Rank: r.rank, Name: n.name, Kind: s.kind,
-			Start: s.start, End: s.end, Src: int(s.src), Dst: int(s.dst), Bytes: s.bytes, Class: n.class, Ctx: int(s.ctx)})
+	for j := range r.stage[:r.staged] {
+		out = r.appendSpan(out, &r.stage[j], names)
 	}
 	return out
 }
 
+// appendSpan appends the span of a record to out.
+func (r *Rank) appendSpan(out []Span, s *record, names []spanName) []Span {
+	n := names[s.name]
+	return append(out, Span{ID: s.id, Parent: s.parent, Rank: r.rank, Name: n.name, Kind: s.kind,
+		Start: s.start, End: s.end, Src: int(s.src), Dst: int(s.dst), Bytes: s.bytes, Class: n.class, Ctx: int(s.ctx)})
+}
+
 // nextLocked returns the stage slot of the next finished span, first
-// moving a full stage to the log in one copy, starting a new chunk when
-// the last one is full.
+// encoding a full stage onto the log.
 func (r *Rank) nextLocked() *record {
 	if r.staged == stageLen {
-		if len(r.chunks) == 0 || len(r.chunks[len(r.chunks)-1]) == chunkLen {
-			r.chunks = append(r.chunks, make([]record, 0, chunkLen))
-		}
-		c := &r.chunks[len(r.chunks)-1]
-		*c = append(*c, r.stage[:]...)
-		r.staged = 0
+		r.flushLocked()
 	}
 	r.staged++
 	return &r.stage[r.staged-1]
+}
+
+// flushLocked encodes the full stage onto the last chunk, each record
+// against the one before it, first starting a new chunk if the stage might
+// not fit: no record straddles two chunks.
+func (r *Rank) flushLocked() {
+	k := len(r.chunks) - 1
+	if k < 0 || cap(r.chunks[k])-len(r.chunks[k]) < stageLen*maxRecordLen {
+		r.chunks = append(r.chunks, make([]byte, 0, chunkBytes))
+		k++
+	}
+	c, prev := r.chunks[k], &r.last
+	w, i := c[len(c):len(c)+stageLen*maxRecordLen], 0
+	for j := range r.stage {
+		i = r.stage[j].putNext(w, i, prev)
+		prev = &r.stage[j]
+	}
+	r.chunks[k], r.last = c[:len(c)+i], *prev
+	r.logged += stageLen
+	r.staged = 0
 }
 
 // nameLocked returns the hub index of a span name (msg 0) or a Message
