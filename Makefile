@@ -34,17 +34,19 @@ race:
 # equivalence, exact dispatch counts, one live wake per wait, the bucket
 # index against its model, no coroutine left behind, every way out of a
 # parked ring cursor — run at GOMAXPROCS 4 as well: which rank runs next
-# may not depend on it.
+# may not depend on it. So do the TreeMatch placement pins: MapTree sizes
+# its worker pool by GOMAXPROCS, and no placement may depend on it.
 flake:
 	$(GO) test -count=10 -cpu 1,2 ./internal/cg ./internal/exp ./internal/coll ./internal/online ./internal/reorder ./cmd/mpimon
-	$(GO) test -count=10 -cpu 1,2,4 -run '^(TestEngineEquivalence|TestEventCountPinned|TestOneLiveWakePerWait|TestQueueAgainstModel|TestQueueSteadyStateAllocs|TestNoLeakedCoroutine|TestRingParkedExits|TestFig1LoopEventsPinned)$$' ./internal/mpi ./internal/reorder
+	$(GO) test -count=10 -cpu 1,2,4 -run '^(TestEngineEquivalence|TestEventCountPinned|TestOneLiveWakePerWait|TestQueueAgainstModel|TestQueueSteadyStateAllocs|TestNoLeakedCoroutine|TestRingParkedExits|TestFig1LoopEventsPinned|TestCappedPlacementsPinned|TestMapTreeParallelLargeMatchesReference)$$' ./internal/mpi ./internal/reorder ./internal/treematch
 
 # fuzz runs each fuzz target for a few seconds on top of its checked-in seed
 # corpus (testdata/fuzz/, which plain `go test` already replays): the reduce
 # kernels against the scalar oracle, the Bruck alltoallv frame decoder, the
 # sparse row decoder, the monitoring daemon's ingest frame decoder and the
-# matrix JSON reader against their invariants, and the telemetry span-log
-# codec against an exact decode.
+# matrix JSON reader against their invariants, the telemetry span-log
+# codec against an exact decode, and TreeMatch's MapTree and capped
+# refinement pass against the kernel they replaced.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReduceInto$$' -fuzztime 5s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz '^FuzzBruckFrame$$' -fuzztime 5s ./internal/mpi
@@ -52,6 +54,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s ./internal/monsvc
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrixJSON$$' -fuzztime 5s ./internal/monitoring
 	$(GO) test -run '^$$' -fuzz '^FuzzSpanCodec$$' -fuzztime 5s ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz '^FuzzMapTree$$' -fuzztime 5s ./internal/treematch
 
 # regen-fig6 reruns the two Fig. 6 heat maps and compares each with its
 # file under results/ byte for byte. They are the slowest exact figures,

@@ -127,3 +127,38 @@ func TestCappedPlacementsPinned(t *testing.T) {
 		}
 	})
 }
+
+// TestMapTreeAllocs pins MapTree's allocations on the treematch-map inputs:
+// a fixed number per call (the output, the worker pool, one workspace per
+// worker, and the capped pass's pair and slack arrays), plus the
+// logarithmic growth of the workspace's reused buffers. Nothing is
+// allocated per tree node, part or part pair. Order 16384 has 1537 inner
+// nodes and 32768 twice that, and both take the capped pass at the root.
+func TestMapTreeAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large instances")
+	}
+	allocs := map[int]float64{}
+	for _, order := range []int{16384, 32768} {
+		m, err := treematch.FromView(upperView(workloads.ClusteredSparse(order, 32, 1000, 1, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := topology.MustNew(order/32, 2, 16).FullTree()
+		allocs[order] = testing.AllocsPerRun(2, func() {
+			if _, err := treematch.MapTree(m, tree); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("order %d: %v allocations", order, allocs[order])
+	}
+	// 32 at both orders when this was written; the kernel it replaced made
+	// 38 140 at 16384. The slack covers other Go releases' slice growth.
+	const bound = 48
+	if allocs[16384] > bound || allocs[32768] > bound {
+		t.Errorf("MapTree allocates %v times at order 16384 and %v at 32768, want at most %d", allocs[16384], allocs[32768], bound)
+	}
+	if allocs[32768] > allocs[16384]+4 {
+		t.Errorf("MapTree allocations grow with the order: %v at 16384, %v at 32768", allocs[16384], allocs[32768])
+	}
+}

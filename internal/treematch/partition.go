@@ -12,16 +12,17 @@ import (
 // exactly the same placements as the original map-based greedy (the
 // reference copy lives in reference_test.go) but with slice-indexed state:
 //
-//   - the greedy claim loop selects the next process with a lazy max-heap
-//     keyed by the GGGP score instead of an O(n) scan over four maps, so
-//     growing all parts of one tree level is O((n + m) log n) rather than
-//     O(k·cap·n) with hashing on every probe;
+//   - the greedy claim loop selects the next process with an indexed
+//     max-heap keyed by the GGGP score instead of an O(n) scan over four
+//     maps, so growing all parts of one tree level is O((n + m) log n)
+//     rather than O(k·cap·n) with hashing on every probe;
 //   - refineSwaps keeps its incremental part-affinity table in a flat
 //     []float64 indexed by local process index and replaces the per-pair
 //     binary searches of Matrix.Affinity with a dense scratch row;
 //   - above refineBudget the old code silently skipped refinement; now a
 //     capped pass refines the heaviest-cut part pairs within the budget and
-//     reports the degradation through OnRefineDegrade;
+//     reports the degradation through OnRefineDegrade, and it skips the
+//     pairs whose part slacks prove that no swap can gain;
 //   - sibling subtrees are assigned in parallel by a bounded worker pool
 //     (subproblems are independent after partition returns).
 
@@ -66,21 +67,44 @@ func maxParallelism() int {
 const parallelThreshold = 256
 
 // mapper carries the shared state of one MapTree invocation: the matrix,
-// the output slice (written at disjoint indices by the workers), the
-// workspace pool and the worker-slot semaphore.
+// the output slice (written at disjoint indices by the workers), the idle
+// workspaces and the worker-slot semaphore.
+//
+// The idle workspaces are a channel, not a sync.Pool: a pool registers
+// itself with the runtime, which keeps it and its workspaces reachable for
+// up to two more GC cycles after MapTree returns, and a GC that marks them
+// sets its next heap goal twice that much higher.
 type mapper struct {
-	m   *Matrix
-	out []int
-	ws  sync.Pool
-	sem chan struct{}
-	wg  sync.WaitGroup
+	m    *Matrix
+	out  []int
+	idle chan *workspace
+	sem  chan struct{}
+	wg   sync.WaitGroup
 }
 
 func newMapper(m *Matrix, out []int) *mapper {
-	n := m.N()
-	mp := &mapper{m: m, out: out, sem: make(chan struct{}, maxParallelism())}
-	mp.ws.New = func() any { return newWorkspace(n) }
-	return mp
+	p := maxParallelism()
+	// The caller and p workers each hold at most one workspace.
+	return &mapper{m: m, out: out, idle: make(chan *workspace, p+1), sem: make(chan struct{}, p)}
+}
+
+// getWorkspace returns an idle workspace or a new one.
+func (mp *mapper) getWorkspace() *workspace {
+	select {
+	case ws := <-mp.idle:
+		return ws
+	default:
+		return newWorkspace(mp.m.N())
+	}
+}
+
+// putWorkspace keeps ws for the next partition call. The send never
+// blocks: a goroutine holds one workspace at a time and returns it before
+// it recurses, a workspace is made only when none is idle, and at most
+// the caller and the workers hold one at once, so no more than cap(mp.sem)+1
+// workspaces ever exist.
+func (mp *mapper) putWorkspace(ws *workspace) {
+	mp.idle <- ws
 }
 
 // run assigns procs to the tree and waits for every worker.
@@ -93,21 +117,25 @@ func (mp *mapper) run(node *treeNode, procs []int) {
 // directly; MapTree converts. (See treematch.go.)
 
 // assign recursively maps procs onto node's leaves, spawning workers for
-// large sibling subtrees.
+// large sibling subtrees. It allocates nothing per tree node: partition
+// leaves each child's processes in its own stretch of procs, in child order,
+// so the children's subproblems are consecutive subslices.
 func (mp *mapper) assign(node *treeNode, procs []int) {
 	if node.Children == nil {
 		mp.out[procs[0]] = node.Leaf
 		return
 	}
-	caps := make([]int, len(node.Children))
-	for i, c := range node.Children {
-		caps[i] = c.Cap
+	ws := mp.getWorkspace()
+	caps := slices.Grow(ws.caps[:0], len(node.Children))
+	for _, c := range node.Children {
+		caps = append(caps, c.Cap)
 	}
-	ws := mp.ws.Get().(*workspace)
-	parts := ws.partition(mp.m, procs, caps)
-	mp.ws.Put(ws)
-	for i, c := range node.Children {
-		child, part := c, parts[i]
+	ws.caps = caps
+	ws.partition(mp.m, procs, caps)
+	mp.putWorkspace(ws)
+	for _, c := range node.Children {
+		child, part := c, procs[:c.Cap]
+		procs = procs[c.Cap:]
 		if len(part) >= parallelThreshold {
 			select {
 			case mp.sem <- struct{}{}:
@@ -139,14 +167,20 @@ type workspace struct {
 	assigned    []bool
 	// touched lists local indices with nonzero gain for the current part.
 	touched []int32
-	heap    gainHeap
+	heap    claimHeap
 	// refine scratch: partOf by local index, aff the flat |procs|·k
 	// part-affinity table, rowW and scratch dense affinity rows (kept
-	// zeroed between uses).
+	// zeroed between uses), members the processes of one refined pair.
 	partOf  []int32
 	rowW    []float64
 	scratch []float64
 	aff     []float64
+	members []int
+	// caps, order and parts describe the current partition call; the parts
+	// are cut from buf, one backing array for the whole subproblem.
+	caps, order []int
+	parts       [][]int
+	buf         []int
 }
 
 func newWorkspace(n int) *workspace {
@@ -155,9 +189,11 @@ func newWorkspace(n int) *workspace {
 		gain:     make([]float64, n),
 		total:    make([]float64, n),
 		assigned: make([]bool, n),
+		heap:     claimHeap{pos: make([]int32, n)},
 		partOf:   make([]int32, n),
 		rowW:     make([]float64, n),
 		scratch:  make([]float64, n),
+		buf:      make([]int, n),
 	}
 	for i := range ws.local {
 		ws.local[i] = -1
@@ -165,21 +201,26 @@ func newWorkspace(n int) *workspace {
 	return ws
 }
 
-// heapEntry is one lazy-heap candidate: the process and the (score, gain)
-// it was pushed with. Entries are validated against the current values on
-// pop; stale ones are discarded.
+// heapEntry is the claim-heap key of one unclaimed process: its current
+// GGGP score and gain, and its local index l.
 type heapEntry struct {
 	score, gain float64
-	p           int32
+	l           int32
 }
 
-// gainHeap is a 4-ary max-heap ordered by (score desc, gain desc, p asc) —
-// the exact selection order of the reference greedy loop. heapBetter is a
-// total order up to identical entries, so the sequence of pops does not
-// depend on the heap's arity or sifting: the layout is free to be the
-// cheapest one. Sifts move a hole and write the entry once instead of
-// swapping at every level.
-type gainHeap []heapEntry
+// claimHeap is an indexed 4-ary max-heap of the unclaimed processes of one
+// subproblem, ordered by (score desc, gain desc, l asc) — the exact
+// selection order of the reference greedy loop (local order is global id
+// order). It holds one entry per process, and pos[l] is the slot of local
+// process l: a gain update or a part reset re-keys that entry in place and
+// sifts it up or down, so the top is always the best unclaimed process.
+// heapBetter is a total order on distinct processes, so the sequence of
+// pops does not depend on the heap's arity or sifting: the layout is free
+// to be the cheapest one. Sifts move a hole and write each entry once.
+type claimHeap struct {
+	s   []heapEntry
+	pos []int32
+}
 
 func heapBetter(a, b heapEntry) bool {
 	if a.score != b.score {
@@ -188,37 +229,62 @@ func heapBetter(a, b heapEntry) bool {
 	if a.gain != b.gain {
 		return a.gain > b.gain
 	}
-	return a.p < b.p
+	return a.l < b.l
 }
 
-func (h *gainHeap) push(e heapEntry) {
-	s := append(*h, e)
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !heapBetter(e, s[parent]) {
-			break
-		}
-		s[i] = s[parent]
-		i = parent
+// put writes e into slot i.
+func (h *claimHeap) put(i int, e heapEntry) {
+	h.s[i] = e
+	h.pos[e.l] = int32(i)
+}
+
+// heapify orders h.s, whose pos entries are already set, in O(n): it sifts
+// down every inner node, from the parent of the last entry back to the root.
+func (h *claimHeap) heapify() {
+	for i := (len(h.s)+2)/4 - 1; i >= 0; i-- {
+		h.siftDown(i, h.s[i])
 	}
-	s[i] = e
-	*h = s
 }
 
-func (h *gainHeap) pop() heapEntry {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	*h = s[:last]
+// pop removes the best entry and returns its process.
+func (h *claimHeap) pop() int32 {
+	top := h.s[0].l
+	last := len(h.s) - 1
+	e := h.s[last]
+	h.s = h.s[:last]
 	if last > 0 {
-		siftDown(s[:last], 0, s[last])
+		h.siftDown(0, e)
 	}
 	return top
 }
 
+// rekey gives process l the key (score, gain) and restores the heap order.
+func (h *claimHeap) rekey(l int32, score, gain float64) {
+	i := int(h.pos[l])
+	e := heapEntry{score: score, gain: gain, l: l}
+	if i > 0 && heapBetter(e, h.s[(i-1)/4]) {
+		h.siftUp(i, e)
+	} else {
+		h.siftDown(i, e)
+	}
+}
+
+// siftUp places e into the heap at or above the hole i.
+func (h *claimHeap) siftUp(i int, e heapEntry) {
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !heapBetter(e, h.s[parent]) {
+			break
+		}
+		h.put(i, h.s[parent])
+		i = parent
+	}
+	h.put(i, e)
+}
+
 // siftDown places e into the subheap rooted at the hole i.
-func siftDown(s []heapEntry, i int, e heapEntry) {
+func (h *claimHeap) siftDown(i int, e heapEntry) {
+	s := h.s
 	for {
 		c := 4*i + 1
 		if c >= len(s) {
@@ -233,20 +299,24 @@ func siftDown(s []heapEntry, i int, e heapEntry) {
 		if !heapBetter(s[best], e) {
 			break
 		}
-		s[i] = s[best]
+		h.put(i, s[best])
 		i = best
 	}
-	s[i] = e
+	h.put(i, e)
 }
 
 // partition splits procs into len(caps) parts with |part[i]| = caps[i],
 // keeping high affinities inside parts: greedy graph growing (each part is
 // grown by the unassigned process maximizing affinity-to-part minus
 // affinity-to-outside, the GGGP criterion) followed by the bounded
-// Kernighan-Lin swap refinement between part pairs.
+// Kernighan-Lin swap refinement between part pairs. It rewrites procs in
+// place, part after part in caps order and each part ascending, and returns
+// the parts as subslices of procs; the outer slice is the workspace's and
+// is only valid until its next partition call.
 func (ws *workspace) partition(m *Matrix, procs []int, caps []int) [][]int {
 	k := len(caps)
-	parts := make([][]int, k)
+	parts := slices.Grow(ws.parts[:0], k)[:k]
+	ws.parts = parts
 	if k == 1 {
 		parts[0] = procs
 		return parts
@@ -256,7 +326,8 @@ func (ws *workspace) partition(m *Matrix, procs []int, caps []int) [][]int {
 	for i, p := range procs {
 		local[p] = int32(i)
 	}
-	heap := ws.heap[:0]
+	h := &ws.heap
+	h.s = slices.Grow(h.s[:0], len(procs))
 	for i, p := range procs {
 		var s float64
 		for _, e := range m.Row(p) {
@@ -267,21 +338,26 @@ func (ws *workspace) partition(m *Matrix, procs []int, caps []int) [][]int {
 		ws.total[i] = s
 		ws.gain[i] = 0
 		ws.assigned[i] = false
-		heap = append(heap, heapEntry{score: -s, gain: 0, p: int32(p)})
+		h.s = append(h.s, heapEntry{score: -s, gain: 0, l: int32(i)})
+		h.pos[i] = int32(i)
 	}
-	// Heapify the initial batch in O(n): sift down every inner node, from
-	// the parent of the last entry back to the root.
-	for i := (len(heap)+2)/4 - 1; i >= 0; i-- {
-		siftDown(heap, i, heap[i])
-	}
-	ws.heap = heap
+	h.heapify()
 	ws.touched = ws.touched[:0]
 
-	// Largest parts first, ties by index (the keys are unique).
-	order := make([]int, k)
-	for i := range order {
-		order[i] = i
+	// Each part is grown in its own stretch of one backing array.
+	buf := ws.buf[:len(procs)]
+	off := 0
+	for i, c := range caps {
+		parts[i] = buf[off : off : off+c]
+		off += c
 	}
+
+	// Largest parts first, ties by index (the keys are unique).
+	order := slices.Grow(ws.order[:0], k)
+	for i := range k {
+		order = append(order, i)
+	}
+	ws.order = order
 	slices.SortFunc(order, func(a, b int) int {
 		if c := cmp.Compare(caps[b], caps[a]); c != 0 {
 			return c
@@ -291,11 +367,11 @@ func (ws *workspace) partition(m *Matrix, procs []int, caps []int) [][]int {
 
 	for _, pi := range order {
 		want := caps[pi]
-		part := make([]int, 0, want)
+		part := parts[pi]
 		for len(part) < want {
-			best := ws.popBest()
-			li := local[best]
+			li := h.pop()
 			ws.assigned[li] = true
+			best := procs[li]
 			part = append(part, best)
 			// Claiming best removes it from its neighbours' remaining
 			// totals and adds its affinity to their gain toward this part.
@@ -310,7 +386,7 @@ func (ws *workspace) partition(m *Matrix, procs []int, caps []int) [][]int {
 				}
 				ws.gain[l] += e.W
 				g := ws.gain[l]
-				ws.heap.push(heapEntry{score: g - (ws.total[l] - g), gain: g, p: int32(e.Col)})
+				h.rekey(l, g-(ws.total[l]-g), g)
 			}
 		}
 		parts[pi] = part
@@ -322,7 +398,7 @@ func (ws *workspace) partition(m *Matrix, procs []int, caps []int) [][]int {
 				continue
 			}
 			ws.gain[l] = 0
-			ws.heap.push(heapEntry{score: -ws.total[l], gain: 0, p: int32(procs[l])})
+			h.rekey(l, -ws.total[l], 0)
 		}
 		ws.touched = ws.touched[:0]
 	}
@@ -335,25 +411,12 @@ func (ws *workspace) partition(m *Matrix, procs []int, caps []int) [][]int {
 	for _, part := range parts {
 		slices.Sort(part)
 	}
-	return parts
-}
-
-// popBest pops heap entries until one reflects the current (score, gain) of
-// an unassigned process. Every state change pushes a fresh entry, so the
-// first value-consistent entry is the true maximum.
-func (ws *workspace) popBest() int {
-	for {
-		e := ws.heap.pop()
-		l := ws.local[e.p]
-		if l < 0 || ws.assigned[l] {
-			continue
-		}
-		g := ws.gain[l]
-		score := g - (ws.total[l] - g)
-		if e.gain == g && e.score == score {
-			return int(e.p)
-		}
+	copy(procs, buf)
+	for i, c := range caps {
+		parts[i] = procs[:c:c]
+		procs = procs[c:]
 	}
+	return parts
 }
 
 // refineSwaps improves a capacity-respecting partition by repeatedly
@@ -529,33 +592,12 @@ type pairCut struct {
 // refinement (the old cliff), it refines the part pairs with the heaviest
 // cut affinity, heaviest first, until the swap-work budget is spent, then
 // reports the degradation through OnRefineDegrade. Each pair is refined
-// with pair-local affinity state, so memory stays O(n + pairs) even when
-// n·k would be enormous.
+// with pair-local affinity state, so memory stays O(n + cut edges) even
+// when n·k would be enormous. A pair whose two part slacks sum to at most 1e-12
+// is not searched: its one fruitless iteration is charged to the budget and
+// the pair counts as refined, exactly as if it had run.
 func (ws *workspace) refineCapped(m *Matrix, procs []int, parts [][]int, work int) {
-	local, partOf := ws.local, ws.partOf
-	// Cut affinity per part pair, from one sweep over the edges.
-	cuts := make(map[int64]float64)
-	for _, p := range procs {
-		lp := local[p]
-		for _, e := range m.Row(p) {
-			lq := local[e.Col]
-			if lq < 0 || e.Col <= p {
-				continue
-			}
-			pa, pb := partOf[lp], partOf[lq]
-			if pa == pb {
-				continue
-			}
-			if pa > pb {
-				pa, pb = pb, pa
-			}
-			cuts[int64(pa)<<32|int64(pb)] += e.W
-		}
-	}
-	pairs := make([]pairCut, 0, len(cuts))
-	for key, w := range cuts {
-		pairs = append(pairs, pairCut{ai: int32(key >> 32), bi: int32(key & 0xffffffff), w: w})
-	}
+	pairs := ws.cutPairs(m, procs, len(parts))
 	// Heaviest cut first, ties by pair (the keys are unique).
 	slices.SortFunc(pairs, func(x, y pairCut) int {
 		if c := cmp.Compare(y.w, x.w); c != 0 {
@@ -567,6 +609,15 @@ func (ws *workspace) refineCapped(m *Matrix, procs []int, parts [][]int, work in
 		return cmp.Compare(x.bi, y.bi)
 	})
 
+	// slack[i] bounds every swap gain part i can contribute (partSlack).
+	// A negative entry voids the bound, and then no pair is skipped.
+	var slack []float64
+	if m.nonneg {
+		slack = make([]float64, len(parts))
+		for i, part := range parts {
+			slack[i] = ws.partSlack(m, part)
+		}
+	}
 	budget := refineBudget
 	refined := 0
 	for _, pc := range pairs {
@@ -574,9 +625,19 @@ func (ws *workspace) refineCapped(m *Matrix, procs []int, parts [][]int, work in
 		if cost > budget {
 			break
 		}
-		spent := ws.refinePair(m, parts, int(pc.ai), int(pc.bi), budget)
-		budget -= spent
 		refined++
+		if slack != nil && slack[pc.ai]+slack[pc.bi] <= 1e-12 {
+			// No swap of this pair can gain more than 1e-12, so
+			// refinePair would run one fruitless iteration: charge it.
+			budget -= cost
+			continue
+		}
+		spent, swapped := ws.refinePair(m, parts, int(pc.ai), int(pc.bi), budget)
+		budget -= spent
+		if swapped && slack != nil {
+			slack[pc.ai] = ws.partSlack(m, parts[pc.ai])
+			slack[pc.bi] = ws.partSlack(m, parts[pc.bi])
+		}
 	}
 	if hook := OnRefineDegrade; hook != nil {
 		hook(RefineDegrade{
@@ -590,18 +651,107 @@ func (ws *workspace) refineCapped(m *Matrix, procs []int, parts [][]int, work in
 	}
 }
 
+// cutPairs returns every pair of the k parts with a cut edge between them
+// and the pair's cut affinity. Two sweeps over the edges count and then
+// place each cut edge in the bucket of its lower part, in sweep order; a
+// stable sort of each bucket by the higher part brings each pair's edges
+// together, still in sweep order, and each run is summed in place. These
+// are the sums, added in the same order, that one sweep accumulating into
+// a map would make, and they cost two allocations however many pairs.
+func (ws *workspace) cutPairs(m *Matrix, procs []int, k int) []pairCut {
+	local, partOf := ws.local, ws.partOf
+	end := make([]int, k+1)
+	var pairs []pairCut
+	for fill := range 2 {
+		for _, p := range procs {
+			lp := local[p]
+			for _, e := range m.Row(p) {
+				lq := local[e.Col]
+				if lq < 0 || e.Col <= p {
+					continue
+				}
+				pa, pb := partOf[lp], partOf[lq]
+				if pa == pb {
+					continue
+				}
+				if pa > pb {
+					pa, pb = pb, pa
+				}
+				if fill == 0 {
+					end[pa+1]++
+				} else {
+					pairs[end[pa]] = pairCut{ai: pa, bi: pb, w: e.W}
+					end[pa]++
+				}
+			}
+		}
+		if fill == 0 {
+			for i := 1; i <= k; i++ {
+				end[i] += end[i-1]
+			}
+			pairs = make([]pairCut, end[k])
+		}
+	}
+	// Bucket i now ends at end[i] and starts where bucket i-1 ends.
+	merged := pairs[:0]
+	lo := 0
+	for _, hi := range end[:k] {
+		bucket := pairs[lo:hi]
+		slices.SortStableFunc(bucket, func(x, y pairCut) int { return cmp.Compare(x.bi, y.bi) })
+		for i := 0; i < len(bucket); {
+			pc := pairCut{ai: bucket[i].ai, bi: bucket[i].bi}
+			for ; i < len(bucket) && bucket[i].bi == pc.bi; i++ {
+				pc.w += bucket[i].w
+			}
+			merged = append(merged, pc)
+		}
+		lo = hi
+	}
+	return merged
+}
+
+// partSlack returns the slack of a part in the capped pass: the maximum
+// over its members p of fl(ext(p) − int(p)), where int(p) and ext(p) are
+// p's affinities to its own part and to every other part of the
+// subproblem, each summed in row order. On a nonnegative matrix no swap
+// between parts A and B gains more than fl(slack_A + slack_B) in
+// refinePair's first iteration (docs/PERFORMANCE.md, "TreeMatch"). A swap
+// between A and B leaves every other part's slack bit for bit as it was:
+// the members of a third part see the same set of terms in both sums.
+func (ws *workspace) partSlack(m *Matrix, part []int) float64 {
+	local, partOf := ws.local, ws.partOf
+	slack := math.Inf(-1)
+	for _, p := range part {
+		own := partOf[local[p]]
+		var in, ext float64
+		for _, e := range m.Row(p) {
+			l := local[e.Col]
+			if l < 0 {
+				continue
+			}
+			if partOf[l] == own {
+				in += e.W
+			} else {
+				ext += e.W
+			}
+		}
+		slack = max(slack, ext-in)
+	}
+	return slack
+}
+
 // refinePair runs the best-swap loop on one part pair with pair-local
 // affinity state (affinity of each member to part A and to part B). It
-// returns the scan work consumed, never exceeding budget. It borrows three
-// zeroed workspace arrays — gain (affinity to A), rowW (affinity to B) and
-// scratch (a dense affinity row) — and re-zeroes them before returning.
-func (ws *workspace) refinePair(m *Matrix, parts [][]int, ai, bi, budget int) int {
+// returns the scan work consumed, never exceeding budget, and whether it
+// swapped. It borrows three zeroed workspace arrays — gain (affinity to
+// A), rowW (affinity to B) and scratch (a dense affinity row) — and
+// re-zeroes them before returning.
+func (ws *workspace) refinePair(m *Matrix, parts [][]int, ai, bi, budget int) (spent int, swapped bool) {
 	local, partOf := ws.local, ws.partOf
 	toA, toB, row := ws.gain, ws.rowW, ws.scratch
 	A, B := parts[ai], parts[bi]
-	members := make([]int, 0, len(A)+len(B))
-	members = append(members, A...)
-	members = append(members, B...)
+	members := append(append(ws.members[:0], A...), B...)
+	ws.members = members
 	for _, p := range members {
 		var a, b float64
 		for _, e := range m.Row(p) {
@@ -619,7 +769,6 @@ func (ws *workspace) refinePair(m *Matrix, parts [][]int, ai, bi, budget int) in
 		toA[local[p]] = a
 		toB[local[p]] = b
 	}
-	spent := 0
 	for {
 		if spent+len(A)*len(B) > budget {
 			break
@@ -662,6 +811,7 @@ func (ws *workspace) refinePair(m *Matrix, parts [][]int, ai, bi, budget int) in
 		if bestA < 0 {
 			break
 		}
+		swapped = true
 		// Apply the swap on the pair-local state.
 		replace := func(part []int, old, new int) {
 			for i, p := range part {
@@ -706,5 +856,5 @@ func (ws *workspace) refinePair(m *Matrix, parts [][]int, ai, bi, budget int) in
 		toA[local[p]] = 0
 		toB[local[p]] = 0
 	}
-	return spent
+	return spent, swapped
 }

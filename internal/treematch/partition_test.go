@@ -1,7 +1,10 @@
 package treematch
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -215,25 +218,247 @@ func TestRefineDegradeHook(t *testing.T) {
 	}
 }
 
-// TestMapTreeParallelLargeMatchesReference exercises the worker pool (the
-// subproblems exceed parallelThreshold) and checks exact equivalence.
+// TestMapTreeParallelLargeMatchesReference checks exact equivalence on 768
+// processes. On the 3 x 2 x 8 x 16 machine each of the root's three parts
+// reaches parallelThreshold, so the worker pool maps them.
 func TestMapTreeParallelLargeMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large instance")
 	}
-	topo := topology.MustNew(32, 2, 12)
 	m := randSparse(768, 6, 11)
-	got, err := MapTree(m, topo.FullTree())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := refMapTree(m, topo.FullTree())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := range got {
-		if got[p] != want[p] {
-			t.Fatalf("parallel placement diverges from reference at process %d", p)
+	for _, topo := range []*topology.Topology{topology.MustNew(32, 2, 12), topology.MustNew(3, 2, 8, 16)} {
+		got, err := MapTree(m, topo.FullTree())
+		if err != nil {
+			t.Fatal(err)
 		}
+		want, err := refMapTree(m, topo.FullTree())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := range got {
+			if got[p] != want[p] {
+				t.Fatalf("%v: parallel placement diverges from reference at process %d", topo, p)
+			}
+		}
+	}
+}
+
+// fuzzMatrix builds the random matrix of one FuzzMapTree input. kind&1
+// selects real weights in (0, 4] over integer weights in [1, 1000]; kind&2
+// leaves about a quarter of the processes with an empty row; kind&4 makes
+// about one entry in eight negative.
+func fuzzMatrix(rng *rand.Rand, n, degree int, kind uint8) *Matrix {
+	m := NewMatrix(n)
+	empty := make([]bool, n)
+	if kind&2 != 0 {
+		for i := range empty {
+			empty[i] = rng.Intn(4) == 0
+		}
+	}
+	for i := 0; i < n; i++ {
+		for d := 0; d < degree && !empty[i]; d++ {
+			j := rng.Intn(n)
+			if j == i || empty[j] {
+				continue
+			}
+			w := float64(rng.Intn(1000) + 1)
+			if kind&1 != 0 {
+				w = 4 - 4*rng.Float64()
+			}
+			if kind&4 != 0 && rng.Intn(8) == 0 {
+				w = -w
+			}
+			m.Add(i, j, w)
+		}
+	}
+	m.Finish()
+	return m
+}
+
+// minSwapWork is the smallest swap work Σ|A|·|B| over the inner nodes of
+// the tree that have two or more parts, one of them with two or more
+// processes (math.MaxInt if there is none). Under a budget below it, every
+// node whose refinement could swap takes the capped pass.
+func minSwapWork(node *topology.Tree) int {
+	least := math.MaxInt
+	work, sum, big := 0, 0, false
+	for _, c := range node.Children {
+		work += sum * c.Cap
+		sum += c.Cap
+		big = big || c.Cap > 1
+		least = min(least, minSwapWork(c))
+	}
+	if big && len(node.Children) > 1 {
+		least = min(least, work)
+	}
+	return least
+}
+
+// FuzzMapTree checks MapTree against the kernel it replaced
+// (refCappedMapTree, reference_test.go) on random matrices of at most 256
+// processes: the same placement and the same degrade events, under any
+// refinement budget from 1 up to the full swap work, on full trees and on
+// trees restricted to a random subset of leaves. Small budgets put every
+// level through the capped pass, whose skipped pairs must be exactly the
+// pairs the old search found no swap in.
+//
+// The target also runs the capped pass alone on a random partition of the
+// same matrix, against the reference's.
+//
+// With a negative entry the uncapped pass of both kernels can swap in a
+// cycle forever (swap leaves the swapped processes' own affinity rows
+// stale, which overstates later gains when a weight is negative), so such
+// inputs take a budget below minSwapWork: every node that could swap is
+// refined by the capped pass, which the budget bounds.
+func FuzzMapTree(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, a, b, c, degree, kind uint8, budget uint32, restrict bool) {
+		topo := topology.MustNew(1+int(a%8), 1+int(b%8), 1+int(c%8))
+		rng := rand.New(rand.NewSource(seed))
+		tree := topo.FullTree()
+		if restrict || topo.Leaves() > 256 {
+			keep := rng.Perm(topo.Leaves())[:1+rng.Intn(min(topo.Leaves(), 256))]
+			var err error
+			if tree, err = topo.Restrict(keep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n := tree.Cap
+		m := fuzzMatrix(rng, n, 1+int(degree%8), kind)
+
+		limit := max(1, n*n/2)
+		if kind&4 != 0 {
+			limit = min(limit, minSwapWork(tree)-1)
+		}
+		defer SetRefineBudget(1 + int(budget)%limit)()
+		var events []RefineDegrade
+		prev := OnRefineDegrade
+		OnRefineDegrade = func(d RefineDegrade) { events = append(events, d) }
+		defer func() { OnRefineDegrade = prev }()
+		got, err := MapTree(m, tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotEvents := events
+		events = nil
+		want := refCappedMapTree(m, tree)
+		if !slices.Equal(got, want) {
+			t.Fatalf("placement %v, reference %v", got, want)
+		}
+		byValue := func(x, y RefineDegrade) int {
+			return cmp.Or(cmp.Compare(x.Procs, y.Procs), cmp.Compare(x.Parts, y.Parts), cmp.Compare(x.Work, y.Work),
+				cmp.Compare(x.PairsRefined, y.PairsRefined), cmp.Compare(x.PairsSkipped, y.PairsSkipped))
+		}
+		slices.SortFunc(gotEvents, byValue)
+		slices.SortFunc(events, byValue)
+		if !slices.Equal(gotEvents, events) {
+			t.Fatalf("degrade events %+v, reference %+v", gotEvents, events)
+		}
+
+		// The capped pass alone, on a random partition into parts of the
+		// root's sizes: greedy parts seldom hold a part whose slack a swap
+		// raises, random parts often do.
+		if len(tree.Children) < 2 {
+			return
+		}
+		perm := rng.Perm(n)
+		var parts [][]int
+		for _, c := range tree.Children {
+			part := perm[:c.Cap:c.Cap]
+			perm = perm[c.Cap:]
+			slices.Sort(part)
+			parts = append(parts, part)
+		}
+		checkCappedPass(t, m, parts)
+	})
+}
+
+// checkCappedPass runs refineCapped on parts, a partition of all of m's
+// processes, and the reference's refineCapped on a copy, under the current
+// refineBudget: the parts and the degrade events must come out equal.
+func checkCappedPass(t *testing.T, m *Matrix, parts [][]int) {
+	t.Helper()
+	n := m.N()
+	procs := make([]int, n)
+	for i := range procs {
+		procs[i] = i
+	}
+	ws, ref := newWorkspace(n), newRefWorkspace(n)
+	refParts := make([][]int, len(parts))
+	work := 0
+	for pi, part := range parts {
+		refParts[pi] = slices.Clone(part)
+		for _, p := range part {
+			ws.local[p], ref.local[p] = int32(p), int32(p)
+			ws.partOf[p], ref.partOf[p] = int32(pi), int32(pi)
+			work += n - len(part)
+		}
+	}
+	work /= 2
+	var events []RefineDegrade
+	prev := OnRefineDegrade
+	OnRefineDegrade = func(d RefineDegrade) { events = append(events, d) }
+	defer func() { OnRefineDegrade = prev }()
+	ws.refineCapped(m, procs, parts, work)
+	got := events
+	events = nil
+	ref.refineCapped(m, procs, refParts, work)
+	for pi := range parts {
+		if !slices.Equal(parts[pi], refParts[pi]) {
+			t.Fatalf("capped pass: part %d is %v, reference %v", pi, parts[pi], refParts[pi])
+		}
+	}
+	if !slices.Equal(got, events) {
+		t.Fatalf("capped pass: degrade events %+v, reference %+v", got, events)
+	}
+}
+
+// TestCappedPassEdges runs the capped pass on hand-built partitions
+// against the reference. Each pair's iterations cost |A|·|B|, and a pair
+// that swaps goes on until the budget cannot pay another iteration.
+func TestCappedPassEdges(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n      int
+		edges  [][3]float64
+		parts  [][]int
+		budget int
+	}{
+		// The parts are P0 {6}, P1 {3, 4}, P2 {0, 1, 7}, P3 {5} and P4 {2};
+		// the pairs come heaviest cut first, (P1,P2) 15, (P2,P4) 7,
+		// (P1,P4) 4 and (P0,P4) 2, and the slacks are P1 15, P2 −14 and
+		// P4 13. (P1,P2) is searched and swaps 4 with 0, then 3 with 4, in
+		// the 12 units a budget of 16 affords. 0 leaves P2 and takes 14
+		// from 7's own-part affinity to its outside one, so P2's slack
+		// rises to 12. On the old slacks (P2,P4) would be skipped
+		// (−14 + 13 ≤ 0), but it has an improving swap, 3 with 2, and the
+		// 4 units left pay for it.
+		{"second-part-slack-rises", 8,
+			[][3]float64{{0, 7, 14}, {1, 4, 4}, {1, 7, 20}, {2, 3, 4}, {2, 6, 2}, {2, 7, 7}, {4, 7, 11}},
+			[][]int{{6}, {3, 4}, {0, 1, 7}, {5}, {2}}, 16},
+		// The parts are P0 {1, 2, 5}, P1 {4} and P2 {0, 3}, the pairs
+		// (P0,P2) 14 and (P0,P1) 2, and the slacks P0 −3, P1 2 and P2 13.
+		// (P0,P2) swaps 5 with 0, then 0 with 3, in the 12 units of a
+		// budget of 15. 3 enters P0 with its one neighbour outside it, so
+		// P0's slack rises to 1, and (P0,P1), skipped on the old slacks
+		// (−3 + 2 ≤ 0), swaps 3 with 4.
+		{"first-part-slack-rises", 6,
+			[][3]float64{{0, 1, 14}, {0, 3, 1}, {1, 2, 19}, {1, 4, 2}, {2, 5, 3}},
+			[][]int{{1, 2, 5}, {4}, {0, 3}}, 15},
+		// The slacks are 0 and 2^-30, and swapping 0 with 3 gains 2^-30:
+		// a pair is skipped only when its slacks sum to at most 1e-12,
+		// the least gain the search takes.
+		{"tiny-gain", 4,
+			[][3]float64{{0, 1, 1}, {2, 3, 1 - 0x1p-30}, {0, 2, 1}, {1, 3, 1}},
+			[][]int{{0, 1}, {2, 3}}, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMatrix(tc.n)
+			for _, e := range tc.edges {
+				m.Add(int(e[0]), int(e[1]), e[2])
+			}
+			m.Finish()
+			defer SetRefineBudget(tc.budget)()
+			checkCappedPass(t, m, tc.parts)
+		})
 	}
 }

@@ -65,11 +65,8 @@ func OptimalMap(m *Matrix, topo *topology.Topology) ([]int, float64, error) {
 		return nil, 0, fmt.Errorf("treematch: %d processes exceed %d leaves", n, topo.Leaves())
 	}
 	m.Finish()
-	// Search over placements onto the first n... no: onto any subset of
-	// leaves would explode; by symmetry of balanced trees, mapping onto
-	// any distinct leaves is covered by permutations over all leaves when
-	// n == leaves; for n < leaves, search assignments into all leaves
-	// with backtracking.
+	// Backtracking places processes 0..n-1 in turn on every free leaf and
+	// abandons a partial placement once it costs as much as the best one.
 	best := make([]int, n)
 	cur := make([]int, n)
 	used := make([]bool, topo.Leaves())
