@@ -1,7 +1,7 @@
 GO ?= go
 BENCHES = hotpath gather serve engine commitagg coll
 
-.PHONY: build test vet race flake fuzz regen-fig6 nodeprecated novhostclock noenginechoice nocommitcells bench benchsmoke apicheck ci
+.PHONY: build test vet race flake fuzz regen-fig6 nodeprecated novhostclock noenginechoice nocommitcells onecollpath bench benchsmoke apicheck ci
 
 build:
 	$(GO) build ./...
@@ -33,7 +33,7 @@ race:
 # (ROADMAP item 1). The event engine's scheduler pins — cross-engine
 # equivalence, exact dispatch counts, one live wake per wait, the bucket
 # index against its model, no coroutine left behind, every way out of a
-# parked ring cursor — run at GOMAXPROCS 4 as well: which rank runs next
+# parked schedule cursor — run at GOMAXPROCS 4 as well: which rank runs next
 # may not depend on it. So do the TreeMatch placement pins: MapTree sizes
 # its worker pool by GOMAXPROCS, and no placement may depend on it.
 flake:
@@ -103,6 +103,14 @@ noenginechoice:
 nocommitcells:
 	@! grep -rnE 'commitagg\.(NewShard|Shard|Cell)|AddFlusher' --include='*.go' --exclude='*_test.go' cmd internal *.go
 
+# onecollpath keeps one path from a collective to the message layer: every
+# collective but AlltoallvBruck and GatherStream is a schedule run by the
+# interpreter of internal/mpi/coll_sched.go, so outside the tests only that
+# file and the two algorithms left as code may call the explicit-context
+# message calls.
+onecollpath:
+	@! grep -rnE '\.(sendOn|recvOn|sendCopyOn|sendMsgOn|recvMsgOn|recvReduceOn|sendrecvReduceOn)\(' --include='*.go' --exclude='*_test.go' . | grep -vE '^\./internal/mpi/(coll_sched|coll_portfolio|coll_stream)\.go:'
+
 # apicheck pins the root package's exported API: the surface extracted by
 # cmd/apisurface must match the golden listing in docs/api_surface.txt.
 # After an intentional API change, regenerate it with
@@ -151,6 +159,6 @@ benchsmoke:
 # maps regenerated byte for byte, a one-iteration pass over every
 # benchmark, the exported-API pin, the no-deprecated-shims
 # check, the no-host-clock check on the virtual-time path, the
-# no-engine-choice check on the drivers and the no-commit-cells check on
-# the telemetry counters.
-ci: vet build test race flake fuzz regen-fig6 benchsmoke apicheck nodeprecated novhostclock noenginechoice nocommitcells
+# no-engine-choice check on the drivers, the no-commit-cells check on the
+# telemetry counters and the one-collective-path check.
+ci: vet build test race flake fuzz regen-fig6 benchsmoke apicheck nodeprecated novhostclock noenginechoice nocommitcells onecollpath

@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -317,15 +318,14 @@ func benchmarkSendRecv(b *testing.B, plan *faults.Plan) {
 	}
 }
 
-// TestForwardingReleasesOnce follows the pooled messages of Bcast and the
-// Allgather ring through the pool ledger. Both forward the message a rank
-// received instead of a copy of it, so a message changes owner hop by hop;
-// each must still be drawn once and released once, or be left queued. At np
-// 1…9, for every Bcast root and for Allgather, three ways: fault-free, with
-// the last rank's buffers half as long as everyone else's, and with every
-// message dropped.
+// TestForwardingReleasesOnce follows the pooled messages of every scheduled
+// collective through the pool ledger. A forwarded message (Bcast, the
+// rings, the reduce trees' accumulators, Exscan's prefix) changes owner hop
+// by hop; each must still be drawn once and released once, or be left
+// queued. At np 1…9, at every root, three ways: fault-free, with the last
+// rank's buffers half as long as everyone else's, and with every message
+// dropped.
 func TestForwardingReleasesOnce(t *testing.T) {
-	const blk = 96
 	dropAll := WithFaultPlan(&faults.Plan{Links: []faults.LinkRule{{SrcNode: -1, DstNode: -1, DropProb: 1}}})
 	scenarios := []struct {
 		name  string
@@ -336,31 +336,42 @@ func TestForwardingReleasesOnce(t *testing.T) {
 		{"short buffer", nil, true},
 		{"every message dropped", []Option{dropAll}, false},
 	}
+	half := func(n int) int { return n / 2 }
 	for _, sc := range scenarios {
 		for np := 1; np <= 9; np++ {
-			for root := -1; root < np; root++ { // -1 is the Allgather
-				what := fmt.Sprintf("bcast-root%d", root)
-				if root < 0 {
-					what = "allgather"
+			for _, pc := range pinnedCollectives {
+				if !scheduled(pc.name) {
+					continue
 				}
-				t.Run(fmt.Sprintf("%s/np%d/%s", sc.name, np, what), func(t *testing.T) {
-					ledger := tracePool(t)
-					w := newEngineWorld(t, np, EngineEvent, sc.opts...)
-					err := w.Run(func(c *Comm) error {
-						n := blk
-						if sc.short && c.Rank() == np-1 {
-							n = blk / 2
-						}
-						if root < 0 {
-							return c.Allgather(make([]byte, n), make([]byte, np*n))
-						}
-						return c.Bcast(make([]byte, n), root)
-					})
-					if sc.name == "fault-free" && err != nil {
-						t.Error(err)
+				roots := []int{-1}
+				if pc.rooted {
+					roots = roots[:0]
+					for root := 0; root < np; root++ {
+						roots = append(roots, root)
 					}
-					ledger.requireBalanced(t, w)
-				})
+				}
+				for _, root := range roots {
+					what := strings.ToLower(pc.name)
+					if root >= 0 {
+						what += fmt.Sprintf("-root%d", root)
+					}
+					t.Run(fmt.Sprintf("%s/np%d/%s", sc.name, np, what), func(t *testing.T) {
+						ledger := tracePool(t)
+						w := newEngineWorld(t, np, EngineEvent, sc.opts...)
+						err := w.Run(func(c *Comm) error {
+							size := fullSize
+							if sc.short && c.Rank() == np-1 {
+								size = half
+							}
+							_, err := pc.call(c, max(root, 0), size)
+							return err
+						})
+						if sc.name == "fault-free" && err != nil {
+							t.Error(err)
+						}
+						ledger.requireBalanced(t, w)
+					})
+				}
 			}
 		}
 	}

@@ -1,5 +1,13 @@
 package mpi
 
+// The collectives. Like Open MPI's tuned collective component, the runtime
+// offers several algorithms per operation: the defaults are the ones the
+// paper's experiments name (binomial bcast, binary-tree reduce, ring
+// allgather), the others are the portfolio internal/coll tunes over. Each
+// is a schedule (coll_sched.go) that decomposes into point-to-point
+// messages on the collective context, so the monitoring component sees
+// every algorithm's real traffic pattern.
+
 import (
 	"fmt"
 )
@@ -34,98 +42,21 @@ const (
 // MPI implementations protect collectives from stray user messages.
 func (c *Comm) collCtx() int { return -(c.ctx + 1) }
 
-// sendMsgOn sends a message built with cloneMsg/ownedMsg on an explicit
-// context and takes ownership of it, like send.
-func (c *Comm) sendMsgOn(ctx, dst, tag int, m *message) error {
-	saved := c.ctx
-	c.ctx = ctx
-	err := c.send(dst, tag, m, c.p.class())
-	c.ctx = saved
-	return err
-}
-
-// sendOn sends on an explicit context, taking ownership of data (the caller
-// must not touch it again); data may be nil for size-only messages.
-func (c *Comm) sendOn(ctx, dst, tag int, data []byte, size int) error {
-	return c.sendMsgOn(ctx, dst, tag, ownedMsg(data, size))
-}
-
-// sendCopyOn sends a copy of data on an explicit context through the pooled
-// message buffers; the caller keeps ownership of data.
-func (c *Comm) sendCopyOn(ctx, dst, tag int, data []byte) error {
-	return c.sendMsgOn(ctx, dst, tag, cloneMsg(data))
-}
-
-func (c *Comm) recvOn(ctx, src, tag int, buf []byte) (Status, error) {
-	saved := c.ctx
-	c.ctx = ctx
-	st, err := c.recv(src, tag, buf)
-	c.ctx = saved
-	return st, err
-}
-
-// recvMsgOn is recvMsg on an explicit context: the caller owns the message,
-// reads m.data before it releases or forwards m, and never after.
-func (c *Comm) recvMsgOn(ctx, src, tag int) (*message, error) {
-	saved := c.ctx
-	c.ctx = ctx
-	m, err := c.recvMsg(src, tag)
-	c.ctx = saved
-	return m, err
-}
-
-// recvReduceOn receives on an explicit context and folds the payload,
-// straight from the message buffer, into dst = op(own, payload); dst may be
-// own itself. The payload must be exactly len(own) bytes; the message is
-// released whatever the outcome.
-func (c *Comm) recvReduceOn(ctx, src, tag int, dst, own []byte, dt Datatype, op Op) error {
-	m, err := c.recvMsgOn(ctx, src, tag)
-	if err != nil {
-		return err
-	}
-	err = reduceTo(dst, own, m.data, dt, op)
-	m.release()
-	return err
-}
-
 // Barrier blocks until every member of the communicator has entered it. It
 // uses the dissemination algorithm: ceil(log2 n) rounds of zero-byte
 // point-to-point messages — the zero-length internal messages the paper
 // notes collectives may generate.
-func (c *Comm) Barrier() error {
-	t0 := c.p.enterMPI()
-	defer c.p.leaveMPI(t0)
-	defer c.span("barrier")()
-	c.p.beginInternal()
-	defer c.p.endInternal()
-	return c.herr(c.barrier())
-}
+func (c *Comm) Barrier() error { return c.run("barrier", c.barrier()) }
 
-func (c *Comm) barrier() error {
-	n := len(c.group)
-	ctx := c.collCtx()
-	for k, off := 0, 1; off < n; k, off = k+1, off*2 {
-		dst := (c.rank + off) % n
-		src := (c.rank - off + n) % n
-		if err := c.sendOn(ctx, dst, tagBarrier+k, nil, 0); err != nil {
-			return err
-		}
-		if _, err := c.recvOn(ctx, src, tagBarrier+k, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (c *Comm) barrier() *sched { return c.skeleton(0).then(phBarrier, 0, tagBarrier) }
 
 // Bcast broadcasts root's buf to every member using a binomial tree; on
-// non-root ranks buf receives the data. Collective over c.
+// non-root ranks buf receives the data. A non-root rank forwards the
+// message it received, so its subtree sees exactly what the root sent, and
+// a rank whose buf is too short reports the truncation only once its
+// subtree has been served. Collective over c.
 func (c *Comm) Bcast(buf []byte, root int) error {
-	t0 := c.p.enterMPI()
-	defer c.p.leaveMPI(t0)
-	defer c.span("bcast")()
-	c.p.beginInternal()
-	defer c.p.endInternal()
-	return c.herr(c.bcast(buf, len(buf), root, true))
+	return c.run("bcast", c.sched(buf, buf, len(buf)).rooted(root).then(phBcast, root, tagBcast))
 }
 
 // BcastN is Bcast for a logical payload of size bytes with no data movement
@@ -134,89 +65,16 @@ func (c *Comm) BcastN(size, root int) error {
 	if err := checkSize(size); err != nil {
 		return c.herr(err)
 	}
-	t0 := c.p.enterMPI()
-	defer c.p.leaveMPI(t0)
-	defer c.span("bcast")()
-	c.p.beginInternal()
-	defer c.p.endInternal()
-	return c.herr(c.bcast(nil, size, root, false))
-}
-
-// bcast is the shared binomial-tree walk. When carry is true, buf holds the
-// payload (root) or receives it (others); when false only sizes move.
-//
-// A non-root rank forwards the message it received: a copy to every child
-// but the last — the mask-1 child, whenever there is a child at all — which
-// gets the message itself. So the subtree below a rank sees exactly what
-// the root sent, whatever buf this rank passed, and a rank whose buf is too
-// short reports the truncation only once its subtree has been served.
-func (c *Comm) bcast(buf []byte, size, root int, carry bool) error {
-	n := len(c.group)
-	if err := c.checkRank(root, "root"); err != nil {
-		return err
-	}
-	if n == 1 {
-		return nil
-	}
-	ctx := c.collCtx()
-	vrank := (c.rank - root + n) % n
-
-	var in *message // what this rank received; the root receives nothing
-	var truncErr error
-	mask := 1
-	for mask < n {
-		if vrank&mask != 0 {
-			src := (c.rank - mask + n) % n
-			var err error
-			if in, err = c.recvMsgOn(ctx, src, tagBcast); err != nil {
-				return err
-			}
-			if carry {
-				_, truncErr = in.read(buf)
-			}
-			break
-		}
-		mask <<= 1
-	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if vrank+mask >= n {
-			continue
-		}
-		var out *message
-		switch {
-		case in != nil && mask == 1:
-			out, in = in, nil // the last child: move, don't copy
-		case in != nil:
-			out = in.clone()
-		case carry:
-			out = cloneMsg(buf)
-		default:
-			out = ownedMsg(nil, size)
-		}
-		if err := c.sendMsgOn(ctx, (c.rank+mask)%n, tagBcast, out); err != nil {
-			if in != nil {
-				in.release()
-			}
-			return err
-		}
-	}
-	if in != nil {
-		in.release() // a leaf
-	}
-	return truncErr
+	return c.run("bcast", c.skeleton(size).rooted(root).then(phBcast, root, tagBcast))
 }
 
 // Reduce combines every member's send buffer elementwise with op and
 // leaves the result in root's recv buffer. It uses an in-order binary tree
 // (children of virtual rank v are 2v+1 and 2v+2) — the algorithm of the
-// paper's Fig. 5a. recv may be nil on non-root ranks.
+// paper's Fig. 5a. recv may be nil on non-root ranks. A non-root rank with
+// children folds them into a pooled message that travels on to its parent.
 func (c *Comm) Reduce(send, recv []byte, dt Datatype, op Op, root int) error {
-	t0 := c.p.enterMPI()
-	defer c.p.leaveMPI(t0)
-	defer c.span("reduce")()
-	c.p.beginInternal()
-	defer c.p.endInternal()
-	return c.herr(c.reduceBinary(send, recv, len(send), dt, op, root, true))
+	return c.run("reduce", c.reduce(send, recv, dt, op, root, phReduce))
 }
 
 // ReduceN is Reduce for a logical payload of size bytes (skeleton mode): the
@@ -225,158 +83,106 @@ func (c *Comm) ReduceN(size, root int) error {
 	if err := checkSize(size); err != nil {
 		return c.herr(err)
 	}
-	t0 := c.p.enterMPI()
-	defer c.p.leaveMPI(t0)
-	defer c.span("reduce")()
-	c.p.beginInternal()
-	defer c.p.endInternal()
-	return c.herr(c.reduceBinary(nil, nil, size, Byte, OpSum, root, false))
-}
-
-func (c *Comm) reduceBinary(send, recv []byte, size int, dt Datatype, op Op, root int, carry bool) error {
-	n := len(c.group)
-	if err := c.checkRank(root, "root"); err != nil {
-		return err
-	}
-	vrank := (c.rank - root + n) % n
-	children := make([]int, 0, 2)
-	for child := 2*vrank + 1; child <= 2*vrank+2 && child < n; child++ {
-		children = append(children, (child+root)%n)
-	}
-	parent := -1
-	if vrank > 0 {
-		parent = ((vrank-1)/2 + root) % n
-	}
-	return c.reduceUp(send, recv, size, dt, op, carry, children, parent)
-}
-
-// reduceUp is the data path both reduction trees share: fold the children's
-// messages, in order, into this rank's contribution, then pass the result to
-// parent — or leave it in recv on the root, which has parent < 0. The
-// accumulator is the root's recv itself, into which send is copied first
-// (recv may overlap send). Elsewhere it is a pooled message that travels on
-// to the parent, whose fold recycles it: a leaf's is a clone of send, and an
-// interior rank's is written whole by its first fold, op(send, child₀), so
-// send is read once and never copied. Without carry only sizes move:
-// buffers and payloads are nil, folds empty.
-func (c *Comm) reduceUp(send, recv []byte, size int, dt Datatype, op Op, carry bool, children []int, parent int) error {
-	if err := checkReduce("reduce", send, recv, parent < 0, dt, op); err != nil {
-		return err
-	}
-	ctx := c.collCtx()
-	acc, own := recv, recv // each fold writes acc = op(own, child)
-	var up *message        // what the parent receives; the root sends nothing
-	switch {
-	case parent < 0:
-		copy(recv, send)
-	case !carry:
-		up = ownedMsg(nil, size)
-	case len(children) == 0:
-		up = cloneMsg(send)
-	default:
-		up = getMsg(len(send), true)
-		acc, own = up.data, send
-	}
-	for _, child := range children {
-		if err := c.recvReduceOn(ctx, child, tagReduce, acc, own, dt, op); err != nil {
-			if up != nil {
-				up.release()
-			}
-			return err
-		}
-		own = acc
-	}
-	if up == nil {
-		return nil
-	}
-	return c.sendMsgOn(ctx, parent, tagReduce, up)
+	return c.run("reduce", c.skeleton(size).rooted(root).then(phReduce, root, tagReduce))
 }
 
 // ReduceBinomial is Reduce with the binomial-tree algorithm, provided as an
 // alternative for the collective-algorithm ablation.
 func (c *Comm) ReduceBinomial(send, recv []byte, dt Datatype, op Op, root int) error {
-	t0 := c.p.enterMPI()
-	defer c.p.leaveMPI(t0)
-	defer c.span("reduce.binomial")()
-	c.p.beginInternal()
-	defer c.p.endInternal()
-	return c.herr(c.reduceBinomial(send, recv, dt, op, root))
+	return c.run("reduce.binomial", c.reduce(send, recv, dt, op, root, phReduceBinomial))
 }
 
-func (c *Comm) reduceBinomial(send, recv []byte, dt Datatype, op Op, root int) error {
-	n := len(c.group)
-	if err := c.checkRank(root, "root"); err != nil {
-		return err
-	}
-	vrank := (c.rank - root + n) % n
-	// Children are vrank|mask for every mask below vrank's lowest set bit;
-	// the parent clears that bit.
-	children := make([]int, 0, 64)
-	parent := -1
-	for mask := 1; mask < n; mask <<= 1 {
-		if vrank&mask != 0 {
-			parent = (vrank&^mask + root) % n
-			break
-		}
-		if child := vrank | mask; child < n {
-			children = append(children, (child+root)%n)
-		}
-	}
-	return c.reduceUp(send, recv, len(send), dt, op, true, children, parent)
+func (c *Comm) reduce(send, recv []byte, dt Datatype, op Op, root int, tree phaseKind) *sched {
+	k := c.sched(send, recv, len(send)).rooted(root).fail(checkReduce("reduce", send, recv, c.rank == root, dt, op))
+	k.dt, k.op = dt, op
+	return k.then(tree, root, tagReduce)
+}
+
+// folding starts the schedule of a reduction whose send and recv are
+// significant on every rank.
+func (c *Comm) folding(what string, send, recv []byte, dt Datatype, op Op) *sched {
+	k := c.sched(send, recv, len(send)).fail(checkReduce(what, send, recv, true, dt, op))
+	k.dt, k.op = dt, op
+	return k
 }
 
 // Allreduce reduces to rank 0 and broadcasts the result; every member's
 // recv buffer receives the combined value.
 func (c *Comm) Allreduce(send, recv []byte, dt Datatype, op Op) error {
-	t0 := c.p.enterMPI()
-	defer c.p.leaveMPI(t0)
-	defer c.span("allreduce")()
-	c.p.beginInternal()
-	defer c.p.endInternal()
-	if err := checkReduce("allreduce", send, recv, true, dt, op); err != nil {
-		return c.herr(err)
+	k := c.folding("allreduce", send, recv, dt, op)
+	return c.run("allreduce", k.then(phReduce, 0, tagReduce).then(phBcast, 0, tagBcast))
+}
+
+// AllreduceRD performs an allreduce with the recursive-doubling algorithm:
+// log2(n) rounds of pairwise exchange-and-combine. For non-power-of-two
+// groups the standard pre/post folding steps are applied. It is
+// latency-optimal for short vectors, whereas Allreduce (reduce+bcast) moves
+// less data at the root for long ones.
+func (c *Comm) AllreduceRD(send, recv []byte, dt Datatype, op Op) error {
+	return c.run("allreduce.rd", c.folding("allreduce", send, recv, dt, op).then(phAllreduceRD, 0, tagRsct))
+}
+
+// AllreduceRing performs an allreduce with the ring (reduce-scatter +
+// allgather) algorithm: 2(n-1) neighbour exchanges of one n-th of the
+// vector each. Every rank sends 2·(n-1)/n of the buffer in total, the
+// bandwidth-optimal volume, at the price of a latency term linear in n —
+// the classic choice for long vectors on large groups. Works for any
+// group size; blocks are balanced element ranges (possibly empty).
+func (c *Comm) AllreduceRing(send, recv []byte, dt Datatype, op Op) error {
+	k := c.folding("allreduce", send, recv, dt, op)
+	k.rl = layout{kind: lBalanced}
+	// After the reduce-scatter rank r holds block r+1 complete, which the
+	// allgather's round 0 sends.
+	return c.run("allreduce.ring", k.then(phRingFold, 0, tagRing).then(phRing, k.n-1, tagRing+k.n))
+}
+
+// AllreduceRab performs an allreduce with Rabenseifner's algorithm: a
+// reduce-scatter by recursive vector halving, then an allgather by
+// recursive doubling — log2(n) rounds each, moving 2·(n-1)/n of the buffer
+// per rank like the ring but with a logarithmic latency term. Non-power-
+// of-two groups apply the standard pre/post folding steps (as AllreduceRD
+// does), so any group size works.
+func (c *Comm) AllreduceRab(send, recv []byte, dt Datatype, op Op) error {
+	return c.run("allreduce.rab", c.folding("allreduce", send, recv, dt, op).then(phRab, 0, tagRab))
+}
+
+// ReduceScatterBlock reduces elementwise across the group and leaves block
+// i of the result (len(send)/n bytes) on rank i, using n-1 pairwise
+// exchange rounds. send must be a multiple of n times the element size;
+// recv receives one block and, being the accumulator, must not overlap send.
+func (c *Comm) ReduceScatterBlock(send, recv []byte, dt Datatype, op Op) error {
+	n := len(c.group)
+	blk := len(send) / n
+	k := c.sched(send, recv, blk)
+	if len(send)%n != 0 {
+		k.fail(fmt.Errorf("mpi: reduce-scatter buffer of %d bytes is not divisible by %d ranks", len(send), n))
 	}
-	if err := c.reduceBinary(send, recv, len(send), dt, op, 0, true); err != nil {
-		return c.herr(err)
-	}
-	return c.herr(c.bcast(recv, len(recv), 0, true))
+	k.fail(checkReduce("reduce-scatter block", send[c.rank*blk:(c.rank+1)*blk], recv, true, dt, op))
+	k.dt, k.op, k.sl = dt, op, layout{kind: lUniform, blk: blk}
+	return c.run("reduce_scatter_block", k.then(phCopy, 0, 0).then(phPairFold, 0, tagRsct))
+}
+
+// Scan computes the inclusive prefix reduction: rank i's recv holds
+// op(send_0, ..., send_i). Linear-chain algorithm.
+func (c *Comm) Scan(send, recv []byte, dt Datatype, op Op) error {
+	return c.run("scan", c.folding("scan", send, recv, dt, op).then(phScan, 0, tagScan))
+}
+
+// Exscan computes the exclusive prefix reduction: rank i's recv holds
+// op(send_0, ..., send_{i-1}); rank 0's recv is left untouched, as in MPI.
+func (c *Comm) Exscan(send, recv []byte, dt Datatype, op Op) error {
+	return c.run("exscan", c.folding("exscan", send, recv, dt, op).then(phExscan, 0, tagScan))
 }
 
 // Gather collects every member's equally-sized send buffer into root's recv
 // buffer, ordered by rank (linear algorithm). recv must be nil on non-root
 // ranks and len(send)*Size() bytes on root.
 func (c *Comm) Gather(send, recv []byte, root int) error {
-	t0 := c.p.enterMPI()
-	defer c.p.leaveMPI(t0)
-	defer c.span("gather")()
-	c.p.beginInternal()
-	defer c.p.endInternal()
-	return c.herr(c.gather(send, recv, root))
-}
-
-func (c *Comm) gather(send, recv []byte, root int) error {
-	n := len(c.group)
-	if err := c.checkRank(root, "root"); err != nil {
-		return err
+	k := c.sched(send, recv, len(send))
+	if c.rank == root && len(recv) != k.n*len(send) {
+		k.fail(fmt.Errorf("mpi: gather root recv buffer has %d bytes, want %d", len(recv), k.n*len(send)))
 	}
-	ctx := c.collCtx()
-	blk := len(send)
-	if c.rank != root {
-		return c.sendCopyOn(ctx, root, tagGather, send)
-	}
-	if len(recv) != n*blk {
-		return fmt.Errorf("mpi: gather root recv buffer has %d bytes, want %d", len(recv), n*blk)
-	}
-	copy(recv[root*blk:], send)
-	for i := 0; i < n; i++ {
-		if i == root {
-			continue
-		}
-		if _, err := c.recvOn(ctx, i, tagGather, recv[i*blk:(i+1)*blk]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.run("gather", k.gather(root))
 }
 
 // GatherN is Gather with logical sizes only.
@@ -384,29 +190,60 @@ func (c *Comm) GatherN(size, root int) error {
 	if err := checkSize(size); err != nil {
 		return c.herr(err)
 	}
-	t0 := c.p.enterMPI()
-	defer c.p.leaveMPI(t0)
-	defer c.span("gather")()
-	c.p.beginInternal()
-	defer c.p.endInternal()
-	return c.herr(c.gatherN(size, root))
+	return c.run("gather", c.skeleton(size).gather(root))
 }
 
-func (c *Comm) gatherN(size, root int) error {
-	n := len(c.group)
-	if err := c.checkRank(root, "root"); err != nil {
-		return err
+func (k *sched) gather(root int) *sched {
+	k.rl = layout{kind: lUniform, blk: k.size}
+	return k.rooted(root).then(phGather, root, tagGather)
+}
+
+// Gatherv collects variable-length blocks at root: every rank contributes
+// send, root receives rank i's data at recv[displs[i]:displs[i]+counts[i]].
+// counts and displs are significant at root only.
+func (c *Comm) Gatherv(send []byte, recv []byte, counts, displs []int, root int) error {
+	k := c.sched(send, recv, len(send)).rooted(root)
+	if c.rank == root {
+		k.fail(checkBlocks("gatherv", k.n, counts, displs, len(recv), "recv"))
 	}
-	ctx := c.collCtx()
-	if c.rank != root {
-		return c.sendOn(ctx, root, tagGather, nil, size)
+	k.rl = layout{kind: lCounts, counts: counts, displs: displs}
+	return c.run("gatherv", k.then(phGather, root, tagGathv))
+}
+
+// Scatter distributes root's recv-sized blocks to every member (linear
+// algorithm): member i receives send[i*blk:(i+1)*blk] into recv. send is
+// read on root only.
+func (c *Comm) Scatter(send, recv []byte, root int) error {
+	k := c.sched(send, recv, len(recv)).rooted(root)
+	if c.rank == root && len(send) != k.n*len(recv) {
+		k.fail(fmt.Errorf("mpi: scatter root send buffer has %d bytes, want %d", len(send), k.n*len(recv)))
 	}
-	for i := 0; i < n; i++ {
-		if i == root {
-			continue
-		}
-		if _, err := c.recvOn(ctx, i, tagGather, nil); err != nil {
-			return err
+	k.sl = layout{kind: lUniform, blk: len(recv)}
+	return c.run("scatter", k.then(phScatter, root, tagScatter))
+}
+
+// Scatterv distributes variable-length blocks from root: rank i receives
+// send[displs[i]:displs[i]+counts[i]] into recv. counts and displs are
+// significant at root only; recv must be counts[rank] bytes long. Root
+// checks every block before it sends the first.
+func (c *Comm) Scatterv(send []byte, counts, displs []int, recv []byte, root int) error {
+	k := c.sched(send, recv, len(recv)).rooted(root)
+	if c.rank == root {
+		k.fail(checkBlocks("scatterv", k.n, counts, displs, len(send), "send"))
+	}
+	k.sl = layout{kind: lCounts, counts: counts, displs: displs}
+	return c.run("scatterv", k.then(phScatter, root, tagGathv))
+}
+
+// checkBlocks validates the n count/displacement pairs of a v-collective
+// against the buffer they index, without overflowing on any of them.
+func checkBlocks(what string, n int, counts, displs []int, buflen int, buf string) error {
+	if len(counts) != n || len(displs) != n {
+		return fmt.Errorf("mpi: %s needs %d counts and displs, got %d/%d", what, n, len(counts), len(displs))
+	}
+	for i := range counts {
+		if displs[i] < 0 || counts[i] < 0 || counts[i] > buflen-displs[i] {
+			return fmt.Errorf("mpi: %s block %d (%d bytes at %d) outside %s buffer of %d bytes", what, i, counts[i], displs[i], buf, buflen)
 		}
 	}
 	return nil
@@ -414,28 +251,10 @@ func (c *Comm) gatherN(size, root int) error {
 
 // Allgather concatenates every member's equally-sized send buffer into each
 // member's recv buffer, ordered by rank. It uses the ring algorithm: n-1
-// neighbour exchanges, each of one block.
+// neighbour exchanges, each of one block, every block received forwarded
+// as it came.
 func (c *Comm) Allgather(send, recv []byte) error {
-	t0 := c.p.enterMPI()
-	defer c.p.leaveMPI(t0)
-	defer c.span("allgather")()
-	c.p.beginInternal()
-	defer c.p.endInternal()
-	return c.herr(c.allgather(send, recv))
-}
-
-func (c *Comm) allgather(send, recv []byte) error {
-	n := len(c.group)
-	blk := len(send)
-	if len(recv) != n*blk {
-		return fmt.Errorf("mpi: allgather recv buffer has %d bytes, want %d", len(recv), n*blk)
-	}
-	copy(recv[c.rank*blk:], send)
-	if n == 1 {
-		return nil
-	}
-	own := recv[c.rank*blk : (c.rank+1)*blk]
-	return c.ring(ring{carry: true, out: cloneMsg(own), recv: recv, size: blk})
+	return c.run("allgather", c.allgather(send, recv, phRing))
 }
 
 // AllgatherN is Allgather with a logical per-member block of size bytes.
@@ -443,81 +262,74 @@ func (c *Comm) AllgatherN(size int) error {
 	if err := checkSize(size); err != nil {
 		return c.herr(err)
 	}
-	t0 := c.p.enterMPI()
-	defer c.p.leaveMPI(t0)
-	defer c.span("allgather")()
-	c.p.beginInternal()
-	defer c.p.endInternal()
-	return c.herr(c.ring(ring{size: size}))
+	return c.run("allgather", c.skeleton(size).allgather(phRing))
 }
 
-// Scatter distributes root's recv-sized blocks to every member (linear
-// algorithm): member i receives send[i*blk:(i+1)*blk] into recv. send is
-// read on root only.
-func (c *Comm) Scatter(send, recv []byte, root int) error {
-	t0 := c.p.enterMPI()
-	defer c.p.leaveMPI(t0)
-	defer c.span("scatter")()
-	c.p.beginInternal()
-	defer c.p.endInternal()
-	return c.herr(c.scatter(send, recv, root))
+// AllgatherRD is the recursive-doubling allgather for power-of-two groups:
+// log2(n) rounds exchanging doubling block ranges. Falls back to the ring
+// algorithm otherwise (same accounting: the call is still bracketed by its
+// own span and MPI-time window, so the fallback does not masquerade as a
+// plain Allgather).
+func (c *Comm) AllgatherRD(send, recv []byte) error {
+	alg := phDoubling
+	if n := len(c.group); n&(n-1) != 0 {
+		alg = phRing
+	}
+	return c.run("allgather.rd", c.allgather(send, recv, alg))
 }
 
-func (c *Comm) scatter(send, recv []byte, root int) error {
-	n := len(c.group)
-	if err := c.checkRank(root, "root"); err != nil {
-		return err
+func (c *Comm) allgather(send, recv []byte, alg phaseKind) *sched {
+	k := c.sched(send, recv, len(send))
+	if len(recv) != k.n*len(send) {
+		k.fail(fmt.Errorf("mpi: allgather recv buffer has %d bytes, want %d", len(recv), k.n*len(send)))
 	}
-	ctx := c.collCtx()
-	blk := len(recv)
-	if c.rank == root {
-		if len(send) != n*blk {
-			return fmt.Errorf("mpi: scatter root send buffer has %d bytes, want %d", len(send), n*blk)
-		}
-		for i := 0; i < n; i++ {
-			if i == root {
-				copy(recv, send[i*blk:(i+1)*blk])
-				continue
-			}
-			if err := c.sendCopyOn(ctx, i, tagScatter, send[i*blk:(i+1)*blk]); err != nil {
-				return err
-			}
-		}
-		return nil
+	return k.allgather(alg)
+}
+
+func (k *sched) allgather(alg phaseKind) *sched {
+	k.rl = layout{kind: lUniform, blk: k.size}
+	tag := tagAllgat
+	if alg == phDoubling {
+		tag += 1 << 10
 	}
-	_, err := c.recvOn(ctx, root, tagScatter, recv)
-	return err
+	return k.then(phCopy, 0, 0).then(alg, 0, tag)
+}
+
+// Allgatherv concatenates variable-length blocks from every member into
+// each member's recv buffer: rank i's send lands at
+// recv[displs[i]:displs[i]+counts[i]] everywhere (ring algorithm). counts
+// and displs must be identical on all ranks, as in MPI.
+func (c *Comm) Allgatherv(send []byte, recv []byte, counts, displs []int) error {
+	k := c.sched(send, recv, len(send)).fail(checkBlocks("allgatherv", len(c.group), counts, displs, len(recv), "recv"))
+	if k.err == nil && len(send) != counts[c.rank] {
+		k.fail(fmt.Errorf("mpi: allgatherv rank %d sends %d bytes, counts says %d", c.rank, len(send), counts[c.rank]))
+	}
+	k.rl = layout{kind: lCounts, counts: counts, displs: displs}
+	return c.run("allgatherv", k.then(phCopy, 0, 0).then(phRing, 0, tagAllgat+1<<12))
+}
+
+// BcastSAG broadcasts with the scatter-allgather (van de Geijn) algorithm,
+// the usual choice for large buffers: the root scatters blocks binomially,
+// then a ring allgather reassembles them everywhere. The buffer length must
+// be divisible by the group size.
+func (c *Comm) BcastSAG(buf []byte, root int) error {
+	k := c.sched(buf, buf, len(buf)).rooted(root)
+	if len(buf)%k.n != 0 {
+		k.fail(fmt.Errorf("mpi: scatter-allgather bcast needs a buffer divisible by %d ranks, got %d bytes", k.n, len(buf)))
+	}
+	k.rl = layout{kind: lUniform, blk: len(buf) / k.n}
+	return c.run("bcast.sag", k.then(phScatterTree, root, tagBsag).then(phRing, root, tagBsag+1))
 }
 
 // Alltoall exchanges equally-sized blocks between all pairs: member j
 // receives send[j*blk:(j+1)*blk] of member i at recv[i*blk:(i+1)*blk].
 // Pairwise-exchange algorithm, n-1 rounds.
 func (c *Comm) Alltoall(send, recv []byte) error {
-	t0 := c.p.enterMPI()
-	defer c.p.leaveMPI(t0)
-	defer c.span("alltoall")()
-	c.p.beginInternal()
-	defer c.p.endInternal()
-	return c.herr(c.alltoall(send, recv))
-}
-
-func (c *Comm) alltoall(send, recv []byte) error {
-	n := len(c.group)
-	if len(send)%n != 0 || len(recv) != len(send) {
-		return fmt.Errorf("mpi: alltoall buffers must be equal multiples of the group size (send %d, recv %d, n %d)", len(send), len(recv), n)
+	k := c.sched(send, recv, len(send))
+	if len(send)%k.n != 0 || len(recv) != len(send) {
+		k.fail(fmt.Errorf("mpi: alltoall buffers must be equal multiples of the group size (send %d, recv %d, n %d)", len(send), len(recv), k.n))
 	}
-	blk := len(send) / n
-	ctx := c.collCtx()
-	copy(recv[c.rank*blk:(c.rank+1)*blk], send[c.rank*blk:(c.rank+1)*blk])
-	for s := 1; s < n; s++ {
-		dst := (c.rank + s) % n
-		src := (c.rank - s + n) % n
-		if err := c.sendCopyOn(ctx, dst, tagAlltoal+s, send[dst*blk:(dst+1)*blk]); err != nil {
-			return err
-		}
-		if _, err := c.recvOn(ctx, src, tagAlltoal+s, recv[src*blk:(src+1)*blk]); err != nil {
-			return err
-		}
-	}
-	return nil
+	k.sl = layout{kind: lUniform, blk: len(send) / k.n}
+	k.rl = k.sl
+	return c.run("alltoall", k.then(phCopy, 0, 0).then(phPairwise, 0, tagAlltoal))
 }

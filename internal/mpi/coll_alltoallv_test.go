@@ -64,3 +64,24 @@ func TestAlltoallvValidation(t *testing.T) {
 		return nil
 	})
 }
+
+// TestAlltoallvArgErrorDeterministic: with two slices of the wrong length,
+// the error names the first of them in argument order, on every run.
+func TestAlltoallvArgErrorDeterministic(t *testing.T) {
+	const np = 3
+	want := "mpi: alltoallv sdispls has 2 entries for 3 ranks"
+	for i := 0; i < 40; i++ {
+		w := newTestWorld(t, np, WithEngine(EngineEvent))
+		errs := make([]error, np)
+		w.Run(func(c *Comm) error {
+			buf := make([]byte, 3)
+			errs[c.Rank()] = c.Alltoallv(buf, []int{1, 1, 1}, []int{0, 1}, buf, []int{1, 1}, []int{0, 1, 2})
+			return errs[c.Rank()]
+		})
+		for r, err := range errs {
+			if err == nil || err.Error() != want {
+				t.Fatalf("run %d rank %d: %v, want %q", i, r, err, want)
+			}
+		}
+	}
+}

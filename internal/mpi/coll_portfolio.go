@@ -1,161 +1,18 @@
 package mpi
 
-// Bandwidth-optimal collective algorithms of the portfolio (see
-// internal/coll): the ring allreduce, the Rabenseifner allreduce
-// (reduce-scatter by recursive halving + allgather by recursive doubling),
-// and the Bruck alltoallv. Like every other collective they decompose into
-// point-to-point messages on the collective context, so the monitoring
-// layer observes their real traffic pattern — which differs per algorithm,
-// and is exactly what the autotuner's cost tables capture.
+// The Bruck alltoallv of the portfolio (see internal/coll). It stays code
+// rather than a schedule (coll_sched.go): what a round sends is a frame
+// packed from the blocks the rank holds, which depend on what earlier
+// rounds delivered. Like every other collective it decomposes into point-to-point
+// messages on the collective context, so the monitoring layer observes its
+// real traffic pattern — a different matrix than Alltoallv's, which is what
+// the autotuner's cost tables capture.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
 )
-
-// AllreduceRing performs an allreduce with the ring (reduce-scatter +
-// allgather) algorithm: 2(n-1) neighbour exchanges of one n-th of the
-// vector each. Every rank sends 2·(n-1)/n of the buffer in total, the
-// bandwidth-optimal volume, at the price of a latency term linear in n —
-// the classic choice for long vectors on large groups. Works for any
-// group size; blocks are balanced element ranges (possibly empty).
-func (c *Comm) AllreduceRing(send, recv []byte, dt Datatype, op Op) error {
-	t0 := c.p.enterMPI()
-	defer c.p.leaveMPI(t0)
-	defer c.span("allreduce.ring")()
-	c.p.beginInternal()
-	defer c.p.endInternal()
-	return c.herr(c.allreduceRing(send, recv, dt, op))
-}
-
-func (c *Comm) allreduceRing(send, recv []byte, dt Datatype, op Op) error {
-	if err := checkReduce("allreduce", send, recv, true, dt, op); err != nil {
-		return err
-	}
-	n := len(c.group)
-	copy(recv, send)
-	if n == 1 {
-		return nil
-	}
-	es := dt.Size()
-	elems := len(send) / es
-	// Block i covers elements [elems*i/n, elems*(i+1)/n): balanced, and
-	// identical on every rank.
-	lo := func(i int) int { return elems * i / n * es }
-	ctx := c.collCtx()
-	right := (c.rank + 1) % n
-	left := (c.rank - 1 + n) % n
-
-	// Reduce-scatter: in round s, pass the partial block (rank-s) to the
-	// right and fold the arriving partial into block (rank-s-1). After
-	// n-1 rounds, rank r holds the complete reduction of block (r+1)%n.
-	for s := 0; s < n-1; s++ {
-		si := (c.rank - s + n) % n
-		ri := (c.rank - s - 1 + n) % n
-		if err := c.sendCopyOn(ctx, right, tagRing+s, recv[lo(si):lo(si+1)]); err != nil {
-			return err
-		}
-		blk := recv[lo(ri):lo(ri+1)]
-		if err := c.recvReduceOn(ctx, left, tagRing+s, blk, blk, dt, op); err != nil {
-			return err
-		}
-	}
-	// Allgather: circulate the completed blocks the other n-1 rounds.
-	for s := 0; s < n-1; s++ {
-		si := (c.rank + 1 - s + n) % n
-		ri := (c.rank - s + n) % n
-		if err := c.sendCopyOn(ctx, right, tagRing+n+s, recv[lo(si):lo(si+1)]); err != nil {
-			return err
-		}
-		if _, err := c.recvOn(ctx, left, tagRing+n+s, recv[lo(ri):lo(ri+1)]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AllreduceRab performs an allreduce with Rabenseifner's algorithm: a
-// reduce-scatter by recursive vector halving, then an allgather by
-// recursive doubling — log2(n) rounds each, moving 2·(n-1)/n of the buffer
-// per rank like the ring but with a logarithmic latency term. Non-power-
-// of-two groups apply the standard pre/post folding steps (as AllreduceRD
-// does), so any group size works.
-func (c *Comm) AllreduceRab(send, recv []byte, dt Datatype, op Op) error {
-	t0 := c.p.enterMPI()
-	defer c.p.leaveMPI(t0)
-	defer c.span("allreduce.rab")()
-	c.p.beginInternal()
-	defer c.p.endInternal()
-	return c.herr(c.allreduceRab(send, recv, dt, op))
-}
-
-func (c *Comm) allreduceRab(send, recv []byte, dt Datatype, op Op) error {
-	if err := checkReduce("allreduce", send, recv, true, dt, op); err != nil {
-		return err
-	}
-	n := len(c.group)
-	copy(recv, send)
-	if n == 1 {
-		return nil
-	}
-	es := dt.Size()
-	elems := len(send) / es
-	ctx := c.collCtx()
-
-	pof2, rem, newRank, err := c.foldIn(ctx, tagRab, recv, dt, op)
-	if err != nil {
-		return err
-	}
-
-	// level records one halving step so the doubling phase can replay it
-	// in reverse; ranges are element indices.
-	type level struct{ plo, phi, lo, hi int }
-	var levels []level
-	if newRank >= 0 {
-		// Reduce-scatter by recursive halving: at each step, partners
-		// split the current range in half, ship the half they give up,
-		// and fold the half they keep.
-		lvLo, lvHi := 0, elems
-		for mask := pof2 >> 1; mask >= 1; mask >>= 1 {
-			peer := foldPeer(newRank^mask, rem)
-			mid := lvLo + (lvHi-lvLo)/2
-			var sLo, sHi, kLo, kHi int
-			if newRank&mask == 0 {
-				sLo, sHi, kLo, kHi = mid, lvHi, lvLo, mid
-			} else {
-				sLo, sHi, kLo, kHi = lvLo, mid, mid, lvHi
-			}
-			if err := c.sendrecvReduceOn(ctx, peer, tagRab+2*mask, recv[sLo*es:sHi*es], recv[kLo*es:kHi*es], dt, op); err != nil {
-				return err
-			}
-			levels = append(levels, level{plo: lvLo, phi: lvHi, lo: kLo, hi: kHi})
-			lvLo, lvHi = kLo, kHi
-		}
-		// Allgather by recursive doubling: replay the levels in reverse;
-		// at each step the partner holds exactly the sibling half of the
-		// parent range.
-		for i := len(levels) - 1; i >= 0; i-- {
-			lv := levels[i]
-			mask := pof2 >> (i + 1)
-			peer := foldPeer(newRank^mask, rem)
-			pLo, pHi := lv.phi, lv.phi
-			if lv.lo == lv.plo {
-				pLo, pHi = lv.hi, lv.phi
-			} else {
-				pLo, pHi = lv.plo, lv.lo
-			}
-			if err := c.sendCopyOn(ctx, peer, tagRab+2*mask+1, recv[lv.lo*es:lv.hi*es]); err != nil {
-				return err
-			}
-			if _, err := c.recvOn(ctx, peer, tagRab+2*mask+1, recv[pLo*es:pHi*es]); err != nil {
-				return err
-			}
-		}
-	}
-
-	return c.foldOut(ctx, tagRab+1, rem, recv)
-}
 
 // AlltoallvBruck exchanges variable-length blocks with the Bruck
 // algorithm: ceil(log2 n) store-and-forward rounds of packed frames

@@ -4,6 +4,32 @@ import (
 	"fmt"
 )
 
+// The collectives left as code rather than schedules (coll_sched.go) — this
+// file's GatherStream, whose deliver callback must run on the root's own
+// stack and never on the rank that advances a parked cursor, and
+// AlltoallvBruck — reach the message layer through these explicit-context
+// calls.
+
+// sendMsgOn sends a message built with cloneMsg/ownedMsg/getMsg on an
+// explicit context and takes ownership of it, like send.
+func (c *Comm) sendMsgOn(ctx, dst, tag int, m *message) error {
+	saved := c.ctx
+	c.ctx = ctx
+	err := c.send(dst, tag, m, c.p.class())
+	c.ctx = saved
+	return err
+}
+
+// recvMsgOn is recvMsg on an explicit context: the caller owns the message,
+// reads m.data before it releases m, and never after.
+func (c *Comm) recvMsgOn(ctx, src, tag int) (*message, error) {
+	saved := c.ctx
+	c.ctx = ctx
+	m, err := c.recvMsg(src, tag)
+	c.ctx = saved
+	return m, err
+}
+
 // probeOn is Probe on an explicit context: it blocks until a matching
 // message is available, advances the clock to its arrival and returns its
 // Status without consuming it.
@@ -50,7 +76,7 @@ func (c *Comm) gatherStream(send []byte, root int, deliver func(src int, block [
 	}
 	ctx := c.collCtx()
 	if c.rank != root {
-		return c.sendCopyOn(ctx, root, tagGast, send)
+		return c.sendMsgOn(ctx, root, tagGast, cloneMsg(send))
 	}
 	if deliver == nil {
 		return fmt.Errorf("mpi: gatherstream root needs a deliver function")
@@ -70,7 +96,11 @@ func (c *Comm) gatherStream(send []byte, root int, deliver func(src int, block [
 		if st.Size > len(buf) {
 			buf = make([]byte, st.Size)
 		}
-		if _, err := c.recvOn(ctx, i, tagGast, buf[:st.Size]); err != nil {
+		m, err := c.recvMsgOn(ctx, i, tagGast)
+		if err != nil {
+			return err
+		}
+		if _, err := m.deliver(buf[:st.Size]); err != nil {
 			return err
 		}
 		if err := deliver(i, buf[:st.Size]); err != nil {

@@ -351,47 +351,3 @@ func TestBarrierGeneratesZeroLengthMessages(t *testing.T) {
 		t.Fatalf("barrier moved %d bytes, want 0 (zero-length messages)", bts)
 	}
 }
-
-func TestSkeletonCollectives(t *testing.T) {
-	w := newTestWorld(t, 4)
-	run(t, w, func(c *Comm) error {
-		if err := c.BcastN(1<<16, 2); err != nil {
-			return err
-		}
-		if err := c.ReduceN(1<<16, 0); err != nil {
-			return err
-		}
-		if err := c.AllgatherN(1 << 10); err != nil {
-			return err
-		}
-		return c.GatherN(1<<10, 0)
-	})
-	// Skeleton collectives move the same logical volume as real ones.
-	var bts uint64
-	for r := 0; r < 4; r++ {
-		bts += w.Proc(r).Monitor().TotalBytes(pml.Coll)
-	}
-	// bcast: 3 msgs * 64 KiB; reduce: 3 * 64 KiB; allgather ring: 4*3*1 KiB;
-	// gather: 3 * 1 KiB.
-	want := uint64(3*(1<<16) + 3*(1<<16) + 12*(1<<10) + 3*(1<<10))
-	if bts != want {
-		t.Fatalf("skeleton collectives moved %d bytes, want %d", bts, want)
-	}
-}
-
-func TestBcastNMatchesBcastTiming(t *testing.T) {
-	timing := func(skeleton bool) time.Duration {
-		w := newTestWorld(t, 8)
-		run(t, w, func(c *Comm) error {
-			if skeleton {
-				return c.BcastN(1<<15, 0)
-			}
-			return c.Bcast(make([]byte, 1<<15), 0)
-		})
-		return w.MaxClock()
-	}
-	real, skel := timing(false), timing(true)
-	if real != skel {
-		t.Fatalf("skeleton bcast time %v differs from real %v", skel, real)
-	}
-}

@@ -70,7 +70,7 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	binary.LittleEndian.PutUint64(send[8:16], uint64(int64(key)))
 	all := make([]byte, 16*n)
 	c.p.beginInternal()
-	err := c.allgather(send, all)
+	err := c.exec(c.allgather(send, all, phRing))
 	c.p.endInternal()
 	if err != nil {
 		return nil, c.herr(err)

@@ -26,11 +26,13 @@ import (
 //     itself and either keeps running (the next event is its own) or
 //     switches to the dispatcher, which switches to the rank the event
 //     names, and wake-ups dispatch in deterministic (time, rank, seq)
-//     order. A rank parked in a ring allgather is advanced in place by
-//     whoever pops its event, without a switch (ring.go). No host-level synchronization is left between ranks (queues
-//     take no lock, nothing is broadcast), every run is bit-replayable, a
-//     cyclic wait is an immediate deadlock error instead of a hang, and
-//     worlds scale to 10⁴–10⁵ ranks (see docs/PERFORMANCE.md).
+//     order. A rank parked in a collective is advanced in place, as its
+//     schedule cursor, by whoever pops its event, without a switch
+//     (coll_sched.go). No host-level synchronization is left between
+//     ranks (queues take no lock, nothing is broadcast), every run is
+//     bit-replayable, a cyclic wait is an immediate deadlock error instead
+//     of a hang, and worlds scale to 10⁴–10⁵ ranks (see
+//     docs/PERFORMANCE.md).
 type Engine interface {
 	// Name returns the engine's flag name ("goroutine" or "event").
 	Name() string
@@ -104,7 +106,7 @@ type EngineStats struct {
 	Events uint64
 	// Switches is the number of dispatches that switched to the rank's
 	// coroutine: the others resumed the parking rank itself or advanced a
-	// ring allgather in place (zero for the goroutine engine).
+	// collective's schedule cursor in place (zero for the goroutine engine).
 	Switches uint64
 }
 
@@ -197,7 +199,7 @@ const (
 	// evWakeDeadlock: the heap is empty and every live rank is parked — the
 	// wait can never be satisfied.
 	evWakeDeadlock
-	// evWakeDone: the rank was parked as its ring allgather cursor, and the
+	// evWakeDone: the rank was parked as its schedule cursor, and the
 	// cursor completed in place; the rank only returns from the collective.
 	evWakeDone
 )
@@ -218,7 +220,7 @@ type evPick struct {
 // happens-before edge. All scheduler state (the heap, these fields, other
 // ranks' clocks) and every rank's message queue are therefore accessed
 // data-race-free without locks; `go test -race` holds the proof, iter.Pull
-// being annotated for the detector. A ring cursor advanced in place
+// being annotated for the detector. A schedule cursor advanced in place
 // (pickSwitch) is another rank's state touched by the current runner, under
 // the same discipline.
 type evRankState struct {
@@ -239,9 +241,9 @@ type evRankState struct {
 	// blocked is true while the rank is parked waiting for a dispatch; a
 	// rank whose program has returned is never parked again.
 	blocked bool
-	// inRing marks a rank parked as its ring allgather cursor (Proc.ring),
+	// inCursor marks a rank parked as its schedule cursor (Proc.cur),
 	// which the picker may advance in place (see pickSwitch).
-	inRing bool
+	inCursor bool
 	// wantAny marks a park that any arrival may unblock (agreement waits);
 	// otherwise (wantCtx, wantSrc, wantTag) is the message envelope of the
 	// receive the rank parked in, and noteArrival only wakes it for a
@@ -289,7 +291,7 @@ func (s *evScheduler) run(fn func(c *Comm) error) error {
 				w.rankBody(rank, fn, errs)
 			})
 		}
-		if st.blocked { // a ring cursor pickSwitch completed is resumed already
+		if st.blocked { // a cursor pickSwitch completed is resumed already
 			s.resume(st, p.reason)
 		}
 		s.switches++
@@ -337,30 +339,30 @@ func (s *evScheduler) pick() evPick {
 	return evPick{s.cursor, evWakeDeadlock}
 }
 
-// pickSwitch picks the rank to switch to. A rank parked as its ring allgather
+// pickSwitch picks the rank to switch to. A rank parked as its schedule
 // cursor, picked on an ordinary wake — no deadlock, timeout or abort, and
 // no fault tolerance armed — is dispatched here instead, on the picker's
 // stack: resume counts the dispatch and the cursor advances in place. If
-// its next round's message is missing, the rank parks again, as it would
-// have on its own stack, and the pick goes on; if the ring is over, the
-// rank is the one to switch to, already resumed, with reason evWakeDone.
-// Called by the current runner, as pick.
+// the message of its next receive is missing, the rank parks again, in
+// that receive, as it would have on its own stack, and the pick goes on;
+// if the schedule is over, the rank is the one to switch to, already
+// resumed, with reason evWakeDone. Called by the current runner, as pick.
 func (s *evScheduler) pickSwitch() evPick {
 	for {
 		p := s.pick()
 		st := &s.ranks[p.rank]
-		if !st.inRing || p.reason != evWakeRun || s.w.aborted.Load() || s.w.ftOn.Load() {
+		if !st.inCursor || p.reason != evWakeRun || s.w.aborted.Load() || s.w.ftOn.Load() {
 			return p
 		}
 		s.resume(st, p.reason)
-		r := s.w.procs[p.rank].ring
-		if r.advance() {
+		k := s.w.procs[p.rank].cur
+		if k.advance() {
 			st.reason = evWakeDone
 			return p
 		}
-		st.blocked = true // parkRing's park, in the next round's receive
+		st.blocked = true // parkCursor's park, in the next receive
 		s.cursor = min(s.cursor, p.rank)
-		st.wantTag = r.tag()
+		st.wantSrc, st.wantTag = k.st.from, k.st.tag
 	}
 }
 
@@ -394,16 +396,15 @@ func (s *evScheduler) parkRecv(p *Proc, deadlineAt int64, ctx, src, tag int) evW
 	return s.parkYield(p, deadlineAt)
 }
 
-// parkRing parks the rank in its ring cursor's round receive, as the
-// cursor: parkRecv with the round's envelope, except that a pick may
+// parkCursor parks the rank in a receive of its schedule cursor, as the
+// cursor: parkRecv with the receive's envelope, except that a pick may
 // advance the cursor in place (see pickSwitch). It returns evWakeDone when
 // the cursor completed in place, else the reason the rank was resumed for.
-func (s *evScheduler) parkRing(p *Proc) evWake {
+func (s *evScheduler) parkCursor(p *Proc, src, tag int) evWake {
 	st := &s.ranks[p.rank]
-	st.inRing = true
-	r := p.ring
-	why := s.parkRecv(p, -1, r.c.ctx, r.left, r.tag())
-	st.inRing = false
+	st.inCursor = true
+	why := s.parkRecv(p, -1, p.cur.c.ctx, src, tag)
+	st.inCursor = false
 	return why
 }
 
@@ -420,7 +421,7 @@ func (s *evScheduler) parkYield(p *Proc, deadlineAt int64) evWake {
 	s.cursor = min(s.cursor, p.rank)
 	if next := s.pickSwitch(); next.rank != p.rank {
 		st.yield(next)
-	} else if st.blocked { // not a ring cursor pickSwitch completed in place
+	} else if st.blocked { // not a cursor pickSwitch completed in place
 		s.resume(st, next.reason)
 	}
 	return st.reason

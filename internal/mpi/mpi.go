@@ -284,7 +284,7 @@ type Proc struct {
 	internal int   // >0 while executing inside a collective implementation
 	mpiTime  int64 // virtual ns spent in top-level MPI calls
 	rng      *rand.Rand
-	ring     *ring // the ring allgather cursor, built on the first ring
+	cur      *cursor // the collective schedule cursor, built on the first collective
 
 	// dead and deathErr record this process's own materialized failure;
 	// owned by the process goroutine.

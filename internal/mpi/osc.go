@@ -181,14 +181,14 @@ func (w *Win) Fence() error {
 
 	// 3. Collect replies to our own gets, in issue order (FIFO per peer).
 	for _, g := range w.pending {
-		if _, err := c.recvOn(c.ctx, g.dst, tagGetRep, g.buf); err != nil {
+		if _, err := c.recv(g.dst, tagGetRep, g.buf); err != nil {
 			return err
 		}
 	}
 
 	// 4. Close the epoch.
 	p.beginInternal()
-	err = c.barrier()
+	err = c.exec(c.barrier())
 	p.endInternal()
 	if err != nil {
 		return err
@@ -241,7 +241,7 @@ func (w *Win) applyOne(src int) error {
 func (w *Win) serveGet(src int) error {
 	c := w.c
 	req := make([]byte, 16)
-	if _, err := c.recvOn(c.ctx, src, tagGetReq, req); err != nil {
+	if _, err := c.recv(src, tagGetReq, req); err != nil {
 		return err
 	}
 	off := int(binary.LittleEndian.Uint64(req))
@@ -261,7 +261,7 @@ func (w *Win) Free() error {
 	t0 := p.enterMPI()
 	defer p.leaveMPI(t0)
 	p.beginInternal()
-	err := w.c.barrier()
+	err := w.c.exec(w.c.barrier())
 	p.endInternal()
 	w.freed = true
 	return err

@@ -48,42 +48,78 @@ func parkUntilRingWaits(c *Comm) {
 	}
 }
 
-// TestRingParkedExits covers every way out of a ring allgather whose ranks
-// are parked waiting for a round's message on the event engine. 48 ranks on
-// two nodes first run a data Allgather and a skeleton AllgatherN in the
-// halves a Split makes, then an AllgatherN on COMM_WORLD that the last rank
-// leaves: it returns nil at once (a deadlock), or parks until the others
-// wait in the ring and then returns an error (the world aborts) or revokes
-// COMM_WORLD. In the telemetry case every rank enters, and the span stream
-// is pinned too. Each case pins the run's error, every rank's error class,
-// the dispatch count, the final clocks and the pml Coll counters.
+// TestRingParkedExits covers every way out of a collective whose ranks are
+// parked, as their schedule cursors, waiting for a message on the event
+// engine. 48 ranks on two nodes first run a data Allgather and a skeleton
+// AllgatherN in the halves a Split makes, then a collective on COMM_WORLD —
+// the ring AllgatherN, or the binary-tree ReduceN, in whose tree the last
+// rank's ancestors wait for it — that the last rank leaves: it returns nil
+// at once (a deadlock), or parks until the others wait and then returns an
+// error (the world aborts), returns the error of its own timed-out receive
+// (the world aborts) or revokes COMM_WORLD (the fault wake: every parked
+// rank is woken with fault tolerance armed). In the telemetry cases every
+// rank enters, and the span stream is pinned too. Each case pins the run's
+// error, every rank's error class, the dispatch count, the final clocks
+// and the pml Coll counters.
 func TestRingParkedExits(t *testing.T) {
 	const np = 48
+	aborted := func(c *Comm) error {
+		parkUntilRingWaits(c)
+		return errors.New("rank left")
+	}
+	deadlock := func(c *Comm) error { return nil }
+	revoked := func(c *Comm) error {
+		parkUntilRingWaits(c)
+		return c.Revoke()
+	}
+	timeout := func(c *Comm) error {
+		_, err := c.RecvTimeout(0, 99, nil, time.Millisecond)
+		return err
+	}
+	ring := func(c *Comm) error { return c.AllgatherN(64 << 10) }
+	reduce := func(c *Comm) error { return c.ReduceN(64<<10, 0) }
+	const timedOut = "mpi: operation timed out (op recv)"
+	// treeRanks is the rank errors of a ReduceN the last rank leaves: its
+	// ancestors 23, 11, 5 and 2 and the root are parked in the tree, the root
+	// with class root, rank 2 with class two; everyone else has returned.
+	treeRanks := func(root, two, last byte) string {
+		b := []byte(strings.Repeat(".", np))
+		b[0], b[2], b[5], b[11], b[23], b[np-1] = root, two, 'A', 'A', 'A', last
+		return string(b)
+	}
 	for _, tc := range []struct {
 		name   string
-		last   func(c *Comm) error // the last rank's part in the world ring, nil to enter it
+		world  func(c *Comm) error // the collective on COMM_WORLD
+		last   func(c *Comm) error // the last rank's part in it, nil to enter it
 		runErr string
-		ranks  string // per rank: . nil, A aborted, D deadlock, R revoked, ? other
+		ranks  string // per rank: . nil, A aborted, D deadlock, R revoked, T timed out, ? other
 		events uint64
 		clocks uint64
 		coll   uint64
 		spans  string
 	}{
-		{"aborted", func(c *Comm) error {
-			parkUntilRingWaits(c)
-			return errors.New("rank left")
-		}, "rank left", strings.Repeat("A", np-1) + "?",
+		{"aborted", ring, aborted, "rank left", strings.Repeat("A", np-1) + "?",
 			768, 0x8ebd4a6870c1bf30, 0x3f1283b4cbcf2e51, ""},
-		{"deadlock", func(c *Comm) error { return nil },
+		{"deadlock", ring, deadlock,
 			"mpi: deadlock: every rank is blocked and no event is pending (op recv)", "D" + strings.Repeat("A", np-2) + ".",
 			767, 0xd1c0a857c874226, 0x3f1283b4cbcf2e51, ""},
-		{"revoked", func(c *Comm) error {
-			parkUntilRingWaits(c)
-			return c.Revoke()
-		}, "mpi: communicator revoked (op recv)", "R" + strings.Repeat("A", np-2) + ".",
+		{"revoked", ring, revoked, "mpi: communicator revoked (op recv)", "R" + strings.Repeat("A", np-2) + ".",
 			768, 0x8ebd4a6870c1bf30, 0x3f1283b4cbcf2e51, ""},
-		{"telemetry", nil, "", strings.Repeat(".", np),
+		{"timeout", ring, timeout, timedOut, strings.Repeat("A", np-1) + "T",
+			768, 0x8ebd4a6870c1bf30, 0x3f1283b4cbcf2e51, ""},
+		{"telemetry", ring, nil, "", strings.Repeat(".", np),
 			1362, 0x493352a84fb6acc3, 0x89662bcea4929a11, "ccae351b25a510382cc7ad086130dc907a5f6b3a8dd7a953b558dc109fcf88f6"},
+		{"reduce/aborted", reduce, aborted, "rank left", treeRanks('A', 'A', '?'),
+			212, 0x3b4d9fc58e5e5aed, 0xf20053b23ec8dcf9, ""},
+		{"reduce/deadlock", reduce, deadlock,
+			"mpi: deadlock: every rank is blocked and no event is pending (op recv)", treeRanks('D', 'A', '.'),
+			211, 0x19df6e9bf3cc3a3b, 0xf20053b23ec8dcf9, ""},
+		{"reduce/revoked", reduce, revoked, "mpi: communicator revoked (op recv)", treeRanks('A', 'R', '.'),
+			212, 0x3b4d9fc58e5e5aed, 0xf20053b23ec8dcf9, ""},
+		{"reduce/timeout", reduce, timeout, timedOut, treeRanks('A', 'A', 'T'),
+			212, 0x3b4d9fc58e5e5aed, 0xf20053b23ec8dcf9, ""},
+		{"reduce/telemetry", reduce, nil, "", strings.Repeat(".", np),
+			210, 0x3ca38fa6aa16b86b, 0xaa0114984077c8fd, "f2f44b9d77f14346b96e54e8fdb3db6a464ee1b11d5f4a71830f30391bcd79f1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := []Option{WithEngine(EngineEvent)}
@@ -114,7 +150,7 @@ func TestRingParkedExits(t *testing.T) {
 					if c.Rank() == np-1 && tc.last != nil {
 						return tc.last(c)
 					}
-					return c.AllgatherN(64 << 10)
+					return tc.world(c)
 				}()
 				return errs[c.Rank()]
 			})
@@ -133,6 +169,8 @@ func TestRingParkedExits(t *testing.T) {
 					ranks.WriteByte('D')
 				case errors.Is(e, ErrRevoked):
 					ranks.WriteByte('R')
+				case errors.Is(e, ErrTimeout):
+					ranks.WriteByte('T')
 				default:
 					ranks.WriteByte('?')
 				}
