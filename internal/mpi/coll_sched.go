@@ -540,13 +540,13 @@ type cursor struct {
 	// before is the clock when the current receive began (the start of
 	// the telemetry's recv wait).
 	before int64
-	// late is the deferred error of a held receive; done is the outcome
-	// of a cursor that advance drove to its end.
-	late, done error
+	// late is the deferred error of a held receive, and the outcome of a
+	// cursor that advance drove to its end.
+	late error
 }
 
 // run drives the cursor on the rank's own stack. A receive that finds the
-// cursor completed in place ends the run with what advance left in done.
+// cursor completed in place ends the run with what advance left in late.
 func (k *cursor) run() error {
 	for ; k.i < k.end; k.next() {
 		if err := k.local(); err != nil {
@@ -560,7 +560,7 @@ func (k *cursor) run() error {
 			return k.finish(err)
 		}
 		if m == nil {
-			return k.done
+			return k.late
 		}
 		if err := k.consume(m); err != nil {
 			return k.finish(err)
@@ -593,7 +593,7 @@ func (k *cursor) receive() (*message, error) {
 	var err error
 	if ev := p.world.ev; ev != nil {
 		if m, err = q.poll(c, st.from, st.tag); m == nil && err == nil {
-			switch ev.parkCursor(p, st.from, st.tag) {
+			switch ev.parkCursor(p) {
 			case evWakeDone:
 				return nil, nil
 			case evWakeDeadlock:
@@ -614,7 +614,7 @@ func (k *cursor) receive() (*message, error) {
 // advance drives the cursor from a wake-up of the rank parked in the
 // receive of step i, on the picker's stack: run's calls without the
 // blocking, until a receive's message is missing (false: the rank waits
-// again) or the schedule is over (true, its outcome in done). The
+// again) or the schedule is over (true, its outcome in late). The
 // scheduler calls it only in a world that has not aborted and has no fault
 // tolerance armed, where the wait loop's other checks cannot fire and the
 // receive's fault gate is a no-op.
@@ -628,16 +628,16 @@ func (k *cursor) advance() bool {
 		}
 		p.arrive(q.remove(b, prev, m), k.before)
 		if err := k.consume(m); err != nil {
-			k.done = k.finish(err)
+			k.late = k.finish(err)
 			return true
 		}
 		for {
 			if k.next(); k.i == k.end {
-				k.done = k.finish(nil)
+				k.late = k.finish(nil)
 				return true
 			}
 			if err := k.local(); err != nil {
-				k.done = k.finish(err)
+				k.late = k.finish(err)
 				return true
 			}
 			if k.st.recv != rNone {

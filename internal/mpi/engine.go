@@ -400,10 +400,10 @@ func (s *evScheduler) parkRecv(p *Proc, deadlineAt int64, ctx, src, tag int) evW
 // cursor: parkRecv with the receive's envelope, except that a pick may
 // advance the cursor in place (see pickSwitch). It returns evWakeDone when
 // the cursor completed in place, else the reason the rank was resumed for.
-func (s *evScheduler) parkCursor(p *Proc, src, tag int) evWake {
-	st := &s.ranks[p.rank]
+func (s *evScheduler) parkCursor(p *Proc) evWake {
+	st, k := &s.ranks[p.rank], p.cur
 	st.inCursor = true
-	why := s.parkRecv(p, -1, p.cur.c.ctx, src, tag)
+	why := s.parkRecv(p, -1, k.c.ctx, k.st.from, k.st.tag)
 	st.inCursor = false
 	return why
 }
