@@ -152,7 +152,8 @@ func (k *sched) rooted(root int) *sched {
 	return k
 }
 
-// then appends a phase.
+// then appends a phase, over the first slot of ph that has no steps: a
+// phase without steps (a ring of one rank) has nothing to run.
 func (k *sched) then(kind phaseKind, root, tag int) *sched {
 	n, lg := k.n, bits.Len(uint(k.n-1))
 	var slots int
