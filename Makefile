@@ -1,7 +1,6 @@
 GO ?= go
-BENCHES = hotpath gather serve engine commitagg coll
 
-.PHONY: build test vet race flake fuzz regen-fig6 nodeprecated novhostclock noenginechoice nocommitcells onecollpath bench benchsmoke apicheck ci
+.PHONY: build test vet race flake fuzz regen-fig6 nodeprecated novhostclock noenginechoice nocommitcells onecollpath benchsmoke apicheck ci
 
 build:
 	$(GO) build ./...
@@ -117,36 +116,6 @@ onecollpath:
 # `go run ./cmd/apisurface -update` and commit the diff.
 apicheck:
 	$(GO) run ./cmd/apisurface -check
-
-# bench records every benchmark suite as results/BENCH_<suite>.json so
-# the performance trajectory can be diffed commit to commit (see
-# docs/PERFORMANCE.md); `make bench-<suite>` records one. A suite is a
-# row of this table: the `go test` runs (extra flags, -bench pattern,
-# package) whose output cmd/benchjson converts.
-#   hotpath   send/recv micro (pool-hit allocation rate), reduce kernels vs the scalar oracle, TreeMatch kernels, collective layer
-#   gather    sparse root-gather at np 256/1024/4096
-#   serve     monitoring daemon ingest, views and frame codec
-#   engine    event-engine stencil worlds at np 4096/16384/65536, abort unwinding at np 16384/65536
-#   commitagg commit-on-threshold cells and batched row export
-#   coll      collective algorithm portfolio
-benchrun = $(GO) test -run '^$$' -bench '$(2)' -benchmem $(1) $(3)
-
-hotpath_runs = $(call benchrun,,^Benchmark(SendRecv|ReduceKernel),./internal/mpi) && \
-	$(call benchrun,,^(BenchmarkTreeMatch|BenchmarkTable1TreeMatchScale|BenchmarkPingPong|BenchmarkCollectives|BenchmarkBarrier48)$$,.)
-gather_runs = $(call benchrun,-benchtime 1x,^BenchmarkGatherSparse$$,.)
-serve_runs = $(call benchrun,,^(BenchmarkServeIngest|BenchmarkServeView|BenchmarkFrameCodec)$$,./internal/monsvc)
-engine_runs = $(call benchrun,-benchtime 1x -timeout 30m,^(BenchmarkEventEngine|BenchmarkAbortUnwind)$$,.)
-commitagg_runs = $(call benchrun,,^BenchmarkCommitAgg,./internal/commitagg) && \
-	$(call benchrun,,^BenchmarkCommitAggRowExport$$,./internal/monitoring)
-coll_runs = $(call benchrun,,^BenchmarkCollPortfolio$$,.)
-
-bench: $(addprefix bench-,$(BENCHES))
-
-bench-%:
-	@tmp=$$(mktemp) && \
-	{ $($*_runs); } | tee $$tmp && \
-	$(GO) run ./cmd/benchjson -out results/BENCH_$*.json < $$tmp && \
-	rm -f $$tmp && echo "wrote results/BENCH_$*.json"
 
 # benchsmoke compiles and runs every benchmark exactly once so the harness
 # cannot bit-rot; it measures nothing.

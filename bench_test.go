@@ -3,8 +3,9 @@ package mpimon
 // The benchmark harness: one benchmark per table and figure of the paper
 // (scaled-down parameters — run `go run ./cmd/exp <experiment>` for the full
 // sweeps), plus ablations of the design choices called out in DESIGN.md
-// and micro-benchmarks of the hot paths. Figure benchmarks report the
-// reproduced quantities as custom metrics.
+// and micro-benchmarks of the hot paths that no `go run ./bench` probe
+// times. Figure benchmarks report the reproduced quantities as custom
+// metrics.
 
 import (
 	"errors"
@@ -16,7 +17,6 @@ import (
 	"mpimon/internal/hwcount"
 	"mpimon/internal/mpi"
 	"mpimon/internal/netsim"
-	"mpimon/internal/pml"
 	"mpimon/internal/sparsemat"
 	"mpimon/internal/stencil"
 	"mpimon/internal/topology"
@@ -436,108 +436,6 @@ func BenchmarkAblationReduceAlgorithms(b *testing.B) {
 
 // --- Micro-benchmarks of the hot paths -----------------------------------
 
-// BenchmarkMonitorRecord measures the per-message cost of the pml
-// monitoring counter update — the source of the Fig. 4 overhead.
-func BenchmarkMonitorRecord(b *testing.B) {
-	mon := pml.NewMonitor(256, pml.Distinct)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		mon.Record(pml.P2P, i&255, 4096, int64(i))
-	}
-}
-
-// BenchmarkMonitorRecordDisabled measures the disabled-path cost.
-func BenchmarkMonitorRecordDisabled(b *testing.B) {
-	mon := pml.NewMonitor(256, pml.Disabled)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		mon.Record(pml.P2P, i&255, 4096, int64(i))
-	}
-}
-
-// BenchmarkPingPong measures the real (host) cost of one simulated
-// message round trip, queue and cost model included.
-func BenchmarkPingPong(b *testing.B) {
-	mach := netsim.PlaFRIM(1)
-	w, err := mpi.NewWorld(mach, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	err = w.Run(func(c *mpi.Comm) error {
-		buf := make([]byte, 64)
-		other := 1 - c.Rank()
-		for i := 0; i < b.N; i++ {
-			if c.Rank() == 0 {
-				if err := c.Send(other, 0, buf); err != nil {
-					return err
-				}
-				if _, err := c.Recv(other, 0, buf); err != nil {
-					return err
-				}
-			} else {
-				if _, err := c.Recv(other, 0, buf); err != nil {
-					return err
-				}
-				if err := c.Send(other, 0, buf); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkCollectives measures the host cost and steady-state allocations
-// of one collective round on 48 simulated ranks. The internal payloads of
-// the tree/ring algorithms ride the pooled message buffers, so allocs/op
-// here is the pool-miss rate of the collective layer.
-func BenchmarkCollectives(b *testing.B) {
-	const np = 48
-	bench := func(b *testing.B, setup func(c *mpi.Comm) func() error) {
-		w, err := mpi.NewWorld(netsim.PlaFRIM(2), np)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		if err := w.Run(func(c *mpi.Comm) error {
-			iter := setup(c)
-			for i := 0; i < b.N; i++ {
-				if err := iter(); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("bcast-64KiB", func(b *testing.B) {
-		bench(b, func(c *mpi.Comm) func() error {
-			buf := make([]byte, 1<<16)
-			return func() error { return c.Bcast(buf, 0) }
-		})
-	})
-	b.Run("allreduce-8KiB", func(b *testing.B) {
-		bench(b, func(c *mpi.Comm) func() error {
-			send := make([]byte, 1<<13)
-			recv := make([]byte, 1<<13)
-			return func() error { return c.Allreduce(send, recv, mpi.Byte, mpi.OpMax) }
-		})
-	})
-	b.Run("alltoall-1KiB", func(b *testing.B) {
-		bench(b, func(c *mpi.Comm) func() error {
-			send := make([]byte, np<<10)
-			recv := make([]byte, np<<10)
-			return func() error { return c.Alltoall(send, recv) }
-		})
-	})
-}
-
 // BenchmarkCGClassSReal measures a full verified class-S NAS CG run on 16
 // simulated ranks (real numerics).
 func BenchmarkCGClassSReal(b *testing.B) {
@@ -572,27 +470,6 @@ func BenchmarkTreeMatch(b *testing.B) {
 		if _, err := treematch.MapTree(m, tree); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkBarrier48 measures the host cost of a 48-rank dissemination
-// barrier in the simulated runtime.
-func BenchmarkBarrier48(b *testing.B) {
-	w, err := mpi.NewWorld(netsim.PlaFRIM(2), 48)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	err = w.Run(func(c *mpi.Comm) error {
-		for i := 0; i < b.N; i++ {
-			if err := c.Barrier(); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
 	}
 }
 
@@ -684,8 +561,7 @@ func BenchmarkStencil2DReorder(b *testing.B) {
 // BenchmarkCollPortfolio measures every algorithm of the collective
 // portfolio at np=48 on the paper's cluster model — one sub-benchmark per
 // (operation, algorithm), reporting the virtual collective time as a
-// custom metric so results/BENCH_coll.json tracks the simulated cost next
-// to the harness's wall time.
+// custom metric next to the harness's wall time.
 func BenchmarkCollPortfolio(b *testing.B) {
 	const np = 48
 	const size = 96 << 10 // straddles the eager limit; divisible by np

@@ -6,10 +6,9 @@ import (
 	"testing"
 )
 
-// BenchmarkCommitAgg is the heavy-churn microbenchmark behind
-// results/BENCH_commitagg.json: one shard with the six per-class cells a
-// rank's message recorder owns (three message counters, three byte
-// counters), every op recording one message (a count update plus a byte
+// BenchmarkCommitAgg is the heavy-churn microbenchmark of the cells: one
+// shard with the six per-class cells a rank's message recorder owns (three
+// message counters, three byte counters), every op recording one message (a count update plus a byte
 // update) to a rotating class, sinks being shared atomic counters — the
 // exact shape of the telemetry hot path. The custom metrics are the
 // point: folds/op is sink commits per logical update (the acceptance
@@ -24,7 +23,7 @@ func BenchmarkCommitAgg(b *testing.B) {
 		{"default", Default()},
 	}
 	// The sweep grid (threshold x interval) that picked DefaultThreshold;
-	// kept here so `make bench` re-measures the chosen point against its
+	// kept here so a run re-measures the chosen point against its
 	// neighbours.
 	for _, th := range []int{16, 64, 256, 1024} {
 		for _, iv := range []int64{-1, 100_000, 1_000_000} {

@@ -230,7 +230,7 @@ func (a Stats) Add(b Stats) Stats {
 
 // UpdatesPerFold is the commit ratio: logical updates amortized by one
 // sink write. Eager paths sit at 1; batched heavy-churn paths should be
-// ≥ 5 (the acceptance bar of results/BENCH_commitagg.json).
+// ≥ 5 (BenchmarkCommitAgg reports it as updates/fold).
 func (a Stats) UpdatesPerFold() float64 {
 	if a.Folds == 0 {
 		if a.Updates == 0 {

@@ -29,8 +29,8 @@ func benchExportRows(n, nnz int) []sparsemat.Row {
 // cycle pays. "eager" is one request per rank per epoch (the pre-batching
 // exporter); "batched" coalesces an epoch's 64 rank rows behind a
 // commitagg policy and pushes one ingest frame per epoch. The rows/s
-// metric is the number to compare against BENCH_serve.json's direct
-// (no-HTTP) ingest rate; batching is what closes most of the HTTP gap.
+// metric is the number to compare against monsvc's BenchmarkServeIngest
+// direct (no-HTTP) ingest rate; batching is what closes most of the HTTP gap.
 func BenchmarkCommitAggRowExport(b *testing.B) {
 	const (
 		np        = 256

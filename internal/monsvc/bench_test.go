@@ -50,9 +50,8 @@ func sortInt32(s []int32) {
 
 // BenchmarkServeIngest measures the service ingest path: every iteration
 // pushes one epoch-tagged frame (64 ranks x ~8 nnz) into a retention-2
-// job, so steady-state compaction is part of the cost. The custom
-// rows/s metric plus the standard MB/s (from SetBytes, wire bytes) are
-// what results/BENCH_serve.json records.
+// job, so steady-state compaction is part of the cost. It reports a
+// custom rows/s metric plus the standard MB/s (from SetBytes, wire bytes).
 func BenchmarkServeIngest(b *testing.B) {
 	const (
 		np        = 256

@@ -261,21 +261,25 @@ func TestPooledAlltoallStress(t *testing.T) {
 	})
 }
 
+// BenchmarkSendRecvAllocs times a round trip of a large payload and counts
+// its allocations. The 64-byte round trip is the bench/ probe's
+// (mpi.pingpong_ns, mpi.allocs_per_msg).
 func BenchmarkSendRecvAllocs(b *testing.B) {
-	benchmarkSendRecv(b, nil)
+	benchmarkSendRecv(b, nil, 64<<10, 1<<20)
 }
 
 // BenchmarkSendRecvFaultPlan prices the enabled fault path: a plan with one
 // never-matching rule forces every transfer through the injector, the
-// disabled/enabled split BenchmarkSendRecvAllocs measures the other side of.
+// disabled/enabled split whose other side BenchmarkSendRecvAllocs and the
+// bench/ ping-pong probe measure.
 func BenchmarkSendRecvFaultPlan(b *testing.B) {
 	benchmarkSendRecv(b, &faults.Plan{Links: []faults.LinkRule{
 		{SrcNode: 0, DstNode: 1, From: time.Hour, Until: time.Hour + time.Second, ExtraLatency: time.Microsecond},
-	}})
+	}}, 64, 64<<10, 1<<20)
 }
 
-func benchmarkSendRecv(b *testing.B, plan *faults.Plan) {
-	for _, size := range []int{64, 64 << 10, 1 << 20} {
+func benchmarkSendRecv(b *testing.B, plan *faults.Plan, sizes ...int) {
+	for _, size := range sizes {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
 			var opts []Option
 			if plan != nil {

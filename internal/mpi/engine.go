@@ -427,6 +427,22 @@ func (s *evScheduler) parkYield(p *Proc, deadlineAt int64) evWake {
 	return st.reason
 }
 
+// yieldPoll runs every event earlier than the calling rank's clock before
+// a poll that found nothing returns (pollMissed). A rank that polls never
+// parks, so without this a rank it polls for, which has not run yet, would
+// never run. The rank parks behind those events with a Wake at its own
+// clock, which orders it among them in (time, rank, seq) order; a message
+// arriving meanwhile finds that Wake pending and adds none. Runs on the
+// rank's coroutine, which is the current runner.
+func (s *evScheduler) yieldPoll(p *Proc) {
+	if s.q.Len() == 0 || s.q.Peek().Time >= p.clock {
+		return
+	}
+	s.ranks[p.rank].blocked = true
+	s.wake(p.rank, p.clock)
+	s.park(p, -1)
+}
+
 // noteArrival schedules a wake-up for the owner of a queue that just
 // received a message, if it is parked in a wait this message can satisfy:
 // it becomes runnable when the message arrives (or immediately, if its

@@ -221,21 +221,49 @@ func (c *Comm) Probe(src, tag int) (Status, error) {
 }
 
 // Iprobe is the nonblocking Probe; ok reports whether a message matched.
-// The clock does not advance.
+// A match leaves the clock where it is; a miss costs what pollMissed
+// charges. It fails as Probe does on a revoked communicator, and, when
+// nothing matched, as a blocked receive would on a failed source or an
+// aborted world.
 func (c *Comm) Iprobe(src, tag int) (Status, bool, error) {
-	if src != AnySource {
-		if err := c.checkRank(src, "source"); err != nil {
-			return Status{}, false, err
-		}
+	if err := c.recvReady(src, "iprobe"); err != nil {
+		return Status{}, false, c.herr(err)
 	}
-	// A nonblocking peek: find without removal, under the queue lock.
+	// A nonblocking peek: find without removal, under the queue lock. Only
+	// the owner removes messages, so m stays valid after the unlock.
 	q := &c.p.queue
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	if _, _, m := q.find(c.ctx, src, tag); m != nil {
+	_, _, m := q.find(c.ctx, src, tag)
+	q.mu.Unlock()
+	if m != nil {
 		return Status{Source: m.src, Tag: m.tag, Size: m.size}, true, nil
 	}
+	if err := c.missErr(src); err != nil {
+		return Status{}, false, c.herr(err)
+	}
+	c.p.pollMissed()
 	return Status{}, false, nil
+}
+
+// missErr is the error of a nonblocking receive-side poll that matched
+// nothing: ErrAborted, or the error a failure or revocation makes final
+// (waitErr). nil means a later poll may still match.
+func (c *Comm) missErr(src int) error {
+	if c.p.world.aborted.Load() {
+		return ErrAborted
+	}
+	return c.waitErr(src)
+}
+
+// pollMissed charges a poll that found nothing (Request.Test, Iprobe) the
+// receive overhead, at least 1 ns, so a polling loop advances its clock.
+// On the event engine the rank then yields to every event its clock has
+// passed (yieldPoll): the message it polls for may be one of them.
+func (p *Proc) pollMissed() {
+	p.clock += max(int64(p.world.mach.RecvOverhead), 1)
+	if ev := p.world.ev; ev != nil {
+		ev.yieldPoll(p)
+	}
 }
 
 // Sendrecv performs a combined send to dst and receive from src, as
@@ -411,8 +439,20 @@ func WaitAll(reqs ...*Request) error {
 // reports whether it completed; when ok, the status is valid and the
 // request is done. For sends, completion means the injection time has been
 // reached on the virtual clock; for receives, that a matching message is
-// queued (which is then consumed).
+// queued (which is then consumed). A call that reports false costs what
+// pollMissed charges, so a loop polling a request advances its clock and,
+// on the event engine, lets the ranks it waits for run.
 func (r *Request) Test() (Status, bool, error) {
+	st, ok, err := r.test()
+	if !ok {
+		r.c.p.pollMissed()
+	}
+	return st, ok, err
+}
+
+// test is Test without the cost of a miss, for Waitany's scan: when
+// nothing is ready, Waitany blocks in Wait, which charges the wait.
+func (r *Request) test() (Status, bool, error) {
 	if r.done {
 		return r.st, true, r.err
 	}
@@ -427,15 +467,14 @@ func (r *Request) Test() (Status, bool, error) {
 	before := p.clock
 	m, ok := p.queue.tryTake(r.c.ctx, r.src, r.tag)
 	if !ok {
-		// No pending match: a failed sender or a revoked communicator
-		// means none can ever appear, so complete the request with the
-		// error instead of letting the caller poll forever.
-		if p.world.ftOn.Load() {
-			if err := r.c.waitErr(r.src); err != nil {
-				r.finish()
-				r.err = r.c.herr(err)
-				return Status{}, true, r.err
-			}
+		// No pending match: an aborted world, a failed sender or a
+		// revoked communicator means none can ever appear, so complete
+		// the request with the error instead of letting the caller poll
+		// forever.
+		if err := r.c.missErr(r.src); err != nil {
+			r.finish()
+			r.err = r.c.herr(err)
+			return Status{}, true, r.err
 		}
 		return Status{}, false, nil
 	}
@@ -458,7 +497,7 @@ func Waitany(reqs ...*Request) (int, Status, error) {
 			if r == nil {
 				continue
 			}
-			if st, ok, err := r.Test(); ok {
+			if st, ok, err := r.test(); ok {
 				return i, st, err
 			}
 		}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"mpimon/internal/netsim"
 )
 
 func TestRequestTest(t *testing.T) {
@@ -98,4 +100,113 @@ func TestWaitany(t *testing.T) {
 			return c.Send(0, 2, []byte{2})
 		}
 	})
+}
+
+// TestPollingLoopCompletes runs a rank that polls for a message its peer
+// sends only after 1 ms of compute, once with a Test loop on an Irecv and
+// once with an Iprobe loop. The event engine switches ranks only where one
+// parks, so a poll that misses must let the sender run, or the loop spins
+// forever. On the event engine two runs must end on the same clocks.
+func TestPollingLoopCompletes(t *testing.T) {
+	loops := []struct {
+		name string
+		poll func(c *Comm) (Status, error)
+	}{
+		{"test", func(c *Comm) (Status, error) {
+			req, err := c.Irecv(1, 0, make([]byte, 8))
+			if err != nil {
+				return Status{}, err
+			}
+			for {
+				if st, ok, err := req.Test(); ok || err != nil {
+					return st, err
+				}
+			}
+		}},
+		{"iprobe", func(c *Comm) (Status, error) {
+			for {
+				if _, ok, err := c.Iprobe(1, 0); err != nil {
+					return Status{}, err
+				} else if ok {
+					return c.Recv(1, 0, make([]byte, 8))
+				}
+			}
+		}},
+	}
+	for _, l := range loops {
+		for _, eng := range []Engine{EngineGoroutine, EngineEvent} {
+			t.Run(l.name+"/"+eng.Name(), func(t *testing.T) {
+				clocks := func() [2]time.Duration {
+					w, err := NewWorld(netsim.PlaFRIM(1), 2, WithEngine(eng))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := w.RunWithTimeout(10*time.Second, func(c *Comm) error {
+						if c.Rank() == 1 {
+							c.Proc().Compute(time.Millisecond)
+							return c.Send(0, 0, make([]byte, 8))
+						}
+						st, err := l.poll(c)
+						if err == nil && (st.Source != 1 || st.Size != 8) {
+							err = fmt.Errorf("status %+v", st)
+						}
+						return err
+					}); err != nil {
+						t.Fatal(err)
+					}
+					return [2]time.Duration{w.Proc(0).Clock(), w.Proc(1).Clock()}
+				}
+				first := clocks()
+				if first[0] <= time.Millisecond {
+					t.Errorf("receiver ends at %v, before the message sent at 1ms can arrive", first[0])
+				}
+				if eng == EngineEvent {
+					if again := clocks(); again != first {
+						t.Errorf("clocks %v, then %v", first, again)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestPollingLoopEndsOnAbort: when another rank fails, a rank polling with
+// Test or Iprobe gets ErrAborted, as a blocked receive would, instead of
+// polling forever.
+func TestPollingLoopEndsOnAbort(t *testing.T) {
+	polls := map[string]func(c *Comm) (bool, error){
+		"test": func(c *Comm) (bool, error) {
+			req, err := c.Irecv(1, 0, nil)
+			if err != nil {
+				return false, err
+			}
+			_, ok, err := req.Test()
+			return ok, err
+		},
+		"iprobe": func(c *Comm) (bool, error) {
+			_, ok, err := c.Iprobe(1, 0)
+			return ok, err
+		},
+	}
+	boom := errors.New("rank 1 fails")
+	for name, poll := range polls {
+		for _, eng := range []Engine{EngineGoroutine, EngineEvent} {
+			w := newTestWorld(t, 2, WithEngine(eng))
+			var got error
+			err := w.RunWithTimeout(10*time.Second, func(c *Comm) error {
+				if c.Rank() == 1 {
+					return boom
+				}
+				for {
+					if ok, err := poll(c); ok || err != nil {
+						got = err
+						return err
+					}
+				}
+			})
+			if !errors.Is(err, boom) || !errors.Is(got, ErrAborted) {
+				t.Errorf("%s/%s: run %v, poll %v; want the failure and ErrAborted", name, eng.Name(), err, got)
+			}
+		}
+	}
 }

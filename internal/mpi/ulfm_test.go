@@ -157,6 +157,51 @@ func TestRevokeWakesBlockedRecv(t *testing.T) {
 	})
 }
 
+// TestIprobeFailsLikeProbe: Iprobe on a revoked communicator fails with
+// ErrRevoked, as Probe does, and a loop of Iprobe on a source whose node
+// dies ends with ErrProcFailed instead of polling forever.
+func TestIprobeFailsLikeProbe(t *testing.T) {
+	t.Run("revoked", func(t *testing.T) {
+		w := newTestWorld(t, 2)
+		run(t, w, func(c *Comm) error {
+			if c.Rank() != 0 {
+				return nil
+			}
+			if err := c.Revoke(); err != nil {
+				return err
+			}
+			if _, ok, err := c.Iprobe(1, 0); ok || !errors.Is(err, ErrRevoked) {
+				t.Errorf("iprobe on revoked comm: ok=%v err=%v, want ErrRevoked", ok, err)
+			}
+			if _, err := c.Probe(1, 0); !errors.Is(err, ErrRevoked) {
+				t.Errorf("probe on revoked comm: %v, want ErrRevoked", err)
+			}
+			return nil
+		})
+	})
+	t.Run("failed-source", func(t *testing.T) {
+		plan := &faults.Plan{Deaths: []faults.NodeDeath{{Node: 1, At: time.Millisecond}}}
+		for _, eng := range []Engine{EngineGoroutine, EngineEvent} {
+			w := newTestWorld(t, 2, WithPlacement([]int{0, 4}), WithFaultPlan(plan), WithEngine(eng))
+			run(t, w, func(c *Comm) error {
+				if c.Rank() == 1 {
+					c.Proc().Compute(2 * time.Millisecond)
+					return c.Send(0, 0, []byte("late")) // materializes the death
+				}
+				for {
+					_, ok, err := c.Iprobe(1, 0)
+					if ok || err != nil {
+						if !errors.Is(err, ErrProcFailed) {
+							t.Errorf("%s: iprobe of a dead source: ok=%v err=%v, want ErrProcFailed", eng.Name(), ok, err)
+						}
+						return nil
+					}
+				}
+			})
+		}
+	})
+}
+
 func TestRecoveryRevokeShrinkAgree(t *testing.T) {
 	plan := &faults.Plan{Deaths: []faults.NodeDeath{{Node: 1, At: time.Millisecond}}}
 	tel := telemetry.New()

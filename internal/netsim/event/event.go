@@ -76,6 +76,10 @@ func (q *Queue) Push(t int64, rank int32, id uint64, kind Kind) {
 	q.siftUp(len(q.items) - 1)
 }
 
+// Peek returns the earliest item without removing it. It panics on an
+// empty queue; callers check Len first.
+func (q *Queue) Peek() Item { return q.items[0] }
+
 // Pop removes and returns the earliest item. It panics on an empty queue;
 // callers check Len first.
 func (q *Queue) Pop() Item {
