@@ -1,9 +1,11 @@
 package cg
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"mpimon/internal/golden"
 	"mpimon/internal/mpi"
 )
 
@@ -73,6 +75,7 @@ func TestSkipInitEquivalence(t *testing.T) {
 		return w.MaxClock()
 	}
 	a, b := oneShot(), splitRun()
+	golden.Check(t, "TestSkipInitEquivalence", fmt.Sprintf("oneshot makespan %d\nsplit makespan %d\n", a, b))
 	// The split run has one extra powerStep reduction; allow 2% slack.
 	diff := float64(a-b) / float64(a)
 	if diff < 0 {

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"mpimon/internal/golden"
 	"mpimon/internal/mpi"
 )
 
@@ -167,21 +168,8 @@ func TestResultsRegenerate(t *testing.T) {
 		if code := runTable(experiments, tc.args, &out, &errb); code != 0 {
 			t.Fatalf("exp %v: exit %d: %s", tc.args, code, errb.String())
 		}
-		if bytes.Equal(out.Bytes(), want) {
-			continue
+		if d := golden.Diff(out.String(), string(want)); d != "" {
+			t.Errorf("exp %v no longer regenerates results/%s; %s", tc.args, tc.file, d)
 		}
-		got, rec := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
-		i := 0
-		for i < len(got) && i < len(rec) && got[i] == rec[i] {
-			i++
-		}
-		line := func(l []string) string {
-			if i < len(l) {
-				return l[i]
-			}
-			return "<end>"
-		}
-		t.Errorf("exp %v no longer regenerates results/%s; first difference at line %d:\n  run:  %s\n  file: %s",
-			tc.args, tc.file, i+1, line(got), line(rec))
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"mpimon/internal/golden"
 	"mpimon/internal/netsim"
 	"mpimon/internal/pml"
 )
@@ -265,6 +266,7 @@ func TestCollectivesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := 0
+	var text strings.Builder
 	for _, pc := range pinnedCollectives {
 		for _, np := range pinNPs {
 			for _, root := range pinRoots(pc.rooted, np) {
@@ -283,6 +285,11 @@ func TestCollectivesPinned(t *testing.T) {
 					continue
 				}
 				key := fmt.Sprintf("%s %d %d", pc.name, np, root)
+				state := w.State()
+				for r, res := range results {
+					state += fmt.Sprintf("result %d %x\n", r, res)
+				}
+				fmt.Fprintf(&text, "case %s np=%d root=%d\nevents %d\n%s", pc.name, np, root, w.EngineStats().Events, golden.Digest(state))
 				got := fmt.Sprintf("%s %d %#016x", key, w.EngineStats().Events, pinFingerprint(w, results))
 				if want[key] != got {
 					t.Errorf("pinned %q, got %q", want[key], got)
@@ -293,4 +300,5 @@ func TestCollectivesPinned(t *testing.T) {
 	if cases != len(want) {
 		t.Errorf("%d cases ran, %d pinned", cases, len(want))
 	}
+	golden.Check(t, "TestCollectivesPinned", text.String())
 }

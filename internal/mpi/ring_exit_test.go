@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"mpimon/internal/golden"
 	"mpimon/internal/netsim"
 	"mpimon/internal/pml"
 	"mpimon/internal/telemetry"
@@ -87,6 +88,7 @@ func TestRingParkedExits(t *testing.T) {
 		b[0], b[2], b[5], b[11], b[23], b[np-1] = root, two, 'A', 'A', 'A', last
 		return string(b)
 	}
+	var text strings.Builder
 	for _, tc := range []struct {
 		name   string
 		world  func(c *Comm) error // the collective on COMM_WORLD
@@ -175,6 +177,8 @@ func TestRingParkedExits(t *testing.T) {
 					ranks.WriteByte('?')
 				}
 			}
+			fmt.Fprintf(&text, "case %s\nrunerr %s\nranks %s\nevents %d\n%s",
+				tc.name, got, ranks.String(), w.EngineStats().Events, golden.Digest(w.State()))
 			spans := ""
 			if tel != nil {
 				var buf bytes.Buffer
@@ -183,6 +187,7 @@ func TestRingParkedExits(t *testing.T) {
 				}
 				sum := sha256.Sum256(buf.Bytes())
 				spans = hex.EncodeToString(sum[:])
+				text.WriteString(golden.Blocks(strings.Split(buf.String(), "\n"), 256))
 			}
 			if got != tc.runErr {
 				t.Errorf("Run returned %q, pinned %q", got, tc.runErr)
@@ -200,4 +205,5 @@ func TestRingParkedExits(t *testing.T) {
 			}
 		})
 	}
+	golden.Check(t, "TestRingParkedExits", text.String())
 }

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"mpimon/internal/faults"
+	"mpimon/internal/golden"
 	"mpimon/internal/netsim"
 )
 
@@ -211,6 +213,7 @@ func clockFingerprint(w *World) uint64 {
 func TestEventCountPinned(t *testing.T) {
 	deathAt := &faults.Plan{Deaths: []faults.NodeDeath{{Node: 1, At: time.Millisecond}}}
 	var fired atomic.Int64
+	var text strings.Builder
 	for _, tc := range []struct {
 		name   string
 		mach   *netsim.Machine
@@ -239,11 +242,13 @@ func TestEventCountPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, clocks := w.EngineStats().Events, clockFingerprint(w)
+			fmt.Fprintf(&text, "case %s\nevents %d\n%s", tc.name, got, golden.Digest(w.State()))
 			if got != tc.want || clocks != tc.clocks {
 				t.Fatalf("dispatched %d events, clocks %#x; pinned %d, %#x", got, clocks, tc.want, tc.clocks)
 			}
 		})
 	}
+	golden.Check(t, "TestEventCountPinned", text.String())
 	if fired.Load() == 0 {
 		t.Fatal("no RecvTimeout deadline fired in the timeout halo")
 	}

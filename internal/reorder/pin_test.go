@@ -1,8 +1,10 @@
 package reorder
 
 import (
+	"fmt"
 	"testing"
 
+	"mpimon/internal/golden"
 	"mpimon/internal/monitoring"
 	"mpimon/internal/mpi"
 	"mpimon/internal/netsim"
@@ -56,6 +58,8 @@ func TestFig1LoopEventsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := w.EngineStats()
+	golden.Check(t, "TestFig1LoopEventsPinned", fmt.Sprintf("events %d\nswitches %d\nmakespan %d\n%s",
+		st.Events, st.Switches, int64(w.MaxClock()), golden.Digest(w.State())))
 	if got, want := st.Events, uint64(28390); got != want {
 		t.Errorf("dispatched %d events, pinned %d", got, want)
 	}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"strings"
 	"testing"
 
+	"mpimon/internal/golden"
 	"mpimon/internal/monitoring"
 	"mpimon/internal/mpi"
 	"mpimon/internal/netsim"
@@ -101,6 +103,15 @@ func TestSpanStreamPinned(t *testing.T) {
 	csv := digest(func(b *bytes.Buffer) error { return telemetry.WriteCSV(b, spans) })
 	chrome := digest(func(b *bytes.Buffer) error { return telemetry.WriteChromeTrace(b, spans) })
 	t.Logf("%d spans; csv %s; chrome %s", len(spans), csv, chrome)
+	var csvText, chromeText bytes.Buffer
+	if err := telemetry.WriteCSV(&csvText, spans); err != nil {
+		t.Fatal(err)
+	}
+	if err := telemetry.WriteChromeTrace(&chromeText, spans); err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "TestSpanStreamPinned", "case csv\n"+golden.Blocks(strings.Split(csvText.String(), "\n"), 256)+
+		"case chrome\n"+golden.Blocks(strings.Split(chromeText.String(), "},{"), 256))
 	if want := "52113e837b432769f40d108b5943d5f7324a37075e9ee4700a71e6207a8aa248"; csv != want {
 		t.Errorf("CSV span stream sha256 %s, pinned %s", csv, want)
 	}

@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
+	"mpimon/internal/golden"
 	"mpimon/internal/sparsemat"
 	"mpimon/internal/topology"
 	"mpimon/internal/treematch"
@@ -20,6 +22,15 @@ func placementHash(coreOf []int) string {
 		fmt.Fprintf(h, "%d,", c)
 	}
 	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// placementBlocks is coreOf as golden blocks of 1024 "process:core" records.
+func placementBlocks(coreOf []int) string {
+	recs := make([]string, len(coreOf))
+	for p, c := range coreOf {
+		recs[p] = fmt.Sprintf("%d:%d", p, c)
+	}
+	return golden.Blocks(recs, 1024)
 }
 
 // upperView turns a symmetric affinity matrix into the sparse bytes matrix
@@ -57,6 +68,7 @@ func countDegrades() (*atomic.Int64, func()) {
 // kernel's bound-pruned swap search, hole-sift heap and exact-size matrix
 // build: a faster kernel must place every process on the same core.
 func TestCappedPlacementsPinned(t *testing.T) {
+	var text strings.Builder
 	t.Run("clustered", func(t *testing.T) {
 		for _, tc := range []struct {
 			seed  int64
@@ -80,6 +92,7 @@ func TestCappedPlacementsPinned(t *testing.T) {
 			if degrades.Load() == 0 {
 				t.Fatalf("seed %d order %d: mapping never took the capped path", tc.seed, tc.order)
 			}
+			fmt.Fprintf(&text, "case clustered seed=%d order=%d\n%s", tc.seed, tc.order, placementBlocks(coreOf))
 			if got := placementHash(coreOf); got != tc.want {
 				t.Errorf("seed %d order %d: placement hash %s, want %s", tc.seed, tc.order, got, tc.want)
 			}
@@ -121,11 +134,13 @@ func TestCappedPlacementsPinned(t *testing.T) {
 			if degrades.Load() == 0 {
 				t.Fatalf("budget %d: mapping never took the capped path", tc.budget)
 			}
+			fmt.Fprintf(&text, "case budget=%d\n%s", tc.budget, placementBlocks(all))
 			if got := placementHash(all); got != tc.want {
 				t.Errorf("budget %d: placement hash %s, want %s", tc.budget, got, tc.want)
 			}
 		}
 	})
+	golden.Check(t, "TestCappedPlacementsPinned", text.String())
 }
 
 // TestMapTreeAllocs pins MapTree's allocations on the treematch-map inputs:
