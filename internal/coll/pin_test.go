@@ -7,9 +7,9 @@ import (
 	"reflect"
 	"testing"
 
+	"mpimon/internal/golden"
 	"mpimon/internal/mpi"
 	"mpimon/internal/netsim"
-	"mpimon/internal/pml"
 )
 
 // pinMachine returns a contention-free machine with at least np cores:
@@ -28,49 +28,10 @@ func pinMachine(np int) *netsim.Machine {
 	return m
 }
 
-// worldFP is everything observable about a finished world, built from the
-// public API (mirrors internal/mpi's engine-equivalence pin).
-type worldFP struct {
-	clocks   []int64
-	mpiTimes []int64
-	counts   [pml.NumClasses][][]uint64
-	bytes    [pml.NumClasses][][]uint64
-	xmitData []int64
-	xmitPkts []int64
-}
-
-func fingerprint(w *mpi.World) worldFP {
-	np := w.Size()
-	fp := worldFP{clocks: make([]int64, np), mpiTimes: make([]int64, np)}
-	for cl := pml.Class(0); cl < pml.NumClasses; cl++ {
-		fp.counts[cl] = make([][]uint64, np)
-		fp.bytes[cl] = make([][]uint64, np)
-	}
-	for r := 0; r < np; r++ {
-		p := w.Proc(r)
-		fp.clocks[r] = int64(p.Clock())
-		fp.mpiTimes[r] = int64(p.MPITime())
-		for cl := pml.Class(0); cl < pml.NumClasses; cl++ {
-			row := make([]uint64, np)
-			p.Monitor().Counts(cl, row)
-			fp.counts[cl][r] = row
-			row = make([]uint64, np)
-			p.Monitor().Bytes(cl, row)
-			fp.bytes[cl][r] = row
-		}
-	}
-	nodes := w.Machine().Topo.NumNodes()
-	for n := 0; n < nodes; n++ {
-		fp.xmitData = append(fp.xmitData, w.Network().XmitData(n))
-		fp.xmitPkts = append(fp.xmitPkts, w.Network().XmitPackets(n))
-	}
-	return fp
-}
-
 // runPinned executes one collective of (op, alg) at np on the given
 // engine with deterministic rank-dependent integer payloads, returning
-// the world fingerprint and each rank's result bytes.
-func runPinned(t *testing.T, op Op, alg Algorithm, np int, engine string) (worldFP, [][]byte) {
+// the world's state and each rank's result bytes.
+func runPinned(t *testing.T, op Op, alg Algorithm, np int, engine string) (string, [][]byte) {
 	t.Helper()
 	var opts []mpi.Option
 	if engine != "" {
@@ -148,7 +109,7 @@ func runPinned(t *testing.T, op Op, alg Algorithm, np int, engine string) (world
 	if err != nil {
 		t.Fatalf("%s/%s np=%d engine=%s: %v", op, alg, np, engine, err)
 	}
-	return fingerprint(w), results
+	return w.State(), results
 }
 
 func encodeI64(vals []int64) []byte {
@@ -161,7 +122,7 @@ func encodeI64(vals []int64) []byte {
 
 // TestPortfolioPinnedAtScale is the tentpole's acceptance pin: every
 // algorithm of every operation, at np ∈ {4, 48, 256}, produces (a)
-// bit-identical world fingerprints (clocks, matrices, NIC counters) on
+// bit-identical world states (clocks, matrices, NIC counters) on
 // the goroutine and event engines, and (b) result buffers bit-identical
 // to the default algorithm's. np=48 and np=256 cover non-power-of-two
 // and multi-switch scale; integer payloads make cross-algorithm
@@ -175,9 +136,11 @@ func TestPortfolioPinnedAtScale(t *testing.T) {
 		for _, op := range Ops() {
 			var refResults [][]byte
 			for _, alg := range Algorithms(op) {
-				fpG, resG := runPinned(t, op, alg, np, "")
-				fpE, resE := runPinned(t, op, alg, np, "event")
-				requireSameFP(t, fpG, fpE, fmt.Sprintf("%s/%s np=%d", op, alg, np))
+				stateG, resG := runPinned(t, op, alg, np, "")
+				stateE, resE := runPinned(t, op, alg, np, "event")
+				if d := golden.Diff(stateE, stateG); d != "" {
+					t.Fatalf("%s/%s np=%d: event engine (got) vs goroutine engine (want): %s", op, alg, np, d)
+				}
 				if !reflect.DeepEqual(resG, resE) {
 					t.Fatalf("%s/%s np=%d: results differ across engines", op, alg, np)
 				}
@@ -193,26 +156,5 @@ func TestPortfolioPinnedAtScale(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func requireSameFP(t *testing.T, a, b worldFP, what string) {
-	t.Helper()
-	if !reflect.DeepEqual(a.clocks, b.clocks) {
-		t.Fatalf("%s: clocks diverge across engines\n goroutine: %v\n event:     %v", what, a.clocks, b.clocks)
-	}
-	if !reflect.DeepEqual(a.mpiTimes, b.mpiTimes) {
-		t.Fatalf("%s: MPI times diverge across engines", what)
-	}
-	for cl := pml.Class(0); cl < pml.NumClasses; cl++ {
-		if !reflect.DeepEqual(a.counts[cl], b.counts[cl]) {
-			t.Fatalf("%s: %v count matrices diverge across engines", what, cl)
-		}
-		if !reflect.DeepEqual(a.bytes[cl], b.bytes[cl]) {
-			t.Fatalf("%s: %v byte matrices diverge across engines", what, cl)
-		}
-	}
-	if !reflect.DeepEqual(a.xmitData, b.xmitData) || !reflect.DeepEqual(a.xmitPkts, b.xmitPkts) {
-		t.Fatalf("%s: NIC transmit counters diverge across engines", what)
 	}
 }

@@ -157,11 +157,11 @@ func TestCGReorderShape(t *testing.T) {
 		r.BaseTotal, r.ReordTotal, r.BaseComm, r.ReordComm))
 	// Fig. 7's shape: ratios at or above 1 (reordering never loses), and
 	// the communication ratio at least as large as the total ratio.
-	if r.TotalRatio < 0.98 {
-		t.Fatalf("reordering lost badly on CG: total ratio %.3f", r.TotalRatio)
+	if r.TotalRatio < 1 {
+		t.Errorf("reordering lost on CG: total ratio %.3f", r.TotalRatio)
 	}
-	if r.CommRatio < r.TotalRatio-0.05 {
-		t.Fatalf("comm ratio %.3f should be >= total ratio %.3f", r.CommRatio, r.TotalRatio)
+	if r.CommRatio < r.TotalRatio {
+		t.Errorf("comm ratio %.3f should be >= total ratio %.3f", r.CommRatio, r.TotalRatio)
 	}
 	var buf bytes.Buffer
 	PrintCG(&buf, rows)

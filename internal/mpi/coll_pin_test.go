@@ -1,17 +1,12 @@
 package mpi
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"os"
 	"strings"
 	"testing"
 
 	"mpimon/internal/golden"
 	"mpimon/internal/netsim"
-	"mpimon/internal/pml"
 )
 
 // pinPayload is rank's deterministic payload of n bytes, distinct per salt.
@@ -209,68 +204,16 @@ func pinRoots(rooted bool, np int) []int {
 	return []int{0, np - 1}
 }
 
-// pinFingerprint hashes everything observable about a finished world: the
-// clocks, the MPI times, every class's count and byte matrices, the NIC
-// counters, then each rank's result buffer.
-func pinFingerprint(w *World, results [][]byte) uint64 {
-	fp := fingerprint(w)
-	h := fnv.New64a()
-	var b [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	for r := range fp.clocks {
-		put(uint64(fp.clocks[r]))
-		put(uint64(fp.mpiTimes[r]))
-	}
-	for cl := pml.Class(0); cl < pml.NumClasses; cl++ {
-		for r := range fp.counts[cl] {
-			for j := range fp.counts[cl][r] {
-				put(fp.counts[cl][r][j])
-				put(fp.bytes[cl][r][j])
-			}
-		}
-	}
-	for n := range fp.xmitData {
-		put(uint64(fp.xmitData[n]))
-		put(uint64(fp.xmitPkts[n]))
-	}
-	for _, res := range results {
-		put(uint64(len(res)))
-		h.Write(res)
-	}
-	return h.Sum64()
-}
-
 // TestCollectivesPinned pins every collective entry point, at every group
 // size of pinNPs and, where it has a root, at roots 0 and np-1, to the
-// dispatch count and the fingerprint (pinFingerprint) the hand-written
-// algorithms produced on the event engine. testdata/collpin.txt holds one
-// line per case: name, np, root (-1 for none), events, fingerprint.
+// dispatch count, the world's state and each rank's result the hand-written
+// algorithms produced on the event engine:
+// testdata/golden/TestCollectivesPinned.txt holds one case per run.
 func TestCollectivesPinned(t *testing.T) {
-	want := map[string]string{}
-	f, err := os.Open("testdata/collpin.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if line := sc.Text(); line != "" && !strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
-			want[strings.Join(fields[:3], " ")] = line
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	cases := 0
 	var text strings.Builder
 	for _, pc := range pinnedCollectives {
 		for _, np := range pinNPs {
 			for _, root := range pinRoots(pc.rooted, np) {
-				cases++
 				w, err := NewWorld(netsim.PlaFRIM(2), np, WithEngine(EngineEvent))
 				if err != nil {
 					t.Fatal(err)
@@ -284,21 +227,14 @@ func TestCollectivesPinned(t *testing.T) {
 					t.Errorf("%s np=%d root=%d: %v", pc.name, np, root, err)
 					continue
 				}
-				key := fmt.Sprintf("%s %d %d", pc.name, np, root)
-				state := w.State()
+				var state strings.Builder
+				state.WriteString(w.State())
 				for r, res := range results {
-					state += fmt.Sprintf("result %d %x\n", r, res)
+					fmt.Fprintf(&state, "result %d %x\n", r, res)
 				}
-				fmt.Fprintf(&text, "case %s np=%d root=%d\nevents %d\n%s", pc.name, np, root, w.EngineStats().Events, golden.Digest(state))
-				got := fmt.Sprintf("%s %d %#016x", key, w.EngineStats().Events, pinFingerprint(w, results))
-				if want[key] != got {
-					t.Errorf("pinned %q, got %q", want[key], got)
-				}
+				fmt.Fprintf(&text, "case %s np=%d root=%d\nevents %d\n%s", pc.name, np, root, w.EngineStats().Events, golden.Digest(state.String()))
 			}
 		}
-	}
-	if cases != len(want) {
-		t.Errorf("%d cases ran, %d pinned", cases, len(want))
 	}
 	golden.Check(t, "TestCollectivesPinned", text.String())
 }

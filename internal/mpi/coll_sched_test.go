@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mpimon/internal/golden"
 	"mpimon/internal/netsim"
 	"mpimon/internal/pml"
 )
@@ -89,8 +90,8 @@ func TestSkeletonTwins(t *testing.T) {
 				if de, se := data.EngineStats().Events, skel.EngineStats().Events; de != se {
 					t.Errorf("%s np=%d root=%d: %d events, %s %d", twin[0], np, root, de, twin[1], se)
 				}
-				if !reflect.DeepEqual(fingerprint(data), fingerprint(skel)) {
-					t.Errorf("%s np=%d root=%d: clocks, matrices or NIC counters differ from %s's", twin[0], np, root, twin[1])
+				if d := golden.Diff(skel.State(), data.State()); d != "" {
+					t.Errorf("%s np=%d root=%d: %s (got) vs %s (want): %s", twin[0], np, root, twin[1], twin[0], d)
 				}
 			}
 		}

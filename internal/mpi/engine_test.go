@@ -4,13 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
 	"mpimon/internal/faults"
+	"mpimon/internal/golden"
 	"mpimon/internal/netsim"
-	"mpimon/internal/pml"
 )
 
 // The engine-equivalence pin: on configurations where the goroutine engine
@@ -19,81 +18,12 @@ import (
 // clocks, MPI time, NIC counters, fault outcomes. The event engine is not
 // allowed to be "approximately" the runtime; it must BE the runtime.
 
-// worldFP is everything observable about a finished world.
-type worldFP struct {
-	clocks   []int64
-	mpiTimes []int64
-	counts   [pml.NumClasses][][]uint64
-	bytes    [pml.NumClasses][][]uint64
-	xmitData []int64
-	xmitPkts []int64
-	failed   []int
-	dead     []int
-}
-
-func fingerprint(w *World) worldFP {
-	np := w.Size()
-	fp := worldFP{
-		clocks:   make([]int64, np),
-		mpiTimes: make([]int64, np),
-		failed:   w.FailedRanks(),
-		dead:     w.DeadNodes(),
-	}
-	sort.Ints(fp.dead)
-	for cl := pml.Class(0); cl < pml.NumClasses; cl++ {
-		fp.counts[cl] = make([][]uint64, np)
-		fp.bytes[cl] = make([][]uint64, np)
-	}
-	for r := 0; r < np; r++ {
-		p := w.Proc(r)
-		fp.clocks[r] = int64(p.Clock())
-		fp.mpiTimes[r] = int64(p.MPITime())
-		for cl := pml.Class(0); cl < pml.NumClasses; cl++ {
-			row := make([]uint64, np)
-			p.Monitor().Counts(cl, row)
-			fp.counts[cl][r] = row
-			row = make([]uint64, np)
-			p.Monitor().Bytes(cl, row)
-			fp.bytes[cl][r] = row
-		}
-	}
-	nodes := w.Machine().Topo.NumNodes()
-	fp.xmitData = make([]int64, nodes)
-	fp.xmitPkts = make([]int64, nodes)
-	for n := 0; n < nodes; n++ {
-		fp.xmitData[n] = w.Network().XmitData(n)
-		fp.xmitPkts[n] = w.Network().XmitPackets(n)
-	}
-	return fp
-}
-
-func requireSameFP(t *testing.T, a, b worldFP, what string) {
+// requireSameState fails t at the first line where the event engine's
+// world state differs from the goroutine engine's.
+func requireSameState(t *testing.T, goroutine, event *World, what string) {
 	t.Helper()
-	if !reflect.DeepEqual(a.clocks, b.clocks) {
-		t.Fatalf("%s: clocks diverge\n goroutine: %v\n event:     %v", what, a.clocks, b.clocks)
-	}
-	if !reflect.DeepEqual(a.mpiTimes, b.mpiTimes) {
-		t.Fatalf("%s: MPI times diverge\n goroutine: %v\n event:     %v", what, a.mpiTimes, b.mpiTimes)
-	}
-	for cl := pml.Class(0); cl < pml.NumClasses; cl++ {
-		if !reflect.DeepEqual(a.counts[cl], b.counts[cl]) {
-			t.Fatalf("%s: class %v count matrices diverge", what, cl)
-		}
-		if !reflect.DeepEqual(a.bytes[cl], b.bytes[cl]) {
-			t.Fatalf("%s: class %v byte matrices diverge", what, cl)
-		}
-	}
-	if !reflect.DeepEqual(a.xmitData, b.xmitData) {
-		t.Fatalf("%s: NIC data counters diverge\n goroutine: %v\n event:     %v", what, a.xmitData, b.xmitData)
-	}
-	if !reflect.DeepEqual(a.xmitPkts, b.xmitPkts) {
-		t.Fatalf("%s: NIC packet counters diverge\n goroutine: %v\n event:     %v", what, a.xmitPkts, b.xmitPkts)
-	}
-	if !reflect.DeepEqual(a.failed, b.failed) {
-		t.Fatalf("%s: failed ranks diverge: %v vs %v", what, a.failed, b.failed)
-	}
-	if !reflect.DeepEqual(a.dead, b.dead) {
-		t.Fatalf("%s: dead nodes diverge: %v vs %v", what, a.dead, b.dead)
+	if d := golden.Diff(event.State(), goroutine.State()); d != "" {
+		t.Fatalf("%s: event engine (got) vs goroutine engine (want): %s", what, d)
 	}
 }
 
@@ -173,7 +103,7 @@ func TestEngineEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("np%d", np), func(t *testing.T) {
 			wg := runEngine(t, np, EngineGoroutine, equivWorkload)
 			we := runEngine(t, np, EngineEvent, equivWorkload)
-			requireSameFP(t, fingerprint(wg), fingerprint(we), fmt.Sprintf("np=%d", np))
+			requireSameState(t, wg, we, fmt.Sprintf("np=%d", np))
 			if got := we.EngineStats().Events; got == 0 {
 				t.Fatal("event engine reported zero dispatches")
 			}
@@ -295,7 +225,7 @@ func TestEngineEquivalenceFaults(t *testing.T) {
 			t.Fatalf("DeadNodes = %v, want [1]", got)
 		}
 	}
-	requireSameFP(t, fingerprint(wg), fingerprint(we), "faults")
+	requireSameState(t, wg, we, "faults")
 }
 
 // TestEventEngineReplay runs the same configuration twice on the event
@@ -304,7 +234,9 @@ func TestEngineEquivalenceFaults(t *testing.T) {
 func TestEventEngineReplay(t *testing.T) {
 	w1 := runEngine(t, 48, EngineEvent, equivWorkload)
 	w2 := runEngine(t, 48, EngineEvent, equivWorkload)
-	requireSameFP(t, fingerprint(w1), fingerprint(w2), "replay")
+	if d := golden.Diff(w2.State(), w1.State()); d != "" {
+		t.Fatalf("replay (got) vs first run (want): %s", d)
+	}
 	if a, b := w1.EngineStats().Events, w2.EngineStats().Events; a != b {
 		t.Fatalf("replay dispatched %d events vs %d", b, a)
 	}

@@ -1,10 +1,8 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -192,46 +190,33 @@ func agreeProgram(c *Comm) error {
 	return nil
 }
 
-// clockFingerprint hashes every rank's final virtual clock.
-func clockFingerprint(w *World) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for r := 0; r < w.Size(); r++ {
-		binary.LittleEndian.PutUint64(b[:], uint64(w.Proc(r).Clock()))
-		h.Write(b[:])
-	}
-	return h.Sum64()
-}
-
-// TestEventCountPinned pins EngineStats().Events and a fingerprint of the
-// final clocks to the values the channel-handoff dispatcher produced (the
-// first four cases) and to those of the scheduler that pushed one Wake per
-// matching arrival (the wildcard, timeout, failure and agreement cases): a
-// rank that wakes itself without a switch still counts exactly one event per
-// dispatch, and a Wake that could only pop stale may be skipped but never
-// reorders anything.
+// TestEventCountPinned pins EngineStats().Events and the world's state
+// (testdata/golden/TestEventCountPinned.txt) to the values the
+// channel-handoff dispatcher produced (the first four cases) and to those of
+// the scheduler that pushed one Wake per matching arrival (the wildcard,
+// timeout, failure and agreement cases): a rank that wakes itself without a
+// switch still counts exactly one event per dispatch, and a Wake that could
+// only pop stale may be skipped but never reorders anything.
 func TestEventCountPinned(t *testing.T) {
 	deathAt := &faults.Plan{Deaths: []faults.NodeDeath{{Node: 1, At: time.Millisecond}}}
 	var fired atomic.Int64
 	var text strings.Builder
 	for _, tc := range []struct {
-		name   string
-		mach   *netsim.Machine
-		np     int
-		opts   []Option
-		fn     func(c *Comm) error
-		want   uint64
-		clocks uint64
+		name string
+		mach *netsim.Machine
+		np   int
+		opts []Option
+		fn   func(c *Comm) error
 	}{
-		{"pingpong", testMachine(), 2, nil, pingPongProgram(1000), 2001, 0x64c9804ebf988fe8},
-		{"collround48", netsim.PlaFRIM(2), 48, nil, collRound, 1074, 0x934d91bc075ad5c4},
-		{"equiv48", equivMachine(48), 48, nil, equivWorkload, 302, 0x784a774ce9c50b1c},
-		{"equiv256", equivMachine(256), 256, nil, equivWorkload, 1731, 0x3d8ac23a133b6484},
-		{"halo256", netsim.PlaFRIM(11), 256, nil, haloProgram(16, 6), 1649, 0x8f9c276ad516a45c},
-		{"halo1024", netsim.PlaFRIM(43), 1024, nil, haloProgram(32, 4), 4855, 0x03b1adad6e7d7bb9},
-		{"halotimeout64", netsim.PlaFRIM(3), 64, nil, haloTimeoutProgram(8, 6, &fired), 435, 0x4e2683741987043b},
-		{"halodeath64", netsim.PlaFRIM(3), 64, []Option{WithFaultPlan(deathAt)}, haloDeathProgram(8), 309, 0xdfbbf034a1e98375},
-		{"agree48", netsim.PlaFRIM(2), 48, nil, agreeProgram, 236, 0xb682b9eadd007625},
+		{"pingpong", testMachine(), 2, nil, pingPongProgram(1000)},
+		{"collround48", netsim.PlaFRIM(2), 48, nil, collRound},
+		{"equiv48", equivMachine(48), 48, nil, equivWorkload},
+		{"equiv256", equivMachine(256), 256, nil, equivWorkload},
+		{"halo256", netsim.PlaFRIM(11), 256, nil, haloProgram(16, 6)},
+		{"halo1024", netsim.PlaFRIM(43), 1024, nil, haloProgram(32, 4)},
+		{"halotimeout64", netsim.PlaFRIM(3), 64, nil, haloTimeoutProgram(8, 6, &fired)},
+		{"halodeath64", netsim.PlaFRIM(3), 64, []Option{WithFaultPlan(deathAt)}, haloDeathProgram(8)},
+		{"agree48", netsim.PlaFRIM(2), 48, nil, agreeProgram},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w, err := NewWorld(tc.mach, tc.np, append(tc.opts, WithEngine(EngineEvent))...)
@@ -241,11 +226,7 @@ func TestEventCountPinned(t *testing.T) {
 			if err := w.Run(tc.fn); err != nil {
 				t.Fatal(err)
 			}
-			got, clocks := w.EngineStats().Events, clockFingerprint(w)
-			fmt.Fprintf(&text, "case %s\nevents %d\n%s", tc.name, got, golden.Digest(w.State()))
-			if got != tc.want || clocks != tc.clocks {
-				t.Fatalf("dispatched %d events, clocks %#x; pinned %d, %#x", got, clocks, tc.want, tc.clocks)
-			}
+			fmt.Fprintf(&text, "case %s\nevents %d\n%s", tc.name, w.EngineStats().Events, golden.Digest(w.State()))
 		})
 	}
 	golden.Check(t, "TestEventCountPinned", text.String())

@@ -13,13 +13,14 @@ import (
 
 // TestFig1LoopEventsPinned runs the paper's Fig. 1 loop at the bench's
 // reorder-loop shape — np=192 on 8 nodes, round-robin placement, 8 allgather
-// groups of 24 — and pins the event engine's dispatch count and the virtual
-// makespan: the engine may change how it resumes a rank, never which rank
-// runs next. It also pins how many of those dispatches switched to a
-// coroutine: almost every dispatch goes to a rank parked in a collective —
-// the ring allgathers, the monitoring gathers' trees, the barriers — whose
-// schedule cursor the picker advances in place, so a change that stops
-// doing that shows here.
+// groups of 24 — and pins the event engine's dispatch count, the virtual
+// makespan and the world's state (testdata/golden/TestFig1LoopEventsPinned.txt):
+// the engine may change how it resumes a rank, never which rank runs next.
+// It also pins how many of those dispatches switched to a coroutine: almost
+// every dispatch goes to a rank parked in a collective — the ring
+// allgathers, the monitoring gathers' trees, the barriers — whose schedule
+// cursor the picker advances in place, so a change that stops doing that
+// shows here.
 func TestFig1LoopEventsPinned(t *testing.T) {
 	const nodes, np, groups, block = 8, 8 * 24, 8, 200 << 10
 	mach := netsim.PlaFRIM(nodes)
@@ -60,13 +61,4 @@ func TestFig1LoopEventsPinned(t *testing.T) {
 	st := w.EngineStats()
 	golden.Check(t, "TestFig1LoopEventsPinned", fmt.Sprintf("events %d\nswitches %d\nmakespan %d\n%s",
 		st.Events, st.Switches, int64(w.MaxClock()), golden.Digest(w.State())))
-	if got, want := st.Events, uint64(28390); got != want {
-		t.Errorf("dispatched %d events, pinned %d", got, want)
-	}
-	if got, want := st.Switches, uint64(3470); got != want {
-		t.Errorf("%d dispatches switched to a coroutine, pinned %d", got, want)
-	}
-	if got, want := int64(w.MaxClock()), int64(44493176); got != want {
-		t.Errorf("virtual makespan %d ns, pinned %d", got, want)
-	}
 }

@@ -1,8 +1,6 @@
 package treematch_test
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -14,15 +12,6 @@ import (
 	"mpimon/internal/treematch"
 	"mpimon/internal/workloads"
 )
-
-// placementHash is the first 8 bytes of SHA-256 over "%d," of every core.
-func placementHash(coreOf []int) string {
-	h := sha256.New()
-	for _, c := range coreOf {
-		fmt.Fprintf(h, "%d,", c)
-	}
-	return hex.EncodeToString(h.Sum(nil)[:8])
-}
 
 // placementBlocks is coreOf as golden blocks of 1024 "process:core" records.
 func placementBlocks(coreOf []int) string {
@@ -64,21 +53,17 @@ func countDegrades() (*atomic.Int64, func()) {
 
 // TestCappedPlacementsPinned pins the exact placements of the capped
 // refinement path (refineCapped and its per-pair swap search), which every
-// Table 1 order from 8192 up takes. The hashes were recorded before the
-// kernel's bound-pruned swap search, hole-sift heap and exact-size matrix
-// build: a faster kernel must place every process on the same core.
+// Table 1 order from 8192 up takes, in testdata/golden/TestCappedPlacementsPinned.txt.
+// They match the placements recorded before the kernel's bound-pruned swap
+// search, hole-sift heap and exact-size matrix build: a faster kernel must
+// place every process on the same core.
 func TestCappedPlacementsPinned(t *testing.T) {
 	var text strings.Builder
 	t.Run("clustered", func(t *testing.T) {
 		for _, tc := range []struct {
 			seed  int64
 			order int
-			want  string
-		}{
-			{7, 8192, "7a834251486ed88a"},
-			{7, 16384, "cc47f00c6fd10116"},
-			{1, 16384, "c6e7526343330eaa"},
-		} {
+		}{{7, 8192}, {7, 16384}, {1, 16384}} {
 			degrades, restore := countDegrades()
 			m, err := treematch.FromView(upperView(workloads.ClusteredSparse(tc.order, 32, 1000, 1, tc.seed)))
 			if err != nil {
@@ -93,22 +78,12 @@ func TestCappedPlacementsPinned(t *testing.T) {
 				t.Fatalf("seed %d order %d: mapping never took the capped path", tc.seed, tc.order)
 			}
 			fmt.Fprintf(&text, "case clustered seed=%d order=%d\n%s", tc.seed, tc.order, placementBlocks(coreOf))
-			if got := placementHash(coreOf); got != tc.want {
-				t.Errorf("seed %d order %d: placement hash %s, want %s", tc.seed, tc.order, got, tc.want)
-			}
 		}
 	})
 	t.Run("budget", func(t *testing.T) {
 		small, large := topology.MustNew(4, 2, 6).FullTree(), topology.MustNew(8, 2, 16).FullTree()
-		for _, tc := range []struct {
-			budget int
-			want   string
-		}{
-			{64, "5020041760802556"},
-			{1024, "ff1bb225a1ecc718"},
-			{4096, "527cbe22bb4644bc"},
-		} {
-			restoreBudget := treematch.SetRefineBudget(tc.budget)
+		for _, budget := range []int{64, 1024, 4096} {
+			restoreBudget := treematch.SetRefineBudget(budget)
 			degrades, restore := countDegrades()
 			var all []int
 			for seed := int64(1); seed <= 3; seed++ {
@@ -132,12 +107,9 @@ func TestCappedPlacementsPinned(t *testing.T) {
 			restore()
 			restoreBudget()
 			if degrades.Load() == 0 {
-				t.Fatalf("budget %d: mapping never took the capped path", tc.budget)
+				t.Fatalf("budget %d: mapping never took the capped path", budget)
 			}
-			fmt.Fprintf(&text, "case budget=%d\n%s", tc.budget, placementBlocks(all))
-			if got := placementHash(all); got != tc.want {
-				t.Errorf("budget %d: placement hash %s, want %s", tc.budget, got, tc.want)
-			}
+			fmt.Fprintf(&text, "case budget=%d\n%s", budget, placementBlocks(all))
 		}
 	})
 	golden.Check(t, "TestCappedPlacementsPinned", text.String())
