@@ -34,10 +34,12 @@ race:
 # index against its model, no coroutine left behind, every way out of a
 # parked schedule cursor — run at GOMAXPROCS 4 as well: which rank runs next
 # may not depend on it. So do the TreeMatch placement pins: MapTree sizes
-# its worker pool by GOMAXPROCS, and no placement may depend on it.
+# its worker pool by GOMAXPROCS, and no placement may depend on it. So do
+# the span stream and the CG makespans, pinned under testdata/golden/ like
+# the other pins of that line.
 flake:
 	$(GO) test -count=10 -cpu 1,2 ./internal/cg ./internal/exp ./internal/coll ./internal/online ./internal/reorder ./cmd/mpimon
-	$(GO) test -count=10 -cpu 1,2,4 -run '^(TestEngineEquivalence|TestEventCountPinned|TestOneLiveWakePerWait|TestQueueAgainstModel|TestQueueSteadyStateAllocs|TestNoLeakedCoroutine|TestRingParkedExits|TestFig1LoopEventsPinned|TestCollectivesPinned|TestCappedPlacementsPinned|TestMapTreeParallelLargeMatchesReference)$$' ./internal/mpi ./internal/reorder ./internal/treematch
+	$(GO) test -count=10 -cpu 1,2,4 -run '^(TestEngineEquivalence|TestEventCountPinned|TestOneLiveWakePerWait|TestQueueAgainstModel|TestQueueSteadyStateAllocs|TestNoLeakedCoroutine|TestRingParkedExits|TestFig1LoopEventsPinned|TestCollectivesPinned|TestCappedPlacementsPinned|TestMapTreeParallelLargeMatchesReference|TestSpanStreamPinned|TestSkipInitEquivalence)$$' ./internal/mpi ./internal/reorder ./internal/treematch ./internal/cg
 
 # fuzz runs each fuzz target for a few seconds on top of its checked-in seed
 # corpus (testdata/fuzz/, which plain `go test` already replays): the reduce
@@ -56,17 +58,27 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMapTree$$' -fuzztime 5s ./internal/treematch
 
 # regen-fig6 reruns the two Fig. 6 heat maps and compares each with its
-# file under results/ byte for byte. They are the slowest exact figures,
-# so TestResultsRegenerate leaves them out, and they are the output of the
-# ring allgather path (AllgatherN under Split) end to end.
+# file under results/ byte for byte, printing the first line where they
+# differ. They are the slowest exact figures, so TestResultsRegenerate
+# leaves them out, and they are the output of the ring allgather path
+# (AllgatherN under Split) end to end.
 regen-fig6:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/exp" ./cmd/exp && \
 	"$$tmp/exp" reorder-heatmap > "$$tmp/fig6_heatmap.tsv" && \
-	cmp "$$tmp/fig6_heatmap.tsv" results/fig6_heatmap.tsv && \
 	"$$tmp/exp" reorder-heatmap -np 192 > "$$tmp/fig6_heatmap_np192.tsv" && \
-	cmp "$$tmp/fig6_heatmap_np192.tsv" results/fig6_heatmap_np192.tsv && \
+	ok=0 && for f in fig6_heatmap.tsv fig6_heatmap_np192.tsv; do \
+		$(FIRSTDIFF) "$$tmp/$$f" "results/$$f" || ok=1; \
+	done && [ $$ok = 0 ] && \
 	echo "results/fig6_heatmap.tsv and results/fig6_heatmap_np192.tsv regenerate"
+
+# FIRSTDIFF run file prints file's name and the first line where run and
+# file differ, as golden.Diff reports it, and exits 1; it exits 0 when they
+# are equal.
+FIRSTDIFF = awk 'NR == FNR { run[FNR] = $$0; n = FNR; next } \
+	{ m = FNR } \
+	FNR > n || run[FNR] != $$0 { d = 1; printf "%s: first difference at line %d:\n  got:  %s\n  want: %s\n", FILENAME, FNR, (FNR > n ? "<end>" : run[FNR]), $$0; exit } \
+	END { if (!d && m < n) { d = 1; printf "%s: first difference at line %d:\n  got:  %s\n  want: <end>\n", FILENAME, m + 1, run[m + 1] } exit d }'
 
 # nodeprecated keeps deprecated shims from regrowing: the repository has
 # one function per operation, so nothing outside the tests may carry a

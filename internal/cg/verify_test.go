@@ -76,7 +76,7 @@ func TestSkipInitEquivalence(t *testing.T) {
 		return w.MaxClock()
 	}
 	a, b := oneShot(), splitRun()
-	golden.Check(t, "TestSkipInitEquivalence", fmt.Sprintf("oneshot makespan %d\nsplit makespan %d\n", a, b))
+	golden.Check(t, fmt.Sprintf("oneshot makespan %d\nsplit makespan %d\n", a, b))
 	if a != b {
 		t.Errorf("init accounting differs: one-shot %v vs split %v", a, b)
 	}

@@ -153,7 +153,7 @@ func TestCGReorderShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rows[0]
-	golden.Check(t, "TestCGReorderShape", fmt.Sprintf("base total %d\nreordered total %d\nbase comm %d\nreordered comm %d\n",
+	golden.Check(t, fmt.Sprintf("base total %d\nreordered total %d\nbase comm %d\nreordered comm %d\n",
 		r.BaseTotal, r.ReordTotal, r.BaseComm, r.ReordComm))
 	// Fig. 7's shape: ratios at or above 1 (reordering never loses), and
 	// the communication ratio at least as large as the total ratio.

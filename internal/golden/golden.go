@@ -1,19 +1,21 @@
 // Package golden holds the exactness pins' expected values as text under
 // testdata/golden/ and reports a mismatch at its first differing line.
 //
-// A pin writes a canonical, line-oriented text. Each line starts with its
-// key — a section, then the rank, row or block it is about — and a line
+// A pin writes canonical, line-oriented text: each line starts with its key
+// (a section, then the rank, row or block it is about), and a line
 // "case <name>" opens each case of a pin that runs several. Check compares
-// the text with testdata/golden/<pin>.txt. On a mismatch it writes the text
-// it got to a temporary file and prints that file's path: recording a pin
-// again on purpose is copying that file over the golden one. Diff is the
-// same comparison between two texts, such as two engines' world states.
+// the text with testdata/golden/<test name>.txt, so each subtest has its
+// own file and runs alone. On a mismatch it saves the text it got to a
+// temporary file and prints its path: recording a pin again on purpose is
+// copying that file over the golden one. Diff is the same comparison
+// between two texts, such as two engines' world states.
 //
 // The package imports only the standard library, so the tests of every
 // package, internal/mpi's included, can use it.
 package golden
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -40,79 +42,67 @@ func Diff(got, want string) string {
 		}
 		return "<end>"
 	}
-	where := ""
+	var where []string
 	for j := i - 1; j >= 0; j-- {
-		if name, ok := strings.CutPrefix(g[j], "case "); ok {
-			where = "case " + name + ", "
+		if strings.HasPrefix(g[j], "case ") {
+			where = append(where, g[j])
 			break
 		}
 	}
-	return fmt.Sprintf("first difference at line %d (%skey %q):\n  got:  %s\n  want: %s",
-		i+1, where, key(at(g), at(w)), at(g), at(w))
-}
-
-// key is the leading fields two differing lines share or, when they share
-// none, the first field of the line that is there.
-func key(a, b string) string {
-	fa, fb := strings.Fields(a), strings.Fields(b)
+	fg, fw := strings.Fields(at(g)), strings.Fields(at(w))
 	n := 0
-	for n < len(fa) && n < len(fb) && fa[n] == fb[n] {
+	for n < len(fg) && n < len(fw) && fg[n] == fw[n] {
 		n++
 	}
-	switch {
-	case n > 0:
-		return strings.Join(fa[:n], " ")
-	case b != "<end>" && len(fb) > 0:
-		return fb[0]
-	case len(fa) > 0:
-		return fa[0]
+	if n > 0 {
+		where = append(where, fmt.Sprintf("key %q", strings.Join(fg[:n], " ")))
 	}
-	return ""
+	loc := ""
+	if len(where) > 0 {
+		loc = " (" + strings.Join(where, ", ") + ")"
+	}
+	return fmt.Sprintf("first difference at line %d%s:\n  got:  %s\n  want: %s", i+1, loc, at(g), at(w))
 }
 
-// Check fails t unless got equals testdata/golden/<name>.txt.
-func Check(t testing.TB, name, got string) {
+// Check fails t unless got equals testdata/golden/<t.Name()>.txt.
+func Check(t testing.TB, got string) {
 	t.Helper()
-	if msg := compare(filepath.Join("testdata", "golden", name+".txt"), got); msg != "" {
+	if msg := compare(filepath.Join("testdata", "golden", t.Name()+".txt"), got); msg != "" {
 		t.Error(msg)
 	}
 }
 
-// compare returns "" when got equals the file at path. Otherwise it writes
-// got to a temporary file and returns the first difference and that file's
-// path.
+// compare returns "" when got equals the file at path, and otherwise the
+// first difference and the path of a temporary file it wrote got to.
 func compare(path, got string) string {
 	want, err := os.ReadFile(path)
 	if err == nil && string(want) == got {
 		return ""
 	}
-	f, ferr := os.CreateTemp("", "golden-*-"+filepath.Base(path))
-	if ferr == nil {
-		_, ferr = f.WriteString(got)
-		if cerr := f.Close(); ferr == nil {
-			ferr = cerr
-		}
+	msg := fmt.Sprint(err)
+	if err == nil {
+		msg = path + ": " + Diff(got, string(want))
 	}
-	saved := "the text this run got could not be saved: " + fmt.Sprint(ferr)
-	if ferr == nil {
-		saved = fmt.Sprintf("the text this run got is in %s; to record it, copy it over %s", f.Name(), path)
+	f, ferr := os.CreateTemp("", "*-"+strings.ReplaceAll(filepath.ToSlash(path), "/", "-"))
+	if ferr != nil {
+		return fmt.Sprintf("%s\nthe text this run got could not be saved: %v", msg, ferr)
 	}
-	if err != nil {
-		return fmt.Sprintf("%v\n%s", err, saved)
+	_, ferr = f.WriteString(got)
+	if ferr = errors.Join(ferr, f.Close()); ferr != nil {
+		return fmt.Sprintf("%s\nthe text this run got could not be saved: %v", msg, ferr)
 	}
-	return fmt.Sprintf("%s: %s\n%s", path, Diff(got, string(want)), saved)
+	return fmt.Sprintf("%s\nthe text this run got is in %s; to record it, copy it over %s", msg, f.Name(), path)
 }
 
-// Digest stands in for a text too large to store: one line per section — a
-// run of lines with the same first field — reading
-// "<section> fnv=<FNV-64a of its lines> lines=<count>". A mismatch still
-// names the section that moved.
+// Digest stands in for a text too large to store: one line per section (a
+// run of lines with the same first field), "<section> fnv=<FNV-64a of its
+// lines> lines=<count>", so a mismatch still names the section that moved.
 func Digest(text string) string {
 	var b strings.Builder
 	lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
+	first := func(l string) string { f, _, _ := strings.Cut(l, " "); return f }
 	for start := 0; start < len(lines); {
-		section := first(lines[start])
-		end := start + 1
+		section, end := first(lines[start]), start+1
 		for end < len(lines) && first(lines[end]) == section {
 			end++
 		}
@@ -122,16 +112,10 @@ func Digest(text string) string {
 	return b.String()
 }
 
-// first is the first space-separated field of line.
-func first(line string) string {
-	f, _, _ := strings.Cut(line, " ")
-	return f
-}
-
 // Blocks stands in for a stream too large to store: one line per block of
-// per records, reading "block <index from 1> fnv=<FNV-64a of the block>
-// <first record>". A mismatch names the first block that differs. A
-// newline may end a record, not sit inside one.
+// per records, "block <index from 1> fnv=<FNV-64a of the block> <first
+// record>", so a mismatch names the first block that differs. A newline may
+// end a record, not sit inside one.
 func Blocks(records []string, per int) string {
 	var b strings.Builder
 	for i := 0; i*per < len(records); i++ {
@@ -145,8 +129,7 @@ func Blocks(records []string, per int) string {
 func sum(lines []string) uint64 {
 	h := fnv.New64a()
 	for _, l := range lines {
-		h.Write([]byte(l))
-		h.Write([]byte{'\n'})
+		h.Write([]byte(l + "\n"))
 	}
 	return h.Sum64()
 }

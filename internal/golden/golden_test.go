@@ -7,109 +7,66 @@ import (
 	"testing"
 )
 
-func TestDiffNamesCaseAndKey(t *testing.T) {
-	want := "case a\nclock 0 10\ncase b\nclock 0 10\nclock 1 20\nnic 0 5 1\n"
-	got := strings.Replace(want, "clock 1 20", "clock 1 21", 1)
-	d := Diff(got, want)
-	for _, s := range []string{"line 5", "case b", `key "clock 1"`, "got:  clock 1 21", "want: clock 1 20"} {
-		if !strings.Contains(d, s) {
-			t.Errorf("Diff report lacks %q:\n%s", s, d)
-		}
-	}
-	if d := Diff(want, want); d != "" {
-		t.Errorf("Diff of equal texts = %q", d)
-	}
-}
-
-func TestDiffTrailingLines(t *testing.T) {
-	short, long := "events 3\n", "events 3\nswitches 1\n"
-	for _, tc := range []struct{ got, want, line, gotLine, wantLine string }{
-		{long, short, "line 2", "got:  switches 1", "want: \n"},
-		{short, long, "line 2", "got:  \n", "want: switches 1"},
-		{"events 3", short, "line 2", "got:  <end>", "want: "},
+func TestDiff(t *testing.T) {
+	world := "case a\nclock 0 10\ncase b\nclock 0 10\nclock 1 20\nnic 0 5 1\n"
+	recs := strings.Split("r1 r2 r3 r4 r5 r6 r7 r8 r9 r10", " ")
+	moved := append([]string(nil), recs...)
+	moved[7] = "changed"
+	digest := "clock 0 1\nclock 1 2\np2p.count 0 1:1\nnic 0 8 1\nfailed\n"
+	for _, tc := range []struct {
+		name, got, want string
+		report          []string
+	}{
+		{"mid-file", strings.Replace(world, "clock 1 20", "clock 1 21", 1), world,
+			[]string{`line 5 (case b, key "clock 1"):`, "got:  clock 1 21\n", "want: clock 1 20"}},
+		{"extra line", "events 3\nswitches 1\n", "events 3\n", []string{"line 2:", "got:  switches 1\n", "want: \n"}},
+		{"missing line", "events 3\n", "events 3\nswitches 1\n", []string{"line 2:", "got:  \n", "want: switches 1\n"}},
+		{"no last newline", "events 3", "events 3\n", []string{"line 2:", "got:  <end>\n", "want: \n"}},
+		{"third block", Blocks(moved, 3), Blocks(recs, 3), []string{`line 3 (key "block 3"):`, " r7\n"}},
+		{"digest", Digest(strings.Replace(digest, "1:1", "1:2", 1)), Digest(digest), []string{`line 2 (key "p2p.count"):`}},
 	} {
-		d := Diff(tc.got, tc.want)
-		for _, s := range []string{tc.line, tc.gotLine, tc.wantLine} {
-			if !strings.Contains(d+"\n", s) {
-				t.Errorf("Diff(%q, %q) lacks %q:\n%s", tc.got, tc.want, s, d)
+		d := Diff(tc.got, tc.want) + "\n"
+		for _, s := range tc.report {
+			if !strings.Contains(d, s) {
+				t.Errorf("%s: report lacks %q:\n%s", tc.name, s, d)
 			}
 		}
 	}
+	if d := Diff(world, world); d != "" {
+		t.Errorf("equal texts reported: %s", d)
+	}
+	if n := strings.Count(Blocks(recs, 3), "\n"); n != 4 {
+		t.Errorf("10 records in blocks of 3 make %d lines, want 4", n)
+	}
+	if n := strings.Count(Digest(digest), "\n"); n != 4 {
+		t.Errorf("four sections digest to %d lines", n)
+	}
 }
 
-// saved returns the path of the text compare wrote, checks that it holds
-// got, and removes it.
-func saved(t *testing.T, msg, got string) string {
-	t.Helper()
-	_, rest, ok := strings.Cut(msg, "the text this run got is in ")
-	path, _, _ := strings.Cut(rest, ";")
-	if !ok {
-		t.Fatalf("report names no saved text:\n%s", msg)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
+func TestCompare(t *testing.T) {
+	dir := t.TempDir()
+	pin := filepath.Join(dir, "pin.txt")
+	if err := os.WriteFile(pin, []byte("case x\nevents 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	os.Remove(path)
-	if string(b) != got {
-		t.Fatalf("saved text %q, want %q", b, got)
-	}
-	return path
-}
-
-func TestCompareMissingFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "absent.txt")
-	msg := compare(path, "events 1\n")
-	saved(t, msg, "events 1\n")
-	if !strings.Contains(msg, path) || !strings.Contains(msg, "copy it over "+path) {
-		t.Errorf("report does not name the golden file %s:\n%s", path, msg)
-	}
-}
-
-func TestCompareMismatchAndMatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pin.txt")
-	if err := os.WriteFile(path, []byte("case x\nevents 1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if msg := compare(path, "case x\nevents 1\n"); msg != "" {
+	if msg := compare(pin, "case x\nevents 1\n"); msg != "" {
 		t.Fatalf("equal text reported: %s", msg)
 	}
-	msg := compare(path, "case x\nevents 2\n")
-	saved(t, msg, "case x\nevents 2\n")
-	if !strings.Contains(msg, `line 2 (case x, key "events")`) {
-		t.Errorf("report does not name line, case and key:\n%s", msg)
-	}
-}
-
-func TestBlocksNameTheDifferingBlock(t *testing.T) {
-	var recs []string
-	for i := 0; i < 10; i++ {
-		recs = append(recs, strings.Repeat("r", i+1))
-	}
-	want := Blocks(recs, 3)
-	if n := strings.Count(want, "\n"); n != 4 {
-		t.Fatalf("10 records in blocks of 3 make %d lines, want 4:\n%s", n, want)
-	}
-	recs[7] = "changed"
-	d := Diff(Blocks(recs, 3), want)
-	for _, s := range []string{"line 3", `key "block 3"`, " rrrrrrr\n"} {
-		if !strings.Contains(d+"\n", s) {
-			t.Errorf("report lacks %q:\n%s", s, d)
+	for _, tc := range []struct{ path, report string }{
+		{pin, `line 2 (case x, key "events")`},
+		{filepath.Join(dir, "absent.txt"), "no such file"},
+	} {
+		const got = "case x\nevents 2\n"
+		msg := compare(tc.path, got)
+		_, rest, _ := strings.Cut(msg, "the text this run got is in ")
+		saved, _, _ := strings.Cut(rest, ";")
+		b, err := os.ReadFile(saved)
+		if err != nil || string(b) != got {
+			t.Errorf("report names no file holding the text got (%v):\n%s", err, msg)
 		}
-	}
-}
-
-func TestDigestNamesTheSection(t *testing.T) {
-	text := "clock 0 1\nclock 1 2\np2p.count 0 1:1\nnic 0 8 1\nfailed\n"
-	want := Digest(text)
-	if n := strings.Count(want, "\n"); n != 4 {
-		t.Fatalf("four sections digest to %d lines:\n%s", n, want)
-	}
-	if !strings.Contains(want, "clock ") || !strings.Contains(want, " lines=2\n") {
-		t.Fatalf("digest of two clock lines:\n%s", want)
-	}
-	d := Diff(Digest(strings.Replace(text, "1:1", "1:2", 1)), want)
-	if !strings.Contains(d, `line 2 (key "p2p.count")`) {
-		t.Errorf("report does not name the p2p.count section:\n%s", d)
+		os.Remove(saved)
+		if !strings.Contains(msg, tc.report) || !strings.Contains(msg, "copy it over "+tc.path) {
+			t.Errorf("report lacks %q or the golden path:\n%s", tc.report, msg)
+		}
 	}
 }

@@ -236,5 +236,5 @@ func TestCollectivesPinned(t *testing.T) {
 			}
 		}
 	}
-	golden.Check(t, "TestCollectivesPinned", text.String())
+	golden.Check(t, text.String())
 }

@@ -18,12 +18,12 @@ import (
 // clocks, MPI time, NIC counters, fault outcomes. The event engine is not
 // allowed to be "approximately" the runtime; it must BE the runtime.
 
-// requireSameState fails t at the first line where the event engine's
-// world state differs from the goroutine engine's.
-func requireSameState(t *testing.T, goroutine, event *World, what string) {
+// requireSameState fails t at the first line where got's world state
+// differs from want's.
+func requireSameState(t *testing.T, got, want *World, what string) {
 	t.Helper()
-	if d := golden.Diff(event.State(), goroutine.State()); d != "" {
-		t.Fatalf("%s: event engine (got) vs goroutine engine (want): %s", what, d)
+	if d := golden.Diff(got.State(), want.State()); d != "" {
+		t.Fatalf("%s: %s", what, d)
 	}
 }
 
@@ -103,7 +103,7 @@ func TestEngineEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("np%d", np), func(t *testing.T) {
 			wg := runEngine(t, np, EngineGoroutine, equivWorkload)
 			we := runEngine(t, np, EngineEvent, equivWorkload)
-			requireSameState(t, wg, we, fmt.Sprintf("np=%d", np))
+			requireSameState(t, we, wg, fmt.Sprintf("np=%d: event engine (got) vs goroutine engine (want)", np))
 			if got := we.EngineStats().Events; got == 0 {
 				t.Fatal("event engine reported zero dispatches")
 			}
@@ -225,7 +225,7 @@ func TestEngineEquivalenceFaults(t *testing.T) {
 			t.Fatalf("DeadNodes = %v, want [1]", got)
 		}
 	}
-	requireSameState(t, wg, we, "faults")
+	requireSameState(t, we, wg, "faults: event engine (got) vs goroutine engine (want)")
 }
 
 // TestEventEngineReplay runs the same configuration twice on the event
@@ -234,9 +234,7 @@ func TestEngineEquivalenceFaults(t *testing.T) {
 func TestEventEngineReplay(t *testing.T) {
 	w1 := runEngine(t, 48, EngineEvent, equivWorkload)
 	w2 := runEngine(t, 48, EngineEvent, equivWorkload)
-	if d := golden.Diff(w2.State(), w1.State()); d != "" {
-		t.Fatalf("replay (got) vs first run (want): %s", d)
-	}
+	requireSameState(t, w2, w1, "replay (got) vs first run (want)")
 	if a, b := w1.EngineStats().Events, w2.EngineStats().Events; a != b {
 		t.Fatalf("replay dispatched %d events vs %d", b, a)
 	}

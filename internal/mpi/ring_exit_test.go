@@ -35,7 +35,7 @@ func parkUntilRingWaits(c *Comm) {
 // rank enters, and the span stream is pinned too. Each case pins the run's
 // error, every rank's error class (. nil, A aborted, D deadlock, R revoked,
 // T timed out, ? other), the dispatch count and the world's state in
-// testdata/golden/TestRingParkedExits.txt. When the last rank leaves the
+// testdata/golden/TestRingParkedExits/<case>.txt. When the last rank leaves the
 // ReduceN, only its ancestors 23, 11, 5 and 2 and the root are parked in the
 // tree; everyone else has returned.
 func TestRingParkedExits(t *testing.T) {
@@ -55,7 +55,6 @@ func TestRingParkedExits(t *testing.T) {
 	}
 	ring := func(c *Comm) error { return c.AllgatherN(64 << 10) }
 	reduce := func(c *Comm) error { return c.ReduceN(64<<10, 0) }
-	var text strings.Builder
 	for _, tc := range []struct {
 		name  string
 		world func(c *Comm) error // the collective on COMM_WORLD
@@ -126,16 +125,15 @@ func TestRingParkedExits(t *testing.T) {
 					ranks.WriteByte('?')
 				}
 			}
-			fmt.Fprintf(&text, "case %s\nrunerr %s\nranks %s\nevents %d\n%s",
-				tc.name, got, ranks.String(), w.EngineStats().Events, golden.Digest(w.State()))
+			text := fmt.Sprintf("runerr %s\nranks %s\nevents %d\n%s", got, ranks.String(), w.EngineStats().Events, golden.Digest(w.State()))
 			if tel != nil {
 				var buf bytes.Buffer
 				if err := telemetry.WriteCSV(&buf, tel.Spans()); err != nil {
 					t.Fatal(err)
 				}
-				text.WriteString(golden.Blocks(strings.Split(buf.String(), "\n"), 256))
+				text += golden.Blocks(strings.Split(buf.String(), "\n"), 256)
 			}
+			golden.Check(t, text)
 		})
 	}
-	golden.Check(t, "TestRingParkedExits", text.String())
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -191,7 +190,7 @@ func agreeProgram(c *Comm) error {
 }
 
 // TestEventCountPinned pins EngineStats().Events and the world's state
-// (testdata/golden/TestEventCountPinned.txt) to the values the
+// (testdata/golden/TestEventCountPinned/<case>.txt) to the values the
 // channel-handoff dispatcher produced (the first four cases) and to those of
 // the scheduler that pushed one Wake per matching arrival (the wildcard,
 // timeout, failure and agreement cases): a rank that wakes itself without a
@@ -200,7 +199,6 @@ func agreeProgram(c *Comm) error {
 func TestEventCountPinned(t *testing.T) {
 	deathAt := &faults.Plan{Deaths: []faults.NodeDeath{{Node: 1, At: time.Millisecond}}}
 	var fired atomic.Int64
-	var text strings.Builder
 	for _, tc := range []struct {
 		name string
 		mach *netsim.Machine
@@ -226,10 +224,9 @@ func TestEventCountPinned(t *testing.T) {
 			if err := w.Run(tc.fn); err != nil {
 				t.Fatal(err)
 			}
-			fmt.Fprintf(&text, "case %s\nevents %d\n%s", tc.name, w.EngineStats().Events, golden.Digest(w.State()))
+			golden.Check(t, fmt.Sprintf("events %d\n%s", w.EngineStats().Events, golden.Digest(w.State())))
 		})
 	}
-	golden.Check(t, "TestEventCountPinned", text.String())
 	if fired.Load() == 0 {
 		t.Fatal("no RecvTimeout deadline fired in the timeout halo")
 	}

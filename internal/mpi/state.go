@@ -31,28 +31,18 @@ func (w *World) State() string {
 	}
 	row := make([]uint64, w.size)
 	for cl := pml.Class(0); cl < pml.NumClasses; cl++ {
-		for _, bytes := range []bool{false, true} {
+		for i, read := range [...]func(*pml.Monitor, pml.Class, []uint64){(*pml.Monitor).Counts, (*pml.Monitor).Bytes} {
 			for r, p := range w.procs {
-				section := "count"
-				if bytes {
-					section = "bytes"
-					p.mon.Bytes(cl, row)
-				} else {
-					p.mon.Counts(cl, row)
-				}
-				start := len(b)
-				b = fmt.Appendf(b, "%v.%s %d", cl, section, r)
-				empty := true
+				read(p.mon, cl, row)
+				line := fmt.Appendf(nil, "%v.%s %d", cl, [...]string{"count", "bytes"}[i], r)
+				head := len(line)
 				for dst, v := range row {
 					if v != 0 {
-						b = fmt.Appendf(b, " %d:%d", dst, v)
-						empty = false
+						line = fmt.Appendf(line, " %d:%d", dst, v)
 					}
 				}
-				if empty {
-					b = b[:start]
-				} else {
-					b = append(b, '\n')
+				if len(line) > head {
+					b = append(append(b, line...), '\n')
 				}
 			}
 		}

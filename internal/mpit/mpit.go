@@ -172,7 +172,7 @@ func (h *Handle) ReadAt(peers []int, out []uint64) error {
 		return fmt.Errorf("mpit: reading %s through a freed session", h.name)
 	}
 	if len(out) != len(peers) {
-		return fmt.Errorf("mpit: %s needs a buffer of %d elements for %d peers", h.name, len(peers), len(out))
+		return fmt.Errorf("mpit: %s needs a buffer of %d elements for %d peers, got %d", h.name, len(peers), len(peers), len(out))
 	}
 	if h.spec.bytes {
 		h.s.t.mon.BytesAt(h.spec.class, peers, out)

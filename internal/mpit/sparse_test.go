@@ -62,8 +62,9 @@ func TestSparseReadErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.ReadAt([]int{1, 2}, make([]uint64, 1)); err == nil {
-		t.Fatal("mismatched buffer length accepted")
+	err = h.ReadAt([]int{1, 2}, make([]uint64, 1))
+	if want := "mpit: " + VarCollBytes + " needs a buffer of 2 elements for 2 peers, got 1"; err == nil || err.Error() != want {
+		t.Fatalf("ReadAt with 2 peers and 1 element: %v, want %q", err, want)
 	}
 	s.Free()
 	if _, err := h.Touched(); err == nil {

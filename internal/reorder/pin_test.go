@@ -59,6 +59,6 @@ func TestFig1LoopEventsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := w.EngineStats()
-	golden.Check(t, "TestFig1LoopEventsPinned", fmt.Sprintf("events %d\nswitches %d\nmakespan %d\n%s",
+	golden.Check(t, fmt.Sprintf("events %d\nswitches %d\nmakespan %d\n%s",
 		st.Events, st.Switches, int64(w.MaxClock()), golden.Digest(w.State())))
 }

@@ -99,6 +99,6 @@ func TestSpanStreamPinned(t *testing.T) {
 	if err := telemetry.WriteChromeTrace(&chromeText, spans); err != nil {
 		t.Fatal(err)
 	}
-	golden.Check(t, "TestSpanStreamPinned", "case csv\n"+golden.Blocks(strings.Split(csvText.String(), "\n"), 256)+
+	golden.Check(t, "case csv\n"+golden.Blocks(strings.Split(csvText.String(), "\n"), 256)+
 		"case chrome\n"+golden.Blocks(strings.Split(chromeText.String(), "},{"), 256))
 }

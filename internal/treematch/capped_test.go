@@ -53,13 +53,13 @@ func countDegrades() (*atomic.Int64, func()) {
 
 // TestCappedPlacementsPinned pins the exact placements of the capped
 // refinement path (refineCapped and its per-pair swap search), which every
-// Table 1 order from 8192 up takes, in testdata/golden/TestCappedPlacementsPinned.txt.
+// Table 1 order from 8192 up takes, in testdata/golden/TestCappedPlacementsPinned/.
 // They match the placements recorded before the kernel's bound-pruned swap
 // search, hole-sift heap and exact-size matrix build: a faster kernel must
 // place every process on the same core.
 func TestCappedPlacementsPinned(t *testing.T) {
-	var text strings.Builder
 	t.Run("clustered", func(t *testing.T) {
+		var text strings.Builder
 		for _, tc := range []struct {
 			seed  int64
 			order int
@@ -77,10 +77,12 @@ func TestCappedPlacementsPinned(t *testing.T) {
 			if degrades.Load() == 0 {
 				t.Fatalf("seed %d order %d: mapping never took the capped path", tc.seed, tc.order)
 			}
-			fmt.Fprintf(&text, "case clustered seed=%d order=%d\n%s", tc.seed, tc.order, placementBlocks(coreOf))
+			fmt.Fprintf(&text, "case seed=%d order=%d\n%s", tc.seed, tc.order, placementBlocks(coreOf))
 		}
+		golden.Check(t, text.String())
 	})
 	t.Run("budget", func(t *testing.T) {
+		var text strings.Builder
 		small, large := topology.MustNew(4, 2, 6).FullTree(), topology.MustNew(8, 2, 16).FullTree()
 		for _, budget := range []int{64, 1024, 4096} {
 			restoreBudget := treematch.SetRefineBudget(budget)
@@ -111,8 +113,8 @@ func TestCappedPlacementsPinned(t *testing.T) {
 			}
 			fmt.Fprintf(&text, "case budget=%d\n%s", budget, placementBlocks(all))
 		}
+		golden.Check(t, text.String())
 	})
-	golden.Check(t, "TestCappedPlacementsPinned", text.String())
 }
 
 // TestMapTreeAllocs pins MapTree's allocations on the treematch-map inputs:
