@@ -157,9 +157,9 @@ func (s *Session) AllgatherSparse(flags Flags) (*sparsemat.Matrix, error) {
 
 // RootgatherSparse is AllgatherSparse delivering the sparse matrix to root
 // only; other ranks receive nil. The gather is streamed: root decodes one
-// member's row at a time from a reused buffer, so its transient memory is
-// bounded by the largest encoded row — not by n² and not even by the
-// concatenated rows. Collective.
+// member's row at a time from the message that carried it, so its transient
+// memory is bounded by the largest encoded row — not by n² and not even by
+// the concatenated rows. Collective.
 func (s *Session) RootgatherSparse(root int, flags Flags) (*sparsemat.Matrix, error) {
 	row, err := s.SparseData(flags)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 
 	"mpimon/internal/mpi"
 	"mpimon/internal/netsim"
+	"mpimon/internal/telemetry"
 )
 
 // ringTraffic sends one message of sz bytes around the ring so every rank
@@ -532,5 +533,66 @@ func TestAllgatherWireScalesWithNNZ(t *testing.T) {
 	// 8x means the encoding regressed toward dense.
 	if w32 >= 8*w8 {
 		t.Fatalf("allgather wire bytes grew %dx (from %d to %d) for 4x ranks; want ~linear in nnz", w32/w8, w8, w32)
+	}
+}
+
+// TestRootgatherSparseRecordsWait: when the other ranks compute before the
+// gather, root waits for their rows, and that wait is telemetry like any
+// receive's — a positive mpimon_recv_wait_ns sum on root and recv.wait
+// spans under root's gatherstream span.
+func TestRootgatherSparseRecordsWait(t *testing.T) {
+	const np, root = 4, 1
+	tel := telemetry.New()
+	w, err := mpi.NewWorld(netsim.PlaFRIM(1), np, mpi.WithEngine(mpi.EngineEvent), mpi.WithTelemetry(tel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait := tel.Registry().Histogram("mpimon_recv_wait_ns", telemetry.TimeBuckets, telemetry.L("rank", "1"))
+	var before int64
+	err = w.Run(func(c *mpi.Comm) error {
+		env, err := Init(c.Proc())
+		if err != nil {
+			return err
+		}
+		defer env.Finalize()
+		s, err := startSuspended(c, env, func() error { return ringTraffic(c, 100) })
+		if err != nil {
+			return err
+		}
+		defer s.Free()
+		if c.Rank() == root {
+			before = wait.Sum()
+		} else {
+			c.Proc().Compute(time.Millisecond)
+		}
+		_, err = s.RootgatherSparse(root, AllComm)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := wait.Sum() - before; got <= 0 {
+		t.Errorf("root's mpimon_recv_wait_ns grew by %d ns in the gather, want > 0", got)
+	}
+	var gather telemetry.Span
+	for _, sp := range tel.Rank(root).Spans() {
+		if sp.Name == "gatherstream" {
+			gather = sp
+		}
+	}
+	if gather.ID == 0 {
+		t.Fatal("root recorded no gatherstream span")
+	}
+	waits := 0
+	for _, sp := range tel.Rank(root).Spans() {
+		if sp.Name == "recv.wait" && sp.Parent == gather.ID {
+			waits++
+			if sp.Start < gather.Start || sp.End > gather.End || sp.End <= sp.Start {
+				t.Errorf("recv.wait span [%d, %d] outside its gatherstream span [%d, %d]", sp.Start, sp.End, gather.Start, gather.End)
+			}
+		}
+	}
+	if waits == 0 {
+		t.Error("root recorded no recv.wait span inside its gatherstream span")
 	}
 }

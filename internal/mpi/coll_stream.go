@@ -30,34 +30,13 @@ func (c *Comm) recvMsgOn(ctx, src, tag int) (*message, error) {
 	return m, err
 }
 
-// probeOn is Probe on an explicit context: it blocks until a matching
-// message is available, advances the clock to its arrival and returns its
-// Status without consuming it.
-func (c *Comm) probeOn(ctx, src, tag int) (Status, error) {
-	if c.p.world.ftOn.Load() {
-		if err := c.preRecv("probe"); err != nil {
-			return Status{}, err
-		}
-	}
-	saved := c.ctx
-	c.ctx = ctx
-	m, err := c.p.queue.peek(c, src, tag)
-	c.ctx = saved
-	if err != nil {
-		return Status{}, err
-	}
-	if m.arrival > c.p.clock {
-		c.p.clock = m.arrival
-	}
-	return Status{Source: m.src, Tag: m.tag, Size: m.size}, nil
-}
-
 // GatherStream collects every member's variable-length block at root,
 // handing each block to deliver(src, block) in ascending source order
 // instead of concatenating them: root's transient memory is bounded by the
 // largest single block, not by the sum — the point of the chunked
-// monitoring gathers on large worlds. The block slice is reused between
-// deliveries; deliver must copy anything it keeps. deliver is called on
+// monitoring gathers on large worlds. The block is the received message's
+// own payload, recycled once deliver returns; deliver must copy anything it
+// keeps. deliver is called on
 // root only (other ranks may pass nil) and an error from it aborts the
 // collective on root.
 func (c *Comm) GatherStream(send []byte, root int, deliver func(src int, block []byte) error) error {
@@ -81,7 +60,6 @@ func (c *Comm) gatherStream(send []byte, root int, deliver func(src int, block [
 	if deliver == nil {
 		return fmt.Errorf("mpi: gatherstream root needs a deliver function")
 	}
-	var buf []byte
 	for i := 0; i < n; i++ {
 		if i == root {
 			if err := deliver(i, send); err != nil {
@@ -89,21 +67,13 @@ func (c *Comm) gatherStream(send []byte, root int, deliver func(src int, block [
 			}
 			continue
 		}
-		st, err := c.probeOn(ctx, i, tagGast)
-		if err != nil {
-			return err
-		}
-		if st.Size > len(buf) {
-			buf = make([]byte, st.Size)
-		}
 		m, err := c.recvMsgOn(ctx, i, tagGast)
 		if err != nil {
 			return err
 		}
-		if _, err := m.deliver(buf[:st.Size]); err != nil {
-			return err
-		}
-		if err := deliver(i, buf[:st.Size]); err != nil {
+		err = deliver(i, m.data[:m.size])
+		m.release()
+		if err != nil {
 			return err
 		}
 	}
