@@ -115,12 +115,13 @@ nocommitcells:
 	@! grep -rnE 'commitagg\.(NewShard|Shard|Cell)|AddFlusher' --include='*.go' --exclude='*_test.go' cmd internal *.go
 
 # onecollpath keeps one path from a collective to the message layer: every
-# collective but AlltoallvBruck and GatherStream is a schedule run by the
-# interpreter of internal/mpi/coll_sched.go, so outside the tests only that
-# file and the two algorithms left as code may call the explicit-context
-# message calls.
+# collective but AlltoallvBruck is a schedule run by the interpreter of
+# internal/mpi/coll_sched.go. AlltoallvBruck stays code because the sizes of
+# its packed frames depend on the data that arrives. Outside the tests only
+# the interpreter and the Bruck loop (coll_portfolio.go) enter the
+# collective context.
 onecollpath:
-	@! grep -rnE '\.(sendOn|recvOn|sendCopyOn|sendMsgOn|recvMsgOn|recvReduceOn|sendrecvReduceOn)\(' --include='*.go' --exclude='*_test.go' . | grep -vE '^\./internal/mpi/(coll_sched|coll_portfolio|coll_stream)\.go:'
+	@! grep -rn '\.collCtx()' --include='*.go' --exclude='*_test.go' . | grep -vE '^\./internal/mpi/(coll_sched|coll_portfolio)\.go:'
 
 # apicheck pins the root package's exported API: the surface extracted by
 # cmd/apisurface must match the golden listing in docs/api_surface.txt.

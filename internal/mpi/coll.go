@@ -198,6 +198,26 @@ func (k *sched) gather(root int) *sched {
 	return k.rooted(root).then(phGather, root, tagGather)
 }
 
+// GatherStream collects every member's variable-length block at root,
+// handing each block to deliver(src, block) in ascending source order
+// instead of concatenating them: root's transient memory is bounded by the
+// largest single block, not by the sum — the point of the chunked
+// monitoring gathers on large worlds. The block is the received message's
+// own payload, recycled once deliver returns; deliver must copy anything it
+// keeps. deliver is called on root only (other ranks may pass nil), inside
+// the collective, so it must not call MPI on the communicator; an error
+// from it aborts the collective on root.
+func (c *Comm) GatherStream(send []byte, root int, deliver func(src int, block []byte) error) error {
+	k := c.sched(send, nil, len(send)).rooted(root)
+	if c.rank == root {
+		if deliver == nil {
+			k.fail(fmt.Errorf("mpi: gatherstream root needs a deliver function"))
+		}
+		k.sink = deliver
+	}
+	return c.run("gatherstream", k.then(phGather, root, tagGast))
+}
+
 // Gatherv collects variable-length blocks at root: every rank contributes
 // send, root receives rank i's data at recv[displs[i]:displs[i]+counts[i]].
 // counts and displs are significant at root only.

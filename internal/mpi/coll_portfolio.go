@@ -1,12 +1,14 @@
 package mpi
 
-// The Bruck alltoallv of the portfolio (see internal/coll). It stays code
-// rather than a schedule (coll_sched.go): what a round sends is a frame
-// packed from the blocks the rank holds, which depend on what earlier
-// rounds delivered. Like every other collective it decomposes into point-to-point
-// messages on the collective context, so the monitoring layer observes its
-// real traffic pattern — a different matrix than Alltoallv's, which is what
-// the autotuner's cost tables capture.
+// The Bruck alltoallv of the portfolio (see internal/coll). It is the one
+// collective that stays code rather than a schedule (coll_sched.go): what a
+// round sends is a frame packed from the blocks the rank holds, whose sizes
+// depend on what earlier rounds delivered, so its send list is not a
+// function of the step alone. Like every other collective it decomposes
+// into point-to-point messages on the collective context, entered once as
+// Comm.exec enters it, so the monitoring layer observes its real traffic
+// pattern — a different matrix than Alltoallv's, which is what the
+// autotuner's cost tables capture.
 
 import (
 	"encoding/binary"
@@ -28,7 +30,11 @@ func (c *Comm) AlltoallvBruck(send []byte, scounts, sdispls []int, recv []byte, 
 	defer c.span("alltoallv.bruck")()
 	c.p.beginInternal()
 	defer c.p.endInternal()
-	return c.herr(c.alltoallvBruck(send, scounts, sdispls, recv, rcounts, rdispls))
+	saved := c.ctx
+	c.ctx = c.collCtx()
+	err := c.alltoallvBruck(send, scounts, sdispls, recv, rcounts, rdispls)
+	c.ctx = saved
+	return c.herr(err)
 }
 
 func (c *Comm) alltoallvBruck(send []byte, scounts, sdispls []int, recv []byte, rcounts, rdispls []int) error {
@@ -40,7 +46,6 @@ func (c *Comm) alltoallvBruck(send []byte, scounts, sdispls []int, recv []byte, 
 	if n == 1 {
 		return nil
 	}
-	ctx := c.collCtx()
 
 	// staging[j] holds the block currently travelling at relative index
 	// j; initially my block for destination (rank+j)%n, finally the block
@@ -66,10 +71,10 @@ func (c *Comm) alltoallvBruck(send []byte, scounts, sdispls []int, recv []byte, 
 	for mask := 1; mask < n; mask, round = mask<<1, round+1 {
 		dst := (c.rank + mask) % n
 		src := (c.rank - mask + n) % n
-		if err := c.sendMsgOn(ctx, dst, tagBruck+round, bruckFrame(staging, mask)); err != nil {
+		if err := c.send(dst, tagBruck+round, bruckFrame(staging, mask), c.p.class()); err != nil {
 			return err
 		}
-		m, err := c.recvMsgOn(ctx, src, tagBruck+round)
+		m, err := c.recvMsg(src, tagBruck+round)
 		if err != nil {
 			return err
 		}

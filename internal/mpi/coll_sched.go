@@ -6,15 +6,15 @@ import (
 )
 
 // Collectives as data. Every collective of this package but AlltoallvBruck
-// (whose packed frames depend on what arrives) and GatherStream (whose
-// deliver callback must run on the root's own stack) is a schedule: for one
-// rank of an n-rank group, a short list of phases, each a fixed algorithm
-// whose k-th step is computed from k and the schedule's (n, rank, root,
-// block layout) alone. Nothing is materialised per call or per rank. One
-// interpreter (cursor) runs every schedule, so the entry bracket, payload
-// versus size-only runs, message ownership and error routing are written
-// once; and the same cursor is what the event engine advances in place
-// while the rank is parked in one of its receives (evScheduler.pickSwitch).
+// (coll_portfolio.go: the sizes of its packed frames depend on the data
+// that arrives) is a schedule: for one rank of an n-rank group, a short
+// list of phases, each a fixed algorithm whose k-th step is computed from
+// k and the schedule's (n, rank, root, block layout) alone. Nothing is
+// materialised per call or per rank. One interpreter (cursor) runs every
+// schedule, so the entry bracket, payload versus size-only runs, message
+// ownership and error routing are written once; and the same cursor is
+// what the event engine advances in place while the rank is parked in one
+// of its receives (evScheduler.pickSwitch).
 
 // recvKind is what a step does with the message it receives.
 type recvKind uint8
@@ -32,6 +32,12 @@ const (
 	// other operand; deliver then also copies the payload into the recv
 	// block.
 	rFold
+	// rStream hands the block from peer from to the schedule's sink — its
+	// own send buffer when from is this rank — instead of placing it. The
+	// message is received as by recvMsg, parked through parkRecv and never
+	// as the cursor, so no other rank advances a streaming root and the
+	// sink runs on the root's own stack.
+	rStream
 )
 
 // step is one round of a schedule: a local copy, then a send, then a
@@ -102,7 +108,8 @@ type layout struct {
 // sched is one rank's schedule of a collective: up to three phases run in
 // order, over a send and a recv buffer whose blocks the two layouts place.
 // size is the whole payload; without carry only sizes move, and the
-// buffers are nil. err is a validation error: such a schedule runs nothing.
+// buffers are nil. A streaming root's sink takes the blocks it gathers
+// (rStream). err is a validation error: such a schedule runs nothing.
 type sched struct {
 	n, rank int
 	ph      [3]phase
@@ -112,6 +119,7 @@ type sched struct {
 	op      Op
 	s, r    []byte
 	carry   bool
+	sink    func(src int, block []byte) error
 	err     error
 }
 
@@ -169,7 +177,10 @@ func (k *sched) then(kind phaseKind, root, tag int) *sched {
 	case phReduceBinomial:
 		slots = lg + 2
 	case phGather, phScatter:
-		slots = n
+		slots = 1 // a member's one message to or from root
+		if k.rank == root {
+			slots = n
+		}
 	case phRing, phPairwise, phPairFold:
 		slots = n - 1
 	case phRingFold:
@@ -322,11 +333,12 @@ func (k *sched) step(i int, st *step) {
 
 	case phGather, phScatter:
 		switch {
-		case rank != ph.root && i > 0:
 		case rank != ph.root && ph.kind == phGather:
 			st.sends, st.to, st.fromSend, st.sn = true, ph.root, true, k.size
 		case rank != ph.root:
 			st.recv, st.from, st.n = rInto, ph.root, k.size
+		case k.sink != nil:
+			st.recv, st.from = rStream, i
 		case i == rank:
 			*st = k.own()
 		case ph.kind == phGather:
@@ -553,7 +565,13 @@ func (k *cursor) run() error {
 		if err := k.local(); err != nil {
 			return k.finish(err)
 		}
-		if k.st.recv == rNone {
+		switch k.st.recv {
+		case rNone:
+			continue
+		case rStream:
+			if err := k.stream(); err != nil {
+				return k.finish(err)
+			}
 			continue
 		}
 		m, err := k.receive()
@@ -610,6 +628,21 @@ func (k *cursor) receive() (*message, error) {
 	}
 	p.arrive(m, k.before)
 	return m, nil
+}
+
+// stream carries out the current rStream step.
+func (k *cursor) stream() error {
+	from := k.st.from
+	if from == k.rank {
+		return k.sink(from, k.s)
+	}
+	m, err := k.c.recvMsg(from, k.st.tag)
+	if err != nil {
+		return err
+	}
+	err = k.sink(from, m.data[:m.size])
+	m.release()
+	return err
 }
 
 // advance drives the cursor from a wake-up of the rank parked in the

@@ -13,8 +13,8 @@ import (
 var scheduleNPs = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 48}
 
 // scheduled reports whether the pinned collective named name runs as a
-// schedule: all but the two left as code.
-func scheduled(name string) bool { return name != "AlltoallvBruck" && name != "GatherStream" }
+// schedule: all but the one left as code.
+func scheduled(name string) bool { return name != "AlltoallvBruck" }
 
 // runPinned runs the pinned collective pc at root on a fresh np-rank event
 // world and returns the world and the schedule each rank ran.
