@@ -50,8 +50,8 @@ type ServeConfig struct {
 	// ExportThreshold configures the batched row export: 0 batches one
 	// epoch per frame (threshold = NP, so the world's last Suspend of an
 	// epoch pushes everyone's rows in a single request), a positive value
-	// is used as the commit threshold directly, and a negative value
-	// restores the eager per-(rank, epoch) push path.
+	// is used as the commit threshold directly, and a negative value is an
+	// error.
 	ExportThreshold int
 }
 
@@ -129,6 +129,9 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 	}
 	if cfg.Worlds <= 0 || cfg.Epochs <= 0 {
 		return nil, fmt.Errorf("exp: serve needs at least one world and one epoch")
+	}
+	if cfg.ExportThreshold < 0 {
+		return nil, fmt.Errorf("exp: serve export threshold %d is negative", cfg.ExportThreshold)
 	}
 
 	base := cfg.BaseURL
@@ -210,19 +213,13 @@ func serveOneWorld(wi, gx int, base string, httpc *http.Client, cfg ServeConfig)
 	// Suspends for an epoch coalesce into one ingest frame instead of np
 	// requests. Threshold-only (the interval default is wall-clock, far
 	// shorter than a simulated epoch); epochs always flush ascending, so
-	// the daemon's retention watermark stays monotonic. Eager per-row
-	// export remains available for A/B comparison.
-	exporter := monitoring.RowExporter(client.ExportRow)
-	var batch *monitoring.BatchingRowExporter
-	if cfg.ExportThreshold >= 0 {
-		th := cfg.ExportThreshold
-		if th == 0 {
-			th = np
-		}
-		batch = monitoring.NewBatchingRowExporter(client.ExportRowBatch,
-			commitagg.Policy{Threshold: th, IntervalNs: -1})
-		exporter = batch.Export
+	// the daemon's retention watermark stays monotonic.
+	th := cfg.ExportThreshold
+	if th == 0 {
+		th = np
 	}
+	batch := monitoring.NewBatchingRowExporter(client.ExportRowBatch,
+		commitagg.Policy{Threshold: th, IntervalNs: -1})
 
 	w, err := PlaFRIMWorld(np, nil)
 	if err != nil {
@@ -246,7 +243,7 @@ func serveOneWorld(wi, gx int, base string, httpc *http.Client, cfg ServeConfig)
 		if err != nil {
 			return err
 		}
-		s.SetRowExporter(exporter)
+		s.SetRowExporter(batch.Export)
 		for e := 0; e < cfg.Epochs; e++ {
 			if err := StencilSkeleton(c, gx, cfg.Iters+e, msgBytes); err != nil {
 				return err
@@ -280,10 +277,8 @@ func serveOneWorld(wi, gx int, base string, httpc *http.Client, cfg ServeConfig)
 	}
 	// Barrier before reading the daemon's matrices: any rows still
 	// pending in the batching exporter must be on the daemon first.
-	if batch != nil {
-		if err := batch.Flush(); err != nil {
-			return ServeWorldRow{}, err
-		}
+	if err := batch.Flush(); err != nil {
+		return ServeWorldRow{}, err
 	}
 
 	row := ServeWorldRow{World: wi, Job: client.JobID, NP: np, EpochsPushed: cfg.Epochs}

@@ -54,6 +54,11 @@ func TestServeConfigValidation(t *testing.T) {
 	if _, err := Serve(bad); err == nil {
 		t.Fatal("zero worlds accepted")
 	}
+	bad = DefaultServe
+	bad.ExportThreshold = -1
+	if _, err := Serve(bad); err == nil {
+		t.Fatal("negative export threshold accepted")
+	}
 }
 
 // TestServeNoEviction: with Epochs <= Retention nothing compacts and the

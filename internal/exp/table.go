@@ -223,7 +223,7 @@ var experiments = []experiment{
 			fs.IntVar(&cfg.Iters, "iters", cfg.Iters, "base halo-exchange iterations per epoch")
 			fs.IntVar(&cfg.MsgBytes, "msg", cfg.MsgBytes, "base halo message size in bytes (skeleton)")
 			fs.StringVar(&cfg.BaseURL, "daemon", "", "base URL of an external mpimond (empty: in-process daemon)")
-			fs.IntVar(&cfg.ExportThreshold, "export-threshold", 0, "row-export commit threshold: 0 batches one epoch per frame, <0 exports eagerly per row, >0 sets the threshold")
+			fs.IntVar(&cfg.ExportThreshold, "export-threshold", 0, "row-export commit threshold: 0 batches one epoch per frame, >0 sets the threshold (negative is an error)")
 			return func(w io.Writer) error {
 				res, err := Serve(cfg)
 				if err != nil {

@@ -26,20 +26,6 @@ import (
 // call, qualifies; a per-row adapter does not and must be idempotent).
 type RowBatchSink func(epoch uint64, n int, ranks []int, rows []sparsemat.Row) error
 
-// PerRow adapts a per-row exporter to a batch sink by looping. Use only
-// with idempotent exporters: a mid-batch failure retries the whole
-// batch, re-delivering the rows that already succeeded.
-func PerRow(out RowExporter) RowBatchSink {
-	return func(epoch uint64, n int, ranks []int, rows []sparsemat.Row) error {
-		for i, r := range ranks {
-			if err := out(epoch, r, n, rows[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
 // DefaultExportRetries is how many consecutive failed flushes a batching
 // exporter tolerates before it drops its pending rows (unbounded growth
 // against a dead daemon would otherwise leak the whole run).
