@@ -1,12 +1,16 @@
 GO ?= go
 
-.PHONY: build test vet race flake fuzz regen-fig6 nodeprecated novhostclock noenginechoice nocommitcells onecollpath benchsmoke apicheck ci
+.PHONY: build fmt test vet race flake fuzz regen-fig6 nodeprecated novhostclock noenginechoice nocommitcells onecollpath benchsmoke apicheck ci
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails, listing the files, when any Go file is not gofmt-clean.
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "not gofmt-clean:"; echo "$$files"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -135,12 +139,12 @@ apicheck:
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# ci is the gate for a change: static checks, full build, the whole test
-# suite, the race tier on the instrumented packages, the flake tier on the
-# clock-sensitive ones, a few seconds of every fuzz target, the Fig. 6 heat
-# maps regenerated byte for byte, a one-iteration pass over every
-# benchmark, the exported-API pin, the no-deprecated-shims
+# ci is the gate for a change: the gofmt check, static checks, full build,
+# the whole test suite, the race tier on the instrumented packages, the
+# flake tier on the clock-sensitive ones, a few seconds of every fuzz
+# target, the Fig. 6 heat maps regenerated byte for byte, a one-iteration
+# pass over every benchmark, the exported-API pin, the no-deprecated-shims
 # check, the no-host-clock check on the virtual-time path, the
 # no-engine-choice check on the drivers, the no-commit-cells check on the
 # telemetry counters and the one-collective-path check.
-ci: vet build test race flake fuzz regen-fig6 benchsmoke apicheck nodeprecated novhostclock noenginechoice nocommitcells onecollpath
+ci: fmt vet build test race flake fuzz regen-fig6 benchsmoke apicheck nodeprecated novhostclock noenginechoice nocommitcells onecollpath

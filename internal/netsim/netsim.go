@@ -157,10 +157,10 @@ func FatNode(nodes int) *Machine {
 	return &Machine{
 		Topo: topo,
 		Links: []LinkParams{
-			{Latency: 1500 * time.Nanosecond, Bandwidth: 25e9},  // inter-node, 200 Gb/s HDR
-			{Latency: 300 * time.Nanosecond, Bandwidth: 150e9},  // same node, cross board
-			{Latency: 200 * time.Nanosecond, Bandwidth: 250e9},  // same board
-			{Latency: 100 * time.Nanosecond, Bandwidth: 300e9},  // self
+			{Latency: 1500 * time.Nanosecond, Bandwidth: 25e9}, // inter-node, 200 Gb/s HDR
+			{Latency: 300 * time.Nanosecond, Bandwidth: 150e9}, // same node, cross board
+			{Latency: 200 * time.Nanosecond, Bandwidth: 250e9}, // same board
+			{Latency: 100 * time.Nanosecond, Bandwidth: 300e9}, // self
 		},
 		SendOverhead:   250 * time.Nanosecond,
 		RecvOverhead:   250 * time.Nanosecond,
