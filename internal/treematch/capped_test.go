@@ -51,12 +51,35 @@ func countDegrades() (*atomic.Int64, func()) {
 	return &n, func() { treematch.OnRefineDegrade = prev }
 }
 
+// mapClustered maps a clustered matrix of the given order, in clusters of
+// cluster processes, onto nodes of 32 cores, and fails the test unless the
+// mapping took the capped path.
+func mapClustered(t *testing.T, seed int64, order, cluster int) []int {
+	t.Helper()
+	degrades, restore := countDegrades()
+	defer restore()
+	m, err := treematch.FromView(upperView(workloads.ClusteredSparse(order, cluster, 1000, 1, seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coreOf, err := treematch.MapTree(m, topology.MustNew(order/32, 2, 16).FullTree())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if degrades.Load() == 0 {
+		t.Fatalf("seed %d order %d: mapping never took the capped path", seed, order)
+	}
+	return coreOf
+}
+
 // TestCappedPlacementsPinned pins the exact placements of the capped
 // refinement path (refineCapped and its per-pair swap search), which every
 // Table 1 order from 8192 up takes, in testdata/golden/TestCappedPlacementsPinned/.
 // They match the placements recorded before the kernel's bound-pruned swap
 // search, hole-sift heap and exact-size matrix build: a faster kernel must
-// place every process on the same core.
+// place every process on the same core. Clusters of 32 fill a node each,
+// so their placements need few swaps; clusters of 48 straddle two nodes,
+// and their placement changes when a part pair's swap is not applied.
 func TestCappedPlacementsPinned(t *testing.T) {
 	t.Run("clustered", func(t *testing.T) {
 		var text strings.Builder
@@ -64,22 +87,15 @@ func TestCappedPlacementsPinned(t *testing.T) {
 			seed  int64
 			order int
 		}{{7, 8192}, {7, 16384}, {1, 16384}} {
-			degrades, restore := countDegrades()
-			m, err := treematch.FromView(upperView(workloads.ClusteredSparse(tc.order, 32, 1000, 1, tc.seed)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			coreOf, err := treematch.MapTree(m, topology.MustNew(tc.order/32, 2, 16).FullTree())
-			restore()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if degrades.Load() == 0 {
-				t.Fatalf("seed %d order %d: mapping never took the capped path", tc.seed, tc.order)
-			}
+			coreOf := mapClustered(t, tc.seed, tc.order, 32)
 			fmt.Fprintf(&text, "case seed=%d order=%d\n%s", tc.seed, tc.order, placementBlocks(coreOf))
 		}
 		golden.Check(t, text.String())
+	})
+	t.Run("straddling", func(t *testing.T) {
+		const seed, order, cluster = 7, 8192, 48
+		coreOf := mapClustered(t, seed, order, cluster)
+		golden.Check(t, fmt.Sprintf("case seed=%d order=%d cluster=%d\n%s", seed, order, cluster, placementBlocks(coreOf)))
 	})
 	t.Run("budget", func(t *testing.T) {
 		var text strings.Builder
