@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // Collectives as data. Every collective of this package but AlltoallvBruck
@@ -124,14 +125,14 @@ type sched struct {
 }
 
 // skeleton starts the schedule of a size-only collective, whose messages
-// carry size bytes of nothing, in the rank's cursor, which it builds on
-// the rank's first collective; sched that of a collective that moves the
-// payloads of send and recv. A schedule is built in place, by the methods
-// below, and run by Comm.run or Comm.exec.
+// carry size bytes of nothing, in the rank's cursor, which it takes from
+// cursors; sched that of a collective that moves the payloads of send and
+// recv. A schedule is built in place, by the methods below, and run by
+// Comm.run or Comm.exec.
 func (c *Comm) skeleton(size int) *sched {
 	cur := c.p.cur
 	if cur == nil {
-		cur = new(cursor)
+		cur = cursors.Get().(*cursor)
 		c.p.cur = cur
 	}
 	cur.sched = sched{n: len(c.group), rank: c.rank, size: size}
@@ -533,12 +534,20 @@ func (c *Comm) exec(k *sched) error {
 		c.ctx = saved
 	}
 	*cur = cursor{} // keeps neither the communicator nor the buffers alive
+	c.p.cur = nil
+	cursors.Put(cur)
 	return err
 }
 
+// cursors holds the cursors of the ranks outside a collective. A rank
+// holds one only from building a schedule to the end of its run, so the
+// cursors alive are those of the ranks inside a collective at once: on a
+// rooted gather, whose members send and return, a handful at any size.
+var cursors = sync.Pool{New: func() any { return new(cursor) }}
+
 // cursor is a rank's position in the schedule it runs: the step index, the
-// message it holds to forward, and the errors so far. Each rank keeps one,
-// built on its first collective and reused by every later one. The rank
+// message it holds to forward, and the errors so far. A rank takes one
+// from cursors for each collective and gives it back at the end. The rank
 // drives it through run; on the event engine, while the rank is parked in
 // one of its receives, whoever picks the rank drives it through advance,
 // on its own stack, without a switch to the rank's coroutine. Both make

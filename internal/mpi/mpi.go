@@ -284,7 +284,7 @@ type Proc struct {
 	internal int   // >0 while executing inside a collective implementation
 	mpiTime  int64 // virtual ns spent in top-level MPI calls
 	rng      *rand.Rand
-	cur      *cursor // the collective schedule cursor, built on the first collective
+	cur      *cursor // the collective schedule cursor, while the rank is in a collective
 
 	// dead and deathErr record this process's own materialized failure;
 	// owned by the process goroutine.
