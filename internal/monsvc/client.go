@@ -153,6 +153,9 @@ func (c *Client) Matrix(selector string) (*sparsemat.Matrix, error) {
 // matrix rebuilds the sparse matrix of a wire document (dense or
 // sparse form).
 func (d *matrixDoc) matrix() (*sparsemat.Matrix, error) {
+	if d.Size < 0 {
+		return nil, fmt.Errorf("monsvc: matrix document of negative size %d", d.Size)
+	}
 	if d.Sparse || (d.Counts == nil && d.Bytes == nil) {
 		m := sparsemat.New(d.Size)
 		for _, row := range d.Rows {

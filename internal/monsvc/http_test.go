@@ -316,3 +316,27 @@ func TestRowsFromMatrix(t *testing.T) {
 		t.Fatalf("rowsFromMatrix = %+v", rows)
 	}
 }
+
+// TestClientMatrixRejectsBadSize serves malformed /matrix documents and
+// checks Client.Matrix returns an error for each instead of panicking: a
+// negative size, sparse or dense (-2 squared passes the length check), and
+// a size whose square overflows.
+func TestClientMatrixRejectsBadSize(t *testing.T) {
+	for _, doc := range []string{
+		`{"size":-1,"sparse":true}`,
+		`{"size":-2,"counts":[1,2,3,4],"bytes":[1,2,3,4]}`,
+		`{"size":4294967296,"counts":[],"bytes":[]}`,
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, doc)
+		}))
+		c := NewClient(srv.URL)
+		c.JobID = "j"
+		m, err := c.Matrix("")
+		srv.Close()
+		if err == nil {
+			t.Fatalf("Matrix accepted %s as a %d-rank matrix", doc, m.N)
+		}
+	}
+}

@@ -245,6 +245,9 @@ func (m *Matrix) Dense() (counts, bytes []uint64) {
 // FromDense builds the sparse matrix of a row-major n-by-n count/byte
 // matrix pair (entries where either is nonzero).
 func FromDense(counts, bytes []uint64, n int) (*Matrix, error) {
+	if n < 0 || n > 0 && n > math.MaxInt/n {
+		return nil, fmt.Errorf("sparsemat: impossible matrix order %d", n)
+	}
 	if len(counts) != n*n || len(bytes) != n*n {
 		return nil, fmt.Errorf("sparsemat: %d/%d entries is not %dx%d", len(counts), len(bytes), n, n)
 	}
