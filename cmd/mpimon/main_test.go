@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"mpimon/internal/golden"
 	"mpimon/internal/telemetry"
 )
 
@@ -371,5 +372,26 @@ func TestMetricsHandlerMethodAndContentType(t *testing.T) {
 		if allow := resp.Header.Get("Allow"); allow != http.MethodGet {
 			t.Fatalf("%s /metrics Allow = %q, want GET", method, allow)
 		}
+	}
+}
+
+// TestRunJSONPinned pins the whole -json report, matrix and analysis
+// included, for a ring at np 8 and a reordered groups run at np 24.
+func TestRunJSONPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    config
+	}{
+		{"ring_np8", cfg("ring", 8, func(c *config) { c.jsonOut = true })},
+		{"groups_np24_reorder", cfg("groups", 24, func(c *config) { c.jsonOut = true; c.reorder = true })},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			tc.c.stdout = &buf
+			if err := run(tc.c); err != nil {
+				t.Fatal(err)
+			}
+			golden.Check(t, buf.String())
+		})
 	}
 }
