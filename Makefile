@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test vet race flake fuzz regen-fig6 nodeprecated novhostclock noenginechoice nocommitcells onecollpath benchsmoke apicheck ci
+.PHONY: build fmt test vet race flake fuzz regen-fig6 nodeprecated novhostclock noenginechoice nocommitcells onecollpath benchsmoke apicheck loc ci
 
 build:
 	$(GO) build ./...
@@ -138,6 +138,13 @@ apicheck:
 # cannot bit-rot; it measures nothing.
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# loc prints the two line counts ROADMAP item 4 tracks: non-test Go and
+# test Go outside bench/. It is informational and not part of ci.
+LOCFILES = find . -name '*.go' -not -path './bench/*' -not -path './.git/*'
+loc:
+	@$(LOCFILES) -not -name '*_test.go' -exec cat {} + | wc -l | xargs printf 'non-test Go outside bench/: %s\n'
+	@$(LOCFILES) -name '*_test.go' -exec cat {} + | wc -l | xargs printf 'test Go outside bench/:     %s\n'
 
 # ci is the gate for a change: the gofmt check, static checks, full build,
 # the whole test suite, the race tier on the instrumented packages, the

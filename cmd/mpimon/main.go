@@ -326,15 +326,17 @@ func execute(cfg *config) (*report, *telemetry.Telemetry, error) {
 		if err := s.Suspend(); err != nil {
 			return err
 		}
-		matC, matB, err := s.RootgatherData(0, monitoring.AllComm)
+		sm, err := s.RootgatherSparse(0, monitoring.AllComm)
 		if err != nil {
 			return err
 		}
 		if c.Rank() == 0 {
 			var msgs, vol uint64
-			for i := range matC {
-				msgs += matC[i]
-				vol += matB[i]
+			for _, r := range sm.Rows {
+				for k := range r.Dst {
+					msgs += r.Cnt[k]
+					vol += r.Byt[k]
+				}
 			}
 			rep.BaseNs = int64(baseline)
 			rep.Messages = msgs
@@ -344,13 +346,13 @@ func execute(cfg *config) (*report, *telemetry.Telemetry, error) {
 					baseline, cfg.iters, msgs, float64(vol)/1e6)
 			}
 			if cfg.matrix || cfg.jsonOut {
-				rep.Matrix = matB
+				_, rep.Matrix = sm.Dense()
 				if !quiet {
-					printMatrix(out, matB, cfg.np)
+					printMatrix(out, rep.Matrix, cfg.np)
 				}
 			}
 			if cfg.analyze || cfg.jsonOut {
-				a, err := analyzeMatrix(sparsemat.DenseView(matB, cfg.np), mach, place)
+				a, err := analyzeMatrix(sm, mach, place)
 				if err != nil {
 					return err
 				}
@@ -463,7 +465,7 @@ func makePhase(workload string, np, bytes int, class string) (func(*mpi.Comm) er
 	}
 }
 
-func analyzeMatrix(v sparsemat.MatrixView, mach *netsim.Machine, place []int) (*analysis, error) {
+func analyzeMatrix(v *sparsemat.Matrix, mach *netsim.Machine, place []int) (*analysis, error) {
 	sum, err := matstat.Summarize(v)
 	if err != nil {
 		return nil, err

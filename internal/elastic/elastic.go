@@ -43,15 +43,13 @@ type Plan struct {
 	MigrationBytes int64
 }
 
-// ReconfigureView computes a new placement of the n = v.Order() ranks onto
+// ReconfigureView computes a new placement of the n = v.N ranks onto
 // the avail cores using TreeMatch on the communication matrix, then
 // minimizes disturbance: within every topology node, ranks that already
 // sit on one of the node's newly assigned cores keep their core.
-// stateBytes is each rank's migration payload for the cost estimate. Pass
-// a gathered *sparsemat.Matrix directly or wrap a dense matrix with
-// sparsemat.DenseView; the plan is identical either way.
-func ReconfigureView(v sparsemat.MatrixView, topo *topology.Topology, oldPlace []int, avail []int, stateBytes int64) (Plan, error) {
-	n := v.Order()
+// stateBytes is each rank's migration payload for the cost estimate.
+func ReconfigureView(v *sparsemat.Matrix, topo *topology.Topology, oldPlace []int, avail []int, stateBytes int64) (Plan, error) {
+	n := v.N
 	if len(oldPlace) != n {
 		return Plan{}, fmt.Errorf("elastic: old placement has %d entries for %d ranks", len(oldPlace), n)
 	}

@@ -41,7 +41,7 @@ func TestReconfigureAfterNodeFailure(t *testing.T) {
 	oldPlace := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	// Node 1 (cores 4..7) dies; nodes 0 and 2 survive.
 	avail := Shrink(topo, 1)
-	plan, err := ReconfigureView(sparsemat.DenseView(pairMatrix(n), n), topo, oldPlace, avail, 1<<20)
+	plan, err := ReconfigureView(matrixOf(t, pairMatrix(n), n), topo, oldPlace, avail, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestReconfigureKeepsWellPlacedRanks(t *testing.T) {
 	// stabilization must keep everyone in place.
 	oldPlace := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	avail := Shrink(topo)
-	plan, err := ReconfigureView(sparsemat.DenseView(pairMatrix(n), n), topo, oldPlace, avail, 1)
+	plan, err := ReconfigureView(matrixOf(t, pairMatrix(n), n), topo, oldPlace, avail, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestReconfigureKeepsWellPlacedRanks(t *testing.T) {
 	}
 	// Every pair must still be co-located, and the total cost must not
 	// exceed the old placement's.
-	m, _ := treematch.FromView(sparsemat.DenseView(pairMatrix(n), n))
+	m, _ := treematch.FromView(matrixOf(t, pairMatrix(n), n))
 	if treematch.Cost(m, plan.Placement, topo) > treematch.Cost(m, oldPlace, topo) {
 		t.Fatal("reconfiguration worsened the placement")
 	}
@@ -124,7 +124,7 @@ func TestReconfigureGrowth(t *testing.T) {
 		}
 	}
 	avail := Shrink(topo) // both nodes, 16 cores for 8 ranks
-	plan, err := ReconfigureView(sparsemat.DenseView(mat, n), topo, oldPlace, avail, 1)
+	plan, err := ReconfigureView(matrixOf(t, mat, n), topo, oldPlace, avail, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +148,35 @@ func TestReconfigureGrowth(t *testing.T) {
 
 func TestReconfigureValidation(t *testing.T) {
 	topo := topology.MustNew(2, 2)
-	if _, err := ReconfigureView(sparsemat.DenseView(make([]uint64, 4), 2), topo, []int{0}, []int{0, 1}, 0); err == nil {
+	if _, err := ReconfigureView(sparsemat.New(2), topo, []int{0}, []int{0, 1}, 0); err == nil {
 		t.Fatal("short old placement should fail")
 	}
-	if _, err := ReconfigureView(sparsemat.DenseView(make([]uint64, 4), 2), topo, []int{0, 1}, []int{0}, 0); err == nil {
+	if _, err := ReconfigureView(sparsemat.New(2), topo, []int{0, 1}, []int{0}, 0); err == nil {
 		t.Fatal("too few available cores should fail")
 	}
-	if _, err := ReconfigureView(sparsemat.DenseView(make([]uint64, 3), 2), topo, []int{0, 1}, []int{0, 1}, 0); err == nil {
+	if _, err := ReconfigureView(&sparsemat.Matrix{N: 2, Rows: make([]sparsemat.Row, 1)}, topo, []int{0, 1}, []int{0, 1}, 0); err == nil {
 		t.Fatal("malformed matrix should fail")
 	}
+}
+
+func TestReconfigureSparseErrors(t *testing.T) {
+	topo := topology.MustNew(2, 2)
+	sm := sparsemat.New(2)
+	if _, err := ReconfigureView(sm, topo, []int{0}, []int{0, 1}, 0); err == nil {
+		t.Fatal("placement length mismatch accepted")
+	}
+	if _, err := ReconfigureView(sm, topo, []int{0, 1}, []int{0}, 0); err == nil {
+		t.Fatal("too few available cores accepted")
+	}
+}
+
+// matrixOf is the matrix of a row-major n-by-n bytes plane, with the bytes
+// as counts.
+func matrixOf(t *testing.T, bytes []uint64, n int) *sparsemat.Matrix {
+	t.Helper()
+	m, err := sparsemat.FromDense(bytes, bytes, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

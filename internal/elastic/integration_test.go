@@ -45,7 +45,7 @@ func TestReconfigureEndToEnd(t *testing.T) {
 	// the explicit clock advance below trips the death.
 	const deathAt = time.Hour
 	fplan := &faults.Plan{Deaths: []faults.NodeDeath{{Node: 2, At: deathAt}}}
-	var mat []uint64
+	var mat *sparsemat.Matrix
 	var avail []int
 	w1, err := mpi.NewWorld(mach, np, mpi.WithPlacement(oldPlace), mpi.WithFaultPlan(fplan))
 	if err != nil {
@@ -67,7 +67,7 @@ func TestReconfigureEndToEnd(t *testing.T) {
 		if err := s.Suspend(); err != nil {
 			return err
 		}
-		_, m, err := s.RootgatherData(0, monitoring.AllComm)
+		m, err := s.RootgatherSparse(0, monitoring.AllComm)
 		if err != nil {
 			return err
 		}
@@ -148,7 +148,7 @@ func TestReconfigureEndToEnd(t *testing.T) {
 	naive := relaunch(avail[:np])
 
 	// Matrix-driven relaunch.
-	plan, err := ReconfigureView(sparsemat.DenseView(mat, np), topo, oldPlace, avail, 0)
+	plan, err := ReconfigureView(mat, topo, oldPlace, avail, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

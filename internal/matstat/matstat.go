@@ -30,11 +30,10 @@ type Summary struct {
 	Diagonal uint64
 }
 
-// Summarize computes the aggregates of a matrix view: O(nnz) over a
-// gathered sparse matrix, O(n²) over a sparsemat.DenseView.
-func Summarize(v sparsemat.MatrixView) (Summary, error) {
-	// The pair visit runs first: it validates the view, so a malformed one
-	// is reported before its order sizes the per-rank array below.
+// Summarize computes the aggregates of a matrix in O(nnz).
+func Summarize(v *sparsemat.Matrix) (Summary, error) {
+	// The pair visit runs first: it validates the matrix, so a malformed
+	// one is reported before its order sizes the per-rank array below.
 	deg := 0
 	err := v.VisitPairs(func(_, _ int, bij, bji uint64) error {
 		if bij|bji != 0 {
@@ -45,7 +44,7 @@ func Summarize(v sparsemat.MatrixView) (Summary, error) {
 	if err != nil {
 		return Summary{}, err
 	}
-	n := v.Order()
+	n := v.N
 	s := Summary{N: n}
 	out := make([]uint64, n)
 	err = v.VisitRows(func(i, j int, b uint64) error {
@@ -112,9 +111,9 @@ func (l Locality) NodeFraction() float64 {
 // ComputeLocality classifies every directed entry of the matrix by the
 // shared topology level of its endpoints under the placement
 // (rank -> core).
-func ComputeLocality(v sparsemat.MatrixView, topo *topology.Topology, place []int) (Locality, error) {
-	if len(place) != v.Order() {
-		return Locality{}, fmt.Errorf("matstat: placement has %d entries for %d ranks", len(place), v.Order())
+func ComputeLocality(v *sparsemat.Matrix, topo *topology.Topology, place []int) (Locality, error) {
+	if len(place) != v.N {
+		return Locality{}, fmt.Errorf("matstat: placement has %d entries for %d ranks", len(place), v.N)
 	}
 	loc := Locality{ByLevel: make([]uint64, topo.Depth()+1)}
 	err := v.VisitRows(func(i, j int, b uint64) error {
@@ -136,7 +135,7 @@ type Pair struct {
 
 // TopPairs returns the k heaviest directed pairs, descending (ties by
 // source then destination rank for determinism).
-func TopPairs(v sparsemat.MatrixView, k int) ([]Pair, error) {
+func TopPairs(v *sparsemat.Matrix, k int) ([]Pair, error) {
 	var pairs []Pair
 	err := v.VisitRows(func(i, j int, b uint64) error {
 		if i != j {
@@ -164,8 +163,8 @@ func TopPairs(v sparsemat.MatrixView, k int) ([]Pair, error) {
 
 // BisectionBytes returns the traffic crossing an even rank bisection
 // (ranks < n/2 versus the rest), a quick pattern fingerprint.
-func BisectionBytes(v sparsemat.MatrixView) (uint64, error) {
-	half := v.Order() / 2
+func BisectionBytes(v *sparsemat.Matrix) (uint64, error) {
+	half := v.N / 2
 	var cross uint64
 	err := v.VisitRows(func(i, j int, b uint64) error {
 		if (i < half) != (j < half) {

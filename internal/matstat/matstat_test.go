@@ -9,10 +9,9 @@ import (
 	"mpimon/internal/topology"
 )
 
-// bothViews returns the two representations of one row-major n-by-n bytes
-// matrix — DenseView over it and the sparse matrix built from it — so every
-// statistic below is checked over both.
-func bothViews(t *testing.T, bytes []uint64, n int) map[string]sparsemat.MatrixView {
+// matrixOf returns the matrix of a row-major n-by-n bytes plane, one
+// message per nonzero entry.
+func matrixOf(t *testing.T, bytes []uint64, n int) *sparsemat.Matrix {
 	t.Helper()
 	counts := make([]uint64, len(bytes))
 	for i, b := range bytes {
@@ -24,7 +23,7 @@ func bothViews(t *testing.T, bytes []uint64, n int) map[string]sparsemat.MatrixV
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]sparsemat.MatrixView{"dense": sparsemat.DenseView(bytes, n), "sparse": sm}
+	return sm
 }
 
 // ringMatrix builds the n-rank ring bytes matrix with w bytes per edge.
@@ -55,17 +54,15 @@ func TestSummarize(t *testing.T) {
 			Summary{N: 2, Total: 7, NonzeroPairs: 1, MaxRankOut: 7, MinRankOut: 0, Diagonal: 7}, 0},
 		{"empty", nil, 0, Summary{}, 1},
 	} {
-		for name, v := range bothViews(t, tc.mat, tc.n) {
-			s, err := Summarize(v)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", tc.name, name, err)
-			}
-			if s != tc.want {
-				t.Errorf("%s/%s: summary %+v, want %+v", tc.name, name, s, tc.want)
-			}
-			if s.Imbalance() != tc.imbalance {
-				t.Errorf("%s/%s: imbalance %v, want %v", tc.name, name, s.Imbalance(), tc.imbalance)
-			}
+		s, err := Summarize(matrixOf(t, tc.mat, tc.n))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if s != tc.want {
+			t.Errorf("%s: summary %+v, want %+v", tc.name, s, tc.want)
+		}
+		if s.Imbalance() != tc.imbalance {
+			t.Errorf("%s: imbalance %v, want %v", tc.name, s.Imbalance(), tc.imbalance)
 		}
 	}
 }
@@ -76,29 +73,28 @@ func TestComputeLocality(t *testing.T) {
 	mat := make([]uint64, n*n)
 	mat[0*n+1] = 100 // ranks 0,1
 	mat[2*n+3] = 50  // ranks 2,3
-	for name, v := range bothViews(t, mat, n) {
-		// Packed placement: 0,1 on node 0; 2,3 on node 1 -> all node-local.
-		loc, err := ComputeLocality(v, topo, []int{0, 1, 2, 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if loc.NodeFraction() != 1 {
-			t.Fatalf("%s: packed locality = %v, want 1", name, loc.NodeFraction())
-		}
-		// Round-robin placement: 0,2 on node 0; 1,3 on node 1 -> all cross.
-		loc, err = ComputeLocality(v, topo, []int{0, 2, 1, 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if loc.NodeFraction() != 0 {
-			t.Fatalf("%s: spread locality = %v, want 0", name, loc.NodeFraction())
-		}
-		if loc.ByLevel[0] != 150 {
-			t.Fatalf("%s: cross-switch bytes %d, want 150", name, loc.ByLevel[0])
-		}
-		if _, err := ComputeLocality(v, topo, []int{0}); err == nil {
-			t.Fatalf("%s: short placement should fail", name)
-		}
+	v := matrixOf(t, mat, n)
+	// Packed placement: 0,1 on node 0; 2,3 on node 1 -> all node-local.
+	loc, err := ComputeLocality(v, topo, []int{0, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loc.NodeFraction() != 1 {
+		t.Fatalf("packed locality = %v, want 1", loc.NodeFraction())
+	}
+	// Round-robin placement: 0,2 on node 0; 1,3 on node 1 -> all cross.
+	loc, err = ComputeLocality(v, topo, []int{0, 2, 1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loc.NodeFraction() != 0 {
+		t.Fatalf("spread locality = %v, want 0", loc.NodeFraction())
+	}
+	if loc.ByLevel[0] != 150 {
+		t.Fatalf("cross-switch bytes %d, want 150", loc.ByLevel[0])
+	}
+	if _, err := ComputeLocality(v, topo, []int{0}); err == nil {
+		t.Fatal("short placement should fail")
 	}
 }
 
@@ -117,43 +113,40 @@ func TestTopPairs(t *testing.T) {
 	mat[2*n+0] = 30
 	mat[1*n+2] = 5
 	mat[2*n+2] = 99 // self-traffic is not a pair
-	for name, v := range bothViews(t, mat, n) {
-		pairs, err := TopPairs(v, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Two 30-byte pairs tie; (1,0) sorts before (2,0).
-		want := []Pair{{Src: 1, Dst: 0, Bytes: 30}, {Src: 2, Dst: 0, Bytes: 30}}
-		if !reflect.DeepEqual(pairs, want) {
-			t.Fatalf("%s: pairs = %v, want %v", name, pairs, want)
-		}
-		all, err := TopPairs(v, 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(all) != 4 {
-			t.Fatalf("%s: all pairs = %v", name, all)
-		}
+	v := matrixOf(t, mat, n)
+	pairs, err := TopPairs(v, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two 30-byte pairs tie; (1,0) sorts before (2,0).
+	want := []Pair{{Src: 1, Dst: 0, Bytes: 30}, {Src: 2, Dst: 0, Bytes: 30}}
+	if !reflect.DeepEqual(pairs, want) {
+		t.Fatalf("pairs = %v, want %v", pairs, want)
+	}
+	all, err := TopPairs(v, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 4 {
+		t.Fatalf("all pairs = %v", all)
 	}
 }
 
 func TestBisectionBytes(t *testing.T) {
 	// Edges 0-1, 1-2, 2-3, 3-0: two cross the half split.
-	for name, v := range bothViews(t, ringMatrix(4, 10), 4) {
-		cross, err := BisectionBytes(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cross != 20 {
-			t.Fatalf("%s: bisection = %d, want 20", name, cross)
-		}
+	v := matrixOf(t, ringMatrix(4, 10), 4)
+	cross, err := BisectionBytes(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cross != 20 {
+		t.Fatalf("bisection = %d, want 20", cross)
 	}
 }
 
-// TestViewsAgree pins every statistic of a sparse matrix to the same
-// statistic of DenseView over its densified bytes plane, on random traffic
-// with count-only (zero-byte) entries, so the reorder/elastic/report layers
-// can consume the gathered sparse matrix without densifying first.
+// TestViewsAgree pins every statistic of a matrix with count-only
+// (zero-byte) entries to the same statistic of the matrix of its bytes
+// plane alone, on random traffic: a zero-byte send moves no statistic.
 func TestViewsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	topo := topology.MustNew(2, 4)
@@ -178,46 +171,44 @@ func TestViewsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dense := sparsemat.DenseView(bytes, n)
+		plane := matrixOf(t, bytes, n)
 
-		wantS, errD := Summarize(dense)
+		wantS, errD := Summarize(plane)
 		gotS, errS := Summarize(sm)
 		if errD != nil || errS != nil || wantS != gotS {
-			t.Fatalf("summary diverged:\ndense:  %+v %v\nsparse: %+v %v", wantS, errD, gotS, errS)
+			t.Fatalf("summary diverged:\nbytes plane: %+v %v\nmatrix:      %+v %v", wantS, errD, gotS, errS)
 		}
-		wantL, errD := ComputeLocality(dense, topo, place)
+		wantL, errD := ComputeLocality(plane, topo, place)
 		gotL, errS := ComputeLocality(sm, topo, place)
 		if errD != nil || errS != nil || !reflect.DeepEqual(wantL, gotL) {
-			t.Fatalf("locality diverged:\ndense:  %+v %v\nsparse: %+v %v", wantL, errD, gotL, errS)
+			t.Fatalf("locality diverged:\nbytes plane: %+v %v\nmatrix:      %+v %v", wantL, errD, gotL, errS)
 		}
-		wantP, errD := TopPairs(dense, 5)
+		wantP, errD := TopPairs(plane, 5)
 		gotP, errS := TopPairs(sm, 5)
 		if errD != nil || errS != nil || !reflect.DeepEqual(wantP, gotP) {
-			t.Fatalf("top pairs diverged:\ndense:  %+v %v\nsparse: %+v %v", wantP, errD, gotP, errS)
+			t.Fatalf("top pairs diverged:\nbytes plane: %+v %v\nmatrix:      %+v %v", wantP, errD, gotP, errS)
 		}
-		wantB, errD := BisectionBytes(dense)
+		wantB, errD := BisectionBytes(plane)
 		gotB, errS := BisectionBytes(sm)
 		if errD != nil || errS != nil || wantB != gotB {
-			t.Fatalf("bisection bytes: dense %d %v, sparse %d %v", wantB, errD, gotB, errS)
+			t.Fatalf("bisection bytes: bytes plane %d %v, matrix %d %v", wantB, errD, gotB, errS)
 		}
 	}
 }
 
-// TestMalformedViews: a dense slice of the wrong length and a sparse matrix
-// with a short row list or an out-of-range destination are errors of every
-// statistic, not panics.
+// TestMalformedViews: a matrix with a short row list or an out-of-range
+// destination is an error of every statistic, not a panic.
 func TestMalformedViews(t *testing.T) {
 	topo := topology.MustNew(2, 2)
-	for name, v := range map[string]sparsemat.MatrixView{
-		"dense length": sparsemat.DenseView(make([]uint64, 4), 3),
-		"row count":    &sparsemat.Matrix{N: 3, Rows: make([]sparsemat.Row, 2)},
+	for name, v := range map[string]*sparsemat.Matrix{
+		"row count": &sparsemat.Matrix{N: 3, Rows: make([]sparsemat.Row, 2)},
 		"bad row": &sparsemat.Matrix{N: 2, Rows: []sparsemat.Row{
 			{Dst: []int32{5}, Cnt: []uint64{1}, Byt: []uint64{1}}, {}}},
 	} {
 		if _, err := Summarize(v); err == nil {
 			t.Errorf("%s: accepted by Summarize", name)
 		}
-		if _, err := ComputeLocality(v, topo, make([]int, v.Order())); err == nil {
+		if _, err := ComputeLocality(v, topo, make([]int, v.N)); err == nil {
 			t.Errorf("%s: accepted by ComputeLocality", name)
 		}
 		if _, err := TopPairs(v, 3); err == nil {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"slices"
 
@@ -372,42 +371,23 @@ func flagNames(f Flags) string {
 	return out[:len(out)-1]
 }
 
-// sparseRowJSON is one nonzero row of the sparse JSON document.
-type sparseRowJSON struct {
-	Src    int      `json:"src"`
-	Dst    []int32  `json:"dst"`
-	Counts []uint64 `json:"counts"`
-	Bytes  []uint64 `json:"bytes"`
-}
-
-// matrixJSON is the stable wire format of WriteJSON. Exactly one of the
-// dense pair (Counts, Bytes) or the sparse Rows list is present: dense
-// documents carry the full row-major matrices, sparse documents one entry
-// per nonzero row with parallel dst/counts/bytes arrays.
+// matrixJSON is the stable document of WriteJSON: the session and flags
+// around the matrix body sparsemat encodes and decodes (dense row-major
+// counts and bytes, or one sparse row per nonzero row).
 type matrixJSON struct {
-	Session int             `json:"session"`
-	Size    int             `json:"size"`
-	Flags   string          `json:"flags"`
-	Counts  []uint64        `json:"counts,omitempty"`
-	Bytes   []uint64        `json:"bytes,omitempty"`
-	Rows    []sparseRowJSON `json:"rows,omitempty"`
-	Sparse  bool            `json:"sparse,omitempty"`
-}
-
-// denseJSONCheaper decides the dense/sparse crossover of WriteJSON: a
-// dense document stores 2n² numbers, a sparse one roughly 3 per nonzero
-// entry — dense wins only while 3·nnz ≥ n² (see docs/PERFORMANCE.md).
-func denseJSONCheaper(n, nnz int) bool {
-	return 3*nnz >= n*n
+	Session int    `json:"session"`
+	Flags   string `json:"flags"`
+	sparsemat.JSONBody
 }
 
 // WriteJSON gathers the matrix at root 0 and writes it as one JSON
 // document — a machine-readable alternative to RootFlush for external
 // tooling. Small or dense matrices are written densely ({"counts",
 // "bytes"} row-major, the historical format); past the dense/sparse
-// crossover the document carries one {"src","dst","counts","bytes"} entry
-// per nonzero row instead, so the file size follows nnz, not n².
-// ReadMatrixJSON accepts both. Collective; non-root ranks write nothing.
+// crossover of sparsemat.NewJSONBody the document carries one
+// {"src","dst","counts","bytes"} entry per nonzero row instead, so the
+// file size follows nnz, not n². ReadMatrixJSON accepts both. Collective;
+// non-root ranks write nothing.
 func (s *Session) WriteJSON(w io.Writer, flags Flags) error {
 	sm, err := s.RootgatherSparse(0, flags)
 	if err != nil {
@@ -416,61 +396,20 @@ func (s *Session) WriteJSON(w io.Writer, flags Flags) error {
 	if s.comm.Rank() != 0 {
 		return nil
 	}
-	n := s.n
-	doc := matrixJSON{
-		Session: int(s.id),
-		Size:    n,
-		Flags:   flagNames(flags),
+	body, err := sparsemat.NewJSONBody(sm, "auto")
+	if err != nil {
+		return err
 	}
-	if denseJSONCheaper(n, sm.NNZ()) {
-		doc.Counts, doc.Bytes = sm.Dense()
-	} else {
-		doc.Sparse = true
-		for i := range sm.Rows {
-			r := sm.Rows[i]
-			if len(r.Dst) == 0 {
-				continue
-			}
-			doc.Rows = append(doc.Rows, sparseRowJSON{Src: i, Dst: r.Dst, Counts: r.Cnt, Bytes: r.Byt})
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	return json.NewEncoder(w).Encode(matrixJSON{Session: int(s.id), Flags: flagNames(flags), JSONBody: body})
 }
 
 // ReadMatrixJSON parses a document written by WriteJSON — dense or sparse
-// — returning the dense counts and bytes matrices and their dimension.
-func ReadMatrixJSON(r io.Reader) (counts, bytes []uint64, n int, err error) {
+// — into the sparse matrix, validating it as sparsemat.JSONBody.Matrix
+// does.
+func ReadMatrixJSON(r io.Reader) (*sparsemat.Matrix, error) {
 	var doc matrixJSON
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
-	n = doc.Size
-	if n < 0 || n > 0 && n > math.MaxInt/n {
-		return nil, nil, 0, fmt.Errorf("monitoring: matrix document of impossible size %d", n)
-	}
-	if doc.Sparse || (doc.Counts == nil && doc.Bytes == nil && doc.Rows != nil) {
-		counts = make([]uint64, n*n)
-		bytes = make([]uint64, n*n)
-		for _, row := range doc.Rows {
-			if row.Src < 0 || row.Src >= n {
-				return nil, nil, 0, fmt.Errorf("monitoring: sparse row source %d outside %d ranks", row.Src, n)
-			}
-			if len(row.Counts) != len(row.Dst) || len(row.Bytes) != len(row.Dst) {
-				return nil, nil, 0, fmt.Errorf("monitoring: malformed sparse row of rank %d", row.Src)
-			}
-			for k, d := range row.Dst {
-				if d < 0 || int(d) >= n {
-					return nil, nil, 0, fmt.Errorf("monitoring: sparse destination %d outside %d ranks", d, n)
-				}
-				counts[row.Src*n+int(d)] = row.Counts[k]
-				bytes[row.Src*n+int(d)] = row.Bytes[k]
-			}
-		}
-		return counts, bytes, n, nil
-	}
-	if len(doc.Counts) != n*n || len(doc.Bytes) != n*n {
-		return nil, nil, 0, fmt.Errorf("monitoring: malformed matrix document (%d entries for size %d)", len(doc.Counts), doc.Size)
-	}
-	return doc.Counts, doc.Bytes, n, nil
+	return doc.Matrix()
 }

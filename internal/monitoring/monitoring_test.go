@@ -861,14 +861,14 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 		}
 		return s.Free()
 	})
-	counts, bytesMat, n, err := ReadMatrixJSON(&doc)
+	m, err := ReadMatrixJSON(&doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != np || counts[0*np+2] != 1 || bytesMat[0*np+2] != 77 {
-		t.Fatalf("JSON round trip wrong: n=%d counts=%v bytes=%v", n, counts, bytesMat)
+	if cnt, byt := m.At(0, 2); m.N != np || cnt != 1 || byt != 77 || m.NNZ() != 1 {
+		t.Fatalf("JSON round trip wrong: n=%d rows=%v", m.N, m.Rows)
 	}
-	if _, _, _, err := ReadMatrixJSON(strings.NewReader(`{"size":2,"counts":[1],"bytes":[1]}`)); err == nil {
+	if _, err := ReadMatrixJSON(strings.NewReader(`{"size":2,"counts":[1],"bytes":[1]}`)); err == nil {
 		t.Fatal("malformed document should fail")
 	}
 }

@@ -6,13 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"mpimon/internal/mpi"
 	"mpimon/internal/netsim"
+	"mpimon/internal/sparsemat"
 	"mpimon/internal/telemetry"
 )
 
@@ -288,12 +288,13 @@ func TestWriteJSONCrossoverAndReadBack(t *testing.T) {
 	if !bytes.Contains(buf.Bytes(), []byte(`"sparse":true`)) {
 		t.Fatalf("ring matrix JSON is not sparse: %s", buf.String())
 	}
-	gotC, gotB, n, err := ReadMatrixJSON(bytes.NewReader(buf.Bytes()))
+	sm, err := ReadMatrixJSON(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != np || !equalU64(gotC, wantC) || !equalU64(gotB, wantB) {
-		t.Fatalf("sparse JSON round-trip mismatch (n=%d)", n)
+	gotC, gotB := sm.Dense()
+	if sm.N != np || !equalU64(gotC, wantC) || !equalU64(gotB, wantB) {
+		t.Fatalf("sparse JSON round-trip mismatch (n=%d)", sm.N)
 	}
 
 	// Dense crossover: a tiny world where everybody talks to everybody.
@@ -329,31 +330,61 @@ func TestWriteJSONCrossoverAndReadBack(t *testing.T) {
 	if bytes.Contains(buf.Bytes(), []byte(`"sparse":true`)) {
 		t.Fatalf("all-pairs matrix JSON should be dense: %s", buf.String())
 	}
-	if _, _, n, err := ReadMatrixJSON(bytes.NewReader(buf.Bytes())); err != nil || n != 3 {
-		t.Fatalf("dense JSON round-trip: n=%d err=%v", n, err)
+	if sm, err := ReadMatrixJSON(bytes.NewReader(buf.Bytes())); err != nil || sm.N != 3 || sm.NNZ() != 6 {
+		t.Fatalf("dense JSON round-trip: %+v err=%v", sm, err)
 	}
 }
 
-// FuzzReadMatrixJSON: a document ReadMatrixJSON accepts gives n ≥ 0 and
-// two matrices of n² entries, n² not wrapping. The checked-in corpus holds a negative size (dense and
-// sparse), a size whose square overflows int, and a dense and a sparse
-// document WriteJSON wrote. A document declaring more than 1024 ranks,
-// with an n² that fits an int, is skipped: reading it allocates its n²
-// matrices, as it should.
+// FuzzReadMatrixJSON drives the one matrix-document decoder,
+// sparsemat.JSONBody.Matrix, through ReadMatrixJSON. An accepted document
+// gives N ≥ 0 and N rows that each pass Row.Validate, and encoding the
+// matrix in either format and decoding it again gives the same count and
+// byte matrices (and, sparse, the same entries: the dense format has no
+// cell for an entry of zero count and zero bytes). The checked-in corpus holds
+// negative sizes (dense, sparse, and one whose square is the dense arrays'
+// length), a size whose square overflows int, a sparse row with unsorted
+// and one with repeated destinations, and a dense and a sparse document
+// WriteJSON wrote. A document declaring more than 1024 (and at most 2³¹)
+// ranks is skipped: reading it allocates its N rows and the dense
+// re-encoding N² cells, as they should.
 func FuzzReadMatrixJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		var head struct {
 			Size int `json:"size"`
 		}
-		if json.NewDecoder(bytes.NewReader(doc)).Decode(&head) == nil && head.Size > 1024 && head.Size <= math.MaxInt/head.Size {
+		if json.NewDecoder(bytes.NewReader(doc)).Decode(&head) == nil && head.Size > 1024 && int64(head.Size) <= 1<<31 {
 			t.Skip()
 		}
-		counts, byt, n, err := ReadMatrixJSON(bytes.NewReader(doc))
+		m, err := ReadMatrixJSON(bytes.NewReader(doc))
 		if err != nil {
 			return
 		}
-		if n < 0 || n > 0 && n > math.MaxInt/n || len(counts) != n*n || len(byt) != n*n {
-			t.Fatalf("ReadMatrixJSON(%q) = %d counts, %d bytes, n = %d", doc, len(counts), len(byt), n)
+		if m.N < 0 || len(m.Rows) != m.N {
+			t.Fatalf("ReadMatrixJSON(%q) = %d rows for N = %d", doc, len(m.Rows), m.N)
+		}
+		for i, r := range m.Rows {
+			if err := r.Validate(m.N); err != nil {
+				t.Fatalf("ReadMatrixJSON(%q): row %d: %v", doc, i, err)
+			}
+		}
+		for _, format := range []string{"sparse", "dense"} {
+			body, err := sparsemat.NewJSONBody(m, format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			js, err := json.Marshal(matrixJSON{JSONBody: body})
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := ReadMatrixJSON(bytes.NewReader(js))
+			if err != nil {
+				t.Fatalf("%s re-encoding of %q rejected: %v", format, doc, err)
+			}
+			gc, gb := back.Dense()
+			wc, wb := m.Dense()
+			if back.N != m.N || !equalU64(gc, wc) || !equalU64(gb, wb) || format == "sparse" && back.NNZ() != m.NNZ() {
+				t.Fatalf("%s re-encoding of %q decodes to %+v, want %+v", format, doc, back, m)
+			}
 		}
 	})
 }

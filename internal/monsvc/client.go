@@ -147,31 +147,5 @@ func (c *Client) Matrix(selector string) (*sparsemat.Matrix, error) {
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("monsvc: decoding matrix: %w", err)
 	}
-	return doc.matrix()
-}
-
-// matrix rebuilds the sparse matrix of a wire document (dense or
-// sparse form).
-func (d *matrixDoc) matrix() (*sparsemat.Matrix, error) {
-	if d.Size < 0 {
-		return nil, fmt.Errorf("monsvc: matrix document of negative size %d", d.Size)
-	}
-	if d.Sparse || (d.Counts == nil && d.Bytes == nil) {
-		m := sparsemat.New(d.Size)
-		for _, row := range d.Rows {
-			if row.Src < 0 || int(row.Src) >= d.Size {
-				return nil, fmt.Errorf("monsvc: row source %d outside %d ranks", row.Src, d.Size)
-			}
-			r := sparsemat.Row{Dst: row.Dst, Cnt: row.Counts, Byt: row.Bytes}
-			if err := r.Validate(d.Size); err != nil {
-				return nil, err
-			}
-			m.Rows[row.Src] = r
-		}
-		return m, nil
-	}
-	if len(d.Counts) != d.Size*d.Size || len(d.Bytes) != d.Size*d.Size {
-		return nil, fmt.Errorf("monsvc: malformed dense document (%d/%d entries for size %d)", len(d.Counts), len(d.Bytes), d.Size)
-	}
-	return sparsemat.FromDense(d.Counts, d.Bytes, d.Size)
+	return doc.Matrix()
 }

@@ -171,27 +171,15 @@ func (s *Service) handleRows(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// matrixDoc is the GET /matrix wire format — the same dense/sparse
-// crossover as the library's WriteJSON: dense documents carry row-major
-// counts/bytes, sparse ones one {src,dst,counts,bytes} entry per
-// nonzero row.
+// matrixDoc is the GET /matrix document: the job, name, epoch and nnz
+// around the matrix body sparsemat encodes and decodes, the same body as
+// the library's WriteJSON.
 type matrixDoc struct {
-	Job    string          `json:"job"`
-	Name   string          `json:"name,omitempty"`
-	Epoch  string          `json:"epoch"`
-	Size   int             `json:"size"`
-	NNZ    int             `json:"nnz"`
-	Counts []uint64        `json:"counts,omitempty"`
-	Bytes  []uint64        `json:"bytes,omitempty"`
-	Rows   []sparseRowJSON `json:"rows,omitempty"`
-	Sparse bool            `json:"sparse,omitempty"`
-}
-
-type sparseRowJSON struct {
-	Src    int32    `json:"src"`
-	Dst    []int32  `json:"dst"`
-	Counts []uint64 `json:"counts"`
-	Bytes  []uint64 `json:"bytes"`
+	Job   string `json:"job"`
+	Name  string `json:"name,omitempty"`
+	Epoch string `json:"epoch"`
+	NNZ   int    `json:"nnz"`
+	sparsemat.JSONBody
 }
 
 // epochLabel names the epoch a view resolved to.
@@ -208,28 +196,12 @@ func (s *Service) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	doc := matrixDoc{Job: v.JobID, Name: v.Name, Epoch: epochLabel(v), Size: v.N, NNZ: v.NNZ}
-	format := r.URL.Query().Get("format")
-	dense := 3*v.NNZ >= v.N*v.N // the WriteJSON crossover
-	switch format {
-	case "", "auto":
-	case "dense":
-		dense = true
-	case "sparse":
-		dense = false
-	default:
-		httpError(w, fmt.Errorf("%w: format %q (want auto, dense or sparse)", ErrBadSelector, format))
+	body, err := sparsemat.NewJSONBody(v.Matrix(), r.URL.Query().Get("format"))
+	if err != nil {
+		httpError(w, fmt.Errorf("%w: %w", ErrBadSelector, err))
 		return
 	}
-	if dense {
-		doc.Counts, doc.Bytes = v.Matrix().Dense()
-	} else {
-		doc.Sparse = true
-		for _, rr := range v.Rows {
-			doc.Rows = append(doc.Rows, sparseRowJSON{Src: rr.Rank, Dst: rr.Row.Dst, Counts: rr.Row.Cnt, Bytes: rr.Row.Byt})
-		}
-	}
-	writeJSON(w, http.StatusOK, doc)
+	writeJSON(w, http.StatusOK, matrixDoc{Job: v.JobID, Name: v.Name, Epoch: epochLabel(v), NNZ: v.NNZ, JSONBody: body})
 }
 
 // summaryDoc is the GET /summary payload: the matstat sparse statistics

@@ -184,7 +184,7 @@ func TestHTTPMatrixFormats(t *testing.T) {
 		if err := json.Unmarshal([]byte(body), &d); err != nil {
 			t.Fatal(err)
 		}
-		m, err := d.matrix()
+		m, err := d.Matrix()
 		if err != nil {
 			t.Fatal(err)
 		}

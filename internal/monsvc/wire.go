@@ -12,10 +12,12 @@
 // cumulative state, so memory stays O(sum of live nnz) while the
 // whole-run view survives. Idle jobs are evicted wholesale.
 //
-// The read side is the point: GET /matrix (dense/sparse JSON via the
-// same crossover the library's WriteJSON uses), /heatmap (SVG or TSV),
-// /summary (matstat sparse statistics), and a fleet-level Prometheus
-// /metrics endpoint that merges every job's registry under a job label.
+// The read side is the point: GET /matrix (dense or sparse JSON, encoded
+// by sparsemat.NewJSONBody, the one encoder the library's WriteJSON uses
+// too, and decoded by Client.Matrix through JSONBody.Matrix), /heatmap
+// (SVG or TSV), /summary (matstat sparse statistics), and a fleet-level
+// Prometheus /metrics endpoint that merges every job's registry under a
+// job label.
 package monsvc
 
 import (

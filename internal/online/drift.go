@@ -25,20 +25,20 @@ import (
 // score up to 2 (1 when one side is empty). A nil reference scores 1
 // against any non-empty current matrix — the "nothing was optimized yet"
 // drift that forces the initial mapping.
-func Drift(ref, cur sparsemat.MatrixView) (float64, error) {
-	if ref != nil && cur != nil && ref.Order() != cur.Order() {
-		return 0, fmt.Errorf("online: drift between orders %d and %d", ref.Order(), cur.Order())
+func Drift(ref, cur *sparsemat.Matrix) (float64, error) {
+	if ref != nil && cur != nil && ref.N != cur.N {
+		return 0, fmt.Errorf("online: drift between orders %d and %d", ref.N, cur.N)
 	}
 	// Fold both symmetric affinities into one pair-keyed accumulator:
 	// reference adds, current subtracts; what survives is the signed
 	// per-pair difference.
 	diff := make(map[uint64]float64)
 	var totRef, totCur float64
-	add := func(v sparsemat.MatrixView, sign float64, tot *float64) error {
+	add := func(v *sparsemat.Matrix, sign float64, tot *float64) error {
 		if v == nil {
 			return nil
 		}
-		n := uint64(v.Order())
+		n := uint64(v.N)
 		return v.VisitPairs(func(i, j int, bij, bji uint64) error {
 			w := float64(bij) + float64(bji)
 			if w == 0 {

@@ -277,11 +277,7 @@ func (ctl *Controller) decide(dec *Decision, epoch *sparsemat.Matrix, winDur tim
 	// (empty window) is skipped rather than fatal.
 	_ = ctl.pred.Observe(ctl.comm.Proc().Clock(), float64(epochBytes))
 
-	var ref sparsemat.MatrixView
-	if ctl.ref != nil {
-		ref = ctl.ref
-	}
-	if dec.Drift, err = Drift(ref, cur); err != nil {
+	if dec.Drift, err = Drift(ctl.ref, cur); err != nil {
 		return nil, err
 	}
 	if !Drifted(dec.Drift, driftThreshold) && ctl.ref != nil {

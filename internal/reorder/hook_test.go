@@ -9,6 +9,7 @@ import (
 	"mpimon/internal/netsim"
 	"mpimon/internal/online"
 	"mpimon/internal/reorder"
+	"mpimon/internal/sparsemat"
 	"mpimon/internal/telemetry"
 	"mpimon/internal/topology"
 	"mpimon/internal/treematch"
@@ -19,7 +20,7 @@ import (
 // refinement (fired here by the injected mapping function) shows up as
 // mpimon_treematch_refine_degraded_total whichever path mapped.
 func TestRefineDegradeCountedOnBothPaths(t *testing.T) {
-	reorder.SwapMapFn(t, func(v reorder.MatrixView, topo *topology.Topology, place []int) ([]int, error) {
+	reorder.SwapMapFn(t, func(v *sparsemat.Matrix, topo *topology.Topology, place []int) ([]int, error) {
 		if hook := treematch.OnRefineDegrade; hook != nil {
 			hook(treematch.RefineDegrade{})
 		}

@@ -118,20 +118,13 @@ func NewRanks(coreOf, place []int) ([]int, error) {
 	return k, nil
 }
 
-// MatrixView is the unified communication-matrix view ComputeMapping
-// consumes: both the gathered *sparsemat.Matrix and a dense bytes matrix
-// wrapped with sparsemat.DenseView satisfy it.
-type MatrixView = sparsemat.MatrixView
-
 // ComputeMapping is the paper's compute_mapping: from the gathered bytes
 // matrix, the machine topology and the current placement of the n
-// communicator members, it returns the k vector. It runs on rank 0 only.
-// It accepts any MatrixView — pass the sparse matrix from RootgatherSparse
-// directly, or wrap a row-major dense matrix with sparsemat.DenseView; the
-// permutation is bit-identical either way.
-func ComputeMapping(v MatrixView, topo *topology.Topology, place []int) ([]int, error) {
-	if len(place) != v.Order() {
-		return nil, fmt.Errorf("reorder: placement of %d entries for %d ranks", len(place), v.Order())
+// communicator members, it returns the k vector. It runs on rank 0 only,
+// on the matrix RootgatherSparse returns.
+func ComputeMapping(v *sparsemat.Matrix, topo *topology.Topology, place []int) ([]int, error) {
+	if len(place) != v.N {
+		return nil, fmt.Errorf("reorder: placement of %d entries for %d ranks", len(place), v.N)
 	}
 	m, err := treematch.FromView(v)
 	if err != nil {
@@ -155,9 +148,9 @@ func ComputeMapping(v MatrixView, topo *topology.Topology, place []int) ([]int, 
 // matrix has drifted only moderately this is far cheaper than a full
 // TreeMatch and returns the identity permutation when no swap improves —
 // the online controller's low-drift path.
-func ComputeMappingWarm(v MatrixView, topo *topology.Topology, place []int, passes int) ([]int, error) {
-	if len(place) != v.Order() {
-		return nil, fmt.Errorf("reorder: placement of %d entries for %d ranks", len(place), v.Order())
+func ComputeMappingWarm(v *sparsemat.Matrix, topo *topology.Topology, place []int, passes int) ([]int, error) {
+	if len(place) != v.N {
+		return nil, fmt.Errorf("reorder: placement of %d entries for %d ranks", len(place), v.N)
 	}
 	m, err := treematch.FromView(v)
 	if err != nil {
@@ -451,11 +444,11 @@ func Redistribute(comm *mpi.Comm, k []int, data []byte) ([]byte, error) {
 // StaticPlacement computes a launch-time placement from a communication
 // matrix of a previous run — the static strategy the paper contrasts with
 // its dynamic reordering (monitor once, re-execute with the better
-// mapping): given the gathered matrix (any MatrixView) and the machine
-// topology, it returns the rank-to-core placement to pass to a new world
-// via WithPlacement. cores selects the usable cores (nil = all).
-func StaticPlacement(v MatrixView, topo *topology.Topology, cores []int) ([]int, error) {
-	n := v.Order()
+// mapping): given the gathered matrix and the machine topology, it
+// returns the rank-to-core placement to pass to a new world via
+// WithPlacement. cores selects the usable cores (nil = all).
+func StaticPlacement(v *sparsemat.Matrix, topo *topology.Topology, cores []int) ([]int, error) {
+	n := v.N
 	m, err := treematch.FromView(v)
 	if err != nil {
 		return nil, err

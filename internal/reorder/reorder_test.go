@@ -62,7 +62,7 @@ func TestComputeMappingIdentityWhenAlreadyOptimal(t *testing.T) {
 	mat := make([]uint64, n*n)
 	mat[0*n+1], mat[2*n+3] = 1000, 1000
 	place := []int{0, 1, 2, 3}
-	k, err := ComputeMapping(sparsemat.DenseView(mat, n), topo, place)
+	k, err := ComputeMapping(matrixOf(t, mat, n), topo, place)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestStaticPlacement(t *testing.T) {
 			}
 		}
 	}
-	place, err := StaticPlacement(sparsemat.DenseView(mat, n), topo, nil)
+	place, err := StaticPlacement(matrixOf(t, mat, n), topo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,13 +286,37 @@ func TestStaticPlacement(t *testing.T) {
 	}
 	// Restricted core set.
 	cores := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	if _, err := StaticPlacement(sparsemat.DenseView(mat, n), topo, cores); err != nil {
+	if _, err := StaticPlacement(matrixOf(t, mat, n), topo, cores); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := StaticPlacement(sparsemat.DenseView(mat, n), topo, cores[:3]); err == nil {
+	if _, err := StaticPlacement(matrixOf(t, mat, n), topo, cores[:3]); err == nil {
 		t.Fatal("too few cores should fail")
 	}
-	if _, err := StaticPlacement(sparsemat.DenseView(mat, 99), topo, nil); err == nil {
+	if _, err := StaticPlacement(sparsemat.New(99), topo, nil); err == nil {
 		t.Fatal("more ranks than cores should fail")
 	}
+}
+
+func TestComputeMappingErrors(t *testing.T) {
+	topo := topology.MustNew(2, 2)
+	place := []int{0, 1, 2, 3}
+	sm := &sparsemat.Matrix{N: 4, Rows: make([]sparsemat.Row, 3)}
+	if _, err := ComputeMapping(sm, topo, place); err == nil {
+		t.Fatal("row-count mismatch accepted")
+	}
+	bad := &sparsemat.Matrix{N: 4, Rows: []sparsemat.Row{{Dst: []int32{4}, Cnt: []uint64{1}, Byt: []uint64{1}}, {}, {}, {}}}
+	if _, err := ComputeMapping(bad, topo, place); err == nil {
+		t.Fatal("out-of-range destination accepted")
+	}
+}
+
+// matrixOf is the matrix of a row-major n-by-n bytes plane, with the bytes
+// as counts.
+func matrixOf(t *testing.T, bytes []uint64, n int) *sparsemat.Matrix {
+	t.Helper()
+	m, err := sparsemat.FromDense(bytes, bytes, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

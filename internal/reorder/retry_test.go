@@ -85,7 +85,7 @@ func runReorder(t *testing.T, opts []Opt, tel *telemetry.Telemetry) (k []int, re
 
 func TestReorderRetryExhaustionFallsBackToIdentity(t *testing.T) {
 	var calls atomic.Int32
-	SwapMapFn(t, func(v sparsemat.MatrixView, topo *topology.Topology, place []int) ([]int, error) {
+	SwapMapFn(t, func(v *sparsemat.Matrix, topo *topology.Topology, place []int) ([]int, error) {
 		calls.Add(1)
 		return nil, errors.New("synthetic mapping failure")
 	})
@@ -115,7 +115,7 @@ func TestReorderRetryExhaustionFallsBackToIdentity(t *testing.T) {
 func TestReorderRetrySucceedsEventually(t *testing.T) {
 	var calls atomic.Int32
 	real := mapFn
-	SwapMapFn(t, func(v sparsemat.MatrixView, topo *topology.Topology, place []int) ([]int, error) {
+	SwapMapFn(t, func(v *sparsemat.Matrix, topo *topology.Topology, place []int) ([]int, error) {
 		if calls.Add(1) < 3 {
 			return nil, errors.New("transient failure")
 		}
@@ -190,7 +190,7 @@ func TestReorderMappingTimeout(t *testing.T) {
 
 func TestReorderNoFallbackPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
-	SwapMapFn(t, func(v sparsemat.MatrixView, topo *topology.Topology, place []int) ([]int, error) {
+	SwapMapFn(t, func(v *sparsemat.Matrix, topo *topology.Topology, place []int) ([]int, error) {
 		return nil, fmt.Errorf("mapping: %w", boom)
 	})
 	opts := []Opt{WithoutIdentityFallback()}
@@ -201,7 +201,7 @@ func TestReorderNoFallbackPropagatesError(t *testing.T) {
 }
 
 func TestReorderBackoffChargesVirtualTime(t *testing.T) {
-	SwapMapFn(t, func(v sparsemat.MatrixView, topo *topology.Topology, place []int) ([]int, error) {
+	SwapMapFn(t, func(v *sparsemat.Matrix, topo *topology.Topology, place []int) ([]int, error) {
 		return nil, errors.New("always fails")
 	})
 	// The exact difference needs the event engine's deterministic clock:

@@ -40,16 +40,34 @@ func sameDense(t *testing.T, a, b *Matrix) {
 	for i := range da {
 		for j := range da[i] {
 			if da[i][j] != db[i][j] {
-				t.Fatalf("affinity (%d,%d): dense %v, sparse %v", i, j, da[i][j], db[i][j])
+				t.Fatalf("affinity (%d,%d): %v, want %v", i, j, db[i][j], da[i][j])
 			}
 		}
 	}
 }
 
-// TestFromViewBitIdentical pins that the two representations of one
-// matrix — the sparse rows and DenseView over their densified bytes plane —
-// give bit-identical affinities, and hence identical TreeMatch placements,
-// including matrices with zero-byte nonzero-count entries.
+// bruteAffinity is the reference FromView must agree with: O(n²) over the
+// densified bytes plane, the affinity float64(i→j) + float64(j→i) of every
+// pair i < j added when positive.
+func bruteAffinity(sm *sparsemat.Matrix) *Matrix {
+	_, bytes := sm.Dense()
+	n := sm.N
+	m := NewMatrix(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if w := float64(bytes[i*n+j]) + float64(bytes[j*n+i]); w > 0 {
+				m.Add(i, j, w)
+			}
+		}
+	}
+	m.Finish()
+	return m
+}
+
+// TestFromViewBitIdentical pins FromView to the O(n²) reference: the same
+// affinities bit for bit, and hence the same TreeMatch placements,
+// including matrices with zero-byte nonzero-count entries and one-way
+// pairs.
 func TestFromViewBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, tc := range []struct {
@@ -66,28 +84,24 @@ func TestFromViewBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, densified := sm.Dense()
-			dense, err := FromView(sparsemat.DenseView(densified, tc.n))
+			want := bruteAffinity(sm)
+			got, err := FromView(sm)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sparse, err := FromView(sm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameDense(t, dense, sparse)
+			sameDense(t, want, got)
 
-			pd, err := MapTree(dense, tc.topo.FullTree())
+			pw, err := MapTree(want, tc.topo.FullTree())
 			if err != nil {
 				t.Fatal(err)
 			}
-			ps, err := MapTree(sparse, tc.topo.FullTree())
+			pg, err := MapTree(got, tc.topo.FullTree())
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range pd {
-				if pd[i] != ps[i] {
-					t.Fatalf("n %d trial %d: placement diverged at %d: %v vs %v", tc.n, trial, i, pd, ps)
+			for i := range pw {
+				if pw[i] != pg[i] {
+					t.Fatalf("n %d trial %d: placement diverged at %d: %v vs %v", tc.n, trial, i, pw, pg)
 				}
 			}
 		}
@@ -133,7 +147,11 @@ func TestFromViewPadded(t *testing.T) {
 	bytes := []uint64{0, 100, 100, 0}
 	dense4 := make([]uint64, 16)
 	dense4[0*4+1], dense4[1*4+0] = 100, 100
-	want, err := FromView(sparsemat.DenseView(dense4, 4))
+	sm4, err := sparsemat.FromDense(dense4, dense4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := FromView(sm4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,15 +159,13 @@ func TestFromViewPadded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, v := range map[string]sparsemat.MatrixView{"sparse": sm, "dense": sparsemat.DenseView(bytes, 2)} {
-		got, err := FromViewPadded(v, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameDense(t, want, got)
-		if _, err := FromViewPadded(v, 1); err == nil {
-			t.Fatalf("%s: padding below matrix size accepted", name)
-		}
+	got, err := FromViewPadded(sm, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDense(t, want, got)
+	if _, err := FromViewPadded(sm, 1); err == nil {
+		t.Fatal("padding below matrix size accepted")
 	}
 }
 
@@ -160,8 +176,5 @@ func TestFromViewRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := FromView(&sparsemat.Matrix{N: 3, Rows: make([]sparsemat.Row, 2)}); err == nil {
 		t.Fatal("row-count mismatch accepted")
-	}
-	if _, err := FromView(sparsemat.DenseView([]uint64{1, 2, 3}, 2)); err == nil {
-		t.Fatal("wrong dense matrix size accepted")
 	}
 }

@@ -38,7 +38,11 @@ func TestMatrixBasics(t *testing.T) {
 
 func TestFromViewDense(t *testing.T) {
 	// 2x2: 0 sends 10 to 1, 1 sends 30 to 0.
-	m, err := FromView(sparsemat.DenseView([]uint64{0, 10, 30, 0}, 2))
+	sm, err := sparsemat.FromDense([]uint64{0, 1, 1, 0}, []uint64{0, 10, 30, 0}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := FromView(sm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,29 +6,26 @@ import (
 	"mpimon/internal/sparsemat"
 )
 
-// FromView builds the affinity matrix from any communication-matrix view:
-// a gathered *sparsemat.Matrix, or a row-major dense bytes matrix wrapped
-// with sparsemat.DenseView. The affinity of an unordered pair is
-// float64(i→j bytes) + float64(j→i bytes), added when positive; because
-// the view emits the lower-index direction first and Finish sorts the
-// result, both representations of one matrix give a bit-identical result.
-// O(nnz) for sparse views, O(n²) for dense ones.
-func FromView(v sparsemat.MatrixView) (*Matrix, error) {
-	return FromViewPadded(v, v.Order())
+// FromView builds the affinity matrix of a gathered communication matrix
+// in O(nnz). The affinity of an unordered pair is float64(i→j bytes) +
+// float64(j→i bytes), added when positive, the lower-index direction
+// first (Matrix.VisitPairs); Finish sorts the result.
+func FromView(v *sparsemat.Matrix) (*Matrix, error) {
+	return FromViewPadded(v, v.N)
 }
 
-// FromViewPadded is FromView over a matrix of total ≥ v.Order() processes,
+// FromViewPadded is FromView over a matrix of total ≥ v.N processes,
 // the extras having no affinity — the zero-padding elastic reconfiguration
 // uses to let TreeMatch pick which cores the real ranks occupy.
 //
-// The rows are built in two passes over the view: the first counts each
+// The rows are built in two passes over the pairs: the first counts each
 // process's peers, the second fills exact-size rows cut from one backing
 // array, so the build allocates a constant number of times whatever the
-// order. The view emits every unordered pair once, so no row holds a
+// order. VisitPairs emits every unordered pair once, so no row holds a
 // duplicate column and Finish only has to sort.
-func FromViewPadded(v sparsemat.MatrixView, total int) (*Matrix, error) {
-	if total < v.Order() {
-		return nil, fmt.Errorf("treematch: padding %d processes down to %d", v.Order(), total)
+func FromViewPadded(v *sparsemat.Matrix, total int) (*Matrix, error) {
+	if total < v.N {
+		return nil, fmt.Errorf("treematch: padding %d processes down to %d", v.N, total)
 	}
 	deg := make([]int, total)
 	err := v.VisitPairs(func(i, j int, bij, bji uint64) error {

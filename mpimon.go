@@ -282,26 +282,16 @@ func Redistribute(comm *Comm, k []int, data []byte) ([]byte, error) {
 	return reorder.Redistribute(comm, k, data)
 }
 
-// MatrixView is the read-only communication-matrix view the mapping and
-// analysis layers consume: a gathered *SparseMatrix satisfies it directly,
-// and a row-major dense bytes matrix is adapted with DenseMatrixView.
-type MatrixView = sparsemat.MatrixView
-
-// DenseMatrixView adapts a row-major n-by-n bytes matrix to MatrixView
-// without copying it.
-func DenseMatrixView(mat []uint64, n int) MatrixView { return sparsemat.DenseView(mat, n) }
-
 // ComputeMapping is the paper's compute_mapping: communication matrix +
-// topology + placement to the permutation k (runs on the root rank). It
-// accepts any MatrixView — a gathered sparse matrix or DenseMatrixView.
-func ComputeMapping(v MatrixView, topo *Topology, place []int) ([]int, error) {
+// topology + placement to the permutation k (runs on the root rank).
+func ComputeMapping(v *SparseMatrix, topo *Topology, place []int) ([]int, error) {
 	return reorder.ComputeMapping(v, topo, place)
 }
 
 // ComputeMappingWarm refines the placement the communicator already runs
 // under instead of recomputing it from scratch — the incremental TreeMatch
 // of the online re-reordering loop.
-func ComputeMappingWarm(v MatrixView, topo *Topology, place []int, passes int) ([]int, error) {
+func ComputeMappingWarm(v *SparseMatrix, topo *Topology, place []int, passes int) ([]int, error) {
 	return reorder.ComputeMappingWarm(v, topo, place, passes)
 }
 
@@ -346,7 +336,7 @@ var (
 // MatrixDrift measures how far the current communication matrix diverged
 // from a reference (L1 distance of symmetric affinities, normalized;
 // range [0, 2]).
-func MatrixDrift(ref, cur MatrixView) (float64, error) { return online.Drift(ref, cur) }
+func MatrixDrift(ref, cur *SparseMatrix) (float64, error) { return online.Drift(ref, cur) }
 
 // TracePhaseMatrices folds each quiet-gap-separated phase of a run's message
 // spans into its own sparse communication matrix (other spans are ignored).
@@ -369,10 +359,9 @@ type (
 	SparseRow = sparsemat.Row
 )
 
-// CommMatrixFromView builds the TreeMatch affinity matrix from any
-// MatrixView: O(nnz) over a sparse matrix, and bit-identical to the result
-// over DenseMatrixView of the densified matrix.
-func CommMatrixFromView(v MatrixView) (*CommMatrix, error) {
+// CommMatrixFromView builds the TreeMatch affinity matrix of a gathered
+// matrix in O(nnz).
+func CommMatrixFromView(v *SparseMatrix) (*CommMatrix, error) {
 	return treematch.FromView(v)
 }
 
@@ -457,17 +446,17 @@ type MatrixLocality = matstat.Locality
 // MatrixPair is one directed communicating pair.
 type MatrixPair = matstat.Pair
 
-// SummarizeMatrix computes the aggregates of a matrix's bytes plane (O(nnz)
-// over a sparse matrix).
-func SummarizeMatrix(v MatrixView) (MatrixSummary, error) { return matstat.Summarize(v) }
+// SummarizeMatrix computes the aggregates of a matrix's bytes plane in
+// O(nnz).
+func SummarizeMatrix(v *SparseMatrix) (MatrixSummary, error) { return matstat.Summarize(v) }
 
 // MatrixLocalityOf classifies a matrix's traffic under a placement.
-func MatrixLocalityOf(v MatrixView, topo *Topology, place []int) (MatrixLocality, error) {
+func MatrixLocalityOf(v *SparseMatrix, topo *Topology, place []int) (MatrixLocality, error) {
 	return matstat.ComputeLocality(v, topo, place)
 }
 
 // TopMatrixPairs returns the k heaviest directed pairs.
-func TopMatrixPairs(v MatrixView, k int) ([]MatrixPair, error) { return matstat.TopPairs(v, k) }
+func TopMatrixPairs(v *SparseMatrix, k int) ([]MatrixPair, error) { return matstat.TopPairs(v, k) }
 
 // UtilizationPredictor forecasts network utilization from monitoring
 // samples (the paper's Sec. 7 prediction use case).
@@ -527,7 +516,7 @@ func RunStencil(c *Comm, cfg StencilConfig) (StencilResult, error) { return sten
 // StaticPlacementFromView computes a launch-time placement from a previous
 // run's communication matrix (the static strategy of Mercier & Jeannot that
 // the paper's dynamic reordering improves upon).
-func StaticPlacementFromView(v MatrixView, topo *Topology, cores []int) ([]int, error) {
+func StaticPlacementFromView(v *SparseMatrix, topo *Topology, cores []int) ([]int, error) {
 	return reorder.StaticPlacement(v, topo, cores)
 }
 
@@ -542,7 +531,7 @@ type ReconfigMove = elastic.Move
 // ReconfigureFromView computes a topology-aware placement of the matrix's
 // ranks onto the available cores from a monitored communication matrix,
 // minimizing disturbance relative to the old placement.
-func ReconfigureFromView(v MatrixView, topo *Topology, oldPlace, avail []int, stateBytes int64) (ReconfigPlan, error) {
+func ReconfigureFromView(v *SparseMatrix, topo *Topology, oldPlace, avail []int, stateBytes int64) (ReconfigPlan, error) {
 	return elastic.ReconfigureView(v, topo, oldPlace, avail, stateBytes)
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mpimon/internal/sparsemat"
 	"mpimon/internal/telemetry"
 )
 
@@ -156,7 +157,7 @@ func TestFacadeMatrixAnalysis(t *testing.T) {
 	mat := make([]uint64, n*n)
 	mat[0*n+1] = 100
 	mat[2*n+3] = 100
-	v := DenseMatrixView(mat, n)
+	v := matrixOf(t, mat, n)
 	sum, err := SummarizeMatrix(v)
 	if err != nil || sum.Total != 200 {
 		t.Fatalf("SummarizeMatrix: %+v, %v", sum, err)
@@ -176,14 +177,14 @@ func TestFacadeReconfigure(t *testing.T) {
 	topo, _ := NewTopology(2, 2)
 	mat := make([]uint64, 4)
 	mat[0*2+1] = 50
-	plan, err := ReconfigureFromView(DenseMatrixView(mat, 2), topo, []int{0, 2}, SurvivingCores(topo, 1), 64)
+	plan, err := ReconfigureFromView(matrixOf(t, mat, 2), topo, []int{0, 2}, SurvivingCores(topo, 1), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !topo.SameNode(plan.Placement[0], plan.Placement[1]) {
 		t.Fatalf("pair not co-located after reconfiguration: %v", plan.Placement)
 	}
-	place, err := StaticPlacementFromView(DenseMatrixView(mat, 2), topo, nil)
+	place, err := StaticPlacementFromView(matrixOf(t, mat, 2), topo, nil)
 	if err != nil || len(place) != 2 {
 		t.Fatalf("StaticPlacementFromView: %v, %v", place, err)
 	}
@@ -290,10 +291,10 @@ func TestFacadeWrapperCoverage(t *testing.T) {
 	if coreOf, err := TreeMatch(m, topo.FullTree()); err != nil || len(coreOf) != 2 {
 		t.Fatal("TreeMatch wrapper")
 	}
-	if m2, err := CommMatrixFromView(DenseMatrixView([]uint64{0, 1, 2, 0}, 2)); err != nil || m2.Affinity(0, 1) != 3 {
+	if m2, err := CommMatrixFromView(matrixOf(t, []uint64{0, 1, 2, 0}, 2)); err != nil || m2.Affinity(0, 1) != 3 {
 		t.Fatal("CommMatrixFromView wrapper")
 	}
-	if k, err := ComputeMapping(DenseMatrixView([]uint64{0, 1, 2, 0}, 2), topo, []int{0, 1}); err != nil || len(k) != 2 {
+	if k, err := ComputeMapping(matrixOf(t, []uint64{0, 1, 2, 0}, 2), topo, []int{0, 1}); err != nil || len(k) != 2 {
 		t.Fatal("ComputeMapping wrapper")
 	}
 }
@@ -449,8 +450,8 @@ func TestFacadeOnlineController(t *testing.T) {
 }
 
 func TestFacadeDriftAndPhases(t *testing.T) {
-	a := DenseMatrixView([]uint64{0, 10, 0, 0}, 2)
-	b := DenseMatrixView([]uint64{0, 0, 10, 0}, 2)
+	a := matrixOf(t, []uint64{0, 10, 0, 0}, 2)
+	b := matrixOf(t, []uint64{0, 0, 10, 0}, 2)
 	d, err := MatrixDrift(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -476,4 +477,15 @@ func TestFacadeDriftAndPhases(t *testing.T) {
 	if len(drifts) != 1 || drifts[0] != 2 {
 		t.Fatalf("phase drifts = %v, want [2]", drifts)
 	}
+}
+
+// matrixOf is the matrix of a row-major n-by-n bytes plane, with the bytes
+// as counts.
+func matrixOf(t *testing.T, bytes []uint64, n int) *SparseMatrix {
+	t.Helper()
+	m, err := sparsemat.FromDense(bytes, bytes, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
