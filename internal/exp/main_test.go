@@ -82,6 +82,29 @@ func TestMainUsage(t *testing.T) {
 	}
 }
 
+// TestBadRepsFails: a -reps value an experiment cannot take fails the run
+// with exit 1 and an error that names reps, instead of panicking a rank or
+// the whole process. collopt needs one repetition for a median, overhead
+// two per sample for Welch's interval.
+func TestBadRepsFails(t *testing.T) {
+	for _, args := range [][]string{
+		{"collopt", "-np", "4", "-sizes", "1", "-reps", "0"},
+		{"collopt", "-np", "4", "-sizes", "1", "-reps", "-1"},
+		{"overhead", "-np", "4", "-sizes", "1", "-reps", "0"},
+		{"overhead", "-np", "4", "-sizes", "1", "-reps", "1"},
+		{"overhead", "-self", "-np", "4", "-sizes", "1", "-reps", "1"},
+	} {
+		var out, errb bytes.Buffer
+		code := runTable(experiments, args, &out, &errb)
+		if code != 1 || !strings.Contains(errb.String(), "reps") || strings.Contains(errb.String(), "panic") {
+			t.Errorf("exp %v: exit %d, stderr %q; want 1 and an error naming reps", args, code, errb.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("exp %v wrote to stdout: %q", args, out.String())
+		}
+	}
+}
+
 // TestFailingExperimentKeepsProfiles: an experiment that returns an error
 // exits 1 and still leaves a complete CPU profile, heap profile and Chrome
 // trace.

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"io"
 
 	"mpimon/internal/mpi"
@@ -38,6 +39,9 @@ type OverheadRow struct {
 // monitoring Disabled, compared with Welch's unpaired t-interval exactly as
 // the paper's error bars.
 func Overhead(cfg OverheadConfig) ([]OverheadRow, error) {
+	if err := welchReps(cfg.Reps); err != nil {
+		return nil, err
+	}
 	var rows []OverheadRow
 	for _, np := range cfg.NPs {
 		for _, size := range cfg.Sizes {
@@ -53,6 +57,15 @@ func Overhead(cfg OverheadConfig) ([]OverheadRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// welchReps rejects a repetition count too small for stats.Welch, which
+// needs two samples on each side.
+func welchReps(reps int) error {
+	if reps < 2 {
+		return fmt.Errorf("exp: overhead needs reps >= 2 for Welch's interval, got %d", reps)
+	}
+	return nil
 }
 
 // timedReduces measures the wall time of rep successive reduces on a world

@@ -41,6 +41,9 @@ type TelemetryOverheadResult struct {
 // warm-up world runs first and is discarded, so the null row compares two
 // warm worlds rather than the process's cold first world with a warm one.
 func TelemetryOverhead(cfg TelemetryOverheadConfig) (TelemetryOverheadResult, error) {
+	if err := welchReps(cfg.Reps); err != nil {
+		return TelemetryOverheadResult{}, err
+	}
 	if _, err := timedReducesOpts(cfg.NP, cfg.Size, cfg.Reps); err != nil {
 		return TelemetryOverheadResult{}, err
 	}
