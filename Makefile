@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test vet race flake fuzz regen-fig6 nodeprecated novhostclock noenginechoice nocommitcells onecollpath benchsmoke apicheck loc ci
+.PHONY: build fmt test vet race flake fuzz regen-fig6 regen-guidelines nodeprecated novhostclock noenginechoice nocommitcells onecollpath benchsmoke apicheck loc ci
 
 build:
 	$(GO) build ./...
@@ -25,8 +25,7 @@ test:
 # (concurrent producers vs forced barrier flushes), the pml monitor
 # (concurrent readers vs the recording rank), the reorder/online
 # control loops (SPMD controllers stepping concurrently over all ranks),
-# and the collective algorithm portfolio (per-callsite profiler shared by
-# all ranks; cross-engine pins at np=256).
+# and the collective algorithm portfolio (cross-engine pins at np=256).
 race:
 	$(GO) test -race ./internal/telemetry ./internal/mpi ./internal/monitoring ./internal/netsim ./internal/netsim/event ./internal/treematch ./internal/faults ./internal/elastic ./internal/monsvc ./internal/commitagg ./internal/pml ./internal/reorder ./internal/online ./internal/coll
 
@@ -75,6 +74,21 @@ regen-fig6:
 		$(FIRSTDIFF) "$$tmp/$$f" "results/$$f" || ok=1; \
 	done && [ $$ok = 0 ] && \
 	echo "results/fig6_heatmap.tsv and results/fig6_heatmap_np192.tsv regenerate"
+
+# regen-guidelines reruns `exp guidelines` and compares its stdout with
+# results/guidelines.tsv, a blank line and results/autotune_allreduce.tsv
+# (the two tables it prints), printing the first line where they differ.
+# Tier-1 checks the guidelines and the autotuner only on reduced grids
+# (TestGuidelinesHoldSmall, TestAutotuneSweepSmall); this checks the
+# recorded ones, where every portfolio variant and mock-up is timed by
+# coll.Measure.
+regen-guidelines:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/exp" ./cmd/exp && \
+	"$$tmp/exp" guidelines > "$$tmp/run.tsv" && \
+	{ cat results/guidelines.tsv; echo; cat results/autotune_allreduce.tsv; } > "$$tmp/guidelines.tsv+autotune_allreduce.tsv" && \
+	$(FIRSTDIFF) "$$tmp/run.tsv" "$$tmp/guidelines.tsv+autotune_allreduce.tsv" && \
+	echo "results/guidelines.tsv and results/autotune_allreduce.tsv regenerate"
 
 # FIRSTDIFF run file prints file's name and the first line where run and
 # file differ, as golden.Diff reports it, and exits 1; it exits 0 when they
@@ -149,9 +163,10 @@ loc:
 # ci is the gate for a change: the gofmt check, static checks, full build,
 # the whole test suite, the race tier on the instrumented packages, the
 # flake tier on the clock-sensitive ones, a few seconds of every fuzz
-# target, the Fig. 6 heat maps regenerated byte for byte, a one-iteration
+# target, the Fig. 6 heat maps and the guideline and autotuner tables
+# regenerated byte for byte, a one-iteration
 # pass over every benchmark, the exported-API pin, the no-deprecated-shims
 # check, the no-host-clock check on the virtual-time path, the
 # no-engine-choice check on the drivers, the no-commit-cells check on the
 # telemetry counters and the one-collective-path check.
-ci: fmt vet build test race flake fuzz regen-fig6 benchsmoke apicheck nodeprecated novhostclock noenginechoice nocommitcells onecollpath
+ci: fmt vet build test race flake fuzz regen-fig6 regen-guidelines benchsmoke apicheck nodeprecated novhostclock noenginechoice nocommitcells onecollpath

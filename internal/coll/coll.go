@@ -1,14 +1,14 @@
-// Package coll is the collective-algorithm selection layer: a registry of
-// the algorithm variants implemented by internal/mpi, a dispatcher that
-// runs a named variant, an autotuner that measures every variant on the
-// deterministic netsim cost model and picks the fastest per (topology,
-// operation, np, message size), and a per-callsite count-bin profiler for
-// vector collectives in the spirit of collective_profiler.
+// Package coll is the collective-algorithm portfolio: a registry of the
+// algorithm variants implemented by internal/mpi, explicit dispatch that
+// runs a named variant, Run, which synthesizes the buffers for one call of
+// a (operation, variant, size), and an autotuner that times every variant
+// with one virtual-time measurement kernel (Measure) on the deterministic
+// netsim cost model and picks the fastest per (operation, np, message
+// size).
 //
-// The paper's reordering gains depend on which algorithm actually carries
-// the traffic; this layer makes that choice explicit, measurable, and —
-// because netsim is deterministic — exactly verifiable (see
-// internal/exp/guidelines.go for the Hunold-style invariant checks).
+// Because netsim is deterministic, a pick and every comparison built on it
+// are exact (see internal/exp/guidelines.go for the Hunold-style
+// guideline checks, which time their mock-ups with the same kernel).
 package coll
 
 import (
@@ -155,9 +155,9 @@ func badAlg(op Op, alg Algorithm) error {
 }
 
 // Run executes one collective of the given operation/variant with size
-// total payload bytes, synthesizing the buffers — the measurement kernel
-// shared by the autotuner and the guideline checks. For alltoallv the
-// payload splits evenly across destinations (remainder to low ranks).
+// total payload bytes, synthesizing the buffers — the body the autotuner
+// and the guideline checks hand to Measure. For alltoallv the payload
+// splits evenly across destinations (remainder to low ranks).
 func Run(c *mpi.Comm, op Op, alg Algorithm, size int) error {
 	switch op {
 	case OpAllreduce:

@@ -1,19 +1,15 @@
 package coll
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 
 	"mpimon/internal/mpi"
 	"mpimon/internal/netsim"
-	"mpimon/internal/telemetry"
 )
 
 func smallConfig() Config {
 	return Config{
-		Topo:    "plafrim",
 		Machine: func(np int) *netsim.Machine { return netsim.PlaFRIM((np + 23) / 24) },
 		NPs:     []int{4, 6},
 		Sizes:   []int{256, 4096},
@@ -30,12 +26,12 @@ func TestTunePickNeverSlowerThanDefault(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range table.Points() {
-			def, ok := table.Cost(p.Op, p.NP, p.Size, Default)
+			def, ok := table.Cost(p, Default)
 			if !ok {
 				t.Fatalf("%s np=%d size=%d: default not measured", p.Op, p.NP, p.Size)
 			}
-			pick := table.Pick(p.Op, p.NP, p.Size)
-			got, ok := table.Cost(p.Op, p.NP, p.Size, pick)
+			pick := table.Pick(p)
+			got, ok := table.Cost(p, pick)
 			if !ok {
 				t.Fatalf("%s np=%d size=%d: pick %q not measured", p.Op, p.NP, p.Size, pick)
 			}
@@ -49,12 +45,12 @@ func TestTunePickNeverSlowerThanDefault(t *testing.T) {
 // Deterministic netsim: re-measuring the same point in a fresh world must
 // reproduce the cost exactly.
 func TestMeasureDeterministic(t *testing.T) {
-	cfg := smallConfig()
-	a, err := Measure(cfg, OpAllreduce, Ring, 6, 4096)
+	ring := func(c *mpi.Comm) error { return Run(c, OpAllreduce, Ring, 4096) }
+	a, err := Measure(netsim.PlaFRIM(1), 6, 0, nil, ring)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Measure(cfg, OpAllreduce, Ring, 6, 4096)
+	b, err := Measure(netsim.PlaFRIM(1), 6, 0, nil, ring)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,50 +62,34 @@ func TestMeasureDeterministic(t *testing.T) {
 	}
 }
 
+// Pick answers only at a measured point: the cheapest algorithm there, with
+// ties and unmeasured points going to the default.
 func TestPickFallbacks(t *testing.T) {
-	empty := NewTable("x")
-	if got := empty.Pick(OpAllreduce, 48, 1024); got != Default {
+	var empty Table
+	if got := empty.Pick(Point{OpAllreduce, 48, 1024}); got != Default {
 		t.Fatalf("empty table picked %q, want default", got)
 	}
-	tb := NewTable("x")
-	tb.Set(OpAllreduce, 8, 1024, Default, 100*time.Microsecond)
-	tb.Set(OpAllreduce, 8, 1024, Ring, 50*time.Microsecond)
-	tb.Set(OpAllreduce, 8, 1<<20, Default, 2*time.Millisecond)
-	tb.Set(OpAllreduce, 8, 1<<20, Rab, 3*time.Millisecond)
-	// Nearest-size interpolation: 2048 is closest to the 1024 point.
-	if got := tb.Pick(OpAllreduce, 8, 2048); got != Ring {
-		t.Fatalf("pick near 1024 = %q, want ring", got)
+	var tb Table
+	small, large := Point{OpAllreduce, 8, 1024}, Point{OpAllreduce, 8, 1 << 20}
+	tb.set(small, Default, 100*time.Microsecond)
+	tb.set(small, Ring, 50*time.Microsecond)
+	tb.set(small, Rab, 50*time.Microsecond)
+	tb.set(large, Default, 2*time.Millisecond)
+	tb.set(large, Rab, 3*time.Millisecond)
+	// The cheapest wins; of two equal costs, the earlier in registry order.
+	if got := tb.Pick(small); got != Ring {
+		t.Fatalf("pick at 1KB = %q, want ring", got)
 	}
 	// At the large point the default is cheapest.
-	if got := tb.Pick(OpAllreduce, 8, 1<<20); got != Default {
+	if got := tb.Pick(large); got != Default {
 		t.Fatalf("pick at 1MB = %q, want default", got)
 	}
-	// An unmeasured op falls back to default.
-	if got := tb.Pick(OpBcast, 8, 1024); got != Default {
+	// An unmeasured point or operation falls back to default.
+	if got := tb.Pick(Point{OpAllreduce, 8, 2048}); got != Default {
+		t.Fatalf("unmeasured size picked %q, want default", got)
+	}
+	if got := tb.Pick(Point{OpBcast, 8, 1024}); got != Default {
 		t.Fatalf("unmeasured op picked %q, want default", got)
-	}
-	// Observed-matrix selection: characteristic size = bytes/msgs.
-	if got := tb.PickObserved(OpAllreduce, 8, 4096, 4); got != Ring {
-		t.Fatalf("observed pick = %q, want ring", got)
-	}
-	if got := tb.PickObserved(OpAllreduce, 8, 0, 0); got != Default {
-		t.Fatalf("observed pick with no traffic = %q, want default", got)
-	}
-}
-
-func TestTableTSV(t *testing.T) {
-	tb := NewTable("plafrim")
-	tb.Set(OpAllreduce, 4, 256, Default, time.Microsecond)
-	tb.Set(OpAllreduce, 4, 256, Ring, 2*time.Microsecond)
-	var buf bytes.Buffer
-	if err := tb.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"topo=plafrim", "allreduce\t4\t256", "\tdefault\n"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("TSV missing %q:\n%s", want, out)
-		}
 	}
 }
 
@@ -141,119 +121,5 @@ func TestAlgorithmsRegistry(t *testing.T) {
 		if algs[0] != Default {
 			t.Fatalf("%s: first algorithm is %q, want default", op, algs[0])
 		}
-	}
-}
-
-func TestProfilerBins(t *testing.T) {
-	p := NewProfiler() // DefaultBins: 0, 64, 512, 4096, 65536
-	p.Record("stencil.go:42", []int{0, 0, 64, 65, 4096, 100000})
-	p.Record("stencil.go:42", []int{0, 512})
-	p.Record("fft.go:10", []int{1 << 20})
-	sites := p.Sites()
-	if len(sites) != 2 {
-		t.Fatalf("got %d sites, want 2", len(sites))
-	}
-	// Sorted by name: fft first.
-	if sites[0].Site != "fft.go:10" || sites[1].Site != "stencil.go:42" {
-		t.Fatalf("site order: %s, %s", sites[0].Site, sites[1].Site)
-	}
-	s := sites[1]
-	if s.Calls != 2 || s.N != 8 {
-		t.Fatalf("stencil site: calls=%d entries=%d, want 2/8", s.Calls, s.N)
-	}
-	if s.Zeros != 3 {
-		t.Fatalf("zeros=%d, want 3", s.Zeros)
-	}
-	// bins: ≤0:3, ≤64:1, ≤512:2 (65 and 512), ≤4096:1, ≤65536:0, over:1
-	want := []uint64{3, 1, 2, 1, 0, 1}
-	for i, w := range want {
-		if s.Bins[i] != w {
-			t.Fatalf("bin %d = %d, want %d (all: %v)", i, s.Bins[i], w, s.Bins)
-		}
-	}
-	if s.Min != 0 || s.Max != 100000 {
-		t.Fatalf("min/max = %d/%d", s.Min, s.Max)
-	}
-	if got := s.Sparsity(); got != 3.0/8.0 {
-		t.Fatalf("sparsity = %v", got)
-	}
-	var buf bytes.Buffer
-	if err := p.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "stencil.go:42\t2\t8\t3") {
-		t.Fatalf("TSV:\n%s", buf.String())
-	}
-}
-
-// The tuned wrapper must produce default-identical results, count every
-// dispatch in the registry, and profile alltoallv callsites.
-func TestWrapDispatchAndAccounting(t *testing.T) {
-	const np = 4
-	w, err := mpi.NewWorld(netsim.PlaFRIM(1), np)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry()
-	prof := NewProfiler()
-	tb := NewTable("plafrim")
-	// Force ring for allreduce at the only measured point.
-	tb.Set(OpAllreduce, np, 96, Default, 2*time.Microsecond)
-	tb.Set(OpAllreduce, np, 96, Ring, time.Microsecond)
-	err = w.Run(func(c *mpi.Comm) error {
-		tc := Wrap(c, tb, reg, prof)
-		vals := make([]int64, 12)
-		for i := range vals {
-			vals[i] = int64(c.Rank() + i)
-		}
-		send := encodeI64(vals)
-		tuned := make([]byte, len(send))
-		if err := tc.Allreduce(send, tuned, mpi.Int64, mpi.OpSum); err != nil {
-			return err
-		}
-		ref := make([]byte, len(send))
-		if err := c.Allreduce(send, ref, mpi.Int64, mpi.OpSum); err != nil {
-			return err
-		}
-		if !bytes.Equal(tuned, ref) {
-			t.Errorf("rank %d: tuned allreduce differs from default", c.Rank())
-		}
-		counts := []int{1, 0, 2, 1}
-		sd := []int{0, 1, 1, 3}
-		send2 := []byte{9, 8, 7, 6}
-		recv2 := make([]byte, 4)
-		rc := make([]int, np)
-		rd := make([]int, np)
-		off := 0
-		for j := 0; j < np; j++ {
-			rc[j] = counts[c.Rank()]
-			rd[j] = off
-			off += rc[j]
-		}
-		recv2 = make([]byte, off)
-		sc := make([]int, np)
-		sdp := make([]int, np)
-		off = 0
-		for j := 0; j < np; j++ {
-			sc[j] = counts[j]
-			sdp[j] = off
-			off += sc[j]
-		}
-		send2 = make([]byte, off)
-		_ = sd
-		return tc.Alltoallv("app.go:7", send2, sc, sdp, recv2, rc, rd)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("coll_algo_calls", telemetry.L("op", "allreduce"), telemetry.L("alg", "ring")).Value(); got != np {
-		t.Fatalf("ring allreduce counted %d times, want %d", got, np)
-	}
-	if got := reg.Counter("coll_algo_bytes", telemetry.L("op", "allreduce"), telemetry.L("alg", "ring")).Value(); got != np*96 {
-		t.Fatalf("ring allreduce bytes = %d, want %d", got, np*96)
-	}
-	sites := prof.Sites()
-	if len(sites) != 1 || sites[0].Site != "app.go:7" || sites[0].Calls != np {
-		t.Fatalf("profiler sites: %+v", sites)
 	}
 }

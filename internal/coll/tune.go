@@ -2,7 +2,6 @@ package coll
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"time"
@@ -16,7 +15,6 @@ import (
 // point (netsim is deterministic, so reps only guard against warm-up
 // artifacts in the world's internal state; the median is recorded).
 type Config struct {
-	Topo    string                       // table key, e.g. "plafrim"
 	Machine func(np int) *netsim.Machine // fresh machine per measurement world
 	NPs     []int                        // rank counts to measure
 	Sizes   []int                        // total payload bytes per collective
@@ -24,128 +22,57 @@ type Config struct {
 	Opts    []mpi.Option                 // extra world options (telemetry, ...)
 }
 
-// PlaFRIMConfig is the standard tuning config on the paper's cluster
-// model: 24 cores per node, ceil(np/24) nodes.
-func PlaFRIMConfig(nps, sizes []int) Config {
-	return Config{
-		Topo:    "plafrim",
-		Machine: func(np int) *netsim.Machine { return netsim.PlaFRIM((np + 23) / 24) },
-		NPs:     nps,
-		Sizes:   sizes,
-	}
-}
-
-// key identifies one measured point.
-type key struct {
+// Point is one measured (operation, rank count, total payload bytes).
+type Point struct {
 	Op   Op
 	NP   int
 	Size int
 }
 
-// Table holds measured virtual costs per (op, np, size, algorithm) on one
-// topology. Zero value is unusable; build with Tune or NewTable.
+// Table holds measured virtual costs per point and algorithm, as Tune
+// fills it.
 type Table struct {
-	Topo  string
-	costs map[key]map[Algorithm]time.Duration
+	costs map[Point]map[Algorithm]time.Duration
 }
 
-// NewTable returns an empty table for the topology, ready for Set.
-func NewTable(topo string) *Table {
-	return &Table{Topo: topo, costs: make(map[key]map[Algorithm]time.Duration)}
-}
-
-// Set records one measured cost.
-func (t *Table) Set(op Op, np, size int, alg Algorithm, d time.Duration) {
-	k := key{op, np, size}
-	m := t.costs[k]
+func (t *Table) set(p Point, alg Algorithm, d time.Duration) {
+	if t.costs == nil {
+		t.costs = make(map[Point]map[Algorithm]time.Duration)
+	}
+	m := t.costs[p]
 	if m == nil {
 		m = make(map[Algorithm]time.Duration)
-		t.costs[k] = m
+		t.costs[p] = m
 	}
 	m[alg] = d
 }
 
-// Cost returns the measured cost of one algorithm at an exactly measured
-// point.
-func (t *Table) Cost(op Op, np, size int, alg Algorithm) (time.Duration, bool) {
-	d, ok := t.costs[key{op, np, size}][alg]
+// Cost returns the measured cost of one algorithm at a measured point.
+func (t *Table) Cost(p Point, alg Algorithm) (time.Duration, bool) {
+	d, ok := t.costs[p][alg]
 	return d, ok
 }
 
-// Pick returns the cheapest measured algorithm for the operation at the
-// nearest measured (np, size) point: exact np match preferred, otherwise
-// nearest by |log np ratio|; size always nearest by |log size ratio|.
-// Falls back to Default when the operation was never measured.
-func (t *Table) Pick(op Op, np, size int) Algorithm {
-	k, ok := t.nearest(op, np, size)
-	if !ok {
-		return Default
-	}
+// Pick returns the cheapest algorithm measured at the point, or Default
+// when the point was never measured.
+func (t *Table) Pick(p Point) Algorithm {
 	best := Default
 	bestD := time.Duration(math.MaxInt64)
 	// Iterate the registry order, not the map, so ties resolve
 	// deterministically in favor of the default.
-	for _, alg := range algorithms[op] {
-		if d, ok := t.costs[k][alg]; ok && d < bestD {
+	for _, alg := range algorithms[p.Op] {
+		if d, ok := t.costs[p][alg]; ok && d < bestD {
 			best, bestD = alg, d
 		}
 	}
 	return best
 }
 
-// PickObserved selects using an observed communication matrix row instead
-// of an explicit message size: bytes and msgs are the monitored totals
-// for the callsite (e.g. pml.Coll class totals between two probes), and
-// bytes/msgs is taken as the characteristic payload per call.
-func (t *Table) PickObserved(op Op, np int, bytes, msgs uint64) Algorithm {
-	if msgs == 0 {
-		return Default
-	}
-	return t.Pick(op, np, int(bytes/msgs))
-}
-
-func (t *Table) nearest(op Op, np, size int) (key, bool) {
-	best := key{}
-	bestScore := math.MaxFloat64
-	for k := range t.costs {
-		if k.Op != op {
-			continue
-		}
-		score := math.Abs(math.Log(ratio(k.NP, np)))*4 + math.Abs(math.Log(ratio(k.Size, size)))
-		if score < bestScore || (score == bestScore && (k.NP < best.NP || (k.NP == best.NP && k.Size < best.Size))) {
-			best, bestScore = k, score
-		}
-	}
-	return best, bestScore != math.MaxFloat64
-}
-
-func ratio(a, b int) float64 {
-	if a < 1 {
-		a = 1
-	}
-	if b < 1 {
-		b = 1
-	}
-	return float64(a) / float64(b)
-}
-
-// Points returns the measured (op, np, size) grid in stable order.
-func (t *Table) Points() []struct {
-	Op   Op
-	NP   int
-	Size int
-} {
-	out := make([]struct {
-		Op   Op
-		NP   int
-		Size int
-	}, 0, len(t.costs))
-	for k := range t.costs {
-		out = append(out, struct {
-			Op   Op
-			NP   int
-			Size int
-		}{k.Op, k.NP, k.Size})
+// Points returns the measured grid in stable order.
+func (t *Table) Points() []Point {
+	out := make([]Point, 0, len(t.costs))
+	for p := range t.costs {
+		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Op != out[j].Op {
@@ -162,56 +89,38 @@ func (t *Table) Points() []struct {
 // Tune measures every variant of op over cfg's (np, size) grid, each in a
 // fresh world so NIC contention state from one measurement cannot leak
 // into the next, and returns the filled table. Costs are virtual time —
-// deterministic for a given machine: every measurement world runs on the
-// event engine.
+// deterministic for a given machine.
 func Tune(cfg Config, op Op) (*Table, error) {
-	t := NewTable(cfg.Topo)
-	if err := tuneInto(t, cfg, op); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// TuneAll measures every registered operation into one table.
-func TuneAll(cfg Config) (*Table, error) {
-	t := NewTable(cfg.Topo)
-	for _, op := range Ops() {
-		if err := tuneInto(t, cfg, op); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-func tuneInto(t *Table, cfg Config, op Op) error {
 	if cfg.Machine == nil {
-		return fmt.Errorf("coll: tuning config has no machine constructor")
+		return nil, fmt.Errorf("coll: tuning config has no machine constructor")
 	}
+	t := &Table{}
 	for _, np := range cfg.NPs {
 		for _, size := range cfg.Sizes {
 			for _, alg := range algorithms[op] {
-				d, err := Measure(cfg, op, alg, np, size)
+				d, err := Measure(cfg.Machine(np), np, cfg.Reps, cfg.Opts, func(c *mpi.Comm) error {
+					return Run(c, op, alg, size)
+				})
 				if err != nil {
-					return fmt.Errorf("coll: tuning %s/%s np=%d size=%d: %w", op, alg, np, size, err)
+					return nil, fmt.Errorf("coll: tuning %s/%s np=%d size=%d: %w", op, alg, np, size, err)
 				}
-				t.Set(op, np, size, alg, d)
+				t.set(Point{op, np, size}, alg, d)
 			}
 		}
 	}
-	return nil
+	return t, nil
 }
 
-// Measure times one (op, alg, np, size) point in a fresh world: an
-// opening barrier aligns the ranks, then Reps (default 3) timed
-// iterations each closed by a barrier so the rank-0 clock delta spans the
-// whole collective; the median is returned.
-func Measure(cfg Config, op Op, alg Algorithm, np, size int) (time.Duration, error) {
-	reps := cfg.Reps
+// Measure times kernel in a fresh np-rank world on mach, built on the
+// event engine with opts: an opening barrier aligns the ranks, then reps
+// (default 3) timed iterations each closed by a barrier, so the rank-0
+// clock delta spans the whole kernel; the upper median is returned. A
+// fresh world per call keeps measurements order-independent.
+func Measure(mach *netsim.Machine, np, reps int, opts []mpi.Option, kernel func(c *mpi.Comm) error) (time.Duration, error) {
 	if reps <= 0 {
 		reps = 3
 	}
-	opts := append([]mpi.Option{mpi.WithEngine(mpi.EngineEvent)}, cfg.Opts...)
-	w, err := mpi.NewWorld(cfg.Machine(np), np, opts...)
+	w, err := mpi.NewWorld(mach, np, append([]mpi.Option{mpi.WithEngine(mpi.EngineEvent)}, opts...)...)
 	if err != nil {
 		return 0, err
 	}
@@ -223,7 +132,7 @@ func Measure(cfg Config, op Op, alg Algorithm, np, size int) (time.Duration, err
 		ds := make([]time.Duration, 0, reps)
 		for i := 0; i < reps; i++ {
 			t0 := c.Proc().Clock()
-			if err := Run(c, op, alg, size); err != nil {
+			if err := kernel(c); err != nil {
 				return err
 			}
 			if err := c.Barrier(); err != nil {
@@ -238,31 +147,4 @@ func Measure(cfg Config, op Op, alg Algorithm, np, size int) (time.Duration, err
 		return nil
 	})
 	return med, err
-}
-
-// WriteTSV dumps the table: op, np, size, one column per algorithm (ns),
-// and the argmin pick.
-func (t *Table) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# topo=%s\n# op\tnp\tsize", t.Topo); err != nil {
-		return err
-	}
-	cols := []Algorithm{Default, RD, Ring, Rab, GB, SAG, LSAG, Binomial, Bruck}
-	for _, a := range cols {
-		fmt.Fprintf(w, "\t%s_ns", a)
-	}
-	fmt.Fprintf(w, "\tpick\n")
-	for _, p := range t.Points() {
-		fmt.Fprintf(w, "%s\t%d\t%d", p.Op, p.NP, p.Size)
-		for _, a := range cols {
-			if d, ok := t.Cost(p.Op, p.NP, p.Size, a); ok {
-				fmt.Fprintf(w, "\t%d", d.Nanoseconds())
-			} else {
-				fmt.Fprintf(w, "\t-")
-			}
-		}
-		if _, err := fmt.Fprintf(w, "\t%s\n", t.Pick(p.Op, p.NP, p.Size)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -61,6 +61,3 @@ func Fprintf(w io.Writer, format string, args ...any) {
 
 // Ms converts a duration to milliseconds as float.
 func Ms(d time.Duration) float64 { return float64(d) / 1e6 }
-
-// Us converts a duration to microseconds as float.
-func Us(d time.Duration) float64 { return float64(d) / 1e3 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"mpimon/internal/coll"
@@ -70,14 +69,19 @@ func MachineFor(topo string) (func(np int) *netsim.Machine, error) {
 	return nil, fmt.Errorf("exp: unknown topology %q (plafrim, fatnode)", topo)
 }
 
-// guidelineDef declares one invariant. The LHS is the operation verified
-// (portfolio-min over its algorithms, or the fixed lhs kernel when the
-// portfolio has no entry for it); the RHS is its mock-up.
+// guidelineDef declares one invariant: the LHS operation is verified at
+// its portfolio minimum over every algorithm; the RHS is its mock-up.
 type guidelineDef struct {
 	name  string
-	lhsOp coll.Op                          // portfolio-min LHS when non-empty
-	lhs   func(c *mpi.Comm, blk int) error // fixed LHS kernel otherwise
+	lhsOp coll.Op
 	rhs   func(c *mpi.Comm, blk int) error
+}
+
+// portfolio is the kernel of one portfolio entry at blk bytes per rank.
+// Three mock-ups are exactly a portfolio entry: scatter+allgather is lsag,
+// gather+bcast is gb, and a reduce's mock-up is the default allreduce.
+func portfolio(op coll.Op, alg coll.Algorithm) func(c *mpi.Comm, blk int) error {
+	return func(c *mpi.Comm, blk int) error { return coll.Run(c, op, alg, blk*c.Size()) }
 }
 
 func guidelineDefs() []guidelineDef {
@@ -85,15 +89,7 @@ func guidelineDefs() []guidelineDef {
 		{
 			name:  "bcast<=scatter+allgather",
 			lhsOp: coll.OpBcast,
-			rhs: func(c *mpi.Comm, blk int) error {
-				n := c.Size()
-				full := make([]byte, blk*n)
-				part := make([]byte, blk)
-				if err := c.Scatter(full, part, 0); err != nil {
-					return err
-				}
-				return c.Allgather(part, full)
-			},
+			rhs:   portfolio(coll.OpBcast, coll.LSAG),
 		},
 		{
 			name:  "allreduce<=reduce+bcast",
@@ -124,63 +120,14 @@ func guidelineDefs() []guidelineDef {
 		{
 			name:  "allgather<=gather+bcast",
 			lhsOp: coll.OpAllgather,
-			rhs: func(c *mpi.Comm, blk int) error {
-				n := c.Size()
-				part := make([]byte, blk)
-				full := make([]byte, blk*n)
-				if err := c.Gather(part, full, 0); err != nil {
-					return err
-				}
-				return c.Bcast(full, 0)
-			},
+			rhs:   portfolio(coll.OpAllgather, coll.GB),
 		},
 		{
 			name:  "reduce<=allreduce",
 			lhsOp: coll.OpReduce,
-			rhs: func(c *mpi.Comm, blk int) error {
-				s := blk * c.Size()
-				return c.Allreduce(make([]byte, s), make([]byte, s), mpi.Byte, mpi.OpSum)
-			},
+			rhs:   portfolio(coll.OpAllreduce, coll.Default),
 		},
 	}
-}
-
-// measureKernel times one composite kernel in a fresh world: an opening
-// barrier aligns the ranks, then reps timed iterations each closed by a
-// barrier; the rank-0 median of the clock deltas is returned. Fresh
-// worlds keep measurements order-independent (NIC contention state never
-// leaks between points).
-func measureKernel(mach *netsim.Machine, np, blk, reps int, kernel func(c *mpi.Comm, blk int) error) (time.Duration, error) {
-	if reps <= 0 {
-		reps = 3
-	}
-	w, err := newWorld(mach, np)
-	if err != nil {
-		return 0, err
-	}
-	var med time.Duration
-	err = w.Run(func(c *mpi.Comm) error {
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		ds := make([]time.Duration, 0, reps)
-		for i := 0; i < reps; i++ {
-			t0 := c.Proc().Clock()
-			if err := kernel(c, blk); err != nil {
-				return err
-			}
-			if err := c.Barrier(); err != nil {
-				return err
-			}
-			ds = append(ds, c.Proc().Clock()-t0)
-		}
-		if c.Rank() == 0 {
-			sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-			med = ds[len(ds)/2]
-		}
-		return nil
-	})
-	return med, err
 }
 
 // Guidelines verifies every declared invariant over the config grid and
@@ -192,39 +139,29 @@ func Guidelines(cfg GuidelinesConfig) ([]GuidelineRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	measure := func(np, blk int, kernel func(c *mpi.Comm, blk int) error) (time.Duration, error) {
+		return coll.Measure(machine(np), np, cfg.Reps, worldOptions, func(c *mpi.Comm) error { return kernel(c, blk) })
+	}
 	var rows []GuidelineRow
 	for _, def := range guidelineDefs() {
 		for _, np := range cfg.NPs {
 			for _, blk := range cfg.Blocks {
-				row := GuidelineRow{Guideline: def.name, NP: np, Block: blk, Alg: coll.Default}
-				if def.lhsOp != "" {
-					// Portfolio minimum: measure every algorithm of the
-					// operation; the default's own cost rides along.
-					best := time.Duration(0)
-					for _, alg := range coll.Algorithms(def.lhsOp) {
-						op, a := def.lhsOp, alg
-						d, err := measureKernel(machine(np), np, blk, cfg.Reps, func(c *mpi.Comm, blk int) error {
-							return coll.Run(c, op, a, blk*c.Size())
-						})
-						if err != nil {
-							return nil, fmt.Errorf("exp: guideline %s lhs %s/%s np=%d blk=%d: %w", def.name, op, a, np, blk, err)
-						}
-						if alg == coll.Default {
-							row.DefLHS = d
-						}
-						if best == 0 || d < best {
-							best, row.Alg = d, alg
-						}
-					}
-					row.LHS = best
-				} else {
-					d, err := measureKernel(machine(np), np, blk, cfg.Reps, def.lhs)
+				row := GuidelineRow{Guideline: def.name, NP: np, Block: blk}
+				// Portfolio minimum: measure every algorithm of the
+				// operation; the default's own cost rides along.
+				for _, alg := range coll.Algorithms(def.lhsOp) {
+					d, err := measure(np, blk, portfolio(def.lhsOp, alg))
 					if err != nil {
-						return nil, fmt.Errorf("exp: guideline %s lhs np=%d blk=%d: %w", def.name, np, blk, err)
+						return nil, fmt.Errorf("exp: guideline %s lhs %s/%s np=%d blk=%d: %w", def.name, def.lhsOp, alg, np, blk, err)
 					}
-					row.LHS, row.DefLHS = d, d
+					if alg == coll.Default {
+						row.DefLHS = d
+					}
+					if row.LHS == 0 || d < row.LHS {
+						row.LHS, row.Alg = d, alg
+					}
 				}
-				rhs, err := measureKernel(machine(np), np, blk, cfg.Reps, def.rhs)
+				rhs, err := measure(np, blk, def.rhs)
 				if err != nil {
 					return nil, fmt.Errorf("exp: guideline %s rhs np=%d blk=%d: %w", def.name, np, blk, err)
 				}
@@ -296,43 +233,30 @@ type AutotuneRow struct {
 // construction (the pick is the argmin over a set containing the
 // default), so a failure here means the measurement itself lost its
 // determinism.
-func AutotuneSweep(cfg AutotuneConfig) ([]AutotuneRow, *coll.Table, error) {
+func AutotuneSweep(cfg AutotuneConfig) ([]AutotuneRow, error) {
 	machine, err := MachineFor(cfg.Topo)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	ccfg := coll.Config{
-		Topo:    cfg.Topo,
-		Machine: machine,
-		NPs:     cfg.NPs,
-		Sizes:   cfg.Sizes,
-		Reps:    cfg.Reps,
-		Opts:    append([]mpi.Option(nil), worldOptions...),
-	}
-	table := coll.NewTable(cfg.Topo)
+	ccfg := coll.Config{Machine: machine, NPs: cfg.NPs, Sizes: cfg.Sizes, Reps: cfg.Reps, Opts: worldOptions}
 	var rows []AutotuneRow
 	for _, op := range cfg.Ops {
-		sub, err := coll.Tune(ccfg, op)
+		table, err := coll.Tune(ccfg, op)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		for _, p := range sub.Points() {
-			def, _ := sub.Cost(p.Op, p.NP, p.Size, coll.Default)
-			pick := sub.Pick(p.Op, p.NP, p.Size)
-			picked, _ := sub.Cost(p.Op, p.NP, p.Size, pick)
+		for _, p := range table.Points() {
+			def, _ := table.Cost(p, coll.Default)
+			pick := table.Pick(p)
+			picked, _ := table.Cost(p, pick)
 			rows = append(rows, AutotuneRow{Op: p.Op, NP: p.NP, Size: p.Size, Alg: pick, Default: def, Picked: picked})
 			if picked > def {
-				return nil, nil, fmt.Errorf("exp: autotuner picked %s for %s np=%d size=%d at %v, slower than default %v",
+				return nil, fmt.Errorf("exp: autotuner picked %s for %s np=%d size=%d at %v, slower than default %v",
 					pick, p.Op, p.NP, p.Size, picked, def)
-			}
-			for _, alg := range coll.Algorithms(p.Op) {
-				if d, ok := sub.Cost(p.Op, p.NP, p.Size, alg); ok {
-					table.Set(p.Op, p.NP, p.Size, alg, d)
-				}
 			}
 		}
 	}
-	return rows, table, nil
+	return rows, nil
 }
 
 // PrintAutotune writes the sweep table.

@@ -281,7 +281,7 @@ func setupGuidelines(fs *flag.FlagSet) func(io.Writer) error {
 			for _, o := range parseStrings(*sweepOps) {
 				acfg.Ops = append(acfg.Ops, coll.Op(o))
 			}
-			arows, _, err := AutotuneSweep(acfg)
+			arows, err := AutotuneSweep(acfg)
 			if err != nil {
 				return err
 			}

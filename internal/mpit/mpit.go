@@ -38,25 +38,42 @@ type VarInfo struct {
 	Count int
 }
 
+// varSpec is one pvar: its name and which pml table it reads.
 type varSpec struct {
+	name  string
 	class pml.Class
 	bytes bool
 	desc  string
 }
 
-var varTable = map[string]varSpec{
-	VarP2PCount:  {pml.P2P, false, "number of user point-to-point messages sent per peer"},
-	VarP2PBytes:  {pml.P2P, true, "bytes of user point-to-point data sent per peer"},
-	VarCollCount: {pml.Coll, false, "number of collective-decomposition messages sent per peer"},
-	VarCollBytes: {pml.Coll, true, "bytes of collective-decomposition data sent per peer"},
-	VarOscCount:  {pml.Osc, false, "number of one-sided messages sent per peer"},
-	VarOscBytes:  {pml.Osc, true, "bytes of one-sided data sent per peer"},
+// vars is every pvar the monitoring component exposes, count variables
+// first, in VarNames order. With six entries a scan is the whole lookup.
+var vars = [...]varSpec{
+	{VarP2PCount, pml.P2P, false, "number of user point-to-point messages sent per peer"},
+	{VarP2PBytes, pml.P2P, true, "bytes of user point-to-point data sent per peer"},
+	{VarCollCount, pml.Coll, false, "number of collective-decomposition messages sent per peer"},
+	{VarCollBytes, pml.Coll, true, "bytes of collective-decomposition data sent per peer"},
+	{VarOscCount, pml.Osc, false, "number of one-sided messages sent per peer"},
+	{VarOscBytes, pml.Osc, true, "bytes of one-sided data sent per peer"},
+}
+
+func varByName(name string) (*varSpec, error) {
+	for i := range vars {
+		if vars[i].name == name {
+			return &vars[i], nil
+		}
+	}
+	return nil, fmt.Errorf("mpit: unknown performance variable %q", name)
 }
 
 // VarNames lists every pvar exposed by the monitoring component, count
 // variables first; the order is stable.
 func VarNames() []string {
-	return []string{VarP2PCount, VarP2PBytes, VarCollCount, VarCollBytes, VarOscCount, VarOscBytes}
+	names := make([]string, len(vars))
+	for i, v := range vars {
+		names[i] = v.name
+	}
+	return names
 }
 
 // Interface is the per-process MPI_T access point. It wraps the process's
@@ -72,9 +89,9 @@ func New(mon *pml.Monitor) *Interface {
 
 // Lookup returns the description of a pvar, or an error if it is unknown.
 func (t *Interface) Lookup(name string) (VarInfo, error) {
-	spec, ok := varTable[name]
-	if !ok {
-		return VarInfo{}, fmt.Errorf("mpit: unknown performance variable %q", name)
+	spec, err := varByName(name)
+	if err != nil {
+		return VarInfo{}, err
 	}
 	return VarInfo{Name: name, Desc: spec.desc, Count: t.mon.Size()}, nil
 }
@@ -121,8 +138,7 @@ func (s *Session) Free() { s.stopped = true }
 // Handle is a bound performance variable ready to be read.
 type Handle struct {
 	s    *Session
-	spec varSpec
-	name string
+	spec *varSpec
 }
 
 // AllocHandle binds a pvar within the session.
@@ -130,21 +146,21 @@ func (s *Session) AllocHandle(name string) (*Handle, error) {
 	if s.stopped {
 		return nil, fmt.Errorf("mpit: session already freed")
 	}
-	spec, ok := varTable[name]
-	if !ok {
-		return nil, fmt.Errorf("mpit: unknown performance variable %q", name)
+	spec, err := varByName(name)
+	if err != nil {
+		return nil, err
 	}
-	return &Handle{s: s, spec: spec, name: name}, nil
+	return &Handle{s: s, spec: spec}, nil
 }
 
 // Read copies the current value of the variable — one uint64 per peer rank
 // — into out, which must have length equal to the world size.
 func (h *Handle) Read(out []uint64) error {
 	if h.s.stopped {
-		return fmt.Errorf("mpit: reading %s through a freed session", h.name)
+		return fmt.Errorf("mpit: reading %s through a freed session", h.spec.name)
 	}
 	if len(out) != h.s.t.mon.Size() {
-		return fmt.Errorf("mpit: %s needs a buffer of %d elements, got %d", h.name, h.s.t.mon.Size(), len(out))
+		return fmt.Errorf("mpit: %s needs a buffer of %d elements, got %d", h.spec.name, h.s.t.mon.Size(), len(out))
 	}
 	if h.spec.bytes {
 		h.s.t.mon.Bytes(h.spec.class, out)
@@ -159,7 +175,7 @@ func (h *Handle) Read(out []uint64) error {
 // buffer for Read. The cost scales with the number of touched peers.
 func (h *Handle) Touched() ([]int, error) {
 	if h.s.stopped {
-		return nil, fmt.Errorf("mpit: reading %s through a freed session", h.name)
+		return nil, fmt.Errorf("mpit: reading %s through a freed session", h.spec.name)
 	}
 	return h.s.t.mon.Touched(h.spec.class), nil
 }
@@ -169,10 +185,10 @@ func (h *Handle) Touched() ([]int, error) {
 // delta/sparse read path: a handle read costs O(touched), not O(world).
 func (h *Handle) ReadAt(peers []int, out []uint64) error {
 	if h.s.stopped {
-		return fmt.Errorf("mpit: reading %s through a freed session", h.name)
+		return fmt.Errorf("mpit: reading %s through a freed session", h.spec.name)
 	}
 	if len(out) != len(peers) {
-		return fmt.Errorf("mpit: %s needs a buffer of %d elements for %d peers, got %d", h.name, len(peers), len(peers), len(out))
+		return fmt.Errorf("mpit: %s needs a buffer of %d elements for %d peers, got %d", h.spec.name, len(peers), len(peers), len(out))
 	}
 	if h.spec.bytes {
 		h.s.t.mon.BytesAt(h.spec.class, peers, out)

@@ -1,16 +1,10 @@
-// Package stats provides the small statistical toolbox the paper's
-// methodology uses: medians for the collective timings (Fig. 5), and
-// Welch's unpaired t-interval with 95% confidence for the overhead
-// measurements (Fig. 4: "the error bar is the 95% confidence interval
-// computed with the student T test using unpaired measures and unequal
-// variance").
+// Package stats provides Welch's unpaired t-interval, which the paper uses
+// for the overhead measurements (Fig. 4: "the error bar is the 95%
+// confidence interval computed with the student T test using unpaired
+// measures and unequal variance").
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean; it panics on an empty sample.
 func Mean(x []float64) float64 {
@@ -36,46 +30,6 @@ func Variance(x []float64) float64 {
 		s += d * d
 	}
 	return s / float64(len(x)-1)
-}
-
-// Stddev returns the sample standard deviation.
-func Stddev(x []float64) float64 { return math.Sqrt(Variance(x)) }
-
-// Median returns the sample median.
-func Median(x []float64) float64 {
-	if len(x) == 0 {
-		panic("stats: median of empty sample")
-	}
-	s := append([]float64(nil), x...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// Percentile returns the q-th percentile (0..100) by linear interpolation.
-func Percentile(x []float64, q float64) float64 {
-	if len(x) == 0 {
-		panic("stats: percentile of empty sample")
-	}
-	if q < 0 || q > 100 {
-		panic(fmt.Sprintf("stats: percentile %v out of [0,100]", q))
-	}
-	s := append([]float64(nil), x...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0]
-	}
-	pos := q / 100 * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
 }
 
 // WelchResult is the outcome of Welch's unpaired two-sample comparison of

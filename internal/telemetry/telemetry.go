@@ -202,9 +202,6 @@ type Rank struct {
 	memoOK [2]bool // memo and memoI hold a lookup
 }
 
-// RankID returns the world rank this tracer belongs to.
-func (r *Rank) RankID() int { return r.rank }
-
 // Begin opens a span at the given virtual time; close it with End.
 func (r *Rank) Begin(name string, kind Kind, startNs int64) {
 	r.mu.Lock()
