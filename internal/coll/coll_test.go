@@ -1,6 +1,7 @@
 package coll
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ func smallConfig() Config {
 		Machine: func(np int) *netsim.Machine { return netsim.PlaFRIM((np + 23) / 24) },
 		NPs:     []int{4, 6},
 		Sizes:   []int{256, 4096},
+		Reps:    3,
 	}
 }
 
@@ -46,11 +48,11 @@ func TestTunePickNeverSlowerThanDefault(t *testing.T) {
 // reproduce the cost exactly.
 func TestMeasureDeterministic(t *testing.T) {
 	ring := func(c *mpi.Comm) error { return Run(c, OpAllreduce, Ring, 4096) }
-	a, err := Measure(netsim.PlaFRIM(1), 6, 0, nil, ring)
+	a, err := Measure(netsim.PlaFRIM(1), 6, 3, nil, ring)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Measure(netsim.PlaFRIM(1), 6, 0, nil, ring)
+	b, err := Measure(netsim.PlaFRIM(1), 6, 3, nil, ring)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +65,27 @@ func TestMeasureDeterministic(t *testing.T) {
 }
 
 // Pick answers only at a measured point: the cheapest algorithm there, with
+// A repetition count below one leaves no sample for the median: Measure
+// and Tune fail with an error naming reps before any world runs, instead
+// of quietly measuring some other count.
+func TestMeasureRejectsBadReps(t *testing.T) {
+	ran := false
+	kernel := func(c *mpi.Comm) error { ran = true; return nil }
+	for _, reps := range []int{0, -1} {
+		if _, err := Measure(netsim.PlaFRIM(1), 2, reps, nil, kernel); err == nil || !strings.Contains(err.Error(), "reps") {
+			t.Errorf("Measure reps=%d: error %v, want one naming reps", reps, err)
+		}
+		cfg := smallConfig()
+		cfg.Reps = reps
+		if _, err := Tune(cfg, OpAllreduce); err == nil || !strings.Contains(err.Error(), "reps") {
+			t.Errorf("Tune reps=%d: error %v, want one naming reps", reps, err)
+		}
+	}
+	if ran {
+		t.Error("a kernel ran under a bad repetition count")
+	}
+}
+
 // ties and unmeasured points going to the default.
 func TestPickFallbacks(t *testing.T) {
 	var empty Table

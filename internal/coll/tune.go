@@ -18,7 +18,7 @@ type Config struct {
 	Machine func(np int) *netsim.Machine // fresh machine per measurement world
 	NPs     []int                        // rank counts to measure
 	Sizes   []int                        // total payload bytes per collective
-	Reps    int                          // timed repetitions per point (default 3)
+	Reps    int                          // timed repetitions per point (at least 1)
 	Opts    []mpi.Option                 // extra world options (telemetry, ...)
 }
 
@@ -113,12 +113,12 @@ func Tune(cfg Config, op Op) (*Table, error) {
 
 // Measure times kernel in a fresh np-rank world on mach, built on the
 // event engine with opts: an opening barrier aligns the ranks, then reps
-// (default 3) timed iterations each closed by a barrier, so the rank-0
-// clock delta spans the whole kernel; the upper median is returned. A
-// fresh world per call keeps measurements order-independent.
+// timed iterations each closed by a barrier, so the rank-0 clock delta
+// spans the whole kernel; the upper median is returned. reps < 1 is an
+// error. A fresh world per call keeps measurements order-independent.
 func Measure(mach *netsim.Machine, np, reps int, opts []mpi.Option, kernel func(c *mpi.Comm) error) (time.Duration, error) {
-	if reps <= 0 {
-		reps = 3
+	if reps < 1 {
+		return 0, fmt.Errorf("coll: measurement needs reps >= 1 for a median, got %d", reps)
 	}
 	w, err := mpi.NewWorld(mach, np, append([]mpi.Option{mpi.WithEngine(mpi.EngineEvent)}, opts...)...)
 	if err != nil {

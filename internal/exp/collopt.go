@@ -47,8 +47,11 @@ type CollOptRow struct {
 // feature PMPI-level tools lack), reorders ranks with TreeMatch, and times
 // the collective on the reordered communicator.
 func CollectiveOpt(cfg CollOptConfig) ([]CollOptRow, error) {
-	if cfg.Reps < 1 {
-		return nil, fmt.Errorf("exp: collopt needs reps >= 1 for a median, got %d", cfg.Reps)
+	if err := checkReps("collopt", cfg.Reps); err != nil {
+		return nil, err
+	}
+	if err := checkNPs("collopt", cfg.NPs...); err != nil {
+		return nil, err
 	}
 	var rows []CollOptRow
 	for _, np := range cfg.NPs {

@@ -62,6 +62,9 @@ type EngineRow struct {
 
 // EngineScale runs the experiment.
 func EngineScale(cfg EngineScaleConfig) ([]EngineRow, error) {
+	if err := checkNPs("engine-scale", cfg.NPs...); err != nil {
+		return nil, err
+	}
 	var rows []EngineRow
 	for _, np := range cfg.NPs {
 		row, err := engineScaleOne(np, cfg)

@@ -53,6 +53,37 @@ func newWorld(mach *netsim.Machine, np int, opts ...mpi.Option) (*mpi.World, err
 // ceil with spare cores).
 func Nodes(np int) int { return (np + 23) / 24 }
 
+// checkNPs rejects a world size below one rank before any machine is built
+// for it: the machine models panic on a machine without nodes.
+func checkNPs(what string, nps ...int) error {
+	for _, np := range nps {
+		if np < 1 {
+			return fmt.Errorf("exp: %s needs np >= 1, got %d", what, np)
+		}
+	}
+	return nil
+}
+
+// checkSizes rejects a negative message size before any world is built,
+// in the runtime's words.
+func checkSizes(what string, sizes []int) error {
+	for _, s := range sizes {
+		if s < 0 {
+			return fmt.Errorf("exp: %s: negative message size %d", what, s)
+		}
+	}
+	return nil
+}
+
+// checkReps rejects a repetition count below one, which leaves no sample
+// to take a median of.
+func checkReps(what string, reps int) error {
+	if reps < 1 {
+		return fmt.Errorf("exp: %s needs reps >= 1 for a median, got %d", what, reps)
+	}
+	return nil
+}
+
 // Fprintf is fmt.Fprintf with the error discarded; experiment printers
 // write to stdout or a buffer where failures are not actionable.
 func Fprintf(w io.Writer, format string, args ...any) {

@@ -65,6 +65,9 @@ type GatherRow struct {
 
 // GatherScale runs the experiment.
 func GatherScale(cfg GatherScaleConfig) ([]GatherRow, error) {
+	if err := checkNPs("gather-scale", cfg.NPs...); err != nil {
+		return nil, err
+	}
 	var rows []GatherRow
 	for _, np := range cfg.NPs {
 		row, err := gatherScaleOne(np, cfg)

@@ -139,6 +139,9 @@ func Guidelines(cfg GuidelinesConfig) ([]GuidelineRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkGrid("guidelines", "blocks", cfg.NPs, cfg.Blocks, cfg.Reps); err != nil {
+		return nil, err
+	}
 	measure := func(np, blk int, kernel func(c *mpi.Comm, blk int) error) (time.Duration, error) {
 		return coll.Measure(machine(np), np, cfg.Reps, worldOptions, func(c *mpi.Comm) error { return kernel(c, blk) })
 	}
@@ -173,6 +176,18 @@ func Guidelines(cfg GuidelinesConfig) ([]GuidelineRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// checkGrid rejects a measurement grid no world can be built or timed for;
+// sizesName names the sizes in the error.
+func checkGrid(what, sizesName string, nps, sizes []int, reps int) error {
+	if err := checkNPs(what, nps...); err != nil {
+		return err
+	}
+	if err := checkSizes(what+" "+sizesName, sizes); err != nil {
+		return err
+	}
+	return checkReps(what, reps)
 }
 
 // Violations filters the rows that break their invariant.
@@ -236,6 +251,9 @@ type AutotuneRow struct {
 func AutotuneSweep(cfg AutotuneConfig) ([]AutotuneRow, error) {
 	machine, err := MachineFor(cfg.Topo)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkGrid("autotune sweep", "sizes", cfg.NPs, cfg.Sizes, cfg.Reps); err != nil {
 		return nil, err
 	}
 	ccfg := coll.Config{Machine: machine, NPs: cfg.NPs, Sizes: cfg.Sizes, Reps: cfg.Reps, Opts: worldOptions}

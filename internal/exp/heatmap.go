@@ -46,6 +46,9 @@ type HeatCell struct {
 // gather, TreeMatch, broadcast, split), and t3 = n iterations after, all
 // in communication (virtual) time, and reports the paper's gain formula.
 func ReorderHeatmap(cfg HeatmapConfig) ([]HeatCell, error) {
+	if err := checkNPs("reorder-heatmap", cfg.NPs...); err != nil {
+		return nil, err
+	}
 	var cells []HeatCell
 	for _, np := range cfg.NPs {
 		for _, buf := range cfg.BufSizes {

@@ -105,6 +105,42 @@ func TestBadRepsFails(t *testing.T) {
 	}
 }
 
+// TestBadGridFails: a world size below one rank, a negative block size and
+// a repetition count below one fail the run with exit 1 and an error that
+// names the bad value, before any world is built, instead of panicking the
+// process in a machine model or every rank in a makeslice, or quietly
+// measuring some other repetition count.
+func TestBadGridFails(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"collopt", "-np", "0", "-sizes", "1"}, "np >= 1"},
+		{[]string{"overhead", "-np", "0", "-sizes", "1"}, "np >= 1"},
+		{[]string{"overhead", "-self", "-np", "0", "-sizes", "1"}, "np >= 1"},
+		{[]string{"guidelines", "-np", "0", "-blocks", "64", "-sweep=false"}, "np >= 1"},
+		{[]string{"reorder-heatmap", "-np", "0", "-iters", "1", "-bufs", "1"}, "np >= 1"},
+		{[]string{"online", "-np", "0"}, "np >= 1"},
+		{[]string{"engine-scale", "-np", "0"}, "np >= 1"},
+		{[]string{"nascg", "-np", "0"}, "np >= 1"},
+		{[]string{"gather-scale", "-np", "0"}, "np >= 1"},
+		{[]string{"overhead", "-np", "4", "-sizes", "-1", "-reps", "2"}, "overhead sizes: negative message size -1"},
+		{[]string{"overhead", "-self", "-np", "4", "-sizes", "-1", "-reps", "2"}, "sizes: negative message size -1"},
+		{[]string{"guidelines", "-np", "4", "-blocks", "-8", "-sweep=false"}, "blocks: negative message size -8"},
+		{[]string{"guidelines", "-np", "4", "-blocks", "64", "-sweep=false", "-reps", "-1"}, "reps >= 1"},
+		{[]string{"guidelines", "-np", "4", "-blocks", "64", "-sweep=false", "-reps", "0"}, "reps >= 1"},
+	} {
+		var out, errb bytes.Buffer
+		code := runTable(experiments, tc.args, &out, &errb)
+		if code != 1 || !strings.Contains(errb.String(), tc.want) || strings.Contains(errb.String(), "panic") {
+			t.Errorf("exp %v: exit %d, stderr %q; want 1 and an error containing %q", tc.args, code, errb.String(), tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("exp %v wrote to stdout: %q", tc.args, out.String())
+		}
+	}
+}
+
 // TestFailingExperimentKeepsProfiles: an experiment that returns an error
 // exits 1 and still leaves a complete CPU profile, heap profile and Chrome
 // trace.

@@ -78,6 +78,9 @@ func cgPlacement(mapping string, np int, mach *netsim.Machine, seed int64) ([]in
 
 // CGReorder runs the Fig. 7 sweep using the CG communication skeleton.
 func CGReorder(cfg CGConfig) ([]CGRow, error) {
+	if err := checkNPs("nascg", cfg.NPs...); err != nil {
+		return nil, err
+	}
 	var rows []CGRow
 	for _, clsName := range cfg.Classes {
 		cls, err := cg.ClassByName(clsName)

@@ -55,6 +55,9 @@ var onlineModes = []string{"baseline", "static", "online"}
 // MonitorAndReorder, the online one monitors every window through the
 // controller.
 func OnlineReorder(cfg OnlineConfig) ([]OnlineRow, error) {
+	if err := checkNPs("online", cfg.NP); err != nil {
+		return nil, err
+	}
 	if cfg.NP%cfg.Groups != 0 {
 		return nil, fmt.Errorf("exp: %d ranks do not divide into %d groups", cfg.NP, cfg.Groups)
 	}

@@ -42,6 +42,12 @@ func Overhead(cfg OverheadConfig) ([]OverheadRow, error) {
 	if err := welchReps(cfg.Reps); err != nil {
 		return nil, err
 	}
+	if err := checkNPs("overhead", cfg.NPs...); err != nil {
+		return nil, err
+	}
+	if err := checkSizes("overhead sizes", cfg.Sizes); err != nil {
+		return nil, err
+	}
 	var rows []OverheadRow
 	for _, np := range cfg.NPs {
 		for _, size := range cfg.Sizes {

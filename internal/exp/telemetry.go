@@ -44,6 +44,12 @@ func TelemetryOverhead(cfg TelemetryOverheadConfig) (TelemetryOverheadResult, er
 	if err := welchReps(cfg.Reps); err != nil {
 		return TelemetryOverheadResult{}, err
 	}
+	if err := checkNPs("overhead -self", cfg.NP); err != nil {
+		return TelemetryOverheadResult{}, err
+	}
+	if err := checkSizes("overhead -self sizes", []int{cfg.Size}); err != nil {
+		return TelemetryOverheadResult{}, err
+	}
 	if _, err := timedReducesOpts(cfg.NP, cfg.Size, cfg.Reps); err != nil {
 		return TelemetryOverheadResult{}, err
 	}

@@ -12,10 +12,12 @@ import (
 // exactly the same placements as the original map-based greedy (the
 // reference copy lives in reference_test.go) but with slice-indexed state:
 //
-//   - the greedy claim loop selects the next process with an indexed
-//     max-heap keyed by the GGGP score instead of an O(n) scan over four
-//     maps, so growing all parts of one tree level is O((n + m) log n)
-//     rather than O(k·cap·n) with hashing on every probe;
+//   - the greedy claim loop selects the next process with indexed max-heaps
+//     keyed by the GGGP score instead of an O(n) scan over four maps, so
+//     growing all parts of one tree level is O((n + m) log n) rather than
+//     O(k·cap·n) with hashing on every probe. The processes the current
+//     part has touched sit in a small part heap of their own, so only a
+//     first touch and a part's end pay for a sift in the big heap;
 //   - refineSwaps keeps its incremental part-affinity table in a flat
 //     []float64 indexed by local process index and replaces the per-pair
 //     binary searches of Matrix.Affinity with a dense scratch row;
@@ -165,9 +167,11 @@ type workspace struct {
 	// processes of the subproblem.
 	gain, total []float64
 	assigned    []bool
-	// touched lists local indices with nonzero gain for the current part.
-	touched []int32
-	heap    claimHeap
+	// heap holds the unclaimed processes the current part has not touched,
+	// partHeap those it has; inPart[l] says which one holds l. A process
+	// is in at most one of them, so they share one pos array.
+	heap, partHeap claimHeap
+	inPart         []bool
 	// refine scratch: partOf by local index, aff the flat |procs|·k
 	// part-affinity table, rowW and scratch dense affinity rows (kept
 	// zeroed between uses), members the processes of one refined pair.
@@ -184,12 +188,15 @@ type workspace struct {
 }
 
 func newWorkspace(n int) *workspace {
+	pos := make([]int32, n)
 	ws := &workspace{
 		local:    make([]int32, n),
 		gain:     make([]float64, n),
 		total:    make([]float64, n),
 		assigned: make([]bool, n),
-		heap:     claimHeap{pos: make([]int32, n)},
+		heap:     claimHeap{pos: pos},
+		partHeap: claimHeap{pos: pos},
+		inPart:   make([]bool, n),
 		partOf:   make([]int32, n),
 		rowW:     make([]float64, n),
 		scratch:  make([]float64, n),
@@ -208,15 +215,24 @@ type heapEntry struct {
 	l           int32
 }
 
-// claimHeap is an indexed 4-ary max-heap of the unclaimed processes of one
+// claimHeap is an indexed 4-ary max-heap of unclaimed processes of one
 // subproblem, ordered by (score desc, gain desc, l asc) — the exact
 // selection order of the reference greedy loop (local order is global id
-// order). It holds one entry per process, and pos[l] is the slot of local
-// process l: a gain update or a part reset re-keys that entry in place and
-// sifts it up or down, so the top is always the best unclaimed process.
-// heapBetter is a total order on distinct processes, so the sequence of
-// pops does not depend on the heap's arity or sifting: the layout is free
-// to be the cheapest one. Sifts move a hole and write each entry once.
+// order). pos[l] is the slot of local process l while the heap holds it;
+// only the heap holding l writes pos[l].
+//
+// partition splits the unclaimed processes between two of these heaps. The
+// big one holds every process the part being grown has not touched, each
+// keyed (−total, 0, l); it is only sifted when a process leaves it on its
+// first touch or comes back when the part is complete. The part heap holds
+// the touched ones, keyed (2g − total, g, l), and takes every later gain
+// update, in a heap as small as the part's neighbourhood. A process has the
+// same key wherever it sits (an untouched one is the g = 0 case), and
+// heapBetter is a total order on distinct processes, so the better of the two
+// tops is the process a single heap of all of them would pop: the sequence
+// of claims does not depend on the split, the arity or the sifting, and the
+// layout is free to be the cheapest one. Sifts move a hole and write each
+// entry once.
 type claimHeap struct {
 	s   []heapEntry
 	pos []int32
@@ -246,6 +262,12 @@ func (h *claimHeap) heapify() {
 	}
 }
 
+// push adds e to the heap.
+func (h *claimHeap) push(e heapEntry) {
+	h.s = append(h.s, e)
+	h.siftUp(len(h.s)-1, e)
+}
+
 // pop removes the best entry and returns its process.
 func (h *claimHeap) pop() int32 {
 	top := h.s[0].l
@@ -258,10 +280,24 @@ func (h *claimHeap) pop() int32 {
 	return top
 }
 
+// remove takes process l out of the heap: the last entry fills its slot.
+func (h *claimHeap) remove(l int32) {
+	i := int(h.pos[l])
+	last := len(h.s) - 1
+	e := h.s[last]
+	h.s = h.s[:last]
+	if i < last {
+		h.fix(i, e)
+	}
+}
+
 // rekey gives process l the key (score, gain) and restores the heap order.
 func (h *claimHeap) rekey(l int32, score, gain float64) {
-	i := int(h.pos[l])
-	e := heapEntry{score: score, gain: gain, l: l}
+	h.fix(int(h.pos[l]), heapEntry{score: score, gain: gain, l: l})
+}
+
+// fix places e into the heap at the hole i, sifting it up or down.
+func (h *claimHeap) fix(i int, e heapEntry) {
 	if i > 0 && heapBetter(e, h.s[(i-1)/4]) {
 		h.siftUp(i, e)
 	} else {
@@ -326,7 +362,7 @@ func (ws *workspace) partition(m *Matrix, procs []int, caps []int) [][]int {
 	for i, p := range procs {
 		local[p] = int32(i)
 	}
-	h := &ws.heap
+	h, ph := &ws.heap, &ws.partHeap
 	h.s = slices.Grow(h.s[:0], len(procs))
 	for i, p := range procs {
 		var s float64
@@ -342,7 +378,6 @@ func (ws *workspace) partition(m *Matrix, procs []int, caps []int) [][]int {
 		h.pos[i] = int32(i)
 	}
 	h.heapify()
-	ws.touched = ws.touched[:0]
 
 	// Each part is grown in its own stretch of one backing array.
 	buf := ws.buf[:len(procs)]
@@ -369,38 +404,47 @@ func (ws *workspace) partition(m *Matrix, procs []int, caps []int) [][]int {
 		want := caps[pi]
 		part := parts[pi]
 		for len(part) < want {
-			li := h.pop()
+			var li int32
+			if len(ph.s) > 0 && (len(h.s) == 0 || heapBetter(ph.s[0], h.s[0])) {
+				li = ph.pop()
+				ws.inPart[li] = false
+				ws.gain[li] = 0
+			} else {
+				li = h.pop()
+			}
 			ws.assigned[li] = true
 			best := procs[li]
 			part = append(part, best)
 			// Claiming best removes it from its neighbours' remaining
 			// totals and adds its affinity to their gain toward this part.
+			// A neighbour's first touch moves it to the part heap.
 			for _, e := range m.Row(best) {
 				l := local[e.Col]
 				if l < 0 || ws.assigned[l] {
 					continue
 				}
 				ws.total[l] -= e.W
-				if ws.gain[l] == 0 {
-					ws.touched = append(ws.touched, l)
-				}
 				ws.gain[l] += e.W
 				g := ws.gain[l]
-				h.rekey(l, g-(ws.total[l]-g), g)
+				score := g - (ws.total[l] - g)
+				if ws.inPart[l] {
+					ph.rekey(l, score, g)
+				} else {
+					h.remove(l)
+					ws.inPart[l] = true
+					ph.push(heapEntry{score: score, gain: g, l: l})
+				}
 			}
 		}
 		parts[pi] = part
-		// The next part starts from zero gain: reset the processes this
-		// part touched and re-key them in the heap.
-		for _, l := range ws.touched {
-			if ws.assigned[l] || ws.gain[l] == 0 {
-				ws.gain[l] = 0
-				continue
-			}
-			ws.gain[l] = 0
-			h.rekey(l, -ws.total[l], 0)
+		// The next part starts from zero gain: the processes this part
+		// touched and did not claim go back to the big heap.
+		for _, e := range ph.s {
+			ws.inPart[e.l] = false
+			ws.gain[e.l] = 0
+			h.push(heapEntry{score: -ws.total[e.l], gain: 0, l: e.l})
 		}
-		ws.touched = ws.touched[:0]
+		ph.s = ph.s[:0]
 	}
 
 	ws.refineSwaps(m, procs, parts)
@@ -437,12 +481,13 @@ func (ws *workspace) partition(m *Matrix, procs []int, caps []int) [][]int {
 // affinities maxC is +Inf and nothing is skipped.
 func (ws *workspace) refineSwaps(m *Matrix, procs []int, parts [][]int) {
 	k := len(parts)
-	work := 0
-	for i := range parts {
-		for j := i + 1; j < len(parts); j++ {
-			work += len(parts[i]) * len(parts[j])
-		}
+	// The pairwise swap work Σ_{i<j} |A_i|·|A_j| is (S² − Σ|A_i|²)/2, with
+	// S = Σ|A_i| = len(procs): the same integer in O(k).
+	work := len(procs) * len(procs)
+	for _, part := range parts {
+		work -= len(part) * len(part)
 	}
+	work /= 2
 	local := ws.local
 	for pi, part := range parts {
 		for _, p := range part {

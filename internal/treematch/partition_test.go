@@ -80,6 +80,86 @@ func TestPartitionMatchesReference(t *testing.T) {
 	}
 }
 
+// TestClaimHeapShapesMatchReference drives the claim loop's two heaps
+// through shapes that random sparse matrices seldom take, on every test
+// tree: disconnected cliques, where the part heap runs empty in the middle
+// of a part and the next claim comes from the big heap; stored zero-weight
+// entries, whose touch leaves the gain at 0; and negative entries. Each
+// placement must be the reference's. A negative entry can make the uncapped
+// swap pass cycle (see FuzzMapTree), so that case runs under a budget that
+// sends every node that could swap to the capped pass, against the capped
+// reference.
+func TestClaimHeapShapesMatchReference(t *testing.T) {
+	const n = 48
+	rng := rand.New(rand.NewSource(5))
+	cliques := NewMatrix(n)
+	for lo := 0; lo < n; lo += 5 {
+		for i := lo; i < min(lo+5, n); i++ {
+			for j := i + 1; j < min(lo+5, n); j++ {
+				cliques.Add(i, j, float64(rng.Intn(1000)+1))
+			}
+		}
+	}
+	// A pair added with w and then -w keeps an entry of weight 0.
+	zeros := NewMatrix(n)
+	for i := 0; i < n; i++ {
+		for d := 0; d < 4; d++ {
+			if j := rng.Intn(n); j != i {
+				w := float64(rng.Intn(1000) + 1)
+				zeros.Add(i, j, w)
+				if d%2 == 0 {
+					zeros.Add(i, j, -w)
+				}
+			}
+		}
+	}
+	zeros.Finish()
+	stored := 0
+	for i := 0; i < n; i++ {
+		for _, e := range zeros.Row(i) {
+			if e.W == 0 {
+				stored++
+			}
+		}
+	}
+	if stored == 0 || !zeros.nonneg {
+		t.Fatalf("zero-weight matrix has %d stored zeros, nonneg %v", stored, zeros.nonneg)
+	}
+	negative := fuzzMatrix(rng, n, 4, 4)
+	if negative.nonneg {
+		t.Fatal("negative matrix has no negative entry")
+	}
+
+	for ti, tree := range testTrees(t) {
+		for _, tc := range []struct {
+			name string
+			m    *Matrix
+		}{{"cliques", cliques}, {"zeros", zeros}} {
+			got, err := MapTree(tc.m, tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refMapTree(tc.m, tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s tree %d: placement %v, reference %v", tc.name, ti, got, want)
+			}
+		}
+		restore := SetRefineBudget(minSwapWork(tree) - 1)
+		got, err := MapTree(negative, tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refCappedMapTree(negative, tree)
+		restore()
+		if !slices.Equal(got, want) {
+			t.Errorf("negative tree %d: placement %v, reference %v", ti, got, want)
+		}
+	}
+}
+
 // TestPartitionNeverWorseThanReference is the property the ISSUE asks for:
 // on randomized sparse matrices the dense partition never yields a higher
 // placement cost than the seed greedy implementation.
@@ -164,7 +244,7 @@ func TestPartitionRespectsCaps(t *testing.T) {
 			}
 		}
 		for i := range ws.rowW {
-			if ws.rowW[i] != 0 || ws.scratch[i] != 0 || ws.gain[i] != 0 {
+			if ws.rowW[i] != 0 || ws.scratch[i] != 0 || ws.gain[i] != 0 || ws.inPart[i] {
 				t.Fatalf("caps %v: workspace scratch row %d not reset", caps, i)
 			}
 		}
