@@ -37,17 +37,19 @@ race:
 # index against its model, no coroutine left behind, every way out of a
 # parked schedule cursor — run at GOMAXPROCS 4 as well: which rank runs next
 # may not depend on it. So do the TreeMatch placement pins: MapTree sizes
-# its worker pool by GOMAXPROCS, and no placement may depend on it. So do
+# its worker pool by GOMAXPROCS, and no placement may depend on it, nor any
+# degrade report its workers hand to OnRefineDegrade. So do
 # the span stream and the CG makespans, pinned under testdata/golden/ like
 # the other pins of that line.
 flake:
 	$(GO) test -count=10 -cpu 1,2 ./internal/cg ./internal/exp ./internal/coll ./internal/online ./internal/reorder ./cmd/mpimon
-	$(GO) test -count=10 -cpu 1,2,4 -run '^(TestEngineEquivalence|TestEventCountPinned|TestOneLiveWakePerWait|TestQueueAgainstModel|TestQueueSteadyStateAllocs|TestNoLeakedCoroutine|TestRingParkedExits|TestFig1LoopEventsPinned|TestCollectivesPinned|TestCappedPlacementsPinned|TestClaimHeapShapesMatchReference|TestMapTreeParallelLargeMatchesReference|TestSpanStreamPinned|TestSkipInitEquivalence)$$' ./internal/mpi ./internal/reorder ./internal/treematch ./internal/cg
+	$(GO) test -count=10 -cpu 1,2,4 -run '^(TestEngineEquivalence|TestEventCountPinned|TestOneLiveWakePerWait|TestQueueAgainstModel|TestQueueSteadyStateAllocs|TestNoLeakedCoroutine|TestRingParkedExits|TestFig1LoopEventsPinned|TestCollectivesPinned|TestCappedPlacementsPinned|TestCappedShortcutMatchesReference|TestClaimHeapShapesMatchReference|TestMapTreeParallelLargeMatchesReference|TestSpanStreamPinned|TestSkipInitEquivalence)$$' ./internal/mpi ./internal/reorder ./internal/treematch ./internal/cg
 
 # fuzz runs each fuzz target for a few seconds on top of its checked-in seed
 # corpus (testdata/fuzz/, which plain `go test` already replays): the reduce
 # kernels against the scalar oracle, the Bruck alltoallv frame decoder, the
-# sparse row decoder, the monitoring daemon's ingest frame decoder and the
+# sparse row decoder, the sparse pair visitor against a brute-force walk in
+# its documented order, the monitoring daemon's ingest frame decoder and the
 # matrix JSON reader against their invariants, the telemetry span-log
 # codec against an exact decode, and TreeMatch's MapTree and capped
 # refinement pass against the kernel they replaced.
@@ -55,6 +57,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReduceInto$$' -fuzztime 5s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz '^FuzzBruckFrame$$' -fuzztime 5s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime 5s ./internal/sparsemat
+	$(GO) test -run '^$$' -fuzz '^FuzzVisitPairs$$' -fuzztime 5s ./internal/sparsemat
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s ./internal/monsvc
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrixJSON$$' -fuzztime 5s ./internal/monitoring
 	$(GO) test -run '^$$' -fuzz '^FuzzSpanCodec$$' -fuzztime 5s ./internal/telemetry

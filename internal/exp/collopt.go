@@ -53,6 +53,9 @@ func CollectiveOpt(cfg CollOptConfig) ([]CollOptRow, error) {
 	if err := checkNPs("collopt", cfg.NPs...); err != nil {
 		return nil, err
 	}
+	if err := checkSizes("collopt sizes", cfg.BufSizes); err != nil {
+		return nil, err
+	}
 	var rows []CollOptRow
 	for _, np := range cfg.NPs {
 		for _, bufK := range cfg.BufSizes {

@@ -49,6 +49,9 @@ func ReorderHeatmap(cfg HeatmapConfig) ([]HeatCell, error) {
 	if err := checkNPs("reorder-heatmap", cfg.NPs...); err != nil {
 		return nil, err
 	}
+	if err := checkSizes("reorder-heatmap bufs", cfg.BufSizes); err != nil {
+		return nil, err
+	}
 	var cells []HeatCell
 	for _, np := range cfg.NPs {
 		for _, buf := range cfg.BufSizes {

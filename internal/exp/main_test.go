@@ -105,11 +105,12 @@ func TestBadRepsFails(t *testing.T) {
 	}
 }
 
-// TestBadGridFails: a world size below one rank, a negative block size and
-// a repetition count below one fail the run with exit 1 and an error that
-// names the bad value, before any world is built, instead of panicking the
-// process in a machine model or every rank in a makeslice, or quietly
-// measuring some other repetition count.
+// TestBadGridFails: a world size below one rank, a negative message, block
+// or buffer size and a repetition count below one fail the run with exit 1
+// and an error that names the bad value, before any world is built,
+// instead of panicking the process in a machine model or every rank in a
+// makeslice, failing every rank of a world, or quietly measuring some
+// other repetition count.
 func TestBadGridFails(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -127,6 +128,8 @@ func TestBadGridFails(t *testing.T) {
 		{[]string{"overhead", "-np", "4", "-sizes", "-1", "-reps", "2"}, "overhead sizes: negative message size -1"},
 		{[]string{"overhead", "-self", "-np", "4", "-sizes", "-1", "-reps", "2"}, "sizes: negative message size -1"},
 		{[]string{"guidelines", "-np", "4", "-blocks", "-8", "-sweep=false"}, "blocks: negative message size -8"},
+		{[]string{"collopt", "-np", "4", "-sizes", "1,-1"}, "collopt sizes: negative message size -1"},
+		{[]string{"reorder-heatmap", "-np", "4", "-iters", "1", "-bufs", "-1"}, "reorder-heatmap bufs: negative message size -1"},
 		{[]string{"guidelines", "-np", "4", "-blocks", "64", "-sweep=false", "-reps", "-1"}, "reps >= 1"},
 		{[]string{"guidelines", "-np", "4", "-blocks", "64", "-sweep=false", "-reps", "0"}, "reps >= 1"},
 	} {

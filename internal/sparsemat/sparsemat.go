@@ -206,25 +206,6 @@ func (m *Matrix) At(i, j int) (cnt, byt uint64) {
 	return 0, 0
 }
 
-// Has reports whether the directed pair (i, j) has an entry — present with
-// zero values and absent are distinguishable, unlike At.
-func (m *Matrix) Has(i, j int) bool {
-	if i < 0 || i >= len(m.Rows) || j < 0 || j >= m.N {
-		return false
-	}
-	r := m.Rows[i]
-	lo, hi := 0, len(r.Dst)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(r.Dst[mid]) < j {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(r.Dst) && int(r.Dst[lo]) == j
-}
-
 // Dense materializes the row-major n-by-n count and byte matrices —
 // exactly what the dense gather APIs historically returned, so small-n
 // callers stay bit-identical. O(n²) memory; intended for small n.

@@ -127,24 +127,3 @@ func TestMatrixDenseRoundTrip(t *testing.T) {
 		t.Error("WireBytes = 0 for a nonzero matrix")
 	}
 }
-
-func TestHasDistinguishesZeroByteEntries(t *testing.T) {
-	// Entry (0,1) has a count but zero bytes: present, so Has must say so
-	// even though At reports zero — this is what lets a sparse consumer
-	// visit each unordered pair exactly once.
-	counts := []uint64{0, 3, 0, 0, 0, 0, 0, 0, 0}
-	bytes := make([]uint64, 9)
-	sm, err := FromDense(counts, bytes, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sm.Has(0, 1) {
-		t.Fatal("Has(0,1) = false for a count-only entry")
-	}
-	if sm.Has(1, 0) || sm.Has(0, 2) || sm.Has(2, 2) {
-		t.Fatal("Has reports absent entries as present")
-	}
-	if sm.Has(-1, 0) || sm.Has(0, 3) || sm.Has(3, 0) {
-		t.Fatal("Has reports out-of-range coordinates as present")
-	}
-}

@@ -27,17 +27,26 @@ func (m *Matrix) VisitRows(fn func(i, j int, bytes uint64) error) error {
 // VisitPairs calls fn exactly once per unordered pair {i, j}, always with
 // i < j, for which either direction has an entry, passing the directed
 // byte counts both ways (bij = i→j, bji = j→i; a pair whose entries carry
-// only counts surfaces with both zero). It runs in O(nnz log nnz): a pair
-// is emitted from row i's entry when j > i, and from the mirror entry only
-// when row j claims no entry for i at all (an entry with zero bytes still
-// claims the pair). Consumers that fold the affinity as
-// float64(bij) + float64(bji) therefore add the lower-index direction
-// first. It stops at, and returns, fn's first error, and reports a
-// malformed matrix before the first call.
+// only counts surfaces with both zero). A pair is emitted from row i's
+// entry when j > i, and from the mirror entry only when row j claims no
+// entry for i at all (an entry with zero bytes still claims the pair), so
+// the pairs come in row order of the entry that emits them. Consumers that
+// fold the affinity as float64(bij) + float64(bji) therefore add the
+// lower-index direction first. It stops at, and returns, fn's first error,
+// and reports a malformed matrix before the first call.
+//
+// It runs in O(n + nnz). Row j is asked about i (for its bytes to i when
+// i < j, for whether it claims i when i > j) only while row i is visited,
+// and rows are visited in ascending order, so every row is asked about
+// ascending ranks: one forward cursor per row, which only ever passes each
+// entry once, answers every lookup.
 func (m *Matrix) VisitPairs(fn func(i, j int, bij, bji uint64) error) error {
 	if err := m.checkRows(); err != nil {
 		return err
 	}
+	// cur[j] is the first entry of row j whose destination is not below
+	// the last row that asked row j about itself.
+	cur := make([]int32, m.N)
 	for i := range m.Rows {
 		r := m.Rows[i]
 		for k, d := range r.Dst {
@@ -45,8 +54,18 @@ func (m *Matrix) VisitPairs(fn func(i, j int, bij, bji uint64) error) error {
 			if j == i {
 				continue
 			}
+			rj := m.Rows[j]
+			c := int(cur[j])
+			for c < len(rj.Dst) && int(rj.Dst[c]) < i {
+				c++
+			}
+			cur[j] = int32(c)
+			claimed := c < len(rj.Dst) && int(rj.Dst[c]) == i
 			if j > i {
-				_, bji := m.At(j, i)
+				var bji uint64
+				if claimed {
+					bji = rj.Byt[c]
+				}
 				if err := fn(i, j, r.Byt[k], bji); err != nil {
 					return err
 				}
@@ -54,7 +73,7 @@ func (m *Matrix) VisitPairs(fn func(i, j int, bij, bji uint64) error) error {
 			}
 			// j < i: the pair was emitted by row j's pass above unless
 			// row j has no entry for i at all.
-			if !m.Has(j, i) {
+			if !claimed {
 				if err := fn(j, i, 0, r.Byt[k]); err != nil {
 					return err
 				}

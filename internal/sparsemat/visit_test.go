@@ -58,9 +58,12 @@ func bytesMatrix(t *testing.T, bytes []uint64, n int) *Matrix {
 }
 
 // bruteRows and brutePairs are the reference walks VisitRows and
-// VisitPairs must agree with: O(n²) over the densified matrix, where an
-// entry is present when its count or its bytes are nonzero (the row
-// invariant rules out an entry with both zero).
+// VisitPairs must agree with, O(n²) over dense tables. bruteRows reads the
+// densified matrix, where an entry shows when its bytes are nonzero.
+// brutePairs walks every row's entries in destination order, in the order
+// VisitPairs documents: row i's entry for j > i emits (i, j) with the bytes
+// both ways, and its entry for j < i emits (j, i) only when row j has no
+// entry for i, an entry with zero bytes (or zero everything) included.
 func bruteRows(m *Matrix) []cell {
 	_, bytes := m.Dense()
 	var out []cell
@@ -74,19 +77,73 @@ func bruteRows(m *Matrix) []cell {
 	return out
 }
 
-func brutePairs(m *Matrix) map[[2]int][2]uint64 {
-	counts, bytes := m.Dense()
+func brutePairs(m *Matrix) []pair {
 	n := m.N
-	has := func(i, j int) bool { return counts[i*n+j]|bytes[i*n+j] != 0 }
-	out := map[[2]int][2]uint64{}
+	has := make([]bool, n*n)
+	bytes := make([]uint64, n*n)
+	for i, r := range m.Rows {
+		for k, d := range r.Dst {
+			has[i*n+int(d)] = true
+			bytes[i*n+int(d)] = r.Byt[k]
+		}
+	}
+	var out []pair
 	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if has(i, j) || has(j, i) {
-				out[[2]int{i, j}] = [2]uint64{bytes[i*n+j], bytes[j*n+i]}
+		for j := 0; j < n; j++ {
+			switch {
+			case !has[i*n+j] || j == i:
+			case j > i:
+				out = append(out, pair{i, j, bytes[i*n+j], bytes[j*n+i]})
+			case !has[j*n+i]:
+				out = append(out, pair{j, i, 0, bytes[i*n+j]})
 			}
 		}
 	}
 	return out
+}
+
+// shapedMatrix is a random valid matrix of order n whose rows take the
+// shapes a pair visitor can stumble on: entries above the diagonal only,
+// below it only, a diagonal entry among others, dense, or none. One-way
+// entries between them make mirror-only pairs. An entry carries a count
+// and bytes, a count only, bytes only, or (when zeros is set) neither,
+// which Validate allows.
+func shapedMatrix(rng *rand.Rand, n int, zeros bool) *Matrix {
+	m := New(n)
+	for i := range m.Rows {
+		shape := rng.Intn(5)
+		r := &m.Rows[i]
+		for j := 0; j < n; j++ {
+			var keep bool
+			switch shape {
+			case 0:
+				keep = j > i && rng.Intn(3) == 0
+			case 1:
+				keep = j < i && rng.Intn(3) == 0
+			case 2:
+				keep = j == i || rng.Intn(4) == 0
+			case 3:
+				keep = rng.Intn(2) == 0
+			}
+			if !keep {
+				continue
+			}
+			var cnt, byt uint64
+			switch v := rng.Intn(8); {
+			case v == 0 && zeros:
+			case v < 3:
+				cnt = uint64(1 + rng.Intn(3))
+			case v == 3:
+				byt = uint64(1 + rng.Intn(1<<16))
+			default:
+				cnt, byt = uint64(1+rng.Intn(5)), uint64(1+rng.Intn(1<<16))
+			}
+			r.Dst = append(r.Dst, int32(j))
+			r.Cnt = append(r.Cnt, cnt)
+			r.Byt = append(r.Byt, byt)
+		}
+	}
+	return m
 }
 
 func TestVisitRows(t *testing.T) {
@@ -114,53 +171,95 @@ func TestVisitPairs(t *testing.T) {
 }
 
 // TestVisitMatchesBruteForce checks VisitRows, VisitPairs and TotalBytes
-// against the O(n²) reference walks on seeded random matrices holding
-// count-only (zero-byte) entries and one-way pairs: the same directed
-// entries in the same order, every unordered pair exactly once with the
-// same bytes both ways, the same total.
+// against the O(n²) reference walks on seeded random matrices of orders up
+// to 64. Their rows hold entries above the diagonal only, below it only,
+// on it, count-only (zero-byte) and bytes-only entries, entries with no
+// count and no bytes, and one-way pairs, and every one of those shapes
+// must turn up. The walks must agree exactly: the same directed entries in
+// the same order, the same pair emissions with the same arguments in the
+// same order, the same total.
 func TestVisitMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(12)
-		counts := make([]uint64, n*n)
-		bytes := make([]uint64, n*n)
-		for i := range counts {
-			switch rng.Intn(4) {
-			case 0:
-			case 1: // count-only entry, no bytes
-				counts[i] = 1
-			default:
-				counts[i] = uint64(rng.Intn(5) + 1)
-				bytes[i] = uint64(rng.Intn(1 << 16))
-			}
-		}
-		m, err := FromDense(counts, bytes, n)
-		if err != nil {
+	var mirrorOnly, zeroByte, diagonal int
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(64)
+		m := shapedMatrix(rng, n, trial%2 == 1)
+		if err := m.checkRows(); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := collectRows(t, m), bruteRows(m); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: rows = %v, want %v", trial, got, want)
 		}
-		want := brutePairs(m)
-		got := map[[2]int][2]uint64{}
-		for _, p := range collectPairs(t, m) {
-			k := [2]int{p.i, p.j}
-			if _, dup := got[k]; dup {
-				t.Fatalf("trial %d: pair (%d,%d) visited twice", trial, p.i, p.j)
-			}
-			got[k] = [2]uint64{p.bij, p.bji}
-		}
+		got, want := collectPairs(t, m), brutePairs(m)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: pairs = %v, want %v", trial, got, want)
+			t.Fatalf("trial %d (order %d): pair sequence\n%v\nwant\n%v", trial, n, got, want)
 		}
 		var sum uint64
-		for _, b := range bytes {
-			sum += b
+		has := make([]bool, n*n)
+		for i, r := range m.Rows {
+			for k, d := range r.Dst {
+				has[i*n+int(d)] = true
+				sum += r.Byt[k]
+				switch {
+				case int(d) == i:
+					diagonal++
+				case r.Byt[k] == 0:
+					zeroByte++
+				}
+			}
+		}
+		for i := range n {
+			for j := range i {
+				if has[i*n+j] && !has[j*n+i] {
+					mirrorOnly++
+				}
+			}
 		}
 		if total, err := TotalBytes(m); err != nil || total != sum {
 			t.Fatalf("trial %d: TotalBytes = %d, %v; want %d", trial, total, err, sum)
 		}
 	}
+	if mirrorOnly == 0 || zeroByte == 0 || diagonal == 0 {
+		t.Fatalf("shapes seen: %d mirror-only pairs, %d zero-byte entries, %d diagonal entries; want each", mirrorOnly, zeroByte, diagonal)
+	}
+}
+
+// FuzzVisitPairs checks VisitPairs against brutePairs on arbitrary valid
+// matrices of order up to 64: each three bytes of entries name a source, a
+// destination and the entry's count and bytes (0 to 15 each, both zero
+// allowed), the last of a repeated entry winning. The checked-in corpus
+// holds a chain of upper entries, a mirror-only pair next to a two-way one,
+// and diagonal, count-only and empty entries.
+func FuzzVisitPairs(f *testing.F) {
+	f.Fuzz(func(t *testing.T, order uint8, entries []byte) {
+		n := 1 + int(order)%64
+		dense := make([]int, n*n) // 1 + the entry's value byte, 0 if absent
+		for k := 0; k+2 < len(entries); k += 3 {
+			i, j := int(entries[k])%n, int(entries[k+1])%n
+			dense[i*n+j] = 1 + int(entries[k+2])
+		}
+		m := New(n)
+		for i := range m.Rows {
+			r := &m.Rows[i]
+			for j, v := range dense[i*n : (i+1)*n] {
+				if v != 0 {
+					r.Dst = append(r.Dst, int32(j))
+					r.Cnt = append(r.Cnt, uint64((v-1)>>4))
+					r.Byt = append(r.Byt, uint64((v-1)&15))
+				}
+			}
+		}
+		var got []pair
+		if err := m.VisitPairs(func(i, j int, bij, bji uint64) error {
+			got = append(got, pair{i, j, bij, bji})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want := brutePairs(m); !reflect.DeepEqual(got, want) {
+			t.Fatalf("order %d: pair sequence\n%v\nwant\n%v", n, got, want)
+		}
+	})
 }
 
 func TestFromDenseBadShape(t *testing.T) {

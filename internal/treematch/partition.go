@@ -24,7 +24,11 @@ import (
 //   - above refineBudget the old code silently skipped refinement; now a
 //     capped pass refines the heaviest-cut part pairs within the budget and
 //     reports the degradation through OnRefineDegrade, and it skips the
-//     pairs whose part slacks prove that no swap can gain;
+//     pairs whose part slacks prove that no swap can gain. When the two
+//     largest slacks prove it for every pair, the pass swaps nothing and
+//     neither weighs nor orders the pairs: it stops at the slacks when no
+//     hook listens, and with parts of one size its report is a count of
+//     the cut pairs and a division, the numbers the full pass would give;
 //   - sibling subtrees are assigned in parallel by a bounded worker pool
 //     (subproblems are independent after partition returns).
 
@@ -185,6 +189,8 @@ type workspace struct {
 	caps, order []int
 	parts       [][]int
 	buf         []int
+	// stamp marks, per part, the cut pairs countCutPairs has counted.
+	stamp []int32
 }
 
 func newWorkspace(n int) *workspace {
@@ -641,7 +647,40 @@ type pairCut struct {
 // when n·k would be enormous. A pair whose two part slacks sum to at most 1e-12
 // is not searched: its one fruitless iteration is charged to the budget and
 // the pair counts as refined, exactly as if it had run.
+//
+// The slacks come first. Let s1 and s2 be the two largest. fl(x + y) is
+// monotone in each operand, so when fl(s1 + s2) ≤ 1e-12 no pair's slacks
+// sum to more, every pair is skipped and the pass swaps nothing: the
+// weighted pairs and their order would only feed the degrade report. So
+// without a hook the pass ends there. With one, and parts all of one size
+// c, every pair costs c², and the pass refines pairs in order until the
+// budget cannot pay for the next: min(#cut pairs, refineBudget / c²) of
+// them, whichever pairs they are. Counting the cut pairs needs neither
+// their weights nor their order. Parts of mixed sizes, or a pair that may
+// gain, take the full pass.
 func (ws *workspace) refineCapped(m *Matrix, procs []int, parts [][]int, work int) {
+	hook := OnRefineDegrade
+	// slack[i] bounds every swap gain part i can contribute (partSlack).
+	// A negative entry voids the bound, and then no pair is skipped.
+	var slack []float64
+	if m.nonneg {
+		slack = make([]float64, len(parts))
+		for i, part := range parts {
+			slack[i] = ws.partSlack(m, part)
+		}
+		if !slacksMayGain(slack) {
+			if hook == nil {
+				return
+			}
+			if c := len(parts[0]); allOfSize(parts, c) {
+				cut := ws.countCutPairs(m, parts)
+				refined := min(cut, refineBudget/(c*c))
+				hook(degradeOf(procs, parts, work, refined, cut))
+				return
+			}
+		}
+	}
+
 	pairs := ws.cutPairs(m, procs, len(parts))
 	// Heaviest cut first, ties by pair (the keys are unique).
 	slices.SortFunc(pairs, func(x, y pairCut) int {
@@ -653,16 +692,6 @@ func (ws *workspace) refineCapped(m *Matrix, procs []int, parts [][]int, work in
 		}
 		return cmp.Compare(x.bi, y.bi)
 	})
-
-	// slack[i] bounds every swap gain part i can contribute (partSlack).
-	// A negative entry voids the bound, and then no pair is skipped.
-	var slack []float64
-	if m.nonneg {
-		slack = make([]float64, len(parts))
-		for i, part := range parts {
-			slack[i] = ws.partSlack(m, part)
-		}
-	}
 	budget := refineBudget
 	refined := 0
 	for _, pc := range pairs {
@@ -684,16 +713,80 @@ func (ws *workspace) refineCapped(m *Matrix, procs []int, parts [][]int, work in
 			slack[pc.bi] = ws.partSlack(m, parts[pc.bi])
 		}
 	}
-	if hook := OnRefineDegrade; hook != nil {
-		hook(RefineDegrade{
-			Procs:        len(procs),
-			Parts:        len(parts),
-			Work:         work,
-			Budget:       refineBudget,
-			PairsRefined: refined,
-			PairsSkipped: len(pairs) - refined,
-		})
+	if hook != nil {
+		hook(degradeOf(procs, parts, work, refined, len(pairs)))
 	}
+}
+
+// degradeOf is the report of a capped pass that refined refined of the cut
+// part pairs.
+func degradeOf(procs []int, parts [][]int, work, refined, cut int) RefineDegrade {
+	return RefineDegrade{
+		Procs:        len(procs),
+		Parts:        len(parts),
+		Work:         work,
+		Budget:       refineBudget,
+		PairsRefined: refined,
+		PairsSkipped: cut - refined,
+	}
+}
+
+// slacksMayGain reports whether some two of the part slacks sum to more
+// than 1e-12, the least gain the swap search takes, or a slack is NaN. It
+// adds only the two largest: rounding is monotone, so no other pair sums
+// to more.
+func slacksMayGain(slack []float64) bool {
+	s1, s2 := math.Inf(-1), math.Inf(-1)
+	for _, s := range slack {
+		switch {
+		case math.IsNaN(s):
+			return true
+		case s > s1:
+			s1, s2 = s, s1
+		case s > s2:
+			s2 = s
+		}
+	}
+	return !(s1+s2 <= 1e-12)
+}
+
+// allOfSize reports whether every part has c members.
+func allOfSize(parts [][]int, c int) bool {
+	for _, part := range parts {
+		if len(part) != c {
+			return false
+		}
+	}
+	return true
+}
+
+// countCutPairs counts the pairs of parts with a cut edge between them, the
+// pairs cutPairs returns, without summing or ordering them. The rows are
+// symmetric, so every cut edge shows in the row of its member in the lower
+// part; stamp[pb] holds the last lower part counted with part pb.
+func (ws *workspace) countCutPairs(m *Matrix, parts [][]int) int {
+	local, partOf := ws.local, ws.partOf
+	stamp := slices.Grow(ws.stamp[:0], len(parts))[:len(parts)]
+	ws.stamp = stamp
+	for i := range stamp {
+		stamp[i] = -1
+	}
+	cut := 0
+	for pa, part := range parts {
+		for _, p := range part {
+			for _, e := range m.Row(p) {
+				l := local[e.Col]
+				if l < 0 {
+					continue
+				}
+				if pb := partOf[l]; pb > int32(pa) && stamp[pb] != int32(pa) {
+					stamp[pb] = int32(pa)
+					cut++
+				}
+			}
+		}
+	}
+	return cut
 }
 
 // cutPairs returns every pair of the k parts with a cut edge between them

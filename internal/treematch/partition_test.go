@@ -542,3 +542,141 @@ func TestCappedPassEdges(t *testing.T) {
 		})
 	}
 }
+
+// clusterMatrix is n processes in clusters of size, every pair inside a
+// cluster of affinity 10, and each process tied to one random process of
+// another cluster by an affinity of 1. A part made of whole clusters gives
+// each member a slack of at most 1 − 10·(size−1).
+func clusterMatrix(n, size int, seed int64) *Matrix {
+	m := NewMatrix(n)
+	for lo := 0; lo < n; lo += size {
+		for i := lo; i < lo+size; i++ {
+			for j := i + 1; j < lo+size; j++ {
+				m.Add(i, j, 10)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		if j := rng.Intn(n); j/size != i/size {
+			m.Add(i, j, 1)
+		}
+	}
+	m.Finish()
+	return m
+}
+
+// rootMayGain reports whether, on the root's greedy parts, the capped pass
+// could take a swap: whether some two part slacks sum to more than 1e-12.
+// refPartition skips refinement over budget, so its parts are the ones the
+// capped pass starts from.
+func rootMayGain(m *Matrix, tree *topology.Tree) (mayGain, uniform bool) {
+	n := m.N()
+	procs := make([]int, n)
+	for i := range procs {
+		procs[i] = i
+	}
+	caps := make([]int, len(tree.Children))
+	for i, c := range tree.Children {
+		caps[i] = c.Cap
+	}
+	parts := refPartition(m, procs, caps)
+	ws := newWorkspace(n)
+	slack := make([]float64, len(parts))
+	for pi, part := range parts {
+		for _, p := range part {
+			ws.local[p], ws.partOf[p] = int32(p), int32(pi)
+		}
+	}
+	for pi, part := range parts {
+		slack[pi] = ws.partSlack(m, part)
+	}
+	return slacksMayGain(slack), allOfSize(parts, len(parts[0]))
+}
+
+// TestCappedShortcutMatchesReference runs MapTree under lowered refinement
+// budgets, with OnRefineDegrade set and unset, against the kernel it
+// replaced (refCappedMapTree): the same placements and, with the hook set,
+// the same degrade events. The root's greedy parts decide the way through
+// the capped pass:
+//   - uniform: clusters of 64 on nodes of 256 cores, so no pair can gain,
+//     and the pass counts the cut pairs instead of weighing and sorting
+//     them, or with no hook stops at the slacks;
+//   - uneven: the same clusters on nodes of 256, 192, 256 and 128 cores, so
+//     no pair can gain, but with a hook the pass must order the pairs to
+//     count the ones the budget pays for;
+//   - gain: a random matrix whose root parts have slack to swap, where
+//     the full pass must run.
+//
+// Every root part has 128 or more processes and the larger ones reach
+// parallelThreshold, so the worker pool maps them and calls the hook
+// concurrently.
+func TestCappedShortcutMatchesReference(t *testing.T) {
+	topo := topology.MustNew(4, 4, 64)
+	var keep []int
+	for l := 0; l < topo.Leaves(); l++ {
+		if node, core := l/256, l%256; node != 1 && node != 3 || node == 1 && core < 192 || node == 3 && core < 128 {
+			keep = append(keep, l)
+		}
+	}
+	uneven, err := topo.Restrict(keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name             string
+		m                *Matrix
+		tree             *topology.Tree
+		mayGain, uniform bool
+	}{
+		{"uniform", clusterMatrix(1024, 64, 1), topo.FullTree(), false, true},
+		{"uneven", clusterMatrix(832, 64, 2), uneven, false, false},
+		{"gain", randSparse(1024, 6, 3), topo.FullTree(), true, true},
+	} {
+		// Root work is 393216 and node work at most 24576 on either tree:
+		// 1500 caps every level, 3·65536 the root alone.
+		for _, budget := range []int{1500, 3 * 65536} {
+			restore := SetRefineBudget(budget)
+			if mayGain, uniform := rootMayGain(tc.m, tc.tree); mayGain != tc.mayGain || uniform != tc.uniform {
+				t.Fatalf("%s: root parts may gain %v, uniform %v; want %v, %v", tc.name, mayGain, uniform, tc.mayGain, tc.uniform)
+			}
+			var mu sync.Mutex
+			var events []RefineDegrade
+			prev := OnRefineDegrade
+			OnRefineDegrade = func(d RefineDegrade) {
+				mu.Lock()
+				events = append(events, d)
+				mu.Unlock()
+			}
+			hooked, err := MapTree(tc.m, tc.tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := events
+			events = nil
+			OnRefineDegrade = nil
+			unhooked, err := MapTree(tc.m, tc.tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			OnRefineDegrade = func(d RefineDegrade) { events = append(events, d) }
+			want := refCappedMapTree(tc.m, tc.tree)
+			OnRefineDegrade = prev
+			restore()
+
+			if !slices.Equal(hooked, want) || !slices.Equal(unhooked, want) {
+				t.Fatalf("%s budget %d: placements differ from the reference (hook set: %v, unset: %v)",
+					tc.name, budget, slices.Equal(hooked, want), slices.Equal(unhooked, want))
+			}
+			byValue := func(x, y RefineDegrade) int {
+				return cmp.Or(cmp.Compare(x.Procs, y.Procs), cmp.Compare(x.Parts, y.Parts), cmp.Compare(x.Work, y.Work),
+					cmp.Compare(x.PairsRefined, y.PairsRefined), cmp.Compare(x.PairsSkipped, y.PairsSkipped))
+			}
+			slices.SortFunc(got, byValue)
+			slices.SortFunc(events, byValue)
+			if len(events) == 0 || !slices.Equal(got, events) {
+				t.Fatalf("%s budget %d: degrade events %+v, reference %+v", tc.name, budget, got, events)
+			}
+		}
+	}
+}

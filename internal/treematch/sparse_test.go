@@ -108,6 +108,39 @@ func TestFromViewBitIdentical(t *testing.T) {
 	}
 }
 
+// TestFromViewFinished: FromView builds its matrix finished, so every row
+// must already be what Finish would leave, strictly ascending columns and
+// positive weights, holding the affinities of the O(n²) reference. The
+// views add diagonal entries, which carry no affinity, to randTraffic's.
+func TestFromViewFinished(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(40)
+		counts, bytes := randTraffic(rng, n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(2) == 0 {
+				counts[i*n+i], bytes[i*n+i] = 1, uint64(1+rng.Intn(1<<20))
+			}
+		}
+		sm, err := sparsemat.FromDense(counts, bytes, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := FromView(sm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range got.rows {
+			for k, e := range r {
+				if e.Col == i || e.W <= 0 || k > 0 && r[k-1].Col >= e.Col {
+					t.Fatalf("trial %d: row %d is not finished: %v", trial, i, r)
+				}
+			}
+		}
+		sameDense(t, bruteAffinity(sm), got)
+	}
+}
+
 // chainView is a sparse view of order n in which every process talks both
 // ways with its chain neighbours and one way to the process n/2 above it.
 func chainView(n int) *sparsemat.Matrix {
