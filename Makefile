@@ -25,9 +25,11 @@ test:
 # (concurrent producers vs forced barrier flushes), the pml monitor
 # (concurrent readers vs the recording rank), the reorder/online
 # control loops (SPMD controllers stepping concurrently over all ranks),
-# and the collective algorithm portfolio (cross-engine pins at np=256).
+# the collective algorithm portfolio (cross-engine pins at np=256), and the
+# root package (every rank's goroutine registers in the C API's
+# per-process environment table).
 race:
-	$(GO) test -race ./internal/telemetry ./internal/mpi ./internal/monitoring ./internal/netsim ./internal/netsim/event ./internal/treematch ./internal/faults ./internal/elastic ./internal/monsvc ./internal/commitagg ./internal/pml ./internal/reorder ./internal/online ./internal/coll
+	$(GO) test -race . ./internal/telemetry ./internal/mpi ./internal/monitoring ./internal/netsim ./internal/netsim/event ./internal/treematch ./internal/faults ./internal/elastic ./internal/monsvc ./internal/commitagg ./internal/pml ./internal/reorder ./internal/online ./internal/coll
 
 # flake reruns the packages whose tests assert on virtual clocks, at both
 # GOMAXPROCS a 2-core host offers: a test that is only true on some host

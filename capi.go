@@ -105,7 +105,7 @@ func MPIMInit(p *Proc) int {
 	}
 	env, err := monitoring.Init(p)
 	if err != nil {
-		return monitoring.Code(err)
+		return ErrCodeOf(err)
 	}
 	capi.envs[p] = env
 	return Success
@@ -120,7 +120,7 @@ func MPIMFinalize(p *Proc) int {
 		return ErrCodeMissingInit
 	}
 	if err := env.Finalize(); err != nil {
-		return monitoring.Code(err)
+		return ErrCodeOf(err)
 	}
 	capi.mu.Lock()
 	delete(capi.envs, p)
@@ -137,7 +137,7 @@ func MPIMStart(comm *Comm, msid *Msid) int {
 	}
 	s, err := env.Start(comm)
 	if err != nil {
-		return monitoring.Code(err)
+		return ErrCodeOf(err)
 	}
 	*msid = s.ID()
 	return Success
@@ -155,7 +155,7 @@ func sessionsFor(p *Proc, msid Msid) ([]*Session, int) {
 	}
 	s, err := env.Get(msid)
 	if err != nil {
-		return nil, monitoring.Code(err)
+		return nil, ErrCodeOf(err)
 	}
 	return []*Session{s}, Success
 }
@@ -174,7 +174,7 @@ func forEach(p *Proc, msid Msid, skip func(*Session) bool, op func(*Session) err
 			continue
 		}
 		if err := op(s); err != nil {
-			return monitoring.Code(err)
+			return ErrCodeOf(err)
 		}
 	}
 	return Success
@@ -225,7 +225,7 @@ func MPIMGetInfo(p *Proc, msid Msid, provided, arraySize *int) int {
 	}
 	info, err := ss[0].GetInfo()
 	if err != nil {
-		return monitoring.Code(err)
+		return ErrCodeOf(err)
 	}
 	if provided != nil {
 		*provided = info.Provided
@@ -250,7 +250,7 @@ func MPIMGetData(p *Proc, msid Msid, msgCounts, msgSizes []uint64, flags Flags) 
 	}
 	counts, bytes, err := ss[0].Data(flags)
 	if err != nil {
-		return monitoring.Code(err)
+		return ErrCodeOf(err)
 	}
 	if msgCounts != nil {
 		if len(msgCounts) != len(counts) {
@@ -279,7 +279,7 @@ func MPIMAllgatherData(p *Proc, msid Msid, matCounts, matSizes []uint64, flags F
 	}
 	counts, bytes, err := ss[0].AllgatherData(flags)
 	if err != nil {
-		return monitoring.Code(err)
+		return ErrCodeOf(err)
 	}
 	return copyMatrices(matCounts, matSizes, counts, bytes)
 }
@@ -296,7 +296,7 @@ func MPIMRootgatherData(p *Proc, msid Msid, root int, matCounts, matSizes []uint
 	}
 	counts, bytes, err := ss[0].RootgatherData(root, flags)
 	if err != nil {
-		return monitoring.Code(err)
+		return ErrCodeOf(err)
 	}
 	if ss[0].Comm().Rank() != root {
 		return Success
@@ -331,7 +331,7 @@ func MPIMFlush(p *Proc, msid Msid, filename string, flags Flags) int {
 		return code
 	}
 	if err := ss[0].Flush(filename, flags); err != nil {
-		return monitoring.Code(err)
+		return ErrCodeOf(err)
 	}
 	return Success
 }
@@ -347,7 +347,7 @@ func MPIMRootflush(p *Proc, msid Msid, root int, filename string, flags Flags) i
 		return code
 	}
 	if err := ss[0].RootFlush(root, filename, flags); err != nil {
-		return monitoring.Code(err)
+		return ErrCodeOf(err)
 	}
 	return Success
 }

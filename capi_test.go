@@ -245,3 +245,42 @@ func TestCAPIContinueAndFlush(t *testing.T) {
 		return nil
 	})
 }
+
+// TestCAPIFaultCodes: a gather on a revoked communicator returns the
+// fault's own code, as ErrCodeOf maps the same error, not the MPIT failure
+// the monitoring layer wraps around it.
+func TestCAPIFaultCodes(t *testing.T) {
+	runWorld(t, 4, func(c *Comm) error {
+		p := c.Proc()
+		if code := MPIMInit(p); code != Success {
+			return fmt.Errorf("MPIMInit = %d", code)
+		}
+		sub, err := c.Split(0, c.Rank())
+		if err != nil {
+			return err
+		}
+		var id Msid
+		if code := MPIMStart(sub, &id); code != Success {
+			return fmt.Errorf("MPIMStart = %d", code)
+		}
+		if code := MPIMSuspend(p, id); code != Success {
+			return fmt.Errorf("MPIMSuspend = %d", code)
+		}
+		if err := sub.Revoke(); err != nil {
+			return err
+		}
+		if code := MPIMAllgatherData(p, id, nil, nil, AllComm); code != ErrCodeRevoked {
+			return fmt.Errorf("MPIMAllgatherData on a revoked communicator = %d, want %d", code, ErrCodeRevoked)
+		}
+		if code := MPIMRootgatherData(p, id, 0, nil, nil, AllComm); code != ErrCodeRevoked {
+			return fmt.Errorf("MPIMRootgatherData on a revoked communicator = %d, want %d", code, ErrCodeRevoked)
+		}
+		if code := MPIMFree(p, id); code != Success {
+			return fmt.Errorf("MPIMFree = %d", code)
+		}
+		if code := MPIMFinalize(p); code != Success {
+			return fmt.Errorf("MPIMFinalize = %d", code)
+		}
+		return nil
+	})
+}

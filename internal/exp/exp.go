@@ -57,9 +57,18 @@ func Nodes(np int) int { return (np + 23) / 24 }
 // for it: the machine models panic on a machine without nodes.
 func checkNPs(what string, nps ...int) error {
 	for _, np := range nps {
-		if np < 1 {
-			return fmt.Errorf("exp: %s needs np >= 1, got %d", what, np)
+		if err := checkCount(what, "np", np); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// checkCount rejects a count flag below one (a world size, a group, phase,
+// window or iteration count) before any world is built.
+func checkCount(what, name string, v int) error {
+	if v < 1 {
+		return fmt.Errorf("exp: %s needs %s >= 1, got %d", what, name, v)
 	}
 	return nil
 }

@@ -18,8 +18,8 @@ import (
 // clique workload runs under a fault plan that degrades one link and then
 // kills the last node mid-iteration; the survivors recover with the
 // ULFM-style Revoke/Shrink/Agree sequence and re-optimize placement with a
-// deliberately starved mapping budget, exercising the reorder retry path
-// down to its identity fallback.
+// deliberately starved mapping budget, exercising the reorder's identity
+// fallback.
 type FaultsConfig struct {
 	NP         int           // ranks; round-robin over ceil(NP/4) per-node cliques
 	Clique     int           // ranks per communication clique
@@ -27,13 +27,12 @@ type FaultsConfig struct {
 	ComputePer time.Duration // virtual compute per iteration
 	Iters      int           // iteration budget (death interrupts it)
 	DeathAt    time.Duration // virtual death time of the last node
-	// MappingTimeout and Retries starve the post-recovery reorder so its
-	// retry/backoff chain exhausts and degrades to the identity
-	// permutation — the graceful-degradation path under test. The timeout
-	// is virtual (compared with the modelled mapping cost), so the
-	// starvation does not depend on the host.
+	// MappingTimeout starves the post-recovery reorder so its mapping
+	// times out and degrades to the identity permutation — the
+	// graceful-degradation path under test. The timeout is virtual
+	// (compared with the modelled mapping cost), so the starvation does not
+	// depend on the host.
 	MappingTimeout time.Duration
-	Retries        int
 }
 
 // DefaultFaults kills the third node halfway through the iteration budget.
@@ -45,7 +44,6 @@ var DefaultFaults = FaultsConfig{
 	Iters:          20,
 	DeathAt:        time.Millisecond,
 	MappingTimeout: time.Nanosecond,
-	Retries:        2,
 }
 
 // FaultsResult summarizes one resilience run.
@@ -61,7 +59,6 @@ type FaultsResult struct {
 	Revocations  uint64
 	Shrinks      uint64
 	Injections   uint64
-	MapRetries   uint64
 	MapFallbacks uint64
 	InjStats     faults.Stats
 }
@@ -71,6 +68,18 @@ type FaultsResult struct {
 // shrunken job with a starved mapping budget. It must terminate without
 // hangs whatever the interleaving of deaths and collectives.
 func Faults(cfg FaultsConfig) (FaultsResult, error) {
+	if err := checkCount("faults", "clique", cfg.Clique); err != nil {
+		return FaultsResult{}, err
+	}
+	if err := checkCount("faults", "iters", cfg.Iters); err != nil {
+		return FaultsResult{}, err
+	}
+	if err := checkSizes("faults size", []int{cfg.MsgSize}); err != nil {
+		return FaultsResult{}, err
+	}
+	if cfg.MappingTimeout < 0 {
+		return FaultsResult{}, fmt.Errorf("exp: faults needs map-timeout >= 0, got %v", cfg.MappingTimeout)
+	}
 	if cfg.NP%cfg.Clique != 0 {
 		return FaultsResult{}, fmt.Errorf("exp: np %d not a multiple of clique %d", cfg.NP, cfg.Clique)
 	}
@@ -162,8 +171,8 @@ func Faults(cfg FaultsConfig) (FaultsResult, error) {
 		}
 
 		// Re-optimize the shrunken job with a starved mapping budget: the
-		// mapping times out, retries with backoff, exhausts, and degrades
-		// to the identity permutation — the run keeps going regardless.
+		// mapping times out and degrades to the identity permutation — the
+		// run keeps going regardless.
 		_, k, err := reorder.MonitorAndReorder(env, nc, func(rc *mpi.Comm) error {
 			sub, err := rc.Split(rc.Rank()/cfg.Clique, rc.Rank())
 			if err != nil {
@@ -172,8 +181,6 @@ func Faults(cfg FaultsConfig) (FaultsResult, error) {
 			return sub.AllgatherN(cfg.MsgSize)
 		},
 			reorder.WithMappingTimeout(cfg.MappingTimeout),
-			reorder.WithRetries(cfg.Retries),
-			reorder.WithBackoff(10*time.Microsecond),
 		)
 		if err != nil {
 			return err
@@ -203,7 +210,6 @@ func Faults(cfg FaultsConfig) (FaultsResult, error) {
 	res.Revocations = reg.CounterTotal("mpimon_comm_revocations_total")
 	res.Shrinks = reg.CounterTotal("mpimon_comm_shrinks_total")
 	res.Injections = reg.CounterTotal("mpimon_fault_injections_total")
-	res.MapRetries = reg.CounterTotal("mpimon_reorder_retries_total")
 	res.MapFallbacks = reg.CounterTotal("mpimon_reorder_fallback_total")
 	if inj := w.FaultInjector(); inj != nil {
 		res.InjStats = inj.Stats()
@@ -225,7 +231,6 @@ func PrintFaults(w io.Writer, cfg FaultsConfig, r FaultsResult) {
 	Fprintf(w, "mpimon_comm_revocations_total\t%d\n", r.Revocations)
 	Fprintf(w, "mpimon_comm_shrinks_total\t%d\n", r.Shrinks)
 	Fprintf(w, "mpimon_fault_injections_total\t%d\n", r.Injections)
-	Fprintf(w, "mpimon_reorder_retries_total\t%d\n", r.MapRetries)
 	Fprintf(w, "mpimon_reorder_fallback_total\t%d\n", r.MapFallbacks)
 	Fprintf(w, "# injector stats: latency=%d bandwidth=%d drops=%d dups=%d\n",
 		r.InjStats.LatencyFaults, r.InjStats.BandwidthFaults, r.InjStats.Drops, r.InjStats.Duplicates)

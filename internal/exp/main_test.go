@@ -106,7 +106,8 @@ func TestBadRepsFails(t *testing.T) {
 }
 
 // TestBadGridFails: a world size below one rank, a negative message, block
-// or buffer size and a repetition count below one fail the run with exit 1
+// or buffer size, a group, phase, window, clique, iteration or repetition
+// count below one and a negative mapping timeout fail the run with exit 1
 // and an error that names the bad value, before any world is built,
 // instead of panicking the process in a machine model or every rank in a
 // makeslice, failing every rank of a world, or quietly measuring some
@@ -132,11 +133,21 @@ func TestBadGridFails(t *testing.T) {
 		{[]string{"reorder-heatmap", "-np", "4", "-iters", "1", "-bufs", "-1"}, "reorder-heatmap bufs: negative message size -1"},
 		{[]string{"guidelines", "-np", "4", "-blocks", "64", "-sweep=false", "-reps", "-1"}, "reps >= 1"},
 		{[]string{"guidelines", "-np", "4", "-blocks", "64", "-sweep=false", "-reps", "0"}, "reps >= 1"},
+		{[]string{"online", "-groups", "0"}, "groups >= 1"},
+		{[]string{"online", "-groups", "-1"}, "groups >= 1"},
+		{[]string{"online", "-phases", "0"}, "phases >= 1"},
+		{[]string{"online", "-windows", "0"}, "windows >= 1"},
+		{[]string{"online", "-windows", "-1"}, "windows >= 1"},
+		{[]string{"online", "-chunk", "-1"}, "online chunk: negative message size -1"},
+		{[]string{"faults", "-clique", "0"}, "clique >= 1"},
+		{[]string{"faults", "-size", "-1"}, "faults size: negative message size -1"},
+		{[]string{"faults", "-iters", "0"}, "iters >= 1"},
+		{[]string{"faults", "-map-timeout", "-1ns"}, "map-timeout >= 0"},
 	} {
 		var out, errb bytes.Buffer
 		code := runTable(experiments, tc.args, &out, &errb)
-		if code != 1 || !strings.Contains(errb.String(), tc.want) || strings.Contains(errb.String(), "panic") {
-			t.Errorf("exp %v: exit %d, stderr %q; want 1 and an error containing %q", tc.args, code, errb.String(), tc.want)
+		if code != 1 || strings.Count(errb.String(), tc.want) != 1 || strings.Contains(errb.String(), "panic") {
+			t.Errorf("exp %v: exit %d, stderr %q; want 1 and one error containing %q", tc.args, code, errb.String(), tc.want)
 		}
 		if out.Len() != 0 {
 			t.Errorf("exp %v wrote to stdout: %q", tc.args, out.String())
@@ -221,6 +232,7 @@ func TestResultsRegenerate(t *testing.T) {
 		{[]string{"collopt", "-op", "reduce"}, "fig5a_reduce.tsv"},
 		{[]string{"collopt", "-op", "bcast"}, "fig5b_bcast.tsv"},
 		{[]string{"online"}, "online_reorder.tsv"},
+		{[]string{"faults"}, "faults.tsv"},
 	} {
 		want, err := os.ReadFile(filepath.Join("..", "..", "results", tc.file))
 		if err != nil {

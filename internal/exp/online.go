@@ -55,7 +55,15 @@ var onlineModes = []string{"baseline", "static", "online"}
 // MonitorAndReorder, the online one monitors every window through the
 // controller.
 func OnlineReorder(cfg OnlineConfig) ([]OnlineRow, error) {
-	if err := checkNPs("online", cfg.NP); err != nil {
+	for _, c := range []struct {
+		name string
+		v    int
+	}{{"np", cfg.NP}, {"groups", cfg.Groups}, {"phases", cfg.Phases}, {"windows", cfg.WindowsPerPhase}} {
+		if err := checkCount("online", c.name, c.v); err != nil {
+			return nil, err
+		}
+	}
+	if err := checkSizes("online chunk", []int{cfg.ChunkBytes}); err != nil {
 		return nil, err
 	}
 	if cfg.NP%cfg.Groups != 0 {

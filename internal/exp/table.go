@@ -63,7 +63,6 @@ var experiments = []experiment{
 			fs.IntVar(&cfg.Iters, "iters", cfg.Iters, "iteration budget")
 			fs.DurationVar(&cfg.DeathAt, "death-at", cfg.DeathAt, "virtual death time of the last node")
 			fs.DurationVar(&cfg.MappingTimeout, "map-timeout", cfg.MappingTimeout, "virtual mapping timeout of the post-recovery reorder")
-			fs.IntVar(&cfg.Retries, "map-retries", cfg.Retries, "mapping retries before the identity fallback")
 			return func(w io.Writer) error {
 				res, err := Faults(cfg)
 				if err != nil {

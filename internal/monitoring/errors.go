@@ -49,32 +49,3 @@ const (
 	CodeInvalidRoot
 	CodeInvalidFlags
 )
-
-// Code maps an error returned by this package to its numeric constant;
-// nil maps to Success and unknown errors to CodeInternalFail.
-func Code(err error) int {
-	switch {
-	case err == nil:
-		return Success
-	case errors.Is(err, ErrMPITFail):
-		return CodeMPITFail
-	case errors.Is(err, ErrMissingInit):
-		return CodeMissingInit
-	case errors.Is(err, ErrSessionStillActive):
-		return CodeSessionStillActive
-	case errors.Is(err, ErrSessionNotSuspended):
-		return CodeSessionNotSuspended
-	case errors.Is(err, ErrInvalidMsid):
-		return CodeInvalidMsid
-	case errors.Is(err, ErrSessionOverflow):
-		return CodeSessionOverflow
-	case errors.Is(err, ErrMultipleCall):
-		return CodeMultipleCall
-	case errors.Is(err, ErrInvalidRoot):
-		return CodeInvalidRoot
-	case errors.Is(err, ErrInvalidFlags):
-		return CodeInvalidFlags
-	default:
-		return CodeInternalFail
-	}
-}

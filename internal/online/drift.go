@@ -2,9 +2,8 @@
 // monitoring one iteration and reordering once, a Controller keeps a
 // sliding window of sparse monitoring deltas, measures how far the
 // windowed communication matrix has drifted from the matrix the current
-// placement was computed for, and re-reorders — warm-starting TreeMatch
-// from the running placement — only when the drift crosses a threshold AND
-// the modelled gain (scaled by the network-utilization forecast of
+// placement was computed for, and re-reorders with a full TreeMatch only
+// when the drift crosses a threshold AND the modelled gain (scaled by the network-utilization forecast of
 // internal/predict) exceeds the modelled remap cost. Post-Shrink worlds
 // plug in via Rebind, which restarts monitoring on the shrunken
 // communicator and forces a re-optimization on the next window.

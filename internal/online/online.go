@@ -1,6 +1,7 @@
 package online
 
 import (
+	"fmt"
 	"time"
 
 	"mpimon/internal/monitoring"
@@ -18,8 +19,6 @@ const (
 	// driftThreshold is the drift at which a remap is considered; the
 	// trigger is inclusive (drift == driftThreshold remaps).
 	driftThreshold = 0.25
-	// warmPasses bounds the best-swap passes of the warm-started refinement.
-	warmPasses = 4
 	// horizon is over how many future windows the modelled per-window gain
 	// is amortized against the remap cost.
 	horizon = 4
@@ -30,21 +29,7 @@ const (
 
 // config is the tunable state behind the functional options.
 type config struct {
-	window      int
-	fullDrift   float64
-	flags       monitoring.Flags
-	stateBytes  int64
-	bytesPerSec float64
-	maxRemaps   int
-}
-
-func defaultConfig() config {
-	return config{
-		window:      2,
-		fullDrift:   0.6,
-		flags:       monitoring.AllComm,
-		bytesPerSec: 12.5e9, // one 100 Gb/s link, the PlaFRIM fabric
-	}
+	window int
 }
 
 // Option adjusts one Controller tunable; pass them to New (the same
@@ -52,30 +37,9 @@ func defaultConfig() config {
 type Option func(*config)
 
 // WithWindow sets how many monitoring epochs the sliding window retains
-// (default 2; minimum 1). Larger windows smooth transient traffic at the
-// price of reacting a window later.
+// (default 2; New rejects fewer than 1). Larger windows smooth transient
+// traffic at the price of reacting a window later.
 func WithWindow(epochs int) Option { return func(c *config) { c.window = epochs } }
-
-// WithFullRemapDrift sets the drift above which the controller runs a full
-// TreeMatch instead of the warm-started refinement (default 0.6).
-func WithFullRemapDrift(d float64) Option { return func(c *config) { c.fullDrift = d } }
-
-// WithFlags selects the communication classes of the gathered matrices
-// (default monitoring.AllComm).
-func WithFlags(f monitoring.Flags) Option { return func(c *config) { c.flags = f } }
-
-// WithStateBytes declares each rank's migration payload; the redistribution
-// of moved roles is charged into the remap-cost model at the configured
-// link bandwidth (default 0: roles are stateless, redistribution is free).
-func WithStateBytes(b int64) Option { return func(c *config) { c.stateBytes = b } }
-
-// WithLinkBandwidth sets the bytes/second the migration-cost model divides
-// the moved state by (default 12.5e9, one 100 Gb/s link).
-func WithLinkBandwidth(bps float64) Option { return func(c *config) { c.bytesPerSec = bps } }
-
-// WithMaxRemaps caps how many times the controller may remap (default 0 =
-// unlimited). WithMaxRemaps(1) degenerates to the paper's static-once.
-func WithMaxRemaps(n int) Option { return func(c *config) { c.maxRemaps = n } }
 
 // Decision records what one Step decided. Every rank sees Window and
 // Remapped; the model fields (Drift, costs, gain, reason) are filled on
@@ -90,9 +54,6 @@ type Decision struct {
 	Drift float64
 	// Remapped reports whether the communicator was rebuilt.
 	Remapped bool
-	// Warm reports whether the accepted mapping came from the
-	// warm-started refinement rather than a full TreeMatch.
-	Warm bool
 	// Moved counts the ranks whose role changes under the mapping.
 	Moved int
 	// CostBefore/CostAfter are the placement costs (affinity × distance)
@@ -127,12 +88,12 @@ type Controller struct {
 // New starts a monitoring session on comm and returns the controller.
 // Collective over comm (every member must construct one).
 func New(env *monitoring.Env, comm *mpi.Comm, opts ...Option) (*Controller, error) {
-	cfg := defaultConfig()
+	cfg := config{window: 2}
 	for _, fn := range opts {
 		fn(&cfg)
 	}
 	if cfg.window < 1 {
-		cfg.window = 1
+		return nil, fmt.Errorf("online: window of %d epochs, want at least 1", cfg.window)
 	}
 	pred, err := predict.New(0.5, horizon)
 	if err != nil {
@@ -191,8 +152,7 @@ func (ctl *Controller) counter(name string) *telemetry.Counter {
 // unless Remapped). Collective over the current communicator.
 //
 // Role data is NOT moved: after a remap the caller redistributes state
-// with reorder.Redistribute over the OLD communicator if roles carry any
-// (the controller's cost model accounts for it via WithStateBytes).
+// with reorder.Redistribute over the OLD communicator if roles carry any.
 func (ctl *Controller) Step(phase func(*mpi.Comm) error) (*mpi.Comm, Decision, error) {
 	c := ctl.comm
 	p := c.Proc()
@@ -210,7 +170,7 @@ func (ctl *Controller) Step(phase func(*mpi.Comm) error) (*mpi.Comm, Decision, e
 		return c, dec, err
 	}
 	var decideStart time.Duration // rank 0's clock once the epoch is gathered
-	opt, k, err := reorder.Remap(ctl.sess, ctl.cfg.flags, func(epoch *sparsemat.Matrix) ([]int, error) {
+	opt, k, err := reorder.Remap(ctl.sess, monitoring.AllComm, func(epoch *sparsemat.Matrix) ([]int, error) {
 		decideStart = p.Clock()
 		return ctl.decide(&dec, epoch, winDur)
 	})
@@ -284,10 +244,6 @@ func (ctl *Controller) decide(dec *Decision, epoch *sparsemat.Matrix, winDur tim
 		dec.Reason = "stable: drift below threshold"
 		return nil, nil
 	}
-	if ctl.cfg.maxRemaps > 0 && ctl.remaps >= ctl.cfg.maxRemaps {
-		dec.Reason = "remap budget exhausted"
-		return nil, nil
-	}
 
 	place := reorder.MemberPlacement(ctl.comm)
 	topo := ctl.comm.World().Machine().Topo
@@ -297,15 +253,7 @@ func (ctl *Controller) decide(dec *Decision, epoch *sparsemat.Matrix, winDur tim
 	}
 	dec.CostBefore = treematch.Cost(aff, place, topo)
 
-	// Moderate drift: incremental TreeMatch, warm-started from the
-	// placement the communicator already runs under. First mapping or
-	// heavy drift: full recursive partitioning.
-	passes := 0
-	if ctl.ref != nil && dec.Drift < ctl.cfg.fullDrift {
-		passes = warmPasses
-		dec.Warm = true
-	}
-	k, err := reorder.Map(ctl.comm, cur, passes, 0)
+	k, err := reorder.Map(ctl.comm, cur, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -336,8 +284,7 @@ func (ctl *Controller) decide(dec *Decision, epoch *sparsemat.Matrix, winDur tim
 	// which has no reference placement worth preserving): model the gain
 	// as the window's communication time scaled by the fractional cost
 	// reduction and the predictor's traffic forecast, amortized over the
-	// horizon, and compare with the measured (or seeded) remap cost plus
-	// the state redistribution at link bandwidth.
+	// horizon, and compare with the measured (or seeded) remap cost.
 	if ctl.ref != nil {
 		gainFrac := 0.0
 		if dec.CostBefore > 0 {
@@ -352,10 +299,6 @@ func (ctl *Controller) decide(dec *Decision, epoch *sparsemat.Matrix, winDur tim
 		if rc <= 0 {
 			rc = initialRemapCost
 		}
-		if ctl.cfg.stateBytes > 0 && ctl.cfg.bytesPerSec > 0 {
-			redist := float64(dec.Moved) * float64(ctl.cfg.stateBytes) / ctl.cfg.bytesPerSec
-			rc += time.Duration(redist * float64(time.Second))
-		}
 		dec.RemapCost = rc
 		if dec.PredictedGain <= rc {
 			dec.Reason = "predicted gain below remap cost"
@@ -363,13 +306,9 @@ func (ctl *Controller) decide(dec *Decision, epoch *sparsemat.Matrix, winDur tim
 		}
 	}
 
-	switch {
-	case ctl.ref == nil:
+	dec.Reason = "full remap"
+	if ctl.ref == nil {
 		dec.Reason = "initial mapping"
-	case dec.Warm:
-		dec.Reason = "warm remap"
-	default:
-		dec.Reason = "full remap"
 	}
 	ctl.ref = cur
 	return k, nil

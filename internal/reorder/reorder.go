@@ -37,24 +37,11 @@ type options struct {
 	// Flags selects the communication classes of the gathered matrix;
 	// zero means monitoring.AllComm.
 	Flags monitoring.Flags
-	// MappingTimeout bounds the virtual time of one TreeMatch attempt on
-	// rank 0: an attempt priced above it (mappingCost) fails with
-	// mpi.ErrTimeout (and is retried, then degraded, per the fields
-	// below). Zero means no bound.
+	// MappingTimeout bounds the virtual time of the TreeMatch mapping on
+	// rank 0: a mapping priced above it (mappingCost) fails with
+	// mpi.ErrTimeout and Reorder degrades to the identity permutation.
+	// Zero means no bound.
 	MappingTimeout time.Duration
-	// MaxRetries is how many times a failed or timed-out mapping attempt
-	// is retried before degrading. Zero means one attempt, no retry.
-	MaxRetries int
-	// RetryBackoff is the virtual-time penalty charged to rank 0 before
-	// retry i, growing exponentially as RetryBackoff << (i-1). Zero
-	// charges nothing.
-	RetryBackoff time.Duration
-	// NoIdentityFallback propagates a mapping failure out of Reorder as
-	// an error. The default (false) degrades gracefully: after the last
-	// attempt fails, the identity permutation is used — the application
-	// keeps running unreordered — and mpimon_reorder_fallback_total is
-	// incremented.
-	NoIdentityFallback bool
 }
 
 // Opt adjusts one reordering option; Reorder and MonitorAndReorder take
@@ -62,8 +49,7 @@ type options struct {
 type Opt func(*options)
 
 // newOptions returns the default reordering options (all communication
-// classes, no timeout, no retries, identity fallback on failure) with the
-// given adjustments applied.
+// classes, no timeout) with the given adjustments applied.
 func newOptions(opts ...Opt) *options {
 	o := options{Flags: monitoring.AllComm}
 	for _, fn := range opts {
@@ -78,18 +64,8 @@ func newOptions(opts ...Opt) *options {
 // WithFlags selects the communication classes of the gathered matrix.
 func WithFlags(f monitoring.Flags) Opt { return func(o *options) { o.Flags = f } }
 
-// WithMappingTimeout bounds the virtual time of one mapping attempt.
+// WithMappingTimeout bounds the virtual time of the mapping.
 func WithMappingTimeout(d time.Duration) Opt { return func(o *options) { o.MappingTimeout = d } }
-
-// WithRetries sets how many times a failed mapping attempt is retried.
-func WithRetries(n int) Opt { return func(o *options) { o.MaxRetries = n } }
-
-// WithBackoff sets the base virtual-time penalty between mapping retries.
-func WithBackoff(d time.Duration) Opt { return func(o *options) { o.RetryBackoff = d } }
-
-// WithoutIdentityFallback makes mapping failure an error of Reorder
-// instead of degrading to the identity permutation.
-func WithoutIdentityFallback() Opt { return func(o *options) { o.NoIdentityFallback = true } }
 
 // NewRanks computes the paper's k vector from a TreeMatch result: given
 // coreOf (role j should run on core coreOf[j]) and place (old rank r runs
@@ -141,28 +117,6 @@ func ComputeMapping(v *sparsemat.Matrix, topo *topology.Topology, place []int) (
 	return NewRanks(coreOf, place)
 }
 
-// ComputeMappingWarm is ComputeMapping warm-started from the placement the
-// communicator already runs under: instead of a full recursive
-// partitioning, the previous placement is refined with bounded best-swap
-// passes (treematch.RefinePlacement) under the current matrix. When the
-// matrix has drifted only moderately this is far cheaper than a full
-// TreeMatch and returns the identity permutation when no swap improves —
-// the online controller's low-drift path.
-func ComputeMappingWarm(v *sparsemat.Matrix, topo *topology.Topology, place []int, passes int) ([]int, error) {
-	if len(place) != v.N {
-		return nil, fmt.Errorf("reorder: placement of %d entries for %d ranks", len(place), v.N)
-	}
-	m, err := treematch.FromView(v)
-	if err != nil {
-		return nil, err
-	}
-	coreOf, err := treematch.RefinePlacement(m, topo, place, passes)
-	if err != nil {
-		return nil, err
-	}
-	return NewRanks(coreOf, place)
-}
-
 // mapFn computes the full mapping on rank 0; a seam so tests can inject
 // failures without a pathological matrix.
 var mapFn = ComputeMapping
@@ -182,16 +136,15 @@ func mappingCost(m *sparsemat.Matrix, depth int) time.Duration {
 	return time.Duration(m.N+m.NNZ()) * time.Duration(depth) * mappingNsPerVisit
 }
 
-// Map is one mapping attempt on the calling rank (rank 0 of comm) and the
-// only call through which Reorder and the online controller reach
-// TreeMatch: a full mapping of m, or with warmPasses > 0 a refinement of
-// the placement comm already runs under (ComputeMappingWarm). The attempt
-// is priced in virtual time only — mappingCost is charged to the caller's
+// Map is the mapping on the calling rank (rank 0 of comm) and the only
+// call through which Reorder and the online controller reach TreeMatch: a
+// full mapping of m under the placement comm runs under. The mapping is
+// priced in virtual time only — mappingCost is charged to the caller's
 // clock — and one priced above a positive timeout is charged the timeout
 // and fails with mpi.ErrTimeout. Capped refinements of huge matrices are
 // still valid mappings but count on the hub as
 // mpimon_treematch_refine_degraded_total.
-func Map(comm *mpi.Comm, m *sparsemat.Matrix, warmPasses int, timeout time.Duration) ([]int, error) {
+func Map(comm *mpi.Comm, m *sparsemat.Matrix, timeout time.Duration) ([]int, error) {
 	p := comm.Proc()
 	topo := comm.World().Machine().Topo
 	// Restrict prunes branches, never levels: the restricted tree is as
@@ -213,55 +166,30 @@ func Map(comm *mpi.Comm, m *sparsemat.Matrix, warmPasses int, timeout time.Durat
 		}
 		defer func() { treematch.OnRefineDegrade = prev }()
 	}
-	place := MemberPlacement(comm)
-	if warmPasses > 0 {
-		return ComputeMappingWarm(m, topo, place, warmPasses)
-	}
-	return mapFn(m, topo, place)
+	return mapFn(m, topo, MemberPlacement(comm))
 }
 
-// computeWithRetry runs the mapping on rank 0 under the options' timeout
-// and retry policy. Retries charge exponential virtual-time backoff; when
-// every attempt has failed, it degrades to the identity permutation (the
-// application keeps running unreordered) unless NoIdentityFallback asks
-// for the error instead.
-func computeWithRetry(comm *mpi.Comm, o *options, sm *sparsemat.Matrix) ([]int, error) {
-	var retries, fallback *telemetry.Counter
+// mapOrIdentity runs the mapping on rank 0 under the timeout. The
+// mapping is a pure function of the matrix and the machine, so a failed one
+// is not retried: it degrades to the identity permutation (the application
+// keeps running unreordered) and counts as mpimon_reorder_fallback_total.
+func mapOrIdentity(comm *mpi.Comm, sm *sparsemat.Matrix, timeout time.Duration) []int {
+	var fallback *telemetry.Counter
 	if tel := comm.World().Telemetry(); tel != nil {
-		retries = tel.Registry().Counter("mpimon_reorder_retries_total")
 		fallback = tel.Registry().Counter("mpimon_reorder_fallback_total")
 	}
-	var lastErr error
-	for attempt := 0; attempt <= o.MaxRetries; attempt++ {
-		if attempt > 0 {
-			if retries != nil {
-				retries.Inc()
-			}
-			if o.RetryBackoff > 0 {
-				shift := attempt - 1
-				if shift > 16 {
-					shift = 16
-				}
-				comm.Proc().Compute(o.RetryBackoff << shift)
-			}
-		}
-		k, err := Map(comm, sm, 0, o.MappingTimeout)
-		if err == nil {
-			return k, nil
-		}
-		lastErr = err
-	}
-	if o.NoIdentityFallback {
-		return nil, lastErr
+	k, err := Map(comm, sm, timeout)
+	if err == nil {
+		return k
 	}
 	if fallback != nil {
 		fallback.Inc()
 	}
-	k := make([]int, sm.N)
+	k = make([]int, sm.N)
 	for i := range k {
 		k[i] = i
 	}
-	return k, nil
+	return k
 }
 
 // MemberPlacement returns the core of each member of the communicator.
@@ -363,15 +291,15 @@ func Remap(s *monitoring.Session, flags monitoring.Flags, decide func(*sparsemat
 
 // Reorder executes lines 6-11 of the paper's Fig. 1 on a suspended
 // monitoring session: Remap deciding with the TreeMatch permutation of the
-// gathered matrix, under the options' timeout, retry and identity-fallback
-// policy. It returns the communicator in which old rank r has become rank
-// k[r], along with k. Collective over the session's communicator. The
-// caller typically redistributes data next (Redistribute) and runs the
-// remaining iterations on the new communicator.
+// gathered matrix, under the options' timeout and identity fallback. It
+// returns the communicator in which old rank r has become rank k[r], along
+// with k. Collective over the session's communicator. The caller typically
+// redistributes data next (Redistribute) and runs the remaining iterations
+// on the new communicator.
 func Reorder(s *monitoring.Session, opts ...Opt) (*mpi.Comm, []int, error) {
 	o := newOptions(opts...)
 	return Remap(s, o.Flags, func(sm *sparsemat.Matrix) ([]int, error) {
-		return computeWithRetry(s.Comm(), o, sm)
+		return mapOrIdentity(s.Comm(), sm, o.MappingTimeout), nil
 	})
 }
 

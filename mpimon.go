@@ -237,13 +237,6 @@ var (
 	// ReorderMappingTimeout bounds one mapping computation, in the virtual
 	// time the mapping-cost model prices it at.
 	ReorderMappingTimeout = reorder.WithMappingTimeout
-	// ReorderRetries bounds the mapping retry count.
-	ReorderRetries = reorder.WithRetries
-	// ReorderBackoff sets the base of the exponential retry backoff.
-	ReorderBackoff = reorder.WithBackoff
-	// ReorderNoIdentityFallback propagates mapping failure instead of
-	// degrading to the identity permutation.
-	ReorderNoIdentityFallback = reorder.WithoutIdentityFallback
 )
 
 // NewTopology builds a balanced hardware tree from per-level arities.
@@ -288,13 +281,6 @@ func ComputeMapping(v *SparseMatrix, topo *Topology, place []int) ([]int, error)
 	return reorder.ComputeMapping(v, topo, place)
 }
 
-// ComputeMappingWarm refines the placement the communicator already runs
-// under instead of recomputing it from scratch — the incremental TreeMatch
-// of the online re-reordering loop.
-func ComputeMappingWarm(v *SparseMatrix, topo *Topology, place []int, passes int) ([]int, error) {
-	return reorder.ComputeMappingWarm(v, topo, place, passes)
-}
-
 // Online re-reordering (package online): the introspection loop closed —
 // monitor a window, measure matrix drift, re-reorder when it pays.
 
@@ -315,23 +301,9 @@ func NewOnlineController(env *Env, comm *Comm, opts ...OnlineOption) (*OnlineCon
 	return online.New(env, comm, opts...)
 }
 
-// Online controller options.
-var (
-	// OnlineWindow sets the sliding window's epoch capacity.
-	OnlineWindow = online.WithWindow
-	// OnlineFullRemapDrift sets the drift above which a full TreeMatch
-	// replaces the warm-started refinement.
-	OnlineFullRemapDrift = online.WithFullRemapDrift
-	// OnlineFlags selects the monitored communication classes.
-	OnlineFlags = online.WithFlags
-	// OnlineStateBytes declares each rank's migration payload for the
-	// remap-cost model.
-	OnlineStateBytes = online.WithStateBytes
-	// OnlineLinkBandwidth sets the migration model's link bandwidth.
-	OnlineLinkBandwidth = online.WithLinkBandwidth
-	// OnlineMaxRemaps caps the controller's remap count.
-	OnlineMaxRemaps = online.WithMaxRemaps
-)
+// OnlineWindow sets the sliding window's epoch capacity, the controller's
+// one option.
+var OnlineWindow = online.WithWindow
 
 // MatrixDrift measures how far the current communication matrix diverged
 // from a reference (L1 distance of symmetric affinities, normalized;
