@@ -22,14 +22,15 @@ test:
 # / ULFM recovery layer (deterministic injector + Revoke/Shrink/Agree),
 # the monitoring daemon's concurrent ingest/read service, the
 # commit-on-threshold layer whose policy the row exporter batches by
-# (concurrent producers vs forced barrier flushes), the pml monitor
-# (concurrent readers vs the recording rank), the reorder/online
+# (concurrent producers vs forced barrier flushes), the pml monitor and
+# the MPI_T layer above it (concurrent readers, a tool scraping the pvars
+# through the sparse append path, vs the recording rank), the reorder/online
 # control loops (SPMD controllers stepping concurrently over all ranks),
 # the collective algorithm portfolio (cross-engine pins at np=256), and the
 # root package (every rank's goroutine registers in the C API's
 # per-process environment table).
 race:
-	$(GO) test -race . ./internal/telemetry ./internal/mpi ./internal/monitoring ./internal/netsim ./internal/netsim/event ./internal/treematch ./internal/faults ./internal/elastic ./internal/monsvc ./internal/commitagg ./internal/pml ./internal/reorder ./internal/online ./internal/coll
+	$(GO) test -race . ./internal/telemetry ./internal/mpi ./internal/monitoring ./internal/netsim ./internal/netsim/event ./internal/treematch ./internal/faults ./internal/elastic ./internal/monsvc ./internal/commitagg ./internal/pml ./internal/mpit ./internal/reorder ./internal/online ./internal/coll
 
 # flake reruns the packages whose tests assert on virtual clocks, at both
 # GOMAXPROCS a 2-core host offers: a test that is only true on some host

@@ -84,6 +84,16 @@ func checkSizes(what string, sizes []int) error {
 	return nil
 }
 
+// isIdentity reports whether the permutation k keeps every rank in place.
+func isIdentity(k []int) bool {
+	for i, v := range k {
+		if v != i {
+			return false
+		}
+	}
+	return true
+}
+
 // checkReps rejects a repetition count below one, which leaves no sample
 // to take a median of.
 func checkReps(what string, reps int) error {

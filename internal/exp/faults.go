@@ -63,6 +63,10 @@ type FaultsResult struct {
 	InjStats     faults.Stats
 }
 
+// errNeverFired is what each rank returns when the iteration budget ran out
+// before the node died; Faults reports it once.
+var errNeverFired = errors.New("fault plan never fired")
+
 // Faults runs the experiment: monitor the healthy phase, lose a node, let
 // every survivor converge through Revoke/Shrink/Agree, then reorder the
 // shrunken job with a starved mapping budget. It must terminate without
@@ -76,6 +80,10 @@ func Faults(cfg FaultsConfig) (FaultsResult, error) {
 	}
 	if err := checkSizes("faults size", []int{cfg.MsgSize}); err != nil {
 		return FaultsResult{}, err
+	}
+	// A node dead at time 0 would already be gone at the clique Split.
+	if cfg.DeathAt <= 0 {
+		return FaultsResult{}, fmt.Errorf("exp: faults needs death-at > 0, got %v", cfg.DeathAt)
 	}
 	if cfg.MappingTimeout < 0 {
 		return FaultsResult{}, fmt.Errorf("exp: faults needs map-timeout >= 0, got %v", cfg.MappingTimeout)
@@ -141,7 +149,7 @@ func Faults(cfg FaultsConfig) (FaultsResult, error) {
 			iters++
 		}
 		if ferr == nil {
-			return fmt.Errorf("exp: fault plan never fired in %d iterations", cfg.Iters)
+			return errNeverFired // reported once for the world, below
 		}
 		if c.Proc().Failed() {
 			return ferr // dying ranks unwind; the runtime filters this
@@ -186,20 +194,16 @@ func Faults(cfg FaultsConfig) (FaultsResult, error) {
 			return err
 		}
 		if nc.Rank() == 0 {
-			identity := true
-			for i, v := range k {
-				if v != i {
-					identity = false
-					break
-				}
-			}
 			res.ItersDone = iters
 			res.Survivors = nc.Size()
 			res.Agreed = agreed
-			res.IdentityK = identity
+			res.IdentityK = isIdentity(k)
 		}
 		return nil
 	})
+	if errors.Is(err, errNeverFired) {
+		return FaultsResult{}, fmt.Errorf("exp: fault plan never fired in %d iterations", cfg.Iters)
+	}
 	if err != nil {
 		return FaultsResult{}, err
 	}

@@ -107,11 +107,12 @@ func TestBadRepsFails(t *testing.T) {
 
 // TestBadGridFails: a world size below one rank, a negative message, block
 // or buffer size, a group, phase, window, clique, iteration or repetition
-// count below one and a negative mapping timeout fail the run with exit 1
-// and an error that names the bad value, before any world is built,
-// instead of panicking the process in a machine model or every rank in a
-// makeslice, failing every rank of a world, or quietly measuring some
-// other repetition count.
+// count below one, a negative mapping timeout and a death time at or before
+// zero fail the run with exit 1 and an error that names the bad value,
+// before any world is built, instead of panicking the process in a machine
+// model or every rank in a makeslice, failing every rank of a world, or
+// quietly measuring some other repetition count. A death after the
+// iteration budget fails the run with one error, not one per rank.
 func TestBadGridFails(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -143,6 +144,9 @@ func TestBadGridFails(t *testing.T) {
 		{[]string{"faults", "-size", "-1"}, "faults size: negative message size -1"},
 		{[]string{"faults", "-iters", "0"}, "iters >= 1"},
 		{[]string{"faults", "-map-timeout", "-1ns"}, "map-timeout >= 0"},
+		{[]string{"faults", "-death-at", "0"}, "death-at > 0"},
+		{[]string{"faults", "-death-at", "-1ms"}, "death-at > 0"},
+		{[]string{"faults", "-death-at", "1h"}, "fault plan never fired in 20 iterations"},
 	} {
 		var out, errb bytes.Buffer
 		code := runTable(experiments, tc.args, &out, &errb)

@@ -129,11 +129,11 @@ func onlineRun(cfg OnlineConfig, mode string) (time.Duration, int, error) {
 				return err
 			}
 			defer env.Finalize()
-			work, _, err := reorder.MonitorAndReorder(env, c, window(0))
+			work, k, err := reorder.MonitorAndReorder(env, c, window(0))
 			if err != nil {
 				return err
 			}
-			if c.Rank() == 0 {
+			if c.Rank() == 0 && !isIdentity(k) {
 				remaps = 1
 			}
 			for i := 1; i < totalWindows; i++ {

@@ -28,3 +28,20 @@ func TestOnlineBeatsStatic(t *testing.T) {
 		t.Errorf("online remapped %d times over %d phases", onl.Remaps, cfg.Phases)
 	}
 }
+
+// TestOnlineOneNodeRemapsNothing: at np 24 every rank sits on one PlaFRIM
+// node, so every mapping is the identity, and neither the static row nor
+// the online row may count a remap.
+func TestOnlineOneNodeRemapsNothing(t *testing.T) {
+	cfg := DefaultOnline
+	cfg.NP = 24
+	rows, err := OnlineReorder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.Remaps != 0 {
+			t.Errorf("%s row counts %d remaps on one node, want 0", r.Mode, r.Remaps)
+		}
+	}
+}

@@ -44,13 +44,15 @@ func (s *Session) Data(flags Flags) (counts, bytes []uint64, err error) {
 	case Active:
 		return nil, nil, ErrSessionNotSuspended
 	}
-	n := s.n
+	n := s.comm.Size()
 	counts = make([]uint64, n)
 	bytes = make([]uint64, n)
 	for _, cl := range cls {
-		for ci, p := range s.acc[cl] {
-			counts[ci] += p.cnt
-			bytes[ci] += p.byt
+		for _, e := range s.cells[cl] {
+			if e.Dst >= 0 {
+				counts[e.Dst] += e.Cnt
+				bytes[e.Dst] += e.Byt
+			}
 		}
 	}
 	return counts, bytes, nil
@@ -77,31 +79,44 @@ func (s *Session) SparseData(flags Flags) (sparsemat.Row, error) {
 
 // sparseRowLocked assembles the accumulated data of the given classes as
 // one destination-sorted sparse row; its three slices are all it allocates.
-// Callers hold s.mu.
+// A peer is in the row when it has data in some selected class (any
+// message counts one, so data is never all zero). Callers hold s.mu.
 func (s *Session) sparseRowLocked(cls []pml.Class) sparsemat.Row {
 	nnz := 0
 	for _, cl := range cls {
-		nnz += len(s.acc[cl])
+		for _, e := range s.cells[cl] {
+			if hasData(e) {
+				nnz++
+			}
+		}
 	}
 	dst := make([]int32, 0, nnz)
 	for _, cl := range cls {
-		for ci := range s.acc[cl] {
-			dst = append(dst, ci)
+		for _, e := range s.cells[cl] {
+			if hasData(e) {
+				dst = append(dst, e.Dst)
+			}
 		}
 	}
 	slices.Sort(dst)
 	row := sparsemat.Row{Dst: slices.Compact(dst)} // a peer of several classes appears once
 	row.Cnt = make([]uint64, len(row.Dst))
 	row.Byt = make([]uint64, len(row.Dst))
-	for i, ci := range row.Dst {
-		for _, cl := range cls {
-			p := s.acc[cl][ci]
-			row.Cnt[i] += p.cnt
-			row.Byt[i] += p.byt
+	for _, cl := range cls {
+		for _, e := range s.cells[cl] {
+			if hasData(e) {
+				i, _ := slices.BinarySearch(row.Dst, e.Dst)
+				row.Cnt[i] += e.Cnt
+				row.Byt[i] += e.Byt
+			}
 		}
 	}
 	return row
 }
+
+// hasData reports whether a suspended session's cell belongs to a member
+// with accumulated data.
+func hasData(e pml.Entry) bool { return e.Dst >= 0 && (e.Cnt != 0 || e.Byt != 0) }
 
 // AllgatherSparse gathers every member's sparse row into a sparse n-by-n
 // communication matrix delivered to every member. The wire format is the
@@ -150,7 +165,7 @@ func (s *Session) AllgatherSparse(flags Flags) (*sparsemat.Matrix, error) {
 		}
 		sm.Rows[i] = r
 	}
-	s.env.observeGather("allgather", total, sm.NNZ())
+	s.env.observeGather(false, total, sm.NNZ())
 	return sm, nil
 }
 
@@ -200,7 +215,7 @@ func (s *Session) RootgatherSparse(root int, flags Flags) (*sparsemat.Matrix, er
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrMPITFail, err)
 	}
-	s.env.observeGather("rootgather", wire, sm.NNZ())
+	s.env.observeGather(true, wire, sm.NNZ())
 	s.env.observeRootPeak(peak)
 	return sm, nil
 }
@@ -261,7 +276,7 @@ func (s *Session) Flush(filename string, flags Flags) error {
 	name := fmt.Sprintf("%s.%d.prof", filename, rank)
 	return writeProf(name, func(w *bufio.Writer) error {
 		if _, err := fmt.Fprintf(w, "# mpimon monitoring session %d rank %d size %d flags %s\n",
-			s.id, rank, s.n, flagNames(flags)); err != nil {
+			s.id, rank, len(counts), flagNames(flags)); err != nil {
 			return err
 		}
 		if _, err := fmt.Fprintf(w, "# dst\tcount\tbytes\n"); err != nil {
@@ -313,7 +328,7 @@ func (s *Session) RootFlush(root int, filename string, flags Flags) error {
 		return nil
 	}
 	worldRank := s.comm.WorldRank(root)
-	n := s.n
+	n := s.comm.Size()
 	write := func(name string, m []uint64) error {
 		return writeProf(name, func(w *bufio.Writer) error {
 			if _, err := fmt.Fprintf(w, "# mpimon monitoring session %d matrix %dx%d flags %s\n",

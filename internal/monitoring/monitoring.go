@@ -18,6 +18,7 @@
 package monitoring
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -108,91 +109,84 @@ func (s State) String() string {
 // concurrent use.
 type Env struct {
 	p *mpi.Proc
-	t *mpit.Interface
-
-	// One pvar handle per (class, counts/bytes); reading the monitoring
-	// state always goes through the MPI_T layer.
-	hCounts [pml.NumClasses]*mpit.Handle
-	hBytes  [pml.NumClasses]*mpit.Handle
-	tsess   *mpit.Session
-
-	// tr and active are nil unless the world has telemetry: lifecycle
-	// events land on the rank's timeline, and the gauge tracks how many
-	// sessions are live on this process. wireBytes/wireNNZ count the
-	// sparse gather payload (per gather kind) and rootPeak records the
-	// largest transient buffer a streamed root gather needed, so the
-	// sparse data path's win over dense O(n²) is observable.
-	tr        *telemetry.Rank
-	active    *telemetry.Gauge
-	wireBytes map[string]*telemetry.Counter
-	wireNNZ   *telemetry.Counter
-	rootPeak  *telemetry.Gauge
+	// pvars is the MPI_T session every read of the monitoring state goes
+	// through.
+	pvars mpit.Session
+	tel   *envTelemetry // nil unless the world has telemetry
 
 	mu        sync.Mutex
-	sessions  map[Msid]*Session
+	sessions  []*Session // the live sessions, ascending identifiers
 	nextMsid  Msid
 	finalized bool
+}
+
+// envTelemetry is what an environment reports when its world has
+// telemetry: lifecycle events land on the rank's timeline, and the gauge
+// tracks how many sessions are live on this process. The wire counters
+// count the sparse gather payload (per gather kind) and rootPeak records
+// the largest transient buffer a streamed root gather needed, so the
+// sparse data path's win over dense O(n²) is observable.
+type envTelemetry struct {
+	tr             *telemetry.Rank
+	active         *telemetry.Gauge
+	allgatherWire  *telemetry.Counter
+	rootgatherWire *telemetry.Counter
+	wireNNZ        *telemetry.Counter
+	rootPeak       *telemetry.Gauge
 }
 
 // Init sets up the monitoring environment of the calling process. As in
 // the paper it may be called again after Finalize, but environments must
 // not overlap (the C-style API enforces one live environment per process).
 func Init(p *mpi.Proc) (*Env, error) {
-	t := mpit.New(p.Monitor())
-	e := &Env{p: p, t: t, sessions: make(map[Msid]*Session)}
-	e.tsess = t.SessionCreate()
-	names := [pml.NumClasses][2]string{
-		pml.P2P:  {mpit.VarP2PCount, mpit.VarP2PBytes},
-		pml.Coll: {mpit.VarCollCount, mpit.VarCollBytes},
-		pml.Osc:  {mpit.VarOscCount, mpit.VarOscBytes},
-	}
-	for cl := pml.Class(0); cl < pml.NumClasses; cl++ {
-		hc, err := e.tsess.AllocHandle(names[cl][0])
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrMPITFail, err)
-		}
-		hb, err := e.tsess.AllocHandle(names[cl][1])
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrMPITFail, err)
-		}
-		e.hCounts[cl], e.hBytes[cl] = hc, hb
-	}
+	e := &Env{p: p, pvars: mpit.New(p.Monitor()).SessionCreate()}
 	if tel := p.World().Telemetry(); tel != nil {
-		e.tr = p.Telemetry()
-		e.active = tel.Registry().Gauge("mpimon_active_sessions",
-			telemetry.L("rank", strconv.Itoa(p.Rank())))
-		e.wireBytes = map[string]*telemetry.Counter{
-			"allgather":  tel.Registry().Counter("mpimon_gather_wire_bytes_total", telemetry.L("op", "allgather")),
-			"rootgather": tel.Registry().Counter("mpimon_gather_wire_bytes_total", telemetry.L("op", "rootgather")),
+		reg := tel.Registry()
+		e.tel = &envTelemetry{
+			tr:             p.Telemetry(),
+			active:         reg.Gauge("mpimon_active_sessions", telemetry.L("rank", strconv.Itoa(p.Rank()))),
+			allgatherWire:  reg.Counter("mpimon_gather_wire_bytes_total", telemetry.L("op", "allgather")),
+			rootgatherWire: reg.Counter("mpimon_gather_wire_bytes_total", telemetry.L("op", "rootgather")),
+			wireNNZ:        reg.Counter("mpimon_gather_nnz_total"),
+			rootPeak:       reg.Gauge("mpimon_rootgather_peak_buffer_bytes"),
 		}
-		e.wireNNZ = tel.Registry().Counter("mpimon_gather_nnz_total")
-		e.rootPeak = tel.Registry().Gauge("mpimon_rootgather_peak_buffer_bytes")
-		e.tr.Event("monitoring.init", int64(p.Clock()))
+		e.event("monitoring.init")
 	}
 	return e, nil
 }
 
+// event puts a lifecycle event on the rank's timeline (no-op without
+// telemetry).
+func (e *Env) event(name string) {
+	if e.tel != nil {
+		e.tel.tr.Event(name, int64(e.p.Clock()))
+	}
+}
+
 // observeGather records the assembled wire footprint of one gather on the
-// telemetry registry (no-op without telemetry): op is "allgather" or
-// "rootgather", wire the encoded payload bytes and nnz the nonzero entries.
-func (e *Env) observeGather(op string, wire, nnz int) {
-	if e.wireBytes == nil {
+// telemetry registry (no-op without telemetry): root tells a root gather
+// from an allgather, wire is the encoded payload bytes and nnz the nonzero
+// entries.
+func (e *Env) observeGather(root bool, wire, nnz int) {
+	if e.tel == nil {
 		return
 	}
-	if ctr, ok := e.wireBytes[op]; ok {
-		ctr.Add(uint64(wire))
+	ctr := e.tel.allgatherWire
+	if root {
+		ctr = e.tel.rootgatherWire
 	}
-	e.wireNNZ.Add(uint64(nnz))
+	ctr.Add(uint64(wire))
+	e.tel.wireNNZ.Add(uint64(nnz))
 }
 
 // observeRootPeak raises the root-gather peak-buffer gauge (root calls it;
 // the gauge is a high-water mark across the run's gathers).
 func (e *Env) observeRootPeak(bytes int) {
-	if e.rootPeak == nil {
+	if e.tel == nil {
 		return
 	}
-	if e.rootPeak.Value() < int64(bytes) {
-		e.rootPeak.Set(int64(bytes))
+	if e.tel.rootPeak.Value() < int64(bytes) {
+		e.tel.rootPeak.Set(int64(bytes))
 	}
 }
 
@@ -209,61 +203,28 @@ func (e *Env) Finalize() error {
 		return ErrMissingInit
 	}
 	for _, s := range e.sessions {
-		if s.stateLocked() == Active {
+		if s.State() == Active {
 			return ErrSessionStillActive
 		}
 	}
-	for id, s := range e.sessions {
+	for _, s := range e.sessions {
 		s.mu.Lock()
-		s.state = Freed
+		s.release()
 		s.mu.Unlock()
-		delete(e.sessions, id)
-		if e.active != nil {
-			e.active.Dec()
+		if e.tel != nil {
+			e.tel.active.Dec()
 		}
 	}
-	e.tsess.Free()
+	e.sessions = nil
+	e.pvars.Free()
 	e.finalized = true
-	if e.tr != nil {
-		e.tr.Event("monitoring.finalize", int64(e.p.Clock()))
-	}
+	e.event("monitoring.finalize")
 	return nil
 }
 
 func (e *Env) checkLive() error {
 	if e.finalized {
 		return ErrMissingInit
-	}
-	return nil
-}
-
-// pvarSample is one sparse snapshot of the six monitoring pvars: for each
-// class, the world ranks with any recorded traffic and their count/byte
-// values. Reading one costs O(peers touched), not O(world size).
-type pvarSample struct {
-	peers  [pml.NumClasses][]int
-	counts [pml.NumClasses][]uint64
-	bytes  [pml.NumClasses][]uint64
-}
-
-// readPvarsSparse samples the monitoring pvars through the MPI_T delta
-// read path (Handle.Touched + Handle.ReadAt) into s, reusing its count and
-// byte buffers: the peer lists Touched returns are the only allocations.
-func (e *Env) readPvarsSparse(s *pvarSample) error {
-	for cl := pml.Class(0); cl < pml.NumClasses; cl++ {
-		peers, err := e.hCounts[cl].Touched()
-		if err != nil {
-			return fmt.Errorf("%w: %w", ErrMPITFail, err)
-		}
-		s.peers[cl] = peers
-		s.counts[cl] = slices.Grow(s.counts[cl][:0], len(peers))[:len(peers)]
-		s.bytes[cl] = slices.Grow(s.bytes[cl][:0], len(peers))[:len(peers)]
-		if err := e.hCounts[cl].ReadAt(peers, s.counts[cl]); err != nil {
-			return fmt.Errorf("%w: %w", ErrMPITFail, err)
-		}
-		if err := e.hBytes[cl].ReadAt(peers, s.bytes[cl]); err != nil {
-			return fmt.Errorf("%w: %w", ErrMPITFail, err)
-		}
 	}
 	return nil
 }
@@ -281,37 +242,17 @@ func (e *Env) Start(comm *mpi.Comm) (*Session, error) {
 	if len(e.sessions) >= MaxSessions {
 		return nil, ErrSessionOverflow
 	}
-	s := &Session{
-		env:   e,
-		id:    e.nextMsid,
-		comm:  comm,
-		n:     comm.Size(),
-		state: Active,
-	}
-	if err := e.readPvarsSparse(&s.sample); err != nil {
+	s := &Session{env: e, id: e.nextMsid, comm: comm, state: Active}
+	s.indexMembers()
+	if err := s.fold(false); err != nil {
 		return nil, err
 	}
 	e.nextMsid++
-	// COMM_WORLD (context 0) maps world rank to comm rank identically, so
-	// the membership map would be an O(np) identity table per rank — a
-	// 65536-rank world cannot afford one. Sessions on derived communicators
-	// still build the real map.
-	if comm.Context() != 0 {
-		group := comm.Group()
-		s.w2c = make(map[int32]int32, len(group))
-		for ci, wr := range group {
-			s.w2c[int32(wr)] = int32(ci)
-		}
+	e.sessions = append(e.sessions, s)
+	if e.tel != nil {
+		e.tel.active.Inc()
 	}
-	s.takeSnapshot()
-	for cl := pml.Class(0); cl < pml.NumClasses; cl++ {
-		s.acc[cl] = make(map[int32]cbPair)
-	}
-	e.sessions[s.id] = s
-	if e.tr != nil {
-		e.active.Inc()
-		e.tr.Event("session.start", int64(e.p.Clock()))
-	}
+	e.event("session.start")
 	return s, nil
 }
 
@@ -322,11 +263,17 @@ func (e *Env) Get(id Msid) (*Session, error) {
 	if err := e.checkLive(); err != nil {
 		return nil, err
 	}
-	s, ok := e.sessions[id]
+	i, ok := e.find(id)
 	if !ok {
 		return nil, ErrInvalidMsid
 	}
-	return s, nil
+	return e.sessions[i], nil
+}
+
+// find returns the position of the live session id in e.sessions, and
+// whether it is there. Callers hold e.mu.
+func (e *Env) find(id Msid) (int, bool) {
+	return slices.BinarySearchFunc(e.sessions, id, func(s *Session, id Msid) int { return cmp.Compare(s.id, id) })
 }
 
 // Sessions returns the live sessions, for AllMsid-style iteration; the
@@ -336,54 +283,47 @@ func (e *Env) Get(id Msid) (*Session, error) {
 func (e *Env) Sessions() []*Session {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]*Session, 0, len(e.sessions))
-	for _, s := range e.sessions {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	return slices.Clone(e.sessions)
 }
 
 func (e *Env) drop(id Msid) {
 	e.mu.Lock()
-	delete(e.sessions, id)
+	if i, ok := e.find(id); ok {
+		e.sessions = slices.Delete(e.sessions, i, i+1)
+	}
 	e.mu.Unlock()
-}
-
-// cbPair is one (message count, byte count) cell of the sparse session
-// state.
-type cbPair struct {
-	cnt uint64
-	byt uint64
 }
 
 // Session is one monitoring session: the per-destination message and byte
 // counts accumulated while the session is Active, over the members of its
 // communicator. Data is indexed by communicator rank.
 //
-// Storage is sparse: instead of six world-sized slices per session, the
-// session keeps one map entry per peer actually touched — snapshots of
-// the pvars at the last Start/Continue and accumulated deltas of the
-// completed active spans. A 2D-stencil session on a 4096-rank world holds
-// a handful of entries, not 6×4096 words.
+// Storage is one flat slice per class, laid over the pml monitor's entries
+// for that class: cells[cl][k] belongs to the peer at position k of the
+// class's first-touch order, which never changes (pml.Monitor.AppendEntries).
+// Its Dst is the peer's communicator rank, or -1 when the peer is not a
+// member. Its counters are the session's accumulated data while the
+// session is Suspended, and that data minus the pvar values at the last
+// Start or Continue while it is Active (unsigned wrap-around, exact), so
+// that Suspend adds the current values and Continue subtracts them. Every
+// pvar read appends the current entries after the cells and folds them in
+// place, in one pass with no lookup per peer, so Start, Suspend, Continue
+// and Reset each cost O(touched peers) and allocate nothing once the
+// slices have grown. A 2D-stencil session on a 16 384-rank world holds
+// four cells, not 6×16 384 words.
 type Session struct {
 	env  *Env
 	id   Msid
 	comm *mpi.Comm
-	n    int // communicator size
-	// w2c maps world rank -> comm rank (the membership filter); nil for a
-	// COMM_WORLD session, where the mapping is the identity on [0, n).
-	w2c map[int32]int32
+	// order lists the communicator's ranks by ascending world rank, for
+	// the binary search that finds a new peer's communicator rank. It is
+	// nil when the ranks already ascend by world rank (COMM_WORLD and
+	// most splits), where the search runs over the communicator itself.
+	order []int32
 
 	mu    sync.Mutex
 	state State
-	// Pvar snapshot (keyed by world rank, comm members only) taken at the
-	// last Start/Continue; peers absent from the map had no traffic yet.
-	snap [pml.NumClasses]map[int32]cbPair
-	// Accumulated deltas (keyed by comm rank) of completed active spans.
-	acc [pml.NumClasses]map[int32]cbPair
-	// sample is the last pvar read; the next one reuses its buffers.
-	sample pvarSample
+	cells [pml.NumClasses][]pml.Entry
 	// suspends counts completed Suspends; it is the epoch tag of the
 	// exporter stream (Suspend k exports epoch k-1).
 	suspends uint64
@@ -409,62 +349,91 @@ func (s *Session) SetRowExporter(f RowExporter) {
 	s.mu.Unlock()
 }
 
-// takeSnapshot replaces the session's pvar snapshot with the last sample,
-// keeping only peers that are members of the session's communicator; the
-// snapshot maps are cleared and refilled, not reallocated. Callers hold
-// s.mu (or the session is not yet published).
-func (s *Session) takeSnapshot() {
-	sample := &s.sample
-	for cl := pml.Class(0); cl < pml.NumClasses; cl++ {
-		m := s.snap[cl]
-		if m == nil {
-			m = make(map[int32]cbPair, len(sample.peers[cl]))
-			s.snap[cl] = m
-		} else {
-			clear(m)
-		}
-		for i, wr := range sample.peers[cl] {
-			if _, member := s.commRank(int32(wr)); !member {
-				continue
+// indexMembers prepares the world-to-communicator rank translation: it
+// keeps an order only when the communicator's ranks do not ascend by world
+// rank. Callers hold s.mu (or the session is not yet published).
+func (s *Session) indexMembers() {
+	c := s.comm
+	if c.Context() == 0 {
+		return // COMM_WORLD: the identity, checked in O(1) rather than O(np)
+	}
+	n := c.Size()
+	for r := 1; r < n; r++ {
+		if c.WorldRank(r-1) > c.WorldRank(r) {
+			s.order = make([]int32, n)
+			for i := range s.order {
+				s.order[i] = int32(i)
 			}
-			m[int32(wr)] = cbPair{cnt: sample.counts[cl][i], byt: sample.bytes[cl][i]}
+			slices.SortFunc(s.order, func(a, b int32) int { return cmp.Compare(c.WorldRank(int(a)), c.WorldRank(int(b))) })
+			return
 		}
 	}
 }
 
-// commRank translates a world rank to the session communicator's rank,
-// reporting membership. A nil w2c means a COMM_WORLD session: identity on
-// [0, n).
-func (s *Session) commRank(wr int32) (int32, bool) {
-	if s.w2c == nil {
-		return wr, wr >= 0 && int(wr) < s.n
+// commRank translates a world rank to the session communicator's rank, or
+// -1 when it is not a member.
+func (s *Session) commRank(wr int32) int32 {
+	c := s.comm
+	if c.Context() == 0 {
+		return wr
 	}
-	ci, member := s.w2c[wr]
-	return ci, member
+	at := func(i int) int {
+		if s.order != nil {
+			return int(s.order[i])
+		}
+		return i
+	}
+	i := sort.Search(c.Size(), func(i int) bool { return c.WorldRank(at(i)) >= int(wr) })
+	if i == c.Size() || c.WorldRank(at(i)) != int(wr) {
+		return -1
+	}
+	return int32(at(i))
 }
 
-// accumulate folds the delta between the last sample and the snapshot into
-// the accumulated per-peer state. Callers hold s.mu.
-func (s *Session) accumulate() {
-	sample := &s.sample
-	for cl := pml.Class(0); cl < pml.NumClasses; cl++ {
-		for i, wr := range sample.peers[cl] {
-			ci, member := s.commRank(int32(wr))
-			if !member {
-				continue
-			}
-			base := s.snap[cl][int32(wr)] // zero value when untouched at snapshot time
-			dc := sample.counts[cl][i] - base.cnt
-			db := sample.bytes[cl][i] - base.byt
-			if dc == 0 && db == 0 {
-				continue
-			}
-			p := s.acc[cl][ci]
-			p.cnt += dc
-			p.byt += db
-			s.acc[cl][ci] = p
-		}
+// fold reads the pvars into the tails of the cells and folds the current
+// values in: added at a Suspend, subtracted at a Start or Continue. A peer
+// first seen in this read gets its cell, with its communicator rank. The
+// cells then have one entry per touched peer again. Callers hold s.mu (or
+// the session is not yet published).
+func (s *Session) fold(suspend bool) error {
+	var held [pml.NumClasses]int
+	for cl := range s.cells {
+		held[cl] = len(s.cells[cl])
 	}
+	if err := s.env.pvars.AppendSparse(&s.cells); err != nil {
+		return fmt.Errorf("%w: %w", ErrMPITFail, err)
+	}
+	for cl, cells := range s.cells {
+		n0 := held[cl]
+		cur := cells[n0:]
+		if len(cur) < n0 {
+			return fmt.Errorf("%w: the pml monitor lists %d peers of %v, fewer than the %d it listed before", ErrInternalFail, len(cur), pml.Class(cl), n0)
+		}
+		for k := range cur {
+			c, e := cur[k], &cells[k] // e is c itself for a new peer when n0 == 0
+			if k >= n0 {
+				*e = pml.Entry{Dst: s.commRank(c.Dst)}
+			}
+			if e.Dst < 0 {
+				continue
+			}
+			if suspend {
+				e.Cnt += c.Cnt
+				e.Byt += c.Byt
+			} else {
+				e.Cnt -= c.Cnt
+				e.Byt -= c.Byt
+			}
+		}
+		s.cells[cl] = cells[:len(cur)]
+	}
+	return nil
+}
+
+// release drops a freed session's cells. Callers hold s.mu.
+func (s *Session) release() {
+	s.state = Freed
+	s.cells = [pml.NumClasses][]pml.Entry{}
 }
 
 // ID returns the session identifier (msid).
@@ -475,12 +444,6 @@ func (s *Session) Comm() *mpi.Comm { return s.comm }
 
 // State returns the lifecycle state.
 func (s *Session) State() State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
-}
-
-func (s *Session) stateLocked() State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.state
@@ -502,11 +465,10 @@ func (s *Session) Suspend() error {
 		s.mu.Unlock()
 		return ErrMultipleCall
 	}
-	if err := s.env.readPvarsSparse(&s.sample); err != nil {
+	if err := s.fold(true); err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	s.accumulate()
 	s.state = Suspended
 	epoch := s.suspends
 	s.suspends++
@@ -515,11 +477,9 @@ func (s *Session) Suspend() error {
 	if exporter != nil {
 		row = s.sparseRowLocked(AllComm.classes())
 	}
-	rank, n := s.comm.Rank(), s.n
+	rank, n := s.comm.Rank(), s.comm.Size()
 	s.mu.Unlock()
-	if s.env.tr != nil {
-		s.env.tr.Event("session.suspend", int64(s.env.p.Clock()))
-	}
+	s.env.event("session.suspend")
 	// The exporter runs outside s.mu so it may call back into the
 	// session (Data, SparseData) or block on I/O without deadlocking.
 	if exporter != nil {
@@ -540,14 +500,11 @@ func (s *Session) Continue() error {
 	case Active:
 		return ErrMultipleCall
 	}
-	if err := s.env.readPvarsSparse(&s.sample); err != nil {
+	if err := s.fold(false); err != nil {
 		return err
 	}
-	s.takeSnapshot()
 	s.state = Active
-	if s.env.tr != nil {
-		s.env.tr.Event("session.continue", int64(s.env.p.Clock()))
-	}
+	s.env.event("session.continue")
 	return nil
 }
 
@@ -561,8 +518,10 @@ func (s *Session) Reset() error {
 	case Active:
 		return ErrSessionNotSuspended
 	}
-	for cl := pml.Class(0); cl < pml.NumClasses; cl++ {
-		clear(s.acc[cl])
+	for _, cells := range s.cells {
+		for k := range cells {
+			cells[k].Cnt, cells[k].Byt = 0, 0
+		}
 	}
 	return nil
 }
@@ -578,13 +537,13 @@ func (s *Session) Free() error {
 		s.mu.Unlock()
 		return ErrSessionNotSuspended
 	}
-	s.state = Freed
+	s.release()
 	s.mu.Unlock()
 	s.env.drop(s.id)
-	if s.env.tr != nil {
-		s.env.active.Dec()
-		s.env.tr.Event("session.free", int64(s.env.p.Clock()))
+	if s.env.tel != nil {
+		s.env.tel.active.Dec()
 	}
+	s.env.event("session.free")
 	return nil
 }
 
@@ -605,5 +564,5 @@ func (s *Session) GetInfo() (Info, error) {
 	if s.state == Freed {
 		return Info{}, ErrInvalidMsid
 	}
-	return Info{Provided: ThreadMultiple, ArraySize: s.n}, nil
+	return Info{Provided: ThreadMultiple, ArraySize: s.comm.Size()}, nil
 }

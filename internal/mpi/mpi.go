@@ -224,7 +224,7 @@ func (w *World) abort() {
 		// round of broadcasts that waiter would otherwise sleep forever.
 		p.queue.mu.Lock()
 		p.queue.mu.Unlock()
-		p.queue.cond.Broadcast()
+		p.queue.broadcast()
 	}
 	w.agreeMu.Lock()
 	w.agreeCond.Broadcast()

@@ -59,7 +59,7 @@ func (m *message) matches(ctx, src, tag int) bool {
 // the wake-up on the virtual-time heap.
 type msgQueue struct {
 	mu   sync.Mutex
-	cond *sync.Cond
+	cond *sync.Cond // nil on a world built for the event engine
 	// slab holds the buckets by value, so creating one allocates nothing
 	// once the slab has grown. A drained bucket stays, ready for its pair's
 	// next message, until compact drops the drained ones all at once.
@@ -97,10 +97,23 @@ func pairKey(ctx, src int) uint64 {
 	return uint64(uint32(ctx))<<32 | uint64(uint32(src))
 }
 
+// init builds the condition variable only for a world that may run on
+// the goroutine engine: the event engine never waits on it nor broadcasts
+// to it.
 func (q *msgQueue) init(owner *Proc, aborted *atomic.Bool) {
-	q.cond = sync.NewCond(&q.mu)
+	if owner.world.eng != EngineEvent {
+		q.cond = sync.NewCond(&q.mu)
+	}
 	q.owner = owner
 	q.aborted = aborted
+}
+
+// broadcast wakes the goroutine-engine waiters; a queue without a
+// condition variable has none.
+func (q *msgQueue) broadcast() {
+	if q.cond != nil {
+		q.cond.Broadcast()
+	}
 }
 
 func (q *msgQueue) put(m *message) {
@@ -109,7 +122,7 @@ func (q *msgQueue) put(m *message) {
 		q.mu.Lock()
 		q.enqueue(m)
 		q.mu.Unlock()
-		q.cond.Broadcast()
+		q.broadcast()
 		return
 	}
 	// Event engine: the caller is the current runner; make the parked
@@ -347,7 +360,7 @@ func (q *msgQueue) takeDeadline(c *Comm, src, tag int, d time.Duration) (*messag
 		q.mu.Lock()
 		expired.Store(true)
 		q.mu.Unlock()
-		q.cond.Broadcast()
+		q.broadcast()
 	})
 	defer timer.Stop()
 	q.mu.Lock()

@@ -141,7 +141,7 @@ func (w *World) markSelfDead(p *Proc, op string) error {
 // the heap here is safe.
 func (w *World) wakeAll() {
 	for _, p := range w.procs {
-		p.queue.cond.Broadcast()
+		p.queue.broadcast()
 	}
 	w.agreeMu.Lock()
 	for _, a := range w.agreements {

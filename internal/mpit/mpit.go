@@ -121,19 +121,37 @@ func (t *Interface) Control(name string) (int, error) {
 }
 
 // Session groups pvar handles, mirroring MPI_T_pvar_session. Handles from
-// different sessions are independent.
+// different sessions are independent. A Session is a value, so a tool can
+// keep one inside its own state at no extra allocation; handles refer to
+// it by address, so it must not be copied once a handle is bound.
 type Session struct {
-	t       *Interface
+	mon     *pml.Monitor
 	stopped bool
 }
 
 // SessionCreate opens a pvar session.
-func (t *Interface) SessionCreate() *Session {
-	return &Session{t: t}
+func (t *Interface) SessionCreate() Session {
+	return Session{mon: t.mon}
 }
 
-// Free invalidates the session; reading through its handles then fails.
+// Free invalidates the session; reading through it or its handles then
+// fails.
 func (s *Session) Free() { s.stopped = true }
+
+// AppendSparse reads all six monitoring pvars at once, sparsely: for every
+// class it appends the destination ranks with any recorded traffic, in
+// first-touch order, with their count and size values, to bufs[class]
+// (pml.Monitor.AppendEntries, one pass under the monitor's lock). A peer
+// keeps its position in its class across reads, so a tool can hold its
+// state by position with no lookup per peer. The read costs O(touched
+// peers) and allocates nothing once the caller's buffers have grown.
+func (s *Session) AppendSparse(bufs *[pml.NumClasses][]pml.Entry) error {
+	if s.stopped {
+		return fmt.Errorf("mpit: reading the monitoring pvars through a freed session")
+	}
+	s.mon.AppendEntries(bufs)
+	return nil
+}
 
 // Handle is a bound performance variable ready to be read.
 type Handle struct {
@@ -159,41 +177,14 @@ func (h *Handle) Read(out []uint64) error {
 	if h.s.stopped {
 		return fmt.Errorf("mpit: reading %s through a freed session", h.spec.name)
 	}
-	if len(out) != h.s.t.mon.Size() {
-		return fmt.Errorf("mpit: %s needs a buffer of %d elements, got %d", h.spec.name, h.s.t.mon.Size(), len(out))
+	mon := h.s.mon
+	if len(out) != mon.Size() {
+		return fmt.Errorf("mpit: %s needs a buffer of %d elements, got %d", h.spec.name, mon.Size(), len(out))
 	}
 	if h.spec.bytes {
-		h.s.t.mon.Bytes(h.spec.class, out)
+		mon.Bytes(h.spec.class, out)
 	} else {
-		h.s.t.mon.Counts(h.spec.class, out)
-	}
-	return nil
-}
-
-// Touched returns the destination ranks for which the variable has any
-// recorded value — the sparse alternative to allocating a world-sized
-// buffer for Read. The cost scales with the number of touched peers.
-func (h *Handle) Touched() ([]int, error) {
-	if h.s.stopped {
-		return nil, fmt.Errorf("mpit: reading %s through a freed session", h.spec.name)
-	}
-	return h.s.t.mon.Touched(h.spec.class), nil
-}
-
-// ReadAt copies the variable's value at the given destination ranks into
-// out, which must be parallel to peers. Together with Touched it is the
-// delta/sparse read path: a handle read costs O(touched), not O(world).
-func (h *Handle) ReadAt(peers []int, out []uint64) error {
-	if h.s.stopped {
-		return fmt.Errorf("mpit: reading %s through a freed session", h.spec.name)
-	}
-	if len(out) != len(peers) {
-		return fmt.Errorf("mpit: %s needs a buffer of %d elements for %d peers, got %d", h.spec.name, len(peers), len(peers), len(out))
-	}
-	if h.spec.bytes {
-		h.s.t.mon.BytesAt(h.spec.class, peers, out)
-	} else {
-		h.s.t.mon.CountsAt(h.spec.class, peers, out)
+		mon.Counts(h.spec.class, out)
 	}
 	return nil
 }

@@ -104,18 +104,21 @@ type Monitor struct {
 	tab [NumClasses]table
 }
 
-// entry holds the two counters of one (class, destination) pair.
-type entry struct {
-	dst      int32
-	cnt, byt uint64
+// Entry holds the two counters of one (class, destination) pair: the
+// destination's world rank, the messages and the bytes sent to it.
+type Entry struct {
+	Dst      int32
+	Cnt, Byt uint64
 }
 
-// table is one class's counters. ents is in first-touch order. idx is a
+// table is one class's counters. ents is in first-touch order and only
+// grows: an entry keeps its position for the monitor's lifetime, which is
+// what lets a reader of AppendEntries match positions across reads. idx is a
 // linear-probed hash index over it: a slot holds an entry's position plus
 // one, zero is empty, and len(idx) == 2*cap(ents) is a power of two, so
 // the index is never more than half full. shift is 32 - log2(len(idx)).
 type table struct {
-	ents  []entry
+	ents  []Entry
 	idx   []int32
 	shift uint
 }
@@ -126,14 +129,14 @@ type table struct {
 func (t *table) slot(dst int32) uint32 {
 	mask := uint32(len(t.idx) - 1)
 	for i := uint32(dst) * 2654435769 >> t.shift; ; i = (i + 1) & mask {
-		if k := t.idx[i]; k == 0 || t.ents[k-1].dst == dst {
+		if k := t.idx[i]; k == 0 || t.ents[k-1].Dst == dst {
 			return i
 		}
 	}
 }
 
 // get returns dst's entry, or nil when dst has no recorded traffic.
-func (t *table) get(dst int32) *entry {
+func (t *table) get(dst int32) *Entry {
 	if len(t.ents) == 0 {
 		return nil
 	}
@@ -144,11 +147,11 @@ func (t *table) get(dst int32) *entry {
 }
 
 // add appends a zero entry for dst, which must not have one yet.
-func (t *table) add(dst int32) *entry {
+func (t *table) add(dst int32) *Entry {
 	if len(t.ents) == cap(t.ents) {
 		t.grow()
 	}
-	t.ents = append(t.ents, entry{dst: dst})
+	t.ents = append(t.ents, Entry{Dst: dst})
 	t.idx[t.slot(dst)] = int32(len(t.ents))
 	return &t.ents[len(t.ents)-1]
 }
@@ -160,22 +163,22 @@ func (t *table) grow() {
 	if c == 0 {
 		c = 4
 	}
-	ents := make([]entry, len(t.ents), c)
+	ents := make([]Entry, len(t.ents), c)
 	copy(ents, t.ents)
 	t.ents = ents
 	t.idx = make([]int32, 2*c)
 	t.shift = uint(32 - bits.TrailingZeros(uint(2*c)))
 	for k := range ents {
-		t.idx[t.slot(ents[k].dst)] = int32(k + 1)
+		t.idx[t.slot(ents[k].Dst)] = int32(k + 1)
 	}
 }
 
 // load returns one of the entry's two counters.
-func (e *entry) load(wantBytes bool) uint64 {
+func (e *Entry) load(wantBytes bool) uint64 {
 	if wantBytes {
-		return e.byt
+		return e.Byt
 	}
-	return e.cnt
+	return e.Cnt
 }
 
 // NewMonitor builds a monitor for a world of n ranks at the given level.
@@ -252,8 +255,8 @@ func (m *Monitor) Record(class Class, dst int, size int, when int64) {
 	if e == nil {
 		e = t.add(int32(dst))
 	}
-	e.cnt++
-	e.byt += uint64(size)
+	e.Cnt++
+	e.Byt += uint64(size)
 	m.mu.Unlock()
 	if rs := m.recorders.Load(); rs != nil {
 		for _, r := range *rs {
@@ -282,21 +285,21 @@ func (m *Monitor) copyRow(class Class, out []uint64, wantBytes bool) {
 	defer m.mu.Unlock()
 	ents := m.tab[class].ents
 	for k := range ents {
-		out[ents[k].dst] = ents[k].load(wantBytes)
+		out[ents[k].Dst] = ents[k].load(wantBytes)
 	}
 }
 
 // Touched returns the destination ranks with any traffic recorded for the
-// class since the monitor was created (or last Reset), in first-touch
-// order. The result is a fresh slice; its length is the number of peers
-// touched, so callers iterating it pay O(touched), not O(world).
+// class since the monitor was created, in first-touch order. The result is
+// a fresh slice; its length is the number of peers touched, so callers
+// iterating it pay O(touched), not O(world).
 func (m *Monitor) Touched(class Class) []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ents := m.tab[class].ents
 	out := make([]int, len(ents))
 	for k := range ents {
-		out[k] = int(ents[k].dst)
+		out[k] = int(ents[k].Dst)
 	}
 	return out
 }
@@ -304,16 +307,6 @@ func (m *Monitor) Touched(class Class) []int {
 // CountsAt reads the message counters of one class at the given
 // destinations into out (parallel to peers).
 func (m *Monitor) CountsAt(class Class, peers []int, out []uint64) {
-	m.copyAt(class, peers, out, false)
-}
-
-// BytesAt reads the byte counters of one class at the given destinations
-// into out (parallel to peers).
-func (m *Monitor) BytesAt(class Class, peers []int, out []uint64) {
-	m.copyAt(class, peers, out, true)
-}
-
-func (m *Monitor) copyAt(class Class, peers []int, out []uint64, wantBytes bool) {
 	if len(out) != len(peers) {
 		panic(fmt.Sprintf("pml: output slice has length %d for %d peers", len(out), len(peers)))
 	}
@@ -323,11 +316,26 @@ func (m *Monitor) copyAt(class Class, peers []int, out []uint64, wantBytes bool)
 	for i, p := range peers {
 		m.checkPeer(p)
 		if e := t.get(int32(p)); e != nil {
-			out[i] = e.load(wantBytes)
+			out[i] = e.Cnt
 		} else {
 			out[i] = 0
 		}
 	}
+}
+
+// AppendEntries appends every class's entries to bufs[class], in
+// first-touch order, under one acquisition of the lock: the sparse read of
+// the whole monitor. Entries never move or disappear, so the entry at
+// position k of one read is the entry at position k of every later read,
+// with counters at least as large; a reader that keeps its state by
+// position needs no lookup per peer. Appending into buffers the caller
+// reuses allocates nothing once they have grown to the touched peers.
+func (m *Monitor) AppendEntries(bufs *[NumClasses][]Entry) {
+	m.mu.Lock()
+	for cl := range m.tab {
+		bufs[cl] = append(bufs[cl], m.tab[cl].ents...)
+	}
+	m.mu.Unlock()
 }
 
 // TotalBytes returns the total bytes recorded for one class.
@@ -337,20 +345,7 @@ func (m *Monitor) TotalBytes(class Class) uint64 {
 	var s uint64
 	ents := m.tab[class].ents
 	for k := range ents {
-		s += ents[k].byt
+		s += ents[k].Byt
 	}
 	return s
-}
-
-// Reset zeroes every counter and forgets the touched peers. The tables
-// keep their capacity, so an epoch loop over a fixed neighbourhood
-// (Record, read, Reset, repeat) allocates only in its first epoch.
-func (m *Monitor) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for cl := range m.tab {
-		t := &m.tab[cl]
-		t.ents = t.ents[:0]
-		clear(t.idx)
-	}
 }

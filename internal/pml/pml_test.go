@@ -126,37 +126,6 @@ func TestRecorderSeesFoldedClassAndSuppression(t *testing.T) {
 	}
 }
 
-// TestReset pins the epoch semantics: Reset forgets counters and touched
-// peers of every class, and recording afterwards starts from nothing.
-func TestReset(t *testing.T) {
-	m := NewMonitor(8, Distinct)
-	m.Record(P2P, 1, 10, 0)
-	m.Record(Coll, 2, 10, 0)
-	m.Reset()
-	out := make([]uint64, 8)
-	for _, cl := range []Class{P2P, Coll, Osc} {
-		if got := m.Touched(cl); len(got) != 0 {
-			t.Fatalf("Touched(%v) after Reset = %v", cl, got)
-		}
-		if got := m.TotalBytes(cl); got != 0 {
-			t.Fatalf("TotalBytes(%v) after Reset = %d, want 0", cl, got)
-		}
-		m.Counts(cl, out)
-		for i, v := range out {
-			if v != 0 {
-				t.Fatalf("Counts(%v)[%d] after Reset = %d, want 0", cl, i, v)
-			}
-		}
-	}
-	m.Record(P2P, 5, 1, 0)
-	if got := m.Touched(P2P); len(got) != 1 || got[0] != 5 {
-		t.Fatalf("Touched after Reset+Record = %v, want [5]", got)
-	}
-	if got := m.TotalBytes(P2P); got != 1 {
-		t.Fatalf("TotalBytes after Reset+Record = %d, want 1", got)
-	}
-}
-
 func TestConcurrentRecord(t *testing.T) {
 	m := NewMonitor(2, Distinct)
 	var wg sync.WaitGroup
@@ -215,8 +184,8 @@ func TestAggregateLevelFoldsClasses(t *testing.T) {
 
 // TestTouchedTracksFirstTouch checks the sparse read surface against the
 // full-row one: Touched lists exactly the peers with recorded traffic, in
-// first-touch order with duplicates collapsed, and CountsAt/BytesAt over
-// that list agree with Counts/Bytes.
+// first-touch order with duplicates collapsed, and CountsAt and
+// AppendEntries agree with Counts and Bytes.
 func TestTouchedTracksFirstTouch(t *testing.T) {
 	n := 64
 	m := NewMonitor(n, Distinct)
@@ -245,11 +214,12 @@ func TestTouchedTracksFirstTouch(t *testing.T) {
 			t.Fatalf("CountsAt peer %d = %d, Counts says %d", p, at[i], row[p])
 		}
 	}
+	var bufs [NumClasses][]Entry
+	m.AppendEntries(&bufs)
 	m.Bytes(P2P, row)
-	m.BytesAt(P2P, got, at)
-	for i, p := range got {
-		if at[i] != row[p] {
-			t.Fatalf("BytesAt peer %d = %d, Bytes says %d", p, at[i], row[p])
+	for i, e := range bufs[P2P] {
+		if int(e.Dst) != got[i] || e.Byt != row[e.Dst] {
+			t.Fatalf("AppendEntries position %d = %+v, want peer %d with %d B", i, e, got[i], row[got[i]])
 		}
 	}
 }
@@ -282,11 +252,6 @@ func (r *model) record(class Class, dst, size int) {
 	r.seen++
 }
 
-func (r *model) reset() {
-	r.cells = map[[2]int][2]uint64{}
-	r.order = [NumClasses][]int{}
-}
-
 // checkSparse compares the O(touched) readers of one class, probing the
 // given extra peers (touched or not) on top of the touched list.
 func (r *model) checkSparse(t *testing.T, m *Monitor, class Class, extra []int) {
@@ -297,21 +262,40 @@ func (r *model) checkSparse(t *testing.T, m *Monitor, class Class, extra []int) 
 	}
 	peers := append(got, extra...)
 	cnt := make([]uint64, len(peers))
-	byt := make([]uint64, len(peers))
 	m.CountsAt(class, peers, cnt)
-	m.BytesAt(class, peers, byt)
-	var total uint64
 	for i, p := range peers {
-		want := r.cells[[2]int{int(class), p}]
-		if cnt[i] != want[0] || byt[i] != want[1] {
-			t.Fatalf("%v peer %d: %d msgs / %d B, want %d / %d", class, p, cnt[i], byt[i], want[0], want[1])
+		if want := r.cells[[2]int{int(class), p}]; cnt[i] != want[0] {
+			t.Fatalf("%v peer %d: %d msgs, want %d", class, p, cnt[i], want[0])
 		}
-		if i < len(got) {
-			total += want[1]
-		}
+	}
+	var total uint64
+	for _, p := range got {
+		total += r.cells[[2]int{int(class), p}][1]
 	}
 	if tb := m.TotalBytes(class); tb != total {
 		t.Fatalf("TotalBytes(%v) = %d, want %d", class, tb, total)
+	}
+}
+
+// checkEntries compares AppendEntries with the model: every class's
+// entries in first-touch order, appended after what the buffers held.
+func (r *model) checkEntries(t *testing.T, m *Monitor) {
+	t.Helper()
+	var bufs [NumClasses][]Entry
+	sentinel := Entry{Dst: -1, Cnt: 7, Byt: 9}
+	for cl := range bufs {
+		bufs[cl] = append(bufs[cl], sentinel)
+	}
+	m.AppendEntries(&bufs)
+	for class := Class(0); class < NumClasses; class++ {
+		want := []Entry{sentinel}
+		for _, p := range r.order[class] {
+			c := r.cells[[2]int{int(class), p}]
+			want = append(want, Entry{Dst: int32(p), Cnt: c[0], Byt: c[1]})
+		}
+		if !slices.Equal(bufs[class], want) {
+			t.Fatalf("AppendEntries(%v) = %v, want %v", class, bufs[class], want)
+		}
 	}
 }
 
@@ -332,8 +316,8 @@ func (r *model) checkRows(t *testing.T, m *Monitor) {
 	}
 }
 
-// TestAgainstModel drives a seeded stream of Record / Reset / SetLevel /
-// Suppress operations with reads in mid-stream against the map model, at
+// TestAgainstModel drives a seeded stream of Record / SetLevel / Suppress
+// operations with reads in mid-stream against the map model, at
 // world sizes on both sides of every size the old backends switched at
 // and at neighbourhood degrees from nothing, through the stencil degrees
 // and one past the old 8-slot cache, to every peer of the world.
@@ -352,8 +336,7 @@ func TestAgainstModel(t *testing.T) {
 				}
 				peers := rng.Perm(n)[:degree]
 				m := NewMonitor(n, Distinct)
-				ref := &model{n: n, level: Distinct}
-				ref.reset()
+				ref := &model{n: n, level: Distinct, cells: map[[2]int][2]uint64{}}
 				seen := 0
 				m.AddRecorder(func(Class, int, int, int64) { seen++ })
 
@@ -370,8 +353,7 @@ func TestAgainstModel(t *testing.T) {
 						ref.checkSparse(t, m, Class(rng.Intn(int(NumClasses))),
 							[]int{rng.Intn(n), rng.Intn(n)})
 					case x < 955:
-						m.Reset()
-						ref.reset()
+						ref.checkEntries(t, m)
 					case x < 965:
 						ref.level = []Level{Distinct, Distinct, Aggregate, Disabled}[rng.Intn(4)]
 						m.SetLevel(ref.level)
@@ -391,6 +373,7 @@ func TestAgainstModel(t *testing.T) {
 					ref.checkSparse(t, m, class, nil)
 				}
 				ref.checkRows(t, m)
+				ref.checkEntries(t, m)
 				if seen != ref.seen {
 					t.Fatalf("recorder saw %d messages, model accepted %d", seen, ref.seen)
 				}
@@ -450,6 +433,7 @@ func TestConcurrentReaders(t *testing.T) {
 		defer wg.Done()
 		cnt := make([]uint64, 32)
 		at := make([]uint64, 2)
+		var bufs [NumClasses][]Entry
 		for {
 			select {
 			case <-stop:
@@ -468,6 +452,16 @@ func TestConcurrentReaders(t *testing.T) {
 				if len(m.Touched(P2P)) > 5 {
 					t.Errorf("touched more peers than the writer sends to")
 					return
+				}
+				for cl := range bufs {
+					bufs[cl] = bufs[cl][:0]
+				}
+				m.AppendEntries(&bufs)
+				for _, e := range bufs[P2P] {
+					if e.Byt != 8*e.Cnt {
+						t.Errorf("AppendEntries read peer %d with %d msgs and %d B, want 8 B each", e.Dst, e.Cnt, e.Byt)
+						return
+					}
 				}
 			}
 		}
@@ -493,7 +487,7 @@ func TestPeerRangePanics(t *testing.T) {
 	}{
 		"short-out":       {func() { m.CountsAt(P2P, []int{1, 2}, make([]uint64, 1)) }, "length 1 for 2 peers"},
 		"at-oob":          {func() { m.CountsAt(P2P, []int{4}, make([]uint64, 1)) }, "pml: peer 4 outside world of 4"},
-		"at-negative":     {func() { m.BytesAt(P2P, []int{-1}, make([]uint64, 1)) }, "pml: peer -1 outside world of 4"},
+		"at-negative":     {func() { m.CountsAt(P2P, []int{-1}, make([]uint64, 1)) }, "pml: peer -1 outside world of 4"},
 		"record-oob":      {func() { m.Record(Osc, 4, 8, 0) }, "pml: peer 4 outside world of 4"},
 		"record-past":     {func() { m.Record(P2P, 4+2, 8, 0) }, "pml: peer 6 outside world of 4"},
 		"record-negative": {func() { m.Record(Coll, -1, 8, 0) }, "pml: peer -1 outside world of 4"},
@@ -552,25 +546,33 @@ func TestFootprint(t *testing.T) {
 }
 
 // TestEpochCycleAllocs pins the steady state of an epoch loop over a
-// fixed neighbourhood: once the tables have grown to it, Record → Reset →
-// Record allocates nothing, at the epoch-export benchmark's world size
-// and at one where the map backend used to drop its maps on every Reset.
+// fixed neighbourhood: once the tables and the reader's buffers have grown
+// to it, Record → AppendEntries into the reused buffers allocates nothing,
+// at the epoch-export benchmark's world size and at 65536 ranks.
 func TestEpochCycleAllocs(t *testing.T) {
 	for _, n := range []int{256, 1 << 16} {
 		m := NewMonitor(n, Distinct)
 		peers := []int{1, 2, 15, 17, 16, 240, 255, 128}
+		var bufs [NumClasses][]Entry
 		epoch := func() {
 			for i, p := range peers {
 				m.Record(P2P, p, 64, int64(i))
 				m.Record(Coll, p, 8, int64(i))
 			}
+			for cl := range bufs {
+				bufs[cl] = bufs[cl][:0]
+			}
+			m.AppendEntries(&bufs)
 		}
 		epoch()
-		if got := testing.AllocsPerRun(100, func() { epoch(); m.Reset(); epoch() }); got != 0 {
+		if got := testing.AllocsPerRun(100, epoch); got != 0 {
 			t.Fatalf("n=%d: steady-state epoch cycle allocates %v objects per run, want 0", n, got)
 		}
-		if got := len(m.Touched(P2P)); got != len(peers) {
-			t.Fatalf("n=%d: touched %d peers after the cycles, want %d", n, got, len(peers))
+		if got := len(bufs[P2P]); got != len(peers) {
+			t.Fatalf("n=%d: read %d peers after the cycles, want %d", n, got, len(peers))
+		}
+		if e := bufs[Coll][3]; e.Dst != 17 || e.Cnt != 102 || e.Byt != 8*102 {
+			t.Fatalf("n=%d: fourth Coll entry %+v, want peer 17 with 102 msgs of 8 B", n, e)
 		}
 	}
 }
