@@ -8,17 +8,20 @@ import (
 	"mpimon/internal/mpi"
 )
 
-// Mode selects between full numerics and communication skeleton.
+// Mode says whether a run holds matrix data.
 type Mode int
 
-// Run modes.
+// Run modes. Both run the same kernel: the same messages, in the same
+// order, and the same compute charges from the same statements.
 const (
-	// Real executes the complete NPB CG numerics and can verify zeta.
+	// Real builds the matrix and executes the complete NPB CG numerics,
+	// so it can verify zeta.
 	Real Mode = iota
-	// Skeleton replays the exact communication schedule and message
-	// volumes of the class without matrix data: arithmetic is replaced
-	// by a flop-count clock model. Use it for classes too large to
-	// compute (the paper's B-D runs at 64-256 ranks).
+	// Skeleton runs the kernel without matrix data, for classes too large
+	// to compute (the paper's B-D runs at 64-256 ranks): no vector is
+	// allocated, every message is size-only, and the matvec's flop count is
+	// the class's NPB estimate (Class.EstimatedNonzeros) instead of the
+	// local nonzeros.
 	Skeleton
 )
 
@@ -41,11 +44,12 @@ type Config struct {
 	SkipInit bool
 }
 
-// Result is one rank's outcome.
+// Result is one rank's outcome. Zeta, RNorm and Verified come from the
+// numerics, so they keep their zero values in Skeleton mode.
 type Result struct {
 	Zeta     float64
 	RNorm    float64
-	Verified bool // zeta within 1e-10 of the class reference (Real mode)
+	Verified bool // zeta within 1e-10 of the class reference
 	// TotalTime and MPITime cover the timed section (after the untimed
 	// init iteration), in virtual time, for this rank.
 	TotalTime time.Duration
@@ -76,10 +80,7 @@ func Run(c *mpi.Comm, cfg Config) (Result, error) {
 		niter = cfg.Class.Niter
 	}
 
-	rn, err := newRunner(c, g, cfg.Class, cfg.Mode, cgit)
-	if err != nil {
-		return Result{}, err
-	}
+	rn := newRunner(c, g, cfg.Class, cfg.Mode, cgit)
 
 	// Untimed initialization iteration (NPB does one full conj_grad to
 	// touch all code paths, then resets x).
@@ -87,7 +88,7 @@ func Run(c *mpi.Comm, cfg Config) (Result, error) {
 		if _, err := rn.conjGrad(); err != nil {
 			return Result{}, err
 		}
-		if _, _, err := rn.powerStep(); err != nil {
+		if _, err := rn.powerStep(); err != nil {
 			return Result{}, err
 		}
 		rn.setX(1.0)
@@ -95,45 +96,39 @@ func Run(c *mpi.Comm, cfg Config) (Result, error) {
 
 	p := c.Proc()
 	t0, m0 := p.Clock(), p.MPITime()
-	var zeta float64
-	var rnorm float64
+	var rnorm, norm1 float64
 	for it := 1; it <= niter; it++ {
-		rnorm, err = rn.conjGrad()
-		if err != nil {
+		if rnorm, err = rn.conjGrad(); err != nil {
 			return Result{}, err
 		}
-		norm1, _, err := rn.powerStep()
-		if err != nil {
+		if norm1, err = rn.powerStep(); err != nil {
 			return Result{}, err
 		}
-		zeta = cfg.Class.Shift + 1.0/norm1
 	}
-	res := Result{
-		Zeta:      zeta,
-		RNorm:     rnorm,
-		TotalTime: p.Clock() - t0,
-		MPITime:   p.MPITime() - m0,
-	}
-	if cfg.Mode == Real && cfg.Class.ZetaVerify != 0 && niter == cfg.Class.Niter {
-		res.Verified = math.Abs(zeta-cfg.Class.ZetaVerify) <= 1e-10
+	res := Result{TotalTime: p.Clock() - t0, MPITime: p.MPITime() - m0}
+	if cfg.Mode == Real {
+		res.Zeta = cfg.Class.Shift + 1.0/norm1
+		res.RNorm = rnorm
+		res.Verified = cfg.Class.ZetaVerify != 0 && niter == cfg.Class.Niter &&
+			math.Abs(res.Zeta-cfg.Class.ZetaVerify) <= 1e-10
 	}
 	return res, nil
 }
 
-// runner holds one rank's CG state.
+// runner holds one rank's CG state. In Skeleton mode a is nil and so are
+// the vectors: every loop over a vector is empty, the local product is
+// skipped and the message helpers send size-only messages of the same
+// length, so both modes charge and send through the same statements.
 type runner struct {
-	c        *mpi.Comm
-	g        *Grid
-	cls      Class
-	skeleton bool
-	cgit     int
+	c    *mpi.Comm
+	cgit int
 
-	rs, re, cs, ce int
-	nLocal         int // column-segment length (vector storage)
-	nRows          int // row-block length (matvec output)
-	peers          []int
-	transSender    int
-	transTargets   []TransposeTarget
+	rs           int // first global row of the row block
+	nLocal       int // column-segment length (vector storage)
+	nRows        int // row-block length (matvec output)
+	peers        []int
+	transSender  int
+	transTargets []TransposeTarget
 
 	a             *Matrix
 	x, z, p, q, r []float64
@@ -141,33 +136,29 @@ type runner struct {
 	flopsPerMV    float64
 }
 
-func newRunner(c *mpi.Comm, g *Grid, cls Class, mode Mode, cgit int) (*runner, error) {
+func newRunner(c *mpi.Comm, g *Grid, cls Class, mode Mode, cgit int) *runner {
 	me := c.Rank()
 	pr, pc := g.ProcRow(me), g.ProcCol(me)
+	rs, re, cs, ce := g.RowStart(pr), g.RowEnd(pr), g.ColStart(pc), g.ColEnd(pc)
 	rn := &runner{
 		c:            c,
-		g:            g,
-		cls:          cls,
-		skeleton:     mode == Skeleton,
 		cgit:         cgit,
-		rs:           g.RowStart(pr),
-		re:           g.RowEnd(pr),
-		cs:           g.ColStart(pc),
-		ce:           g.ColEnd(pc),
+		rs:           rs,
+		nLocal:       ce - cs,
+		nRows:        re - rs,
 		peers:        g.RowPeers(me),
 		transSender:  g.TransposeSender(me),
 		transTargets: g.TransposeTargets(me),
 	}
-	rn.nLocal = rn.ce - rn.cs
-	rn.nRows = rn.re - rn.rs
-	if rn.skeleton {
+	if mode == Skeleton {
+		// No matrix: the matvec charges the NPB estimate of this rank's
+		// share of the nonzeros.
 		rn.flopsPerMV = 2 * float64(cls.EstimatedNonzeros()) / float64(g.NP)
-		rn.setX(1.0)
-		return rn, nil
+		return rn
 	}
 	tran := tranSeed
 	_ = randlc(&tran, amult) // the main program's initial zeta draw
-	rn.a = Makea(cls, rn.rs, rn.re, rn.cs, rn.ce, &tran)
+	rn.a = Makea(cls, rs, re, cs, ce, &tran)
 	rn.x = make([]float64, rn.nLocal)
 	rn.z = make([]float64, rn.nLocal)
 	rn.p = make([]float64, rn.nLocal)
@@ -176,7 +167,7 @@ func newRunner(c *mpi.Comm, g *Grid, cls Class, mode Mode, cgit int) (*runner, e
 	rn.w = make([]float64, rn.nRows)
 	rn.setX(1.0)
 	rn.flopsPerMV = 2 * float64(rn.a.NNZ())
-	return rn, nil
+	return rn
 }
 
 func (rn *runner) setX(v float64) {
@@ -185,100 +176,92 @@ func (rn *runner) setX(v float64) {
 	}
 }
 
+// sendrecv sends n doubles to peer and returns the n it sends back: v's
+// values in Real mode, a size-only message (and nil) in Skeleton mode.
+func (rn *runner) sendrecv(peer, tag int, v []float64, n int) ([]float64, error) {
+	if rn.a == nil {
+		_, err := rn.c.SendrecvN(peer, tag, 8*n, peer, tag)
+		return nil, err
+	}
+	buf := make([]byte, 8*n)
+	if _, err := rn.c.Sendrecv(peer, tag, mpi.EncodeFloat64s(v), peer, tag, buf); err != nil {
+		return nil, err
+	}
+	return mpi.DecodeFloat64s(buf), nil
+}
+
 // reduceScalars sums vals elementwise across the processor row (hypercube
 // exchange, one message of len(vals) doubles per stage) — the NPB scalar
 // reduction pattern.
 func (rn *runner) reduceScalars(vals []float64) error {
-	buf := make([]byte, 8*len(vals))
 	for _, peer := range rn.peers {
-		pk := mpi.EncodeFloat64s(vals)
-		if _, err := rn.c.Sendrecv(peer, tagNorm, pk, peer, tagNorm, buf); err != nil {
+		got, err := rn.sendrecv(peer, tagNorm, vals, len(vals))
+		if err != nil {
 			return err
 		}
-		got := mpi.DecodeFloat64s(buf)
-		for i := range vals {
-			vals[i] += got[i]
+		for i, v := range got {
+			vals[i] += v
 		}
 	}
 	return nil
 }
 
-// reduceScalarsSkeleton replays the same messages without data.
-func (rn *runner) reduceScalarsSkeleton(n int) error {
-	for _, peer := range rn.peers {
-		if _, err := rn.c.SendrecvN(peer, tagNorm, 8*n, peer, tagNorm); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// rowSumAndTranspose sums w across the processor row (recursive doubling,
-// full-vector exchanges) and delivers this rank's column-block slice of the
-// summed vector into out — the NPB matvec epilogue: reduction over the grid
-// row followed by the transpose exchange.
-func (rn *runner) rowSumAndTranspose(out []float64) error {
+// matVec sets out = A v, the NPB matvec: the local product into w, summed
+// across the processor row (recursive doubling, full-vector exchanges),
+// then the transpose exchange that delivers this rank's column-block slice
+// of the summed vector.
+func (rn *runner) matVec(out, v []float64) error {
 	c := rn.c
 	me := c.Rank()
-	buf := make([]byte, 8*len(rn.w))
+	if rn.a != nil {
+		rn.a.MatVec(rn.w, v)
+	}
+	c.Proc().ComputeFlops(rn.flopsPerMV)
 	for k, peer := range rn.peers {
-		if _, err := c.Sendrecv(peer, tagRowRed+k<<8, mpi.EncodeFloat64s(rn.w), peer, tagRowRed+k<<8, buf); err != nil {
+		got, err := rn.sendrecv(peer, tagRowRed+k<<8, rn.w, rn.nRows)
+		if err != nil {
 			return err
 		}
-		got := mpi.DecodeFloat64s(buf)
-		for i := range rn.w {
-			rn.w[i] += got[i]
+		for i, s := range got {
+			rn.w[i] += s
 		}
 	}
 	// Send slices to transpose targets, then receive ours.
-	var selfSlice []float64
+	selfLo, selfHi := -1, -1
 	for _, t := range rn.transTargets {
 		lo, hi := t.Start-rn.rs, t.End-rn.rs
 		if t.Rank == me {
-			selfSlice = rn.w[lo:hi]
+			selfLo, selfHi = lo, hi
 			continue
 		}
-		if err := c.Send(t.Rank, tagTrans, mpi.EncodeFloat64s(rn.w[lo:hi])); err != nil {
+		var err error
+		if rn.a == nil {
+			err = c.SendN(t.Rank, tagTrans, 8*(hi-lo))
+		} else {
+			err = c.Send(t.Rank, tagTrans, mpi.EncodeFloat64s(rn.w[lo:hi]))
+		}
+		if err != nil {
 			return err
 		}
 	}
 	if rn.transSender == me {
-		if selfSlice == nil {
+		if selfLo < 0 {
 			return fmt.Errorf("cg: rank %d is its own transpose sender but holds no self slice", me)
 		}
-		copy(out, selfSlice)
+		if rn.a != nil {
+			copy(out, rn.w[selfLo:selfHi])
+		}
 		return nil
 	}
-	rbuf := make([]byte, 8*len(out))
-	if _, err := c.Recv(rn.transSender, tagTrans, rbuf); err != nil {
+	if rn.a == nil {
+		_, err := c.Recv(rn.transSender, tagTrans, nil)
 		return err
 	}
-	copy(out, mpi.DecodeFloat64s(rbuf))
-	return nil
-}
-
-// rowSumAndTransposeSkeleton replays the same messages with logical sizes.
-func (rn *runner) rowSumAndTransposeSkeleton() error {
-	c := rn.c
-	me := c.Rank()
-	for k, peer := range rn.peers {
-		if _, err := c.SendrecvN(peer, tagRowRed+k<<8, 8*rn.nRows, peer, tagRowRed+k<<8); err != nil {
-			return err
-		}
+	buf := make([]byte, 8*len(out))
+	if _, err := c.Recv(rn.transSender, tagTrans, buf); err != nil {
+		return err
 	}
-	for _, t := range rn.transTargets {
-		if t.Rank == me {
-			continue
-		}
-		if err := c.SendN(t.Rank, tagTrans, 8*(t.End-t.Start)); err != nil {
-			return err
-		}
-	}
-	if rn.transSender != me {
-		if _, err := c.Recv(rn.transSender, tagTrans, nil); err != nil {
-			return err
-		}
-	}
+	copy(out, mpi.DecodeFloat64s(buf))
 	return nil
 }
 
@@ -293,66 +276,59 @@ func dot(a, b []float64) float64 {
 // conjGrad runs one NPB conj_grad call: cgit inner iterations plus the
 // final residual-norm evaluation. It returns ||x - A z||.
 func (rn *runner) conjGrad() (float64, error) {
-	if rn.skeleton {
-		return 0, rn.conjGradSkeleton()
-	}
 	p := rn.c.Proc()
-	n := rn.nLocal
-	for j := 0; j < n; j++ {
+	n := float64(rn.nLocal)
+	for j := range rn.x {
 		rn.q[j] = 0
 		rn.z[j] = 0
 		rn.r[j] = rn.x[j]
 		rn.p[j] = rn.r[j]
 	}
 	rhoV := []float64{dot(rn.r, rn.r)}
-	p.ComputeFlops(2 * float64(n))
+	p.ComputeFlops(2 * n)
 	if err := rn.reduceScalars(rhoV); err != nil {
 		return 0, err
 	}
 	rho := rhoV[0]
 
 	for it := 0; it < rn.cgit; it++ {
-		rn.a.MatVec(rn.w, rn.p)
-		p.ComputeFlops(rn.flopsPerMV)
-		if err := rn.rowSumAndTranspose(rn.q); err != nil {
+		if err := rn.matVec(rn.q, rn.p); err != nil {
 			return 0, err
 		}
 		dV := []float64{dot(rn.p, rn.q)}
-		p.ComputeFlops(2 * float64(n))
+		p.ComputeFlops(2 * n)
 		if err := rn.reduceScalars(dV); err != nil {
 			return 0, err
 		}
 		alpha := rho / dV[0]
-		for j := 0; j < n; j++ {
+		for j := range rn.z {
 			rn.z[j] += alpha * rn.p[j]
 			rn.r[j] -= alpha * rn.q[j]
 		}
 		rho0 := rho
 		rhoV[0] = dot(rn.r, rn.r)
-		p.ComputeFlops(6 * float64(n))
+		p.ComputeFlops(6 * n)
 		if err := rn.reduceScalars(rhoV); err != nil {
 			return 0, err
 		}
 		rho = rhoV[0]
 		beta := rho / rho0
-		for j := 0; j < n; j++ {
+		for j := range rn.p {
 			rn.p[j] = rn.r[j] + beta*rn.p[j]
 		}
-		p.ComputeFlops(2 * float64(n))
+		p.ComputeFlops(2 * n)
 	}
 
 	// rnorm = ||x - A z||.
-	rn.a.MatVec(rn.w, rn.z)
-	p.ComputeFlops(rn.flopsPerMV)
-	if err := rn.rowSumAndTranspose(rn.r); err != nil {
+	if err := rn.matVec(rn.r, rn.z); err != nil {
 		return 0, err
 	}
 	var sum float64
-	for j := 0; j < n; j++ {
+	for j := range rn.x {
 		d := rn.x[j] - rn.r[j]
 		sum += d * d
 	}
-	p.ComputeFlops(3 * float64(n))
+	p.ComputeFlops(3 * n)
 	sumV := []float64{sum}
 	if err := rn.reduceScalars(sumV); err != nil {
 		return 0, err
@@ -360,58 +336,22 @@ func (rn *runner) conjGrad() (float64, error) {
 	return math.Sqrt(sumV[0]), nil
 }
 
-func (rn *runner) conjGradSkeleton() error {
-	p := rn.c.Proc()
-	n := float64(rn.nLocal)
-	p.ComputeFlops(2 * n)
-	if err := rn.reduceScalarsSkeleton(1); err != nil {
-		return err
-	}
-	for it := 0; it < rn.cgit; it++ {
-		p.ComputeFlops(rn.flopsPerMV)
-		if err := rn.rowSumAndTransposeSkeleton(); err != nil {
-			return err
-		}
-		p.ComputeFlops(2 * n)
-		if err := rn.reduceScalarsSkeleton(1); err != nil {
-			return err
-		}
-		p.ComputeFlops(10 * n)
-		if err := rn.reduceScalarsSkeleton(1); err != nil {
-			return err
-		}
-	}
-	p.ComputeFlops(rn.flopsPerMV)
-	if err := rn.rowSumAndTransposeSkeleton(); err != nil {
-		return err
-	}
-	p.ComputeFlops(3 * n)
-	return rn.reduceScalarsSkeleton(1)
-}
-
 // powerStep performs the outer power-method update: computes
 // norm1 = x.z and norm2 = z.z (reduced together across the processor row,
-// as in NPB), then sets x = z/||z||. It returns the reduced norms.
-func (rn *runner) powerStep() (norm1, norm2 float64, err error) {
+// as in NPB), then sets x = z/||z||. It returns the reduced norm1.
+func (rn *runner) powerStep() (float64, error) {
 	p := rn.c.Proc()
-	if rn.skeleton {
-		p.ComputeFlops(7 * float64(rn.nLocal))
-		if err := rn.reduceScalarsSkeleton(2); err != nil {
-			return 0, 0, err
-		}
-		return 1, 1, nil
-	}
-	vals := []float64{dot(rn.x, rn.z), dot(rn.z, rn.z)}
+	norms := []float64{dot(rn.x, rn.z), dot(rn.z, rn.z)}
 	p.ComputeFlops(4 * float64(rn.nLocal))
-	if err := rn.reduceScalars(vals); err != nil {
-		return 0, 0, err
+	if err := rn.reduceScalars(norms); err != nil {
+		return 0, err
 	}
-	inv := 1.0 / math.Sqrt(vals[1])
+	inv := 1.0 / math.Sqrt(norms[1])
 	for j := range rn.x {
 		rn.x[j] = inv * rn.z[j]
 	}
 	p.ComputeFlops(float64(rn.nLocal))
-	return vals[0], vals[1], nil
+	return norms[0], nil
 }
 
 // String returns a short description of the config.

@@ -36,3 +36,34 @@ func TestRealStatePinned(t *testing.T) {
 	}
 	golden.Check(t, b.String())
 }
+
+// TestModesDifferOnlyInMatVecFlops: Real and Skeleton run one kernel, so at
+// np 1, where no rank waits for a message, their clocks differ by exactly
+// the matvec charge — the real local nonzeros against the class's NPB
+// estimate — once per matvec: cgitmax+1 per conj_grad, one conj_grad for
+// the init iteration and one per outer iteration.
+func TestModesDifferOnlyInMatVecFlops(t *testing.T) {
+	mach := cgMachine(1)
+	clock := func(mode Mode) time.Duration {
+		w, err := mpi.NewWorld(mach, 1, mpi.WithEngine(mpi.EngineEvent))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.RunWithTimeout(2*time.Minute, func(c *mpi.Comm) error {
+			_, err := Run(c, Config{Class: ClassS, Mode: mode})
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return w.MaxClock()
+	}
+	tran := tranSeed
+	_ = randlc(&tran, amult)
+	nnz := Makea(ClassS, 0, ClassS.NA, 0, ClassS.NA, &tran).NNZ()
+	matvecs := time.Duration((ClassS.Niter + 1) * (25 + 1))
+	want := matvecs * (mach.FlopTime(2*float64(nnz)) - mach.FlopTime(2*float64(ClassS.EstimatedNonzeros())))
+	if got := clock(Real) - clock(Skeleton); got != want {
+		t.Fatalf("Real clock - Skeleton clock = %v, want %v (%d matvecs, nnz %d vs estimate %d)",
+			got, want, int(matvecs), nnz, ClassS.EstimatedNonzeros())
+	}
+}
