@@ -10,8 +10,8 @@ import (
 )
 
 // TestSkeletonRejectsNegativeSize: every size-only call refuses a negative
-// size with SendN's error on every rank, and no message reaches the pml
-// counters.
+// size with SendN's error on every rank, passes it once through the
+// communicator's error handler, and no message reaches the pml counters.
 func TestSkeletonRejectsNegativeSize(t *testing.T) {
 	const np = 4
 	for _, tc := range []struct {
@@ -19,6 +19,11 @@ func TestSkeletonRejectsNegativeSize(t *testing.T) {
 		call func(c *Comm) error
 		want string
 	}{
+		{"SendN", func(c *Comm) error { return c.SendN((c.Rank()+1)%np, 0, -6) }, "mpi: negative message size -6"},
+		{"IsendN", func(c *Comm) error {
+			_, err := c.IsendN((c.Rank()+1)%np, 0, -4)
+			return err
+		}, "mpi: negative message size -4"},
 		{"AllgatherN", func(c *Comm) error { return c.AllgatherN(-5) }, "mpi: negative message size -5"},
 		{"SendrecvN", func(c *Comm) error {
 			_, err := c.SendrecvN((c.Rank()+1)%np, 0, -7, (c.Rank()+np-1)%np, 0)
@@ -34,13 +39,21 @@ func TestSkeletonRejectsNegativeSize(t *testing.T) {
 				t.Fatal(err)
 			}
 			errs := make([]error, np)
+			handled := make([][]error, np)
 			w.Run(func(c *Comm) error {
+				c.SetErrHandler(func(c *Comm, err error) error {
+					handled[c.Rank()] = append(handled[c.Rank()], err)
+					return err
+				})
 				errs[c.Rank()] = tc.call(c)
 				return errs[c.Rank()]
 			})
 			for r, err := range errs {
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Errorf("rank %d: %v, want %q", r, err, tc.want)
+				}
+				if len(handled[r]) != 1 || handled[r][0] != err {
+					t.Errorf("rank %d: the error handler saw %v, want the returned error once", r, handled[r])
 				}
 				for _, cl := range []pml.Class{pml.P2P, pml.Coll} {
 					if b := w.Proc(r).Monitor().TotalBytes(cl); b != 0 {

@@ -34,7 +34,7 @@ func (c *Comm) SendN(dst, tag, size int) error {
 	t0 := c.p.enterMPI()
 	defer c.p.leaveMPI(t0)
 	if err := checkSize(size); err != nil {
-		return err
+		return c.herr(err)
 	}
 	return c.herr(c.send(dst, tag, ownedMsg(nil, size), c.p.class()))
 }
@@ -333,7 +333,7 @@ func (c *Comm) IsendN(dst, tag, size int) (*Request, error) {
 	t0 := c.p.enterMPI()
 	defer c.p.leaveMPI(t0)
 	if err := checkSize(size); err != nil {
-		return nil, err
+		return nil, c.herr(err)
 	}
 	req, err := c.isend(dst, tag, ownedMsg(nil, size))
 	return req, c.herr(err)
