@@ -52,6 +52,11 @@ func ReorderHeatmap(cfg HeatmapConfig) ([]HeatCell, error) {
 	if err := checkSizes("reorder-heatmap bufs", cfg.BufSizes); err != nil {
 		return nil, err
 	}
+	for _, n := range cfg.Iters {
+		if err := checkCount("reorder-heatmap", "iters", n); err != nil {
+			return nil, err
+		}
+	}
 	var cells []HeatCell
 	for _, np := range cfg.NPs {
 		for _, buf := range cfg.BufSizes {

@@ -53,6 +53,12 @@ type HWCountersResult struct {
 // monitoring records of the same traffic are collected with virtual
 // timestamps and binned like the paper's 10 ms sampling thread.
 func HWCounters(cfg HWCountersConfig) (HWCountersResult, error) {
+	if cfg.Period <= 0 {
+		return HWCountersResult{}, fmt.Errorf("exp: hwcounters needs period > 0, got %v", cfg.Period)
+	}
+	if cfg.Duration < 0 {
+		return HWCountersResult{}, fmt.Errorf("exp: hwcounters needs duration >= 0, got %v", cfg.Duration)
+	}
 	mach := netsim.IBPair()
 	// Rank 0 on node 0, rank 1 on node 1.
 	w, err := newWorld(mach, 2, mpi.WithPlacement([]int{0, mach.Topo.LeavesPerNode()}))

@@ -105,14 +105,16 @@ func TestBadRepsFails(t *testing.T) {
 	}
 }
 
-// TestBadGridFails: a world size below one rank, a negative message, block
-// or buffer size, a group, phase, window, clique, iteration or repetition
-// count below one, a negative mapping timeout and a death time at or before
-// zero fail the run with exit 1 and an error that names the bad value,
-// before any world is built, instead of panicking the process in a machine
-// model or every rank in a makeslice, failing every rank of a world, or
-// quietly measuring some other repetition count. A death after the
-// iteration budget fails the run with one error, not one per rank.
+// TestBadGridFails: a world size below one rank, a CG world size that is
+// not a power of two, a negative message, block or buffer size, a group,
+// phase, window, clique, iteration or repetition count below one, a negative
+// CG iteration count, mapping timeout or duration, a sampling period or a
+// death time at or before zero and a matrix order that is not a positive
+// multiple of 32 fail the run with exit 1 and an error that names the bad
+// value, before any world is built, instead of panicking the process in a
+// machine model or every rank in a makeslice, failing every rank of a world,
+// or quietly measuring some other count. A death after the iteration budget
+// fails the run with one error, not one per rank.
 func TestBadGridFails(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -147,6 +149,16 @@ func TestBadGridFails(t *testing.T) {
 		{[]string{"faults", "-death-at", "0"}, "death-at > 0"},
 		{[]string{"faults", "-death-at", "-1ms"}, "death-at > 0"},
 		{[]string{"faults", "-death-at", "1h"}, "fault plan never fired in 20 iterations"},
+		{[]string{"hwcounters", "-period", "0"}, "period > 0"},
+		{[]string{"hwcounters", "-period", "-5ms"}, "period > 0"},
+		{[]string{"hwcounters", "-duration", "-1s"}, "duration >= 0"},
+		{[]string{"treematch-scale", "-orders", "-5"}, "positive multiples of 32"},
+		{[]string{"treematch-scale", "-orders", "0"}, "positive multiples of 32"},
+		{[]string{"treematch-scale", "-orders", "1"}, "positive multiples of 32"},
+		{[]string{"reorder-heatmap", "-iters", "0"}, "iters >= 1"},
+		{[]string{"reorder-heatmap", "-iters", "-1"}, "iters >= 1"},
+		{[]string{"nascg", "-np", "12"}, "number of processes 12 is not a power of two"},
+		{[]string{"nascg", "-niter", "-1"}, "niter >= 0"},
 	} {
 		var out, errb bytes.Buffer
 		code := runTable(experiments, tc.args, &out, &errb)

@@ -81,12 +81,24 @@ func CGReorder(cfg CGConfig) ([]CGRow, error) {
 	if err := checkNPs("nascg", cfg.NPs...); err != nil {
 		return nil, err
 	}
-	var rows []CGRow
-	for _, clsName := range cfg.Classes {
-		cls, err := cg.ClassByName(clsName)
+	if cfg.Niter < 0 {
+		return nil, fmt.Errorf("exp: nascg needs niter >= 0, got %d", cfg.Niter)
+	}
+	classes := make([]cg.Class, len(cfg.Classes))
+	for i, name := range cfg.Classes {
+		cls, err := cg.ClassByName(name)
 		if err != nil {
 			return nil, err
 		}
+		for _, np := range cfg.NPs {
+			if _, err := cg.NewGrid(np, cls.NA); err != nil {
+				return nil, fmt.Errorf("exp: nascg: %w", err)
+			}
+		}
+		classes[i] = cls
+	}
+	var rows []CGRow
+	for _, cls := range classes {
 		for _, np := range cfg.NPs {
 			for _, mapping := range cfg.Mappings {
 				row, err := cgRow(cls, np, mapping, cfg.Niter, cfg.Seed)

@@ -50,6 +50,11 @@ type TMRow struct {
 // order cores (nodes of 32 cores), as when reordering that many MPI
 // processes.
 func TreeMatchScale(cfg TMScaleConfig) ([]TMRow, error) {
+	for _, order := range cfg.Orders {
+		if order < 32 || order%32 != 0 {
+			return nil, fmt.Errorf("exp: treematch-scale needs orders that are positive multiples of 32 (the cores of a node), got %d", order)
+		}
+	}
 	// Surface capped-refinement fallbacks (the former silent refineBudget
 	// cliff) so a degraded mapping of a huge matrix is visible in the log.
 	var degraded, skipped atomic.Int64
