@@ -21,7 +21,7 @@
 // commits swap deltas out atomically, so a forced Flush from an export
 // goroutine races safely with in-flight Adds.
 //
-// Policy and Stats configure and report the monitoring row exporter
+// Policy configures the threshold of the monitoring row exporter
 // (monitoring.BatchingRowExporter), which batches rows into network
 // frames. The telemetry counters take no cells: each is written by one
 // rank, so a plain atomic add costs less than a cell and leaves nothing

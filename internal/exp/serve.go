@@ -211,15 +211,14 @@ func serveOneWorld(wi, gx int, base string, httpc *http.Client, cfg ServeConfig)
 
 	// One batching exporter per world, shared by all ranks: a world's
 	// Suspends for an epoch coalesce into one ingest frame instead of np
-	// requests. Threshold-only (the interval default is wall-clock, far
-	// shorter than a simulated epoch); epochs always flush ascending, so
-	// the daemon's retention watermark stays monotonic.
+	// requests. It commits on the threshold and on the final Flush;
+	// epochs always flush ascending, so the daemon's retention watermark
+	// stays monotonic.
 	th := cfg.ExportThreshold
 	if th == 0 {
 		th = np
 	}
-	batch := monitoring.NewBatchingRowExporter(client.ExportRowBatch,
-		commitagg.Policy{Threshold: th, IntervalNs: -1})
+	batch := monitoring.NewBatchingRowExporter(client.ExportRowBatch, commitagg.Policy{Threshold: th})
 
 	w, err := PlaFRIMWorld(np, nil)
 	if err != nil {

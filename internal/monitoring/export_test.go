@@ -3,6 +3,7 @@ package monitoring
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"mpimon/internal/commitagg"
@@ -18,13 +19,16 @@ type sinkCall struct {
 	rows  []sparsemat.Row
 }
 
-// recordingSink captures batch pushes and can be told to fail.
+// recordingSink captures batch pushes and can be told to fail; attempts
+// counts every call, failed ones included.
 type recordingSink struct {
-	calls []sinkCall
-	fail  error
+	calls    []sinkCall
+	fail     error
+	attempts int
 }
 
 func (r *recordingSink) sink(epoch uint64, n int, ranks []int, rows []sparsemat.Row) error {
+	r.attempts++
 	if r.fail != nil {
 		return r.fail
 	}
@@ -39,7 +43,8 @@ func row1(dst int, cnt, byt uint64) sparsemat.Row {
 // TestBatchingThresholdAndCoalesce pins the core batch semantics: rows
 // buffer until the threshold, a later row for the same (epoch, rank)
 // supersedes the earlier one without counting toward the threshold, and
-// the flush delivers one call per epoch with rank-sorted rows.
+// the flush delivers one call per epoch with rank-sorted rows and leaves
+// nothing pending.
 func TestBatchingThresholdAndCoalesce(t *testing.T) {
 	rec := &recordingSink{}
 	b := NewBatchingRowExporter(rec.sink, commitagg.Policy{Threshold: 4, IntervalNs: -1})
@@ -55,8 +60,8 @@ func TestBatchingThresholdAndCoalesce(t *testing.T) {
 	if err := b.Export(0, 0, 8, row1(5, 9, 90)); err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.calls) != 0 || b.Superseded() != 1 {
-		t.Fatalf("supersede mis-handled: %d calls, %d superseded", len(rec.calls), b.Superseded())
+	if len(rec.calls) != 0 {
+		t.Fatalf("a superseding row counted toward the threshold: %d calls", len(rec.calls))
 	}
 	if err := b.Export(0, 3, 8, row1(4, 1, 10)); err != nil {
 		t.Fatal(err)
@@ -78,12 +83,8 @@ func TestBatchingThresholdAndCoalesce(t *testing.T) {
 	if c.rows[0].Cnt[0] != 9 || c.rows[0].Byt[0] != 90 {
 		t.Fatalf("rank 0 row not superseded: %+v", c.rows[0])
 	}
-	if b.Pending() != 0 {
-		t.Fatalf("%d rows pending after flush", b.Pending())
-	}
-	st := b.Stats()
-	if st.Updates != 5 || st.Folds != 1 || st.Commits != 1 {
-		t.Fatalf("stats %+v, want 5 updates / 1 fold / 1 commit", st)
+	if err := b.Flush(); err != nil || rec.attempts != 1 {
+		t.Fatalf("flush after the threshold flush: %v, %d sink calls in all, want 1", err, rec.attempts)
 	}
 }
 
@@ -111,29 +112,6 @@ func TestBatchingFlushAscendingEpochs(t *testing.T) {
 	}
 }
 
-// TestBatchingIntervalTrigger pins the clock trigger with an injected
-// clock: an export past the interval flushes everything pending.
-func TestBatchingIntervalTrigger(t *testing.T) {
-	rec := &recordingSink{}
-	b := NewBatchingRowExporter(rec.sink, commitagg.Policy{Threshold: 1 << 20, IntervalNs: 100})
-	clock := int64(0)
-	b.now = func() int64 { return clock }
-	b.since = 0
-	if err := b.Export(0, 0, 4, row1(1, 1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.calls) != 0 {
-		t.Fatal("flush before interval elapsed")
-	}
-	clock = 150
-	if err := b.Export(0, 1, 4, row1(1, 1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.calls) != 1 || len(rec.calls[0].ranks) != 2 {
-		t.Fatalf("interval flush: %d calls", len(rec.calls))
-	}
-}
-
 // TestBatchingRetry pins the failure contract: a failing sink keeps the
 // batch pending (the error says retryable), and a later flush delivers
 // exactly once — no loss, no duplicates.
@@ -147,9 +125,6 @@ func TestBatchingRetry(t *testing.T) {
 	if err == nil {
 		t.Fatal("threshold flush into failing sink returned nil")
 	}
-	if b.Pending() != 2 {
-		t.Fatalf("%d rows pending after failed flush, want 2 retained", b.Pending())
-	}
 	rec.fail = nil
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
@@ -157,33 +132,35 @@ func TestBatchingRetry(t *testing.T) {
 	if len(rec.calls) != 1 || len(rec.calls[0].ranks) != 2 {
 		t.Fatalf("retry did not deliver the batch exactly once: %+v", rec.calls)
 	}
-	if b.Pending() != 0 {
-		t.Fatalf("%d rows pending after successful retry", b.Pending())
+	if err := b.Flush(); err != nil || len(rec.calls) != 1 {
+		t.Fatalf("flush after the retry: %v, %d calls, want the batch delivered once", err, len(rec.calls))
 	}
 }
 
-// TestBatchingDropAfterMaxRetries pins the growth bound: after
-// MaxRetries consecutive failing flushes the pending rows are dropped
-// and the error says so.
+// TestBatchingDropAfterMaxRetries pins the growth bound: every failing
+// flush retries the pending rows until DefaultExportRetries consecutive
+// failures drop them, and the last error says so.
 func TestBatchingDropAfterMaxRetries(t *testing.T) {
 	rec := &recordingSink{fail: errors.New("daemon gone")}
 	b := NewBatchingRowExporter(rec.sink, commitagg.Policy{Threshold: 100, IntervalNs: -1})
-	b.MaxRetries = 2
 	if err := b.Export(0, 0, 4, row1(1, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Flush(); err == nil {
-		t.Fatal("first failing flush returned nil")
+	for i := 1; i <= DefaultExportRetries; i++ {
+		err := b.Flush()
+		if err == nil {
+			t.Fatalf("failing flush %d returned nil", i)
+		}
+		if rec.attempts != i {
+			t.Fatalf("after failing flush %d the sink saw %d calls: the rows were dropped early", i, rec.attempts)
+		}
+		if dropped := strings.Contains(err.Error(), "dropping 1 pending rows"); dropped != (i == DefaultExportRetries) {
+			t.Fatalf("failing flush %d: %v", i, err)
+		}
 	}
-	if b.Pending() != 1 {
-		t.Fatalf("rows dropped before MaxRetries: %d pending", b.Pending())
-	}
-	err := b.Flush()
-	if err == nil {
-		t.Fatal("final failing flush returned nil")
-	}
-	if b.Pending() != 0 {
-		t.Fatalf("%d rows pending after MaxRetries, want dropped", b.Pending())
+	rec.fail = nil
+	if err := b.Flush(); err != nil || rec.attempts != DefaultExportRetries {
+		t.Fatalf("flush after the drop: %v, %d sink calls in all, want the rows gone", err, rec.attempts)
 	}
 }
 
@@ -243,8 +220,8 @@ func TestSuspendExporterFailureRetryable(t *testing.T) {
 		if err := b.Flush(); err != nil {
 			return fmt.Errorf("retry flush: %w", err)
 		}
-		if len(rec.calls) != 1 || b.Pending() != 0 {
-			return fmt.Errorf("retry did not deliver the suspended row: %d calls, %d pending", len(rec.calls), b.Pending())
+		if len(rec.calls) != 1 {
+			return fmt.Errorf("retry did not deliver the suspended row: %d calls", len(rec.calls))
 		}
 		return s.Free()
 	})
