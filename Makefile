@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test vet race flake fuzz regen-fig6 regen-guidelines nodeprecated novhostclock noenginechoice nocommitcells onecollpath benchsmoke apicheck loc ci
+.PHONY: build fmt test vet race flake fuzz regen nodeprecated novhostclock noenginechoice nocommitcells onecollpath benchsmoke apicheck loc ci
 
 build:
 	$(GO) build ./...
@@ -42,11 +42,11 @@ race:
 # may not depend on it. So do the TreeMatch placement pins: MapTree sizes
 # its worker pool by GOMAXPROCS, and no placement may depend on it, nor any
 # degrade report its workers hand to OnRefineDegrade. So do
-# the span stream and the CG makespans, pinned under testdata/golden/ like
-# the other pins of that line.
+# the span stream, the CG makespans and the Real CG world state, pinned
+# under testdata/golden/ like the other pins of that line.
 flake:
 	$(GO) test -count=10 -cpu 1,2 ./internal/cg ./internal/exp ./internal/coll ./internal/online ./internal/reorder ./cmd/mpimon
-	$(GO) test -count=10 -cpu 1,2,4 -run '^(TestEngineEquivalence|TestEventCountPinned|TestOneLiveWakePerWait|TestQueueAgainstModel|TestQueueSteadyStateAllocs|TestNoLeakedCoroutine|TestRingParkedExits|TestFig1LoopEventsPinned|TestCollectivesPinned|TestCappedPlacementsPinned|TestCappedShortcutMatchesReference|TestClaimHeapShapesMatchReference|TestMapTreeParallelLargeMatchesReference|TestSpanStreamPinned|TestSkipInitEquivalence)$$' ./internal/mpi ./internal/reorder ./internal/treematch ./internal/cg
+	$(GO) test -count=10 -cpu 1,2,4 -run '^(TestEngineEquivalence|TestEventCountPinned|TestOneLiveWakePerWait|TestQueueAgainstModel|TestQueueSteadyStateAllocs|TestNoLeakedCoroutine|TestRingParkedExits|TestFig1LoopEventsPinned|TestCollectivesPinned|TestCappedPlacementsPinned|TestCappedShortcutMatchesReference|TestClaimHeapShapesMatchReference|TestMapTreeParallelLargeMatchesReference|TestSpanStreamPinned|TestSkipInitEquivalence|TestRealStatePinned)$$' ./internal/mpi ./internal/reorder ./internal/treematch ./internal/cg
 
 # fuzz runs each fuzz target for a few seconds on top of its checked-in seed
 # corpus (testdata/fuzz/, which plain `go test` already replays): the reduce
@@ -66,35 +66,33 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpanCodec$$' -fuzztime 5s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzMapTree$$' -fuzztime 5s ./internal/treematch
 
-# regen-fig6 reruns the two Fig. 6 heat maps and compares each with its
-# file under results/ byte for byte, printing the first line where they
-# differ. They are the slowest exact figures, so TestResultsRegenerate
-# leaves them out, and they are the output of the ring allgather path
-# (AllgatherN under Split) end to end.
-regen-fig6:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) build -o "$$tmp/exp" ./cmd/exp && \
-	"$$tmp/exp" reorder-heatmap > "$$tmp/fig6_heatmap.tsv" && \
-	"$$tmp/exp" reorder-heatmap -np 192 > "$$tmp/fig6_heatmap_np192.tsv" && \
-	ok=0 && for f in fig6_heatmap.tsv fig6_heatmap_np192.tsv; do \
-		$(FIRSTDIFF) "$$tmp/$$f" "results/$$f" || ok=1; \
-	done && [ $$ok = 0 ] && \
-	echo "results/fig6_heatmap.tsv and results/fig6_heatmap_np192.tsv regenerate"
-
-# regen-guidelines reruns `exp guidelines` and compares its stdout with
+# regen reruns the exact figures too slow for TestResultsRegenerate and
+# compares each with its file under results/ byte for byte, printing the
+# first line where they differ. REGEN pairs an exp command with its file:
+# the two Fig. 6 heat maps are the output of the ring allgather path
+# (AllgatherN under Split) end to end, the Fig. 7 table that of the NAS CG
+# kernel in Skeleton mode under reordering, and `exp guidelines` prints
 # results/guidelines.tsv, a blank line and results/autotune_allreduce.tsv
-# (the two tables it prints), printing the first line where they differ.
-# Tier-1 checks the guidelines and the autotuner only on reduced grids
+# (a "+" in a pair's file joins files that way). Tier-1 checks the
+# guidelines and the autotuner only on reduced grids
 # (TestGuidelinesHoldSmall, TestAutotuneSweepSmall); this checks the
 # recorded ones, where every portfolio variant and mock-up is timed by
 # coll.Measure.
-regen-guidelines:
+REGEN = \
+	'reorder-heatmap|fig6_heatmap.tsv' \
+	'reorder-heatmap -np 192|fig6_heatmap_np192.tsv' \
+	'nascg|fig7_nascg.tsv' \
+	'guidelines|guidelines.tsv+autotune_allreduce.tsv'
+
+regen:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/exp" ./cmd/exp && \
-	"$$tmp/exp" guidelines > "$$tmp/run.tsv" && \
-	{ cat results/guidelines.tsv; echo; cat results/autotune_allreduce.tsv; } > "$$tmp/guidelines.tsv+autotune_allreduce.tsv" && \
-	$(FIRSTDIFF) "$$tmp/run.tsv" "$$tmp/guidelines.tsv+autotune_allreduce.tsv" && \
-	echo "results/guidelines.tsv and results/autotune_allreduce.tsv regenerate"
+	ok=0 && for pair in $(REGEN); do \
+		cmd=$${pair%%|*} file=$${pair#*|} sep=; \
+		for f in $$(echo "$$file" | tr + ' '); do printf "$$sep"; cat "results/$$f"; sep='\n'; done > "$$tmp/$$file" && \
+		"$$tmp/exp" $$cmd > "$$tmp/run" && \
+		$(FIRSTDIFF) "$$tmp/run" "$$tmp/$$file" && echo "results/$$file regenerates" || ok=1; \
+	done && [ $$ok = 0 ]
 
 # FIRSTDIFF run file prints file's name and the first line where run and
 # file differ, as golden.Diff reports it, and exits 1; it exits 0 when they
@@ -113,13 +111,12 @@ nodeprecated:
 # novhostclock keeps the host's clock off the virtual-time path: the Fig. 1
 # mapping is priced in virtual time (reorder.mappingCost), and nothing
 # outside the tests of the packages below may read or wait on host time.
-# internal/monitoring's export.go (the row exporter's commit-interval clock)
-# is the one exception; internal/mpi joins once its goroutine engine and
-# time.AfterFunc are gone (ROADMAP 1(d)).
+# internal/mpi joins once its goroutine engine and time.AfterFunc are gone
+# (ROADMAP 1(d)).
 novhostclock:
 	@! grep -rnE 'time\.(Now|Since|After|AfterFunc|Sleep|NewTimer)\b' --include='*.go' --exclude='*_test.go' \
 		internal/reorder internal/online internal/pml internal/netsim internal/coll internal/hwcount \
-		internal/sparsemat internal/treematch internal/telemetry internal/monitoring | grep -v '^internal/monitoring/export\.go:'
+		internal/sparsemat internal/treematch internal/telemetry internal/monitoring internal/cg internal/mpit
 
 # noenginechoice keeps the engine choice inside internal/mpi: every driver,
 # tuner and experiment runs on the event engine (exp.newWorld, coll.Measure,
@@ -169,10 +166,10 @@ loc:
 # ci is the gate for a change: the gofmt check, static checks, full build,
 # the whole test suite, the race tier on the instrumented packages, the
 # flake tier on the clock-sensitive ones, a few seconds of every fuzz
-# target, the Fig. 6 heat maps and the guideline and autotuner tables
-# regenerated byte for byte, a one-iteration
+# target, the Fig. 6 heat maps, the Fig. 7 table and the guideline and
+# autotuner tables regenerated byte for byte, a one-iteration
 # pass over every benchmark, the exported-API pin, the no-deprecated-shims
 # check, the no-host-clock check on the virtual-time path, the
 # no-engine-choice check on the drivers, the no-commit-cells check on the
 # telemetry counters and the one-collective-path check.
-ci: fmt vet build test race flake fuzz regen-fig6 regen-guidelines benchsmoke apicheck nodeprecated novhostclock noenginechoice nocommitcells onecollpath
+ci: fmt vet build test race flake fuzz regen benchsmoke apicheck nodeprecated novhostclock noenginechoice nocommitcells onecollpath
