@@ -69,9 +69,11 @@ fuzz:
 # regen reruns the exact figures too slow for TestResultsRegenerate and
 # compares each with its file under results/ byte for byte, printing the
 # first line where they differ. REGEN pairs an exp command with its file:
-# the two Fig. 6 heat maps are the output of the ring allgather path
-# (AllgatherN under Split) end to end, the Fig. 7 table that of the NAS CG
-# kernel in Skeleton mode under reordering, and `exp guidelines` prints
+# the Fig. 4 table is the monitored and unmonitored virtual reduce times
+# at the paper's 24 configurations (about 3 s), the two Fig. 6 heat maps
+# are the output of the ring allgather path (AllgatherN under Split) end
+# to end, the Fig. 7 table that of the NAS CG kernel in Skeleton mode under
+# reordering, and `exp guidelines` prints
 # results/guidelines.tsv, a blank line and results/autotune_allreduce.tsv
 # (a "+" in a pair's file joins files that way). Tier-1 checks the
 # guidelines and the autotuner only on reduced grids
@@ -79,6 +81,7 @@ fuzz:
 # recorded ones, where every portfolio variant and mock-up is timed by
 # coll.Measure.
 REGEN = \
+	'overhead|fig4_overhead.tsv' \
 	'reorder-heatmap|fig6_heatmap.tsv' \
 	'reorder-heatmap -np 192|fig6_heatmap_np192.tsv' \
 	'nascg|fig7_nascg.tsv' \
@@ -166,8 +169,8 @@ loc:
 # ci is the gate for a change: the gofmt check, static checks, full build,
 # the whole test suite, the race tier on the instrumented packages, the
 # flake tier on the clock-sensitive ones, a few seconds of every fuzz
-# target, the Fig. 6 heat maps, the Fig. 7 table and the guideline and
-# autotuner tables regenerated byte for byte, a one-iteration
+# target, the Fig. 4 table, the Fig. 6 heat maps, the Fig. 7 table and the
+# guideline and autotuner tables regenerated byte for byte, a one-iteration
 # pass over every benchmark, the exported-API pin, the no-deprecated-shims
 # check, the no-host-clock check on the virtual-time path, the
 # no-engine-choice check on the drivers, the no-commit-cells check on the

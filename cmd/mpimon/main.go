@@ -246,6 +246,16 @@ func writeTelemetry(path string, tel *telemetry.Telemetry) error {
 // telemetry hub (always non-nil; empty when neither -telemetry nor -serve
 // asked for instrumentation but kept to keep the flow uniform).
 func execute(cfg *config) (*report, *telemetry.Telemetry, error) {
+	// Bad counts fail here, once, rather than in a machine model's panic or
+	// in every rank of a world.
+	switch {
+	case cfg.np < 1:
+		return nil, nil, fmt.Errorf("needs np >= 1, got %d", cfg.np)
+	case cfg.iters < 1:
+		return nil, nil, fmt.Errorf("needs iters >= 1, got %d", cfg.iters)
+	case cfg.bytes < 0:
+		return nil, nil, fmt.Errorf("negative message size %d", cfg.bytes)
+	}
 	var mach *netsim.Machine
 	if cfg.topoSpec == "" {
 		mach = netsim.PlaFRIM((cfg.np + 23) / 24)
@@ -454,6 +464,9 @@ func makePhase(workload string, np, bytes int, class string) (func(*mpi.Comm) er
 	case "cg":
 		cls, err := cg.ClassByName(class)
 		if err != nil {
+			return nil, err
+		}
+		if _, err := cg.NewGrid(np, cls.NA); err != nil {
 			return nil, err
 		}
 		return func(c *mpi.Comm) error {

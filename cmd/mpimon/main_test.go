@@ -112,6 +112,27 @@ func TestRunValidation(t *testing.T) {
 	if err := run(cfg("ring", 500, func(c *config) { c.topoSpec = "2x2x2"; c.iters = 1; c.bytes = 1 })); err == nil {
 		t.Fatal("too many ranks should fail")
 	}
+	// A count no run can take fails once, before any world is built: no
+	// machine-model panic, no error per rank, nothing on stdout.
+	for _, tc := range []struct {
+		c    config
+		want string
+	}{
+		{cfg("ring", 0, nil), "needs np >= 1, got 0"},
+		{cfg("ring", -1, nil), "needs np >= 1, got -1"},
+		{cfg("ring", 4, func(c *config) { c.iters = 0 }), "needs iters >= 1, got 0"},
+		{cfg("ring", 4, func(c *config) { c.iters = -1 }), "needs iters >= 1, got -1"},
+		{cfg("ring", 4, func(c *config) { c.bytes = -1 }), "negative message size -1"},
+		{cfg("cg", 12, func(c *config) { c.iters = 1 }), "number of processes 12 is not a power of two"},
+	} {
+		out := new(bytes.Buffer)
+		tc.c.stdout = out
+		err := run(tc.c)
+		if err == nil || strings.Count(err.Error(), tc.want) != 1 || strings.Contains(err.Error(), "\n") || out.Len() != 0 {
+			t.Errorf("%s np=%d iters=%d bytes=%d: err %v, stdout %q; want one error containing %q and no output",
+				tc.c.workload, tc.c.np, tc.c.iters, tc.c.bytes, err, out.String(), tc.want)
+		}
+	}
 }
 
 // TestEngineFlagRejected: mpimon runs on the event engine and offers no way

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -84,15 +85,12 @@ func TestMainUsage(t *testing.T) {
 
 // TestBadRepsFails: a -reps value an experiment cannot take fails the run
 // with exit 1 and an error that names reps, instead of panicking a rank or
-// the whole process. collopt needs one repetition for a median, overhead
-// two per sample for Welch's interval.
+// the whole process. collopt and overhead need one repetition for a median.
 func TestBadRepsFails(t *testing.T) {
 	for _, args := range [][]string{
 		{"collopt", "-np", "4", "-sizes", "1", "-reps", "0"},
 		{"collopt", "-np", "4", "-sizes", "1", "-reps", "-1"},
 		{"overhead", "-np", "4", "-sizes", "1", "-reps", "0"},
-		{"overhead", "-np", "4", "-sizes", "1", "-reps", "1"},
-		{"overhead", "-self", "-np", "4", "-sizes", "1", "-reps", "1"},
 	} {
 		var out, errb bytes.Buffer
 		code := runTable(experiments, args, &out, &errb)
@@ -122,7 +120,6 @@ func TestBadGridFails(t *testing.T) {
 	}{
 		{[]string{"collopt", "-np", "0", "-sizes", "1"}, "np >= 1"},
 		{[]string{"overhead", "-np", "0", "-sizes", "1"}, "np >= 1"},
-		{[]string{"overhead", "-self", "-np", "0", "-sizes", "1"}, "np >= 1"},
 		{[]string{"guidelines", "-np", "0", "-blocks", "64", "-sweep=false"}, "np >= 1"},
 		{[]string{"reorder-heatmap", "-np", "0", "-iters", "1", "-bufs", "1"}, "np >= 1"},
 		{[]string{"online", "-np", "0"}, "np >= 1"},
@@ -130,7 +127,6 @@ func TestBadGridFails(t *testing.T) {
 		{[]string{"nascg", "-np", "0"}, "np >= 1"},
 		{[]string{"gather-scale", "-np", "0"}, "np >= 1"},
 		{[]string{"overhead", "-np", "4", "-sizes", "-1", "-reps", "2"}, "overhead sizes: negative message size -1"},
-		{[]string{"overhead", "-self", "-np", "4", "-sizes", "-1", "-reps", "2"}, "sizes: negative message size -1"},
 		{[]string{"guidelines", "-np", "4", "-blocks", "-8", "-sweep=false"}, "blocks: negative message size -8"},
 		{[]string{"collopt", "-np", "4", "-sizes", "1,-1"}, "collopt sizes: negative message size -1"},
 		{[]string{"reorder-heatmap", "-np", "4", "-iters", "1", "-bufs", "-1"}, "reorder-heatmap bufs: negative message size -1"},
@@ -235,21 +231,25 @@ func TestFailingExperimentKeepsProfiles(t *testing.T) {
 	}
 }
 
-// TestResultsRegenerate: every cheap exact file under results/ is the
-// byte-for-byte output of the command EXPERIMENTS.md prints for it. A
-// difference is reported at its first line.
+// regenerated pairs each cheap exact file under results/ with the command
+// EXPERIMENTS.md prints for it. The files too slow for tier-1 are the
+// Makefile's REGEN list, which `make regen` checks.
+var regenerated = []struct {
+	args []string
+	file string
+}{
+	{[]string{"hwcounters"}, "fig2_series.tsv"},
+	{[]string{"hwcounters", "-cumulative"}, "fig3_cumulative.tsv"},
+	{[]string{"collopt", "-op", "reduce"}, "fig5a_reduce.tsv"},
+	{[]string{"collopt", "-op", "bcast"}, "fig5b_bcast.tsv"},
+	{[]string{"online"}, "online_reorder.tsv"},
+	{[]string{"faults"}, "faults.tsv"},
+}
+
+// TestResultsRegenerate: every file of regenerated is the byte-for-byte
+// output of its command. A difference is reported at its first line.
 func TestResultsRegenerate(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		file string
-	}{
-		{[]string{"hwcounters"}, "fig2_series.tsv"},
-		{[]string{"hwcounters", "-cumulative"}, "fig3_cumulative.tsv"},
-		{[]string{"collopt", "-op", "reduce"}, "fig5a_reduce.tsv"},
-		{[]string{"collopt", "-op", "bcast"}, "fig5b_bcast.tsv"},
-		{[]string{"online"}, "online_reorder.tsv"},
-		{[]string{"faults"}, "faults.tsv"},
-	} {
+	for _, tc := range regenerated {
 		want, err := os.ReadFile(filepath.Join("..", "..", "results", tc.file))
 		if err != nil {
 			t.Fatal(err)
@@ -260,6 +260,39 @@ func TestResultsRegenerate(t *testing.T) {
 		}
 		if d := golden.Diff(out.String(), string(want)); d != "" {
 			t.Errorf("exp %v no longer regenerates results/%s; %s", tc.args, tc.file, d)
+		}
+	}
+}
+
+// TestEveryResultIsChecked: every file under results/ is exact, so each is
+// either regenerated by TestResultsRegenerate or named in the Makefile's
+// REGEN list ('command|file' pairs, several files joined by "+"). A
+// host-measured table belongs in EXPERIMENTS.md as a dated record, not here.
+func TestEveryResultIsChecked(t *testing.T) {
+	checked := map[string]bool{}
+	for _, tc := range regenerated {
+		checked[tc.file] = true
+	}
+	mk, err := os.ReadFile(filepath.Join("..", "..", "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := regexp.MustCompile(`(?m)^REGEN = \\\n((?:\t.*\n)+)`).FindSubmatch(mk)
+	if list == nil {
+		t.Fatal("no REGEN list in the Makefile")
+	}
+	for _, m := range regexp.MustCompile(`'[^'|]+\|([^']+)'`).FindAllSubmatch(list[1], -1) {
+		for _, f := range strings.Split(string(m[1]), "+") {
+			checked[f] = true
+		}
+	}
+	entries, err := os.ReadDir(filepath.Join("..", "..", "results"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !checked[e.Name()] {
+			t.Errorf("results/%s is checked by neither TestResultsRegenerate nor the Makefile's REGEN list", e.Name())
 		}
 	}
 }

@@ -159,23 +159,13 @@ var experiments = []experiment{
 	},
 	{
 		name: "overhead",
-		doc:  "Fig. 4: wall-clock overhead of monitoring on a small reduce (Welch 95%); -self benchmarks telemetry instead",
+		doc:  "Fig. 4: virtual reduce time with and without monitoring (the difference is exactly zero)",
 		setup: func(fs *flag.FlagSet) func(io.Writer) error {
 			cfg := DefaultOverhead
 			intsVar(fs, &cfg.NPs, "np", "world sizes")
 			intsVar(fs, &cfg.Sizes, "sizes", "message sizes in bytes")
-			fs.IntVar(&cfg.Reps, "reps", cfg.Reps, "measurements per configuration")
-			self := fs.Bool("self", false, "benchmark the telemetry subsystem itself instead of the monitoring layer (uses the first -np and -sizes values)")
+			fs.IntVar(&cfg.Reps, "reps", cfg.Reps, "repetitions (median reported)")
 			return func(w io.Writer) error {
-				if *self {
-					tc := TelemetryOverheadConfig{NP: cfg.NPs[0], Size: cfg.Sizes[0], Reps: cfg.Reps}
-					res, err := TelemetryOverhead(tc)
-					if err != nil {
-						return err
-					}
-					PrintTelemetryOverhead(w, tc, res)
-					return nil
-				}
 				rows, err := Overhead(cfg)
 				if err != nil {
 					return err

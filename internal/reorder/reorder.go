@@ -123,9 +123,9 @@ var mapFn = ComputeMapping
 
 // mappingNsPerVisit is the one constant of the mapping-cost model: the
 // virtual nanoseconds TreeMatch spends per matrix row or entry per tree
-// level. Calibrated against results/table1_treematch.tsv (EXPERIMENTS.md,
+// level. Calibrated against Table 1's dated record in EXPERIMENTS.md (see
 // "Reproducibility"): 275 is the middle of the interval that reproduces the
-// 16384, 32768 and 65536 rows at the file's one-decimal precision.
+// 16384, 32768 and 65536 rows at the record's one-decimal precision.
 const mappingNsPerVisit = 275
 
 // mappingCost prices one mapping of m on a tree of the given depth in
